@@ -1,8 +1,6 @@
-"""Anderson acceleration: AA(m) and the closed-form AA(1) coefficients."""
+"""Anderson acceleration: the closed-form AA(1) coefficients."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,70 +29,8 @@ def aa1_alpha(r_prev: np.ndarray, r_curr: np.ndarray) -> tuple[float, float]:
     return a0, 1.0 - a0
 
 
-@dataclass
-class AAState:
-    """History ring for AA(m): the last m+1 (iterate, map value) pairs."""
-
-    m: int = 1
-    beta: float = 1.0
-    history: list = field(default_factory=list)
-    fallbacks: int = 0
-
-    def push(self, x: np.ndarray, Ax: np.ndarray) -> None:
-        self.history.append((np.asarray(x, float), np.asarray(Ax, float)))
-        if len(self.history) > self.m + 1:
-            self.history.pop(0)
-
-    def reset(self) -> None:
-        self.history.clear()
-
-
-def aa_step(state: AAState, x_curr: np.ndarray, Ax_curr: np.ndarray
-            ) -> np.ndarray:
-    """One Anderson step: push (x, Ax), solve the constrained least squares
-    over the stored residuals, and return the mixed iterate.
-
-    m = 0 (or an empty history) reproduces plain fixed-point iteration
-    bitwise.  A degenerate least-squares problem falls back to the plain
-    step and is counted on the state.
-    """
-    state.push(x_curr, Ax_curr)
-    if state.m == 0 or len(state.history) == 1:
-        return np.asarray(Ax_curr, dtype=float)
-
-    xs = np.stack([h[0] for h in state.history])
-    axs = np.stack([h[1] for h in state.history])
-    rs = axs - xs
-    last = rs[-1]
-    D = (rs[:-1] - last).T          # columns: r_j - r_last
-    try:
-        G = D.T @ D
-        beta_coef = np.linalg.solve(G, -D.T @ last)
-        if not np.all(np.isfinite(beta_coef)):
-            raise np.linalg.LinAlgError("non-finite AA coefficients")
-    except np.linalg.LinAlgError:
-        state.fallbacks += 1
-        return np.asarray(Ax_curr, dtype=float)
-    alpha = np.concatenate([beta_coef, [1.0 - beta_coef.sum()]])
-    mixed = alpha @ axs
-    if state.beta != 1.0:
-        mixed = (1.0 - state.beta) * (alpha @ xs) + state.beta * mixed
-    return mixed
-
-
 def flatten_state(phi_groups: np.ndarray, J_groups: np.ndarray) -> np.ndarray:
     """Flatten per-group (phi, J) LD coefficients into one vector in
     (group, cell, coefficient, field) order with phi before J."""
     return np.stack([phi_groups, J_groups], axis=-1).ravel()
 
-
-def unflatten_state(vec: np.ndarray, G: int, n_cells: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of flatten_state; validates the vector length."""
-    vec = np.asarray(vec, dtype=float)
-    expected = G * n_cells * 2 * 2
-    if vec.size != expected:
-        raise ValueError(
-            f"state vector has {vec.size} entries, expected {expected}")
-    u = vec.reshape(G, n_cells, 2, 2)
-    return u[..., 0].copy(), u[..., 1].copy()

@@ -4,7 +4,6 @@ emit residual-history CSV."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .driver import (METHODS, IterationConfig, RunReport,
@@ -40,15 +39,6 @@ def _resolve_problem(args) -> tuple[ProblemSpec, str | None]:
     if getattr(args, "config", None):
         return load_problem(args.config), None
     raise UsageError("a problem is required (--problem NAME or --config PATH)")
-
-
-def _config_from_args(args, method: str) -> IterationConfig:
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("SOLVER_THREADS", "1"))
-    return IterationConfig(method=method, k_max=args.kmax, s_max=args.smax,
-                           epsilon=args.epsilon, max_outer=args.max_outer,
-                           parallel=threads > 1, threads=threads)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -87,7 +77,9 @@ def _history_human(report: RunReport) -> str:
 
 def _cmd_run(args) -> int:
     spec, _ = _resolve_problem(args)
-    cfg = _config_from_args(args, args.method)
+    cfg = IterationConfig(method=args.method, k_max=args.kmax,
+                          s_max=args.smax, epsilon=args.epsilon,
+                          max_outer=args.max_outer)
     report = run_problem(spec, cfg)
     text = (_history_csv(report) if args.format == "csv"
             else _history_human(report))
@@ -112,17 +104,13 @@ def _cmd_sweep_table(args) -> int:
     spec, _ = _resolve_problem(args)
     kmaxes = _parse_int_list(args.kmax, "--kmax")
     smaxes = _parse_int_list(args.smax, "--smax")
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("SOLVER_THREADS", "1"))
     lines = ["k_max,s_max,N_t,rho_num,M_lo"]
     worst = EXIT_OK
     for k in kmaxes:
         for s in smaxes:
             cfg = IterationConfig(method=args.method, k_max=k, s_max=s,
                                   epsilon=args.epsilon,
-                                  max_outer=args.max_outer,
-                                  parallel=threads > 1, threads=threads)
+                                  max_outer=args.max_outer)
             report = run_problem(spec, cfg)
             lines.append(f"{k},{s},{report.N_t},{_fmt_rho(report.rho_num)},"
                          f"{report.M_lo}")
@@ -195,9 +183,6 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--smax", type=int, default=1)
     p.add_argument("--epsilon", type=float, default=1e-9)
     p.add_argument("--max-outer", type=int, default=1000)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for group solves "
-                        "(default: SOLVER_THREADS or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated s_max list")
     p_tab.add_argument("--epsilon", type=float, default=1e-9)
     p_tab.add_argument("--max-outer", type=int, default=1000)
-    p_tab.add_argument("--threads", type=int, default=None)
     p_tab.set_defaults(func=_cmd_sweep_table)
 
     p_str = sub.add_parser("strength", help="group connection-strength matrix")

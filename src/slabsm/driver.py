@@ -1,12 +1,13 @@
-"""Iteration drivers: source iteration, MLSM, and MLSM-AA(1).
+"""The outer iteration shared by source iteration, MLSM and MLSM-AA(1).
 
-The multilevel loop structure per outer iteration ell (ell = 0 runs the
-low-order levels only, against the initial flat guess):
-
-    sbar_s from the latest group fluxes -> parallel group sweeps ->
-    closure functionals -> k_max cycles of [ s_max parallel multigroup
-    low-order passes (with zeta refreshed each pass), then grey
-    coefficient update and one grey solve ].
+Per outer iteration ell, every method sweeps all groups and takes the
+angular moments.  Source iteration sweeps against the fully lagged
+scattering source and stops there.  The multilevel methods sweep against
+sbar_s times the grey flux, freeze the closure functionals, and run
+k_max cycles of [ s_max multigroup low-order passes (zeta refreshed each
+pass, AA(1)-mixed for mlsm-aa1), then a grey coefficient update and one
+grey solve ].  Their ell = 0 runs the low-order levels only, against the
+initial flat guess.
 
 Convergence is measured on successive grey scalar fluxes.  N_t counts the
 outer iterations that contain a transport sweep (ell >= 1).
@@ -15,9 +16,8 @@ outer iterations that contain a transport sweep (ell >= 1).
 from __future__ import annotations
 
 import logging
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
@@ -29,8 +29,7 @@ from .fields import Mesh
 from .losm import (LowOrderSystem, avg_scattering_xs, compute_zeta, grey_xs,
                    sum_closures)
 from .problem import ProblemSpec
-from .sweep import (build_ho_rhs, closure_from_sweep, sweep_batch,
-                    sweep_directions)
+from .sweep import build_ho_rhs, closure_from_sweep, sweep_batch
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +41,7 @@ METHODS = (METHOD_SI, METHOD_MLSM, METHOD_MLSM_AA1)
 STATUS_CONVERGED = "converged"
 STATUS_MAX_OUTER = "max_outer"
 STATUS_DIVERGED = "diverged"
+STATUS_NON_FINITE = "non_finite"
 
 
 @dataclass
@@ -49,11 +49,7 @@ class IterationConfig:
     """Solver selection and iteration controls.
 
     k_max counts grey cycles per outer iteration, s_max multigroup passes
-    per cycle.  aa_beta relaxes the accelerated combination (1 = none);
-    aa_m is reserved for deeper histories via the general accel machinery,
-    the built-in accelerated driver runs the closed-form depth-1 scheme.
-    aa_weight_J rescales the current block inside the acceleration
-    residuals (sensitivity knob, default off).
+    per cycle; source iteration ignores both.
     """
 
     method: str = METHOD_MLSM
@@ -61,11 +57,6 @@ class IterationConfig:
     s_max: int = 1
     epsilon: float = 1e-9
     max_outer: int = 1000
-    aa_m: int = 1
-    aa_beta: float = 1.0
-    aa_weight_J: float = 1.0
-    parallel: bool = False
-    threads: int = 1
     # termination norm for the grey-flux change; the published iteration
     # counts are only reproduced by the absolute infinity norm
     measure: str = "absolute"
@@ -110,11 +101,12 @@ class RunReport:
     """Outcome of one solver run.
 
     N_t counts outer transport iterations; residual_history holds the
-    per-iteration convergence measure (one entry per counted iteration).
-    rho_num is None when the terminal ratios are too irregular to quote
-    (rho_estimate keeps the raw geometric mean).  lo_solve_counts records
-    the instrumented low-order solves of every executed outer pass,
-    including the sweep-free initial one.
+    per-iteration convergence measure (one entry per counted iteration;
+    a non_finite run ends on the offending entry).  rho_num is None when
+    the terminal ratios are too irregular to quote (rho_estimate keeps the
+    raw geometric mean) and after a non_finite stop.  lo_solve_counts
+    records the instrumented low-order solves of every executed outer
+    pass, including the sweep-free initial one.
     """
 
     method: str
@@ -216,7 +208,8 @@ def lo_solve_count(cfg: IterationConfig) -> int:
 
 
 def _finalize_rho(report: RunReport, cfg: IterationConfig) -> None:
-    if len(report.residual_history) >= 4:
+    if (report.status != STATUS_NON_FINITE
+            and len(report.residual_history) >= 4):
         est = estimate_spectral_radius(report.residual_history,
                                        cfg.irregular_spread)
         report.rho_estimate = est.rho
@@ -227,132 +220,78 @@ def _finalize_rho(report: RunReport, cfg: IterationConfig) -> None:
         report.rho_irregular = False
 
 
-def _diverged(history, cfg) -> bool:
+def _status(history, cfg) -> str | None:
+    """Terminal status after the latest convergence measure, or None to
+    keep iterating."""
+    delta = history[-1]
+    if not math.isfinite(delta):
+        return STATUS_NON_FINITE
+    if delta <= cfg.epsilon:
+        return STATUS_CONVERGED
     w = cfg.divergence_window
-    return (len(history) > w
-            and history[-1] > cfg.divergence_factor * history[-1 - w])
+    if len(history) > w and delta > cfg.divergence_factor * history[-1 - w]:
+        return STATUS_DIVERGED
+    return None
 
 
-# ---------------------------------------------------------------------------
-# Source iteration
-# ---------------------------------------------------------------------------
+def _aa1_passes(system, grey_phi, phi, J, closures, s_max):
+    """s_max multigroup passes mixed by AA(1).
 
-def run_source_iteration(spec: ProblemSpec, cfg: IterationConfig) -> RunReport:
-    """Classic SI: every group swept against the fully lagged scattering
-    source; no low-order solves.  Starts from a zero flux."""
-    if cfg.method != METHOD_SI:
-        raise ValueError("config method must be 'si'")
+    The combination mixes the two latest map values with coefficients
+    from the closed-form residual minimization; residuals are the
+    low-order equation residuals, so no solve beyond the s_max passes is
+    consumed.  The residual of the initial guess (the sweep moments in the
+    first cycle) makes acceleration active from the first pass.  Returns
+    (phi, J, fallbacks, largest |alpha0|).
+    """
+    fallbacks = 0
+    alpha_peak = 0.0
+    hat_prev = (phi, J)
+    for s in range(s_max):
+        zeta = compute_zeta(grey_phi, phi)
+        if s == 0:
+            r_prev = flatten_state(*system.equation_residual(phi, J, zeta,
+                                                             closures))
+        hat_phi, hat_J = system.group_pass(phi, J, zeta, closures)
+        r_curr = flatten_state(*system.equation_residual(hat_phi, hat_J,
+                                                         zeta, closures))
+        try:
+            a0, a1 = aa1_alpha(r_prev, r_curr)
+        except DegenerateResidualPair:
+            a0, a1 = 0.0, 1.0
+            fallbacks += 1
+            log.debug("AA(1) degenerate residual pair at pass %d; plain "
+                      "step", s + 1)
+        alpha_peak = max(alpha_peak, abs(a0))
+        phi = a0 * hat_prev[0] + a1 * hat_phi
+        J = a0 * hat_prev[1] + a1 * hat_J
+        hat_prev = (hat_phi, hat_J)
+        r_prev = r_curr
+    return phi, J, fallbacks, alpha_peak
+
+
+def run_problem(spec: ProblemSpec, cfg: IterationConfig) -> RunReport:
+    """Run the configured method to convergence, divergence, a non-finite
+    residual or max_outer.
+
+    Source iteration starts from a zero flux and builds no low-order
+    system.  The multilevel methods start from the flat guess psi = 1/2,
+    so phi_g = 1 and every averaging denominator is safely away from
+    zero, with P identically zero.
+    """
     t0 = time.perf_counter()
     quad = build_double_gauss(spec.n_half)
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     G, N = spec.G, spec.n_cells
+    multilevel = cfg.method != METHOD_SI
+    system = LowOrderSystem(spec, mesh) if multilevel else None
 
     psi = np.zeros((G, quad.n_angles, N, 2))
     phi = np.zeros((G, N, 2))
-    prev_grey = phi.sum(axis=0)
-    history: list[float] = []
-    status = STATUS_MAX_OUTER
-    n_t = cfg.max_outer
-
-    with ExitStack() as stack:
-        pool = None
-        if cfg.parallel and cfg.threads > 1:
-            pool = stack.enter_context(ThreadPoolExecutor(cfg.threads))
-        for ell in range(1, cfg.max_outer + 1):
-            scatter = np.einsum("gh,hnc->gnc", spec.sigma_s, phi)
-            scatter[:, :, 0] += spec.Q[:, None]
-            rhs = 0.5 * scatter
-
-            groups = range(G)
-            if pool is None:
-                psi = sweep_batch(spec.sigma_t, mesh, quad, rhs)
-            else:
-                def sweep_one(g):
-                    return sweep_directions(spec.sigma_t[g], mesh, quad,
-                                            rhs[g])
-
-                for g, psi_g in zip(groups, pool.map(sweep_one, groups)):
-                    psi[g] = psi_g
-            for g in groups:
-                phi[g] = angular_moments(psi[g], quad).phi
-            grey = phi.sum(axis=0)
-            delta = convergence_measure(grey, prev_grey,
-                                        relative=cfg.measure == "relative")
-            history.append(delta)
-            prev_grey = grey
-            if delta <= cfg.epsilon:
-                status = STATUS_CONVERGED
-                n_t = ell
-                break
-            if _diverged(history, cfg):
-                status = STATUS_DIVERGED
-                n_t = ell
-                break
-
-    state = TransportState(psi=psi, phi_ho=phi, J_ho=None, P=None,
-                           closures=None, grey_closure=None, phi=phi, J=None,
-                           grey_phi=prev_grey, grey_J=None)
-    report = RunReport(method=cfg.method, problem=spec.name, k_max=cfg.k_max,
-                       s_max=cfg.s_max, epsilon=cfg.epsilon, N_t=n_t,
-                       rho_num=None, rho_irregular=False, M_lo=0,
-                       residual_history=history, status=status,
-                       timings={"wall_seconds": time.perf_counter() - t0},
-                       state=state)
-    _finalize_rho(report, cfg)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Multilevel second-moment drivers
-# ---------------------------------------------------------------------------
-
-def _sweep_all_groups(spec, mesh, quad, rhs, pool):
-    if pool is None:
-        psi = sweep_batch(spec.sigma_t, mesh, quad, rhs)
-        out = []
-        for g in range(spec.G):
-            mom = angular_moments(psi[g], quad)
-            out.append((psi[g], mom, closure_from_sweep(psi[g], quad, mom)))
-        return out
-
-    def sweep_one(g):
-        psi_g = sweep_directions(spec.sigma_t[g], mesh, quad, rhs[g])
-        mom = angular_moments(psi_g, quad)
-        return psi_g, mom, closure_from_sweep(psi_g, quad, mom)
-
-    return list(pool.map(sweep_one, range(spec.G)))
-
-
-def _aa_flat(r_phi, r_J, weight_J):
-    if weight_J == 1.0:
-        return flatten_state(r_phi, r_J)
-    return flatten_state(r_phi, weight_J * r_J)
-
-
-def _run_multilevel(spec: ProblemSpec, cfg: IterationConfig,
-                    use_aa: bool) -> RunReport:
-    t0 = time.perf_counter()
-    quad = build_double_gauss(spec.n_half)
-    mesh = Mesh.uniform(spec.width, spec.n_cells)
-    system = LowOrderSystem(spec, mesh)
-    G, M, N = spec.G, quad.n_angles, spec.n_cells
-
-    # flat initial guess: psi = 1/2 so phi_g = 1 and every averaging
-    # denominator is safely away from zero; P identically zero
-    psi = np.zeros((G, M, N, 2))
-    psi[..., 0] = 0.5
-    moms = [angular_moments(psi[g], quad) for g in range(G)]
-    phi_ho = np.stack([m.phi for m in moms])
-    J_ho = np.stack([m.J for m in moms])
-    P = np.stack([m.P for m in moms])
-    closures = [closure_from_sweep(psi[g], quad, moms[g]) for g in range(G)]
-    grey_closure = sum_closures(closures)
-
-    phi = phi_ho.copy()
-    J = J_ho.copy()
     grey_phi = phi.sum(axis=0)
-    grey_J = J.sum(axis=0)
-    grey_coeffs = None
+    if multilevel:
+        psi[..., 0] = 0.5
+    J = grey_J = closures = grey_closure = grey_coeffs = zeta = None
 
     history: list[float] = []
     lo_counts: list[int] = []
@@ -360,145 +299,84 @@ def _run_multilevel(spec: ProblemSpec, cfg: IterationConfig,
     aa_alpha_peak = 0.0
     status = STATUS_MAX_OUTER
     n_t = cfg.max_outer
-    prev_grey = None
 
-    with ExitStack() as stack:
-        pool = None
-        if cfg.parallel and cfg.threads > 1:
-            pool = stack.enter_context(ThreadPoolExecutor(cfg.threads))
-
-        for ell in range(0, cfg.max_outer + 1):
-            passes0 = system.n_group_passes
-            greys0 = system.n_grey_solves
-
-            if ell > 0:
+    for ell in range(0 if multilevel else 1, cfg.max_outer + 1):
+        if ell > 0:
+            if multilevel:
                 sbar = avg_scattering_xs(phi, spec.sigma_s)
                 rhs = np.stack([build_ho_rhs(grey_phi, sbar[g], spec.Q[g])
                                 for g in range(G)])
-                swept = _sweep_all_groups(spec, mesh, quad, rhs, pool)
-                for g in range(G):
-                    psi[g] = swept[g][0]
-                    phi_ho[g] = swept[g][1].phi
-                    J_ho[g] = swept[g][1].J
-                    P[g] = swept[g][1].P
-                closures = [swept[g][2] for g in range(G)]
-                grey_closure = sum_closures(closures)
-                assert np.allclose(grey_closure.P, P.sum(axis=0),
-                                   rtol=1e-13, atol=1e-300), \
-                    "grey closure moment must equal the group sum"
-                # the inner multigroup iteration restarts from the fresh
-                # transport moments; the grey lag carries over
-                phi = phi_ho.copy()
-                J = J_ho.copy()
+            else:
+                scatter = np.einsum("gh,hnc->gnc", spec.sigma_s, phi)
+                scatter[:, :, 0] += spec.Q[:, None]
+                rhs = 0.5 * scatter
+            psi = sweep_batch(spec.sigma_t, mesh, quad, rhs)
+        moms = [angular_moments(psi[g], quad) for g in range(G)]
+        phi_ho = np.stack([m.phi for m in moms])
+        J_ho = np.stack([m.J for m in moms])
+        P = np.stack([m.P for m in moms])
+        prev_grey = grey_phi
 
+        if multilevel:
+            closures = [closure_from_sweep(psi[g], quad, moms[g])
+                        for g in range(G)]
+            grey_closure = sum_closures(closures)
+            # NaN passes here and stops the run as non_finite below
+            if not np.allclose(grey_closure.P, P.sum(axis=0), rtol=1e-13,
+                               atol=1e-300, equal_nan=True):
+                raise RuntimeError("grey closure moment differs from the "
+                                   "sum of the group closure moments")
+            # the inner multigroup iteration restarts from the fresh
+            # transport moments; the grey lag carries over
+            phi = phi_ho.copy()
+            J = J_ho.copy()
+            if ell == 0:
+                grey_phi = phi.sum(axis=0)
+            solves0 = system.n_group_passes + system.n_grey_solves
             for _k in range(cfg.k_max):
-                if use_aa:
-                    # AA(1) over the inner passes: the combination mixes
-                    # the two latest map values with coefficients from the
-                    # closed-form residual minimization; residuals are the
-                    # low-order equation residuals, so no solve beyond the
-                    # s_max passes is consumed.  The pre-loop residual of
-                    # the initial guess (the sweep moments at k = 1) makes
-                    # acceleration active from the first pass.
-                    zeta = compute_zeta(grey_phi, phi)
-                    r_phi, r_J = system.equation_residual(phi, J, zeta,
-                                                          closures)
-                    hat_prev = (phi, J)
-                    in_prev = (phi, J)
-                    for s in range(1, cfg.s_max + 1):
-                        if s > 1:
-                            zeta = compute_zeta(grey_phi, phi)
-                        in_curr = (phi, J)
-                        hat_phi, hat_J = system.group_pass(phi, J, zeta,
-                                                           closures, pool)
-                        rc_phi, rc_J = system.equation_residual(
-                            hat_phi, hat_J, zeta, closures)
-                        try:
-                            a0, a1 = aa1_alpha(
-                                _aa_flat(r_phi, r_J, cfg.aa_weight_J),
-                                _aa_flat(rc_phi, rc_J, cfg.aa_weight_J))
-                        except DegenerateResidualPair:
-                            a0, a1 = 0.0, 1.0
-                            aa_fallbacks += 1
-                            log.debug("AA(1) degenerate residual pair at "
-                                      "ell=%d s=%d; plain step", ell, s)
-                        if abs(a0) > aa_alpha_peak:
-                            aa_alpha_peak = abs(a0)
-                            if aa_alpha_peak > 100.0:
-                                log.debug("large AA coefficient |alpha0|=%.3g"
-                                          " at ell=%d s=%d", a0, ell, s)
-                        beta = cfg.aa_beta
-                        phi = a0 * hat_prev[0] + a1 * hat_phi
-                        J = a0 * hat_prev[1] + a1 * hat_J
-                        if beta != 1.0:
-                            phi = (beta * phi + (1.0 - beta)
-                                   * (a0 * in_prev[0] + a1 * in_curr[0]))
-                            J = (beta * J + (1.0 - beta)
-                                 * (a0 * in_prev[1] + a1 * in_curr[1]))
-                        hat_prev = (hat_phi, hat_J)
-                        in_prev = in_curr
-                        r_phi, r_J = rc_phi, rc_J
+                if cfg.method == METHOD_MLSM_AA1:
+                    phi, J, fallbacks, peak = _aa1_passes(
+                        system, grey_phi, phi, J, closures, cfg.s_max)
+                    aa_fallbacks += fallbacks
+                    aa_alpha_peak = max(aa_alpha_peak, peak)
                 else:
                     for _s in range(cfg.s_max):
                         zeta = compute_zeta(grey_phi, phi)
-                        phi, J = system.group_pass(phi, J, zeta, closures,
-                                                   pool)
+                        phi, J = system.group_pass(phi, J, zeta, closures)
                 grey_coeffs = grey_xs(phi, J, spec, P_groups=P)
                 grey_phi, grey_J = system.solve_grey(grey_coeffs,
                                                      grey_closure)
-
-            lo_counts.append((system.n_group_passes - passes0)
-                             + (system.n_grey_solves - greys0))
-
+            lo_counts.append(system.n_group_passes + system.n_grey_solves
+                             - solves0)
             if ell == 0:
-                prev_grey = grey_phi
                 continue
-            delta = convergence_measure(grey_phi, prev_grey,
-                                        relative=cfg.measure == "relative")
-            history.append(delta)
-            prev_grey = grey_phi
-            if delta <= cfg.epsilon:
-                status = STATUS_CONVERGED
-                n_t = ell
-                break
-            if _diverged(history, cfg):
-                status = STATUS_DIVERGED
-                n_t = ell
-                log.warning("divergence detected at outer iteration %d", ell)
-                break
+        else:
+            phi, J = phi_ho, J_ho
+            grey_phi = phi.sum(axis=0)
 
+        history.append(convergence_measure(
+            grey_phi, prev_grey, relative=cfg.measure == "relative"))
+        done = _status(history, cfg)
+        if done is not None:
+            status, n_t = done, ell
+            if done != STATUS_CONVERGED:
+                log.warning("run stopped at outer iteration %d: %s", ell,
+                            done)
+            break
+
+    if multilevel:
+        zeta = compute_zeta(grey_phi, phi)
     state = TransportState(psi=psi, phi_ho=phi_ho, J_ho=J_ho, P=P,
                            closures=closures, grey_closure=grey_closure,
                            phi=phi, J=J, grey_phi=grey_phi, grey_J=grey_J,
-                           grey_coeffs=grey_coeffs,
-                           zeta=compute_zeta(grey_phi, phi))
+                           grey_coeffs=grey_coeffs, zeta=zeta)
     report = RunReport(method=cfg.method, problem=spec.name, k_max=cfg.k_max,
                        s_max=cfg.s_max, epsilon=cfg.epsilon, N_t=n_t,
                        rho_num=None, rho_irregular=False,
-                       M_lo=lo_solve_count(cfg), residual_history=history,
-                       status=status,
+                       M_lo=lo_solve_count(cfg) if multilevel else 0,
+                       residual_history=history, status=status,
                        timings={"wall_seconds": time.perf_counter() - t0},
                        lo_solve_counts=lo_counts, aa_fallbacks=aa_fallbacks,
                        aa_alpha_peak=aa_alpha_peak, state=state)
     _finalize_rho(report, cfg)
     return report
-
-
-def run_mlsm(spec: ProblemSpec, cfg: IterationConfig) -> RunReport:
-    if cfg.method != METHOD_MLSM:
-        raise ValueError("config method must be 'mlsm'")
-    return _run_multilevel(spec, cfg, use_aa=False)
-
-
-def run_mlsm_aa1(spec: ProblemSpec, cfg: IterationConfig) -> RunReport:
-    if cfg.method != METHOD_MLSM_AA1:
-        raise ValueError("config method must be 'mlsm-aa1'")
-    return _run_multilevel(spec, cfg, use_aa=True)
-
-
-def run_problem(spec: ProblemSpec, cfg: IterationConfig) -> RunReport:
-    if cfg.method == METHOD_SI:
-        return run_source_iteration(spec, cfg)
-    if cfg.method == METHOD_MLSM:
-        return run_mlsm(spec, cfg)
-    return run_mlsm_aa1(spec, cfg)

@@ -1,4 +1,4 @@
-"""Spatial mesh and linear-discontinuous (LD) per-cell fields.
+"""Spatial mesh and linear-discontinuous (LD) coefficient helpers.
 
 Every spatial unknown in this package lives in the LD space: two
 coefficients per cell, (average, slope), representing
@@ -58,22 +58,8 @@ def from_nodes(nodes: np.ndarray) -> np.ndarray:
 
 def nodal_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Per-cell product of two LD coefficient arrays, collocated at the
-    two cell-edge values.  Exact inverse of :func:`nodal_ratio`."""
+    two cell-edge values."""
     return from_nodes(to_nodes(f) * to_nodes(g))
-
-
-def nodal_ratio(num: np.ndarray, den: np.ndarray, fallback: float,
-                eps: float = 1e-30) -> np.ndarray:
-    """Value-wise ratio of LD fields with a safeguarded denominator.
-
-    Nodes where |den| < eps return `fallback` instead of the quotient.
-    """
-    n = to_nodes(num)
-    d = to_nodes(den)
-    safe = np.abs(d) >= eps
-    out = np.full_like(n, fallback, dtype=float)
-    np.divide(n, d, out=out, where=safe)
-    return from_nodes(out)
 
 
 def const_field(value, n_cells: int) -> np.ndarray:
@@ -81,49 +67,3 @@ def const_field(value, n_cells: int) -> np.ndarray:
     out[:, 0] = value
     return out
 
-
-class LDField:
-    """A scalar LD function on a mesh.
-
-    Thin wrapper over a coefficient array shaped (n_cells, 2); the solver
-    internals work on raw arrays, this class carries the mesh handle for
-    user-facing construction and inspection.
-    """
-
-    def __init__(self, mesh: Mesh, data: np.ndarray | None = None):
-        self.mesh = mesh
-        if data is None:
-            data = np.zeros((mesh.n_cells, 2))
-        data = np.asarray(data, dtype=float)
-        if data.shape != (mesh.n_cells, 2):
-            raise ValueError(
-                f"LD data shape {data.shape} does not match mesh with "
-                f"{mesh.n_cells} cells")
-        self.data = data
-
-    @classmethod
-    def constant(cls, mesh: Mesh, value: float) -> "LDField":
-        return cls(mesh, const_field(value, mesh.n_cells))
-
-    @property
-    def avg(self) -> np.ndarray:
-        return self.data[:, 0]
-
-    @property
-    def slope(self) -> np.ndarray:
-        return self.data[:, 1]
-
-    def left(self) -> np.ndarray:
-        return self.data[:, 0] - self.data[:, 1]
-
-    def right(self) -> np.ndarray:
-        return self.data[:, 0] + self.data[:, 1]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate at points x (piecewise, discontinuous at edges)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        edges = self.mesh.edges
-        i = np.clip(np.searchsorted(edges, x, side="right") - 1, 0,
-                    self.mesh.n_cells - 1)
-        xi = 2.0 * (x - self.mesh.centers[i]) / self.mesh.dx[i]
-        return self.data[i, 0] + self.data[i, 1] * xi

@@ -332,23 +332,13 @@ class LowOrderSystem:
         u = self._lu[g].solve(b)
         return _split_solution(u, self.mesh.n_cells)
 
-    def group_pass(self, phi_groups, J_groups, zeta, closures, pool=None):
-        """One parallel Jacobi pass of the group solvers (counts once).
-
-        The lagged coupling is evaluated at the input state; reductions
-        and result placement are in ascending group order regardless of
-        the worker pool.
-        """
+    def group_pass(self, phi_groups, J_groups, zeta, closures):
+        """One Jacobi pass of the decoupled group solvers against the
+        coupling lagged at the input state (counts as one solve: the
+        groups are independent and could run in parallel)."""
         S = self.group_source(phi_groups, zeta)
-        G = self.spec.G
-
-        def solve_one(g):
-            return self.solve_group_rhs(g, S[g], closures[g])
-
-        if pool is None:
-            results = [solve_one(g) for g in range(G)]
-        else:
-            results = list(pool.map(solve_one, range(G)))
+        results = [self.solve_group_rhs(g, S[g], closures[g])
+                   for g in range(self.spec.G)]
         phi_new = np.stack([r[0] for r in results])
         J_new = np.stack([r[1] for r in results])
         self.n_group_passes += 1
@@ -380,33 +370,6 @@ class LowOrderSystem:
             raise RuntimeError(f"singular grey low-order system: {err}") from err
         self.n_grey_solves = self.n_grey_solves + 1
         return _split_solution(u, self.mesh.n_cells)
-
-
-# ---------------------------------------------------------------------------
-# Convenience wrappers over LowOrderSystem
-# ---------------------------------------------------------------------------
-
-def solve_group_losm(system: LowOrderSystem, g: int, zeta: np.ndarray,
-                     phi_lag: np.ndarray, closure_g: ClosureData):
-    """Solve one group's low-order system against lagged coupling."""
-    S = system.group_source(phi_lag, zeta)
-    return system.solve_group_rhs(g, S[g], closure_g)
-
-
-def solve_grey_losm(system: LowOrderSystem, coeffs: GreyCoefficients,
-                    closure: ClosureData):
-    return system.solve_grey(coeffs, closure)
-
-
-def losm_residual(system: LowOrderSystem, phi_groups, J_groups, zeta,
-                  closures, pool=None) -> np.ndarray:
-    """Fixed-point residual r = A(x) - x of one parallel group pass,
-    flattened in (group, cell, coefficient, field) order."""
-    from .accel import flatten_state
-
-    phi_new, J_new = system.group_pass(phi_groups, J_groups, zeta, closures,
-                                       pool=pool)
-    return flatten_state(phi_new - phi_groups, J_new - J_groups)
 
 
 def group_particle_balance(system: LowOrderSystem, g: int, phi_g, J_g,

@@ -1,4 +1,4 @@
-"""Level 1: linear-discontinuous transport sweep for one decoupled group.
+"""Level 1: linear-discontinuous transport sweep of the decoupled groups.
 
 Weak form per cell and direction, with upwind edge fluxes.  For mu > 0
 (left-to-right march) the 2x2 cell system for (psi_avg, psi_slope) is
@@ -19,104 +19,47 @@ from .angular import AngularQuadrature, MomentSet, angular_moments
 from .fields import Mesh, nodal_product, to_nodes
 
 
-@dataclass
-class GroupSweepInput:
-    """Inputs for one group's high-order solve.
-
-    rhs is the full isotropic source density (per unit mu), i.e. already
-    includes the 1/2 factors; shape (n_cells, 2).  Incoming boundary flux
-    defaults to vacuum.
-    """
-
-    sigma_t: float
-    rhs: np.ndarray
-    quad: AngularQuadrature
-    mesh: Mesh
-    inc_left: np.ndarray | None = None
-    inc_right: np.ndarray | None = None
-
-
-def sweep_directions(sigma_t: float, mesh: Mesh, quad: AngularQuadrature,
-                     rhs: np.ndarray, inc_left=None, inc_right=None
-                     ) -> np.ndarray:
-    """Sweep all directions; rhs may be (n_cells, 2) shared across angles
-    or (M, n_cells, 2) per direction.  Returns psi shaped (M, n_cells, 2)."""
-    if sigma_t <= 0:
-        raise ValueError("sweep requires sigma_t > 0")
-    M = quad.n_angles
-    N = mesh.n_cells
-    dx = mesh.dx
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape == (N, 2):
-        rhs = np.broadcast_to(rhs, (M, N, 2))
-    elif rhs.shape != (M, N, 2):
-        raise ValueError(f"rhs shape {rhs.shape} invalid")
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("rhs must be finite")
-
-    inc_left = np.zeros(M) if inc_left is None else np.asarray(inc_left, float)
-    inc_right = np.zeros(M) if inc_right is None else np.asarray(inc_right, float)
-
-    psi = np.empty((M, N, 2))
-    pos = quad.positive()
-    neg = quad.negative()
-
-    mu_p = quad.mu[pos]
-    inc = inc_left[pos].copy()
-    for i in range(N):
-        sd = sigma_t * dx[i]
-        qa = rhs[pos, i, 0] * dx[i] + mu_p * inc
-        qs = rhs[pos, i, 1] * dx[i] - 3.0 * mu_p * inc
-        det = 6.0 * mu_p**2 + 4.0 * mu_p * sd + sd * sd
-        a = ((3.0 * mu_p + sd) * qa - mu_p * qs) / det
-        s = (3.0 * mu_p * qa + (mu_p + sd) * qs) / det
-        psi[pos, i, 0] = a
-        psi[pos, i, 1] = s
-        inc = a + s
-
-    mu_n = quad.mu[neg]
-    inc = inc_right[neg].copy()
-    for i in range(N - 1, -1, -1):
-        sd = sigma_t * dx[i]
-        qa = rhs[neg, i, 0] * dx[i] - mu_n * inc
-        qs = rhs[neg, i, 1] * dx[i] - 3.0 * mu_n * inc
-        det = 6.0 * mu_n**2 - 4.0 * mu_n * sd + sd * sd
-        a = ((-3.0 * mu_n + sd) * qa - mu_n * qs) / det
-        s = (3.0 * mu_n * qa + (-mu_n + sd) * qs) / det
-        psi[neg, i, 0] = a
-        psi[neg, i, 1] = s
-        inc = a - s
-
-    return psi
-
-
-def sweep_group(inp: GroupSweepInput) -> np.ndarray:
-    """Solve one group's decoupled transport equation for every direction."""
-    return sweep_directions(inp.sigma_t, inp.mesh, inp.quad, inp.rhs,
-                            inp.inc_left, inp.inc_right)
-
-
 def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
-                rhs: np.ndarray) -> np.ndarray:
-    """Vacuum-boundary sweep of all groups in one pass, (G, M, N, 2).
+                rhs: np.ndarray, inc_left=None, inc_right=None) -> np.ndarray:
+    """Sweep every group and direction in one pass, (G, M, N, 2).
 
-    Elementwise-identical arithmetic to per-group sweep_directions calls,
-    just batched over the group axis, so results agree bitwise.
+    rhs is the source density per unit mu, either (G, N, 2) shared across
+    directions or (G, M, N, 2) per direction.  The incident angular fluxes
+    inc_left / inc_right, (M,) and shared by all groups, default to vacuum.
     """
+    sigma_t = np.asarray(sigma_t, dtype=float)
+    if np.any(sigma_t <= 0):
+        raise ValueError("sweep requires sigma_t > 0")
     G = sigma_t.size
     M = quad.n_angles
     N = mesh.n_cells
     dx = mesh.dx
-    psi = np.empty((G, M, N, 2))
     pos = quad.positive()
     neg = quad.negative()
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape == (G, N, 2):
+        rhs_p = rhs_n = rhs[:, None]
+    elif rhs.shape == (G, M, N, 2):
+        rhs_p, rhs_n = rhs[:, pos], rhs[:, neg]
+    else:
+        raise ValueError(f"rhs shape {rhs.shape} invalid")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("rhs must be finite")
+    inc_left = np.zeros(M) if inc_left is None else np.asarray(inc_left)
+    inc_right = np.zeros(M) if inc_right is None else np.asarray(inc_right)
+    psi = np.empty((G, M, N, 2))
+    # per-cell terms hoisted out of the marches, cell axis first:
+    # dx * source (N, 2, G, M or 1) and sigma_t * dx (N, G, 1)
+    src_p, src_n = ((r * dx[:, None]).transpose(2, 3, 0, 1)
+                    for r in (rhs_p, rhs_n))
+    sd_cells = (sigma_t[None, :] * dx[:, None])[:, :, None]
 
     mu_p = quad.mu[pos][None, :]
-    inc = np.zeros((G, mu_p.size))
+    inc = np.broadcast_to(inc_left[pos], (G, mu_p.size))
     for i in range(N):
-        sd = (sigma_t * dx[i])[:, None]
-        qa = rhs[:, i, 0][:, None] * dx[i] + mu_p * inc
-        qs = rhs[:, i, 1][:, None] * dx[i] - 3.0 * mu_p * inc
+        sd = sd_cells[i]
+        qa = src_p[i, 0] + mu_p * inc
+        qs = src_p[i, 1] - 3.0 * mu_p * inc
         det = 6.0 * mu_p**2 + 4.0 * mu_p * sd + sd * sd
         a = ((3.0 * mu_p + sd) * qa - mu_p * qs) / det
         s = (3.0 * mu_p * qa + (mu_p + sd) * qs) / det
@@ -125,11 +68,11 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
         inc = a + s
 
     mu_n = quad.mu[neg][None, :]
-    inc = np.zeros((G, mu_n.size))
+    inc = np.broadcast_to(inc_right[neg], (G, mu_n.size))
     for i in range(N - 1, -1, -1):
-        sd = (sigma_t * dx[i])[:, None]
-        qa = rhs[:, i, 0][:, None] * dx[i] - mu_n * inc
-        qs = rhs[:, i, 1][:, None] * dx[i] - 3.0 * mu_n * inc
+        sd = sd_cells[i]
+        qa = src_n[i, 0] - mu_n * inc
+        qs = src_n[i, 1] - 3.0 * mu_n * inc
         det = 6.0 * mu_n**2 - 4.0 * mu_n * sd + sd * sd
         a = ((-3.0 * mu_n + sd) * qa - mu_n * qs) / det
         s = (3.0 * mu_n * qa + (-mu_n + sd) * qs) / det
@@ -191,18 +134,6 @@ class ClosureData:
     Phat: np.ndarray
     P: np.ndarray
 
-    def scaled_sum(self, other: "ClosureData") -> "ClosureData":
-        return ClosureData(self.dJ + other.dJ, self.dphi + other.dphi,
-                           self.Phat + other.Phat, self.P + other.P)
-
-
-@dataclass(frozen=True)
-class LOBoundaryClosure:
-    """Boundary functionals C = J_edge - n*(phi_trace/2), n = -1 left/+1 right."""
-
-    C_left: float
-    C_right: float
-
 
 def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
                        moments: MomentSet | None = None) -> ClosureData:
@@ -243,11 +174,6 @@ def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
     dphi[N] = phi_hat[N] - (0.5 * phi_n[N - 1, 1] + 0.75 * J_n[N - 1, 1])
 
     return ClosureData(dJ=dJ, dphi=dphi, Phat=P_hat, P=moments.P.copy())
-
-
-def boundary_closure(closure: ClosureData) -> LOBoundaryClosure:
-    return LOBoundaryClosure(C_left=float(closure.dJ[0]),
-                             C_right=float(closure.dJ[-1]))
 
 
 def group_balance(psi: np.ndarray, quad: AngularQuadrature, mesh: Mesh,

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from slabsm import driver
+from slabsm.angular import MomentSet
 from slabsm.driver import (IterationConfig, convergence_measure,
                            estimate_spectral_radius, lo_solve_count,
-                           run_mlsm, run_mlsm_aa1, run_problem,
-                           run_source_iteration, si_infinite_medium_rho)
+                           run_problem, si_infinite_medium_rho)
 from slabsm.fields import const_field
 from slabsm.problem import builtin_problem, make_problem
 
@@ -112,7 +113,7 @@ def test_si_zero_source_converges_immediately():
     spec = make_problem(2, [1.0, 1.0], [[0.4, 0.1], [0.2, 0.5]], [0.0, 0.0],
                         width=8.0, n_cells=16, n_half=2)
     cfg = IterationConfig(method="si", max_outer=10)
-    rep = run_source_iteration(spec, cfg)
+    rep = run_problem(spec, cfg)
     assert rep.status == "converged"
     assert rep.N_t <= 2
     assert rep.M_lo == 0
@@ -123,14 +124,9 @@ def test_si_infinite_medium_rate_single_group():
     spec = make_problem(1, [1.0], [[0.5]], [1.0], width=50.0, n_cells=100,
                         n_half=4)
     cfg = IterationConfig(method="si", epsilon=1e-7)
-    rep = run_source_iteration(spec, cfg)
+    rep = run_problem(spec, cfg)
     assert rep.status == "converged"
     assert rep.rho_num == pytest.approx(0.5, abs=0.05)
-
-
-def test_si_method_mismatch():
-    with pytest.raises(ValueError):
-        run_source_iteration(_small_two_group(), IterationConfig(method="mlsm"))
 
 
 # -- multilevel drivers ------------------------------------------------------------
@@ -138,7 +134,7 @@ def test_si_method_mismatch():
 def test_mlsm_small_problem_converges():
     spec = _small_two_group()
     cfg = IterationConfig(method="mlsm", k_max=1, s_max=1, epsilon=1e-10)
-    rep = run_mlsm(spec, cfg)
+    rep = run_problem(spec, cfg)
     assert rep.status == "converged"
     assert len(rep.residual_history) == rep.N_t
     assert all(np.isfinite(rep.residual_history))
@@ -149,7 +145,7 @@ def test_mlsm_small_problem_converges():
 def test_mlsm_aa1_small_problem_converges():
     spec = _small_two_group()
     cfg = IterationConfig(method="mlsm-aa1", k_max=1, s_max=2, epsilon=1e-10)
-    rep = run_mlsm_aa1(spec, cfg)
+    rep = run_problem(spec, cfg)
     assert rep.status == "converged"
     assert rep.lo_solve_counts == [rep.M_lo] * (rep.N_t + 1)
 
@@ -157,13 +153,12 @@ def test_mlsm_aa1_small_problem_converges():
 def test_multilevel_agrees_with_si_fixed_point():
     spec = _small_two_group()
     eps = 1e-11
-    rep_m = run_mlsm(spec, IterationConfig(method="mlsm", k_max=1, s_max=2,
-                                           epsilon=eps))
-    rep_a = run_mlsm_aa1(spec, IterationConfig(method="mlsm-aa1", k_max=1,
-                                               s_max=2, epsilon=eps))
-    rep_s = run_source_iteration(spec, IterationConfig(method="si",
-                                                       epsilon=eps,
-                                                       max_outer=3000))
+    rep_m = run_problem(spec, IterationConfig(method="mlsm", k_max=1,
+                                              s_max=2, epsilon=eps))
+    rep_a = run_problem(spec, IterationConfig(method="mlsm-aa1", k_max=1,
+                                              s_max=2, epsilon=eps))
+    rep_s = run_problem(spec, IterationConfig(method="si", epsilon=eps,
+                                              max_outer=3000))
     ref = rep_s.state.grey_phi[:, 0]
     for rep in (rep_m, rep_a):
         diff = np.abs(rep.state.grey_phi[:, 0] - ref).max() / ref.max()
@@ -172,18 +167,16 @@ def test_multilevel_agrees_with_si_fixed_point():
 
 def test_transport_state_grey_p_equals_group_sum():
     spec = _small_two_group()
-    rep = run_mlsm(spec, IterationConfig(method="mlsm"))
+    rep = run_problem(spec, IterationConfig(method="mlsm"))
     st = rep.state
     assert np.allclose(st.grey_closure.P, st.P.sum(axis=0), rtol=1e-13)
 
 
-def test_determinism_serial_vs_threads():
+def test_determinism_run_to_run():
     spec = _small_two_group()
-    base = IterationConfig(method="mlsm-aa1", k_max=2, s_max=2)
-    par = IterationConfig(method="mlsm-aa1", k_max=2, s_max=2, parallel=True,
-                          threads=4)
-    r1 = run_problem(spec, base)
-    r2 = run_problem(spec, par)
+    cfg = IterationConfig(method="mlsm-aa1", k_max=2, s_max=2)
+    r1 = run_problem(spec, cfg)
+    r2 = run_problem(spec, cfg)
     assert r1.residual_history == r2.residual_history
     assert np.array_equal(r1.state.grey_phi, r2.state.grey_phi)
     assert np.array_equal(r1.state.phi, r2.state.phi)
@@ -193,7 +186,7 @@ def test_determinism_serial_vs_threads():
 def test_max_outer_reported():
     spec = _small_two_group()
     cfg = IterationConfig(method="si", max_outer=3, epsilon=1e-14)
-    rep = run_source_iteration(spec, cfg)
+    rep = run_problem(spec, cfg)
     assert rep.status == "max_outer"
     assert rep.N_t == 3
     assert len(rep.residual_history) == 3
@@ -213,20 +206,8 @@ def test_invalid_config_values():
 def test_relative_measure_option():
     spec = _small_two_group()
     cfg = IterationConfig(method="mlsm", measure="relative", epsilon=1e-9)
-    rep = run_mlsm(spec, cfg)
+    rep = run_problem(spec, cfg)
     assert rep.status == "converged"
-
-
-def test_aa_weight_knob_still_converges_to_same_point():
-    spec = _small_two_group()
-    rep1 = run_mlsm_aa1(spec, IterationConfig(method="mlsm-aa1", s_max=2,
-                                              epsilon=1e-10))
-    rep2 = run_mlsm_aa1(spec, IterationConfig(method="mlsm-aa1", s_max=2,
-                                              epsilon=1e-10,
-                                              aa_weight_J=2.0))
-    assert rep2.status == "converged"
-    dev = np.abs(rep1.state.grey_phi[:, 0] - rep2.state.grey_phi[:, 0]).max()
-    assert dev / rep1.state.grey_phi[:, 0].max() < 1e-8
 
 
 def test_single_cell_problem_runs():
@@ -239,3 +220,39 @@ def test_single_cell_problem_runs():
         assert rep.status == "converged"
         vals.append(rep.state.grey_phi[0, 0])
     assert np.allclose(vals, vals[0], rtol=1e-8)
+
+
+def test_grey_closure_mismatch_raises(monkeypatch):
+    real = driver.sum_closures
+
+    def corrupt(closures):
+        total = real(closures)
+        total.P = total.P * (1.0 + 1e-6)
+        return total
+
+    monkeypatch.setattr(driver, "sum_closures", corrupt)
+    with pytest.raises(RuntimeError, match="grey closure"):
+        run_problem(_small_two_group(), IterationConfig(method="mlsm"))
+
+
+@pytest.mark.parametrize("method", ["si", "mlsm", "mlsm-aa1"])
+def test_non_finite_residual_stops(monkeypatch, method):
+    # NaN moments from the first sweep on (the multilevel methods first
+    # take the moments of their flat guess, one call per group)
+    spec = _small_two_group()
+    real = driver.angular_moments
+    clean = 0 if method == "si" else spec.G
+    calls = []
+
+    def poisoned(psi, quad):
+        calls.append(None)
+        mom = real(psi, quad)
+        if len(calls) <= clean:
+            return mom
+        return MomentSet(*(np.full_like(m, np.nan) for m in mom))
+
+    monkeypatch.setattr(driver, "angular_moments", poisoned)
+    rep = run_problem(spec, IterationConfig(method=method, max_outer=50))
+    assert rep.status == "non_finite"
+    assert rep.N_t == 1
+    assert rep.rho_num is None

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from slabsm.fields import (LDField, Mesh, from_nodes, nodal_product,
-                           nodal_ratio, to_nodes)
+from slabsm.fields import Mesh, from_nodes, nodal_product, to_nodes
 
 
 def test_mesh_uniform():
@@ -27,29 +26,6 @@ def test_nodal_product_inverts_ratio():
     rng = np.random.RandomState(4)
     num = rng.rand(9, 2) + 0.5
     den = rng.rand(9, 2) + 0.5
-    ratio = nodal_ratio(num, den, fallback=1.0)
+    ratio = from_nodes(to_nodes(num) / to_nodes(den))
     back = nodal_product(ratio, den)
     assert np.allclose(back, num, atol=1e-13)
-
-
-def test_nodal_ratio_safeguard():
-    num = np.array([[1.0, 0.0]])
-    den = np.array([[0.0, 0.0]])
-    out = nodal_ratio(num, den, fallback=7.0)
-    assert np.allclose(to_nodes(out), 7.0)
-
-
-def test_ldfield_traces():
-    mesh = Mesh.uniform(2.0, 2)
-    f = LDField(mesh, np.array([[1.0, 0.25], [2.0, -0.5]]))
-    assert f.left()[0] == pytest.approx(0.75)
-    assert f.right()[0] == pytest.approx(1.25)
-    assert f.left()[1] == pytest.approx(2.5)
-    # pointwise evaluation at a cell center returns the average
-    assert f(np.array([0.5]))[0] == pytest.approx(1.0)
-
-
-def test_ldfield_shape_check():
-    mesh = Mesh.uniform(1.0, 3)
-    with pytest.raises(ValueError):
-        LDField(mesh, np.zeros((2, 2)))

@@ -5,10 +5,21 @@ from slabsm.accel import flatten_state
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh, const_field, to_nodes
 from slabsm.losm import (LowOrderSystem, avg_scattering_xs, compute_zeta,
-                         grey_xs, group_particle_balance, losm_residual,
-                         solve_grey_losm, solve_group_losm, sum_closures)
+                         grey_xs, group_particle_balance, sum_closures)
 from slabsm.problem import builtin_problem, make_problem
-from slabsm.sweep import ClosureData, closure_from_sweep, sweep_directions
+from slabsm.sweep import ClosureData, closure_from_sweep, sweep_batch
+
+
+def _solve_group(system, g, zeta, phi_lag, closure_g):
+    """One group's low-order solve against the coupling lagged at phi_lag."""
+    S = system.group_source(phi_lag, zeta)
+    return system.solve_group_rhs(g, S[g], closure_g)
+
+
+def _pass_residual(system, phi, J, zeta, closures):
+    """Fixed-point residual A(x) - x of one group pass, flattened."""
+    phi_new, J_new = system.group_pass(phi, J, zeta, closures)
+    return flatten_state(phi_new - phi, J_new - J)
 
 
 def _zero_closure(n_cells):
@@ -17,7 +28,7 @@ def _zero_closure(n_cells):
 
 
 def _sweep_and_close(spec, g, rhs, mesh, quad):
-    psi = sweep_directions(spec.sigma_t[g], mesh, quad, rhs)
+    psi = sweep_batch(spec.sigma_t[g:g + 1], mesh, quad, rhs[None])[0]
     mom = angular_moments(psi, quad)
     return psi, mom, closure_from_sweep(psi, quad, mom)
 
@@ -148,7 +159,7 @@ def test_group_losm_matches_transport_moments_pure_absorber():
     system = LowOrderSystem(spec, mesh)
     zeta = const_field(1.0, spec.n_cells)
     phi_lag = np.zeros((1, spec.n_cells, 2))
-    phi_lo, J_lo = solve_group_losm(system, 0, zeta, phi_lag, clo)
+    phi_lo, J_lo = _solve_group(system, 0, zeta, phi_lag, clo)
     assert np.allclose(phi_lo, mom.phi, atol=1e-12)
     assert np.allclose(J_lo, mom.J, atol=1e-12)
 
@@ -163,7 +174,7 @@ def test_grey_losm_matches_transport_moments_pure_absorber():
 
     system = LowOrderSystem(spec, mesh)
     coeffs = grey_xs(mom.phi[None], mom.J[None], spec, P_groups=mom.P[None])
-    phi_lo, J_lo = solve_grey_losm(system, coeffs, clo)
+    phi_lo, J_lo = system.solve_grey(coeffs, clo)
     assert np.allclose(phi_lo, mom.phi, atol=1e-12)
     assert np.allclose(J_lo, mom.J, atol=1e-12)
 
@@ -177,7 +188,7 @@ def test_losm_solution_is_exact_balance():
     clo = _zero_closure(spec.n_cells)
     zeta = const_field(1.0, spec.n_cells)
     phi_lag = np.zeros((1, spec.n_cells, 2))
-    phi, J = solve_group_losm(system, 0, zeta, phi_lag, clo)
+    phi, J = _solve_group(system, 0, zeta, phi_lag, clo)
     S = system.group_source(phi_lag, zeta)[0]
     lhs, src = group_particle_balance(system, 0, phi, J, S, clo)
     assert abs(lhs - src) / abs(src) < 1e-10
@@ -192,7 +203,7 @@ def test_group_losm_diffusion_limit():
     clo = _zero_closure(spec.n_cells)
     zeta = const_field(1.0, spec.n_cells)
     phi_lag = np.zeros((1, spec.n_cells, 2))
-    phi, J = solve_group_losm(system, 0, zeta, phi_lag, clo)
+    phi, J = _solve_group(system, 0, zeta, phi_lag, clo)
     assert phi[100, 0] == pytest.approx(2.0, rel=1e-2)
 
 
@@ -205,7 +216,7 @@ def test_grey_losm_diffusion_limit():
     coeffs = grey_xs(np.ones((1, n, 2)) * np.array([1.0, 0.0]),
                      np.zeros((1, n, 2)), spec)
     # pure absorber: sbar_a = sigma_t = 1, Q = 1 -> interior phi = 1
-    phi, J = solve_grey_losm(system, coeffs, _zero_closure(n))
+    phi, J = system.solve_grey(coeffs, _zero_closure(n))
     assert phi[100, 0] == pytest.approx(1.0, rel=1e-2)
 
 
@@ -217,7 +228,7 @@ def test_grey_zero_source_zero_solution():
     n = spec.n_cells
     phi_w = np.ones((1, n, 2)) * np.array([1.0, 0.0])
     coeffs = grey_xs(phi_w, np.zeros((1, n, 2)), spec)
-    phi, J = solve_grey_losm(system, coeffs, _zero_closure(n))
+    phi, J = system.solve_grey(coeffs, _zero_closure(n))
     assert np.allclose(phi, 0.0, atol=1e-13)
     assert np.allclose(J, 0.0, atol=1e-13)
 
@@ -229,7 +240,7 @@ def test_group_zero_inputs_zero_solution():
     system = LowOrderSystem(spec, mesh)
     zeta = const_field(1.0, 8)
     phi_lag = np.zeros((2, 8, 2))
-    phi, J = solve_group_losm(system, 0, zeta, phi_lag,
+    phi, J = _solve_group(system, 0, zeta, phi_lag,
                               _zero_closure(8))
     assert np.allclose(phi, 0.0, atol=1e-14)
     assert np.allclose(J, 0.0, atol=1e-14)
@@ -271,7 +282,7 @@ def test_losm_residual_zero_at_fixed_point():
     # slow mode the grey level exists to remove)
     for _ in range(900):
         phi, J = system.group_pass(phi, J, zeta, closures)
-    r = losm_residual(system, phi, J, zeta, closures)
+    r = _pass_residual(system, phi, J, zeta, closures)
     scale = np.abs(flatten_state(phi, J)).max()
     assert np.abs(r).max() / scale < 1e-12
 
@@ -283,7 +294,7 @@ def test_losm_residual_contracts():
     J = np.zeros_like(phi)
     norms = []
     for _ in range(12):
-        r = losm_residual(system, phi, J, zeta, closures)
+        r = _pass_residual(system, phi, J, zeta, closures)
         norms.append(np.linalg.norm(r))
         phi, J = system.group_pass(phi, J, zeta, closures)
     ratios = np.array(norms[1:]) / np.array(norms[:-1])
@@ -298,7 +309,7 @@ def test_losm_residual_operator_identity():
     J = np.zeros_like(phi)
     phi1, J1 = system.group_pass(phi, J, zeta, closures)
     phi2, J2 = system.group_pass(phi1, J1, zeta, closures)
-    r = losm_residual(system, phi1, J1, zeta, closures)
+    r = _pass_residual(system, phi1, J1, zeta, closures)
     assert np.allclose(r, flatten_state(phi2 - phi1, J2 - J1), atol=1e-13)
 
 

@@ -3,11 +3,16 @@ import pytest
 
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh, const_field
-from slabsm.sweep import (GroupSweepInput, build_ho_rhs, group_balance,
-                          sweep_directions, sweep_group, upwind_edge_psi)
+from slabsm.sweep import (build_ho_rhs, group_balance, sweep_batch,
+                          upwind_edge_psi)
 
 GAUSS3_T = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 GAUSS3_V = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+
+
+def _sweep1(sigma_t, mesh, quad, rhs, **inc):
+    """Single-group sweep: psi shaped (M, n_cells, 2)."""
+    return sweep_batch(np.array([sigma_t]), mesh, quad, rhs[None], **inc)[0]
 
 
 def _project_ld(f, mesh):
@@ -39,7 +44,7 @@ def _l2_error(psi, exact, mesh, quad):
 def test_zero_source_vacuum_gives_zero():
     quad = build_double_gauss(4)
     mesh = Mesh.uniform(10.0, 20)
-    psi = sweep_directions(2.0, mesh, quad, np.zeros((20, 2)))
+    psi = _sweep1(2.0, mesh, quad, np.zeros((20, 2)))
     assert np.all(psi == 0.0)
 
 
@@ -48,8 +53,7 @@ def test_thick_slab_interior_reaches_infinite_medium():
     quad = build_double_gauss(8)
     mesh = Mesh.uniform(32.0, 128)
     rhs = const_field(0.5, 128)
-    psi = sweep_group(GroupSweepInput(sigma_t=1.0, rhs=rhs, quad=quad,
-                                      mesh=mesh))
+    psi = _sweep1(1.0, mesh, quad, rhs)
     mom = angular_moments(psi, quad)
     assert mom.phi[64, 0] == pytest.approx(1.0, abs=1e-3)
     assert np.all(np.isfinite(psi))
@@ -60,7 +64,7 @@ def test_weak_form_balance():
     mesh = Mesh.uniform(6.0, 24)
     rng = np.random.RandomState(11)
     rhs = rng.rand(24, 2) * np.array([1.0, 0.3])
-    psi = sweep_directions(1.7, mesh, quad, rhs)
+    psi = _sweep1(1.7, mesh, quad, rhs)
     lhs, src = group_balance(psi, quad, mesh, 1.7, rhs)
     assert abs(lhs - src) / abs(src) < 1e-12
 
@@ -70,11 +74,11 @@ def test_mirror_symmetry():
     mesh = Mesh.uniform(5.0, 10)
     rng = np.random.RandomState(7)
     rhs = rng.rand(10, 2)
-    psi = sweep_directions(0.8, mesh, quad, rhs)
+    psi = _sweep1(0.8, mesh, quad, rhs)
 
     rhs_m = rhs[::-1].copy()
     rhs_m[:, 1] *= -1.0
-    psi_m = sweep_directions(0.8, mesh, quad, rhs_m)
+    psi_m = _sweep1(0.8, mesh, quad, rhs_m)
     # mirroring reverses cells, negates slopes, and swaps mu <-> -mu
     expected = psi[::-1, ::-1, :].copy()
     expected[:, :, 1] *= -1.0
@@ -94,8 +98,8 @@ def test_manufactured_linear_solution_exact():
             lambda x: mu * (1 + mu) + sigma * (1 + x) * (1 + mu), mesh)
     inc_left = 1.0 * (1 + quad.mu)
     inc_right = (1 + mesh.width) * (1 + quad.mu)
-    psi = sweep_directions(sigma, mesh, quad, rhs, inc_left=inc_left,
-                           inc_right=inc_right)
+    psi = _sweep1(sigma, mesh, quad, rhs, inc_left=inc_left,
+                  inc_right=inc_right)
     for m in range(M):
         mu = quad.mu[m]
         exact_avg = (1 + mesh.centers) * (1 + mu)
@@ -124,8 +128,8 @@ def test_manufactured_solution_second_order():
                 + sigma * exact(x, mu), mesh)
         inc_left = exact(0.0, quad.mu)
         inc_right = exact(W, quad.mu)
-        psi = sweep_directions(sigma, mesh, quad, rhs, inc_left=inc_left,
-                               inc_right=inc_right)
+        psi = _sweep1(sigma, mesh, quad, rhs, inc_left=inc_left,
+                  inc_right=inc_right)
         errors.append(_l2_error(psi, exact, mesh, quad))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders >= 1.9), orders
@@ -174,4 +178,20 @@ def test_sigma_t_must_be_positive():
     quad = build_double_gauss(2)
     mesh = Mesh.uniform(1.0, 2)
     with pytest.raises(ValueError):
-        sweep_directions(0.0, mesh, quad, np.zeros((2, 2)))
+        _sweep1(0.0, mesh, quad, np.zeros((2, 2)))
+
+
+def test_group_axis_matches_single_group_sweeps():
+    # per-direction rhs and incident fluxes: one G=3 sweep equals three
+    # G=1 sweeps bitwise
+    quad = build_double_gauss(4)
+    mesh = Mesh.uniform(6.0, 12)
+    rng = np.random.RandomState(21)
+    sigma_t = np.array([0.3, 1.7, 25.0])
+    rhs = rng.rand(3, quad.n_angles, 12, 2)
+    inc = {"inc_left": rng.rand(quad.n_angles),
+           "inc_right": rng.rand(quad.n_angles)}
+    psi = sweep_batch(sigma_t, mesh, quad, rhs, **inc)
+    for g in range(3):
+        assert np.array_equal(psi[g],
+                              _sweep1(sigma_t[g], mesh, quad, rhs[g], **inc))
