@@ -43,6 +43,13 @@ STATUS_MAX_OUTER = "max_outer"
 STATUS_DIVERGED = "diverged"
 STATUS_NON_FINITE = "non_finite"
 
+# rho_num is withheld when the last ratios' half-range spread exceeds this
+IRREGULAR_SPREAD = 0.25
+# diverged: the change grew past DIVERGENCE_FACTOR times its value
+# DIVERGENCE_WINDOW outers earlier
+DIVERGENCE_FACTOR = 10.0
+DIVERGENCE_WINDOW = 10
+
 
 @dataclass
 class IterationConfig:
@@ -60,9 +67,6 @@ class IterationConfig:
     # termination norm for the grey-flux change; the published iteration
     # counts are only reproduced by the absolute infinity norm
     measure: str = "absolute"
-    irregular_spread: float = 0.25
-    divergence_factor: float = 10.0
-    divergence_window: int = 10
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -148,12 +152,11 @@ def convergence_measure(phi_new: np.ndarray, phi_old: np.ndarray,
     return diff / base if base > 0.0 else diff
 
 
-def estimate_spectral_radius(history, spread_threshold: float = 0.25
-                             ) -> SpectralEstimate:
+def estimate_spectral_radius(history) -> SpectralEstimate:
     """Geometric-mean convergence rate over the last min(5, len-1) ratios.
 
     Flagged irregular when the ratios' relative half-range spread,
-    (max - min) / (2 * geometric mean), exceeds the threshold.
+    (max - min) / (2 * geometric mean), exceeds IRREGULAR_SPREAD.
     """
     h = np.asarray(list(history), dtype=float)
     if h.size < 4:
@@ -163,7 +166,7 @@ def estimate_spectral_radius(history, spread_threshold: float = 0.25
     ratios = (h[1:] / h[:-1])[-min(5, h.size - 1):]
     rho = float(np.exp(np.mean(np.log(ratios))))
     spread = float((ratios.max() - ratios.min()) / (2.0 * rho))
-    return SpectralEstimate(rho=rho, irregular=spread > spread_threshold,
+    return SpectralEstimate(rho=rho, irregular=spread > IRREGULAR_SPREAD,
                             spread=spread)
 
 
@@ -207,11 +210,10 @@ def lo_solve_count(cfg: IterationConfig) -> int:
     return cfg.k_max * (cfg.s_max + 1)
 
 
-def _finalize_rho(report: RunReport, cfg: IterationConfig) -> None:
+def _finalize_rho(report: RunReport) -> None:
     if (report.status != STATUS_NON_FINITE
             and len(report.residual_history) >= 4):
-        est = estimate_spectral_radius(report.residual_history,
-                                       cfg.irregular_spread)
+        est = estimate_spectral_radius(report.residual_history)
         report.rho_estimate = est.rho
         report.rho_irregular = est.irregular
         report.rho_num = None if est.irregular else est.rho
@@ -228,8 +230,8 @@ def _status(history, cfg) -> str | None:
         return STATUS_NON_FINITE
     if delta <= cfg.epsilon:
         return STATUS_CONVERGED
-    w = cfg.divergence_window
-    if len(history) > w and delta > cfg.divergence_factor * history[-1 - w]:
+    w = DIVERGENCE_WINDOW
+    if len(history) > w and delta > DIVERGENCE_FACTOR * history[-1 - w]:
         return STATUS_DIVERGED
     return None
 
@@ -378,5 +380,5 @@ def run_problem(spec: ProblemSpec, cfg: IterationConfig) -> RunReport:
                        timings={"wall_seconds": time.perf_counter() - t0},
                        lo_solve_counts=lo_counts, aa_fallbacks=aa_fallbacks,
                        aa_alpha_peak=aa_alpha_peak, state=state)
-    _finalize_rho(report, cfg)
+    _finalize_rho(report)
     return report

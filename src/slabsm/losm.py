@@ -11,20 +11,25 @@ transport moments at a consistent fixed point.
 Per cell i the four equations (divided through by dx) are, with hatted
 edge quantities from the frozen reconstructions,
 
-    ( J^_{i+1} - J^_i ) / dx           + removal * phi_a = S_a
-    ( 3 J^_{i+1} + 3 J^_i - 6 J_a )/dx + removal * phi_s = S_s
-    ( phi^_{i+1} - phi^_i ) / (3 dx)   + sigma_t * J_a   = ( P^_{i+1} - P^_i )/dx
-    ( phi^_{i+1} + phi^_i - 2 phi_a )/dx + sigma_t * J_s = ( 3 P^_{i+1} + 3 P^_i - 6 P_a )/dx
+    ( J^_{i+1} - J^_i ) / dx               + (removal phi)_a = S_a
+    ( 3 J^_{i+1} + 3 J^_i - 6 J_a ) / dx   + (removal phi)_s = S_s
+    ( phi^_{i+1} - phi^_i ) / (3 dx)       + (sigma_t J)_a   = ( P^_{i+1} - P^_i ) / dx
+    ( phi^_{i+1} + phi^_i - 2 phi_a ) / dx + (sigma_t J)_s   = ( 3 P^_{i+1} + 3 P^_i - 6 P_a ) / dx
 
-which form one banded system of dimension 4*n_cells per group, solved
-directly.  The grey system reuses the machinery with solution-averaged
-coefficients; all weighted averages and field products are collocated at
-the two cell-edge values so the group-summed grey equations coincide
-exactly with the sum of the group equations at convergence.
+where (c u)_a = c_a u_a + c_s u_s and (c u)_s = c_s u_a + c_a u_s for LD
+fields c and u.  The grey system has sbar_a for removal and sbar_t for
+sigma_t and adds the drift (eta phi)_a, (eta phi)_s to the two J rows; its
+solution-averaged coefficients and field products are collocated at the two
+cell-edge values, so the group-summed grey equations coincide exactly with
+the sum of the group equations at convergence.  A cell's unknowns (phi_a,
+phi_s, J_a, J_s) couple only to its two neighbours: the operator is block
+tridiagonal with 4x4 blocks, a derivative stencil built once per mesh from
+the edge-reconstruction weights plus cell-diagonal mass blocks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,101 +154,80 @@ def sum_closures(closures) -> ClosureData:
 
 
 # ---------------------------------------------------------------------------
-# Banded system assembly
+# Block-tridiagonal system assembly
 # ---------------------------------------------------------------------------
 
-def _edge_J_stencil(e: int, n_cells: int):
-    if e == 0:
-        c = 0
-        return [(4 * c + 0, -0.5), (4 * c + 1, 0.5)]
-    if e == n_cells:
-        c = n_cells - 1
-        return [(4 * c + 0, 0.5), (4 * c + 1, 0.5)]
-    lc, rc = e - 1, e
-    return [(4 * lc + 0, 0.25), (4 * lc + 1, 0.25),
-            (4 * lc + 2, 0.5), (4 * lc + 3, 0.5),
-            (4 * rc + 0, -0.25), (4 * rc + 1, 0.25),
-            (4 * rc + 2, 0.5), (4 * rc + 3, -0.5)]
+# LD product c * u as a 2x2 block on (u_a, u_s): [[c_a, c_s], [c_s, c_a]]
+_LD_PRODUCT = np.array([[0, 1], [1, 0]])
 
 
-def _edge_phi_stencil(e: int, n_cells: int):
-    if e == 0:
-        c = 0
-        return [(4 * c + 0, 0.5), (4 * c + 1, -0.5),
-                (4 * c + 2, -0.75), (4 * c + 3, 0.75)]
-    if e == n_cells:
-        c = n_cells - 1
-        return [(4 * c + 0, 0.5), (4 * c + 1, 0.5),
-                (4 * c + 2, 0.75), (4 * c + 3, 0.75)]
-    lc, rc = e - 1, e
-    return [(4 * lc + 0, 0.5), (4 * lc + 1, 0.5),
-            (4 * lc + 2, 0.75), (4 * lc + 3, 0.75),
-            (4 * rc + 0, 0.5), (4 * rc + 1, -0.5),
-            (4 * rc + 2, -0.75), (4 * rc + 3, 0.75)]
+def _couple(left, right):
+    """(N, 3, ...) blocks on cells i-1, i, i+1 from the terms of edges i
+    (`left`) and i+1 (`right`), each (N, 2, ...) on the cells beside it."""
+    return np.stack([left[:, 0], right[:, 0] + left[:, 1], right[:, 1]],
+                    axis=1)
 
 
-def _assemble_lo_matrix(mesh: Mesh, z_mass: np.ndarray, f_mass_J: np.ndarray,
-                        f_mass_phi: np.ndarray | None = None) -> csc_matrix:
-    """Low-order operator with mass coefficients given as LD pairs.
+def _stencil_blocks(dx: np.ndarray):
+    """Derivative part of the operator as (N, 3, 4, 4) blocks, where
+    blocks[i, k] couples the four rows of cell i to the unknowns
+    (phi_a, phi_s, J_a, J_s) of cell i + k - 1, plus the boolean support
+    of the blocks (entries with at least one term, kept where the terms
+    cancel)."""
+    N = dx.size
+    # edge reconstructions (sweep.closure_from_sweep) as weights on the
+    # unknowns of the cells left [:, 0] and right [:, 1] of each edge; at
+    # the vacuum boundaries J = -/+ phi/2 of the boundary cell's trace
+    w_J = np.zeros((N + 1, 2, 4))
+    w_J[1:, 0] = 0.25, 0.25, 0.5, 0.5
+    w_J[:-1, 1] = -0.25, 0.25, 0.5, -0.5
+    w_J[0, 1] = -0.5, 0.5, 0.0, 0.0
+    w_J[N, 0] = 0.5, 0.5, 0.0, 0.0
+    w_phi = np.zeros((N + 1, 2, 4))
+    w_phi[1:, 0] = 0.5, 0.5, 0.75, 0.75
+    w_phi[:-1, 1] = 0.5, -0.5, -0.75, 0.75
+    # row r of cell i: (c_r edge_{i+1} + c'_r edge_i) / h_r, with the
+    # edge J^ in rows 0-1 and the edge phi^ in rows 2-3
+    w = np.stack([w_J, w_J, w_phi, w_phi], axis=2)
+    h = np.stack([dx, dx, 3.0 * dx, dx], axis=-1)[:, None, :, None]
+    blocks = _couple(np.array([-1.0, 3.0, -1.0, 1.0])[:, None] * w[:-1] / h,
+                     np.array([1.0, 3.0, 1.0, 1.0])[:, None] * w[1:] / h)
+    support = _couple(w[:-1] != 0, w[1:] != 0)
+    # in-cell terms -6 J_a / dx and -2 phi_a / dx
+    blocks[:, 1, 1, 2] -= 6.0 / dx
+    blocks[:, 1, 3, 0] -= 2.0 / dx
+    support[:, 1, 1, 2] = support[:, 1, 3, 0] = True
+    return blocks, support
 
-    z_mass[i] = (avg, slope) coefficients of the removal field acting on
-    phi in the zeroth-moment rows; f_mass_J likewise for sigma_t acting on
-    J in the first-moment rows; f_mass_phi for the optional drift term on
-    phi (grey system).
-    """
-    N = mesh.n_cells
-    rows, cols, vals = [], [], []
 
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
+@functools.lru_cache(maxsize=16)
+def _block_layout(dx_bytes: bytes):
+    """(stencil, take, indices, indptr) for float64 cell widths `dx_bytes`:
+    B.reshape(-1)[take] is the CSC data of blocks B on the stencil's
+    support.  Cached and read-only: every run rebuilds its LowOrderSystem
+    on the same mesh, and per-system copies raised the peak RSS of
+    repeated test1 table runs by about a quarter (heap drift)."""
+    stencil, support = _stencil_blocks(np.frombuffer(dx_bytes))
+    i, k, a, b = np.nonzero(support)
+    rows, cols = 4 * i + a, 4 * (i + k - 1) + b
+    order = np.lexsort((rows, cols))
+    indptr = np.searchsorted(cols[order], np.arange(4 * len(support) + 1))
+    layout = (stencil, np.flatnonzero(support)[order],
+              rows[order].astype(np.int32), indptr.astype(np.int32))
+    for shared in layout:
+        shared.setflags(write=False)
+    return layout
 
-    for i in range(N):
-        dx = mesh.dx[i]
-        r0, r1, r2, r3 = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
-        jl = _edge_J_stencil(i, N)
-        jr = _edge_J_stencil(i + 1, N)
-        pl = _edge_phi_stencil(i, N)
-        pr = _edge_phi_stencil(i + 1, N)
 
-        for c, v in jr:
-            add(r0, c, v / dx)
-        for c, v in jl:
-            add(r0, c, -v / dx)
-        add(r0, 4 * i + 0, z_mass[i, 0])
-        add(r0, 4 * i + 1, z_mass[i, 1])
-
-        for c, v in jr:
-            add(r1, c, 3.0 * v / dx)
-        for c, v in jl:
-            add(r1, c, 3.0 * v / dx)
-        add(r1, 4 * i + 2, -6.0 / dx)
-        add(r1, 4 * i + 0, z_mass[i, 1])
-        add(r1, 4 * i + 1, z_mass[i, 0])
-
-        for c, v in pr:
-            add(r2, c, v / (3.0 * dx))
-        for c, v in pl:
-            add(r2, c, -v / (3.0 * dx))
-        add(r2, 4 * i + 2, f_mass_J[i, 0])
-        add(r2, 4 * i + 3, f_mass_J[i, 1])
-        if f_mass_phi is not None:
-            add(r2, 4 * i + 0, f_mass_phi[i, 0])
-            add(r2, 4 * i + 1, f_mass_phi[i, 1])
-
-        for c, v in pr:
-            add(r3, c, v / dx)
-        for c, v in pl:
-            add(r3, c, v / dx)
-        add(r3, 4 * i + 0, -2.0 / dx)
-        add(r3, 4 * i + 2, f_mass_J[i, 1])
-        add(r3, 4 * i + 3, f_mass_J[i, 0])
-        if f_mass_phi is not None:
-            add(r3, 4 * i + 0, f_mass_phi[i, 1])
-            add(r3, 4 * i + 1, f_mass_phi[i, 0])
-
-    return csc_matrix((vals, (rows, cols)), shape=(4 * N, 4 * N))
+def _mass_blocks(removal: np.ndarray, sigma_t: np.ndarray,
+                 drift: np.ndarray) -> np.ndarray:
+    """Cell-diagonal 4x4 blocks of removal*phi and sigma_t*J + drift*phi,
+    from LD coefficient pairs (..., 2)."""
+    m = np.zeros(removal.shape[:-1] + (4, 4))
+    m[..., :2, :2] = removal[..., _LD_PRODUCT]
+    m[..., 2:, 2:] = sigma_t[..., _LD_PRODUCT]
+    m[..., 2:, :2] = drift[..., _LD_PRODUCT]
+    return m
 
 
 def _lo_rhs(mesh: Mesh, S: np.ndarray, closure: ClosureData) -> np.ndarray:
@@ -274,11 +258,13 @@ def _pack_state(phi: np.ndarray, J: np.ndarray) -> np.ndarray:
 class LowOrderSystem:
     """Factorized multigroup low-order operators plus the grey solver.
 
-    The per-group matrices depend only on the cross sections and the mesh,
-    so they are factorized once; the grey matrix is rebuilt each solve
-    because its coefficients track the evolving group solution.  Counters
-    record executed solves for the cost accounting: one parallel group
-    pass counts as one low-order solve, as does one grey solve.
+    The stencil blocks and their CSC layout are built once per mesh.  The
+    per-group matrices add constant removal / sigma_t mass blocks and are
+    factorized once; the grey matrix adds the sbar_a / sbar_t / eta mass
+    blocks of each solve's coefficients to the same stencil and is
+    refactorized every solve.  Counters record executed solves for the
+    cost accounting: one parallel group pass counts as one low-order
+    solve, as does one grey solve.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):
@@ -297,15 +283,21 @@ class LowOrderSystem:
         self.Q_fields = np.zeros((spec.G, N, 2))
         self.Q_fields[:, :, 0] = spec.Q[:, None]
 
+        self._stencil, self._take, self._indices, self._indptr = (
+            _block_layout(np.asarray(mesh.dx, dtype=float).tobytes()))
+
+        zero = np.zeros(spec.G)
+        mass = _mass_blocks(np.stack([removal, zero], axis=-1),
+                            np.stack([spec.sigma_t, zero], axis=-1),
+                            np.zeros((spec.G, 2)))
+        blocks = np.tile(self._stencil, (spec.G, 1, 1, 1, 1))
+        blocks[:, :, 1] += mass[:, None]
+        # np.take, not [:, take]: splu needs each group's row contiguous
+        data = np.take(blocks.reshape(spec.G, -1), self._take, axis=1)
         self._A = []
         self._lu = []
-        zeros = np.zeros((N, 2))
         for g in range(spec.G):
-            z_mass = zeros.copy()
-            z_mass[:, 0] = removal[g]
-            f_mass = zeros.copy()
-            f_mass[:, 0] = spec.sigma_t[g]
-            A = _assemble_lo_matrix(mesh, z_mass, f_mass)
+            A = self._matrix(data[g])
             self._A.append(A.tocsr())
             try:
                 self._lu.append(splu(A))
@@ -315,6 +307,11 @@ class LowOrderSystem:
                 ) from err
         self.n_group_passes = 0
         self.n_grey_solves = 0
+
+    def _matrix(self, data: np.ndarray) -> csc_matrix:
+        """CSC matrix with entries `data` on the stencil's support."""
+        n = 4 * self.mesh.n_cells
+        return csc_matrix((data, self._indices, self._indptr), shape=(n, n))
 
     # -- multigroup level -------------------------------------------------
 
@@ -361,11 +358,13 @@ class LowOrderSystem:
     def solve_grey(self, coeffs: GreyCoefficients, closure: ClosureData):
         grey_closure = ClosureData(dJ=closure.dJ, dphi=closure.dphi,
                                    Phat=closure.Phat, P=coeffs.P)
-        A = _assemble_lo_matrix(self.mesh, coeffs.sbar_a, coeffs.sbar_t,
-                                coeffs.eta)
+        mass = _mass_blocks(coeffs.sbar_a, coeffs.sbar_t, coeffs.eta)
+        blocks = self._stencil.copy()
+        blocks[:, 1] += mass
+        A = self._matrix(blocks.reshape(-1)[self._take])
         b = _lo_rhs(self.mesh, coeffs.Q, grey_closure)
         try:
-            u = splu(A.tocsc()).solve(b)
+            u = splu(A).solve(b)
         except RuntimeError as err:
             raise RuntimeError(f"singular grey low-order system: {err}") from err
         self.n_grey_solves = self.n_grey_solves + 1

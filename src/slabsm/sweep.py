@@ -11,6 +11,7 @@ and the outflow trace a + s feeds the next cell; mu < 0 mirrors it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,14 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
     src_p, src_n = ((r * dx[:, None]).transpose(2, 3, 0, 1)
                     for r in (rhs_p, rhs_n))
     sd_cells = (sigma_t[None, :] * dx[:, None])[:, :, None]
+    # the cell solve divides by det = 6 mu^2 + 4 |mu| sd + sd^2; past its
+    # overflow every psi would silently come out as 0
+    sd_max = float(sd_cells.max())
+    mu_max = float(np.abs(quad.mu).max())
+    if not math.isfinite(6.0 * mu_max**2 + 4.0 * mu_max * sd_max
+                         + sd_max * sd_max):
+        raise ValueError(f"sigma_t * dx = {sd_max:.3e} overflows the LD "
+                         "cell determinant")
 
     mu_p = quad.mu[pos][None, :]
     inc = np.broadcast_to(inc_left[pos], (G, mu_p.size))

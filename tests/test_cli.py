@@ -88,6 +88,19 @@ def test_run_config_file(capsys, tmp_path):
     assert "converged" in out
 
 
+def test_run_overflowing_config_is_usage_error(capsys, tmp_path):
+    doc = {
+        "groups": 1, "sigma_t": [1e160], "sigma_s": [[5e159]],
+        "source": [1.0], "width": 10.0, "cells": 4, "quad_half_order": 2,
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, ["run", "--config", str(path), "--method",
+                                 "si"])
+    assert code == 1
+    assert "overflows" in err
+
+
 def test_sweep_table(capsys):
     code, out, _ = _run(capsys, ["sweep-table", "--problem", "test2",
                                  "--method", "mlsm", "--kmax", "1",

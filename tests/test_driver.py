@@ -256,3 +256,37 @@ def test_non_finite_residual_stops(monkeypatch, method):
     assert rep.status == "non_finite"
     assert rep.N_t == 1
     assert rep.rho_num is None
+
+
+def test_diverged_rule():
+    # diverged: the change exceeds 10x the change 10 outers back
+    cfg = IterationConfig()
+    base = [1.0] * 10
+    assert driver._status(base + [10.0], cfg) is None
+    assert driver._status(base + [10.5], cfg) == "diverged"
+    assert driver._status(base[1:] + [10.5], cfg) is None   # no entry 10 back
+    # measured against the entry exactly 10 back, not the smallest one
+    assert driver._status([0.1] + [2.0] * 10 + [15.0], cfg) is None
+    assert driver._status([0.1] + [2.0] * 10 + [25.0], cfg) == "diverged"
+
+
+def test_growing_change_stops_as_diverged(monkeypatch):
+    # each outer's change 1.3x the last: 1.3^10 = 13.8 > 10 at outer 11
+    growth = iter(1.3**k for k in range(1000))
+    monkeypatch.setattr(driver, "convergence_measure",
+                        lambda new, old, relative: next(growth))
+    rep = run_problem(_small_two_group(),
+                      IterationConfig(method="mlsm", max_outer=50))
+    assert rep.status == "diverged"
+    assert rep.N_t == 11
+    assert rep.rho_num == pytest.approx(1.3, rel=1e-12)
+
+
+def test_overflowing_cell_determinant_is_an_error():
+    # sigma_t * dx = 2.5e159: SI would otherwise converge at N_t = 1 on
+    # phi = 0 (true phi ~ 2e-160)
+    spec = make_problem(1, [1e160], [[5e159]], [1.0], width=10.0,
+                        n_cells=4, n_half=2)
+    for method in ("si", "mlsm"):
+        with pytest.raises(ValueError, match="overflows"):
+            run_problem(spec, IterationConfig(method=method))

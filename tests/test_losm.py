@@ -4,8 +4,9 @@ import pytest
 from slabsm.accel import flatten_state
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh, const_field, to_nodes
-from slabsm.losm import (LowOrderSystem, avg_scattering_xs, compute_zeta,
-                         grey_xs, group_particle_balance, sum_closures)
+from slabsm.losm import (GreyCoefficients, LowOrderSystem, avg_scattering_xs,
+                         compute_zeta, grey_xs, group_particle_balance,
+                         sum_closures)
 from slabsm.problem import builtin_problem, make_problem
 from slabsm.sweep import ClosureData, closure_from_sweep, sweep_batch
 
@@ -251,6 +252,90 @@ def test_removal_must_be_positive():
         spec = make_problem(1, [1.0], [[1.0]], [1.0], width=1.0, n_cells=2,
                             n_half=1)
         LowOrderSystem(spec, Mesh.uniform(1.0, 2))
+
+
+# -- the per-cell equations on a nonuniform mesh --------------------------------
+
+def _edge_hats(phi, J, clo):
+    """Hatted edge current and scalar flux (N+1,): the reconstructions of
+    closure_from_sweep from the one-sided traces plus the frozen
+    constants, with J = -/+ phi/2 of the trace at the vacuum edges."""
+    phi_n, J_n = to_nodes(phi), to_nodes(J)
+    lphi, lJ = phi_n[:-1, 1], J_n[:-1, 1]
+    rphi, rJ = phi_n[1:, 0], J_n[1:, 0]
+    J_hat = np.concatenate(([-0.5 * phi_n[0, 0]],
+                            0.25 * lphi + 0.5 * lJ - 0.25 * rphi + 0.5 * rJ,
+                            [0.5 * phi_n[-1, 1]]))
+    phi_hat = np.concatenate(([0.5 * phi_n[0, 0] - 0.75 * J_n[0, 0]],
+                              0.5 * lphi + 0.75 * lJ + 0.5 * rphi
+                              - 0.75 * rJ,
+                              [0.5 * phi_n[-1, 1] + 0.75 * J_n[-1, 1]]))
+    return J_hat + clo.dJ, phi_hat + clo.dphi
+
+
+def _ld_product(c, u):
+    """(c u)_a, (c u)_s of two LD fields (n_cells, 2)."""
+    return (c[:, 0] * u[:, 0] + c[:, 1] * u[:, 1],
+            c[:, 1] * u[:, 0] + c[:, 0] * u[:, 1])
+
+
+def _cell_equations(dx, phi, J, clo, S, P, removal, sigma_t, drift):
+    """The module docstring's four equations per cell as residuals (4, N),
+    with every term's magnitude for scaling."""
+    J_hat, phi_hat = _edge_hats(phi, J, clo)
+    Ph = clo.Phat
+    terms = (
+        ((J_hat[1:] - J_hat[:-1]) / dx, _ld_product(removal, phi)[0],
+         -S[:, 0]),
+        ((3 * J_hat[1:] + 3 * J_hat[:-1] - 6 * J[:, 0]) / dx,
+         _ld_product(removal, phi)[1], -S[:, 1]),
+        ((phi_hat[1:] - phi_hat[:-1]) / (3 * dx), _ld_product(sigma_t, J)[0],
+         _ld_product(drift, phi)[0], -(Ph[1:] - Ph[:-1]) / dx),
+        ((phi_hat[1:] + phi_hat[:-1] - 2 * phi[:, 0]) / dx,
+         _ld_product(sigma_t, J)[1], _ld_product(drift, phi)[1],
+         -(3 * Ph[1:] + 3 * Ph[:-1] - 6 * P[:, 0]) / dx),
+    )
+    resid = np.array([sum(row) for row in terms])
+    scale = max(np.abs(t).max() for row in terms for t in row)
+    return resid, scale
+
+
+def _random_closure(rng, n):
+    return ClosureData(dJ=rng.randn(n + 1), dphi=rng.randn(n + 1),
+                       Phat=rng.randn(n + 1), P=rng.randn(n, 2))
+
+
+@pytest.mark.parametrize("dx", [[0.3], [0.2, 0.45],
+                                [0.1, 0.3, 0.05, 0.4, 0.2, 0.25, 0.4]])
+def test_solves_satisfy_cell_equations_nonuniform_mesh(dx):
+    dx = np.array(dx)
+    n = dx.size
+    mesh = Mesh(float(dx.sum()), n, dx)
+    spec = make_problem(2, [1.0, 2.5], [[0.3, 0.2], [0.4, 1.1]], [1.0, 0.5],
+                        width=mesh.width, n_cells=n, n_half=2)
+    system = LowOrderSystem(spec, mesh)
+    rng = np.random.RandomState(n)
+    zero = np.zeros((n, 2))
+
+    for g in range(spec.G):
+        clo = _random_closure(rng, n)
+        S = rng.rand(n, 2)
+        phi, J = system.solve_group_rhs(g, S, clo)
+        resid, scale = _cell_equations(
+            dx, phi, J, clo, S, clo.P, const_field(system.removal[g], n),
+            const_field(spec.sigma_t[g], n), zero)
+        assert np.abs(resid).max() <= 1e-12 * scale
+
+    clo = _random_closure(rng, n)
+    coeffs = GreyCoefficients(sbar_a=rng.rand(n, 2) * [1.0, 0.2] + [0.5, 0],
+                              sbar_t=rng.rand(n, 2) * [1.0, 0.2] + [1.0, 0],
+                              eta=rng.randn(n, 2) * 0.3,
+                              P=rng.randn(n, 2), Q=rng.rand(n, 2))
+    assert np.all(coeffs.eta != 0.0)
+    phi, J = system.solve_grey(coeffs, clo)
+    resid, scale = _cell_equations(dx, phi, J, clo, coeffs.Q, coeffs.P,
+                                   coeffs.sbar_a, coeffs.sbar_t, coeffs.eta)
+    assert np.abs(resid).max() <= 1e-12 * scale
 
 
 # -- fixed-point residual ------------------------------------------------------

@@ -181,6 +181,19 @@ def test_sigma_t_must_be_positive():
         _sweep1(0.0, mesh, quad, np.zeros((2, 2)))
 
 
+def test_sigma_t_dx_overflow_rejected():
+    # sd = sigma_t * dx near 1e154 makes sd^2 overflow; the cell solve
+    # would return psi = 0 instead of the true q / sigma_t
+    quad = build_double_gauss(2)
+    mesh = Mesh.uniform(4.0, 4)
+    rhs = const_field(0.5, 4)
+    with pytest.raises(ValueError, match="overflows"):
+        _sweep1(1e160, mesh, quad, rhs)
+    # still representable: thick cells give psi_a = q / sigma_t
+    psi = _sweep1(1e150, mesh, quad, rhs)
+    assert np.allclose(psi[:, 1:-1, 0], 0.5e-150, rtol=1e-12)
+
+
 def test_group_axis_matches_single_group_sweeps():
     # per-direction rhs and incident fluxes: one G=3 sweep equals three
     # G=1 sweeps bitwise
