@@ -12,11 +12,11 @@ from .driver import (METHOD_MLSM, METHOD_MLSM_AA1, METHOD_SI,
 from .fields import Mesh, from_nodes, nodal_product, to_nodes
 from .losm import (GreyCoefficients, LowOrderSystem, avg_scattering_xs,
                    compute_zeta, grey_xs, sum_closures)
-from .problem import (BUILTIN_NAMES, ConnectionStrengthMatrix, ProblemError,
-                      ProblemSpec, ValidationReport, builtin_problem,
-                      builtin_reference_c, connection_strength, load_problem,
-                      make_problem, problem_from_dict, validate_scattering)
+from .problem import (BUILTIN_NAMES, ProblemError, ProblemSpec,
+                      ValidationReport, builtin_problem, builtin_reference_c,
+                      connection_strength, load_problem, make_problem,
+                      problem_from_dict, validate_scattering)
 from .sweep import (ClosureData, build_ho_rhs, closure_from_sweep,
-                    group_balance, sweep_batch, upwind_edge_psi)
+                    sweep_batch, upwind_edge_psi)
 
 __version__ = "0.1.0"

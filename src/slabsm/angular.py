@@ -84,7 +84,8 @@ class MomentSet(NamedTuple):
 def angular_moments(psi: np.ndarray, quad: AngularQuadrature) -> MomentSet:
     """Angular moments of a discrete-ordinate LD flux, coefficient-wise.
 
-    psi has shape (M, n_cells, 2).  Returns LD coefficient arrays
+    psi has shape (..., M, n_cells, 2), typically (G, M, n_cells, 2) with
+    a leading group axis.  Returns LD coefficient arrays (..., n_cells, 2)
 
         phi = sum_m w_m psi_m
         J   = sum_m w_m mu_m psi_m
@@ -94,10 +95,10 @@ def angular_moments(psi: np.ndarray, quad: AngularQuadrature) -> MomentSet:
     acts independently on each coefficient.
     """
     psi = np.asarray(psi, dtype=float)
-    if psi.ndim != 3 or psi.shape[0] != quad.n_angles:
+    if psi.ndim < 3 or psi.shape[-3] != quad.n_angles:
         raise ValueError(
             f"psi shape {psi.shape} does not match {quad.n_angles} directions")
-    phi = np.einsum("m,mnc->nc", quad.w, psi)
-    J = np.einsum("m,mnc->nc", quad.w * quad.mu, psi)
-    P = np.einsum("m,mnc->nc", quad.w * (1.0 / 3.0 - quad.mu**2), psi)
+    phi = np.einsum("m,...mnc->...nc", quad.w, psi)
+    J = np.einsum("m,...mnc->...nc", quad.w * quad.mu, psi)
+    P = np.einsum("m,...mnc->...nc", quad.w * (1.0 / 3.0 - quad.mu**2), psi)
     return MomentSet(phi=phi, J=J, P=P)

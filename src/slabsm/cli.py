@@ -122,7 +122,7 @@ def _cmd_sweep_table(args) -> int:
 
 def _cmd_strength(args) -> int:
     spec, _ = _resolve_problem(args)
-    S = connection_strength(spec).S
+    S = connection_strength(spec)
     G = spec.G
     if args.format == "csv":
         lines = ["g," + ",".join(str(g + 1) for g in range(G))]

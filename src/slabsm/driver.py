@@ -64,9 +64,6 @@ class IterationConfig:
     s_max: int = 1
     epsilon: float = 1e-9
     max_outer: int = 1000
-    # termination norm for the grey-flux change; the published iteration
-    # counts are only reproduced by the absolute infinity norm
-    measure: str = "absolute"
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -78,8 +75,6 @@ class IterationConfig:
             raise ValueError("epsilon must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if self.measure not in ("absolute", "relative"):
-            raise ValueError("measure must be 'absolute' or 'relative'")
 
 
 @dataclass
@@ -90,7 +85,7 @@ class TransportState:
     phi_ho: np.ndarray         # (G, N, 2) transport moments
     J_ho: np.ndarray
     P: np.ndarray              # (G, N, 2) closure moments
-    closures: list             # per-group ClosureData
+    closures: object           # ClosureData with a leading group axis
     grey_closure: object
     phi: np.ndarray            # (G, N, 2) low-order iterate
     J: np.ndarray
@@ -138,18 +133,12 @@ class SpectralEstimate(NamedTuple):
     spread: float
 
 
-def convergence_measure(phi_new: np.ndarray, phi_old: np.ndarray,
-                        relative: bool = True) -> float:
-    """Infinity norm of the grey-flux change over cell averages, divided
-    by the new flux norm when `relative` (the absolute norm is used when
-    the new flux vanishes)."""
+def convergence_measure(phi_new: np.ndarray, phi_old: np.ndarray) -> float:
+    """Infinity norm of the grey-flux change over cell averages (absolute:
+    the published iteration counts are reproduced by this norm only)."""
     if phi_new.shape != phi_old.shape:
         raise ValueError("flux fields must share a mesh")
-    diff = float(np.max(np.abs(phi_new[:, 0] - phi_old[:, 0])))
-    if not relative:
-        return diff
-    base = float(np.max(np.abs(phi_new[:, 0])))
-    return diff / base if base > 0.0 else diff
+    return float(np.max(np.abs(phi_new[:, 0] - phi_old[:, 0])))
 
 
 def estimate_spectral_radius(history) -> SpectralEstimate:
@@ -305,23 +294,19 @@ def run_problem(spec: ProblemSpec, cfg: IterationConfig) -> RunReport:
     for ell in range(0 if multilevel else 1, cfg.max_outer + 1):
         if ell > 0:
             if multilevel:
-                sbar = avg_scattering_xs(phi, spec.sigma_s)
-                rhs = np.stack([build_ho_rhs(grey_phi, sbar[g], spec.Q[g])
-                                for g in range(G)])
+                rhs = build_ho_rhs(grey_phi,
+                                   avg_scattering_xs(phi, spec.sigma_s),
+                                   spec.Q)
             else:
                 scatter = np.einsum("gh,hnc->gnc", spec.sigma_s, phi)
                 scatter[:, :, 0] += spec.Q[:, None]
                 rhs = 0.5 * scatter
             psi = sweep_batch(spec.sigma_t, mesh, quad, rhs)
-        moms = [angular_moments(psi[g], quad) for g in range(G)]
-        phi_ho = np.stack([m.phi for m in moms])
-        J_ho = np.stack([m.J for m in moms])
-        P = np.stack([m.P for m in moms])
+        phi_ho, J_ho, P = moms = angular_moments(psi, quad)
         prev_grey = grey_phi
 
         if multilevel:
-            closures = [closure_from_sweep(psi[g], quad, moms[g])
-                        for g in range(G)]
+            closures = closure_from_sweep(psi, quad, moms)
             grey_closure = sum_closures(closures)
             # NaN passes here and stops the run as non_finite below
             if not np.allclose(grey_closure.P, P.sum(axis=0), rtol=1e-13,
@@ -356,8 +341,7 @@ def run_problem(spec: ProblemSpec, cfg: IterationConfig) -> RunReport:
             phi, J = phi_ho, J_ho
             grey_phi = phi.sum(axis=0)
 
-        history.append(convergence_measure(
-            grey_phi, prev_grey, relative=cfg.measure == "relative"))
+        history.append(convergence_measure(grey_phi, prev_grey))
         done = _status(history, cfg)
         if done is not None:
             status, n_t = done, ell

@@ -23,8 +23,11 @@ solution-averaged coefficients and field products are collocated at the two
 cell-edge values, so the group-summed grey equations coincide exactly with
 the sum of the group equations at convergence.  A cell's unknowns (phi_a,
 phi_s, J_a, J_s) couple only to its two neighbours: the operator is block
-tridiagonal with 4x4 blocks, a derivative stencil built once per mesh from
-the edge-reconstruction weights plus cell-diagonal mass blocks.
+tridiagonal with 4x4 blocks, a derivative stencil built from the
+edge-reconstruction weights plus cell-diagonal mass blocks.  Group data
+carry a leading group axis, so one call builds every group's right side;
+the group matrices and their LU factors are built and factorized once per
+problem.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import block_diag, csc_matrix
 from scipy.sparse.linalg import splu
 
 from .fields import Mesh, const_field, from_nodes, to_nodes
@@ -139,18 +142,12 @@ def grey_xs(phi_groups: np.ndarray, J_groups: np.ndarray, spec: ProblemSpec,
                             eta=from_nodes(eta_n), P=P, Q=Q)
 
 
-def sum_closures(closures) -> ClosureData:
+def sum_closures(closures: ClosureData) -> ClosureData:
     """Group-summed closure functionals for the grey system."""
-    total = ClosureData(dJ=np.zeros_like(closures[0].dJ),
-                        dphi=np.zeros_like(closures[0].dphi),
-                        Phat=np.zeros_like(closures[0].Phat),
-                        P=np.zeros_like(closures[0].P))
-    for c in closures:
-        total.dJ += c.dJ
-        total.dphi += c.dphi
-        total.Phat += c.Phat
-        total.P += c.P
-    return total
+    return ClosureData(dJ=closures.dJ.sum(axis=0),
+                       dphi=closures.dphi.sum(axis=0),
+                       Phat=closures.Phat.sum(axis=0),
+                       P=closures.P.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -200,25 +197,6 @@ def _stencil_blocks(dx: np.ndarray):
     return blocks, support
 
 
-@functools.lru_cache(maxsize=16)
-def _block_layout(dx_bytes: bytes):
-    """(stencil, take, indices, indptr) for float64 cell widths `dx_bytes`:
-    B.reshape(-1)[take] is the CSC data of blocks B on the stencil's
-    support.  Cached and read-only: every run rebuilds its LowOrderSystem
-    on the same mesh, and per-system copies raised the peak RSS of
-    repeated test1 table runs by about a quarter (heap drift)."""
-    stencil, support = _stencil_blocks(np.frombuffer(dx_bytes))
-    i, k, a, b = np.nonzero(support)
-    rows, cols = 4 * i + a, 4 * (i + k - 1) + b
-    order = np.lexsort((rows, cols))
-    indptr = np.searchsorted(cols[order], np.arange(4 * len(support) + 1))
-    layout = (stencil, np.flatnonzero(support)[order],
-              rows[order].astype(np.int32), indptr.astype(np.int32))
-    for shared in layout:
-        shared.setflags(write=False)
-    return layout
-
-
 def _mass_blocks(removal: np.ndarray, sigma_t: np.ndarray,
                  drift: np.ndarray) -> np.ndarray:
     """Cell-diagonal 4x4 blocks of removal*phi and sigma_t*J + drift*phi,
@@ -231,40 +209,90 @@ def _mass_blocks(removal: np.ndarray, sigma_t: np.ndarray,
 
 
 def _lo_rhs(mesh: Mesh, S: np.ndarray, closure: ClosureData) -> np.ndarray:
-    """Right side holding the source and every frozen closure term."""
+    """Right sides (..., 4N) holding the sources S (..., N, 2) and every
+    frozen closure term, with the closure's leading axes."""
     dx = mesh.dx
     dJ, dphi, Phat = closure.dJ, closure.dphi, closure.Phat
-    b = np.empty(4 * mesh.n_cells)
-    b[0::4] = S[:, 0] - (dJ[1:] - dJ[:-1]) / dx
-    b[1::4] = S[:, 1] - 3.0 * (dJ[1:] + dJ[:-1]) / dx
-    b[2::4] = ((Phat[1:] - Phat[:-1]) - (dphi[1:] - dphi[:-1]) / 3.0) / dx
-    b[3::4] = (3.0 * (Phat[1:] + Phat[:-1]) - 6.0 * closure.P[:, 0]
-               - (dphi[1:] + dphi[:-1])) / dx
+    b = np.empty(S.shape[:-2] + (4 * mesh.n_cells,))
+    b[..., 0::4] = S[..., 0] - (dJ[..., 1:] - dJ[..., :-1]) / dx
+    b[..., 1::4] = S[..., 1] - 3.0 * (dJ[..., 1:] + dJ[..., :-1]) / dx
+    b[..., 2::4] = ((Phat[..., 1:] - Phat[..., :-1])
+                    - (dphi[..., 1:] - dphi[..., :-1]) / 3.0) / dx
+    b[..., 3::4] = (3.0 * (Phat[..., 1:] + Phat[..., :-1])
+                    - 6.0 * closure.P[..., 0]
+                    - (dphi[..., 1:] + dphi[..., :-1])) / dx
     return b
 
 
-def _split_solution(u: np.ndarray, n_cells: int):
-    x = u.reshape(n_cells, 4)
-    return x[:, 0:2].copy(), x[:, 2:4].copy()
+def _split_solution(u: np.ndarray):
+    """(phi, J) LD coefficients (..., N, 2) of cell-ordered unknowns
+    (..., 4N)."""
+    x = u.reshape(u.shape[:-1] + (-1, 4))
+    return x[..., 0:2].copy(), x[..., 2:4].copy()
 
 
-def _pack_state(phi: np.ndarray, J: np.ndarray) -> np.ndarray:
-    out = np.empty((phi.shape[0], 4))
-    out[:, 0:2] = phi
-    out[:, 2:4] = J
-    return out.ravel()
+@functools.lru_cache(maxsize=8)
+def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
+    """Low-order operators of one problem, from the float64 bytes of its
+    cell widths, sigma_t and removal sigma_t - sigma_s,g->g.
+
+    Returns (stencil, take, indices, indptr, A, lus): the derivative
+    stencil blocks; the layout with which B.reshape(-1)[take] is the CSC
+    data, on `indices`/`indptr`, of blocks B on the stencil's support; the
+    G group matrices as one block-diagonal CSR matrix; and one LU factor
+    per group.  Cached and read-only: every run builds a new
+    LowOrderSystem of the same problem, and refactoring its group
+    matrices each time cost about a sixth of the test1 table cells' solve
+    time and scattered SuperLU workspaces over the heap (drifting peak
+    RSS).
+    """
+    dx = np.frombuffer(dx_bytes)
+    sigma_t = np.frombuffer(sigma_t_bytes)
+    removal = np.frombuffer(removal_bytes)
+    stencil, support = _stencil_blocks(dx)
+    i, k, a, b = np.nonzero(support)
+    rows, cols = 4 * i + a, 4 * (i + k - 1) + b
+    order = np.lexsort((rows, cols))
+    n = 4 * dx.size
+    take = np.flatnonzero(support)[order]
+    indices = rows[order].astype(np.int32)
+    indptr = np.searchsorted(cols[order], np.arange(n + 1)).astype(np.int32)
+
+    G = sigma_t.size
+    zero = np.zeros(G)
+    mass = _mass_blocks(np.stack([removal, zero], axis=-1),
+                        np.stack([sigma_t, zero], axis=-1), np.zeros((G, 2)))
+    blocks = np.tile(stencil, (G, 1, 1, 1, 1))
+    blocks[:, :, 1] += mass[:, None]
+    # np.take, not [:, take]: splu needs each group's row contiguous
+    data = np.take(blocks.reshape(G, -1), take, axis=1)
+    groups = [csc_matrix((d, indices, indptr), shape=(n, n)) for d in data]
+    lus = []
+    for g, A in enumerate(groups):
+        try:
+            lus.append(splu(A))
+        except RuntimeError as err:
+            raise RuntimeError(
+                f"singular low-order system for group {g + 1}: {err}"
+            ) from err
+    A = block_diag(groups, format="csr")
+    for shared in (stencil, take, indices, indptr, A.data, A.indices,
+                   A.indptr):
+        shared.setflags(write=False)
+    return stencil, take, indices, indptr, A, tuple(lus)
 
 
 class LowOrderSystem:
     """Factorized multigroup low-order operators plus the grey solver.
 
-    The stencil blocks and their CSC layout are built once per mesh.  The
-    per-group matrices add constant removal / sigma_t mass blocks and are
-    factorized once; the grey matrix adds the sbar_a / sbar_t / eta mass
-    blocks of each solve's coefficients to the same stencil and is
-    refactorized every solve.  Counters record executed solves for the
-    cost accounting: one parallel group pass counts as one low-order
-    solve, as does one grey solve.
+    The group matrices add constant removal / sigma_t mass blocks to the
+    mesh's derivative stencil; they and their LU factors are built once
+    per problem and shared by every system of that problem.  The grey
+    matrix adds the sbar_a / sbar_t / eta mass blocks of each solve's
+    coefficients to the same stencil and is refactorized every solve.
+    Counters, per system, record executed solves for the cost accounting:
+    one parallel group pass counts as one low-order solve, as does one
+    grey solve.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):
@@ -282,36 +310,11 @@ class LowOrderSystem:
         N = mesh.n_cells
         self.Q_fields = np.zeros((spec.G, N, 2))
         self.Q_fields[:, :, 0] = spec.Q[:, None]
-
-        self._stencil, self._take, self._indices, self._indptr = (
-            _block_layout(np.asarray(mesh.dx, dtype=float).tobytes()))
-
-        zero = np.zeros(spec.G)
-        mass = _mass_blocks(np.stack([removal, zero], axis=-1),
-                            np.stack([spec.sigma_t, zero], axis=-1),
-                            np.zeros((spec.G, 2)))
-        blocks = np.tile(self._stencil, (spec.G, 1, 1, 1, 1))
-        blocks[:, :, 1] += mass[:, None]
-        # np.take, not [:, take]: splu needs each group's row contiguous
-        data = np.take(blocks.reshape(spec.G, -1), self._take, axis=1)
-        self._A = []
-        self._lu = []
-        for g in range(spec.G):
-            A = self._matrix(data[g])
-            self._A.append(A.tocsr())
-            try:
-                self._lu.append(splu(A))
-            except RuntimeError as err:
-                raise RuntimeError(
-                    f"singular low-order system for group {g + 1}: {err}"
-                ) from err
+        (self._stencil, self._take, self._indices, self._indptr, self._A,
+         self._lu) = _operators(*(np.asarray(a, dtype=float).tobytes()
+                                  for a in (mesh.dx, spec.sigma_t, removal)))
         self.n_group_passes = 0
         self.n_grey_solves = 0
-
-    def _matrix(self, data: np.ndarray) -> csc_matrix:
-        """CSC matrix with entries `data` on the stencil's support."""
-        n = 4 * self.mesh.n_cells
-        return csc_matrix((data, self._indices, self._indptr), shape=(n, n))
 
     # -- multigroup level -------------------------------------------------
 
@@ -323,35 +326,21 @@ class LowOrderSystem:
         S = from_nodes(to_nodes(zeta)[None] * to_nodes(coupling))
         return S + self.Q_fields
 
-    def solve_group_rhs(self, g: int, S_g: np.ndarray,
-                        closure_g: ClosureData):
-        b = _lo_rhs(self.mesh, S_g, closure_g)
-        u = self._lu[g].solve(b)
-        return _split_solution(u, self.mesh.n_cells)
-
     def group_pass(self, phi_groups, J_groups, zeta, closures):
         """One Jacobi pass of the decoupled group solvers against the
         coupling lagged at the input state (counts as one solve: the
         groups are independent and could run in parallel)."""
-        S = self.group_source(phi_groups, zeta)
-        results = [self.solve_group_rhs(g, S[g], closures[g])
-                   for g in range(self.spec.G)]
-        phi_new = np.stack([r[0] for r in results])
-        J_new = np.stack([r[1] for r in results])
+        b = _lo_rhs(self.mesh, self.group_source(phi_groups, zeta), closures)
+        u = np.stack([lu.solve(b_g) for lu, b_g in zip(self._lu, b)])
         self.n_group_passes += 1
-        return phi_new, J_new
+        return _split_solution(u)
 
     def equation_residual(self, phi_groups, J_groups, zeta, closures):
         """Residual of the multigroup low-order equations at the given
         state (matrix applications only; no solves are consumed)."""
-        S = self.group_source(phi_groups, zeta)
-        r_phi = np.empty_like(phi_groups)
-        r_J = np.empty_like(J_groups)
-        for g in range(self.spec.G):
-            b = _lo_rhs(self.mesh, S[g], closures[g])
-            r = b - self._A[g] @ _pack_state(phi_groups[g], J_groups[g])
-            r_phi[g], r_J[g] = _split_solution(r, self.mesh.n_cells)
-        return r_phi, r_J
+        b = _lo_rhs(self.mesh, self.group_source(phi_groups, zeta), closures)
+        x = np.concatenate([phi_groups, J_groups], axis=-1).reshape(-1)
+        return _split_solution(b - (self._A @ x).reshape(b.shape))
 
     # -- grey level --------------------------------------------------------
 
@@ -361,26 +350,25 @@ class LowOrderSystem:
         mass = _mass_blocks(coeffs.sbar_a, coeffs.sbar_t, coeffs.eta)
         blocks = self._stencil.copy()
         blocks[:, 1] += mass
-        A = self._matrix(blocks.reshape(-1)[self._take])
+        n = 4 * self.mesh.n_cells
+        A = csc_matrix((blocks.reshape(-1)[self._take], self._indices,
+                        self._indptr), shape=(n, n))
         b = _lo_rhs(self.mesh, coeffs.Q, grey_closure)
         try:
             u = splu(A).solve(b)
         except RuntimeError as err:
             raise RuntimeError(f"singular grey low-order system: {err}") from err
         self.n_grey_solves = self.n_grey_solves + 1
-        return _split_solution(u, self.mesh.n_cells)
+        return _split_solution(u)
 
 
-def group_particle_balance(system: LowOrderSystem, g: int, phi_g, J_g,
-                           S_g, closure_g) -> tuple[float, float]:
-    """(leakage + removal, source) of a converged group solve, from the
-    telescoped zeroth-moment rows."""
-    mesh = system.mesh
-    N = mesh.n_cells
-    phi_n = to_nodes(phi_g)
-    J_left = -0.5 * phi_n[0, 0] + closure_g.dJ[0]
-    J_right = 0.5 * phi_n[N - 1, 1] + closure_g.dJ[N]
-    leakage = J_right - J_left
-    removal = float(np.sum(system.removal[g] * phi_g[:, 0] * mesh.dx))
-    source = float(np.sum(S_g[:, 0] * mesh.dx))
-    return leakage + removal, source
+def group_particle_balance(system: LowOrderSystem, phi, J, S, closures):
+    """(leakage + removal, source), each (G,), of converged group solves
+    (G, N, 2), from the telescoped zeroth-moment rows."""
+    dx = system.mesh.dx
+    phi_n = to_nodes(phi)
+    J_left = -0.5 * phi_n[:, 0, 0] + closures.dJ[:, 0]
+    J_right = 0.5 * phi_n[:, -1, 1] + closures.dJ[:, -1]
+    removal = np.sum(system.removal[:, None] * phi[..., 0] * dx, axis=-1)
+    source = np.sum(S[..., 0] * dx, axis=-1)
+    return J_right - J_left + removal, source

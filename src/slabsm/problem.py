@@ -249,20 +249,13 @@ def validate_scattering(spec: ProblemSpec, reference_c,
                             passed=dev <= tolerance)
 
 
-@dataclass(frozen=True)
-class ConnectionStrengthMatrix:
-    """Row-normalized group coupling strengths, diagonal defined 0."""
+def connection_strength(spec: ProblemSpec) -> np.ndarray:
+    """Row-normalized group coupling strengths, (G, G):
 
-    S: np.ndarray
+        S[g][g'] = sigma_{s,g'->g} / max_{g'' != g} sigma_{s,g''->g}
 
-    def __getitem__(self, idx):
-        return self.S[idx]
-
-
-def connection_strength(spec: ProblemSpec) -> ConnectionStrengthMatrix:
-    """S[g][g'] = sigma_{s,g'->g} / max_{g'' != g} sigma_{s,g''->g}.
-
-    Rows with no nonzero off-diagonal entry come back all zero.
+    with the diagonal defined 0.  Rows with no nonzero off-diagonal entry
+    come back all zero.
     """
     if spec.G < 2:
         raise ProblemError("connection strength requires G >= 2")
@@ -275,4 +268,4 @@ def connection_strength(spec: ProblemSpec) -> ConnectionStrengthMatrix:
         if peak > 0.0:
             S[g] = spec.sigma_s[g] / peak
         S[g, g] = 0.0
-    return ConnectionStrengthMatrix(S=S)
+    return S

@@ -92,50 +92,49 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
     return psi
 
 
-def build_ho_rhs(grey_phi: np.ndarray, sbar_s_g: np.ndarray,
-                 Q_g: float) -> np.ndarray:
-    """Isotropic sweep source 0.5*(sbar_s,g * grey_phi) + 0.5*Q_g.
+def build_ho_rhs(grey_phi: np.ndarray, sbar_s: np.ndarray,
+                 Q: np.ndarray) -> np.ndarray:
+    """Isotropic sweep sources 0.5*(sbar_s,g * grey_phi) + 0.5*Q_g, (G, N, 2)
+    from the averaged cross sections sbar_s (G, N, 2) and sources Q (G,).
 
     The product of the two LD fields is collocated at the cell-edge values,
     which keeps the averaged-cross-section identity exact at convergence.
     """
-    if grey_phi.shape != sbar_s_g.shape:
+    if grey_phi.shape != sbar_s.shape[1:]:
         raise ValueError("grey flux and averaged cross section meshes differ")
-    rhs = 0.5 * nodal_product(sbar_s_g, grey_phi)
-    rhs[:, 0] += 0.5 * Q_g
+    rhs = 0.5 * nodal_product(sbar_s, grey_phi)
+    rhs[:, :, 0] += 0.5 * Q[:, None]
     return rhs
 
 
-def upwind_edge_psi(psi: np.ndarray, quad: AngularQuadrature,
-                    inc_left=None, inc_right=None) -> np.ndarray:
-    """Upwind angular flux on the N+1 cell edges, (M, N+1).
+def upwind_edge_psi(psi: np.ndarray, quad: AngularQuadrature) -> np.ndarray:
+    """Upwind angular flux on the N+1 cell edges, (..., M, N+1), of a
+    vacuum-bounded sweep output (..., M, N, 2).
 
-    Edge values for mu > 0 come from the left cell's right trace (or the
-    incident flux at edge 0); mirrored for mu < 0.
+    Edge values for mu > 0 come from the left cell's right trace (zero at
+    edge 0); mirrored for mu < 0.
     """
-    M, N, _ = psi.shape
-    out = np.zeros((M, N + 1))
+    N = psi.shape[-2]
+    out = np.zeros(psi.shape[:-2] + (N + 1,))
     pos = quad.positive()
     neg = quad.negative()
-    out[pos, 1:] = (psi[pos, :, 0] + psi[pos, :, 1])
-    out[neg, :N] = (psi[neg, :, 0] - psi[neg, :, 1])
-    if inc_left is not None:
-        out[pos, 0] = np.asarray(inc_left, float)[pos]
-    if inc_right is not None:
-        out[neg, N] = np.asarray(inc_right, float)[neg]
+    avg, slope = psi[..., 0], psi[..., 1]
+    out[..., pos, 1:] = (avg + slope)[..., pos, :]
+    out[..., neg, :N] = (avg - slope)[..., neg, :]
     return out
 
 
 @dataclass
 class ClosureData:
-    """Frozen transport functionals that close one group's low-order system.
+    """Frozen transport functionals that close the low-order systems.
 
-    Edge arrays are indexed 0..N (cell edges).  dJ holds the additive
-    constants of the edge-current reconstruction; slots 0 and N hold the
-    boundary closure constants C with J = n*(phi/2) + C.  dphi holds the
-    edge-scalar-flux reconstruction constants, Phat the edge closure moment
-    sum w*(1/3 - mu^2)*psi, and P the cell LD coefficients of the closure
-    moment.
+    Each field carries a leading group axis, (G, N+1) on the cell edges
+    and (G, N, 2) for P; the grey closure (sum_closures) has none.  dJ
+    holds the additive constants of the edge-current reconstruction; slots
+    0 and N hold the boundary closure constants C with J = n*(phi/2) + C.
+    dphi holds the edge-scalar-flux reconstruction constants, Phat the
+    edge closure moment sum w*(1/3 - mu^2)*psi, and P the cell LD
+    coefficients of the closure moment.
     """
 
     dJ: np.ndarray
@@ -146,7 +145,8 @@ class ClosureData:
 
 def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
                        moments: MomentSet | None = None) -> ClosureData:
-    """Edge and cell closure functionals from the latest sweep.
+    """Edge and cell closure functionals of every group from the latest
+    sweep, psi (G, M, N, 2).
 
     The interior edge current and scalar flux are reconstructed from the
     one-sided LD traces via half-range P1 partial moments,
@@ -160,38 +160,31 @@ def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
     """
     if moments is None:
         moments = angular_moments(psi, quad)
-    N = psi.shape[1]
+    N = psi.shape[-2]
     edge_psi = upwind_edge_psi(psi, quad)
-    phi_hat = np.einsum("m,me->e", quad.w, edge_psi)
-    J_hat = np.einsum("m,me->e", quad.w * quad.mu, edge_psi)
-    P_hat = np.einsum("m,me->e", quad.w * (1.0 / 3.0 - quad.mu**2), edge_psi)
+    phi_hat = np.einsum("m,...me->...e", quad.w, edge_psi)
+    J_hat = np.einsum("m,...me->...e", quad.w * quad.mu, edge_psi)
+    P_hat = np.einsum("m,...me->...e", quad.w * (1.0 / 3.0 - quad.mu**2),
+                      edge_psi)
 
-    phi_n = to_nodes(moments.phi)     # (N, 2): [left, right] traces
+    phi_n = to_nodes(moments.phi)     # (..., N, 2): [left, right] traces
     J_n = to_nodes(moments.J)
 
-    dJ = np.empty(N + 1)
-    dphi = np.empty(N + 1)
+    dJ = np.empty(phi_hat.shape)
+    dphi = np.empty(phi_hat.shape)
     # interior edges e = 1..N-1 between cells e-1 and e
-    lphi, lJ = phi_n[:-1, 1], J_n[:-1, 1]
-    rphi, rJ = phi_n[1:, 0], J_n[1:, 0]
-    dJ[1:N] = J_hat[1:N] - (0.25 * lphi + 0.5 * lJ - 0.25 * rphi + 0.5 * rJ)
-    dphi[1:N] = phi_hat[1:N] - (0.5 * lphi + 0.75 * lJ + 0.5 * rphi - 0.75 * rJ)
+    lphi, lJ = phi_n[..., :-1, 1], J_n[..., :-1, 1]
+    rphi, rJ = phi_n[..., 1:, 0], J_n[..., 1:, 0]
+    dJ[..., 1:N] = (J_hat[..., 1:N]
+                    - (0.25 * lphi + 0.5 * lJ - 0.25 * rphi + 0.5 * rJ))
+    dphi[..., 1:N] = (phi_hat[..., 1:N]
+                      - (0.5 * lphi + 0.75 * lJ + 0.5 * rphi - 0.75 * rJ))
     # boundary closures against the one-sided traces
-    dJ[0] = J_hat[0] + 0.5 * phi_n[0, 0]
-    dJ[N] = J_hat[N] - 0.5 * phi_n[N - 1, 1]
-    dphi[0] = phi_hat[0] - (0.5 * phi_n[0, 0] - 0.75 * J_n[0, 0])
-    dphi[N] = phi_hat[N] - (0.5 * phi_n[N - 1, 1] + 0.75 * J_n[N - 1, 1])
+    dJ[..., 0] = J_hat[..., 0] + 0.5 * phi_n[..., 0, 0]
+    dJ[..., N] = J_hat[..., N] - 0.5 * phi_n[..., N - 1, 1]
+    dphi[..., 0] = phi_hat[..., 0] - (0.5 * phi_n[..., 0, 0]
+                                      - 0.75 * J_n[..., 0, 0])
+    dphi[..., N] = phi_hat[..., N] - (0.5 * phi_n[..., N - 1, 1]
+                                      + 0.75 * J_n[..., N - 1, 1])
 
     return ClosureData(dJ=dJ, dphi=dphi, Phat=P_hat, P=moments.P.copy())
-
-
-def group_balance(psi: np.ndarray, quad: AngularQuadrature, mesh: Mesh,
-                  sigma_t: float, rhs: np.ndarray) -> tuple[float, float]:
-    """(leakage + collision, source) weak-form balance of a sweep output."""
-    mom = angular_moments(psi, quad)
-    edge_psi = upwind_edge_psi(psi, quad)
-    J_hat = np.einsum("m,me->e", quad.w * quad.mu, edge_psi)
-    leakage = J_hat[-1] - J_hat[0]
-    collision = float(np.sum(sigma_t * mom.phi[:, 0] * mesh.dx))
-    source = float(np.sum(2.0 * rhs[:, 0] * mesh.dx))
-    return leakage + collision, source

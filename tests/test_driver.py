@@ -22,11 +22,10 @@ def test_measure_identical_fields():
     assert convergence_measure(f, f) == 0.0
 
 
-def test_measure_relative_default():
+def test_measure_is_absolute():
     new = const_field(2.0, 4)
     old = const_field(1.0, 4)
-    assert convergence_measure(new, old) == pytest.approx(0.5)
-    assert convergence_measure(new, old, relative=False) == pytest.approx(1.0)
+    assert convergence_measure(new, old) == pytest.approx(1.0)
 
 
 def test_measure_zero_new_flux_absolute():
@@ -199,15 +198,6 @@ def test_invalid_config_values():
         IterationConfig(k_max=0)
     with pytest.raises(ValueError):
         IterationConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        IterationConfig(measure="L2")
-
-
-def test_relative_measure_option():
-    spec = _small_two_group()
-    cfg = IterationConfig(method="mlsm", measure="relative", epsilon=1e-9)
-    rep = run_problem(spec, cfg)
-    assert rep.status == "converged"
 
 
 def test_single_cell_problem_runs():
@@ -238,10 +228,10 @@ def test_grey_closure_mismatch_raises(monkeypatch):
 @pytest.mark.parametrize("method", ["si", "mlsm", "mlsm-aa1"])
 def test_non_finite_residual_stops(monkeypatch, method):
     # NaN moments from the first sweep on (the multilevel methods first
-    # take the moments of their flat guess, one call per group)
+    # take the moments of their flat guess, one call for all groups)
     spec = _small_two_group()
     real = driver.angular_moments
-    clean = 0 if method == "si" else spec.G
+    clean = 0 if method == "si" else 1
     calls = []
 
     def poisoned(psi, quad):
@@ -274,7 +264,7 @@ def test_growing_change_stops_as_diverged(monkeypatch):
     # each outer's change 1.3x the last: 1.3^10 = 13.8 > 10 at outer 11
     growth = iter(1.3**k for k in range(1000))
     monkeypatch.setattr(driver, "convergence_measure",
-                        lambda new, old, relative: next(growth))
+                        lambda new, old: next(growth))
     rep = run_problem(_small_two_group(),
                       IterationConfig(method="mlsm", max_outer=50))
     assert rep.status == "diverged"

@@ -8,13 +8,14 @@ from slabsm.losm import (GreyCoefficients, LowOrderSystem, avg_scattering_xs,
                          compute_zeta, grey_xs, group_particle_balance,
                          sum_closures)
 from slabsm.problem import builtin_problem, make_problem
-from slabsm.sweep import ClosureData, closure_from_sweep, sweep_batch
+from slabsm.sweep import (ClosureData, build_ho_rhs, closure_from_sweep,
+                          sweep_batch)
 
 
-def _solve_group(system, g, zeta, phi_lag, closure_g):
-    """One group's low-order solve against the coupling lagged at phi_lag."""
-    S = system.group_source(phi_lag, zeta)
-    return system.solve_group_rhs(g, S[g], closure_g)
+def _solve_groups(system, zeta, phi_lag, closures):
+    """Every group's low-order solve against the coupling lagged at
+    phi_lag."""
+    return system.group_pass(phi_lag, np.zeros_like(phi_lag), zeta, closures)
 
 
 def _pass_residual(system, phi, J, zeta, closures):
@@ -23,13 +24,23 @@ def _pass_residual(system, phi, J, zeta, closures):
     return flatten_state(phi_new - phi, J_new - J)
 
 
-def _zero_closure(n_cells):
-    return ClosureData(dJ=np.zeros(n_cells + 1), dphi=np.zeros(n_cells + 1),
-                       Phat=np.zeros(n_cells + 1), P=np.zeros((n_cells, 2)))
+def _zero_closure(n_cells, *groups):
+    """Zero closure data, with a leading group axis of length `groups`
+    when given (group systems) and none for the grey system."""
+    edges = np.zeros(groups + (n_cells + 1,))
+    return ClosureData(dJ=edges, dphi=edges, Phat=edges,
+                       P=np.zeros(groups + (n_cells, 2)))
 
 
-def _sweep_and_close(spec, g, rhs, mesh, quad):
-    psi = sweep_batch(spec.sigma_t[g:g + 1], mesh, quad, rhs[None])[0]
+def _group_closure(closures, g):
+    """Closure data of groups `g`: an index drops the group axis, a slice
+    keeps it."""
+    return ClosureData(dJ=closures.dJ[g], dphi=closures.dphi[g],
+                       Phat=closures.Phat[g], P=closures.P[g])
+
+
+def _sweep_and_close(spec, rhs, mesh, quad):
+    psi = sweep_batch(spec.sigma_t, mesh, quad, rhs)
     mom = angular_moments(psi, quad)
     return psi, mom, closure_from_sweep(psi, quad, mom)
 
@@ -154,13 +165,13 @@ def test_group_losm_matches_transport_moments_pure_absorber():
                         n_half=4)
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     quad = build_double_gauss(spec.n_half)
-    rhs = const_field(0.5 * spec.Q[0], spec.n_cells)
-    psi, mom, clo = _sweep_and_close(spec, 0, rhs, mesh, quad)
+    rhs = const_field(0.5 * spec.Q[0], spec.n_cells)[None]
+    psi, mom, clo = _sweep_and_close(spec, rhs, mesh, quad)
 
     system = LowOrderSystem(spec, mesh)
     zeta = const_field(1.0, spec.n_cells)
     phi_lag = np.zeros((1, spec.n_cells, 2))
-    phi_lo, J_lo = _solve_group(system, 0, zeta, phi_lag, clo)
+    phi_lo, J_lo = _solve_groups(system, zeta, phi_lag, clo)
     assert np.allclose(phi_lo, mom.phi, atol=1e-12)
     assert np.allclose(J_lo, mom.J, atol=1e-12)
 
@@ -170,14 +181,14 @@ def test_grey_losm_matches_transport_moments_pure_absorber():
                         n_half=4)
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     quad = build_double_gauss(spec.n_half)
-    rhs = const_field(0.5 * spec.Q[0], spec.n_cells)
-    psi, mom, clo = _sweep_and_close(spec, 0, rhs, mesh, quad)
+    rhs = const_field(0.5 * spec.Q[0], spec.n_cells)[None]
+    psi, mom, clo = _sweep_and_close(spec, rhs, mesh, quad)
 
     system = LowOrderSystem(spec, mesh)
-    coeffs = grey_xs(mom.phi[None], mom.J[None], spec, P_groups=mom.P[None])
-    phi_lo, J_lo = system.solve_grey(coeffs, clo)
-    assert np.allclose(phi_lo, mom.phi, atol=1e-12)
-    assert np.allclose(J_lo, mom.J, atol=1e-12)
+    coeffs = grey_xs(mom.phi, mom.J, spec, P_groups=mom.P)
+    phi_lo, J_lo = system.solve_grey(coeffs, sum_closures(clo))
+    assert np.allclose(phi_lo, mom.phi[0], atol=1e-12)
+    assert np.allclose(J_lo, mom.J[0], atol=1e-12)
 
 
 def test_losm_solution_is_exact_balance():
@@ -186,13 +197,13 @@ def test_losm_solution_is_exact_balance():
                         n_half=4)
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     system = LowOrderSystem(spec, mesh)
-    clo = _zero_closure(spec.n_cells)
+    clo = _zero_closure(spec.n_cells, 1)
     zeta = const_field(1.0, spec.n_cells)
     phi_lag = np.zeros((1, spec.n_cells, 2))
-    phi, J = _solve_group(system, 0, zeta, phi_lag, clo)
-    S = system.group_source(phi_lag, zeta)[0]
-    lhs, src = group_particle_balance(system, 0, phi, J, S, clo)
-    assert abs(lhs - src) / abs(src) < 1e-10
+    phi, J = _solve_groups(system, zeta, phi_lag, clo)
+    S = system.group_source(phi_lag, zeta)
+    lhs, src = group_particle_balance(system, phi, J, S, clo)
+    assert np.all(np.abs(lhs - src) / np.abs(src) < 1e-10)
 
 
 def test_group_losm_diffusion_limit():
@@ -201,11 +212,11 @@ def test_group_losm_diffusion_limit():
                         n_half=4)
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     system = LowOrderSystem(spec, mesh)
-    clo = _zero_closure(spec.n_cells)
+    clo = _zero_closure(spec.n_cells, 1)
     zeta = const_field(1.0, spec.n_cells)
     phi_lag = np.zeros((1, spec.n_cells, 2))
-    phi, J = _solve_group(system, 0, zeta, phi_lag, clo)
-    assert phi[100, 0] == pytest.approx(2.0, rel=1e-2)
+    phi, J = _solve_groups(system, zeta, phi_lag, clo)
+    assert phi[0, 100, 0] == pytest.approx(2.0, rel=1e-2)
 
 
 def test_grey_losm_diffusion_limit():
@@ -241,8 +252,7 @@ def test_group_zero_inputs_zero_solution():
     system = LowOrderSystem(spec, mesh)
     zeta = const_field(1.0, 8)
     phi_lag = np.zeros((2, 8, 2))
-    phi, J = _solve_group(system, 0, zeta, phi_lag,
-                              _zero_closure(8))
+    phi, J = _solve_groups(system, zeta, phi_lag, _zero_closure(8, 2))
     assert np.allclose(phi, 0.0, atol=1e-14)
     assert np.allclose(J, 0.0, atol=1e-14)
 
@@ -300,9 +310,11 @@ def _cell_equations(dx, phi, J, clo, S, P, removal, sigma_t, drift):
     return resid, scale
 
 
-def _random_closure(rng, n):
-    return ClosureData(dJ=rng.randn(n + 1), dphi=rng.randn(n + 1),
-                       Phat=rng.randn(n + 1), P=rng.randn(n, 2))
+def _random_closure(rng, n, *groups):
+    return ClosureData(dJ=rng.randn(*groups, n + 1),
+                       dphi=rng.randn(*groups, n + 1),
+                       Phat=rng.randn(*groups, n + 1),
+                       P=rng.randn(*groups, n, 2))
 
 
 @pytest.mark.parametrize("dx", [[0.3], [0.2, 0.45],
@@ -317,12 +329,16 @@ def test_solves_satisfy_cell_equations_nonuniform_mesh(dx):
     rng = np.random.RandomState(n)
     zero = np.zeros((n, 2))
 
+    closures = _random_closure(rng, n, spec.G)
+    phi_lag = rng.rand(spec.G, n, 2)
+    zeta = rng.rand(n, 2) + 0.5
+    S = system.group_source(phi_lag, zeta)
+    phi, J = _solve_groups(system, zeta, phi_lag, closures)
     for g in range(spec.G):
-        clo = _random_closure(rng, n)
-        S = rng.rand(n, 2)
-        phi, J = system.solve_group_rhs(g, S, clo)
+        clo = _group_closure(closures, g)
         resid, scale = _cell_equations(
-            dx, phi, J, clo, S, clo.P, const_field(system.removal[g], n),
+            dx, phi[g], J[g], clo, S[g], clo.P,
+            const_field(system.removal[g], n),
             const_field(spec.sigma_t[g], n), zero)
         assert np.abs(resid).max() <= 1e-12 * scale
 
@@ -348,14 +364,9 @@ def _test1_inner_setup(n_cells=32):
     quad = build_double_gauss(spec.n_half)
     system = LowOrderSystem(spec, mesh)
     # freeze transport data from a sweep of the flat-guess source
-    closures = []
-    phi0 = np.zeros((spec.G, spec.n_cells, 2))
-    for g in range(spec.G):
-        rhs = const_field(0.5 * spec.Q[g], spec.n_cells)
-        _, mom, clo = _sweep_and_close(spec, g, rhs, mesh, quad)
-        closures.append(clo)
-        phi0[g] = mom.phi
-    return spec, system, closures, phi0
+    rhs = 0.5 * spec.Q[:, None, None] * const_field(1.0, spec.n_cells)
+    _, mom, closures = _sweep_and_close(spec, rhs, mesh, quad)
+    return spec, system, closures, mom.phi
 
 
 def test_losm_residual_zero_at_fixed_point():
@@ -401,5 +412,82 @@ def test_losm_residual_operator_identity():
 def test_sum_closures_is_linear():
     spec, system, closures, _ = _test1_inner_setup()
     total = sum_closures(closures)
-    assert np.allclose(total.dJ, sum(c.dJ for c in closures), atol=1e-15)
-    assert np.allclose(total.P, sum(c.P for c in closures), atol=1e-15)
+    assert np.allclose(total.dJ, sum(closures.dJ), atol=1e-15)
+    assert np.allclose(total.P, sum(closures.P), atol=1e-15)
+
+
+# -- the group axis ---------------------------------------------------------------
+
+@pytest.mark.parametrize("n_half", [1, 3])
+@pytest.mark.parametrize("dx", [[0.3], [0.2, 0.45],
+                                [0.1, 0.3, 0.05, 0.4, 0.2, 0.25, 0.4]])
+@pytest.mark.parametrize("G", [1, 3])
+def test_group_axis_matches_per_group_slices(G, dx, n_half):
+    # every layer from the sweep output to the group solve treats the
+    # leading axis as independent groups: bitwise what each group alone
+    # gives.  The groups are decoupled (diagonal sigma_s), so one G-group
+    # pass equals G single-group passes.
+    dx = np.array(dx)
+    n = dx.size
+    mesh = Mesh(float(dx.sum()), n, dx)
+    quad = build_double_gauss(n_half)
+    rng = np.random.RandomState(10 * G + n)
+    sigma_t = rng.rand(G) + 0.5
+    sigma_s = np.diag(0.8 * sigma_t * rng.rand(G))
+    Q = rng.rand(G)
+    spec = make_problem(G, sigma_t, sigma_s, Q, width=mesh.width, n_cells=n,
+                        n_half=n_half)
+    grey = rng.rand(n, 2)
+    sbar = rng.rand(G, n, 2)
+    rhs = build_ho_rhs(grey, sbar, Q)
+    psi = sweep_batch(sigma_t, mesh, quad, rhs)
+    mom = angular_moments(psi, quad)
+    closures = closure_from_sweep(psi, quad, mom)
+    zeta = rng.rand(n, 2) + 0.5
+    system = LowOrderSystem(spec, mesh)
+    phi, J = system.group_pass(mom.phi, mom.J, zeta, closures)
+    r_phi, r_J = system.equation_residual(phi, J, zeta, closures)
+
+    for g in range(G):
+        one = slice(g, g + 1)
+        assert np.array_equal(rhs[one],
+                              build_ho_rhs(grey, sbar[one], Q[one]))
+        for batched, alone in zip(mom, angular_moments(psi[g], quad)):
+            assert np.array_equal(batched[g], alone)
+        alone = closure_from_sweep(psi[g], quad)
+        for field in ("dJ", "dphi", "Phat", "P"):
+            assert np.array_equal(getattr(closures, field)[g],
+                                  getattr(alone, field))
+        spec_g = make_problem(1, sigma_t[one], sigma_s[one, one], Q[one],
+                              width=mesh.width, n_cells=n, n_half=n_half)
+        system_g = LowOrderSystem(spec_g, mesh)
+        clo_g = _group_closure(closures, one)
+        phi_g, J_g = system_g.group_pass(mom.phi[one], mom.J[one], zeta,
+                                         clo_g)
+        assert np.array_equal(phi[one], phi_g)
+        assert np.array_equal(J[one], J_g)
+        r_g = system_g.equation_residual(phi[one], J[one], zeta, clo_g)
+        assert np.array_equal(r_phi[one], r_g[0])
+        assert np.array_equal(r_J[one], r_g[1])
+
+
+def test_group_operators_factored_once_per_problem():
+    mesh = Mesh.uniform(4.0, 8)
+
+    def system(sigma_t=(1.0, 2.0), self_scatter=0.3, down_scatter=0.2):
+        spec = make_problem(2, sigma_t,
+                            [[self_scatter, 0.1], [down_scatter, 0.5]],
+                            [1.0, 1.0], width=4.0, n_cells=8, n_half=2)
+        return LowOrderSystem(spec, mesh)
+
+    a, b = system(), system()
+    assert a._lu is b._lu and a._A is b._A
+    # the group matrices hold removal and sigma_t, not the coupling
+    assert system(down_scatter=0.25)._lu is a._lu
+    for other in (system(sigma_t=(1.0, 2.5)), system(self_scatter=0.4)):
+        assert other._lu is not a._lu
+        assert not np.array_equal(other._A.data, a._A.data)
+    # the solve counters stay per system
+    phi = np.ones((2, 8, 2))
+    a.group_pass(phi, phi, const_field(1.0, 8), _zero_closure(8, 2))
+    assert (a.n_group_passes, b.n_group_passes) == (1, 0)

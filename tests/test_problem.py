@@ -127,7 +127,7 @@ def test_non_vacuum_bc_rejected():
 # -- connection strength -----------------------------------------------------
 
 def test_strength_test1_spot_values():
-    S = connection_strength(builtin_problem("test1")).S
+    S = connection_strength(builtin_problem("test1"))
     assert S[1, 0] == pytest.approx(1.0)
     assert S[3, 1] == pytest.approx(0.53, abs=0.005)
     assert S[5, 0] == 0.0           # confirms the row-6 shift
@@ -136,7 +136,7 @@ def test_strength_test1_spot_values():
 
 
 def test_strength_test2_spot_values():
-    S = connection_strength(builtin_problem("test2")).S
+    S = connection_strength(builtin_problem("test2"))
     assert S[5, 6] == pytest.approx(0.26, abs=0.005)
     assert S[2, 0] == pytest.approx(5.5e-3, rel=0.05)
 
@@ -144,7 +144,7 @@ def test_strength_test2_spot_values():
 def test_strength_properties():
     for name in ("test1", "test2"):
         spec = builtin_problem(name)
-        S = connection_strength(spec).S
+        S = connection_strength(spec)
         assert np.all(S >= 0.0) and np.all(S <= 1.0)
         assert np.all(np.diag(S) == 0.0)
         # every coupled row has a unit off-diagonal maximum
@@ -161,15 +161,15 @@ def test_strength_scale_invariance():
     scaled = make_problem(spec.G, spec.sigma_t * 3.0, spec.sigma_s * 3.0,
                           spec.Q, width=spec.width, n_cells=spec.n_cells,
                           n_half=spec.n_half)
-    S1 = connection_strength(spec).S
-    S2 = connection_strength(scaled).S
+    S1 = connection_strength(spec)
+    S2 = connection_strength(scaled)
     assert np.allclose(S1, S2, atol=1e-14)
 
 
 def test_strength_zero_row():
     spec = make_problem(2, [1.0, 1.0], [[0.0, 0.0], [0.4, 0.1]], [1.0, 1.0],
                         width=1.0, n_cells=2, n_half=1)
-    S = connection_strength(spec).S
+    S = connection_strength(spec)
     assert np.all(S[0] == 0.0)
     assert S[1, 0] == pytest.approx(1.0)
 

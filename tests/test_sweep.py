@@ -3,8 +3,7 @@ import pytest
 
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh, const_field
-from slabsm.sweep import (build_ho_rhs, group_balance, sweep_batch,
-                          upwind_edge_psi)
+from slabsm.sweep import build_ho_rhs, sweep_batch, upwind_edge_psi
 
 GAUSS3_T = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 GAUSS3_V = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
@@ -13,6 +12,17 @@ GAUSS3_V = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 def _sweep1(sigma_t, mesh, quad, rhs, **inc):
     """Single-group sweep: psi shaped (M, n_cells, 2)."""
     return sweep_batch(np.array([sigma_t]), mesh, quad, rhs[None], **inc)[0]
+
+
+def _group_balance(psi, quad, mesh, sigma_t, rhs):
+    """(leakage + collision, source) weak-form balance of one group's
+    sweep output."""
+    mom = angular_moments(psi, quad)
+    J_hat = np.einsum("m,me->e", quad.w * quad.mu, upwind_edge_psi(psi, quad))
+    leakage = J_hat[-1] - J_hat[0]
+    collision = np.sum(sigma_t * mom.phi[:, 0] * mesh.dx)
+    source = np.sum(2.0 * rhs[:, 0] * mesh.dx)
+    return leakage + collision, source
 
 
 def _project_ld(f, mesh):
@@ -65,7 +75,7 @@ def test_weak_form_balance():
     rng = np.random.RandomState(11)
     rhs = rng.rand(24, 2) * np.array([1.0, 0.3])
     psi = _sweep1(1.7, mesh, quad, rhs)
-    lhs, src = group_balance(psi, quad, mesh, 1.7, rhs)
+    lhs, src = _group_balance(psi, quad, mesh, 1.7, rhs)
     assert abs(lhs - src) / abs(src) < 1e-12
 
 
@@ -137,26 +147,25 @@ def test_manufactured_solution_second_order():
 
 def test_build_ho_rhs_trivials():
     n = 6
-    zero_xs = np.zeros((n, 2))
     phi = const_field(2.0, n)
-    assert np.allclose(build_ho_rhs(phi, zero_xs, 1.0), const_field(0.5, n))
-
-    sbar = const_field(0.5, n)
-    rhs = build_ho_rhs(phi, sbar, 1.0)
-    assert np.allclose(rhs, const_field(1.0, n))
+    sbar = np.stack([np.zeros((n, 2)), const_field(0.5, n)])
+    rhs = build_ho_rhs(phi, sbar, np.array([1.0, 1.0]))
+    assert np.allclose(rhs[0], const_field(0.5, n))
+    assert np.allclose(rhs[1], const_field(1.0, n))
 
 
 def test_build_ho_rhs_constant_xs_linear_flux_exact():
     n = 4
     sbar = const_field(0.7, n)
     phi = np.column_stack([np.linspace(1, 2, n), np.full(n, 0.1)])
-    rhs = build_ho_rhs(phi, sbar, 0.0)
-    assert np.allclose(rhs, 0.5 * 0.7 * phi, atol=1e-15)
+    rhs = build_ho_rhs(phi, sbar[None], np.zeros(1))
+    assert np.allclose(rhs[0], 0.5 * 0.7 * phi, atol=1e-15)
 
 
 def test_build_ho_rhs_mesh_mismatch():
     with pytest.raises(ValueError):
-        build_ho_rhs(const_field(1.0, 4), const_field(1.0, 5), 0.0)
+        build_ho_rhs(const_field(1.0, 4), const_field(1.0, 5)[None],
+                     np.zeros(1))
 
 
 def test_upwind_edges_pick_correct_traces():
