@@ -159,39 +159,12 @@ def estimate_spectral_radius(history) -> SpectralEstimate:
                             spread=spread)
 
 
-def si_infinite_medium_rho(spec: ProblemSpec, tol: float = 1e-10,
-                           max_iter: int = 100000) -> float:
-    """Flat-mode source-iteration spectral radius: the dominant eigenvalue
-    of T^-1 S with T = diag(sigma_t) and S the scattering matrix, by power
-    iteration (repeated-squaring norm estimate as fallback)."""
+def si_infinite_medium_rho(spec: ProblemSpec) -> float:
+    """Flat-mode source-iteration spectral radius: the largest eigenvalue
+    modulus of T^-1 S with T = diag(sigma_t) and S the scattering
+    matrix."""
     M = spec.sigma_s / spec.sigma_t[:, None]
-    if spec.G == 1:
-        return float(M[0, 0])
-    x = np.ones(spec.G) / np.sqrt(spec.G)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = M @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        lam = float(x @ y)
-        x = y / ny
-        if np.linalg.norm(M @ x - lam * x) <= tol * max(abs(lam), 1.0):
-            return abs(lam)
-    log.warning("power iteration did not converge; falling back to a "
-                "repeated-squaring norm estimate")
-    B = M.copy()
-    acc = 0.0
-    scale = 1.0
-    for _ in range(30):
-        B = B @ B
-        scale *= 2.0
-        nrm = np.linalg.norm(B, 2)
-        if nrm == 0.0:
-            return 0.0
-        B = B / nrm
-        acc += np.log(nrm) / scale
-    return float(np.exp(acc))
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def lo_solve_count(cfg: IterationConfig) -> int:
@@ -243,7 +216,7 @@ def _aa1_passes(system, grey_phi, phi, J, closures, s_max):
         if s == 0:
             r_prev = flatten_state(*system.equation_residual(phi, J, zeta,
                                                              closures))
-        hat_phi, hat_J = system.group_pass(phi, J, zeta, closures)
+        hat_phi, hat_J = system.group_pass(phi, zeta, closures)
         r_curr = flatten_state(*system.equation_residual(hat_phi, hat_J,
                                                          zeta, closures))
         try:
@@ -329,8 +302,8 @@ def run_problem(spec: ProblemSpec, cfg: IterationConfig) -> RunReport:
                 else:
                     for _s in range(cfg.s_max):
                         zeta = compute_zeta(grey_phi, phi)
-                        phi, J = system.group_pass(phi, J, zeta, closures)
-                grey_coeffs = grey_xs(phi, J, spec, P_groups=P)
+                        phi, J = system.group_pass(phi, zeta, closures)
+                grey_coeffs = grey_xs(phi, J, spec)
                 grey_phi, grey_J = system.solve_grey(grey_coeffs,
                                                      grey_closure)
             lo_counts.append(system.n_group_passes + system.n_grey_solves

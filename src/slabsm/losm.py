@@ -90,12 +90,11 @@ class GreyCoefficients:
     sbar_a: np.ndarray
     sbar_t: np.ndarray
     eta: np.ndarray
-    P: np.ndarray
     Q: np.ndarray
 
 
-def grey_xs(phi_groups: np.ndarray, J_groups: np.ndarray, spec: ProblemSpec,
-            P_groups: np.ndarray | None = None) -> GreyCoefficients:
+def grey_xs(phi_groups: np.ndarray, J_groups: np.ndarray,
+            spec: ProblemSpec) -> GreyCoefficients:
     """Grey absorption / total / drift coefficients from the group solution.
 
         sbar_a = sum sigma_a,g phi_g / sum phi_g
@@ -105,8 +104,8 @@ def grey_xs(phi_groups: np.ndarray, J_groups: np.ndarray, spec: ProblemSpec,
     evaluated at the cell-edge values.  Safeguards: a vanishing |J| sum
     makes sbar_t the phi-weighted (then unweighted) mean of sigma_t, and a
     vanishing phi sum makes sbar_a the unweighted mean of sigma_a and eta
-    zero.  P is the group sum of the closure moments, Q the group-summed
-    external source.
+    zero.  Q is the group-summed external source; the group-summed
+    closure moment comes with the grey closure (sum_closures).
     """
     n_cells = phi_groups.shape[1]
     sigma_a = spec.sigma_a()
@@ -134,12 +133,10 @@ def grey_xs(phi_groups: np.ndarray, J_groups: np.ndarray, spec: ProblemSpec,
     eta_num = (spec.sigma_t[:, None, None] - sbar_t_n[None]) * J_n
     np.divide(eta_num.sum(axis=0), den_phi, out=eta_n, where=safe_phi)
 
-    P = (P_groups.sum(axis=0) if P_groups is not None
-         else np.zeros((n_cells, 2)))
     Q = const_field(spec.Q.sum(), n_cells)
     return GreyCoefficients(sbar_a=from_nodes(sbar_a_n),
                             sbar_t=from_nodes(sbar_t_n),
-                            eta=from_nodes(eta_n), P=P, Q=Q)
+                            eta=from_nodes(eta_n), Q=Q)
 
 
 def sum_closures(closures: ClosureData) -> ClosureData:
@@ -326,7 +323,7 @@ class LowOrderSystem:
         S = from_nodes(to_nodes(zeta)[None] * to_nodes(coupling))
         return S + self.Q_fields
 
-    def group_pass(self, phi_groups, J_groups, zeta, closures):
+    def group_pass(self, phi_groups, zeta, closures):
         """One Jacobi pass of the decoupled group solvers against the
         coupling lagged at the input state (counts as one solve: the
         groups are independent and could run in parallel)."""
@@ -345,15 +342,13 @@ class LowOrderSystem:
     # -- grey level --------------------------------------------------------
 
     def solve_grey(self, coeffs: GreyCoefficients, closure: ClosureData):
-        grey_closure = ClosureData(dJ=closure.dJ, dphi=closure.dphi,
-                                   Phat=closure.Phat, P=coeffs.P)
         mass = _mass_blocks(coeffs.sbar_a, coeffs.sbar_t, coeffs.eta)
         blocks = self._stencil.copy()
         blocks[:, 1] += mass
         n = 4 * self.mesh.n_cells
         A = csc_matrix((blocks.reshape(-1)[self._take], self._indices,
                         self._indptr), shape=(n, n))
-        b = _lo_rhs(self.mesh, coeffs.Q, grey_closure)
+        b = _lo_rhs(self.mesh, coeffs.Q, closure)
         try:
             u = splu(A).solve(b)
         except RuntimeError as err:
@@ -361,14 +356,3 @@ class LowOrderSystem:
         self.n_grey_solves = self.n_grey_solves + 1
         return _split_solution(u)
 
-
-def group_particle_balance(system: LowOrderSystem, phi, J, S, closures):
-    """(leakage + removal, source), each (G,), of converged group solves
-    (G, N, 2), from the telescoped zeroth-moment rows."""
-    dx = system.mesh.dx
-    phi_n = to_nodes(phi)
-    J_left = -0.5 * phi_n[:, 0, 0] + closures.dJ[:, 0]
-    J_right = 0.5 * phi_n[:, -1, 1] + closures.dJ[:, -1]
-    removal = np.sum(system.removal[:, None] * phi[..., 0] * dx, axis=-1)
-    source = np.sum(S[..., 0] * dx, axis=-1)
-    return J_right - J_left + removal, source

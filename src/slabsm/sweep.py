@@ -6,7 +6,12 @@ Weak form per cell and direction, with upwind edge fluxes.  For mu > 0
     (mu + st*dx) a +        mu  s = dx*q_avg   + mu*psi_in
         -3 mu    a + (3mu + st*dx) s = dx*q_slope - 3*mu*psi_in
 
-and the outflow trace a + s feeds the next cell; mu < 0 mirrors it.
+and the outflow trace a + s feeds the next cell.  A direction mu < 0 is
+the same march with |mu| over the mirrored slab: cells in reverse order,
+source and flux slopes negated, inflow from the right.  Each operation of
+that march is an exact sign flip of the right-to-left cell solve, so every
+direction of every group runs in one march of N steps, with the same
+results.
 """
 
 from __future__ import annotations
@@ -18,6 +23,13 @@ import numpy as np
 
 from .angular import AngularQuadrature, MomentSet, angular_moments
 from .fields import Mesh, nodal_product, to_nodes
+
+
+def _mirror(u: np.ndarray, neg: np.ndarray) -> None:
+    """Map the mu < 0 directions of u (G, M, N, 2) between the slab and
+    the march frame, in place: reverse their cells, negate their slopes."""
+    u[:, neg] = u[:, neg, ::-1]
+    u[:, neg, :, 1] *= -1.0
 
 
 def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
@@ -34,61 +46,47 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
     G = sigma_t.size
     M = quad.n_angles
     N = mesh.n_cells
-    dx = mesh.dx
-    pos = quad.positive()
-    neg = quad.negative()
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape == (G, N, 2):
-        rhs_p = rhs_n = rhs[:, None]
-    elif rhs.shape == (G, M, N, 2):
-        rhs_p, rhs_n = rhs[:, pos], rhs[:, neg]
-    else:
+        rhs = rhs[:, None]
+    elif rhs.shape != (G, M, N, 2):
         raise ValueError(f"rhs shape {rhs.shape} invalid")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite")
     inc_left = np.zeros(M) if inc_left is None else np.asarray(inc_left)
     inc_right = np.zeros(M) if inc_right is None else np.asarray(inc_right)
-    psi = np.empty((G, M, N, 2))
-    # per-cell terms hoisted out of the marches, cell axis first:
-    # dx * source (N, 2, G, M or 1) and sigma_t * dx (N, G, 1)
-    src_p, src_n = ((r * dx[:, None]).transpose(2, 3, 0, 1)
-                    for r in (rhs_p, rhs_n))
-    sd_cells = (sigma_t[None, :] * dx[:, None])[:, :, None]
+    neg = quad.negative()
+    m = np.abs(quad.mu)
+    # per-cell terms of the march frame, hoisted out of it with the cell
+    # axis first: dx * source (N, 2, G, M) and sigma_t * dx (N, G, M)
+    src = np.empty((N, 2, G, M))
+    src_slab = src.transpose(2, 3, 0, 1)
+    np.multiply(rhs, mesh.dx[:, None], out=src_slab)
+    _mirror(src_slab, neg)
+    dx = np.where(neg[:, None], mesh.dx[::-1], mesh.dx)
+    sd_cells = sigma_t[None, :, None] * dx.T[:, None, :]
     # the cell solve divides by det = 6 mu^2 + 4 |mu| sd + sd^2; past its
     # overflow every psi would silently come out as 0
     sd_max = float(sd_cells.max())
-    mu_max = float(np.abs(quad.mu).max())
+    mu_max = float(m.max())
     if not math.isfinite(6.0 * mu_max**2 + 4.0 * mu_max * sd_max
                          + sd_max * sd_max):
         raise ValueError(f"sigma_t * dx = {sd_max:.3e} overflows the LD "
                          "cell determinant")
 
-    mu_p = quad.mu[pos][None, :]
-    inc = np.broadcast_to(inc_left[pos], (G, mu_p.size))
+    psi = np.empty((G, M, N, 2))
+    inc = np.broadcast_to(np.where(neg, inc_right, inc_left), (G, M))
     for i in range(N):
         sd = sd_cells[i]
-        qa = src_p[i, 0] + mu_p * inc
-        qs = src_p[i, 1] - 3.0 * mu_p * inc
-        det = 6.0 * mu_p**2 + 4.0 * mu_p * sd + sd * sd
-        a = ((3.0 * mu_p + sd) * qa - mu_p * qs) / det
-        s = (3.0 * mu_p * qa + (mu_p + sd) * qs) / det
-        psi[:, pos, i, 0] = a
-        psi[:, pos, i, 1] = s
+        qa = src[i, 0] + m * inc
+        qs = src[i, 1] - 3.0 * m * inc
+        det = 6.0 * m**2 + 4.0 * m * sd + sd * sd
+        a = ((3.0 * m + sd) * qa - m * qs) / det
+        s = (3.0 * m * qa + (m + sd) * qs) / det
+        psi[:, :, i, 0] = a
+        psi[:, :, i, 1] = s
         inc = a + s
-
-    mu_n = quad.mu[neg][None, :]
-    inc = np.broadcast_to(inc_right[neg], (G, mu_n.size))
-    for i in range(N - 1, -1, -1):
-        sd = sd_cells[i]
-        qa = src_n[i, 0] - mu_n * inc
-        qs = src_n[i, 1] - 3.0 * mu_n * inc
-        det = 6.0 * mu_n**2 - 4.0 * mu_n * sd + sd * sd
-        a = ((-3.0 * mu_n + sd) * qa - mu_n * qs) / det
-        s = (3.0 * mu_n * qa + (-mu_n + sd) * qs) / det
-        psi[:, neg, i, 0] = a
-        psi[:, neg, i, 1] = s
-        inc = a - s
-
+    _mirror(psi, neg)
     return psi
 
 

@@ -93,6 +93,17 @@ def test_si_rho_single_group_equals_c():
     assert si_infinite_medium_rho(spec) == pytest.approx(0.6, abs=1e-12)
 
 
+def test_si_rho_of_oscillating_mode(caplog):
+    # eigenvalues +-sqrt(0.4) of equal modulus: a power iteration never
+    # settles on this scattering matrix
+    spec = make_problem(2, [1.0, 1.0], [[0.0, 0.8], [0.5, 0.0]], [1.0, 1.0],
+                        width=1.0, n_cells=2, n_half=1)
+    with caplog.at_level("WARNING", logger="slabsm.driver"):
+        rho = si_infinite_medium_rho(spec)
+    assert rho == pytest.approx(np.sqrt(0.4), rel=1e-12)
+    assert not caplog.records
+
+
 def test_si_rho_published_values():
     assert si_infinite_medium_rho(builtin_problem("test1")) == \
         pytest.approx(0.96, abs=0.01)

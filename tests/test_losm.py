@@ -5,23 +5,28 @@ from slabsm.accel import flatten_state
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh, const_field, to_nodes
 from slabsm.losm import (GreyCoefficients, LowOrderSystem, avg_scattering_xs,
-                         compute_zeta, grey_xs, group_particle_balance,
-                         sum_closures)
+                         compute_zeta, grey_xs, sum_closures)
 from slabsm.problem import builtin_problem, make_problem
 from slabsm.sweep import (ClosureData, build_ho_rhs, closure_from_sweep,
                           sweep_batch)
 
 
-def _solve_groups(system, zeta, phi_lag, closures):
-    """Every group's low-order solve against the coupling lagged at
-    phi_lag."""
-    return system.group_pass(phi_lag, np.zeros_like(phi_lag), zeta, closures)
-
-
 def _pass_residual(system, phi, J, zeta, closures):
     """Fixed-point residual A(x) - x of one group pass, flattened."""
-    phi_new, J_new = system.group_pass(phi, J, zeta, closures)
+    phi_new, J_new = system.group_pass(phi, zeta, closures)
     return flatten_state(phi_new - phi, J_new - J)
+
+
+def group_particle_balance(system, phi, S, closures):
+    """(leakage + removal, source), each (G,), of converged group solves
+    (G, N, 2), from the telescoped zeroth-moment rows."""
+    dx = system.mesh.dx
+    phi_n = to_nodes(phi)
+    J_left = -0.5 * phi_n[:, 0, 0] + closures.dJ[:, 0]
+    J_right = 0.5 * phi_n[:, -1, 1] + closures.dJ[:, -1]
+    removal = np.sum(system.removal[:, None] * phi[..., 0] * dx, axis=-1)
+    source = np.sum(S[..., 0] * dx, axis=-1)
+    return J_right - J_left + removal, source
 
 
 def _zero_closure(n_cells, *groups):
@@ -171,7 +176,7 @@ def test_group_losm_matches_transport_moments_pure_absorber():
     system = LowOrderSystem(spec, mesh)
     zeta = const_field(1.0, spec.n_cells)
     phi_lag = np.zeros((1, spec.n_cells, 2))
-    phi_lo, J_lo = _solve_groups(system, zeta, phi_lag, clo)
+    phi_lo, J_lo = system.group_pass(phi_lag, zeta, clo)
     assert np.allclose(phi_lo, mom.phi, atol=1e-12)
     assert np.allclose(J_lo, mom.J, atol=1e-12)
 
@@ -185,7 +190,7 @@ def test_grey_losm_matches_transport_moments_pure_absorber():
     psi, mom, clo = _sweep_and_close(spec, rhs, mesh, quad)
 
     system = LowOrderSystem(spec, mesh)
-    coeffs = grey_xs(mom.phi, mom.J, spec, P_groups=mom.P)
+    coeffs = grey_xs(mom.phi, mom.J, spec)
     phi_lo, J_lo = system.solve_grey(coeffs, sum_closures(clo))
     assert np.allclose(phi_lo, mom.phi[0], atol=1e-12)
     assert np.allclose(J_lo, mom.J[0], atol=1e-12)
@@ -200,9 +205,9 @@ def test_losm_solution_is_exact_balance():
     clo = _zero_closure(spec.n_cells, 1)
     zeta = const_field(1.0, spec.n_cells)
     phi_lag = np.zeros((1, spec.n_cells, 2))
-    phi, J = _solve_groups(system, zeta, phi_lag, clo)
+    phi, _ = system.group_pass(phi_lag, zeta, clo)
     S = system.group_source(phi_lag, zeta)
-    lhs, src = group_particle_balance(system, phi, J, S, clo)
+    lhs, src = group_particle_balance(system, phi, S, clo)
     assert np.all(np.abs(lhs - src) / np.abs(src) < 1e-10)
 
 
@@ -215,7 +220,7 @@ def test_group_losm_diffusion_limit():
     clo = _zero_closure(spec.n_cells, 1)
     zeta = const_field(1.0, spec.n_cells)
     phi_lag = np.zeros((1, spec.n_cells, 2))
-    phi, J = _solve_groups(system, zeta, phi_lag, clo)
+    phi, J = system.group_pass(phi_lag, zeta, clo)
     assert phi[0, 100, 0] == pytest.approx(2.0, rel=1e-2)
 
 
@@ -252,7 +257,7 @@ def test_group_zero_inputs_zero_solution():
     system = LowOrderSystem(spec, mesh)
     zeta = const_field(1.0, 8)
     phi_lag = np.zeros((2, 8, 2))
-    phi, J = _solve_groups(system, zeta, phi_lag, _zero_closure(8, 2))
+    phi, J = system.group_pass(phi_lag, zeta, _zero_closure(8, 2))
     assert np.allclose(phi, 0.0, atol=1e-14)
     assert np.allclose(J, 0.0, atol=1e-14)
 
@@ -333,7 +338,7 @@ def test_solves_satisfy_cell_equations_nonuniform_mesh(dx):
     phi_lag = rng.rand(spec.G, n, 2)
     zeta = rng.rand(n, 2) + 0.5
     S = system.group_source(phi_lag, zeta)
-    phi, J = _solve_groups(system, zeta, phi_lag, closures)
+    phi, J = system.group_pass(phi_lag, zeta, closures)
     for g in range(spec.G):
         clo = _group_closure(closures, g)
         resid, scale = _cell_equations(
@@ -345,11 +350,10 @@ def test_solves_satisfy_cell_equations_nonuniform_mesh(dx):
     clo = _random_closure(rng, n)
     coeffs = GreyCoefficients(sbar_a=rng.rand(n, 2) * [1.0, 0.2] + [0.5, 0],
                               sbar_t=rng.rand(n, 2) * [1.0, 0.2] + [1.0, 0],
-                              eta=rng.randn(n, 2) * 0.3,
-                              P=rng.randn(n, 2), Q=rng.rand(n, 2))
+                              eta=rng.randn(n, 2) * 0.3, Q=rng.rand(n, 2))
     assert np.all(coeffs.eta != 0.0)
     phi, J = system.solve_grey(coeffs, clo)
-    resid, scale = _cell_equations(dx, phi, J, clo, coeffs.Q, coeffs.P,
+    resid, scale = _cell_equations(dx, phi, J, clo, coeffs.Q, clo.P,
                                    coeffs.sbar_a, coeffs.sbar_t, coeffs.eta)
     assert np.abs(resid).max() <= 1e-12 * scale
 
@@ -373,11 +377,10 @@ def test_losm_residual_zero_at_fixed_point():
     spec, system, closures, phi0 = _test1_inner_setup()
     zeta = const_field(1.0, spec.n_cells)
     phi = phi0.copy()
-    J = np.zeros_like(phi)
     # converge the inner fixed point by plain iteration (rate ~ 0.96, the
     # slow mode the grey level exists to remove)
     for _ in range(900):
-        phi, J = system.group_pass(phi, J, zeta, closures)
+        phi, J = system.group_pass(phi, zeta, closures)
     r = _pass_residual(system, phi, J, zeta, closures)
     scale = np.abs(flatten_state(phi, J)).max()
     assert np.abs(r).max() / scale < 1e-12
@@ -392,7 +395,7 @@ def test_losm_residual_contracts():
     for _ in range(12):
         r = _pass_residual(system, phi, J, zeta, closures)
         norms.append(np.linalg.norm(r))
-        phi, J = system.group_pass(phi, J, zeta, closures)
+        phi, J = system.group_pass(phi, zeta, closures)
     ratios = np.array(norms[1:]) / np.array(norms[:-1])
     assert np.all(ratios[3:] < 1.0)
 
@@ -401,10 +404,8 @@ def test_losm_residual_operator_identity():
     # with lagged coupling, r at A's own output equals A(A(x)) - A(x)
     spec, system, closures, phi0 = _test1_inner_setup()
     zeta = const_field(1.0, spec.n_cells)
-    phi = phi0.copy()
-    J = np.zeros_like(phi)
-    phi1, J1 = system.group_pass(phi, J, zeta, closures)
-    phi2, J2 = system.group_pass(phi1, J1, zeta, closures)
+    phi1, J1 = system.group_pass(phi0, zeta, closures)
+    phi2, J2 = system.group_pass(phi1, zeta, closures)
     r = _pass_residual(system, phi1, J1, zeta, closures)
     assert np.allclose(r, flatten_state(phi2 - phi1, J2 - J1), atol=1e-13)
 
@@ -445,7 +446,7 @@ def test_group_axis_matches_per_group_slices(G, dx, n_half):
     closures = closure_from_sweep(psi, quad, mom)
     zeta = rng.rand(n, 2) + 0.5
     system = LowOrderSystem(spec, mesh)
-    phi, J = system.group_pass(mom.phi, mom.J, zeta, closures)
+    phi, J = system.group_pass(mom.phi, zeta, closures)
     r_phi, r_J = system.equation_residual(phi, J, zeta, closures)
 
     for g in range(G):
@@ -462,8 +463,7 @@ def test_group_axis_matches_per_group_slices(G, dx, n_half):
                               width=mesh.width, n_cells=n, n_half=n_half)
         system_g = LowOrderSystem(spec_g, mesh)
         clo_g = _group_closure(closures, one)
-        phi_g, J_g = system_g.group_pass(mom.phi[one], mom.J[one], zeta,
-                                         clo_g)
+        phi_g, J_g = system_g.group_pass(mom.phi[one], zeta, clo_g)
         assert np.array_equal(phi[one], phi_g)
         assert np.array_equal(J[one], J_g)
         r_g = system_g.equation_residual(phi[one], J[one], zeta, clo_g)
@@ -489,5 +489,5 @@ def test_group_operators_factored_once_per_problem():
         assert not np.array_equal(other._A.data, a._A.data)
     # the solve counters stay per system
     phi = np.ones((2, 8, 2))
-    a.group_pass(phi, phi, const_field(1.0, 8), _zero_closure(8, 2))
+    a.group_pass(phi, const_field(1.0, 8), _zero_closure(8, 2))
     assert (a.n_group_passes, b.n_group_passes) == (1, 0)

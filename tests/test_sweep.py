@@ -217,3 +217,41 @@ def test_group_axis_matches_single_group_sweeps():
     for g in range(3):
         assert np.array_equal(psi[g],
                               _sweep1(sigma_t[g], mesh, quad, rhs[g], **inc))
+
+
+def _reference_sweep(sigma_t, dx, quad, rhs, inc_left, inc_right):
+    """One group, one direction and one cell at a time: np.linalg.solve
+    on the module docstring's 2x2 cell system, with the upwind edge on the
+    inflow side (left for mu > 0, right for mu < 0).  psi (M, N, 2)."""
+    N = dx.size
+    psi = np.zeros((quad.n_angles, N, 2))
+    for m, mu in enumerate(quad.mu):
+        cells = range(N) if mu > 0 else range(N - 1, -1, -1)
+        psi_in = inc_left[m] if mu > 0 else inc_right[m]
+        for i in cells:
+            sd = sigma_t * dx[i]
+            A = [[abs(mu) + sd, mu], [-3.0 * mu, 3.0 * abs(mu) + sd]]
+            b = [dx[i] * rhs[m, i, 0] + abs(mu) * psi_in,
+                 dx[i] * rhs[m, i, 1] - 3.0 * mu * psi_in]
+            psi[m, i] = np.linalg.solve(A, b)
+            psi_in = psi[m, i, 0] + np.sign(mu) * psi[m, i, 1]
+    return psi
+
+
+def test_nonuniform_mesh_matches_per_cell_reference():
+    # the mu < 0 directions march the cells in reverse, so they must meet
+    # the widths in reverse too
+    rng = np.random.RandomState(5)
+    dx = rng.rand(7) + 0.05
+    mesh = Mesh(float(dx.sum()), 7, dx)
+    quad = build_double_gauss(3)
+    sigma_t = np.array([0.6, 4.0])
+    rhs = rng.randn(2, quad.n_angles, 7, 2)
+    inc_left = rng.rand(quad.n_angles)
+    inc_right = rng.rand(quad.n_angles)
+    psi = sweep_batch(sigma_t, mesh, quad, rhs, inc_left=inc_left,
+                      inc_right=inc_right)
+    for g in range(2):
+        ref = _reference_sweep(sigma_t[g], dx, quad, rhs[g], inc_left,
+                               inc_right)
+        assert np.abs(psi[g] - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -1,0 +1,96 @@
+"""Check that two slabsm source trees give identical runs.
+
+    python3 tools/compare_runs.py OTHER_SRC
+
+OTHER_SRC is the src/ directory of another checkout, for instance of the
+parent commit.  Every cell of bench/workloads.py and source iteration on
+test1 run from OTHER_SRC first, then from this checkout's src/.  Each run
+is compared by ==: N_t, M_lo, status, rho_num, the residual history,
+lo_solve_counts, aa_fallbacks, aa_alpha_peak and the final grey_phi, phi,
+J and psi arrays.  Exits 1 at the first difference and 0 when every run
+is identical.  One process and one BLAS thread, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from provenance import SRC, pin_blas_threads  # noqa: E402
+from workloads import WORKLOADS, Cell  # noqa: E402
+
+SCALARS = ("N_t", "M_lo", "status", "rho_num", "residual_history",
+           "lo_solve_counts", "aa_fallbacks", "aa_alpha_peak")
+ARRAYS = ("grey_phi", "phi", "J", "psi")
+
+
+def cells() -> list:
+    """Every distinct workload cell, then source iteration on test1."""
+    out = {cell.key: cell for wl in WORKLOADS.values() for cell in wl.cells}
+    si = Cell("test1", "si")
+    out[si.key] = si
+    return list(out.values())
+
+
+def import_from(src: Path):
+    """slabsm imported from `src`, replacing any copy already loaded."""
+    for name in [n for n in sys.modules if n.split(".")[0] == "slabsm"]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        import slabsm
+    finally:
+        sys.path.pop(0)
+    if not Path(slabsm.__file__).resolve().is_relative_to(src.resolve()):
+        sys.exit(f"slabsm was imported from {slabsm.__file__}, not {src}")
+    return slabsm
+
+
+def run(slabsm, cell) -> dict:
+    # numpy is imported only after main() has pinned the BLAS threads
+    import numpy as np
+
+    report = slabsm.run_problem(slabsm.builtin_problem(cell.problem),
+                                cell.config(slabsm))
+    rec = {name: getattr(report, name) for name in SCALARS}
+    rec.update({name: np.array(getattr(report.state, name))
+                for name in ARRAYS})
+    return rec
+
+
+def differences(a: dict, b: dict) -> list[str]:
+    import numpy as np
+
+    out = [name for name in SCALARS if a[name] != b[name]]
+    return out + [name for name in ARRAYS
+                  if not np.array_equal(a[name], b[name])]
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    other = Path(argv[0])
+    if not (other / "slabsm" / "__init__.py").is_file():
+        print(f"no slabsm package under {other}", file=sys.stderr)
+        return 2
+    pin_blas_threads()
+    todo = cells()
+    slabsm = import_from(other)
+    reference = [run(slabsm, cell) for cell in todo]
+    slabsm = import_from(SRC)
+    for cell, ref in zip(todo, reference):
+        diff = differences(run(slabsm, cell), ref)
+        if diff:
+            print(f"DIFFERENT {cell.key}: {', '.join(diff)}")
+            return 1
+        print(f"identical {cell.key}")
+    print(f"all {len(todo)} runs identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
