@@ -33,11 +33,6 @@ class Mesh:
         return Mesh(float(width), int(n_cells), dx)
 
     @property
-    def centers(self) -> np.ndarray:
-        edges = np.concatenate(([0.0], np.cumsum(self.dx)))
-        return 0.5 * (edges[:-1] + edges[1:])
-
-    @property
     def edges(self) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum(self.dx)))
 

@@ -12,6 +12,19 @@ source and flux slopes negated, inflow from the right.  Each operation of
 that march is an exact sign flip of the right-to-left cell solve, so every
 direction of every group runs in one march of N steps, with the same
 results.
+
+With m = |mu|, sd = st*dx and det = 6m^2 + 4m*sd + sd^2, the march solves
+each cell in packed form: q = dx*[q_avg, q_slope] + [m, -3m]*psi_in, then
+
+    [a, s] = (K q) / det,    K = [[3m + sd, -m], [3m, m + sd]],
+
+with the row sums of K q taken left to right, and psi_in = a + s for the
+next cell.  K, det and the inflow weights depend on sigma_t, dx and mu
+only, so they are built once per sweep.  This rounds exactly as the
+unpacked solve a = ((3m + sd) qa - m qs) / det, s = (3m qa + (m + sd) qs)
+/ det with qs = dx*q_slope - 3m psi_in: IEEE defines x - y*z as
+x + (-y)*z, signed zeros included, 3m*x is (3m)*x, and each two-term sum
+is the same single rounding.
 """
 
 from __future__ import annotations
@@ -23,6 +36,18 @@ import numpy as np
 
 from .angular import AngularQuadrature, MomentSet, angular_moments
 from .fields import Mesh, nodal_product, to_nodes
+
+
+def _incident(inc, M: int, name: str) -> np.ndarray:
+    """Incident angular flux (M,), vacuum when None."""
+    if inc is None:
+        return np.zeros(M)
+    inc = np.asarray(inc, dtype=float)
+    if inc.shape != (M,):
+        raise ValueError(f"{name} shape {inc.shape} invalid; expected ({M},)")
+    if not np.all(np.isfinite(inc)):
+        raise ValueError(f"{name} must be finite")
+    return inc
 
 
 def _mirror(u: np.ndarray, neg: np.ndarray) -> None:
@@ -38,7 +63,8 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
 
     rhs is the source density per unit mu, either (G, N, 2) shared across
     directions or (G, M, N, 2) per direction.  The incident angular fluxes
-    inc_left / inc_right, (M,) and shared by all groups, default to vacuum.
+    inc_left / inc_right, finite (M,) arrays shared by all groups, default
+    to vacuum.
     """
     sigma_t = np.asarray(sigma_t, dtype=float)
     if np.any(sigma_t <= 0):
@@ -53,16 +79,17 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
         raise ValueError(f"rhs shape {rhs.shape} invalid")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite")
-    inc_left = np.zeros(M) if inc_left is None else np.asarray(inc_left)
-    inc_right = np.zeros(M) if inc_right is None else np.asarray(inc_right)
+    inc_left = _incident(inc_left, M, "inc_left")
+    inc_right = _incident(inc_right, M, "inc_right")
     neg = quad.negative()
     m = np.abs(quad.mu)
     # per-cell terms of the march frame, hoisted out of it with the cell
-    # axis first: dx * source (N, 2, G, M) and sigma_t * dx (N, G, M)
-    src = np.empty((N, 2, G, M))
-    src_slab = src.transpose(2, 3, 0, 1)
-    np.multiply(rhs, mesh.dx[:, None], out=src_slab)
-    _mirror(src_slab, neg)
+    # axis first: dx * source (N, 2, G, M), which the march overwrites
+    # cell by cell with [a, s], and sigma_t * dx (N, G, M)
+    frame = np.empty((N, 2, G, M))
+    frame_slab = frame.transpose(2, 3, 0, 1)
+    np.multiply(rhs, mesh.dx[:, None], out=frame_slab)
+    _mirror(frame_slab, neg)
     dx = np.where(neg[:, None], mesh.dx[::-1], mesh.dx)
     sd_cells = sigma_t[None, :, None] * dx.T[:, None, :]
     # the cell solve divides by det = 6 mu^2 + 4 |mu| sd + sd^2; past its
@@ -74,18 +101,28 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
         raise ValueError(f"sigma_t * dx = {sd_max:.3e} overflows the LD "
                          "cell determinant")
 
-    psi = np.empty((G, M, N, 2))
-    inc = np.broadcast_to(np.where(neg, inc_right, inc_left), (G, M))
-    for i in range(N):
-        sd = sd_cells[i]
-        qa = src[i, 0] + m * inc
-        qs = src[i, 1] - 3.0 * m * inc
-        det = 6.0 * m**2 + 4.0 * m * sd + sd * sd
-        a = ((3.0 * m + sd) * qa - m * qs) / det
-        s = (3.0 * m * qa + (m + sd) * qs) / det
-        psi[:, :, i, 0] = a
-        psi[:, :, i, 1] = s
-        inc = a + s
+    det = 6.0 * m**2 + 4.0 * m * sd_cells + sd_cells * sd_cells
+    m3 = 3.0 * m
+    K = np.empty((N, 2, 2, G, M))
+    K[:, 0, 0] = m3 + sd_cells
+    K[:, 0, 1] = -m
+    K[:, 1, 0] = m3
+    K[:, 1, 1] = m + sd_cells
+    m_inc = np.stack([m, -m3])[:, None]
+
+    inc = np.empty((G, M))
+    inc[...] = np.where(neg, inc_right, inc_left)
+    q = np.empty((2, G, M))
+    t = np.empty((2, 2, G, M))
+    t_qa, t_qs = t[:, 0], t[:, 1]
+    for u, K_i, det_i in zip(frame, K, det):
+        np.multiply(m_inc, inc, out=q)
+        np.add(u, q, out=q)
+        np.multiply(K_i, q, out=t)
+        np.add(t_qa, t_qs, out=u)
+        np.divide(u, det_i, out=u)
+        np.add(u[0], u[1], out=inc)
+    psi = frame_slab.copy()
     _mirror(psi, neg)
     return psi
 

@@ -14,6 +14,7 @@ from slabsm.problem import (builtin_problem, builtin_reference_c,
                             connection_strength, validate_scattering)
 from slabsm.sweep import sweep_batch
 from test_losm import group_particle_balance
+from test_sweep import cell_centers
 
 EPS = 1e-9
 
@@ -328,7 +329,8 @@ def test_criterion_6f_particle_balance():
     # per-group balance of a fresh converged-state solve
     system = LowOrderSystem(spec, mesh)
     S = system.group_source(st.phi, st.zeta)
-    phi_new, _ = system.group_pass(st.phi, st.zeta, st.closures)
+    phi_new, _ = system.group_pass(
+        system.group_rhs(st.phi, st.zeta, st.closures))
     lhs, src = group_particle_balance(system, phi_new, S, st.closures)
     for g in np.flatnonzero(np.abs(lhs - src) / np.abs(src) > 1e-10):
         failures.append(f"group {g + 1} balance {abs(lhs[g] - src[g]):.2e}")
@@ -351,7 +353,7 @@ def test_criterion_6g_manufactured_order():
     for n in (16, 32, 64):
         mesh = Mesh.uniform(W, n)
         rhs = np.zeros((quad.n_angles, n, 2))
-        xc, h = mesh.centers, mesh.dx / 2.0
+        xc, h = cell_centers(mesh), mesh.dx / 2.0
         for m in range(quad.n_angles):
             mu = quad.mu[m]
             for t, v in zip(GAUSS3_T, GAUSS3_V):

@@ -14,6 +14,12 @@ def _sweep1(sigma_t, mesh, quad, rhs, **inc):
     return sweep_batch(np.array([sigma_t]), mesh, quad, rhs[None], **inc)[0]
 
 
+def cell_centers(mesh):
+    """Midpoints of the cells."""
+    edges = mesh.edges
+    return 0.5 * (edges[:-1] + edges[1:])
+
+
 def _group_balance(psi, quad, mesh, sigma_t, rhs):
     """(leakage + collision, source) weak-form balance of one group's
     sweep output."""
@@ -27,7 +33,7 @@ def _group_balance(psi, quad, mesh, sigma_t, rhs):
 
 def _project_ld(f, mesh):
     """L2 projection of f(x) onto the LD space, 3-point Gauss per cell."""
-    xc = mesh.centers
+    xc = cell_centers(mesh)
     h = mesh.dx / 2.0
     out = np.zeros((mesh.n_cells, 2))
     for t, v in zip(GAUSS3_T, GAUSS3_V):
@@ -39,7 +45,7 @@ def _project_ld(f, mesh):
 
 def _l2_error(psi, exact, mesh, quad):
     """Angular-weighted L2 norm of (psi_h - exact) over the slab."""
-    xc = mesh.centers
+    xc = cell_centers(mesh)
     h = mesh.dx / 2.0
     total = 0.0
     for m in range(quad.n_angles):
@@ -112,7 +118,7 @@ def test_manufactured_linear_solution_exact():
                   inc_right=inc_right)
     for m in range(M):
         mu = quad.mu[m]
-        exact_avg = (1 + mesh.centers) * (1 + mu)
+        exact_avg = (1 + cell_centers(mesh)) * (1 + mu)
         exact_slope = (mesh.dx / 2.0) * (1 + mu)
         assert np.allclose(psi[m, :, 0], exact_avg, atol=1e-12)
         assert np.allclose(psi[m, :, 1], exact_slope, atol=1e-12)
@@ -217,6 +223,85 @@ def test_group_axis_matches_single_group_sweeps():
     for g in range(3):
         assert np.array_equal(psi[g],
                               _sweep1(sigma_t[g], mesh, quad, rhs[g], **inc))
+
+
+@pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((1, 4)),
+                                 np.array([0.0, np.nan, 0.0, 0.0]),
+                                 np.array([np.inf, 0.0, 0.0, 0.0])])
+@pytest.mark.parametrize("side", ["inc_left", "inc_right"])
+def test_incident_flux_must_be_finite_per_direction(side, bad):
+    # a NaN inflow would silently turn every downstream psi into NaN
+    quad = build_double_gauss(2)
+    mesh = Mesh.uniform(1.0, 3)
+    with pytest.raises(ValueError, match=side):
+        _sweep1(1.0, mesh, quad, const_field(0.5, 3), **{side: bad})
+
+
+def _unpacked_sweep(sigma_t, mesh, quad, rhs, inc_left, inc_right):
+    """The one march with the LD cell solve written out term by term in
+    every step, with nothing hoisted but dx * source and sigma_t * dx.
+    psi (G, M, N, 2)."""
+    G, M, N = sigma_t.size, quad.n_angles, mesh.n_cells
+    neg = quad.negative()
+    m = np.abs(quad.mu)
+    src = np.empty((G, M, N, 2))
+    np.multiply(rhs if rhs.ndim == 4 else rhs[:, None], mesh.dx[:, None],
+                out=src)
+    src[:, neg] = src[:, neg, ::-1]
+    src[:, neg, :, 1] *= -1.0
+    dx = np.where(neg[:, None], mesh.dx[::-1], mesh.dx)
+    sd_cells = sigma_t[:, None, None] * dx
+    psi = np.empty((G, M, N, 2))
+    inc = np.broadcast_to(np.where(neg, inc_right, inc_left), (G, M))
+    for i in range(N):
+        sd = sd_cells[:, :, i]
+        qa = src[:, :, i, 0] + m * inc
+        qs = src[:, :, i, 1] - 3.0 * m * inc
+        det = 6.0 * m**2 + 4.0 * m * sd + sd * sd
+        a = ((3.0 * m + sd) * qa - m * qs) / det
+        s = (3.0 * m * qa + (m + sd) * qs) / det
+        psi[:, :, i, 0] = a
+        psi[:, :, i, 1] = s
+        inc = a + s
+    psi[:, neg] = psi[:, neg, ::-1]
+    psi[:, neg, :, 1] *= -1.0
+    return psi
+
+
+def test_march_matches_unpacked_cell_solve():
+    # the packed solve (K q) / det of the module docstring rounds exactly
+    # as the unpacked one: every bit, the sign of every zero included
+    rng = np.random.RandomState(17)
+    n_cases = 0
+    for G in (1, 3, 10):
+        for N in (1, 2, 7, 128):
+            dx = rng.rand(N) + 0.05 if N == 7 else np.full(N, 2.0 / N)
+            mesh = Mesh(float(dx.sum()), N, dx)
+            for n_half in (1, 8):
+                quad = build_double_gauss(n_half)
+                M = quad.n_angles
+                # sigma_t * dx about 1e-10 (thin), 1 and 1e100 (thick)
+                for tau in (1e-10, 1.0, 1e100):
+                    sigma_t = tau / dx.mean() * (rng.rand(G) + 0.5)
+                    for shape in ((G, N, 2), (G, M, N, 2)):
+                        rhs = rng.randn(*shape)
+                        # exact zeros of both signs
+                        rhs[rng.rand(*shape) < 0.3] = 0.0
+                        rhs[rng.rand(*shape) < 0.1] = -0.0
+                        for inc in ({}, {"inc_left": rng.rand(M),
+                                         "inc_right": rng.rand(M)}):
+                            case = (G, N, n_half, tau, shape, bool(inc))
+                            ref = _unpacked_sweep(
+                                sigma_t, mesh, quad, rhs,
+                                inc.get("inc_left", np.zeros(M)),
+                                inc.get("inc_right", np.zeros(M)))
+                            psi = sweep_batch(sigma_t, mesh, quad, rhs,
+                                              **inc)
+                            assert np.array_equal(psi, ref), case
+                            assert np.array_equal(np.signbit(psi),
+                                                  np.signbit(ref)), case
+                            n_cases += 1
+    assert n_cases == 3 * 4 * 2 * 3 * 2 * 2
 
 
 def _reference_sweep(sigma_t, dx, quad, rhs, inc_left, inc_right):
