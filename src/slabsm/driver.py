@@ -213,12 +213,12 @@ def _aa1_passes(system, grey_phi, phi, J, closures, s_max):
     hat_prev = (phi, J)
     for s in range(s_max):
         zeta = compute_zeta(grey_phi, phi)
-        b = system.group_rhs(phi, zeta, closures)
         if s == 0:
-            r_prev = flatten_state(*system.equation_residual(phi, J, b))
-        hat_phi, hat_J = system.group_pass(b)
-        r_curr = flatten_state(*system.equation_residual(
-            hat_phi, hat_J, system.group_rhs(hat_phi, zeta, closures)))
+            r_prev = flatten_state(*system.equation_residual(phi, J, zeta,
+                                                             closures))
+        hat_phi, hat_J = system.group_pass(phi, zeta, closures)
+        r_curr = flatten_state(*system.equation_residual(hat_phi, hat_J,
+                                                         zeta, closures))
         try:
             a0, a1 = aa1_alpha(r_prev, r_curr)
         except DegenerateResidualPair:
@@ -302,8 +302,7 @@ def run_problem(spec: ProblemSpec, cfg: IterationConfig) -> RunReport:
                 else:
                     for _s in range(cfg.s_max):
                         zeta = compute_zeta(grey_phi, phi)
-                        phi, J = system.group_pass(
-                            system.group_rhs(phi, zeta, closures))
+                        phi, J = system.group_pass(phi, zeta, closures)
                 grey_coeffs = grey_xs(phi, J, spec)
                 grey_phi, grey_J = system.solve_grey(grey_coeffs,
                                                      grey_closure)

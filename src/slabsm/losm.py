@@ -323,24 +323,19 @@ class LowOrderSystem:
         S = from_nodes(to_nodes(zeta)[None] * to_nodes(coupling))
         return S + self.Q_fields
 
-    def group_rhs(self, phi_groups, zeta, closures):
-        """Right sides (G, 4N) of the group systems: the group sources with
-        the coupling lagged at phi_groups, plus the frozen closure terms."""
-        S = self.group_source(phi_groups, zeta)
-        return _lo_rhs(self.mesh, S, closures)
-
-    def group_pass(self, b):
-        """One Jacobi pass of the decoupled group solvers on the right
-        sides b of group_rhs (counts as one solve: the groups are
-        independent and could run in parallel)."""
+    def group_pass(self, phi_groups, zeta, closures):
+        """One Jacobi pass of the decoupled group solvers against the
+        coupling lagged at the input state (counts as one solve: the
+        groups are independent and could run in parallel)."""
+        b = _lo_rhs(self.mesh, self.group_source(phi_groups, zeta), closures)
         u = np.stack([lu.solve(b_g) for lu, b_g in zip(self._lu, b)])
         self.n_group_passes += 1
         return _split_solution(u)
 
-    def equation_residual(self, phi_groups, J_groups, b):
+    def equation_residual(self, phi_groups, J_groups, zeta, closures):
         """Residual of the multigroup low-order equations at the given
-        state, with b = group_rhs at phi_groups (matrix applications only;
-        no solves are consumed)."""
+        state (matrix applications only; no solves are consumed)."""
+        b = _lo_rhs(self.mesh, self.group_source(phi_groups, zeta), closures)
         x = np.concatenate([phi_groups, J_groups], axis=-1).reshape(-1)
         return _split_solution(b - (self._A @ x).reshape(b.shape))
 

@@ -16,15 +16,17 @@ results.
 With m = |mu|, sd = st*dx and det = 6m^2 + 4m*sd + sd^2, the march solves
 each cell in packed form: q = dx*[q_avg, q_slope] + [m, -3m]*psi_in, then
 
-    [a, s] = (K q) / det,    K = [[3m + sd, -m], [3m, m + sd]],
+    [a, s] = (K q) / det,    K = [[3m + sd, -m], [3m, m + sd]].
 
-with the row sums of K q taken left to right, and psi_in = a + s for the
-next cell.  K, det and the inflow weights depend on sigma_t, dx and mu
-only, so they are built once per sweep.  This rounds exactly as the
-unpacked solve a = ((3m + sd) qa - m qs) / det, s = (3m qa + (m + sd) qs)
-/ det with qs = dx*q_slope - 3m psi_in: IEEE defines x - y*z as
-x + (-y)*z, signed zeros included, 3m*x is (3m)*x, and each two-term sum
-is the same single rounding.
+K q is formed as diag(K) q + [-m, 3m] q[::-1]; only the diagonal
+[3m + sd, m + sd] varies by cell, and the off-diagonal is shared by all
+cells and groups.  psi_in = a + s feeds the next cell.  K, det and the
+inflow weights depend on sigma_t, dx and mu only, so they are built once
+per sweep.  This rounds exactly as the unpacked solve
+a = ((3m + sd) qa - m qs) / det, s = (3m qa + (m + sd) qs) / det with
+qs = dx*q_slope - 3m psi_in: IEEE defines x - y*z as x + (-y)*z, signed
+zeros included, 3m*x is (3m)*x, and each two-term sum is the same single
+rounding (IEEE addition commutes).
 """
 
 from __future__ import annotations
@@ -103,23 +105,22 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
 
     det = 6.0 * m**2 + 4.0 * m * sd_cells + sd_cells * sd_cells
     m3 = 3.0 * m
-    K = np.empty((N, 2, 2, G, M))
-    K[:, 0, 0] = m3 + sd_cells
-    K[:, 0, 1] = -m
-    K[:, 1, 0] = m3
-    K[:, 1, 1] = m + sd_cells
+    diag = np.empty((N, 2, G, M))
+    diag[:, 0] = m3 + sd_cells
+    diag[:, 1] = m + sd_cells
+    off = np.stack([-m, m3])[:, None]
     m_inc = np.stack([m, -m3])[:, None]
 
     inc = np.empty((G, M))
     inc[...] = np.where(neg, inc_right, inc_left)
     q = np.empty((2, G, M))
-    t = np.empty((2, 2, G, M))
-    t_qa, t_qs = t[:, 0], t[:, 1]
-    for u, K_i, det_i in zip(frame, K, det):
+    t = np.empty((2, G, M))
+    for u, diag_i, det_i in zip(frame, diag, det):
         np.multiply(m_inc, inc, out=q)
         np.add(u, q, out=q)
-        np.multiply(K_i, q, out=t)
-        np.add(t_qa, t_qs, out=u)
+        np.multiply(off, q[::-1], out=t)
+        np.multiply(diag_i, q, out=u)
+        np.add(u, t, out=u)
         np.divide(u, det_i, out=u)
         np.add(u[0], u[1], out=inc)
     psi = frame_slab.copy()

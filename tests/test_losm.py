@@ -13,7 +13,7 @@ from slabsm.sweep import (ClosureData, build_ho_rhs, closure_from_sweep,
 
 def _pass_residual(system, phi, J, zeta, closures):
     """Fixed-point residual A(x) - x of one group pass, flattened."""
-    phi_new, J_new = system.group_pass(system.group_rhs(phi, zeta, closures))
+    phi_new, J_new = system.group_pass(phi, zeta, closures)
     return flatten_state(phi_new - phi, J_new - J)
 
 
@@ -176,7 +176,7 @@ def test_group_losm_matches_transport_moments_pure_absorber():
     system = LowOrderSystem(spec, mesh)
     zeta = const_field(1.0, spec.n_cells)
     phi_lag = np.zeros((1, spec.n_cells, 2))
-    phi_lo, J_lo = system.group_pass(system.group_rhs(phi_lag, zeta, clo))
+    phi_lo, J_lo = system.group_pass(phi_lag, zeta, clo)
     assert np.allclose(phi_lo, mom.phi, atol=1e-12)
     assert np.allclose(J_lo, mom.J, atol=1e-12)
 
@@ -205,7 +205,7 @@ def test_losm_solution_is_exact_balance():
     clo = _zero_closure(spec.n_cells, 1)
     zeta = const_field(1.0, spec.n_cells)
     phi_lag = np.zeros((1, spec.n_cells, 2))
-    phi, _ = system.group_pass(system.group_rhs(phi_lag, zeta, clo))
+    phi, _ = system.group_pass(phi_lag, zeta, clo)
     S = system.group_source(phi_lag, zeta)
     lhs, src = group_particle_balance(system, phi, S, clo)
     assert np.all(np.abs(lhs - src) / np.abs(src) < 1e-10)
@@ -220,7 +220,7 @@ def test_group_losm_diffusion_limit():
     clo = _zero_closure(spec.n_cells, 1)
     zeta = const_field(1.0, spec.n_cells)
     phi_lag = np.zeros((1, spec.n_cells, 2))
-    phi, J = system.group_pass(system.group_rhs(phi_lag, zeta, clo))
+    phi, J = system.group_pass(phi_lag, zeta, clo)
     assert phi[0, 100, 0] == pytest.approx(2.0, rel=1e-2)
 
 
@@ -257,8 +257,7 @@ def test_group_zero_inputs_zero_solution():
     system = LowOrderSystem(spec, mesh)
     zeta = const_field(1.0, 8)
     phi_lag = np.zeros((2, 8, 2))
-    b = system.group_rhs(phi_lag, zeta, _zero_closure(8, 2))
-    phi, J = system.group_pass(b)
+    phi, J = system.group_pass(phi_lag, zeta, _zero_closure(8, 2))
     assert np.allclose(phi, 0.0, atol=1e-14)
     assert np.allclose(J, 0.0, atol=1e-14)
 
@@ -339,7 +338,7 @@ def test_solves_satisfy_cell_equations_nonuniform_mesh(dx):
     phi_lag = rng.rand(spec.G, n, 2)
     zeta = rng.rand(n, 2) + 0.5
     S = system.group_source(phi_lag, zeta)
-    phi, J = system.group_pass(system.group_rhs(phi_lag, zeta, closures))
+    phi, J = system.group_pass(phi_lag, zeta, closures)
     for g in range(spec.G):
         clo = _group_closure(closures, g)
         resid, scale = _cell_equations(
@@ -381,7 +380,7 @@ def test_losm_residual_zero_at_fixed_point():
     # converge the inner fixed point by plain iteration (rate ~ 0.96, the
     # slow mode the grey level exists to remove)
     for _ in range(900):
-        phi, J = system.group_pass(system.group_rhs(phi, zeta, closures))
+        phi, J = system.group_pass(phi, zeta, closures)
     r = _pass_residual(system, phi, J, zeta, closures)
     scale = np.abs(flatten_state(phi, J)).max()
     assert np.abs(r).max() / scale < 1e-12
@@ -396,7 +395,7 @@ def test_losm_residual_contracts():
     for _ in range(12):
         r = _pass_residual(system, phi, J, zeta, closures)
         norms.append(np.linalg.norm(r))
-        phi, J = system.group_pass(system.group_rhs(phi, zeta, closures))
+        phi, J = system.group_pass(phi, zeta, closures)
     ratios = np.array(norms[1:]) / np.array(norms[:-1])
     assert np.all(ratios[3:] < 1.0)
 
@@ -405,8 +404,8 @@ def test_losm_residual_operator_identity():
     # with lagged coupling, r at A's own output equals A(A(x)) - A(x)
     spec, system, closures, phi0 = _test1_inner_setup()
     zeta = const_field(1.0, spec.n_cells)
-    phi1, J1 = system.group_pass(system.group_rhs(phi0, zeta, closures))
-    phi2, J2 = system.group_pass(system.group_rhs(phi1, zeta, closures))
+    phi1, J1 = system.group_pass(phi0, zeta, closures)
+    phi2, J2 = system.group_pass(phi1, zeta, closures)
     r = _pass_residual(system, phi1, J1, zeta, closures)
     assert np.allclose(r, flatten_state(phi2 - phi1, J2 - J1), atol=1e-13)
 
@@ -447,10 +446,8 @@ def test_group_axis_matches_per_group_slices(G, dx, n_half):
     closures = closure_from_sweep(psi, quad, mom)
     zeta = rng.rand(n, 2) + 0.5
     system = LowOrderSystem(spec, mesh)
-    b = system.group_rhs(mom.phi, zeta, closures)
-    phi, J = system.group_pass(b)
-    b_r = system.group_rhs(phi, zeta, closures)
-    r_phi, r_J = system.equation_residual(phi, J, b_r)
+    phi, J = system.group_pass(mom.phi, zeta, closures)
+    r_phi, r_J = system.equation_residual(phi, J, zeta, closures)
 
     for g in range(G):
         one = slice(g, g + 1)
@@ -466,14 +463,10 @@ def test_group_axis_matches_per_group_slices(G, dx, n_half):
                               width=mesh.width, n_cells=n, n_half=n_half)
         system_g = LowOrderSystem(spec_g, mesh)
         clo_g = _group_closure(closures, one)
-        b_g = system_g.group_rhs(mom.phi[one], zeta, clo_g)
-        assert np.array_equal(b[one], b_g)
-        phi_g, J_g = system_g.group_pass(b_g)
+        phi_g, J_g = system_g.group_pass(mom.phi[one], zeta, clo_g)
         assert np.array_equal(phi[one], phi_g)
         assert np.array_equal(J[one], J_g)
-        b_rg = system_g.group_rhs(phi[one], zeta, clo_g)
-        assert np.array_equal(b_r[one], b_rg)
-        r_g = system_g.equation_residual(phi[one], J[one], b_rg)
+        r_g = system_g.equation_residual(phi[one], J[one], zeta, clo_g)
         assert np.array_equal(r_phi[one], r_g[0])
         assert np.array_equal(r_J[one], r_g[1])
 
@@ -496,5 +489,5 @@ def test_group_operators_factored_once_per_problem():
         assert not np.array_equal(other._A.data, a._A.data)
     # the solve counters stay per system
     phi = np.ones((2, 8, 2))
-    a.group_pass(a.group_rhs(phi, const_field(1.0, 8), _zero_closure(8, 2)))
+    a.group_pass(phi, const_field(1.0, 8), _zero_closure(8, 2))
     assert (a.n_group_passes, b.n_group_passes) == (1, 0)
