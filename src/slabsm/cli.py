@@ -31,12 +31,12 @@ def _fmt_rho(rho) -> str:
 
 def _resolve_problem(args) -> tuple[ProblemSpec, str | None]:
     """Returns (spec, builtin-name-or-None); exactly one source allowed."""
-    if getattr(args, "problem", None) and getattr(args, "config", None):
+    if args.problem and args.config:
         raise UsageError("give either --problem or --config, not both")
-    if getattr(args, "problem", None):
+    if args.problem:
         name = args.problem.strip().lower()
         return builtin_problem(name), name
-    if getattr(args, "config", None):
+    if args.config:
         return load_problem(args.config), None
     raise UsageError("a problem is required (--problem NAME or --config PATH)")
 
@@ -174,7 +174,6 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", help=f"built-in problem {BUILTIN_NAMES}")
     p.add_argument("--config", help="path to a JSON problem config")
     p.add_argument("--out", help="write output to this path (default stdout)")
-    p.add_argument("--format", choices=("csv", "human"), default="csv")
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
@@ -223,6 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p_ana)
     p_ana.set_defaults(func=_cmd_analyze)
 
+    # validate and sweep-table print CSV only
+    for p in (p_run, p_str, p_ana):
+        p.add_argument("--format", choices=("csv", "human"), default="csv")
     return parser
 
 

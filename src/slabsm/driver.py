@@ -102,10 +102,11 @@ class RunReport:
     N_t counts outer transport iterations; residual_history holds the
     per-iteration convergence measure (one entry per counted iteration;
     a non_finite run ends on the offending entry).  rho_num is None when
-    the terminal ratios are too irregular to quote (rho_estimate keeps the
-    raw geometric mean) and after a non_finite stop.  lo_solve_counts
-    records the instrumented low-order solves of every executed outer
-    pass, including the sweep-free initial one.
+    the terminal ratios are too irregular to quote, when fewer than four
+    entries or an exact zero leave no rate to quote, and after a
+    non_finite stop.  lo_solve_counts records the instrumented low-order
+    solves of every executed outer pass, including the sweep-free initial
+    one.
     """
 
     method: str
@@ -124,7 +125,6 @@ class RunReport:
     aa_fallbacks: int = 0
     aa_alpha_peak: float = 0.0
     state: TransportState | None = None
-    rho_estimate: float | None = None
 
 
 class SpectralEstimate(NamedTuple):
@@ -173,15 +173,12 @@ def lo_solve_count(cfg: IterationConfig) -> int:
 
 
 def _finalize_rho(report: RunReport) -> None:
-    if (report.status != STATUS_NON_FINITE
-            and len(report.residual_history) >= 4):
-        est = estimate_spectral_radius(report.residual_history)
-        report.rho_estimate = est.rho
+    h = report.residual_history
+    # a run that converged exactly ends on 0.0: no ratio of it is a rate
+    if report.status != STATUS_NON_FINITE and len(h) >= 4 and min(h) > 0.0:
+        est = estimate_spectral_radius(h)
         report.rho_irregular = est.irregular
         report.rho_num = None if est.irregular else est.rho
-    else:
-        report.rho_num = None
-        report.rho_irregular = False
 
 
 def _status(history, cfg) -> str | None:

@@ -50,6 +50,14 @@ DENOM_EPS = 1e-30
 # Averaged cross sections and correction factors
 # ---------------------------------------------------------------------------
 
+def _ratio(num_n: np.ndarray, den_n: np.ndarray, fallback) -> np.ndarray:
+    """num_n / den_n at the nodes where |den_n| >= DENOM_EPS, shaped as
+    num_n, and `fallback` (broadcast to that shape) at the others."""
+    out = np.full(num_n.shape, fallback, dtype=float)
+    np.divide(num_n, den_n, out=out, where=np.abs(den_n) >= DENOM_EPS)
+    return out
+
+
 def avg_scattering_xs(phi_groups: np.ndarray, sigma_s: np.ndarray) -> np.ndarray:
     """Flux-weighted scattering cross sections, one LD field per group:
 
@@ -58,14 +66,10 @@ def avg_scattering_xs(phi_groups: np.ndarray, sigma_s: np.ndarray) -> np.ndarray
     evaluated at the cell-edge values.  Nodes whose flux sum falls below
     the safeguard threshold get the unweighted row mean instead.
     """
-    num = np.einsum("gh,hnc->gnc", sigma_s, phi_groups)
-    num_n = to_nodes(num)
+    num_n = to_nodes(np.einsum("gh,hnc->gnc", sigma_s, phi_groups))
     den_n = to_nodes(phi_groups.sum(axis=0))
-    fallback = sigma_s.mean(axis=1)
-    safe = np.abs(den_n) >= DENOM_EPS
-    out = np.broadcast_to(fallback[:, None, None], num_n.shape).copy()
-    np.divide(num_n, den_n, out=out, where=safe)
-    return from_nodes(out)
+    fallback = sigma_s.mean(axis=1)[:, None, None]
+    return from_nodes(_ratio(num_n, den_n, fallback))
 
 
 def compute_zeta(grey_phi: np.ndarray, phi_groups: np.ndarray) -> np.ndarray:
@@ -73,11 +77,7 @@ def compute_zeta(grey_phi: np.ndarray, phi_groups: np.ndarray) -> np.ndarray:
     evaluated at the cell-edge values; safeguarded nodes fall back to 1
     (plain lagged coupling)."""
     den_n = to_nodes(phi_groups.sum(axis=0))
-    num_n = to_nodes(grey_phi)
-    safe = np.abs(den_n) >= DENOM_EPS
-    out = np.ones_like(num_n)
-    np.divide(num_n, den_n, out=out, where=safe)
-    return from_nodes(out)
+    return from_nodes(_ratio(to_nodes(grey_phi), den_n, 1.0))
 
 
 @dataclass
@@ -114,24 +114,14 @@ def grey_xs(phi_groups: np.ndarray, J_groups: np.ndarray,
     absJ_n = np.abs(J_n)
 
     den_phi = phi_n.sum(axis=0)
-    den_J = absJ_n.sum(axis=0)
-    safe_phi = np.abs(den_phi) >= DENOM_EPS
-    safe_J = den_J >= DENOM_EPS
-
-    sbar_a_n = np.full_like(den_phi, sigma_a.mean())
-    np.divide(np.einsum("g,gne->ne", sigma_a, phi_n), den_phi,
-              out=sbar_a_n, where=safe_phi)
-
-    sbar_t_phi = np.full_like(den_phi, spec.sigma_t.mean())
-    np.divide(np.einsum("g,gne->ne", spec.sigma_t, phi_n), den_phi,
-              out=sbar_t_phi, where=safe_phi)
-    sbar_t_n = sbar_t_phi.copy()
-    np.divide(np.einsum("g,gne->ne", spec.sigma_t, absJ_n), den_J,
-              out=sbar_t_n, where=safe_J)
-
-    eta_n = np.zeros_like(den_phi)
+    sbar_a_n = _ratio(np.einsum("g,gne->ne", sigma_a, phi_n), den_phi,
+                      sigma_a.mean())
+    sbar_t_phi = _ratio(np.einsum("g,gne->ne", spec.sigma_t, phi_n), den_phi,
+                        spec.sigma_t.mean())
+    sbar_t_n = _ratio(np.einsum("g,gne->ne", spec.sigma_t, absJ_n),
+                      absJ_n.sum(axis=0), sbar_t_phi)
     eta_num = (spec.sigma_t[:, None, None] - sbar_t_n[None]) * J_n
-    np.divide(eta_num.sum(axis=0), den_phi, out=eta_n, where=safe_phi)
+    eta_n = _ratio(eta_num.sum(axis=0), den_phi, 0.0)
 
     Q = const_field(spec.Q.sum(), n_cells)
     return GreyCoefficients(sbar_a=from_nodes(sbar_a_n),
@@ -293,7 +283,6 @@ class LowOrderSystem:
     """
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):
-        self.spec = spec
         self.mesh = mesh
         removal = spec.sigma_t - np.diag(spec.sigma_s)
         if np.any(removal <= 0):

@@ -7,6 +7,7 @@ cross section for scattering from group g' into group g (row = destination).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,8 +36,6 @@ class ProblemSpec:
     width: float
     n_cells: int
     n_half: int
-    bc_left: str = "vacuum"
-    bc_right: str = "vacuum"
     name: str = ""
 
     def scattering_ratio(self) -> np.ndarray:
@@ -54,8 +53,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_spec(G, sigma_t, sigma_s, Q, width, n_cells, n_half, bc_left,
-                bc_right) -> None:
+def _count(value, what: str) -> int:
+    """A whole-number count; booleans, strings and fractions are
+    rejected, not truncated."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()):
+        raise ProblemError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _check_spec(G, sigma_t, sigma_s, Q, width, n_cells, n_half) -> None:
     if G < 1:
         raise ProblemError("group count must be >= 1")
     if sigma_t.shape != (G,):
@@ -65,6 +73,10 @@ def _check_spec(G, sigma_t, sigma_s, Q, width, n_cells, n_half, bc_left,
             f"sigma_s must be {G}x{G}, got {sigma_s.shape}")
     if Q.shape != (G,):
         raise ProblemError(f"source must have {G} entries, got {Q.shape}")
+    for what, value in (("sigma_t", sigma_t), ("sigma_s", sigma_s),
+                        ("source", Q), ("slab width", width)):
+        if not np.all(np.isfinite(value)):
+            raise ProblemError(f"{what} must be finite")
     if np.any(sigma_t <= 0):
         raise ProblemError("sigma_t entries must be positive")
     if np.any(sigma_s < 0):
@@ -77,10 +89,6 @@ def _check_spec(G, sigma_t, sigma_s, Q, width, n_cells, n_half, bc_left,
         raise ProblemError("cell count must be >= 1")
     if n_half < 1:
         raise ProblemError("quad_half_order must be >= 1")
-    for side, bc in (("left", bc_left), ("right", bc_right)):
-        if bc != "vacuum":
-            raise ProblemError(
-                f"unsupported {side} boundary condition {bc!r} (vacuum only)")
     c = sigma_s.sum(axis=0) / sigma_t
     if np.any(c > 1.0 + C_UPPER_SLACK):
         g = int(np.argmax(c))
@@ -90,17 +98,18 @@ def _check_spec(G, sigma_t, sigma_s, Q, width, n_cells, n_half, bc_left,
 
 
 def make_problem(G, sigma_t, sigma_s, Q, width, n_cells, n_half,
-                 bc_left="vacuum", bc_right="vacuum", name="") -> ProblemSpec:
+                 name="") -> ProblemSpec:
+    G = _count(G, "group count")
+    n_cells = _count(n_cells, "cell count")
+    n_half = _count(n_half, "quad_half_order")
     sigma_t = np.asarray(sigma_t, dtype=float)
     sigma_s = np.asarray(sigma_s, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    _check_spec(int(G), sigma_t, sigma_s, Q, float(width), int(n_cells),
-                int(n_half), bc_left, bc_right)
-    return ProblemSpec(G=int(G), sigma_t=_freeze(sigma_t),
-                       sigma_s=_freeze(sigma_s), Q=_freeze(Q),
-                       width=float(width), n_cells=int(n_cells),
-                       n_half=int(n_half), bc_left=bc_left,
-                       bc_right=bc_right, name=name)
+    width = float(width)
+    _check_spec(G, sigma_t, sigma_s, Q, width, n_cells, n_half)
+    return ProblemSpec(G=G, sigma_t=_freeze(sigma_t), sigma_s=_freeze(sigma_s),
+                       Q=_freeze(Q), width=width, n_cells=n_cells,
+                       n_half=n_half, name=name)
 
 
 _CONFIG_KEYS = ("groups", "sigma_t", "sigma_s", "source", "width", "cells",
@@ -111,6 +120,11 @@ def problem_from_dict(doc: dict, name: str = "") -> ProblemSpec:
     missing = [k for k in _CONFIG_KEYS if k not in doc]
     if missing:
         raise ProblemError(f"missing config keys: {', '.join(missing)}")
+    for side in ("left", "right"):
+        bc = doc.get(f"bc_{side}", "vacuum")
+        if bc != "vacuum":
+            raise ProblemError(
+                f"unsupported {side} boundary condition {bc!r} (vacuum only)")
     try:
         return make_problem(
             G=doc["groups"],
@@ -120,8 +134,6 @@ def problem_from_dict(doc: dict, name: str = "") -> ProblemSpec:
             width=doc["width"],
             n_cells=doc["cells"],
             n_half=doc["quad_half_order"],
-            bc_left=doc.get("bc_left", "vacuum"),
-            bc_right=doc.get("bc_right", "vacuum"),
             name=name,
         )
     except (TypeError, ValueError) as err:
@@ -231,12 +243,10 @@ class ValidationReport:
     c_computed: np.ndarray
     c_reference: np.ndarray
     max_abs_dev: float
-    tolerance: float
     passed: bool
 
 
-def validate_scattering(spec: ProblemSpec, reference_c,
-                        tolerance: float = C_TOLERANCE) -> ValidationReport:
+def validate_scattering(spec: ProblemSpec, reference_c) -> ValidationReport:
     """Report-only check of column-sum scattering ratios vs a published row."""
     reference_c = np.asarray(reference_c, dtype=float)
     if reference_c.shape != (spec.G,):
@@ -245,8 +255,7 @@ def validate_scattering(spec: ProblemSpec, reference_c,
     c = spec.scattering_ratio()
     dev = float(np.max(np.abs(c - reference_c)))
     return ValidationReport(c_computed=c, c_reference=reference_c,
-                            max_abs_dev=dev, tolerance=tolerance,
-                            passed=dev <= tolerance)
+                            max_abs_dev=dev, passed=dev <= C_TOLERANCE)
 
 
 def connection_strength(spec: ProblemSpec) -> np.ndarray:

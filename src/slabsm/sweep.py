@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import AngularQuadrature, MomentSet, angular_moments
+from .angular import AngularQuadrature, MomentSet
 from .fields import Mesh, nodal_product, to_nodes
 
 
@@ -180,9 +180,9 @@ class ClosureData:
 
 
 def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
-                       moments: MomentSet | None = None) -> ClosureData:
+                       moments: MomentSet) -> ClosureData:
     """Edge and cell closure functionals of every group from the latest
-    sweep, psi (G, M, N, 2).
+    sweep, psi (G, M, N, 2), and its angular moments.
 
     The interior edge current and scalar flux are reconstructed from the
     one-sided LD traces via half-range P1 partial moments,
@@ -194,8 +194,6 @@ def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
     these reconstructions, so imposing them on the low-order system
     reproduces the transport moments identically at a consistent solution.
     """
-    if moments is None:
-        moments = angular_moments(psi, quad)
     N = psi.shape[-2]
     edge_psi = upwind_edge_psi(psi, quad)
     phi_hat = np.einsum("m,...me->...e", quad.w, edge_psi)

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from slabsm.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _run(capsys, argv):
@@ -171,6 +174,42 @@ def test_analyze_prints_published_rho(capsys):
     assert out.splitlines()[1].split(",")[1] == "0.96"
     code, out, _ = _run(capsys, ["analyze", "--problem", "test2"])
     assert out.splitlines()[1].split(",")[1] == "0.99"
+
+
+@pytest.mark.parametrize("problem", ["test1", "test2"])
+@pytest.mark.parametrize("command, fmt", [
+    ("strength", "csv"), ("strength", "human"), ("validate", "csv"),
+    ("analyze", "csv"), ("analyze", "human"),
+])
+def test_diagnostic_output_golden_bytes(tmp_path, command, fmt, problem):
+    # the golden files hold these commands' output byte for byte
+    out = tmp_path / "out"
+    argv = [command, "--problem", problem, "--out", str(out)]
+    if command != "validate":
+        argv += ["--format", fmt]
+    assert main(argv) == 0
+    suffix = "csv" if fmt == "csv" else "txt"
+    assert out.read_bytes() == (GOLDEN / f"{command}-{problem}.{suffix}"
+                                ).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep-table"])
+def test_format_only_where_offered(capsys, command):
+    # these commands print CSV only, so a format choice is a usage error
+    code, _, err = _run(capsys, [command, "--problem", "test1",
+                                 "--format", "human"])
+    assert code == 1
+    assert "--format" in err
+
+
+def test_run_non_finite_config_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"groups": 1, "sigma_t": [NaN], "sigma_s": [[0.5]], '
+                    '"source": [1.0], "width": 8.0, "cells": 16, '
+                    '"quad_half_order": 2}')
+    code, _, err = _run(capsys, ["run", "--config", str(path)])
+    assert code == 1
+    assert "sigma_t must be finite" in err
 
 
 def test_no_command_usage(capsys):

@@ -129,6 +129,19 @@ def test_si_zero_source_converges_immediately():
     assert rep.M_lo == 0
 
 
+def test_si_exact_convergence_quotes_no_rate():
+    # below the rounding floor the grey-flux change ends on an exact 0.0,
+    # which leaves no ratio to take a rate from
+    spec = make_problem(1, [1.0], [[0.5]], [1.0], width=4.0, n_cells=8,
+                        n_half=2)
+    rep = run_problem(spec, IterationConfig(method="si", epsilon=1e-16))
+    assert rep.status == "converged"
+    assert rep.residual_history[-1] == 0.0
+    assert rep.N_t == len(rep.residual_history) >= 4
+    assert rep.rho_num is None
+    assert rep.rho_irregular is False
+
+
 def test_si_infinite_medium_rate_single_group():
     # thick slab, c = 0.5: numerical rate near the infinite-medium value
     spec = make_problem(1, [1.0], [[0.5]], [1.0], width=50.0, n_cells=100,

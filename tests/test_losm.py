@@ -455,7 +455,8 @@ def test_group_axis_matches_per_group_slices(G, dx, n_half):
                               build_ho_rhs(grey, sbar[one], Q[one]))
         for batched, alone in zip(mom, angular_moments(psi[g], quad)):
             assert np.array_equal(batched[g], alone)
-        alone = closure_from_sweep(psi[g], quad)
+        alone = closure_from_sweep(psi[g], quad,
+                                   angular_moments(psi[g], quad))
         for field in ("dJ", "dphi", "Phat", "P"):
             assert np.array_equal(getattr(closures, field)[g],
                                   getattr(alone, field))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -118,10 +119,35 @@ def test_supercritical_rejected():
                      n_half=2)
 
 
+def _one_group_doc(**changes):
+    doc = {"groups": 1, "sigma_t": [1.0], "sigma_s": [[0.5]],
+           "source": [1.0], "width": 1.0, "cells": 4, "quad_half_order": 2}
+    doc.update(changes)
+    return doc
+
+
 def test_non_vacuum_bc_rejected():
     with pytest.raises(ProblemError, match="vacuum"):
-        make_problem(1, [1.0], [[0.5]], [1.0], width=1.0, n_cells=4,
-                     n_half=2, bc_left="reflecting")
+        problem_from_dict(_one_group_doc(bc_left="reflecting"))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("cells", 16.9), ("groups", 1.7), ("groups", True), ("cells", "16"),
+    ("quad_half_order", 2.5), ("quad_half_order", False),
+])
+def test_count_must_be_a_whole_number(key, value):
+    # truncating these would silently run a different problem
+    with pytest.raises(ProblemError, match="whole number"):
+        problem_from_dict(_one_group_doc(**{key: value}))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sigma_t", [math.nan]), ("sigma_s", [[math.nan]]), ("source", [math.inf]),
+    ("width", math.nan), ("width", math.inf),
+])
+def test_non_finite_data_rejected(key, value):
+    with pytest.raises(ProblemError, match="finite"):
+        problem_from_dict(_one_group_doc(**{key: value}))
 
 
 # -- connection strength -----------------------------------------------------

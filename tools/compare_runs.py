@@ -5,9 +5,9 @@
 OTHER_SRC is the src/ directory of another checkout, for instance of the
 parent commit.  Every cell of bench/workloads.py and source iteration on
 test1 run from OTHER_SRC first, then from this checkout's src/.  Each run
-is compared by ==: N_t, M_lo, status, rho_num, the residual history,
-lo_solve_counts, aa_fallbacks, aa_alpha_peak and the final grey_phi, phi,
-J and psi arrays.  Exits 1 at the first difference and 0 when every run
+is compared by ==: N_t, M_lo, status, rho_num, rho_irregular, the
+residual history, lo_solve_counts, aa_fallbacks, aa_alpha_peak and the
+final grey_phi, phi, J and psi arrays.  Exits 1 at the first difference and 0 when every run
 is identical.  One process and one BLAS thread, as in the benchmark.
 """
 
@@ -22,8 +22,9 @@ sys.path.insert(0, str(ROOT / "bench"))
 from provenance import SRC, pin_blas_threads  # noqa: E402
 from workloads import WORKLOADS, Cell  # noqa: E402
 
-SCALARS = ("N_t", "M_lo", "status", "rho_num", "residual_history",
-           "lo_solve_counts", "aa_fallbacks", "aa_alpha_peak")
+SCALARS = ("N_t", "M_lo", "status", "rho_num", "rho_irregular",
+           "residual_history", "lo_solve_counts", "aa_fallbacks",
+           "aa_alpha_peak")
 ARRAYS = ("grey_phi", "phi", "J", "psi")
 
 
