@@ -1,16 +1,14 @@
 """The outer iteration shared by source iteration, MLSM and MLSM-AA(1).
 
-Per outer iteration ell, every method sweeps all groups and takes the
-angular moments.  Source iteration sweeps against the fully lagged
-scattering source and stops there.  The multilevel methods sweep against
-sbar_s times the grey flux, freeze the closure functionals, and run
-k_max cycles of [ s_max multigroup low-order passes (zeta refreshed each
-pass, AA(1)-mixed for mlsm-aa1), then a grey coefficient update and one
-grey solve ].  Their ell = 0 runs the low-order levels only, against the
-initial flat guess.
-
-Convergence is measured on successive grey scalar fluxes.  N_t counts the
-outer iterations that contain a transport sweep (ell >= 1).
+`run_problem` steps ell = 1..max_outer and only decides when to stop.  A
+source-iteration outer (`_si_outer`) sweeps against the lagged scattering
+source and takes the moments.  A multilevel outer sweeps against sbar_s
+times the grey flux; `_multilevel_outer` then freezes the closures of that
+psi and runs k_max cycles of [ s_max multigroup low-order passes (zeta
+refreshed each pass, AA(1)-mixed for mlsm-aa1), a grey coefficient update
+and one grey solve ].  Its sweep-free first pass, on the flat guess, runs
+once before the loop.  Convergence is measured on successive grey scalar
+fluxes, so N_t counts the outers that contain a transport sweep.
 """
 
 from __future__ import annotations
@@ -79,20 +77,22 @@ class IterationConfig:
 
 @dataclass
 class TransportState:
-    """Per-outer transport data plus the evolving low-order iterate."""
+    """Per-outer transport data plus the evolving low-order iterate (the
+    zero start of source iteration sets only phi and grey_phi)."""
 
-    psi: np.ndarray            # (G, M, N, 2)
-    phi_ho: np.ndarray         # (G, N, 2) transport moments
-    J_ho: np.ndarray
-    P: np.ndarray              # (G, N, 2) closure moments
-    closures: object           # ClosureData with a leading group axis
-    grey_closure: object
     phi: np.ndarray            # (G, N, 2) low-order iterate
-    J: np.ndarray
     grey_phi: np.ndarray       # (N, 2)
-    grey_J: np.ndarray
+    psi: np.ndarray = None     # (G, M, N, 2)
+    phi_ho: np.ndarray = None  # (G, N, 2) transport moments
+    J_ho: np.ndarray = None
+    P: np.ndarray = None       # (G, N, 2) closure moments
+    J: np.ndarray = None
+    # multilevel only: None for source iteration
+    closures: object = None    # ClosureData with a leading group axis
+    grey_closure: object = None
+    grey_J: np.ndarray = None
     grey_coeffs: object = None
-    zeta: np.ndarray = None
+    zeta: np.ndarray = None    # of the final grey_phi and phi
 
 
 @dataclass
@@ -103,10 +103,10 @@ class RunReport:
     per-iteration convergence measure (one entry per counted iteration;
     a non_finite run ends on the offending entry).  rho_num is None when
     the terminal ratios are too irregular to quote, when fewer than four
-    entries or an exact zero leave no rate to quote, and after a
-    non_finite stop.  lo_solve_counts records the instrumented low-order
-    solves of every executed outer pass, including the sweep-free initial
-    one.
+    entries or an exact zero leave no rate to quote, when a max_outer run
+    stagnated (geometric-mean ratio >= 1), and after a non_finite stop.
+    lo_solve_counts records the instrumented low-order solves of every
+    executed outer pass, including the sweep-free initial one.
     """
 
     method: str
@@ -141,17 +141,17 @@ def convergence_measure(phi_new: np.ndarray, phi_old: np.ndarray) -> float:
     return float(np.max(np.abs(phi_new[:, 0] - phi_old[:, 0])))
 
 
-def estimate_spectral_radius(history) -> SpectralEstimate:
-    """Geometric-mean convergence rate over the last min(5, len-1) ratios.
+def estimate_spectral_radius(history) -> SpectralEstimate | None:
+    """Geometric-mean convergence rate over the last min(5, len-1) ratios,
+    or None when no rate exists: fewer than four entries, or a
+    nonpositive one (a run that converged exactly ends on 0.0).
 
     Flagged irregular when the ratios' relative half-range spread,
     (max - min) / (2 * geometric mean), exceeds IRREGULAR_SPREAD.
     """
     h = np.asarray(list(history), dtype=float)
-    if h.size < 4:
-        raise ValueError("spectral-radius estimate needs >= 4 history entries")
-    if np.any(h <= 0.0):
-        raise ValueError("history entries must be positive")
+    if h.size < 4 or np.any(h <= 0.0):
+        return None
     ratios = (h[1:] / h[:-1])[-min(5, h.size - 1):]
     rho = float(np.exp(np.mean(np.log(ratios))))
     spread = float((ratios.max() - ratios.min()) / (2.0 * rho))
@@ -170,15 +170,6 @@ def si_infinite_medium_rho(spec: ProblemSpec) -> float:
 def lo_solve_count(cfg: IterationConfig) -> int:
     """Low-order solves per transport iteration: k_max * (s_max + 1)."""
     return cfg.k_max * (cfg.s_max + 1)
-
-
-def _finalize_rho(report: RunReport) -> None:
-    h = report.residual_history
-    # a run that converged exactly ends on 0.0: no ratio of it is a rate
-    if report.status != STATUS_NON_FINITE and len(h) >= 4 and min(h) > 0.0:
-        est = estimate_spectral_radius(h)
-        report.rho_irregular = est.irregular
-        report.rho_num = None if est.irregular else est.rho
 
 
 def _status(history, cfg) -> str | None:
@@ -231,6 +222,14 @@ def _aa1_passes(system, grey_phi, phi, J, closures, s_max):
     return phi, J, fallbacks, alpha_peak
 
 
+class OuterDiagnostics(NamedTuple):
+    """Low-order solves, AA(1) fallbacks and peak |alpha0| of one outer."""
+
+    lo_solves: int
+    aa_fallbacks: int
+    aa_alpha_peak: float
+
+
 def run_problem(spec: ProblemSpec, cfg: IterationConfig) -> RunReport:
     """Run the configured method to convergence, divergence, a non-finite
     residual or max_outer.
@@ -247,92 +246,97 @@ def run_problem(spec: ProblemSpec, cfg: IterationConfig) -> RunReport:
     multilevel = cfg.method != METHOD_SI
     system = LowOrderSystem(spec, mesh) if multilevel else None
 
-    psi = np.zeros((G, quad.n_angles, N, 2))
-    phi = np.zeros((G, N, 2))
-    grey_phi = phi.sum(axis=0)
+    def _si_outer(state):
+        """Sweep against the lagged scattering source; take the moments."""
+        scatter = np.einsum("gh,hnc->gnc", spec.sigma_s, state.phi)
+        scatter[:, :, 0] += spec.Q[:, None]
+        psi = sweep_batch(spec.sigma_t, mesh, quad, 0.5 * scatter)
+        phi, J, P = angular_moments(psi, quad)
+        return TransportState(phi=phi, grey_phi=phi.sum(axis=0), psi=psi,
+                              phi_ho=phi, J_ho=J, P=P, J=J)
+
+    def _multilevel_outer(psi, grey_phi):
+        """Low-order levels on the swept psi against the lagged grey_phi;
+        None, on the first pass, takes the grey sum of psi's moments."""
+        moms = angular_moments(psi, quad)
+        closures = closure_from_sweep(psi, quad, moms)
+        grey_closure = sum_closures(closures)
+        # NaN passes here and stops the run as non_finite
+        if not np.allclose(grey_closure.P, moms.P.sum(axis=0), rtol=1e-13,
+                           atol=1e-300, equal_nan=True):
+            raise RuntimeError("grey closure moment differs from the sum "
+                               "of the group closure moments")
+        # the inner multigroup iteration restarts from the fresh transport
+        # moments; the grey lag carries over
+        phi, J = moms.phi.copy(), moms.J.copy()
+        if grey_phi is None:
+            grey_phi = phi.sum(axis=0)
+        solves0 = system.n_group_passes + system.n_grey_solves
+        fallbacks, peak = 0, 0.0
+        for _k in range(cfg.k_max):
+            if cfg.method == METHOD_MLSM_AA1:
+                phi, J, cycle_fallbacks, cycle_peak = _aa1_passes(
+                    system, grey_phi, phi, J, closures, cfg.s_max)
+                fallbacks += cycle_fallbacks
+                peak = max(peak, cycle_peak)
+            else:
+                for _s in range(cfg.s_max):
+                    zeta = compute_zeta(grey_phi, phi)
+                    phi, J = system.group_pass(phi, zeta, closures)
+            grey_coeffs = grey_xs(phi, J, spec)
+            grey_phi, grey_J = system.solve_grey(grey_coeffs, grey_closure)
+        state = TransportState(
+            phi=phi, grey_phi=grey_phi, psi=psi, phi_ho=moms.phi,
+            J_ho=moms.J, P=moms.P, J=J, closures=closures,
+            grey_closure=grey_closure, grey_J=grey_J,
+            grey_coeffs=grey_coeffs, zeta=compute_zeta(grey_phi, phi))
+        solves = system.n_group_passes + system.n_grey_solves - solves0
+        return state, OuterDiagnostics(solves, fallbacks, peak)
+
+    diagnostics = []
     if multilevel:
-        psi[..., 0] = 0.5
-    J = grey_J = closures = grey_closure = grey_coeffs = zeta = None
+        flat = np.zeros((G, quad.n_angles, N, 2))
+        flat[..., 0] = 0.5
+        state, diag = _multilevel_outer(flat, None)
+        diagnostics.append(diag)
+    else:
+        state = TransportState(np.zeros((G, N, 2)), np.zeros((N, 2)))
 
     history: list[float] = []
-    lo_counts: list[int] = []
-    aa_fallbacks = 0
-    aa_alpha_peak = 0.0
-    status = STATUS_MAX_OUTER
-    n_t = cfg.max_outer
-
-    for ell in range(0 if multilevel else 1, cfg.max_outer + 1):
-        if ell > 0:
-            if multilevel:
-                rhs = build_ho_rhs(grey_phi,
-                                   avg_scattering_xs(phi, spec.sigma_s),
-                                   spec.Q)
-            else:
-                scatter = np.einsum("gh,hnc->gnc", spec.sigma_s, phi)
-                scatter[:, :, 0] += spec.Q[:, None]
-                rhs = 0.5 * scatter
-            psi = sweep_batch(spec.sigma_t, mesh, quad, rhs)
-        phi_ho, J_ho, P = moms = angular_moments(psi, quad)
-        prev_grey = grey_phi
-
+    for _ in range(cfg.max_outer):
         if multilevel:
-            closures = closure_from_sweep(psi, quad, moms)
-            grey_closure = sum_closures(closures)
-            # NaN passes here and stops the run as non_finite below
-            if not np.allclose(grey_closure.P, P.sum(axis=0), rtol=1e-13,
-                               atol=1e-300, equal_nan=True):
-                raise RuntimeError("grey closure moment differs from the "
-                                   "sum of the group closure moments")
-            # the inner multigroup iteration restarts from the fresh
-            # transport moments; the grey lag carries over
-            phi = phi_ho.copy()
-            J = J_ho.copy()
-            if ell == 0:
-                grey_phi = phi.sum(axis=0)
-            solves0 = system.n_group_passes + system.n_grey_solves
-            for _k in range(cfg.k_max):
-                if cfg.method == METHOD_MLSM_AA1:
-                    phi, J, fallbacks, peak = _aa1_passes(
-                        system, grey_phi, phi, J, closures, cfg.s_max)
-                    aa_fallbacks += fallbacks
-                    aa_alpha_peak = max(aa_alpha_peak, peak)
-                else:
-                    for _s in range(cfg.s_max):
-                        zeta = compute_zeta(grey_phi, phi)
-                        phi, J = system.group_pass(phi, zeta, closures)
-                grey_coeffs = grey_xs(phi, J, spec)
-                grey_phi, grey_J = system.solve_grey(grey_coeffs,
-                                                     grey_closure)
-            lo_counts.append(system.n_group_passes + system.n_grey_solves
-                             - solves0)
-            if ell == 0:
-                continue
+            sbar_s = avg_scattering_xs(state.phi, spec.sigma_s)
+            psi = sweep_batch(spec.sigma_t, mesh, quad,
+                              build_ho_rhs(state.grey_phi, sbar_s, spec.Q))
+            new, diag = _multilevel_outer(psi, state.grey_phi)
+            diagnostics.append(diag)
         else:
-            phi, J = phi_ho, J_ho
-            grey_phi = phi.sum(axis=0)
-
-        history.append(convergence_measure(grey_phi, prev_grey))
-        done = _status(history, cfg)
-        if done is not None:
-            status, n_t = done, ell
-            if done != STATUS_CONVERGED:
-                log.warning("run stopped at outer iteration %d: %s", ell,
-                            done)
+            new = _si_outer(state)
+        history.append(convergence_measure(new.grey_phi, state.grey_phi))
+        state = new
+        status = _status(history, cfg)
+        if status is not None:
             break
+    else:
+        status = STATUS_MAX_OUTER
+    if status in (STATUS_DIVERGED, STATUS_NON_FINITE):
+        log.warning("run stopped at outer iteration %d: %s", len(history),
+                    status)
 
-    if multilevel:
-        zeta = compute_zeta(grey_phi, phi)
-    state = TransportState(psi=psi, phi_ho=phi_ho, J_ho=J_ho, P=P,
-                           closures=closures, grey_closure=grey_closure,
-                           phi=phi, J=J, grey_phi=grey_phi, grey_J=grey_J,
-                           grey_coeffs=grey_coeffs, zeta=zeta)
-    report = RunReport(method=cfg.method, problem=spec.name, k_max=cfg.k_max,
-                       s_max=cfg.s_max, epsilon=cfg.epsilon, N_t=n_t,
-                       rho_num=None, rho_irregular=False,
-                       M_lo=lo_solve_count(cfg) if multilevel else 0,
-                       residual_history=history, status=status,
-                       timings={"wall_seconds": time.perf_counter() - t0},
-                       lo_solve_counts=lo_counts, aa_fallbacks=aa_fallbacks,
-                       aa_alpha_peak=aa_alpha_peak, state=state)
-    _finalize_rho(report)
-    return report
+    est = (None if status == STATUS_NON_FINITE
+           else estimate_spectral_radius(history))
+    if est is not None and status == STATUS_MAX_OUTER and est.rho >= 1.0:
+        est = None      # stagnated, e.g. at the rounding floor: no rate
+    return RunReport(
+        method=cfg.method, problem=spec.name, k_max=cfg.k_max,
+        s_max=cfg.s_max, epsilon=cfg.epsilon, N_t=len(history),
+        rho_num=None if est is None or est.irregular else est.rho,
+        rho_irregular=est is not None and est.irregular,
+        M_lo=lo_solve_count(cfg) if multilevel else 0,
+        residual_history=history, status=status,
+        timings={"wall_seconds": time.perf_counter() - t0},
+        lo_solve_counts=[d.lo_solves for d in diagnostics],
+        aa_fallbacks=sum(d.aa_fallbacks for d in diagnostics),
+        aa_alpha_peak=max((d.aa_alpha_peak for d in diagnostics),
+                          default=0.0),
+        state=state)

@@ -23,11 +23,7 @@ class ProblemError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Fixed-source multigroup slab problem.
-
-    Immutable after construction; safe to share across concurrent group
-    solves.
-    """
+    """Fixed-source multigroup slab problem, immutable after construction."""
 
     G: int
     sigma_t: np.ndarray        # (G,)   total cross section, > 0
@@ -114,12 +110,18 @@ def make_problem(G, sigma_t, sigma_s, Q, width, n_cells, n_half,
 
 _CONFIG_KEYS = ("groups", "sigma_t", "sigma_s", "source", "width", "cells",
                 "quad_half_order")
+_BC_KEYS = ("bc_left", "bc_right")
 
 
 def problem_from_dict(doc: dict, name: str = "") -> ProblemSpec:
     missing = [k for k in _CONFIG_KEYS if k not in doc]
     if missing:
         raise ProblemError(f"missing config keys: {', '.join(missing)}")
+    # a misspelt optional key would otherwise run another problem silently
+    unknown = [k for k in doc if k not in _CONFIG_KEYS + _BC_KEYS]
+    if unknown:
+        raise ProblemError("unknown config keys: "
+                           + ", ".join(map(repr, unknown)))
     for side in ("left", "right"):
         bc = doc.get(f"bc_{side}", "vacuum")
         if bc != "vacuum":

@@ -75,14 +75,12 @@ def test_rho_alternating_flagged():
     assert est.irregular
 
 
-def test_rho_short_history_raises():
-    with pytest.raises(ValueError):
-        estimate_spectral_radius([1.0, 0.5, 0.25])
+def test_rho_short_history_is_none():
+    assert estimate_spectral_radius([1.0, 0.5, 0.25]) is None
 
 
-def test_rho_nonpositive_raises():
-    with pytest.raises(ValueError):
-        estimate_spectral_radius([1.0, 0.5, 0.0, 0.1])
+def test_rho_nonpositive_is_none():
+    assert estimate_spectral_radius([1.0, 0.5, 0.0, 0.1]) is None
 
 
 # -- flat-mode SI spectral radius ------------------------------------------------
@@ -171,6 +169,29 @@ def test_mlsm_aa1_small_problem_converges():
     rep = run_problem(spec, cfg)
     assert rep.status == "converged"
     assert rep.lo_solve_counts == [rep.M_lo] * (rep.N_t + 1)
+
+
+@pytest.mark.parametrize("method", ["mlsm", "mlsm-aa1"])
+def test_lo_solve_counts_at_max_outer(method):
+    cfg = IterationConfig(method=method, k_max=2, s_max=2, max_outer=3,
+                          epsilon=1e-14)
+    rep = run_problem(_small_two_group(), cfg)
+    assert rep.status == "max_outer"
+    assert rep.lo_solve_counts == [rep.M_lo] * (rep.N_t + 1)
+
+
+@pytest.mark.parametrize("method", ["mlsm", "mlsm-aa1"])
+def test_stagnated_run_quotes_no_rate(method):
+    # below the rounding floor the change repeats 4.4e-16 for every outer:
+    # its ratio of 1 is no convergence rate
+    spec = make_problem(1, [1.0], [[0.5]], [1.0], width=4.0, n_cells=8,
+                        n_half=2)
+    rep = run_problem(spec, IterationConfig(method=method, epsilon=1e-16,
+                                            max_outer=200))
+    assert rep.status == "max_outer"
+    assert min(rep.residual_history) > 0.0
+    assert rep.rho_num is None
+    assert rep.rho_irregular is False
 
 
 def test_multilevel_agrees_with_si_fixed_point():
@@ -270,6 +291,8 @@ def test_non_finite_residual_stops(monkeypatch, method):
     assert rep.status == "non_finite"
     assert rep.N_t == 1
     assert rep.rho_num is None
+    assert rep.lo_solve_counts == ([] if method == "si"
+                                   else [rep.M_lo] * (rep.N_t + 1))
 
 
 def test_diverged_rule():

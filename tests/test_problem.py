@@ -131,6 +131,14 @@ def test_non_vacuum_bc_rejected():
         problem_from_dict(_one_group_doc(bc_left="reflecting"))
 
 
+def test_unknown_config_keys_rejected():
+    # loaded with these ignored, the slab would run with vacuum on both sides
+    doc = _one_group_doc(bc_rigth="reflecting", albedo=0.3)
+    with pytest.raises(ProblemError,
+                       match="unknown config keys: 'bc_rigth', 'albedo'"):
+        problem_from_dict(doc)
+
+
 @pytest.mark.parametrize("key, value", [
     ("cells", 16.9), ("groups", 1.7), ("groups", True), ("cells", "16"),
     ("quad_half_order", 2.5), ("quad_half_order", False),

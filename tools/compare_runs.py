@@ -6,9 +6,13 @@ OTHER_SRC is the src/ directory of another checkout, for instance of the
 parent commit.  Every cell of bench/workloads.py and source iteration on
 test1 run from OTHER_SRC first, then from this checkout's src/.  Each run
 is compared by ==: N_t, M_lo, status, rho_num, rho_irregular, the
-residual history, lo_solve_counts, aa_fallbacks, aa_alpha_peak and the
-final grey_phi, phi, J and psi arrays.  Exits 1 at the first difference and 0 when every run
-is identical.  One process and one BLAS thread, as in the benchmark.
+residual history, lo_solve_counts, aa_fallbacks and aa_alpha_peak.  The
+whole final TransportState is compared by np.array_equal: psi, phi_ho,
+J_ho, P, phi, J, grey_phi, grey_J and zeta, and every field of closures,
+grey_closure and grey_coeffs.  A state field that is None, as the
+multilevel fields of source iteration are, must be None on both sides.
+Exits 1 at the first difference and 0 when every run is identical.  One
+process and one BLAS thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -25,7 +29,10 @@ from workloads import WORKLOADS, Cell  # noqa: E402
 SCALARS = ("N_t", "M_lo", "status", "rho_num", "rho_irregular",
            "residual_history", "lo_solve_counts", "aa_fallbacks",
            "aa_alpha_peak")
-ARRAYS = ("grey_phi", "phi", "J", "psi")
+ARRAYS = ("psi", "phi_ho", "J_ho", "P", "phi", "J", "grey_phi", "grey_J",
+          "zeta")
+# dataclasses of arrays, compared field by field
+STRUCTS = ("closures", "grey_closure", "grey_coeffs")
 
 
 def cells() -> list:
@@ -51,23 +58,31 @@ def import_from(src: Path):
 
 
 def run(slabsm, cell) -> dict:
-    # numpy is imported only after main() has pinned the BLAS threads
-    import numpy as np
-
+    """The report's scalars and every array of its final state, by name."""
     report = slabsm.run_problem(slabsm.builtin_problem(cell.problem),
                                 cell.config(slabsm))
     rec = {name: getattr(report, name) for name in SCALARS}
-    rec.update({name: np.array(getattr(report.state, name))
-                for name in ARRAYS})
+    for name in ARRAYS + STRUCTS:
+        value = getattr(report.state, name)
+        if name in STRUCTS and value is not None:
+            rec.update({f"{name}.{field}": array
+                        for field, array in vars(value).items()})
+        else:
+            rec[name] = value
     return rec
 
 
 def differences(a: dict, b: dict) -> list[str]:
+    # numpy is imported only after main() has pinned the BLAS threads
     import numpy as np
 
     out = [name for name in SCALARS if a[name] != b[name]]
-    return out + [name for name in ARRAYS
-                  if not np.array_equal(a[name], b[name])]
+    for name in sorted((a.keys() | b.keys()) - set(SCALARS)):
+        x, y = a.get(name), b.get(name)
+        if (x is None) != (y is None) or (
+                x is not None and not np.array_equal(x, y)):
+            out.append(name)
+    return out
 
 
 def main(argv) -> int:
