@@ -12,22 +12,26 @@ import numpy as np
 class AngularQuadrature:
     """Ordinates mu in (-1,1)\\{0} and positive weights with sum(w) = 2.
 
-    The set is symmetric: (mu, w) present implies (-mu, w) present, and
-    the ordinates are strictly sorted.
+    Enforced on construction: the ordinates are strictly sorted and
+    nonzero, and mu and w are mirror-symmetric, so the mu < 0 directions
+    are exactly the first half.
     """
 
     mu: np.ndarray
     w: np.ndarray
 
+    def __post_init__(self):
+        mu, w = self.mu, self.w
+        if mu.size == 0 or w.shape != mu.shape:
+            raise ValueError("mu and w must be nonempty and of one shape")
+        if not (np.all(np.diff(mu) > 0) and np.all(mu != 0.0)):
+            raise ValueError("ordinates must be strictly sorted and nonzero")
+        if not (np.array_equal(mu[::-1], -mu) and np.array_equal(w[::-1], w)):
+            raise ValueError("ordinates and weights must be mirror-symmetric")
+
     @property
     def n_angles(self) -> int:
         return self.mu.size
-
-    def negative(self) -> np.ndarray:
-        return self.mu < 0.0
-
-    def positive(self) -> np.ndarray:
-        return self.mu > 0.0
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray):

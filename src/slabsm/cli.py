@@ -236,7 +236,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, ProblemError, ValueError) as err:
+    except (UsageError, ProblemError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

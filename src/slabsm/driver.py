@@ -26,7 +26,7 @@ from .angular import angular_moments, build_double_gauss
 from .fields import Mesh
 from .losm import (LowOrderSystem, avg_scattering_xs, compute_zeta, grey_xs,
                    sum_closures)
-from .problem import ProblemSpec
+from .problem import ProblemSpec, whole_count
 from .sweep import build_ho_rhs, closure_from_sweep, sweep_batch
 
 log = logging.getLogger(__name__)
@@ -67,12 +67,14 @@ class IterationConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; "
                              f"expected one of {METHODS}")
-        if self.k_max < 1 or self.s_max < 1:
-            raise ValueError("k_max and s_max must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
+        for name in ("k_max", "s_max", "max_outer"):
+            count = whole_count(getattr(self, name), name, ValueError)
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1")
+            setattr(self, name, count)
+        # inf would stop after one outer as converged, NaN never
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and positive")
 
 
 @dataclass

@@ -32,10 +32,6 @@ class Mesh:
         dx.setflags(write=False)
         return Mesh(float(width), int(n_cells), dx)
 
-    @property
-    def edges(self) -> np.ndarray:
-        return np.concatenate(([0.0], np.cumsum(self.dx)))
-
 
 def to_nodes(coeffs: np.ndarray) -> np.ndarray:
     """(avg, slope) -> (left value, right value), any leading shape."""

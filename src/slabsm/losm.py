@@ -23,11 +23,11 @@ solution-averaged coefficients and field products are collocated at the two
 cell-edge values, so the group-summed grey equations coincide exactly with
 the sum of the group equations at convergence.  A cell's unknowns (phi_a,
 phi_s, J_a, J_s) couple only to its two neighbours: the operator is block
-tridiagonal with 4x4 blocks, a derivative stencil built from the
-edge-reconstruction weights plus cell-diagonal mass blocks.  Group data
+tridiagonal with 4x4 blocks: the derivative stencil of the closures' edge
+table `sweep.edge_weights` plus cell-diagonal mass blocks.  Group data
 carry a leading group axis, so one call builds every group's right side;
-the group matrices and their LU factors are built and factorized once per
-problem.
+the group and grey matrices share one assembly path, and the group
+matrices and their LU factors are built once per problem.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ import numpy as np
 from scipy.sparse import block_diag, csc_matrix
 from scipy.sparse.linalg import splu
 
-from .fields import Mesh, const_field, from_nodes, to_nodes
+from .fields import Mesh, const_field, from_nodes, nodal_product, to_nodes
 from .problem import ProblemSpec
-from .sweep import ClosureData
+from .sweep import ClosureData, edge_weights
 
 DENOM_EPS = 1e-30
 
@@ -159,17 +159,11 @@ def _stencil_blocks(dx: np.ndarray):
     of the blocks (entries with at least one term, kept where the terms
     cancel)."""
     N = dx.size
-    # edge reconstructions (sweep.closure_from_sweep) as weights on the
-    # unknowns of the cells left [:, 0] and right [:, 1] of each edge; at
-    # the vacuum boundaries J = -/+ phi/2 of the boundary cell's trace
-    w_J = np.zeros((N + 1, 2, 4))
-    w_J[1:, 0] = 0.25, 0.25, 0.5, 0.5
-    w_J[:-1, 1] = -0.25, 0.25, 0.5, -0.5
-    w_J[0, 1] = -0.5, 0.5, 0.0, 0.0
-    w_J[N, 0] = 0.5, 0.5, 0.0, 0.0
-    w_phi = np.zeros((N + 1, 2, 4))
-    w_phi[1:, 0] = 0.5, 0.5, 0.75, 0.75
-    w_phi[:-1, 1] = 0.5, -0.5, -0.75, 0.75
+    # sweep.edge_weights on the unknowns of the cells left [:, 0] and right
+    # [:, 1] of each edge, whose traces are u_a + u_s and u_a - u_s
+    table = edge_weights(N)
+    ld = np.stack([table, table * [1.0, 1.0, -1.0, -1.0]], axis=-1)
+    w_J, w_phi = ld.reshape(N + 1, 2, 2, 4).swapaxes(0, 1)
     # row r of cell i: (c_r edge_{i+1} + c'_r edge_i) / h_r, with the
     # edge J^ in rows 0-1 and the edge phi^ in rows 2-3
     w = np.stack([w_J, w_J, w_phi, w_phi], axis=2)
@@ -218,20 +212,27 @@ def _split_solution(u: np.ndarray):
     return x[..., 0:2].copy(), x[..., 2:4].copy()
 
 
+def _factor(A, what: str):
+    """splu factor of A; `what` names the system if A is singular."""
+    try:
+        return splu(A)
+    except RuntimeError as err:
+        raise RuntimeError(f"singular {what}: {err}") from err
+
+
 @functools.lru_cache(maxsize=8)
 def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
     """Low-order operators of one problem, from the float64 bytes of its
     cell widths, sigma_t and removal sigma_t - sigma_s,g->g.
 
-    Returns (stencil, take, indices, indptr, A, lus): the derivative
-    stencil blocks; the layout with which B.reshape(-1)[take] is the CSC
-    data, on `indices`/`indptr`, of blocks B on the stencil's support; the
-    G group matrices as one block-diagonal CSR matrix; and one LU factor
-    per group.  Cached and read-only: every run builds a new
-    LowOrderSystem of the same problem, and refactoring its group
-    matrices each time cost about a sixth of the test1 table cells' solve
-    time and scattered SuperLU workspaces over the heap (drifting peak
-    RSS).
+    Returns (assemble, A, lus): assemble(mass) adds the cell mass blocks
+    (N, 4, 4), or one (4, 4) block for all cells, to the derivative
+    stencil and gathers them into a CSC matrix on the stencil's support;
+    A holds the G group matrices, built through it, as one block-diagonal
+    CSR matrix; lus one LU factor per group.  Cached and read-only: every
+    run builds a new LowOrderSystem of the same problem, and refactoring
+    its group matrices each time cost about a sixth of the test1 table
+    cells' solve time and scattered SuperLU workspaces over the heap.
     """
     dx = np.frombuffer(dx_bytes)
     sigma_t = np.frombuffer(sigma_t_bytes)
@@ -241,32 +242,29 @@ def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
     rows, cols = 4 * i + a, 4 * (i + k - 1) + b
     order = np.lexsort((rows, cols))
     n = 4 * dx.size
+    # B.reshape(-1)[take] is the CSC data, on indices/indptr, of blocks B
     take = np.flatnonzero(support)[order]
     indices = rows[order].astype(np.int32)
     indptr = np.searchsorted(cols[order], np.arange(n + 1)).astype(np.int32)
+
+    def assemble(mass):
+        blocks = stencil.copy()
+        blocks[:, 1] += mass
+        return csc_matrix((blocks.reshape(-1)[take], indices, indptr),
+                          shape=(n, n))
 
     G = sigma_t.size
     zero = np.zeros(G)
     mass = _mass_blocks(np.stack([removal, zero], axis=-1),
                         np.stack([sigma_t, zero], axis=-1), np.zeros((G, 2)))
-    blocks = np.tile(stencil, (G, 1, 1, 1, 1))
-    blocks[:, :, 1] += mass[:, None]
-    # np.take, not [:, take]: splu needs each group's row contiguous
-    data = np.take(blocks.reshape(G, -1), take, axis=1)
-    groups = [csc_matrix((d, indices, indptr), shape=(n, n)) for d in data]
-    lus = []
-    for g, A in enumerate(groups):
-        try:
-            lus.append(splu(A))
-        except RuntimeError as err:
-            raise RuntimeError(
-                f"singular low-order system for group {g + 1}: {err}"
-            ) from err
+    groups = [assemble(m) for m in mass]
+    lus = tuple(_factor(A, f"low-order system for group {g + 1}")
+                for g, A in enumerate(groups))
     A = block_diag(groups, format="csr")
     for shared in (stencil, take, indices, indptr, A.data, A.indices,
                    A.indptr):
         shared.setflags(write=False)
-    return stencil, take, indices, indptr, A, tuple(lus)
+    return assemble, A, lus
 
 
 class LowOrderSystem:
@@ -296,9 +294,9 @@ class LowOrderSystem:
         N = mesh.n_cells
         self.Q_fields = np.zeros((spec.G, N, 2))
         self.Q_fields[:, :, 0] = spec.Q[:, None]
-        (self._stencil, self._take, self._indices, self._indptr, self._A,
-         self._lu) = _operators(*(np.asarray(a, dtype=float).tobytes()
-                                  for a in (mesh.dx, spec.sigma_t, removal)))
+        self._assemble, self._A, self._lu = _operators(
+            *(np.asarray(a, dtype=float).tobytes()
+              for a in (mesh.dx, spec.sigma_t, removal)))
         self.n_group_passes = 0
         self.n_grey_solves = 0
 
@@ -309,8 +307,7 @@ class LowOrderSystem:
         """S_g = zeta * sum_{g' != g} sigma_{s,g'->g} phi_g' + Q_g, with the
         zeta product collocated at the cell-edge values."""
         coupling = np.einsum("gh,hnc->gnc", self.coupling, phi_groups)
-        S = from_nodes(to_nodes(zeta)[None] * to_nodes(coupling))
-        return S + self.Q_fields
+        return nodal_product(coupling, zeta) + self.Q_fields
 
     def group_pass(self, phi_groups, zeta, closures):
         """One Jacobi pass of the decoupled group solvers against the
@@ -332,16 +329,9 @@ class LowOrderSystem:
 
     def solve_grey(self, coeffs: GreyCoefficients, closure: ClosureData):
         mass = _mass_blocks(coeffs.sbar_a, coeffs.sbar_t, coeffs.eta)
-        blocks = self._stencil.copy()
-        blocks[:, 1] += mass
-        n = 4 * self.mesh.n_cells
-        A = csc_matrix((blocks.reshape(-1)[self._take], self._indices,
-                        self._indptr), shape=(n, n))
+        A = self._assemble(mass)
         b = _lo_rhs(self.mesh, coeffs.Q, closure)
-        try:
-            u = splu(A).solve(b)
-        except RuntimeError as err:
-            raise RuntimeError(f"singular grey low-order system: {err}") from err
+        u = _factor(A, "grey low-order system").solve(b)
         self.n_grey_solves = self.n_grey_solves + 1
         return _split_solution(u)
 

@@ -49,13 +49,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _count(value, what: str) -> int:
-    """A whole-number count; booleans, strings and fractions are
-    rejected, not truncated."""
+def whole_count(value, what: str, error=ProblemError) -> int:
+    """A whole-number count as an int; booleans, strings and fractions
+    raise `error`, they are not truncated."""
     if isinstance(value, bool) or not (
             isinstance(value, numbers.Integral)
             or isinstance(value, float) and value.is_integer()):
-        raise ProblemError(f"{what} must be a whole number, got {value!r}")
+        raise error(f"{what} must be a whole number, got {value!r}")
     return int(value)
 
 
@@ -95,9 +95,9 @@ def _check_spec(G, sigma_t, sigma_s, Q, width, n_cells, n_half) -> None:
 
 def make_problem(G, sigma_t, sigma_s, Q, width, n_cells, n_half,
                  name="") -> ProblemSpec:
-    G = _count(G, "group count")
-    n_cells = _count(n_cells, "cell count")
-    n_half = _count(n_half, "quad_half_order")
+    G = whole_count(G, "group count")
+    n_cells = whole_count(n_cells, "cell count")
+    n_half = whole_count(n_half, "quad_half_order")
     sigma_t = np.asarray(sigma_t, dtype=float)
     sigma_s = np.asarray(sigma_s, dtype=float)
     Q = np.asarray(Q, dtype=float)

@@ -11,7 +11,8 @@ the same march with |mu| over the mirrored slab: cells in reverse order,
 source and flux slopes negated, inflow from the right.  Each operation of
 that march is an exact sign flip of the right-to-left cell solve, so every
 direction of every group runs in one march of N steps, with the same
-results.
+results.  The mu < 0 directions are the first half (AngularQuadrature
+enforces that layout), so the mirror acts on a slice.
 
 With m = |mu|, sd = st*dx and det = 6m^2 + 4m*sd + sd^2, the march solves
 each cell in packed form: q = dx*[q_avg, q_slope] + [m, -3m]*psi_in, then
@@ -27,6 +28,9 @@ a = ((3m + sd) qa - m qs) / det, s = (3m qa + (m + sd) qs) / det with
 qs = dx*q_slope - 3m psi_in: IEEE defines x - y*z as x + (-y)*z, signed
 zeros included, 3m*x is (3m)*x, and each two-term sum is the same single
 rounding (IEEE addition commutes).
+
+The closures are the sweep's upwind edge moments minus the reconstruction
+`edge_weights` of its traces, the table the low-order stencil reads too.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import AngularQuadrature, MomentSet
+from .angular import AngularQuadrature, MomentSet, angular_moments
 from .fields import Mesh, nodal_product, to_nodes
 
 
@@ -52,11 +56,11 @@ def _incident(inc, M: int, name: str) -> np.ndarray:
     return inc
 
 
-def _mirror(u: np.ndarray, neg: np.ndarray) -> None:
-    """Map the mu < 0 directions of u (G, M, N, 2) between the slab and
-    the march frame, in place: reverse their cells, negate their slopes."""
-    u[:, neg] = u[:, neg, ::-1]
-    u[:, neg, :, 1] *= -1.0
+def _mirror(u: np.ndarray, h: int) -> None:
+    """Map the mu < 0 directions, u[:, :h] of u (G, M, N, 2), between the
+    slab and the march frame in place: reverse cells and negate slopes."""
+    u[:, :h] = u[:, :h, ::-1]
+    u[:, :h, :, 1] *= -1.0
 
 
 def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
@@ -83,7 +87,7 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
         raise ValueError("rhs must be finite")
     inc_left = _incident(inc_left, M, "inc_left")
     inc_right = _incident(inc_right, M, "inc_right")
-    neg = quad.negative()
+    h = M // 2
     m = np.abs(quad.mu)
     # per-cell terms of the march frame, hoisted out of it with the cell
     # axis first: dx * source (N, 2, G, M), which the march overwrites
@@ -91,8 +95,8 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
     frame = np.empty((N, 2, G, M))
     frame_slab = frame.transpose(2, 3, 0, 1)
     np.multiply(rhs, mesh.dx[:, None], out=frame_slab)
-    _mirror(frame_slab, neg)
-    dx = np.where(neg[:, None], mesh.dx[::-1], mesh.dx)
+    _mirror(frame_slab, h)
+    dx = np.repeat(np.stack([mesh.dx[::-1], mesh.dx]), h, axis=0)
     sd_cells = sigma_t[None, :, None] * dx.T[:, None, :]
     # the cell solve divides by det = 6 mu^2 + 4 |mu| sd + sd^2; past its
     # overflow every psi would silently come out as 0
@@ -111,8 +115,7 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
     off = np.stack([-m, m3])[:, None]
     m_inc = np.stack([m, -m3])[:, None]
 
-    inc = np.empty((G, M))
-    inc[...] = np.where(neg, inc_right, inc_left)
+    inc = np.tile(np.concatenate([inc_right[:h], inc_left[h:]]), (G, 1))
     q = np.empty((2, G, M))
     t = np.empty((2, G, M))
     for u, diag_i, det_i in zip(frame, diag, det):
@@ -124,7 +127,7 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
         np.divide(u, det_i, out=u)
         np.add(u[0], u[1], out=inc)
     psi = frame_slab.copy()
-    _mirror(psi, neg)
+    _mirror(psi, h)
     return psi
 
 
@@ -147,16 +150,14 @@ def upwind_edge_psi(psi: np.ndarray, quad: AngularQuadrature) -> np.ndarray:
     """Upwind angular flux on the N+1 cell edges, (..., M, N+1), of a
     vacuum-bounded sweep output (..., M, N, 2).
 
-    Edge values for mu > 0 come from the left cell's right trace (zero at
-    edge 0); mirrored for mu < 0.
+    Edge values for mu > 0, the second half of the directions, come from
+    the left cell's right trace (zero at edge 0); mirrored for mu < 0.
     """
     N = psi.shape[-2]
+    h = quad.n_angles // 2
     out = np.zeros(psi.shape[:-2] + (N + 1,))
-    pos = quad.positive()
-    neg = quad.negative()
-    avg, slope = psi[..., 0], psi[..., 1]
-    out[..., pos, 1:] = (avg + slope)[..., pos, :]
-    out[..., neg, :N] = (avg - slope)[..., neg, :]
+    out[..., h:, 1:] = psi[..., h:, :, 0] + psi[..., h:, :, 1]
+    out[..., :h, :N] = psi[..., :h, :, 0] - psi[..., :h, :, 1]
     return out
 
 
@@ -179,46 +180,42 @@ class ClosureData:
     P: np.ndarray
 
 
+def edge_weights(N: int) -> np.ndarray:
+    """Edge reconstruction weights of an N-cell mesh, (N+1, 2, 4): the
+    edge J^ (row 0) and phi^ (row 1) on the traces [phi, J] of the cells
+    left and right of each edge, from half-range P1 partial moments,
+
+        J^   = [phi/4 + J/2]_left + [-phi/4 + J/2]_right
+        phi^ = [phi/2 + 3J/4]_left + [phi/2 - 3J/4]_right
+
+    and J^ = -/+ phi/2 of the boundary cell's trace at the vacuum edges.
+    """
+    w = np.zeros((N + 1, 2, 4))
+    w[1:, :, :2] = [[0.25, 0.5], [0.5, 0.75]]
+    w[:-1, :, 2:] = [[-0.25, 0.5], [0.5, -0.75]]
+    w[0, 0, 2:] = -0.5, 0.0
+    w[N, 0, :2] = 0.5, 0.0
+    return w
+
+
 def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
                        moments: MomentSet) -> ClosureData:
     """Edge and cell closure functionals of every group from the latest
-    sweep, psi (G, M, N, 2), and its angular moments.
-
-    The interior edge current and scalar flux are reconstructed from the
-    one-sided LD traces via half-range P1 partial moments,
-
-        J_edge   ~  [phi/4 + J/2]_left-cell + [-phi/4 + J/2]_right-cell
-        phi_edge ~  [phi/2 + 3J/4]_left-cell + [phi/2 - 3J/4]_right-cell
-
-    and the stored constants are the exact transport edge moments minus
-    these reconstructions, so imposing them on the low-order system
-    reproduces the transport moments identically at a consistent solution.
-    """
+    sweep, psi (G, M, N, 2), and its angular moments.  dJ and dphi are the
+    exact edge moments minus their reconstructions `edge_weights` from the
+    one-sided traces, so imposing them on the low-order system reproduces
+    the transport moments identically at a consistent solution."""
     N = psi.shape[-2]
-    edge_psi = upwind_edge_psi(psi, quad)
-    phi_hat = np.einsum("m,...me->...e", quad.w, edge_psi)
-    J_hat = np.einsum("m,...me->...e", quad.w * quad.mu, edge_psi)
-    P_hat = np.einsum("m,...me->...e", quad.w * (1.0 / 3.0 - quad.mu**2),
-                      edge_psi)
-
-    phi_n = to_nodes(moments.phi)     # (..., N, 2): [left, right] traces
-    J_n = to_nodes(moments.J)
-
-    dJ = np.empty(phi_hat.shape)
-    dphi = np.empty(phi_hat.shape)
-    # interior edges e = 1..N-1 between cells e-1 and e
-    lphi, lJ = phi_n[..., :-1, 1], J_n[..., :-1, 1]
-    rphi, rJ = phi_n[..., 1:, 0], J_n[..., 1:, 0]
-    dJ[..., 1:N] = (J_hat[..., 1:N]
-                    - (0.25 * lphi + 0.5 * lJ - 0.25 * rphi + 0.5 * rJ))
-    dphi[..., 1:N] = (phi_hat[..., 1:N]
-                      - (0.5 * lphi + 0.75 * lJ + 0.5 * rphi - 0.75 * rJ))
-    # boundary closures against the one-sided traces
-    dJ[..., 0] = J_hat[..., 0] + 0.5 * phi_n[..., 0, 0]
-    dJ[..., N] = J_hat[..., N] - 0.5 * phi_n[..., N - 1, 1]
-    dphi[..., 0] = phi_hat[..., 0] - (0.5 * phi_n[..., 0, 0]
-                                      - 0.75 * J_n[..., 0, 0])
-    dphi[..., N] = phi_hat[..., N] - (0.5 * phi_n[..., N - 1, 1]
-                                      + 0.75 * J_n[..., N - 1, 1])
-
-    return ClosureData(dJ=dJ, dphi=dphi, Phat=P_hat, P=moments.P.copy())
+    edge = angular_moments(upwind_edge_psi(psi, quad)[..., None], quad)
+    # [phi, J] traces of the cells left (right node) and right (left node)
+    # of each edge, zero outside the slab
+    nodes = to_nodes(np.stack([moments.phi, moments.J], axis=-2))
+    t = np.zeros(nodes.shape[:-3] + (N + 1, 1, 4))
+    t[..., 1:, 0, :2] = nodes[..., 1]
+    t[..., :-1, 0, 2:] = nodes[..., 0]
+    w = edge_weights(N)
+    recon = (w[..., 0] * t[..., 0] + w[..., 1] * t[..., 1]
+             + w[..., 2] * t[..., 2] + w[..., 3] * t[..., 3])
+    return ClosureData(dJ=edge.J[..., 0] - recon[..., 0],
+                       dphi=edge.phi[..., 0] - recon[..., 1],
+                       Phat=edge.P[..., 0], P=moments.P.copy())

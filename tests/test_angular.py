@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from slabsm.angular import angular_moments, build_double_gauss
+from slabsm.angular import (AngularQuadrature, angular_moments,
+                            build_double_gauss)
 
 
 def test_double_s8_has_16_directions():
@@ -36,6 +37,29 @@ def test_half_range_exactness_up_to_degree():
             analytic = 1.0 / (k + 1)
             val = (quad.w[pos] * quad.mu[pos]**k).sum()
             assert val == pytest.approx(analytic, abs=5e-14), (n_half, k)
+
+
+@pytest.mark.parametrize("n_half", range(1, 9))
+def test_double_gauss_has_the_enforced_layout(n_half):
+    quad = build_double_gauss(n_half)
+    AngularQuadrature(mu=quad.mu, w=quad.w)
+    assert np.all(quad.mu[:n_half] < 0) and np.all(quad.mu[n_half:] > 0)
+
+
+@pytest.mark.parametrize("mu, w", [
+    ([0.5, -0.5], [1.0, 1.0]),                        # unsorted
+    ([-0.5, 0.5, -0.2, 0.2], [0.5, 0.5, 0.5, 0.5]),   # unsorted
+    ([-0.6, 0.5], [1.0, 1.0]),                        # asymmetric mu
+    ([-0.5, 0.5], [0.9, 1.1]),                        # asymmetric w
+    ([-0.5, 0.0, 0.5], [0.5, 1.0, 0.5]),              # zero ordinate
+    ([], []),
+    ([-0.5, 0.5], [1.0, 1.0, 1.0]),
+])
+def test_quadrature_layout_enforced(mu, w):
+    # the sweep and the closures take the mu < 0 directions to be the
+    # first half; any other layout would be swept in the wrong direction
+    with pytest.raises(ValueError):
+        AngularQuadrature(mu=np.array(mu), w=np.array(w))
 
 
 def test_invalid_order_rejected():

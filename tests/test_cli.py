@@ -202,6 +202,28 @@ def test_format_only_where_offered(capsys, command):
     assert "--format" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--problem", "test1"],
+    ["strength", "--problem", "test2"],
+    ["run", "--problem", "test2", "--method", "si", "--max-outer", "2"],
+    ["sweep-table", "--problem", "test2", "--max-outer", "2"],
+])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    out = tmp_path / "no" / "such" / "dir" / "x.txt"
+    code, _, err = _run(capsys, argv + ["--out", str(out)])
+    assert code == 1
+    assert err.startswith("error: ") and str(out) in err
+
+
+def test_run_non_finite_epsilon_is_usage_error(capsys):
+    # --epsilon inf reported one outer as converged
+    for eps in ("inf", "nan"):
+        code, out, err = _run(capsys, ["run", "--problem", "test2",
+                                       "--epsilon", eps])
+        assert code == 1 and out == ""
+        assert "epsilon must be finite" in err
+
+
 def test_run_non_finite_config_is_usage_error(capsys, tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"groups": 1, "sigma_t": [NaN], "sigma_s": [[0.5]], '

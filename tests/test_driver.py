@@ -245,6 +245,25 @@ def test_invalid_config_values():
         IterationConfig(epsilon=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epsilon", float("inf")), ("epsilon", float("nan")), ("k_max", 1.5),
+    ("s_max", 2.5), ("max_outer", 2.5), ("k_max", True),
+    ("max_outer", True), ("s_max", "2"),
+])
+def test_config_rejects_non_finite_epsilon_and_fractional_counts(field,
+                                                                 value):
+    # epsilon=inf stopped after one outer as converged and NaN ran every
+    # outer; fractional counts failed later inside range(), True ran as 1
+    with pytest.raises(ValueError):
+        IterationConfig(**{field: value})
+
+
+def test_config_counts_become_ints():
+    cfg = IterationConfig(k_max=2.0, s_max=np.int64(3), max_outer=50.0)
+    assert (cfg.k_max, cfg.s_max, cfg.max_outer) == (2, 3, 50)
+    assert all(type(n) is int for n in (cfg.k_max, cfg.s_max, cfg.max_outer))
+
+
 def test_single_cell_problem_runs():
     spec = make_problem(1, [1.0], [[0.5]], [1.0], width=1.0, n_cells=1,
                         n_half=1)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from slabsm.fields import Mesh, from_nodes, nodal_product, to_nodes
+from test_sweep import mesh_edges
 
 
 def test_mesh_uniform():
     mesh = Mesh.uniform(32.0, 128)
     assert mesh.dx.shape == (128,)
     assert mesh.dx[0] == pytest.approx(0.25)
-    assert mesh.edges[-1] == pytest.approx(32.0)
+    assert mesh_edges(mesh)[-1] == pytest.approx(32.0)
 
 
 def test_mesh_invalid():

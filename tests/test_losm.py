@@ -4,8 +4,9 @@ import pytest
 from slabsm.accel import flatten_state
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh, const_field, to_nodes
-from slabsm.losm import (GreyCoefficients, LowOrderSystem, avg_scattering_xs,
-                         compute_zeta, grey_xs, sum_closures)
+from slabsm.losm import (GreyCoefficients, LowOrderSystem, _stencil_blocks,
+                         avg_scattering_xs, compute_zeta, grey_xs,
+                         sum_closures)
 from slabsm.problem import builtin_problem, make_problem
 from slabsm.sweep import (ClosureData, build_ho_rhs, closure_from_sweep,
                           sweep_batch)
@@ -415,6 +416,52 @@ def test_sum_closures_is_linear():
     total = sum_closures(closures)
     assert np.allclose(total.dJ, sum(closures.dJ), atol=1e-15)
     assert np.allclose(total.P, sum(closures.P), atol=1e-15)
+
+
+# -- the stencil against the literal reconstruction weights -----------------------
+
+def _literal_stencil_blocks(dx):
+    """The derivative stencil with the edge reconstruction weights on the
+    unknowns (phi_a, phi_s, J_a, J_s) written out as literals."""
+    N = dx.size
+    w_J = np.zeros((N + 1, 2, 4))
+    w_J[1:, 0] = 0.25, 0.25, 0.5, 0.5
+    w_J[:-1, 1] = -0.25, 0.25, 0.5, -0.5
+    w_J[0, 1] = -0.5, 0.5, 0.0, 0.0
+    w_J[N, 0] = 0.5, 0.5, 0.0, 0.0
+    w_phi = np.zeros((N + 1, 2, 4))
+    w_phi[1:, 0] = 0.5, 0.5, 0.75, 0.75
+    w_phi[:-1, 1] = 0.5, -0.5, -0.75, 0.75
+    w = np.stack([w_J, w_J, w_phi, w_phi], axis=2)
+    h = np.stack([dx, dx, 3.0 * dx, dx], axis=-1)[:, None, :, None]
+    left = np.array([-1.0, 3.0, -1.0, 1.0])[:, None] * w[:-1] / h
+    right = np.array([1.0, 3.0, 1.0, 1.0])[:, None] * w[1:] / h
+
+    def couple(lo, hi):
+        return np.stack([lo[:, 0], hi[:, 0] + lo[:, 1], hi[:, 1]], axis=1)
+
+    blocks = couple(left, right)
+    support = couple(w[:-1] != 0, w[1:] != 0)
+    blocks[:, 1, 1, 2] -= 6.0 / dx
+    blocks[:, 1, 3, 0] -= 2.0 / dx
+    support[:, 1, 1, 2] = support[:, 1, 3, 0] = True
+    return blocks, support
+
+
+@pytest.mark.parametrize("dx", [[0.3], [0.2, 0.45],
+                                [0.1, 0.3, 0.05, 0.4, 0.2, 0.25, 0.4],
+                                [0.25] * 128])
+def test_stencil_reads_the_closure_edge_table(dx):
+    # the stencil derived from sweep.edge_weights equals the one built
+    # from the literal weights, on the one-cell mesh (both edges are
+    # boundary rows) too
+    dx = np.array(dx)
+    blocks, support = _stencil_blocks(dx)
+    ref_blocks, ref_support = _literal_stencil_blocks(dx)
+    assert np.array_equal(support, ref_support)
+    assert np.array_equal(blocks, ref_blocks)
+    # off the support only zeros, so the gathered CSC data are the same
+    assert not np.any(blocks[~support])
 
 
 # -- the group axis ---------------------------------------------------------------

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from slabsm.angular import angular_moments, build_double_gauss
-from slabsm.fields import Mesh, const_field
-from slabsm.sweep import build_ho_rhs, sweep_batch, upwind_edge_psi
+from slabsm.fields import Mesh, const_field, to_nodes
+from slabsm.sweep import (build_ho_rhs, closure_from_sweep, sweep_batch,
+                          upwind_edge_psi)
 
 GAUSS3_T = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 GAUSS3_V = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
@@ -14,9 +15,14 @@ def _sweep1(sigma_t, mesh, quad, rhs, **inc):
     return sweep_batch(np.array([sigma_t]), mesh, quad, rhs[None], **inc)[0]
 
 
+def mesh_edges(mesh):
+    """Positions of the N+1 cell edges."""
+    return np.concatenate(([0.0], np.cumsum(mesh.dx)))
+
+
 def cell_centers(mesh):
     """Midpoints of the cells."""
-    edges = mesh.edges
+    edges = mesh_edges(mesh)
     return 0.5 * (edges[:-1] + edges[1:])
 
 
@@ -189,6 +195,56 @@ def test_upwind_edges_pick_correct_traces():
     assert edges[neg, 0] == pytest.approx(0.5)
 
 
+def _explicit_closures(psi, quad, moments):
+    """(dJ, dphi, Phat) from einsum edge moments and the interior and
+    boundary reconstructions written out term by term."""
+    N = psi.shape[-2]
+    edge_psi = upwind_edge_psi(psi, quad)
+    phi_hat = np.einsum("m,...me->...e", quad.w, edge_psi)
+    J_hat = np.einsum("m,...me->...e", quad.w * quad.mu, edge_psi)
+    P_hat = np.einsum("m,...me->...e", quad.w * (1.0 / 3.0 - quad.mu**2),
+                      edge_psi)
+    phi_n, J_n = to_nodes(moments.phi), to_nodes(moments.J)
+    dJ = np.empty(phi_hat.shape)
+    dphi = np.empty(phi_hat.shape)
+    lphi, lJ = phi_n[..., :-1, 1], J_n[..., :-1, 1]
+    rphi, rJ = phi_n[..., 1:, 0], J_n[..., 1:, 0]
+    dJ[..., 1:N] = (J_hat[..., 1:N]
+                    - (0.25 * lphi + 0.5 * lJ - 0.25 * rphi + 0.5 * rJ))
+    dphi[..., 1:N] = (phi_hat[..., 1:N]
+                      - (0.5 * lphi + 0.75 * lJ + 0.5 * rphi - 0.75 * rJ))
+    dJ[..., 0] = J_hat[..., 0] + 0.5 * phi_n[..., 0, 0]
+    dJ[..., N] = J_hat[..., N] - 0.5 * phi_n[..., N - 1, 1]
+    dphi[..., 0] = phi_hat[..., 0] - (0.5 * phi_n[..., 0, 0]
+                                      - 0.75 * J_n[..., 0, 0])
+    dphi[..., N] = phi_hat[..., N] - (0.5 * phi_n[..., N - 1, 1]
+                                      + 0.75 * J_n[..., N - 1, 1])
+    return dJ, dphi, P_hat
+
+
+@pytest.mark.parametrize("n_half", [1, 3])
+@pytest.mark.parametrize("dx", [[0.3], [0.2, 0.45],
+                                [0.1, 0.3, 0.05, 0.4, 0.2, 0.25, 0.4]])
+@pytest.mark.parametrize("G", [1, 3])
+def test_closures_match_explicit_reconstruction(G, dx, n_half):
+    # closure_from_sweep applies the edge_weights table; it equals the
+    # term-by-term formulas on sweep outputs and on arbitrary LD fluxes
+    dx = np.array(dx)
+    mesh = Mesh(float(dx.sum()), dx.size, dx)
+    quad = build_double_gauss(n_half)
+    rng = np.random.RandomState(7 * G + dx.size + n_half)
+    sigma_t = rng.rand(G) + 0.5
+    swept = sweep_batch(sigma_t, mesh, quad, rng.rand(G, dx.size, 2))
+    for psi in (swept, rng.randn(*swept.shape)):
+        moments = angular_moments(psi, quad)
+        closure = closure_from_sweep(psi, quad, moments)
+        dJ, dphi, Phat = _explicit_closures(psi, quad, moments)
+        assert np.array_equal(closure.dJ, dJ)
+        assert np.array_equal(closure.dphi, dphi)
+        assert np.array_equal(closure.Phat, Phat)
+        assert np.array_equal(closure.P, moments.P)
+
+
 def test_sigma_t_must_be_positive():
     quad = build_double_gauss(2)
     mesh = Mesh.uniform(1.0, 2)
@@ -242,7 +298,7 @@ def _unpacked_sweep(sigma_t, mesh, quad, rhs, inc_left, inc_right):
     every step, with nothing hoisted but dx * source and sigma_t * dx.
     psi (G, M, N, 2)."""
     G, M, N = sigma_t.size, quad.n_angles, mesh.n_cells
-    neg = quad.negative()
+    neg = quad.mu < 0
     m = np.abs(quad.mu)
     src = np.empty((G, M, N, 2))
     np.multiply(rhs if rhs.ndim == 4 else rhs[:, None], mesh.dx[:, None],

@@ -4,8 +4,13 @@
 
 OTHER_SRC is the src/ directory of another checkout, for instance of the
 parent commit.  Every cell of bench/workloads.py and source iteration on
-test1 run from OTHER_SRC first, then from this checkout's src/.  Each run
-is compared by ==: N_t, M_lo, status, rho_num, rho_irregular, the
+test1 run from OTHER_SRC first, then from this checkout's src/.  These
+all have 128 cells and 16 directions, so si, mlsm and mlsm-aa1 with
+k_max = s_max = 2 also run on three small problems built with
+slabsm.problem.make_problem: the README example config, a two-group
+one-cell problem with n_half = 1 (both edges of the mesh are vacuum
+boundaries) and a three-group problem with 7 cells and n_half = 3.  Each
+run is compared by ==: N_t, M_lo, status, rho_num, rho_irregular, the
 residual history, lo_solve_counts, aa_fallbacks and aa_alpha_peak.  The
 whole final TransportState is compared by np.array_equal: psi, phi_ho,
 J_ho, P, phi, J, grey_phi, grey_J and zeta, and every field of closures,
@@ -33,14 +38,28 @@ ARRAYS = ("psi", "phi_ho", "J_ho", "P", "phi", "J", "grey_phi", "grey_J",
           "zeta")
 # dataclasses of arrays, compared field by field
 STRUCTS = ("closures", "grey_closure", "grey_coeffs")
+# make_problem arguments of the small problems, by name
+SMALL = {
+    "readme": dict(G=2, sigma_t=[1.0, 2.0], sigma_s=[[0.2, 0.1], [0.3, 0.5]],
+                   Q=[1.0, 0.0], width=10.0, n_cells=16, n_half=4),
+    "one-cell": dict(G=2, sigma_t=[1.0, 1.5],
+                     sigma_s=[[0.4, 0.2], [0.3, 0.9]], Q=[1.0, 0.5],
+                     width=2.0, n_cells=1, n_half=1),
+    "seven-cell": dict(G=3, sigma_t=[1.0, 1.5, 2.0],
+                       sigma_s=[[0.3, 0.1, 0.0], [0.4, 0.6, 0.3],
+                                [0.1, 0.5, 1.2]],
+                       Q=[1.0, 0.5, 0.2], width=5.0, n_cells=7, n_half=3),
+}
 
 
 def cells() -> list:
-    """Every distinct workload cell, then source iteration on test1."""
+    """Every distinct workload cell, source iteration on test1, then the
+    three methods on each small problem."""
     out = {cell.key: cell for wl in WORKLOADS.values() for cell in wl.cells}
     si = Cell("test1", "si")
     out[si.key] = si
-    return list(out.values())
+    return list(out.values()) + [Cell(name, method, 2, 2) for name in SMALL
+                                 for method in ("si", "mlsm", "mlsm-aa1")]
 
 
 def import_from(src: Path):
@@ -59,8 +78,12 @@ def import_from(src: Path):
 
 def run(slabsm, cell) -> dict:
     """The report's scalars and every array of its final state, by name."""
-    report = slabsm.run_problem(slabsm.builtin_problem(cell.problem),
-                                cell.config(slabsm))
+    if cell.problem in SMALL:
+        spec = slabsm.problem.make_problem(name=cell.problem,
+                                           **SMALL[cell.problem])
+    else:
+        spec = slabsm.builtin_problem(cell.problem)
+    report = slabsm.run_problem(spec, cell.config(slabsm))
     rec = {name: getattr(report, name) for name in SCALARS}
     for name in ARRAYS + STRUCTS:
         value = getattr(report.state, name)
