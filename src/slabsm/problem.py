@@ -113,6 +113,15 @@ _CONFIG_KEYS = ("groups", "sigma_t", "sigma_s", "source", "width", "cells",
 _BC_KEYS = ("bc_left", "bc_right")
 
 
+def _check_numbers(value, key: str) -> None:
+    # numpy would read true as 1 and "0.5" as 0.5
+    if isinstance(value, list):
+        for item in value:
+            _check_numbers(item, key)
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ProblemError(f"{key} must hold JSON numbers, got {value!r}")
+
+
 def problem_from_dict(doc: dict, name: str = "") -> ProblemSpec:
     missing = [k for k in _CONFIG_KEYS if k not in doc]
     if missing:
@@ -127,6 +136,8 @@ def problem_from_dict(doc: dict, name: str = "") -> ProblemSpec:
         if bc != "vacuum":
             raise ProblemError(
                 f"unsupported {side} boundary condition {bc!r} (vacuum only)")
+    for key in ("sigma_t", "sigma_s", "source", "width"):
+        _check_numbers(doc[key], key)
     try:
         return make_problem(
             G=doc["groups"],
@@ -210,28 +221,28 @@ _TEST2_SIGMA_S = [
 ]
 
 
-def builtin_problem(name: str) -> ProblemSpec:
+# name -> (sigma_t, sigma_s, published c_g row)
+_BUILTINS = {"test1": (_TEST1_SIGMA_T, _TEST1_SIGMA_S, _TEST1_C),
+             "test2": (_TEST2_SIGMA_T, _TEST2_SIGMA_S, _TEST2_C)}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
+def _builtin(name: str) -> tuple[str, tuple]:
     key = name.strip().lower()
-    if key == "test1":
-        return make_problem(10, _TEST1_SIGMA_T, _TEST1_SIGMA_S, [1.0] * 10,
-                            width=32.0, n_cells=128, n_half=8, name="test1")
-    if key == "test2":
-        return make_problem(7, _TEST2_SIGMA_T, _TEST2_SIGMA_S, [1.0] * 7,
-                            width=32.0, n_cells=128, n_half=8, name="test2")
-    raise ProblemError(f"unknown built-in problem {name!r} "
-                       "(available: test1, test2)")
+    if key not in _BUILTINS:
+        raise ProblemError(f"unknown built-in problem {name!r} "
+                           f"(available: {', '.join(BUILTIN_NAMES)})")
+    return key, _BUILTINS[key]
+
+
+def builtin_problem(name: str) -> ProblemSpec:
+    key, (sigma_t, sigma_s, _) = _builtin(name)
+    return make_problem(len(sigma_t), sigma_t, sigma_s, [1.0] * len(sigma_t),
+                        width=32.0, n_cells=128, n_half=8, name=key)
 
 
 def builtin_reference_c(name: str) -> np.ndarray:
-    key = name.strip().lower()
-    if key == "test1":
-        return np.array(_TEST1_C)
-    if key == "test2":
-        return np.array(_TEST2_C)
-    raise ProblemError(f"no published c_g row for {name!r}")
-
-
-BUILTIN_NAMES = ("test1", "test2")
+    return np.array(_builtin(name)[1][2])
 
 
 # ---------------------------------------------------------------------------

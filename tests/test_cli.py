@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import slabsm.driver
 from slabsm.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -176,16 +177,31 @@ def test_analyze_prints_published_rho(capsys):
     assert out.splitlines()[1].split(",")[1] == "0.99"
 
 
-@pytest.mark.parametrize("problem", ["test1", "test2"])
-@pytest.mark.parametrize("command, fmt", [
-    ("strength", "csv"), ("strength", "human"), ("validate", "csv"),
-    ("analyze", "csv"), ("analyze", "human"),
-])
-def test_diagnostic_output_golden_bytes(tmp_path, command, fmt, problem):
+_DIAGNOSTICS = [("strength", "csv"), ("strength", "human"),
+                ("validate", "csv"), ("analyze", "csv"), ("analyze", "human")]
+# (command, format, problem, further arguments); the id names the case and
+# the golden file is {command}-{problem}.csv or .txt
+_GOLDEN_CASES = [(c, f, p, []) for p in ("test1", "test2")
+                 for c, f in _DIAGNOSTICS] + [
+    ("run", "csv", "test1",
+     ["--method", "mlsm", "--kmax", "1", "--smax", "2"]),
+    ("run", "human", "test1",
+     ["--method", "mlsm", "--kmax", "1", "--smax", "2"]),
+    ("run", "csv", "test2",
+     ["--method", "mlsm-aa1", "--kmax", "2", "--smax", "2"]),
+    ("sweep-table", "csv", "test2",
+     ["--method", "mlsm", "--kmax", "1", "--smax", "1,2"]),
+]
+
+
+@pytest.mark.parametrize("command, fmt, problem, extra", _GOLDEN_CASES,
+                         ids=["-".join(case[:3]) for case in _GOLDEN_CASES])
+def test_diagnostic_output_golden_bytes(tmp_path, command, fmt, problem,
+                                        extra):
     # the golden files hold these commands' output byte for byte
     out = tmp_path / "out"
-    argv = [command, "--problem", problem, "--out", str(out)]
-    if command != "validate":
+    argv = [command, "--problem", problem, "--out", str(out)] + extra
+    if command not in ("validate", "sweep-table"):
         argv += ["--format", fmt]
     assert main(argv) == 0
     suffix = "csv" if fmt == "csv" else "txt"
@@ -202,17 +218,40 @@ def test_format_only_where_offered(capsys, command):
     assert "--format" in err
 
 
+def _no_solve(monkeypatch):
+    """Replace the solver in the CLI; returns the list of its calls."""
+    calls = []
+    monkeypatch.setattr("slabsm.cli.run_problem",
+                        lambda *args: calls.append(args))
+    return calls
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--problem", "test1"],
     ["strength", "--problem", "test2"],
     ["run", "--problem", "test2", "--method", "si", "--max-outer", "2"],
-    ["sweep-table", "--problem", "test2", "--max-outer", "2"],
+    ["sweep-table", "--problem", "test2", "--kmax", "1,2", "--max-outer",
+     "2"],
 ])
-def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
-    out = tmp_path / "no" / "such" / "dir" / "x.txt"
-    code, _, err = _run(capsys, argv + ["--out", str(out)])
-    assert code == 1
-    assert err.startswith("error: ") and str(out) in err
+def test_unwritable_out_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    # found before any solve: a missing directory, or a directory as target
+    calls = _no_solve(monkeypatch)
+    for out in (tmp_path / "no" / "such" / "dir" / "x.txt", tmp_path):
+        code, _, err = _run(capsys, argv + ["--out", str(out)])
+        assert code == 1 and calls == []
+        assert err.startswith("error: ") and str(out) in err
+
+
+def test_bad_count_fails_before_any_solve(capsys, monkeypatch, tmp_path):
+    # every setting is checked first, and the --out file is left as it was
+    calls = _no_solve(monkeypatch)
+    out = tmp_path / "keep.csv"
+    out.write_text("earlier output\n")
+    code, _, err = _run(capsys, ["sweep-table", "--problem", "test1",
+                                 "--kmax", "1,0", "--out", str(out)])
+    assert code == 1 and calls == []
+    assert "k_max must be >= 1" in err
+    assert out.read_text() == "earlier output\n"
 
 
 def test_run_non_finite_epsilon_is_usage_error(capsys):
@@ -237,3 +276,24 @@ def test_run_non_finite_config_is_usage_error(capsys, tmp_path):
 def test_no_command_usage(capsys):
     code = main([])
     assert code == 1
+
+
+def test_zero_removal_config(capsys, monkeypatch, tmp_path):
+    # one group with c = 1: sigma_t - sigma_s,g->g = 0 is a valid problem,
+    # which source iteration solves and the low-order system cannot
+    sweeps = []
+    sweep = slabsm.driver.sweep_batch
+    monkeypatch.setattr(slabsm.driver, "sweep_batch",
+                        lambda *a: sweeps.append(1) or sweep(*a))
+    path = tmp_path / "c1.json"
+    path.write_text(json.dumps({
+        "groups": 1, "sigma_t": [1.0], "sigma_s": [[1.0]], "source": [1.0],
+        "width": 8.0, "cells": 16, "quad_half_order": 2}))
+    code, out, err = _run(capsys, ["run", "--config", str(path),
+                                   "--method", "mlsm"])
+    assert code == 1 and out == "" and sweeps == []
+    assert "requires it positive" in err
+    code, out, _ = _run(capsys, ["run", "--config", str(path),
+                                 "--method", "si", "--max-outer", "5"])
+    assert code == 2 and len(sweeps) == 5
+    assert out.splitlines()[-1] == "5,0.99,0,max_outer"

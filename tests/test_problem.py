@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slabsm.problem import (ProblemError, builtin_problem, builtin_reference_c,
                             connection_strength, load_problem, make_problem,
@@ -156,6 +157,82 @@ def test_count_must_be_a_whole_number(key, value):
 def test_non_finite_data_rejected(key, value):
     with pytest.raises(ProblemError, match="finite"):
         problem_from_dict(_one_group_doc(**{key: value}))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("width", True), ("source", [False]), ("sigma_t", ["1.0"]),
+    ("sigma_s", [["0.5"]]), ("sigma_t", [1, True]), ("width", "1.0"),
+])
+def test_non_number_data_rejected(key, value):
+    # numpy reads true as 1 and "1.0" as 1.0: each ran another problem
+    with pytest.raises(ProblemError, match=f"{key} must hold JSON numbers"):
+        problem_from_dict(_one_group_doc(**{key: value}))
+
+
+_SCALARS = st.one_of(st.booleans(), st.text("1.e", max_size=3), st.none(),
+                     st.integers(-2, 3), st.floats(-1.0, 3.0),
+                     st.floats(allow_nan=True, allow_infinity=True))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3),
+                       max_leaves=9)
+
+
+def _is_json_number(value) -> bool:
+    if isinstance(value, list):
+        return all(_is_json_number(v) for v in value)
+    return type(value) in (int, float)
+
+
+@st.composite
+def _config_docs(draw):
+    """A valid document with G = 1 or 2, in which up to two values are
+    replaced by random ones or have one number replaced."""
+    G = draw(st.integers(1, 2))
+
+    def row(low, high):
+        number = st.one_of(st.floats(low, high), st.integers(int(low), 1))
+        return draw(st.lists(number, min_size=G, max_size=G))
+
+    doc = {"groups": G, "sigma_t": row(1.0, 3.0),
+           "sigma_s": [row(0.0, 0.4) for _ in range(G)],
+           "source": row(0.0, 1.0),
+           "width": draw(st.one_of(st.floats(0.5, 10.0), st.integers(1, 9))),
+           "cells": draw(st.integers(1, 8)),
+           "quad_half_order": draw(st.integers(1, 4))}
+    # a list, not a set: a set of strings iterates in hash order
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2,
+                             unique=True)):
+        doc[key] = (draw(_VALUES) if draw(st.booleans())
+                    else _replace_leaf(draw, doc[key]))
+    return doc
+
+
+def _replace_leaf(draw, value):
+    """value with one number, at any depth, replaced by a random scalar."""
+    if isinstance(value, list) and value:
+        i = draw(st.integers(0, len(value) - 1))
+        return value[:i] + [_replace_leaf(draw, value[i])] + value[i + 1:]
+    return draw(_SCALARS)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_config_docs())
+def test_config_loads_or_raises_problem_error(doc):
+    # a document either fails with ProblemError or gives a finite spec read
+    # from JSON numbers only
+    try:
+        spec = problem_from_dict(doc)
+    except ProblemError:
+        return
+    G = spec.G
+    for key, value, shape in (("sigma_t", spec.sigma_t, (G,)),
+                              ("sigma_s", spec.sigma_s, (G, G)),
+                              ("source", spec.Q, (G,))):
+        assert _is_json_number(doc[key])
+        assert value.dtype == np.float64 and value.shape == shape
+        assert np.all(np.isfinite(value))
+        assert np.array_equal(value, np.asarray(doc[key], dtype=float))
+    assert _is_json_number(doc["width"])
+    assert math.isfinite(spec.width) and spec.width == doc["width"]
 
 
 # -- connection strength -----------------------------------------------------
