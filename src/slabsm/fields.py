@@ -24,10 +24,23 @@ class Mesh:
     n_cells: int
     dx: np.ndarray
 
+    def __post_init__(self):
+        # a zero, negative or non-finite width sweeps to finite numbers
+        # with no error, so it is rejected here
+        dx = np.asarray(self.dx, dtype=float)
+        object.__setattr__(self, "dx", dx)
+        if not (np.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"mesh width {self.width} must be finite and > 0")
+        if self.n_cells < 1 or dx.shape != (self.n_cells,):
+            raise ValueError(f"mesh needs n_cells >= 1 and dx of shape "
+                             f"(n_cells,); got {self.n_cells} and {dx.shape}")
+        if not np.all(np.isfinite(dx) & (dx > 0)):
+            raise ValueError("mesh cell widths must be finite and > 0")
+
     @staticmethod
     def uniform(width: float, n_cells: int) -> "Mesh":
-        if width <= 0 or n_cells < 1:
-            raise ValueError("mesh requires width > 0 and n_cells >= 1")
+        if n_cells < 1:
+            raise ValueError("mesh requires n_cells >= 1")
         dx = np.full(n_cells, width / n_cells)
         dx.setflags(write=False)
         return Mesh(float(width), int(n_cells), dx)

@@ -14,6 +14,11 @@ direction of every group runs in one march of N steps, with the same
 results.  The mu < 0 directions are the first half (AngularQuadrature
 enforces that layout), so the mirror acts on a slice.
 
+The march steps through a frame (N, 2, G, M), cell axis first.  dx * rhs
+is formed on the source's own (G, M', N, 2) array, M' = 1 for isotropic
+sources, its mu < 0 half mirrored there; each half is then broadcast into
+the frame, and psi is read back by transposed writes that mirror again.
+
 With m = |mu|, sd = st*dx and det = 6m^2 + 4m*sd + sd^2, the march solves
 each cell in packed form: q = dx*[q_avg, q_slope] + [m, -3m]*psi_in, then
 
@@ -23,7 +28,7 @@ K q is formed as diag(K) q + [-m, 3m] q[::-1]; only the diagonal
 [3m + sd, m + sd] varies by cell, and the off-diagonal is shared by all
 cells and groups.  psi_in = a + s feeds the next cell.  K, det and the
 inflow weights depend on sigma_t, dx and mu only, so they are built once
-per sweep.  This rounds exactly as the unpacked solve
+per problem and cached.  This rounds exactly as the unpacked solve
 a = ((3m + sd) qa - m qs) / det, s = (3m qa + (m + sd) qs) / det with
 qs = dx*q_slope - 3m psi_in: IEEE defines x - y*z as x + (-y)*z, signed
 zeros included, 3m*x is (3m)*x, and each two-term sum is the same single
@@ -35,6 +40,7 @@ The closures are the sweep's upwind edge moments minus the reconstruction
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,11 +62,35 @@ def _incident(inc, M: int, name: str) -> np.ndarray:
     return inc
 
 
-def _mirror(u: np.ndarray, h: int) -> None:
-    """Map the mu < 0 directions, u[:, :h] of u (G, M, N, 2), between the
-    slab and the march frame in place: reverse cells and negate slopes."""
-    u[:, :h] = u[:, :h, ::-1]
-    u[:, :h, :, 1] *= -1.0
+@functools.lru_cache(maxsize=8)
+def _march_coefficients(sigma_t_bytes: bytes, dx_bytes: bytes,
+                        mu_bytes: bytes):
+    """(diag, det, off, m_inc) of the march frame, from the float64 bytes
+    of sigma_t (G,), dx (N,) and mu (M,): diag(K) (N, 2, G, M), det
+    (N, G, M), [-m, 3m] and [m, -3m] (2, 1, M).  Cached and read-only, an
+    entry keeps 24*G*M*N bytes (0.47 MiB for test1); lru_cache keeps no
+    exception, so the overflow check runs on every call."""
+    sigma_t = np.frombuffer(sigma_t_bytes)
+    dx = np.frombuffer(dx_bytes)
+    m = np.abs(np.frombuffer(mu_bytes))
+    # the mu < 0 half marches the mirrored slab, so meets dx in reverse
+    dx = np.repeat(np.stack([dx[::-1], dx]), m.size // 2, axis=0)
+    sd_cells = sigma_t[None, :, None] * dx.T[:, None, :]
+    # the cell solve divides by det = 6 mu^2 + 4 |mu| sd + sd^2; past its
+    # overflow every psi would silently come out as 0
+    sd_max, mu_max = float(sd_cells.max()), float(m.max())
+    if not math.isfinite(6.0 * mu_max**2 + 4.0 * mu_max * sd_max
+                         + sd_max * sd_max):
+        raise ValueError(f"sigma_t * dx = {sd_max:.3e} overflows the LD "
+                         "cell determinant")
+    det = 6.0 * m**2 + 4.0 * m * sd_cells + sd_cells * sd_cells
+    m3 = 3.0 * m
+    diag = np.stack([m3 + sd_cells, m + sd_cells], axis=1)
+    off = np.stack([-m, m3])[:, None]
+    m_inc = np.stack([m, -m3])[:, None]
+    for a in (diag, det, off, m_inc):
+        a.setflags(write=False)
+    return diag, det, off, m_inc
 
 
 def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
@@ -73,8 +103,8 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
     to vacuum.
     """
     sigma_t = np.asarray(sigma_t, dtype=float)
-    if np.any(sigma_t <= 0):
-        raise ValueError("sweep requires sigma_t > 0")
+    if not np.all(np.isfinite(sigma_t) & (sigma_t > 0)):
+        raise ValueError("sweep requires finite sigma_t > 0")
     G = sigma_t.size
     M = quad.n_angles
     N = mesh.n_cells
@@ -87,33 +117,18 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
         raise ValueError("rhs must be finite")
     inc_left = _incident(inc_left, M, "inc_left")
     inc_right = _incident(inc_right, M, "inc_right")
+    diag, det, off, m_inc = _march_coefficients(
+        *(np.asarray(a, dtype=float).tobytes()
+          for a in (sigma_t, mesh.dx, quad.mu)))
     h = M // 2
-    m = np.abs(quad.mu)
-    # per-cell terms of the march frame, hoisted out of it with the cell
-    # axis first: dx * source (N, 2, G, M), which the march overwrites
-    # cell by cell with [a, s], and sigma_t * dx (N, G, M)
+    # src[:, :k] is the mu < 0 half, or an isotropic source's one column
+    k = (rhs.shape[1] + 1) // 2
+    src = rhs * mesh.dx[:, None]
+    mirrored = src[:, :k, ::-1].copy()
+    mirrored[..., 1] *= -1.0
     frame = np.empty((N, 2, G, M))
-    frame_slab = frame.transpose(2, 3, 0, 1)
-    np.multiply(rhs, mesh.dx[:, None], out=frame_slab)
-    _mirror(frame_slab, h)
-    dx = np.repeat(np.stack([mesh.dx[::-1], mesh.dx]), h, axis=0)
-    sd_cells = sigma_t[None, :, None] * dx.T[:, None, :]
-    # the cell solve divides by det = 6 mu^2 + 4 |mu| sd + sd^2; past its
-    # overflow every psi would silently come out as 0
-    sd_max = float(sd_cells.max())
-    mu_max = float(m.max())
-    if not math.isfinite(6.0 * mu_max**2 + 4.0 * mu_max * sd_max
-                         + sd_max * sd_max):
-        raise ValueError(f"sigma_t * dx = {sd_max:.3e} overflows the LD "
-                         "cell determinant")
-
-    det = 6.0 * m**2 + 4.0 * m * sd_cells + sd_cells * sd_cells
-    m3 = 3.0 * m
-    diag = np.empty((N, 2, G, M))
-    diag[:, 0] = m3 + sd_cells
-    diag[:, 1] = m + sd_cells
-    off = np.stack([-m, m3])[:, None]
-    m_inc = np.stack([m, -m3])[:, None]
+    frame[..., :h] = mirrored.transpose(2, 3, 0, 1)
+    frame[..., h:] = src[:, -k:].transpose(2, 3, 0, 1)
 
     inc = np.tile(np.concatenate([inc_right[:h], inc_left[h:]]), (G, 1))
     q = np.empty((2, G, M))
@@ -126,8 +141,14 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
         np.add(u, t, out=u)
         np.divide(u, det_i, out=u)
         np.add(u[0], u[1], out=inc)
-    psi = frame_slab.copy()
-    _mirror(psi, h)
+    psi = np.empty((G, M, N, 2))
+    psi[:, h:] = frame[..., h:].transpose(2, 3, 0, 1)
+    psi[:, :h, :, 0] = frame[::-1, 0, :, :h].transpose(1, 2, 0)
+    # negated by a multiply, not np.negative: on numpy 2.4.6 np.negative
+    # writes wrong values into a strided out= from some reversed,
+    # transposed views with a size-1 axis, the kind read here
+    np.multiply(frame[::-1, 1, :, :h].transpose(1, 2, 0), -1.0,
+                out=psi[:, :h, :, 1])
     return psi
 
 

@@ -13,8 +13,25 @@ def test_mesh_uniform():
 
 
 def test_mesh_invalid():
-    with pytest.raises(ValueError):
-        Mesh.uniform(0.0, 4)
+    for width in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            Mesh.uniform(width, 4)
+
+
+@pytest.mark.parametrize("n_cells, dx", [(3, np.ones(5)), (3, np.ones(2)),
+                                         (0, np.ones(0)),
+                                         (2, np.ones((2, 1)))])
+def test_mesh_dx_must_hold_one_width_per_cell(n_cells, dx):
+    with pytest.raises(ValueError, match="dx of shape"):
+        Mesh(4.0, n_cells, dx)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_mesh_cell_widths_must_be_finite_and_positive(bad):
+    # such a cell would sweep to finite numbers with no error
+    dx = np.array([1.0, bad, 1.0])
+    with pytest.raises(ValueError, match="finite and > 0"):
+        Mesh(4.0, 3, dx)
 
 
 def test_node_coefficient_roundtrip():

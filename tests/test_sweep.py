@@ -3,8 +3,9 @@ import pytest
 
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh, const_field, to_nodes
-from slabsm.sweep import (build_ho_rhs, closure_from_sweep, sweep_batch,
-                          upwind_edge_psi)
+from slabsm.problem import builtin_problem
+from slabsm.sweep import (_march_coefficients, build_ho_rhs,
+                          closure_from_sweep, sweep_batch, upwind_edge_psi)
 
 GAUSS3_T = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 GAUSS3_V = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
@@ -248,8 +249,9 @@ def test_closures_match_explicit_reconstruction(G, dx, n_half):
 def test_sigma_t_must_be_positive():
     quad = build_double_gauss(2)
     mesh = Mesh.uniform(1.0, 2)
-    with pytest.raises(ValueError):
-        _sweep1(0.0, mesh, quad, np.zeros((2, 2)))
+    for sigma_t in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite sigma_t > 0"):
+            _sweep1(sigma_t, mesh, quad, np.zeros((2, 2)))
 
 
 def test_sigma_t_dx_overflow_rejected():
@@ -258,8 +260,10 @@ def test_sigma_t_dx_overflow_rejected():
     quad = build_double_gauss(2)
     mesh = Mesh.uniform(4.0, 4)
     rhs = const_field(0.5, 4)
-    with pytest.raises(ValueError, match="overflows"):
-        _sweep1(1e160, mesh, quad, rhs)
+    # raised on every call: the coefficient cache keeps no exception
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overflows"):
+            _sweep1(1e160, mesh, quad, rhs)
     # still representable: thick cells give psi_a = q / sigma_t
     psi = _sweep1(1e150, mesh, quad, rhs)
     assert np.allclose(psi[:, 1:-1, 0], 0.5e-150, rtol=1e-12)
@@ -291,6 +295,84 @@ def test_incident_flux_must_be_finite_per_direction(side, bad):
     mesh = Mesh.uniform(1.0, 3)
     with pytest.raises(ValueError, match=side):
         _sweep1(1.0, mesh, quad, const_field(0.5, 3), **{side: bad})
+
+
+@pytest.mark.parametrize("inc", [False, True])
+@pytest.mark.parametrize("n_half", [1, 3])
+@pytest.mark.parametrize("dx", [[0.3], [0.2, 0.45],
+                                [0.1, 0.3, 0.05, 0.4, 0.2, 0.25, 0.4]])
+@pytest.mark.parametrize("G", [1, 3, 10])
+def test_isotropic_source_matches_broadcast_source(G, dx, n_half, inc):
+    # a (G, N, 2) source and the same source broadcast to every direction
+    # give the same bits, signs of zeros included; n_half = 1 with G > 1
+    # and N > 1 is the layout where numpy 2.4.6's np.negative misbehaves
+    dx = np.array(dx)
+    N = dx.size
+    mesh = Mesh(float(dx.sum()), N, dx)
+    quad = build_double_gauss(n_half)
+    M = quad.n_angles
+    rng = np.random.RandomState(G + 10 * N + 100 * n_half)
+    sigma_t = rng.rand(G) + 0.5
+    rhs = rng.randn(G, N, 2)
+    rhs[rng.rand(G, N, 2) < 0.3] = 0.0
+    rhs[rng.rand(G, N, 2) < 0.1] = -0.0
+    fluxes = ({"inc_left": rng.rand(M), "inc_right": rng.rand(M)}
+              if inc else {})
+    psi = sweep_batch(sigma_t, mesh, quad, rhs, **fluxes)
+    wide = sweep_batch(sigma_t, mesh, quad,
+                       np.broadcast_to(rhs[:, None], (G, M, N, 2)), **fluxes)
+    assert np.array_equal(psi, wide)
+    assert np.array_equal(np.signbit(psi), np.signbit(wide))
+
+
+def _coefficients(sigma_t, mesh, quad):
+    """The cached march coefficients of one problem, keyed as in
+    sweep_batch."""
+    return _march_coefficients(*(np.asarray(a, dtype=float).tobytes()
+                                 for a in (sigma_t, mesh.dx, quad.mu)))
+
+
+def test_march_coefficients_cached_per_problem():
+    quad = build_double_gauss(3)
+    mesh = Mesh.uniform(4.0, 8)
+    sigma_t = np.array([0.5, 2.0])
+    rhs = np.random.RandomState(3).randn(2, 8, 2)
+    coeffs = _coefficients(sigma_t, mesh, quad)
+    hits = _march_coefficients.cache_info().hits
+    first = sweep_batch(sigma_t, mesh, quad, rhs)
+    sweep_batch(sigma_t, mesh, quad, rhs)
+    # both sweeps read the one read-only entry
+    assert _march_coefficients.cache_info().hits == hits + 2
+    assert all(a is b for a, b in zip(_coefficients(sigma_t, mesh, quad),
+                                      coeffs))
+    assert not any(a.flags.writeable for a in coeffs)
+    # dx alone (same N), sigma_t alone or n_half alone makes a new entry
+    others = [(sigma_t, Mesh.uniform(5.0, 8), quad),
+              (np.array([0.5, 2.5]), mesh, quad),
+              (sigma_t, mesh, build_double_gauss(2))]
+    for other in others:
+        diag = _coefficients(*other)[0]
+        assert diag is not coeffs[0]
+        assert not np.array_equal(diag, coeffs[0])
+    # A, then enough other problems to evict A, then A again
+    for n_cells in range(1, 10):
+        sweep_batch(sigma_t, Mesh.uniform(4.0, n_cells), quad,
+                    np.ones((2, n_cells, 2)))
+    again = sweep_batch(sigma_t, mesh, quad, rhs)
+    assert np.array_equal(again, first)
+    assert np.array_equal(np.signbit(again), np.signbit(first))
+
+
+def test_march_coefficients_entry_size():
+    # the per-entry size the _march_coefficients docstring quotes:
+    # 24*G*M*N bytes, under 0.5 MiB for test1
+    spec = builtin_problem("test1")
+    mesh = Mesh.uniform(spec.width, spec.n_cells)
+    quad = build_double_gauss(spec.n_half)
+    diag, det, off, m_inc = _coefficients(spec.sigma_t, mesh, quad)
+    G, M, N = spec.G, quad.n_angles, spec.n_cells
+    assert diag.nbytes + det.nbytes == 24 * G * M * N
+    assert diag.nbytes + det.nbytes + off.nbytes + m_inc.nbytes < 2**19
 
 
 def _unpacked_sweep(sigma_t, mesh, quad, rhs, inc_left, inc_right):

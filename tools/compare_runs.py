@@ -16,8 +16,12 @@ whole final TransportState is compared by np.array_equal: psi, phi_ho,
 J_ho, P, phi, J, grey_phi, grey_J and zeta, and every field of closures,
 grey_closure and grey_coeffs.  A state field that is None, as the
 multilevel fields of source iteration are, must be None on both sides.
-Exits 1 at the first difference and 0 when every run is identical.  One
-process and one BLAS thread, as in the benchmark.
+Then this checkout's runs repeat in reverse order, and each must equal its
+first run: the per-problem caches (the low-order operators of
+losm._operators and the march coefficients of sweep._march_coefficients)
+must not make a run depend on what ran before it.  Exits 1 at the first
+difference and 0 when every run is identical.  One process and one BLAS
+thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -121,13 +125,22 @@ def main(argv) -> int:
     slabsm = import_from(other)
     reference = [run(slabsm, cell) for cell in todo]
     slabsm = import_from(SRC)
+    first = []
     for cell, ref in zip(todo, reference):
-        diff = differences(run(slabsm, cell), ref)
+        first.append(run(slabsm, cell))
+        diff = differences(first[-1], ref)
         if diff:
             print(f"DIFFERENT {cell.key}: {', '.join(diff)}")
             return 1
         print(f"identical {cell.key}")
     print(f"all {len(todo)} runs identical")
+    for cell, rec in reversed(list(zip(todo, first))):
+        diff = differences(run(slabsm, cell), rec)
+        if diff:
+            print(f"RERUN DIFFERENT {cell.key}: {', '.join(diff)}")
+            return 1
+        print(f"rerun identical {cell.key}")
+    print(f"all {len(todo)} reruns in reverse order identical")
     return 0
 
 
