@@ -28,9 +28,3 @@ def aa1_alpha(r_prev: np.ndarray, r_curr: np.ndarray) -> tuple[float, float]:
     a0 = float(r_curr @ (r_curr - r_prev)) / den
     return a0, 1.0 - a0
 
-
-def flatten_state(phi_groups: np.ndarray, J_groups: np.ndarray) -> np.ndarray:
-    """Flatten per-group (phi, J) LD coefficients into one vector in
-    (group, cell, coefficient, field) order with phi before J."""
-    return np.stack([phi_groups, J_groups], axis=-1).ravel()
-

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
 
-from .accel import DegenerateResidualPair, aa1_alpha, flatten_state
+from .accel import DegenerateResidualPair, aa1_alpha
 from .angular import angular_moments, build_double_gauss
 from .fields import Mesh
 from .losm import (LowOrderSystem, avg_scattering_xs, compute_zeta, grey_xs,
@@ -72,8 +73,12 @@ class IterationConfig:
             if count < 1:
                 raise ValueError(f"{name} must be >= 1")
             setattr(self, name, count)
-        # inf would stop after one outer as converged, NaN never
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+        # True would run as a tolerance of 1; inf would stop after one
+        # outer as converged, NaN never
+        eps = self.epsilon
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
+            raise ValueError(f"epsilon must be a real number, got {eps!r}")
+        if not (math.isfinite(eps) and eps > 0):
             raise ValueError("epsilon must be finite and positive")
 
 
@@ -204,11 +209,9 @@ def _aa1_passes(system, grey_phi, phi, J, closures, s_max):
     for s in range(s_max):
         zeta = compute_zeta(grey_phi, phi)
         if s == 0:
-            r_prev = flatten_state(*system.equation_residual(phi, J, zeta,
-                                                             closures))
+            r_prev = system.equation_residual(phi, J, zeta, closures)
         hat_phi, hat_J = system.group_pass(phi, zeta, closures)
-        r_curr = flatten_state(*system.equation_residual(hat_phi, hat_J,
-                                                         zeta, closures))
+        r_curr = system.equation_residual(hat_phi, hat_J, zeta, closures)
         try:
             a0, a1 = aa1_alpha(r_prev, r_curr)
         except DegenerateResidualPair:

@@ -18,10 +18,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Mesh:
-    """1D slab mesh.  dx may be nonuniform; the built-ins are uniform."""
+    """1D slab mesh given by its cell widths dx, a 1-D, non-empty array
+    of finite widths > 0.  dx may be nonuniform; the built-ins are
+    uniform."""
 
-    width: float
-    n_cells: int
     dx: np.ndarray
 
     def __post_init__(self):
@@ -29,13 +29,14 @@ class Mesh:
         # with no error, so it is rejected here
         dx = np.asarray(self.dx, dtype=float)
         object.__setattr__(self, "dx", dx)
-        if not (np.isfinite(self.width) and self.width > 0):
-            raise ValueError(f"mesh width {self.width} must be finite and > 0")
-        if self.n_cells < 1 or dx.shape != (self.n_cells,):
-            raise ValueError(f"mesh needs n_cells >= 1 and dx of shape "
-                             f"(n_cells,); got {self.n_cells} and {dx.shape}")
-        if not np.all(np.isfinite(dx) & (dx > 0)):
-            raise ValueError("mesh cell widths must be finite and > 0")
+        if not (dx.ndim == 1 and dx.size > 0
+                and np.all(np.isfinite(dx) & (dx > 0))):
+            raise ValueError("mesh cell widths must be finite and > 0, in "
+                             f"a non-empty 1-D dx; got shape {dx.shape}")
+
+    @property
+    def n_cells(self) -> int:
+        return self.dx.size
 
     @staticmethod
     def uniform(width: float, n_cells: int) -> "Mesh":
@@ -43,7 +44,7 @@ class Mesh:
             raise ValueError("mesh requires n_cells >= 1")
         dx = np.full(n_cells, width / n_cells)
         dx.setflags(write=False)
-        return Mesh(float(width), int(n_cells), dx)
+        return Mesh(dx)
 
 
 def to_nodes(coeffs: np.ndarray) -> np.ndarray:

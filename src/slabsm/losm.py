@@ -288,7 +288,6 @@ class LowOrderSystem:
             raise ValueError(
                 f"group {g + 1} has sigma_t - sigma_s,g->g = {removal[g]:.3e};"
                 " the group low-order system requires it positive")
-        self.removal = removal
         self.coupling = spec.sigma_s.copy()
         np.fill_diagonal(self.coupling, 0.0)
         N = mesh.n_cells
@@ -319,11 +318,15 @@ class LowOrderSystem:
         return _split_solution(u)
 
     def equation_residual(self, phi_groups, J_groups, zeta, closures):
-        """Residual of the multigroup low-order equations at the given
-        state (matrix applications only; no solves are consumed)."""
+        """Residual b - A x of the multigroup low-order equations at the
+        given state, the vector AA(1) mixes: flat, in (group, cell,
+        coefficient, field) order with phi before J (matrix applications
+        only; no solves are consumed)."""
         b = _lo_rhs(self.mesh, self.group_source(phi_groups, zeta), closures)
         x = np.concatenate([phi_groups, J_groups], axis=-1).reshape(-1)
-        return _split_solution(b - (self._A @ x).reshape(b.shape))
+        r = b.reshape(-1) - self._A @ x
+        # per cell (phi_a, phi_s, J_a, J_s) -> (phi_a, J_a, phi_s, J_s)
+        return r.reshape(phi_groups.shape + (2,)).swapaxes(-1, -2).ravel()
 
     # -- grey level --------------------------------------------------------
 

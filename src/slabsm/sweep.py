@@ -1,7 +1,9 @@
 """Level 1: linear-discontinuous transport sweep of the decoupled groups.
 
-Weak form per cell and direction, with upwind edge fluxes.  For mu > 0
-(left-to-right march) the 2x2 cell system for (psi_avg, psi_slope) is
+Both edges of the slab are vacuum boundaries: no particles enter, so every
+march starts from psi_in = 0.  Weak form per cell and direction, with
+upwind edge fluxes.  For mu > 0 (left-to-right march) the 2x2 cell system
+for (psi_avg, psi_slope) is
 
     (mu + st*dx) a +        mu  s = dx*q_avg   + mu*psi_in
         -3 mu    a + (3mu + st*dx) s = dx*q_slope - 3*mu*psi_in
@@ -50,18 +52,6 @@ from .angular import AngularQuadrature, MomentSet, angular_moments
 from .fields import Mesh, nodal_product, to_nodes
 
 
-def _incident(inc, M: int, name: str) -> np.ndarray:
-    """Incident angular flux (M,), vacuum when None."""
-    if inc is None:
-        return np.zeros(M)
-    inc = np.asarray(inc, dtype=float)
-    if inc.shape != (M,):
-        raise ValueError(f"{name} shape {inc.shape} invalid; expected ({M},)")
-    if not np.all(np.isfinite(inc)):
-        raise ValueError(f"{name} must be finite")
-    return inc
-
-
 @functools.lru_cache(maxsize=8)
 def _march_coefficients(sigma_t_bytes: bytes, dx_bytes: bytes,
                         mu_bytes: bytes):
@@ -94,13 +84,12 @@ def _march_coefficients(sigma_t_bytes: bytes, dx_bytes: bytes,
 
 
 def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
-                rhs: np.ndarray, inc_left=None, inc_right=None) -> np.ndarray:
-    """Sweep every group and direction in one pass, (G, M, N, 2).
+                rhs: np.ndarray) -> np.ndarray:
+    """Sweep every group and direction in one pass between vacuum
+    boundaries, (G, M, N, 2).
 
     rhs is the source density per unit mu, either (G, N, 2) shared across
-    directions or (G, M, N, 2) per direction.  The incident angular fluxes
-    inc_left / inc_right, finite (M,) arrays shared by all groups, default
-    to vacuum.
+    directions or (G, M, N, 2) per direction.
     """
     sigma_t = np.asarray(sigma_t, dtype=float)
     if not np.all(np.isfinite(sigma_t) & (sigma_t > 0)):
@@ -115,8 +104,6 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
         raise ValueError(f"rhs shape {rhs.shape} invalid")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite")
-    inc_left = _incident(inc_left, M, "inc_left")
-    inc_right = _incident(inc_right, M, "inc_right")
     diag, det, off, m_inc = _march_coefficients(
         *(np.asarray(a, dtype=float).tobytes()
           for a in (sigma_t, mesh.dx, quad.mu)))
@@ -130,7 +117,7 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
     frame[..., :h] = mirrored.transpose(2, 3, 0, 1)
     frame[..., h:] = src[:, -k:].transpose(2, 3, 0, 1)
 
-    inc = np.tile(np.concatenate([inc_right[:h], inc_left[h:]]), (G, 1))
+    inc = np.zeros((G, M))
     q = np.empty((2, G, M))
     t = np.empty((2, G, M))
     for u, diag_i, det_i in zip(frame, diag, det):

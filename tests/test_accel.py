@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from slabsm import driver
-from slabsm.accel import DegenerateResidualPair, aa1_alpha, flatten_state
+from slabsm.accel import DegenerateResidualPair, aa1_alpha
 from slabsm.driver import IterationConfig, run_problem
+from slabsm.fields import Mesh
+from slabsm.losm import LowOrderSystem, _lo_rhs, _split_solution
 from slabsm.problem import make_problem
+from slabsm.sweep import ClosureData
 
 
 def _aa1_affine_step(a, b, x0, x1):
@@ -101,27 +104,25 @@ def test_aa_step_degenerate_falls_back(monkeypatch):
     assert np.array_equal(rep.state.grey_phi, plain.state.grey_phi)
 
 
-def test_flatten_roundtrip():
-    rng = np.random.RandomState(1)
-    phi = rng.randn(3, 5, 2)
-    J = rng.randn(3, 5, 2)
-    u = flatten_state(phi, J).reshape(3, 5, 2, 2)
-    assert np.array_equal(u[..., 0], phi)
-    assert np.array_equal(u[..., 1], J)
+def test_equation_residual_is_the_stacked_split_residual():
+    # equation_residual returns b - A x in the (group, cell, coefficient,
+    # field) order AA(1) mixes: bitwise the split (phi, J) residuals
+    # stacked with phi before J
+    rng = np.random.RandomState(8)
+    dx = rng.rand(7) + 0.05
+    mesh = Mesh(dx)
+    spec = make_problem(3, [1.0, 1.5, 2.0],
+                        [[0.3, 0.1, 0.0], [0.4, 0.6, 0.3], [0.1, 0.5, 1.2]],
+                        [1.0, 0.5, 0.2], width=dx.sum(), n_cells=7, n_half=2)
+    system = LowOrderSystem(spec, mesh)
+    closures = ClosureData(dJ=rng.randn(3, 8), dphi=rng.randn(3, 8),
+                           Phat=rng.randn(3, 8), P=rng.randn(3, 7, 2))
+    phi, J, zeta = rng.rand(3, 7, 2), rng.randn(3, 7, 2), rng.rand(7, 2)
+    r = system.equation_residual(phi, J, zeta, closures)
 
-
-def test_flatten_lengths():
-    assert flatten_state(np.zeros((1, 1, 2)), np.zeros((1, 1, 2))).size == 4
-    assert flatten_state(np.zeros((10, 128, 2)),
-                         np.zeros((10, 128, 2))).size == 5120
-
-
-def test_flatten_order_is_group_cell_coeff_field():
-    phi = np.zeros((1, 2, 2))
-    J = np.zeros((1, 2, 2))
-    phi[0, 0] = [1, 2]   # cell 0: avg 1, slope 2
-    J[0, 0] = [3, 4]
-    phi[0, 1] = [5, 6]
-    J[0, 1] = [7, 8]
-    vec = flatten_state(phi, J)
-    assert list(vec) == [1, 3, 2, 4, 5, 7, 6, 8]
+    b = _lo_rhs(mesh, system.group_source(phi, zeta), closures)
+    x = np.concatenate([phi, J], axis=-1).reshape(-1)
+    r_phi, r_J = _split_solution(b - (system._A @ x).reshape(b.shape))
+    expected = np.stack([r_phi, r_J], -1).ravel()
+    assert np.array_equal(r, expected)
+    assert np.array_equal(np.signbit(r), np.signbit(expected))

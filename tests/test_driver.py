@@ -248,13 +248,16 @@ def test_invalid_config_values():
 @pytest.mark.parametrize("field, value", [
     ("epsilon", float("inf")), ("epsilon", float("nan")), ("k_max", 1.5),
     ("s_max", 2.5), ("max_outer", 2.5), ("k_max", True),
-    ("max_outer", True), ("s_max", "2"),
+    ("max_outer", True), ("s_max", "2"), ("epsilon", True),
+    ("epsilon", "1e-9"), ("epsilon", None),
 ])
 def test_config_rejects_non_finite_epsilon_and_fractional_counts(field,
                                                                  value):
     # epsilon=inf stopped after one outer as converged and NaN ran every
     # outer; fractional counts failed later inside range(), True ran as 1
-    with pytest.raises(ValueError):
+    # (as a count and as epsilon), a string or None epsilon raised
+    # TypeError
+    with pytest.raises(ValueError, match=field):
         IterationConfig(**{field: value})
 
 

@@ -18,12 +18,18 @@ def test_mesh_invalid():
             Mesh.uniform(width, 4)
 
 
-@pytest.mark.parametrize("n_cells, dx", [(3, np.ones(5)), (3, np.ones(2)),
-                                         (0, np.ones(0)),
-                                         (2, np.ones((2, 1)))])
-def test_mesh_dx_must_hold_one_width_per_cell(n_cells, dx):
-    with pytest.raises(ValueError, match="dx of shape"):
-        Mesh(4.0, n_cells, dx)
+@pytest.mark.parametrize("dx", [np.ones(0), np.ones((2, 1)), np.ones((1, 3)),
+                                np.float64(1.0)])
+def test_mesh_dx_must_be_non_empty_1d(dx):
+    with pytest.raises(ValueError, match="non-empty 1-D dx"):
+        Mesh(dx)
+
+
+def test_mesh_is_its_cell_widths():
+    dx = [0.5, 0.25, 1.0]
+    mesh = Mesh(dx)
+    assert mesh.n_cells == 3
+    assert mesh.dx.dtype == float and np.array_equal(mesh.dx, dx)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
@@ -31,7 +37,7 @@ def test_mesh_cell_widths_must_be_finite_and_positive(bad):
     # such a cell would sweep to finite numbers with no error
     dx = np.array([1.0, bad, 1.0])
     with pytest.raises(ValueError, match="finite and > 0"):
-        Mesh(4.0, 3, dx)
+        Mesh(dx)
 
 
 def test_node_coefficient_roundtrip():

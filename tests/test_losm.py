@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from slabsm.accel import flatten_state
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh, const_field, to_nodes
 from slabsm.losm import (GreyCoefficients, LowOrderSystem, _stencil_blocks,
@@ -13,19 +12,25 @@ from slabsm.sweep import (ClosureData, build_ho_rhs, closure_from_sweep,
 
 
 def _pass_residual(system, phi, J, zeta, closures):
-    """Fixed-point residual A(x) - x of one group pass, flattened."""
+    """Fixed-point residual A(x) - x of one group pass, flattened in
+    (group, cell, coefficient, field) order."""
     phi_new, J_new = system.group_pass(phi, zeta, closures)
-    return flatten_state(phi_new - phi, J_new - J)
+    return np.stack([phi_new - phi, J_new - J], -1).ravel()
 
 
-def group_particle_balance(system, phi, S, closures):
+def _removal(spec):
+    """sigma_t - sigma_s,g->g, (G,)."""
+    return spec.sigma_t - np.diag(spec.sigma_s)
+
+
+def group_particle_balance(spec, mesh, phi, S, closures):
     """(leakage + removal, source), each (G,), of converged group solves
     (G, N, 2), from the telescoped zeroth-moment rows."""
-    dx = system.mesh.dx
+    dx = mesh.dx
     phi_n = to_nodes(phi)
     J_left = -0.5 * phi_n[:, 0, 0] + closures.dJ[:, 0]
     J_right = 0.5 * phi_n[:, -1, 1] + closures.dJ[:, -1]
-    removal = np.sum(system.removal[:, None] * phi[..., 0] * dx, axis=-1)
+    removal = np.sum(_removal(spec)[:, None] * phi[..., 0] * dx, axis=-1)
     source = np.sum(S[..., 0] * dx, axis=-1)
     return J_right - J_left + removal, source
 
@@ -208,7 +213,7 @@ def test_losm_solution_is_exact_balance():
     phi_lag = np.zeros((1, spec.n_cells, 2))
     phi, _ = system.group_pass(phi_lag, zeta, clo)
     S = system.group_source(phi_lag, zeta)
-    lhs, src = group_particle_balance(system, phi, S, clo)
+    lhs, src = group_particle_balance(spec, mesh, phi, S, clo)
     assert np.all(np.abs(lhs - src) / np.abs(src) < 1e-10)
 
 
@@ -328,9 +333,9 @@ def _random_closure(rng, n, *groups):
 def test_solves_satisfy_cell_equations_nonuniform_mesh(dx):
     dx = np.array(dx)
     n = dx.size
-    mesh = Mesh(float(dx.sum()), n, dx)
+    mesh = Mesh(dx)
     spec = make_problem(2, [1.0, 2.5], [[0.3, 0.2], [0.4, 1.1]], [1.0, 0.5],
-                        width=mesh.width, n_cells=n, n_half=2)
+                        width=dx.sum(), n_cells=n, n_half=2)
     system = LowOrderSystem(spec, mesh)
     rng = np.random.RandomState(n)
     zero = np.zeros((n, 2))
@@ -344,7 +349,7 @@ def test_solves_satisfy_cell_equations_nonuniform_mesh(dx):
         clo = _group_closure(closures, g)
         resid, scale = _cell_equations(
             dx, phi[g], J[g], clo, S[g], clo.P,
-            const_field(system.removal[g], n),
+            const_field(_removal(spec)[g], n),
             const_field(spec.sigma_t[g], n), zero)
         assert np.abs(resid).max() <= 1e-12 * scale
 
@@ -383,7 +388,7 @@ def test_losm_residual_zero_at_fixed_point():
     for _ in range(900):
         phi, J = system.group_pass(phi, zeta, closures)
     r = _pass_residual(system, phi, J, zeta, closures)
-    scale = np.abs(flatten_state(phi, J)).max()
+    scale = np.abs(np.stack([phi, J], -1).ravel()).max()
     assert np.abs(r).max() / scale < 1e-12
 
 
@@ -408,7 +413,8 @@ def test_losm_residual_operator_identity():
     phi1, J1 = system.group_pass(phi0, zeta, closures)
     phi2, J2 = system.group_pass(phi1, zeta, closures)
     r = _pass_residual(system, phi1, J1, zeta, closures)
-    assert np.allclose(r, flatten_state(phi2 - phi1, J2 - J1), atol=1e-13)
+    assert np.allclose(r, np.stack([phi2 - phi1, J2 - J1], -1).ravel(),
+                       atol=1e-13)
 
 
 def test_sum_closures_is_linear():
@@ -477,13 +483,13 @@ def test_group_axis_matches_per_group_slices(G, dx, n_half):
     # pass equals G single-group passes.
     dx = np.array(dx)
     n = dx.size
-    mesh = Mesh(float(dx.sum()), n, dx)
+    mesh = Mesh(dx)
     quad = build_double_gauss(n_half)
     rng = np.random.RandomState(10 * G + n)
     sigma_t = rng.rand(G) + 0.5
     sigma_s = np.diag(0.8 * sigma_t * rng.rand(G))
     Q = rng.rand(G)
-    spec = make_problem(G, sigma_t, sigma_s, Q, width=mesh.width, n_cells=n,
+    spec = make_problem(G, sigma_t, sigma_s, Q, width=dx.sum(), n_cells=n,
                         n_half=n_half)
     grey = rng.rand(n, 2)
     sbar = rng.rand(G, n, 2)
@@ -494,7 +500,7 @@ def test_group_axis_matches_per_group_slices(G, dx, n_half):
     zeta = rng.rand(n, 2) + 0.5
     system = LowOrderSystem(spec, mesh)
     phi, J = system.group_pass(mom.phi, zeta, closures)
-    r_phi, r_J = system.equation_residual(phi, J, zeta, closures)
+    r = system.equation_residual(phi, J, zeta, closures).reshape(G, -1)
 
     for g in range(G):
         one = slice(g, g + 1)
@@ -508,15 +514,14 @@ def test_group_axis_matches_per_group_slices(G, dx, n_half):
             assert np.array_equal(getattr(closures, field)[g],
                                   getattr(alone, field))
         spec_g = make_problem(1, sigma_t[one], sigma_s[one, one], Q[one],
-                              width=mesh.width, n_cells=n, n_half=n_half)
+                              width=dx.sum(), n_cells=n, n_half=n_half)
         system_g = LowOrderSystem(spec_g, mesh)
         clo_g = _group_closure(closures, one)
         phi_g, J_g = system_g.group_pass(mom.phi[one], zeta, clo_g)
         assert np.array_equal(phi[one], phi_g)
         assert np.array_equal(J[one], J_g)
         r_g = system_g.equation_residual(phi[one], J[one], zeta, clo_g)
-        assert np.array_equal(r_phi[one], r_g[0])
-        assert np.array_equal(r_J[one], r_g[1])
+        assert np.array_equal(r[g], r_g)
 
 
 def test_group_operators_factored_once_per_problem():

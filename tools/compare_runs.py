@@ -12,9 +12,10 @@ one-cell problem with n_half = 1 (both edges of the mesh are vacuum
 boundaries) and a three-group problem with 7 cells and n_half = 3.  Each
 run is compared by ==: N_t, M_lo, status, rho_num, rho_irregular, the
 residual history, lo_solve_counts, aa_fallbacks and aa_alpha_peak.  The
-whole final TransportState is compared by np.array_equal: psi, phi_ho,
-J_ho, P, phi, J, grey_phi, grey_J and zeta, and every field of closures,
-grey_closure and grey_coeffs.  A state field that is None, as the
+whole final TransportState is compared by np.array_equal, and by
+np.array_equal of np.signbit, since array_equal takes -0.0 for +0.0: psi,
+phi_ho, J_ho, P, phi, J, grey_phi, grey_J and zeta, and every field of
+closures, grey_closure and grey_coeffs.  A state field that is None, as the
 multilevel fields of source iteration are, must be None on both sides.
 Then this checkout's runs repeat in reverse order, and each must equal its
 first run: the per-problem caches (the low-order operators of
@@ -106,8 +107,9 @@ def differences(a: dict, b: dict) -> list[str]:
     out = [name for name in SCALARS if a[name] != b[name]]
     for name in sorted((a.keys() | b.keys()) - set(SCALARS)):
         x, y = a.get(name), b.get(name)
-        if (x is None) != (y is None) or (
-                x is not None and not np.array_equal(x, y)):
+        if (x is None) != (y is None) or x is not None and not (
+                np.array_equal(x, y)
+                and np.array_equal(np.signbit(x), np.signbit(y))):
             out.append(name)
     return out
 
