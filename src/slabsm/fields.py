@@ -49,16 +49,21 @@ class Mesh:
 
 def to_nodes(coeffs: np.ndarray) -> np.ndarray:
     """(avg, slope) -> (left value, right value), any leading shape."""
-    a = coeffs[..., 0]
-    s = coeffs[..., 1]
-    return np.stack([a - s, a + s], axis=-1)
+    a, s = coeffs[..., 0], coeffs[..., 1]
+    out = np.empty(coeffs.shape)
+    np.subtract(a, s, out=out[..., 0])
+    np.add(a, s, out=out[..., 1])
+    return out
 
 
 def from_nodes(nodes: np.ndarray) -> np.ndarray:
-    """(left value, right value) -> (avg, slope)."""
-    left = nodes[..., 0]
-    right = nodes[..., 1]
-    return np.stack([0.5 * (left + right), 0.5 * (right - left)], axis=-1)
+    """(left value, right value) -> (avg, slope), any leading shape."""
+    left, right = nodes[..., 0], nodes[..., 1]
+    out = np.empty(nodes.shape)
+    avg, slope = out[..., 0], out[..., 1]
+    np.multiply(0.5, np.add(left, right, out=avg), out=avg)
+    np.multiply(0.5, np.subtract(right, left, out=slope), out=slope)
+    return out
 
 
 def nodal_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -26,8 +26,10 @@ phi_s, J_a, J_s) couple only to its two neighbours: the operator is block
 tridiagonal with 4x4 blocks: the derivative stencil of the closures' edge
 table `sweep.edge_weights` plus cell-diagonal mass blocks.  Group data
 carry a leading group axis, so one call builds every group's right side;
-the group and grey matrices share one assembly path, and the group
-matrices and their LU factors are built once per problem.
+the closure terms of the right sides are built once per outer.  The group
+and grey matrices share one assembly path; the group matrices and their LU
+factors are built once per problem, and the grey matrix is refactored
+every solve in their fixed column order.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ DENOM_EPS = 1e-30
 # ---------------------------------------------------------------------------
 
 def _ratio(num_n: np.ndarray, den_n: np.ndarray, fallback) -> np.ndarray:
-    """num_n / den_n at the nodes where |den_n| >= DENOM_EPS, shaped as
-    num_n, and `fallback` (broadcast to that shape) at the others."""
+    """num_n / den_n shaped as num_n, and `fallback` (broadcast) where
+    |den_n| < DENOM_EPS; a NaN den_n gives NaN, which stops the run."""
     out = np.full(num_n.shape, fallback, dtype=float)
-    np.divide(num_n, den_n, out=out, where=np.abs(den_n) >= DENOM_EPS)
+    np.divide(num_n, den_n, out=out, where=~(np.abs(den_n) < DENOM_EPS))
     return out
 
 
@@ -189,20 +191,30 @@ def _mass_blocks(removal: np.ndarray, sigma_t: np.ndarray,
     return m
 
 
-def _lo_rhs(mesh: Mesh, S: np.ndarray, closure: ClosureData) -> np.ndarray:
-    """Right sides (..., 4N) holding the sources S (..., N, 2) and every
-    frozen closure term, with the closure's leading axes."""
+def _closure_terms(mesh: Mesh, closure: ClosureData) -> np.ndarray:
+    """Every frozen closure term of the right sides, (..., N, 4) per cell
+    row with the closure's leading axes: rows 2-3 complete, rows 0-1 the
+    terms that _lo_rhs subtracts from the sources."""
     dx = mesh.dx
     dJ, dphi, Phat = closure.dJ, closure.dphi, closure.Phat
-    b = np.empty(S.shape[:-2] + (4 * mesh.n_cells,))
-    b[..., 0::4] = S[..., 0] - (dJ[..., 1:] - dJ[..., :-1]) / dx
-    b[..., 1::4] = S[..., 1] - 3.0 * (dJ[..., 1:] + dJ[..., :-1]) / dx
-    b[..., 2::4] = ((Phat[..., 1:] - Phat[..., :-1])
-                    - (dphi[..., 1:] - dphi[..., :-1]) / 3.0) / dx
-    b[..., 3::4] = (3.0 * (Phat[..., 1:] + Phat[..., :-1])
-                    - 6.0 * closure.P[..., 0]
-                    - (dphi[..., 1:] + dphi[..., :-1])) / dx
-    return b
+    c = np.empty(dJ.shape[:-1] + (mesh.n_cells, 4))
+    c[..., 0] = (dJ[..., 1:] - dJ[..., :-1]) / dx
+    c[..., 1] = 3.0 * (dJ[..., 1:] + dJ[..., :-1]) / dx
+    c[..., 2] = ((Phat[..., 1:] - Phat[..., :-1])
+                 - (dphi[..., 1:] - dphi[..., :-1]) / 3.0) / dx
+    c[..., 3] = (3.0 * (Phat[..., 1:] + Phat[..., :-1])
+                 - 6.0 * closure.P[..., 0]
+                 - (dphi[..., 1:] + dphi[..., :-1])) / dx
+    return c
+
+
+def _lo_rhs(S: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Right sides (..., 4N) of the sources S (..., N, 2), with S's leading
+    axes, and the closure terms (_closure_terms): S - c in rows 0-1."""
+    b = np.empty(S.shape[:-1] + (4,))
+    b[..., 2:] = terms[..., 2:]
+    np.subtract(S, terms[..., :2], out=b[..., :2])
+    return b.reshape(S.shape[:-2] + (-1,))
 
 
 def _split_solution(u: np.ndarray):
@@ -212,10 +224,10 @@ def _split_solution(u: np.ndarray):
     return x[..., 0:2].copy(), x[..., 2:4].copy()
 
 
-def _factor(A, what: str):
+def _factor(A, what: str, **options):
     """splu factor of A; `what` names the system if A is singular."""
     try:
-        return splu(A)
+        return splu(A, **options)
     except RuntimeError as err:
         raise RuntimeError(f"singular {what}: {err}") from err
 
@@ -225,14 +237,19 @@ def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
     """Low-order operators of one problem, from the float64 bytes of its
     cell widths, sigma_t and removal sigma_t - sigma_s,g->g.
 
-    Returns (assemble, A, lus): assemble(mass) adds the cell mass blocks
-    (N, 4, 4), or one (4, 4) block for all cells, to the derivative
-    stencil and gathers them into a CSC matrix on the stencil's support;
-    A holds the G group matrices, built through it, as one block-diagonal
-    CSR matrix; lus one LU factor per group.  Cached and read-only: every
-    run builds a new LowOrderSystem of the same problem, and refactoring
-    its group matrices each time cost about a sixth of the test1 table
-    cells' solve time and scattered SuperLU workspaces over the heap.
+    Returns (grey_matrix, perm_c, A, lus).  A matrix adds cell mass blocks
+    (N, 4, 4), or one (4, 4) block for all cells, to the derivative stencil
+    on the stencil's support.  A holds the G group matrices as one
+    block-diagonal CSR matrix and lus their COLAMD-ordered LU factors,
+    whose column order perm_c fits every matrix of that support:
+    grey_matrix(mass) gathers the blocks straight into the CSC columns of
+    A_grey[:, argsort(perm_c)], which is factored in that fixed order, and
+    y[perm_c] of its solution y solves A_grey x = b, bit for bit as a
+    COLAMD factor of A_grey does (the tests pin this).  Cached and
+    read-only: every run builds a new LowOrderSystem of the same problem,
+    and refactoring its group matrices each time cost about a sixth of the
+    test1 table cells' solve time and scattered SuperLU workspaces over
+    the heap.
     """
     dx = np.frombuffer(dx_bytes)
     sigma_t = np.frombuffer(sigma_t_bytes)
@@ -240,14 +257,18 @@ def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
     stencil, support = _stencil_blocks(dx)
     i, k, a, b = np.nonzero(support)
     rows, cols = 4 * i + a, 4 * (i + k - 1) + b
-    order = np.lexsort((rows, cols))
     n = 4 * dx.size
-    # B.reshape(-1)[take] is the CSC data, on indices/indptr, of blocks B
-    take = np.flatnonzero(support)[order]
-    indices = rows[order].astype(np.int32)
-    indptr = np.searchsorted(cols[order], np.arange(n + 1)).astype(np.int32)
 
-    def assemble(mass):
+    def layout(cols):
+        """(take, indices, indptr) with the stencil entries in columns
+        `cols`: blocks.reshape(-1)[take] is the CSC data of blocks."""
+        order = np.lexsort((rows, cols))
+        indptr = np.searchsorted(cols[order], np.arange(n + 1))
+        return (np.flatnonzero(support)[order], rows[order].astype(np.int32),
+                indptr.astype(np.int32))
+
+    def assemble(mass, layout):
+        take, indices, indptr = layout
         blocks = stencil.copy()
         blocks[:, 1] += mass
         return csc_matrix((blocks.reshape(-1)[take], indices, indptr),
@@ -257,14 +278,17 @@ def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
     zero = np.zeros(G)
     mass = _mass_blocks(np.stack([removal, zero], axis=-1),
                         np.stack([sigma_t, zero], axis=-1), np.zeros((G, 2)))
-    groups = [assemble(m) for m in mass]
+    natural = layout(cols)
+    groups = [assemble(m, natural) for m in mass]
     lus = tuple(_factor(A, f"low-order system for group {g + 1}")
                 for g, A in enumerate(groups))
     A = block_diag(groups, format="csr")
-    for shared in (stencil, take, indices, indptr, A.data, A.indices,
-                   A.indptr):
+    # column c of a group matrix is column perm_c[c] of its factored form
+    perm_c = lus[0].perm_c
+    grey = layout(perm_c[cols])
+    for shared in (stencil, perm_c, A.data, A.indices, A.indptr, *grey):
         shared.setflags(write=False)
-    return assemble, A, lus
+    return functools.partial(assemble, layout=grey), perm_c, A, lus
 
 
 class LowOrderSystem:
@@ -274,10 +298,14 @@ class LowOrderSystem:
     mesh's derivative stencil; they and their LU factors are built once
     per problem and shared by every system of that problem.  The grey
     matrix adds the sbar_a / sbar_t / eta mass blocks of each solve's
-    coefficients to the same stencil and is refactorized every solve.
-    Counters, per system, record executed solves for the cost accounting:
-    one parallel group pass counts as one low-order solve, as does one
-    grey solve.
+    coefficients to the same stencil and is refactorized every solve, in
+    the fixed column order of _operators.  The closure terms of the right
+    sides are built once per outer: the terms of the last two ClosureData
+    objects are held, by identity.  A group_pass reuses the right side of
+    an equation_residual on the same (phi_groups, zeta, closures) objects,
+    as the first AA(1) pass of a cycle asks for both.  Counters, per
+    system, record executed solves for the cost accounting: one parallel
+    group pass counts as one low-order solve, as does one grey solve.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):
@@ -293,9 +321,11 @@ class LowOrderSystem:
         N = mesh.n_cells
         self.Q_fields = np.zeros((spec.G, N, 2))
         self.Q_fields[:, :, 0] = spec.Q[:, None]
-        self._assemble, self._A, self._lu = _operators(
+        self._grey_matrix, self._perm_c, self._A, self._lu = _operators(
             *(np.asarray(a, dtype=float).tobytes()
               for a in (mesh.dx, spec.sigma_t, removal)))
+        self._held_terms = []       # [(closure, _closure_terms)], newest first
+        self._residual_rhs = (None,) * 4    # phi_groups, zeta, closures, b
         self.n_group_passes = 0
         self.n_grey_solves = 0
 
@@ -308,12 +338,27 @@ class LowOrderSystem:
         coupling = np.einsum("gh,hnc->gnc", self.coupling, phi_groups)
         return nodal_product(coupling, zeta) + self.Q_fields
 
+    def _terms(self, closure: ClosureData) -> np.ndarray:
+        """_closure_terms of `closure`, kept for it and one other."""
+        for held, terms in self._held_terms:
+            if held is closure:
+                return terms
+        terms = _closure_terms(self.mesh, closure)
+        self._held_terms = [(closure, terms)] + self._held_terms[:1]
+        return terms
+
     def group_pass(self, phi_groups, zeta, closures):
         """One Jacobi pass of the decoupled group solvers against the
         coupling lagged at the input state (counts as one solve: the
         groups are independent and could run in parallel)."""
-        b = _lo_rhs(self.mesh, self.group_source(phi_groups, zeta), closures)
-        u = np.stack([lu.solve(b_g) for lu, b_g in zip(self._lu, b)])
+        held, self._residual_rhs = self._residual_rhs, (None,) * 4
+        b = held[3]
+        if not all(x is y for x, y in zip(held, (phi_groups, zeta, closures))):
+            b = _lo_rhs(self.group_source(phi_groups, zeta),
+                        self._terms(closures))
+        u = np.empty_like(b)
+        for g, lu in enumerate(self._lu):
+            u[g] = lu.solve(b[g])
         self.n_group_passes += 1
         return _split_solution(u)
 
@@ -322,7 +367,9 @@ class LowOrderSystem:
         given state, the vector AA(1) mixes: flat, in (group, cell,
         coefficient, field) order with phi before J (matrix applications
         only; no solves are consumed)."""
-        b = _lo_rhs(self.mesh, self.group_source(phi_groups, zeta), closures)
+        b = _lo_rhs(self.group_source(phi_groups, zeta),
+                    self._terms(closures))
+        self._residual_rhs = (phi_groups, zeta, closures, b)
         x = np.concatenate([phi_groups, J_groups], axis=-1).reshape(-1)
         r = b.reshape(-1) - self._A @ x
         # per cell (phi_a, phi_s, J_a, J_s) -> (phi_a, J_a, phi_s, J_s)
@@ -332,9 +379,15 @@ class LowOrderSystem:
 
     def solve_grey(self, coeffs: GreyCoefficients, closure: ClosureData):
         mass = _mass_blocks(coeffs.sbar_a, coeffs.sbar_t, coeffs.eta)
-        A = self._assemble(mass)
-        b = _lo_rhs(self.mesh, coeffs.Q, closure)
-        u = _factor(A, "grey low-order system").solve(b)
+        b = _lo_rhs(coeffs.Q, self._terms(closure))
+        if np.isfinite(mass).all():
+            lu = _factor(self._grey_matrix(mass), "grey low-order system",
+                         permc_spec="NATURAL")
+            u = lu.solve(b)[self._perm_c]
+        else:
+            # SuperLU calls a matrix with NaN coefficients singular; a NaN
+            # solution stops the run as non_finite instead
+            u = np.full_like(b, np.nan)
         self.n_grey_solves = self.n_grey_solves + 1
         return _split_solution(u)
 

@@ -5,7 +5,8 @@ from slabsm import driver
 from slabsm.accel import DegenerateResidualPair, aa1_alpha
 from slabsm.driver import IterationConfig, run_problem
 from slabsm.fields import Mesh
-from slabsm.losm import LowOrderSystem, _lo_rhs, _split_solution
+from slabsm.losm import (LowOrderSystem, _closure_terms, _lo_rhs,
+                         _split_solution)
 from slabsm.problem import make_problem
 from slabsm.sweep import ClosureData
 
@@ -120,7 +121,7 @@ def test_equation_residual_is_the_stacked_split_residual():
     phi, J, zeta = rng.rand(3, 7, 2), rng.randn(3, 7, 2), rng.rand(7, 2)
     r = system.equation_residual(phi, J, zeta, closures)
 
-    b = _lo_rhs(mesh, system.group_source(phi, zeta), closures)
+    b = _lo_rhs(system.group_source(phi, zeta), _closure_terms(mesh, closures))
     x = np.concatenate([phi, J], axis=-1).reshape(-1)
     r_phi, r_J = _split_solution(b - (system._A @ x).reshape(b.shape))
     expected = np.stack([r_phi, r_J], -1).ravel()

@@ -53,3 +53,44 @@ def test_nodal_product_inverts_ratio():
     ratio = from_nodes(to_nodes(num) / to_nodes(den))
     back = nodal_product(ratio, den)
     assert np.allclose(back, num, atol=1e-13)
+
+
+def _stacked_nodes(c):
+    """to_nodes as np.stack of the two traces."""
+    return np.stack([c[..., 0] - c[..., 1], c[..., 0] + c[..., 1]], axis=-1)
+
+
+def _stacked_coeffs(n):
+    """from_nodes as np.stack of the average and the slope."""
+    left, right = n[..., 0], n[..., 1]
+    return np.stack([0.5 * (left + right), 0.5 * (right - left)], axis=-1)
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (3, 5)])
+def test_node_maps_are_the_stacked_formulas_bit_for_bit(lead):
+    # signed zeros, NaN and inf pass through as np.stack of the same
+    # arithmetic gives them; the output is a new array every time
+    rng = np.random.RandomState(len(lead))
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -2.5])
+    values = rng.randn(*lead, 2)
+    pick = rng.rand(*lead, 2) < 0.6
+    values[pick] = rng.choice(specials, size=int(pick.sum()))
+    for fn, ref in ((to_nodes, _stacked_nodes), (from_nodes, _stacked_coeffs)):
+        with np.errstate(invalid="ignore", over="ignore"):
+            out, expected = fn(values), ref(values)
+        assert out.shape == expected.shape == values.shape
+        assert out.dtype == np.float64
+        assert np.array_equal(out, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+        assert not np.shares_memory(out, values)
+    # every sign pair of zeros, one by one
+    zeros = np.array([[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])
+    for fn, ref in ((to_nodes, _stacked_nodes), (from_nodes, _stacked_coeffs)):
+        assert np.array_equal(np.signbit(fn(zeros)), np.signbit(ref(zeros)))
+
+
+def test_node_maps_read_strided_views():
+    c = np.arange(24.0).reshape(3, 4, 2)[:, ::-2]
+    assert np.array_equal(to_nodes(c), _stacked_nodes(c))
+    assert np.array_equal(from_nodes(c), _stacked_coeffs(c))
+    assert not np.shares_memory(from_nodes(c), c)

@@ -3,7 +3,12 @@ import pytest
 
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh, const_field, to_nodes
-from slabsm.losm import (GreyCoefficients, LowOrderSystem, _stencil_blocks,
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
+
+from slabsm.driver import IterationConfig, run_problem
+from slabsm.losm import (GreyCoefficients, LowOrderSystem, _closure_terms,
+                         _lo_rhs, _mass_blocks, _stencil_blocks,
                          avg_scattering_xs, compute_zeta, grey_xs,
                          sum_closures)
 from slabsm.problem import builtin_problem, make_problem
@@ -544,3 +549,180 @@ def test_group_operators_factored_once_per_problem():
     phi = np.ones((2, 8, 2))
     a.group_pass(phi, const_field(1.0, 8), _zero_closure(8, 2))
     assert (a.n_group_passes, b.n_group_passes) == (1, 0)
+
+
+# -- bitwise pins of the cached right sides and the fixed-order grey factor --
+
+def _one_shot_rhs(mesh, S, closure):
+    """Right sides (..., 4N) of the sources S and the closure, in one
+    formula per row."""
+    dx = mesh.dx
+    dJ, dphi, Phat = closure.dJ, closure.dphi, closure.Phat
+    b = np.empty(S.shape[:-2] + (4 * mesh.n_cells,))
+    b[..., 0::4] = S[..., 0] - (dJ[..., 1:] - dJ[..., :-1]) / dx
+    b[..., 1::4] = S[..., 1] - 3.0 * (dJ[..., 1:] + dJ[..., :-1]) / dx
+    b[..., 2::4] = ((Phat[..., 1:] - Phat[..., :-1])
+                    - (dphi[..., 1:] - dphi[..., :-1]) / 3.0) / dx
+    b[..., 3::4] = (3.0 * (Phat[..., 1:] + Phat[..., :-1])
+                    - 6.0 * closure.P[..., 0]
+                    - (dphi[..., 1:] + dphi[..., :-1])) / dx
+    return b
+
+
+def _same_bits(a, b):
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _signed_zeros(rng, a):
+    """a with about a third of its entries set to +0.0 or -0.0."""
+    a = a.copy()
+    pick = rng.rand(*a.shape) < 0.35
+    a[pick] = rng.choice([0.0, -0.0], size=int(pick.sum()))
+    return a
+
+
+@pytest.mark.parametrize("groups", [(), (3,)])
+def test_rhs_from_held_closure_terms_is_the_one_shot_formula(groups):
+    rng = np.random.RandomState(7)
+    dx = np.array([0.1, 0.3, 0.05, 0.4, 0.2, 0.25, 0.4])
+    mesh, n = Mesh(dx), dx.size
+    clo = _random_closure(rng, n, *groups)
+    clo = ClosureData(*(_signed_zeros(rng, f) for f in vars(clo).values()))
+    S = _signed_zeros(rng, rng.randn(*groups, n, 2))
+    S[..., 0, :] = -0.0         # -0.0 - 0.0 keeps its sign
+    terms = _closure_terms(mesh, clo)
+    for _ in range(2):          # the held terms serve every later call
+        b = _lo_rhs(S, terms)
+        assert _same_bits(b, _one_shot_rhs(mesh, S, clo))
+    # group sources against the grey closure, as broadcasting gave them
+    if groups:
+        grey = _random_closure(rng, n)
+        assert _same_bits(_lo_rhs(S, _closure_terms(mesh, grey)),
+                          _one_shot_rhs(mesh, S, grey))
+
+
+def test_held_right_sides_follow_the_closure_object():
+    # closures A and then a new ClosureData B of other values: every
+    # result on B equals that of a fresh system given B
+    dx = np.array([0.2, 0.45, 0.3, 0.1])
+    mesh, n = Mesh(dx), dx.size
+    spec = make_problem(2, [1.0, 2.5], [[0.3, 0.2], [0.4, 1.1]], [1.0, 0.5],
+                        width=dx.sum(), n_cells=n, n_half=2)
+    rng = np.random.RandomState(11)
+    A, B = _random_closure(rng, n, 2), _random_closure(rng, n, 2)
+    grey_A, grey_B = _random_closure(rng, n), _random_closure(rng, n)
+    phi, J = rng.rand(2, n, 2) + 0.5, rng.randn(2, n, 2)
+    zeta = rng.rand(n, 2) + 0.5
+    coeffs = GreyCoefficients(sbar_a=rng.rand(n, 2) * 0.1 + 0.5,
+                              sbar_t=rng.rand(n, 2) * 0.1 + 1.5,
+                              eta=rng.randn(n, 2) * 0.1,
+                              Q=const_field(1.5, n))
+
+    def fresh():
+        return LowOrderSystem(spec, mesh)
+
+    expected_pass = fresh().group_pass(phi, zeta, B)
+    expected_res = fresh().equation_residual(phi, J, zeta, B)
+    expected_grey = fresh().solve_grey(coeffs, grey_B)
+    system = fresh()
+    system.group_pass(phi, zeta, A)
+    system.solve_grey(coeffs, grey_A)
+    for got, want in zip(system.group_pass(phi, zeta, B), expected_pass):
+        assert _same_bits(got, want)
+    for got, want in zip(system.solve_grey(coeffs, grey_B), expected_grey):
+        assert _same_bits(got, want)
+    # a residual's right side is not handed to a pass on other closures,
+    # nor on another flux array of the same values
+    system.equation_residual(phi, J, zeta, A)
+    for got, want in zip(system.group_pass(phi, zeta, B), expected_pass):
+        assert _same_bits(got, want)
+    system.equation_residual(phi, J, zeta, B)
+    for got, want in zip(system.group_pass(phi + 1.0, zeta, B),
+                         fresh().group_pass(phi + 1.0, zeta, B)):
+        assert _same_bits(got, want)
+    assert _same_bits(system.equation_residual(phi, J, zeta, B),
+                      expected_res)
+    # the residual's right side is taken over by the pass on its inputs
+    for got, want in zip(system.group_pass(phi, zeta, B), expected_pass):
+        assert _same_bits(got, want)
+
+
+def _colamd_grey_solve(mesh, coeffs, closure):
+    """(phi, J) of the grey system assembled on the stencil support, with
+    its explicit zeros, and solved by splu's default COLAMD factor."""
+    blocks, support = _stencil_blocks(mesh.dx)
+    blocks[:, 1] += _mass_blocks(coeffs.sbar_a, coeffs.sbar_t, coeffs.eta)
+    i, k, a, b = np.nonzero(support)
+    n = 4 * mesh.n_cells
+    A = csc_matrix((blocks[support], (4 * i + a, 4 * (i + k - 1) + b)),
+                   shape=(n, n))
+    assert A.nnz == support.sum()
+    x = splu(A).solve(_one_shot_rhs(mesh, coeffs.Q, closure))
+    x = x.reshape(-1, 4)
+    return x[:, 0:2], x[:, 2:4]
+
+
+SMALL_PROBLEMS = {
+    "one-cell": dict(G=2, sigma_t=[1.0, 1.5],
+                     sigma_s=[[0.4, 0.2], [0.3, 0.9]], Q=[1.0, 0.5],
+                     width=2.0, n_cells=1, n_half=1),
+    "seven-cell": dict(G=3, sigma_t=[1.0, 1.5, 2.0],
+                       sigma_s=[[0.3, 0.1, 0.0], [0.4, 0.6, 0.3],
+                                [0.1, 0.5, 1.2]],
+                       Q=[1.0, 0.5, 0.2], width=5.0, n_cells=7, n_half=3),
+}
+
+
+@pytest.mark.parametrize("problem, k, s", [
+    ("test1", 1, 1), ("test2", 1, 1), ("one-cell", 2, 2),
+    ("seven-cell", 2, 2)])
+def test_fixed_order_grey_solve_is_the_colamd_solve(monkeypatch, problem, k,
+                                                    s):
+    # every grey solve of a 3-outer mlsm run, bit for bit and sign for sign
+    if problem in SMALL_PROBLEMS:
+        spec = make_problem(name=problem, **SMALL_PROBLEMS[problem])
+    else:
+        spec = builtin_problem(problem)
+    seen = []
+    real = LowOrderSystem.solve_grey
+
+    def record(self, coeffs, closure):
+        seen.append((coeffs, closure))
+        return real(self, coeffs, closure)
+
+    monkeypatch.setattr(LowOrderSystem, "solve_grey", record)
+    run_problem(spec, IterationConfig(method="mlsm", k_max=k, s_max=s,
+                                      max_outer=3))
+    monkeypatch.undo()
+    assert len(seen) == 4 * k
+    mesh = Mesh.uniform(spec.width, spec.n_cells)
+    system = LowOrderSystem(spec, mesh)
+    for coeffs, closure in seen:
+        got = system.solve_grey(coeffs, closure)
+        for a, b in zip(got, _colamd_grey_solve(mesh, coeffs, closure)):
+            assert _same_bits(a, b)
+
+
+def test_nan_denominators_give_nan_not_fallbacks():
+    # a NaN flux sum divides through instead of taking the safeguard
+    # value, so a broken state cannot iterate on finite fallbacks
+    spec = make_problem(2, [1.0, 2.0], [[0.3, 0.1], [0.2, 0.5]], [1.0, 0.0],
+                        width=3.0, n_cells=3, n_half=2)
+    phi = np.ones((2, 3, 2))
+    phi[:, :, 1] = 0.25
+    phi[0, 1, 0] = np.nan
+    J = np.full((2, 3, 2), 0.1)
+    grey_phi = const_field(2.0, 3)
+    coeffs = grey_xs(phi, J, spec)
+    fields = {"zeta": compute_zeta(grey_phi, phi),
+              "sbar_s": avg_scattering_xs(phi, spec.sigma_s),
+              "sbar_a": coeffs.sbar_a, "sbar_t": coeffs.sbar_t,
+              "eta": coeffs.eta}
+    for name, f in fields.items():
+        assert np.isnan(f[..., 1, :]).all(), name
+        assert np.isfinite(np.delete(f, 1, axis=-2)).all(), name
+    # a denominator below DENOM_EPS still takes the fallback
+    tiny = np.full((2, 3, 2), 1e-40)
+    tiny[..., 1] = 0.0
+    assert np.array_equal(compute_zeta(grey_phi, tiny), const_field(1.0, 3))

@@ -19,8 +19,9 @@ closures, grey_closure and grey_coeffs.  A state field that is None, as the
 multilevel fields of source iteration are, must be None on both sides.
 Then this checkout's runs repeat in reverse order, and each must equal its
 first run: the per-problem caches (the low-order operators of
-losm._operators and the march coefficients of sweep._march_coefficients)
-must not make a run depend on what ran before it.  Exits 1 at the first
+losm._operators, with the grey matrix's fixed column order, and the march
+coefficients of sweep._march_coefficients) must not make a run depend on
+what ran before it.  Exits 1 at the first
 difference and 0 when every run is identical.  One process and one BLAS
 thread, as in the benchmark.
 """
