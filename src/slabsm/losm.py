@@ -27,9 +27,9 @@ tridiagonal with 4x4 blocks: the derivative stencil of the closures' edge
 table `sweep.edge_weights` plus cell-diagonal mass blocks.  Group data
 carry a leading group axis, so one call builds every group's right side;
 the closure terms of the right sides are built once per outer.  The group
-and grey matrices share one assembly path; the group matrices and their LU
-factors are built once per problem, and the grey matrix is refactored
-every solve in their fixed column order.
+and grey matrices add mass blocks to one stencil; the group matrices and
+their sparse LU factors are built once per problem, and every grey solve
+is one LAPACK band LU solve (dgbsv) of the grey matrix in band storage.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgbsv
 from scipy.sparse import block_diag, csc_matrix
 from scipy.sparse.linalg import splu
 
@@ -224,10 +225,10 @@ def _split_solution(u: np.ndarray):
     return x[..., 0:2].copy(), x[..., 2:4].copy()
 
 
-def _factor(A, what: str, **options):
+def _factor(A, what: str):
     """splu factor of A; `what` names the system if A is singular."""
     try:
-        return splu(A, **options)
+        return splu(A)
     except RuntimeError as err:
         raise RuntimeError(f"singular {what}: {err}") from err
 
@@ -237,15 +238,14 @@ def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
     """Low-order operators of one problem, from the float64 bytes of its
     cell widths, sigma_t and removal sigma_t - sigma_s,g->g.
 
-    Returns (grey_matrix, perm_c, A, lus).  A matrix adds cell mass blocks
-    (N, 4, 4), or one (4, 4) block for all cells, to the derivative stencil
-    on the stencil's support.  A holds the G group matrices as one
-    block-diagonal CSR matrix and lus their COLAMD-ordered LU factors,
-    whose column order perm_c fits every matrix of that support:
-    grey_matrix(mass) gathers the blocks straight into the CSC columns of
-    A_grey[:, argsort(perm_c)], which is factored in that fixed order, and
-    y[perm_c] of its solution y solves A_grey x = b, bit for bit as a
-    COLAMD factor of A_grey does (the tests pin this).  Cached and
+    Returns (grey_band, A, lus).  A matrix adds cell mass blocks (N, 4, 4),
+    or one (4, 4) block for all cells, to the derivative stencil on the
+    stencil's support.  A holds the G group matrices as one block-diagonal
+    CSR matrix and lus their COLAMD-ordered LU factors.  grey_band(mass)
+    gives (kl, ku, ab): the grey matrix in the LAPACK band storage of
+    dgbsv, A_grey[r, c] = ab[kl + ku + r - c, c], gathered through a fixed
+    index from the support, whose lower and upper bandwidths kl and ku it
+    reads (7 each, fewer for one cell).  Cached and
     read-only: every run builds a new LowOrderSystem of the same problem,
     and refactoring its group matrices each time cost about a sixth of the
     test1 table cells' solve time and scattered SuperLU workspaces over
@@ -258,37 +258,39 @@ def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
     i, k, a, b = np.nonzero(support)
     rows, cols = 4 * i + a, 4 * (i + k - 1) + b
     n = 4 * dx.size
+    take = np.flatnonzero(support)
 
-    def layout(cols):
-        """(take, indices, indptr) with the stencil entries in columns
-        `cols`: blocks.reshape(-1)[take] is the CSC data of blocks."""
-        order = np.lexsort((rows, cols))
-        indptr = np.searchsorted(cols[order], np.arange(n + 1))
-        return (np.flatnonzero(support)[order], rows[order].astype(np.int32),
-                indptr.astype(np.int32))
-
-    def assemble(mass, layout):
-        take, indices, indptr = layout
+    def add_mass(mass):
         blocks = stencil.copy()
         blocks[:, 1] += mass
-        return csc_matrix((blocks.reshape(-1)[take], indices, indptr),
-                          shape=(n, n))
+        return blocks.reshape(-1)[take]
 
+    order = np.lexsort((rows, cols))
+    indptr = np.searchsorted(cols[order], np.arange(n + 1))
     G = sigma_t.size
     zero = np.zeros(G)
     mass = _mass_blocks(np.stack([removal, zero], axis=-1),
                         np.stack([sigma_t, zero], axis=-1), np.zeros((G, 2)))
-    natural = layout(cols)
-    groups = [assemble(m, natural) for m in mass]
+    indices, indptr = rows[order].astype(np.int32), indptr.astype(np.int32)
+    groups = [csc_matrix((add_mass(m)[order], indices, indptr),
+                         shape=(n, n)) for m in mass]
     lus = tuple(_factor(A, f"low-order system for group {g + 1}")
                 for g, A in enumerate(groups))
     A = block_diag(groups, format="csr")
-    # column c of a group matrix is column perm_c[c] of its factored form
-    perm_c = lus[0].perm_c
-    grey = layout(perm_c[cols])
-    for shared in (stencil, perm_c, A.data, A.indices, A.indptr, *grey):
+
+    kl, ku = int((rows - cols).max()), int((cols - rows).max())
+    # flat positions in ab.T, which is (n, 2 kl + ku + 1) and C-ordered,
+    # so that ab itself is the Fortran-ordered array dgbsv works in
+    band = cols * (2 * kl + ku + 1) + kl + ku + rows - cols
+
+    def grey_band(mass):
+        abT = np.zeros((n, 2 * kl + ku + 1))
+        abT.reshape(-1)[band] = add_mass(mass)
+        return kl, ku, abT.T
+
+    for shared in (stencil, take, band, A.data, A.indices, A.indptr):
         shared.setflags(write=False)
-    return functools.partial(assemble, layout=grey), perm_c, A, lus
+    return grey_band, A, lus
 
 
 class LowOrderSystem:
@@ -298,14 +300,15 @@ class LowOrderSystem:
     mesh's derivative stencil; they and their LU factors are built once
     per problem and shared by every system of that problem.  The grey
     matrix adds the sbar_a / sbar_t / eta mass blocks of each solve's
-    coefficients to the same stencil and is refactorized every solve, in
-    the fixed column order of _operators.  The closure terms of the right
-    sides are built once per outer: the terms of the last two ClosureData
-    objects are held, by identity.  A group_pass reuses the right side of
-    an equation_residual on the same (phi_groups, zeta, closures) objects,
-    as the first AA(1) pass of a cycle asks for both.  Counters, per
-    system, record executed solves for the cost accounting: one parallel
-    group pass counts as one low-order solve, as does one grey solve.
+    coefficients to the same stencil; each solve gathers it into LAPACK
+    band storage and solves it by one dgbsv call, a banded LU with partial
+    pivoting.  The closure terms of the right sides are built once per
+    outer: the terms of the last two ClosureData objects are held, by
+    identity.  A group_pass reuses the right side of an equation_residual
+    on the same (phi_groups, zeta, closures) objects, as the first AA(1)
+    pass of a cycle asks for both.  Counters, per system, record executed
+    solves for the cost accounting: one parallel group pass counts as one
+    low-order solve, as does one grey solve.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):
@@ -321,7 +324,7 @@ class LowOrderSystem:
         N = mesh.n_cells
         self.Q_fields = np.zeros((spec.G, N, 2))
         self.Q_fields[:, :, 0] = spec.Q[:, None]
-        self._grey_matrix, self._perm_c, self._A, self._lu = _operators(
+        self._grey_band, self._A, self._lu = _operators(
             *(np.asarray(a, dtype=float).tobytes()
               for a in (mesh.dx, spec.sigma_t, removal)))
         self._held_terms = []       # [(closure, _closure_terms)], newest first
@@ -381,13 +384,17 @@ class LowOrderSystem:
         mass = _mass_blocks(coeffs.sbar_a, coeffs.sbar_t, coeffs.eta)
         b = _lo_rhs(coeffs.Q, self._terms(closure))
         if np.isfinite(mass).all():
-            lu = _factor(self._grey_matrix(mass), "grey low-order system",
-                         permc_spec="NATURAL")
-            u = lu.solve(b)[self._perm_c]
+            kl, ku, ab = self._grey_band(mass)
+            _, _, u, info = dgbsv(kl, ku, ab, b, overwrite_ab=1,
+                                  overwrite_b=1)
+            if info > 0:
+                raise RuntimeError("singular grey low-order system: "
+                                   f"dgbsv pivot {info} is exactly zero")
+            if info < 0:
+                raise RuntimeError(f"dgbsv rejected its argument {-info}")
         else:
-            # SuperLU calls a matrix with NaN coefficients singular; a NaN
-            # solution stops the run as non_finite instead
+            # a NaN solution stops the run as non_finite, whatever LAPACK
+            # makes of NaN coefficients
             u = np.full_like(b, np.nan)
         self.n_grey_solves = self.n_grey_solves + 1
         return _split_solution(u)
-

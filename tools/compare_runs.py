@@ -1,6 +1,6 @@
-"""Check that two slabsm source trees give identical runs.
+"""Check that two slabsm source trees give identical or near-identical runs.
 
-    python3 tools/compare_runs.py OTHER_SRC
+    python3 tools/compare_runs.py OTHER_SRC [--rtol R]
 
 OTHER_SRC is the src/ directory of another checkout, for instance of the
 parent commit.  Every cell of bench/workloads.py and source iteration on
@@ -9,25 +9,41 @@ all have 128 cells and 16 directions, so si, mlsm and mlsm-aa1 with
 k_max = s_max = 2 also run on three small problems built with
 slabsm.problem.make_problem: the README example config, a two-group
 one-cell problem with n_half = 1 (both edges of the mesh are vacuum
-boundaries) and a three-group problem with 7 cells and n_half = 3.  Each
-run is compared by ==: N_t, M_lo, status, rho_num, rho_irregular, the
-residual history, lo_solve_counts, aa_fallbacks and aa_alpha_peak.  The
-whole final TransportState is compared by np.array_equal, and by
-np.array_equal of np.signbit, since array_equal takes -0.0 for +0.0: psi,
-phi_ho, J_ho, P, phi, J, grey_phi, grey_J and zeta, and every field of
-closures, grey_closure and grey_coeffs.  A state field that is None, as the
-multilevel fields of source iteration are, must be None on both sides.
+boundaries) and a three-group problem with 7 cells and n_half = 3.
+
+Without --rtol each run is compared by ==: N_t, M_lo, status, rho_num,
+rho_irregular, the residual history, lo_solve_counts, aa_fallbacks and
+aa_alpha_peak.  The whole final TransportState is compared by
+np.array_equal, and by np.array_equal of np.signbit, since array_equal
+takes -0.0 for +0.0: psi, phi_ho, J_ho, P, phi, J, grey_phi, grey_J and
+zeta, and every field of closures, grey_closure and grey_coeffs.  A state
+field that is None, as the multilevel fields of source iteration are, must
+be None on both sides.
+
+With --rtol R, for a change that reorders floating-point operations, N_t,
+M_lo, status, rho_irregular, lo_solve_counts and aa_fallbacks stay exact,
+every state array must lie within R of its own max |value| in the OTHER
+run, and the residual history within R * max |grey_phi|.  Each run prints
+the relative change of rho_num and aa_alpha_peak, which the rounding of
+the last residuals moves by far more than R and which bench/reference.py
+bounds; the end prints the worst deviation of each field over all runs.
+Two grey coefficients are printed there but not held to R, as each is a
+ratio of rounding noise at some nodes: eta vanishes in exact arithmetic
+wherever every group current has one sign (on every run here |eta| stays
+below 1e-16), and sbar_t is the |J|-weighted mean of sigma_t, which at
+test1's symmetric centre weighs group currents of 1e-12 to 1e-17.
+
 Then this checkout's runs repeat in reverse order, and each must equal its
-first run: the per-problem caches (the low-order operators of
-losm._operators, with the grey matrix's fixed column order, and the march
-coefficients of sweep._march_coefficients) must not make a run depend on
-what ran before it.  Exits 1 at the first
-difference and 0 when every run is identical.  One process and one BLAS
-thread, as in the benchmark.
+first run exactly, in both modes: the per-problem caches (the low-order
+operators of losm._operators and the march coefficients of
+sweep._march_coefficients) must not make a run depend on what ran before
+it.  Exits 1 at the first difference and 0 when every run passes.  One
+process and one BLAS thread, as in the benchmark.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -42,6 +58,13 @@ SCALARS = ("N_t", "M_lo", "status", "rho_num", "rho_irregular",
            "aa_alpha_peak")
 ARRAYS = ("psi", "phi_ho", "J_ho", "P", "phi", "J", "grey_phi", "grey_J",
           "zeta")
+# compared exactly in both modes
+EXACT = ("N_t", "M_lo", "status", "rho_irregular", "lo_solve_counts",
+         "aa_fallbacks")
+# reported as relative changes under --rtol
+REPORTED = ("rho_num", "aa_alpha_peak")
+# ratios of rounding noise at some nodes: reported, not held to --rtol
+NOISY = ("grey_coeffs.eta", "grey_coeffs.sbar_t")
 # dataclasses of arrays, compared field by field
 STRUCTS = ("closures", "grey_closure", "grey_coeffs")
 # make_problem arguments of the small problems, by name
@@ -115,11 +138,60 @@ def differences(a: dict, b: dict) -> list[str]:
     return out
 
 
+def _deviation(x, y, scale) -> float:
+    """max |x - y| / scale, 0 for equal arrays (NaN where both are NaN)
+    and inf for arrays of other shapes."""
+    import numpy as np
+
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        return float("inf")
+    d = np.abs(x - y)
+    d[np.isnan(x) & np.isnan(y)] = 0.0
+    if not d.any():
+        return 0.0
+    return float(d.max() / scale) if scale > 0 else float("inf")
+
+
+def deviations(a: dict, b: dict) -> dict:
+    """Deviation of run a from run b: each array relative to its own max
+    |value| in b, the residual history relative to b's max |grey_phi|;
+    inf where a field is None on one side only."""
+    import numpy as np
+
+    out = {"residual_history": _deviation(
+        a["residual_history"], b["residual_history"],
+        np.abs(b["grey_phi"]).max())}
+    for name in sorted((a.keys() | b.keys()) - set(SCALARS)):
+        x, y = a.get(name), b.get(name)
+        if x is None and y is None:
+            continue
+        out[name] = (float("inf") if x is None or y is None
+                     else _deviation(x, y, np.abs(y).max()))
+    return out
+
+
+def relative_change(new, old) -> str:
+    if new is None or old is None:
+        return f"{new} (was {old})"
+    return f"{new:.6g} ({new / old - 1.0 if old else new - old:+.2e})"
+
+
+def parse_args(argv):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("other", type=Path, help="src/ of the other checkout")
+    ap.add_argument("--rtol", type=float, default=None,
+                    help="relative tolerance of the state arrays and the "
+                         "residual history (default: bitwise)")
+    args = ap.parse_args(argv)
+    if args.rtol is not None and not args.rtol >= 0:
+        ap.error("--rtol must be a number >= 0")
+    return args
+
+
 def main(argv) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    other = Path(argv[0])
+    args = parse_args(argv)
+    other = args.other
     if not (other / "slabsm" / "__init__.py").is_file():
         print(f"no slabsm package under {other}", file=sys.stderr)
         return 2
@@ -128,15 +200,36 @@ def main(argv) -> int:
     slabsm = import_from(other)
     reference = [run(slabsm, cell) for cell in todo]
     slabsm = import_from(SRC)
-    first = []
+    first, worst = [], {}
     for cell, ref in zip(todo, reference):
         first.append(run(slabsm, cell))
-        diff = differences(first[-1], ref)
+        rec = first[-1]
+        if args.rtol is None:
+            diff = differences(rec, ref)
+        else:
+            dev = deviations(rec, ref)
+            for name, value in dev.items():
+                worst[name] = max(worst.get(name, 0.0), value)
+            diff = ([name for name in EXACT if rec[name] != ref[name]]
+                    + [name for name, value in dev.items()
+                       if name not in NOISY and not value <= args.rtol])
         if diff:
             print(f"DIFFERENT {cell.key}: {', '.join(diff)}")
             return 1
-        print(f"identical {cell.key}")
-    print(f"all {len(todo)} runs identical")
+        if args.rtol is None:
+            print(f"identical {cell.key}")
+        else:
+            print(f"within {args.rtol:g} {cell.key}: "
+                  + "  ".join(f"{name} {relative_change(rec[name], ref[name])}"
+                              for name in REPORTED))
+    if args.rtol is None:
+        print(f"all {len(todo)} runs identical")
+    else:
+        print("worst deviation per field over all runs:")
+        for name, value in sorted(worst.items()):
+            print(f"  {name:26s} {value:.3e}"
+                  + (" (not held to --rtol)" if name in NOISY else ""))
+        print(f"all {len(todo)} runs within {args.rtol:g}")
     for cell, rec in reversed(list(zip(todo, first))):
         diff = differences(run(slabsm, cell), rec)
         if diff:
