@@ -243,13 +243,17 @@ def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
     stencil's support.  A holds the G group matrices as one block-diagonal
     CSR matrix and lus their COLAMD-ordered LU factors.  grey_band(mass)
     gives (kl, ku, ab): the grey matrix in the LAPACK band storage of
-    dgbsv, A_grey[r, c] = ab[kl + ku + r - c, c], gathered through a fixed
-    index from the support, whose lower and upper bandwidths kl and ku it
-    reads (7 each, fewer for one cell).  Cached and
-    read-only: every run builds a new LowOrderSystem of the same problem,
-    and refactoring its group matrices each time cost about a sixth of the
-    test1 table cells' solve time and scattered SuperLU workspaces over
-    the heap.
+    dgbsv, A_grey[r, c] = ab[kl + ku + r - c, c], with lower and upper
+    bandwidths kl and ku read from the support (7 each, fewer for one
+    cell).  The stencil is gathered into that band once per problem, with
+    the band positions and flat mass indices of the centre-block support
+    entries; each call copies the stencil band and adds the mass there,
+    the same single addition stencil + mass per entry as adding the mass
+    blocks to the stencil blocks, so the band has the same bits.  Cached
+    and read-only: every run builds a new LowOrderSystem of the same
+    problem, and refactoring its group matrices each time cost about a
+    sixth of the test1 table cells' solve time and scattered SuperLU
+    workspaces over the heap.
     """
     dx = np.frombuffer(dx_bytes)
     sigma_t = np.frombuffer(sigma_t_bytes)
@@ -282,13 +286,21 @@ def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
     # flat positions in ab.T, which is (n, 2 kl + ku + 1) and C-ordered,
     # so that ab itself is the Fortran-ordered array dgbsv works in
     band = cols * (2 * kl + ku + 1) + kl + ku + rows - cols
+    stencil_band = np.zeros((n, 2 * kl + ku + 1))
+    stencil_band.reshape(-1)[band] = stencil.reshape(-1)[take]
+    # the centre-block support entries: band positions and flat indices
+    # in the (N, 4, 4) mass blocks
+    centre = k == 1
+    mass_pos = band[centre]
+    mass_take = (16 * i + 4 * a + b)[centre]
 
     def grey_band(mass):
-        abT = np.zeros((n, 2 * kl + ku + 1))
-        abT.reshape(-1)[band] = add_mass(mass)
+        abT = stencil_band.copy()
+        abT.reshape(-1)[mass_pos] += mass.reshape(-1)[mass_take]
         return kl, ku, abT.T
 
-    for shared in (stencil, take, band, A.data, A.indices, A.indptr):
+    for shared in (stencil_band, mass_pos, mass_take, A.data, A.indices,
+                   A.indptr):
         shared.setflags(write=False)
     return grey_band, A, lus
 
@@ -300,15 +312,16 @@ class LowOrderSystem:
     mesh's derivative stencil; they and their LU factors are built once
     per problem and shared by every system of that problem.  The grey
     matrix adds the sbar_a / sbar_t / eta mass blocks of each solve's
-    coefficients to the same stencil; each solve gathers it into LAPACK
-    band storage and solves it by one dgbsv call, a banded LU with partial
-    pivoting.  The closure terms of the right sides are built once per
-    outer: the terms of the last two ClosureData objects are held, by
-    identity.  A group_pass reuses the right side of an equation_residual
-    on the same (phi_groups, zeta, closures) objects, as the first AA(1)
-    pass of a cycle asks for both.  Counters, per system, record executed
-    solves for the cost accounting: one parallel group pass counts as one
-    low-order solve, as does one grey solve.
+    coefficients to the same stencil, held in LAPACK band storage once per
+    problem; each solve adds them to a copy of that band and solves it by
+    one dgbsv call, a banded LU with partial pivoting.  The closure terms
+    of the right sides are built once per outer: the terms of the last
+    two ClosureData objects are held, by identity.  A group_pass reuses
+    the right side of an equation_residual on the same (phi_groups, zeta,
+    closures) objects, as the first AA(1) pass of a cycle asks for both.
+    Counters, per system, record executed solves for the cost accounting:
+    one parallel group pass counts as one low-order solve, as does one
+    grey solve.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):

@@ -16,10 +16,12 @@ direction of every group runs in one march of N steps, with the same
 results.  The mu < 0 directions are the first half (AngularQuadrature
 enforces that layout), so the mirror acts on a slice.
 
-The march steps through a frame (N, 2, G, M), cell axis first.  dx * rhs
-is formed on the source's own (G, M', N, 2) array, M' = 1 for isotropic
-sources, its mu < 0 half mirrored there; each half is then broadcast into
-the frame, and psi is read back by transposed writes that mirror again.
+The march steps through a frame (N, 3, L), cell axis first, on L = G*M
+lanes in (group, direction) order.  dx * rhs is formed on the source's own
+(G, M', N, 2) array, M' = 1 for isotropic sources, its mu < 0 half
+mirrored there; each half is then broadcast into rows 0-1 (average, slope)
+of the frame, row 2 is a copy of row 0, and psi is read back from rows 0-1
+by transposed writes that mirror again.
 
 With m = |mu|, sd = st*dx and det = 6m^2 + 4m*sd + sd^2, the march solves
 each cell in packed form: q = dx*[q_avg, q_slope] + [m, -3m]*psi_in, then
@@ -28,9 +30,14 @@ each cell in packed form: q = dx*[q_avg, q_slope] + [m, -3m]*psi_in, then
 
 K q is formed as diag(K) q + [-m, 3m] q[::-1]; only the diagonal
 [3m + sd, m + sd] varies by cell, and the off-diagonal is shared by all
-cells and groups.  psi_in = a + s feeds the next cell.  K, det and the
-inflow weights depend on sigma_t, dx and mu only, so they are built once
-per problem and cached.  This rounds exactly as the unpacked solve
+cells.  The frame's third row makes q[::-1] a plain slice: a step forms
+q3 = u3 + [m, -3m, m]*psi_in on all three rows, so q3[:2] is q and q3[1:]
+is q[::-1] (rows 0 and 2 hold the same bits).  diag(K), det (repeated over
+both rows) and the inflow weights are laid out on the lanes, so each of
+the seven ufunc calls of a step reads and writes same-shape, C-contiguous
+operands, apart from psi_in = a + s, shared by the three rows of the first
+call.  They depend on sigma_t, dx and mu only, so they are built once per
+problem and cached.  This rounds exactly as the unpacked solve
 a = ((3m + sd) qa - m qs) / det, s = (3m qa + (m + sd) qs) / det with
 qs = dx*q_slope - 3m psi_in: IEEE defines x - y*z as x + (-y)*z, signed
 zeros included, 3m*x is (3m)*x, and each two-term sum is the same single
@@ -55,16 +62,19 @@ from .fields import Mesh, nodal_product, to_nodes
 @functools.lru_cache(maxsize=8)
 def _march_coefficients(sigma_t_bytes: bytes, dx_bytes: bytes,
                         mu_bytes: bytes):
-    """(diag, det, off, m_inc) of the march frame, from the float64 bytes
-    of sigma_t (G,), dx (N,) and mu (M,): diag(K) (N, 2, G, M), det
-    (N, G, M), [-m, 3m] and [m, -3m] (2, 1, M).  Cached and read-only, an
-    entry keeps 24*G*M*N bytes (0.47 MiB for test1); lru_cache keeps no
-    exception, so the overflow check runs on every call."""
+    """(diag, det, off, m_inc) of the march frame on L = G*M lanes, from
+    the float64 bytes of sigma_t (G,), dx (N,) and mu (M,): diag(K)
+    (N, 2, L), det repeated over both rows (N, 2, L), so that the divide
+    reads an operand of the frame's shape, [-m, 3m] (2, L) and
+    [m, -3m, m] (3, L).  Cached and read-only, an entry keeps 32*G*M*N
+    bytes (0.63 MiB for test1); lru_cache keeps no exception, so the
+    overflow check runs on every call."""
     sigma_t = np.frombuffer(sigma_t_bytes)
     dx = np.frombuffer(dx_bytes)
     m = np.abs(np.frombuffer(mu_bytes))
+    G, M, N = sigma_t.size, m.size, dx.size
     # the mu < 0 half marches the mirrored slab, so meets dx in reverse
-    dx = np.repeat(np.stack([dx[::-1], dx]), m.size // 2, axis=0)
+    dx = np.repeat(np.stack([dx[::-1], dx]), M // 2, axis=0)
     sd_cells = sigma_t[None, :, None] * dx.T[:, None, :]
     # the cell solve divides by det = 6 mu^2 + 4 |mu| sd + sd^2; past its
     # overflow every psi would silently come out as 0
@@ -74,10 +84,12 @@ def _march_coefficients(sigma_t_bytes: bytes, dx_bytes: bytes,
         raise ValueError(f"sigma_t * dx = {sd_max:.3e} overflows the LD "
                          "cell determinant")
     det = 6.0 * m**2 + 4.0 * m * sd_cells + sd_cells * sd_cells
+    det = np.repeat(det.reshape(N, 1, G * M), 2, axis=1)
     m3 = 3.0 * m
     diag = np.stack([m3 + sd_cells, m + sd_cells], axis=1)
-    off = np.stack([-m, m3])[:, None]
-    m_inc = np.stack([m, -m3])[:, None]
+    diag = diag.reshape(N, 2, G * M)
+    off = np.tile(np.stack([-m, m3]), G)
+    m_inc = np.tile(np.stack([m, -m3, m]), G)
     for a in (diag, det, off, m_inc):
         a.setflags(write=False)
     return diag, det, off, m_inc
@@ -113,23 +125,26 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
     src = rhs * mesh.dx[:, None]
     mirrored = src[:, :k, ::-1].copy()
     mirrored[..., 1] *= -1.0
-    frame = np.empty((N, 2, G, M))
-    frame[..., :h] = mirrored.transpose(2, 3, 0, 1)
-    frame[..., h:] = src[:, -k:].transpose(2, 3, 0, 1)
+    frame = np.empty((N, 3, G, M))
+    frame[:, :2, :, :h] = mirrored.transpose(2, 3, 0, 1)
+    frame[:, :2, :, h:] = src[:, -k:].transpose(2, 3, 0, 1)
+    frame[:, 2] = frame[:, 0]
 
-    inc = np.zeros((G, M))
-    q = np.empty((2, G, M))
-    t = np.empty((2, G, M))
-    for u, diag_i, det_i in zip(frame, diag, det):
-        np.multiply(m_inc, inc, out=q)
-        np.add(u, q, out=q)
-        np.multiply(off, q[::-1], out=t)
+    inc = np.zeros(G * M)
+    q3 = np.empty((3, G * M))
+    t = np.empty((2, G * M))
+    q, q_swapped = q3[:2], q3[1:]
+    for u3, diag_i, det_i in zip(frame.reshape(N, 3, G * M), diag, det):
+        u = u3[:2]
+        np.multiply(m_inc, inc, out=q3)
+        np.add(u3, q3, out=q3)
+        np.multiply(off, q_swapped, out=t)
         np.multiply(diag_i, q, out=u)
         np.add(u, t, out=u)
         np.divide(u, det_i, out=u)
-        np.add(u[0], u[1], out=inc)
+        np.add(u3[0], u3[1], out=inc)
     psi = np.empty((G, M, N, 2))
-    psi[:, h:] = frame[..., h:].transpose(2, 3, 0, 1)
+    psi[:, h:] = frame[:, :2, :, h:].transpose(2, 3, 0, 1)
     psi[:, :h, :, 0] = frame[::-1, 0, :, :h].transpose(1, 2, 0)
     # negated by a multiply, not np.negative: on numpy 2.4.6 np.negative
     # writes wrong values into a strided out= from some reversed,

@@ -776,6 +776,35 @@ def test_grey_band_widths_follow_the_support():
         assert ab.shape == (2 * kl + ku + 1, 4 * n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_grey_band_is_the_grey_matrix(n):
+    # the per-problem stencil band plus the mass holds every entry of the
+    # grey matrix in its band slot, signs of zeros included, and +0.0 off
+    # the stencil support
+    rng = np.random.RandomState(3 + n)
+    mesh = Mesh(rng.uniform(0.1, 1.0, n))
+    system = _grey_system(mesh)
+    for _ in range(3):
+        coeffs = GreyCoefficients(
+            *(_signed_zeros(rng, rng.randn(n, 2)) for _ in range(3)),
+            Q=const_field(1.0, n))
+        kl, ku, ab = system._grey_band(
+            _mass_blocks(coeffs.sbar_a, coeffs.sbar_t, coeffs.eta))
+        A = _grey_matrix(mesh, coeffs).tocoo()
+        # scatter the stored entries, as A.toarray() sums onto +0.0
+        dense = np.zeros(A.shape)
+        dense[A.row, A.col] = A.data
+        assert np.all(-ku <= A.row - A.col) and np.all(A.row - A.col <= kl)
+        expected = np.zeros(ab.shape)
+        for r, c in np.ndindex(A.shape):
+            if -ku <= r - c <= kl:
+                expected[kl + ku + r - c, c] = dense[r, c]
+        assert _same_bits(ab, expected)
+        off_support = np.ones(ab.shape, dtype=bool)
+        off_support[kl + ku + A.row - A.col, A.col] = False
+        assert not np.signbit(ab[off_support]).any()
+
+
 def test_singular_grey_system_raises():
     # a finite grey matrix with a zero column: no mass on the unknown
     # phi_s of cell 1, as sbar_a and eta vanish there, and no stencil

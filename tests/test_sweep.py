@@ -383,14 +383,16 @@ def test_march_coefficients_cached_per_problem():
 
 def test_march_coefficients_entry_size():
     # the per-entry size the _march_coefficients docstring quotes:
-    # 24*G*M*N bytes, under 0.5 MiB for test1
+    # 32*G*M*N bytes (det is repeated over both rows), under 0.64 MiB for
+    # test1
     spec = builtin_problem("test1")
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     quad = build_double_gauss(spec.n_half)
     diag, det, off, m_inc = _coefficients(spec.sigma_t, mesh, quad)
     G, M, N = spec.G, quad.n_angles, spec.n_cells
-    assert diag.nbytes + det.nbytes == 24 * G * M * N
-    assert diag.nbytes + det.nbytes + off.nbytes + m_inc.nbytes < 2**19
+    assert diag.nbytes + det.nbytes == 32 * G * M * N
+    assert (diag.nbytes + det.nbytes + off.nbytes + m_inc.nbytes
+            < 0.64 * 2**20)
 
 
 def _unpacked_sweep(sigma_t, mesh, quad, rhs):
@@ -452,6 +454,26 @@ def test_march_matches_unpacked_cell_solve():
                                               np.signbit(ref)), case
                         n_cases += 1
     assert n_cases == 3 * 4 * 2 * 3 * 2
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_vacuum_sweeps(), st.booleans())
+def test_march_matches_unpacked_cell_solve_on_random_sweeps(problem,
+                                                            per_direction):
+    # the bitwise pin above, over the property test's space of sweeps:
+    # isotropic or per-direction sources with exact zeros of both signs
+    sigma_t, dx, n_half, seed = problem
+    mesh = Mesh(dx)
+    quad = build_double_gauss(n_half)
+    rng = np.random.RandomState(seed)
+    shape = (sigma_t.size,) + (quad.n_angles,) * per_direction + (dx.size, 2)
+    rhs = rng.randn(*shape)
+    rhs[rng.rand(*shape) < 0.3] = 0.0
+    rhs[rng.rand(*shape) < 0.1] = -0.0
+    ref = _unpacked_sweep(sigma_t, mesh, quad, rhs)
+    psi = sweep_batch(sigma_t, mesh, quad, rhs)
+    assert np.array_equal(psi, ref)
+    assert np.array_equal(np.signbit(psi), np.signbit(ref))
 
 
 def _reference_sweep(sigma_t, dx, quad, rhs):
