@@ -31,9 +31,10 @@ from provenance import SRC, pin_blas_threads
 
 PROBLEMS = ("test1", "test2")
 WARMUP = 5
+SEED = 1
 
 
-def calls(slabsm, problem: str, seed: int) -> dict:
+def calls(slabsm, problem: str) -> dict:
     """The timed calls of one tree on one problem, by name, as closures
     over their inputs."""
     # numpy is imported only after main() has pinned the BLAS threads
@@ -43,7 +44,7 @@ def calls(slabsm, problem: str, seed: int) -> dict:
     spec = slabsm.builtin_problem(problem)
     mesh = slabsm.fields.Mesh.uniform(spec.width, spec.n_cells)
     quad = slabsm.angular.build_double_gauss(spec.n_half)
-    rhs = np.random.RandomState(seed).rand(spec.G, spec.n_cells, 2)
+    rhs = np.random.RandomState(SEED).rand(spec.G, spec.n_cells, 2)
     psi = sweep.sweep_batch(spec.sigma_t, mesh, quad, rhs)
     moments = slabsm.angular.angular_moments(psi, quad)
     closure = losm.sum_closures(
@@ -78,7 +79,6 @@ def parse_args(argv):
     ap.add_argument("other", type=Path, help="src/ of the other checkout")
     ap.add_argument("--calls", type=int, default=600,
                     help="timed calls per tree, function and problem")
-    ap.add_argument("--seed", type=int, default=1, help="seed of the source")
     args = ap.parse_args(argv)
     if args.calls < 1:
         ap.error("--calls must be at least 1")
@@ -94,7 +94,7 @@ def main(argv) -> int:
     trees = []
     for src in (SRC, args.other):
         slabsm = import_from(src)
-        trees.append({p: calls(slabsm, p, args.seed) for p in PROBLEMS})
+        trees.append({p: calls(slabsm, p) for p in PROBLEMS})
     this, other = trees
     print(f"median of {args.calls} interleaved calls, in ms")
     print(f"{'call':12s} {'problem':8s} {'this':>8s} {'other':>8s} "
