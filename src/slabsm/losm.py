@@ -26,10 +26,11 @@ phi_s, J_a, J_s) couple only to its two neighbours: the operator is block
 tridiagonal with 4x4 blocks: the derivative stencil of the closures' edge
 table `sweep.edge_weights` plus cell-diagonal mass blocks.  Group data
 carry a leading group axis, so one call builds every group's right side;
-the closure terms of the right sides are built once per outer.  The group
-and grey matrices add mass blocks to one stencil; the group matrices and
-their sparse LU factors are built once per problem, and every grey solve
-is one LAPACK band LU solve (dgbsv) of the grey matrix in band storage.
+the closure terms of the right sides are built once per outer.  Every
+matrix is assembled one way: the stencil in LAPACK band storage plus mass
+blocks.  Each grey solve is one band LU solve (dgbsv) of that band; the
+group bands are built once per problem and re-indexed to CSC for their
+sparse LU factors.
 """
 
 from __future__ import annotations
@@ -238,22 +239,22 @@ def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
     """Low-order operators of one problem, from the float64 bytes of its
     cell widths, sigma_t and removal sigma_t - sigma_s,g->g.
 
-    Returns (grey_band, A, lus).  A matrix adds cell mass blocks (N, 4, 4),
-    or one (4, 4) block for all cells, to the derivative stencil on the
-    stencil's support.  A holds the G group matrices as one block-diagonal
-    CSR matrix and lus their COLAMD-ordered LU factors.  grey_band(mass)
-    gives (kl, ku, ab): the grey matrix in the LAPACK band storage of
-    dgbsv, A_grey[r, c] = ab[kl + ku + r - c, c], with lower and upper
-    bandwidths kl and ku read from the support (7 each, fewer for one
-    cell).  The stencil is gathered into that band once per problem, with
-    the band positions and flat mass indices of the centre-block support
-    entries; each call copies the stencil band and adds the mass there,
-    the same single addition stencil + mass per entry as adding the mass
-    blocks to the stencil blocks, so the band has the same bits.  Cached
-    and read-only: every run builds a new LowOrderSystem of the same
-    problem, and refactoring its group matrices each time cost about a
-    sixth of the test1 table cells' solve time and scattered SuperLU
-    workspaces over the heap.
+    Returns (grey_band, A, lus).  grey_band(mass) gives (kl, ku, ab): the
+    derivative stencil plus the cell mass blocks `mass` (N, 4, 4) in the
+    LAPACK band storage of dgbsv, A[r, c] = ab[kl + ku + r - c, c], with
+    lower and upper bandwidths kl and ku read from the stencil's support
+    (7 each, fewer for one cell).  It is the one place where a mass meets
+    the stencil: the stencil is gathered into that band once per problem,
+    and each call copies the band and adds the mass on the centre-block
+    support entries, one addition stencil + mass per entry.  Each group
+    matrix is that band with the group's constant removal / sigma_t block
+    on every cell, re-indexed to CSC on the support (explicit zeros kept)
+    for SuperLU.  A holds the G group matrices as one block-diagonal CSR
+    matrix and lus their COLAMD-ordered LU factors.  Cached and read-only:
+    every run builds a new LowOrderSystem of the same problem, and
+    refactoring its group matrices each time cost about a sixth of the
+    test1 table cells' solve time and scattered SuperLU workspaces over
+    the heap.
     """
     dx = np.frombuffer(dx_bytes)
     sigma_t = np.frombuffer(sigma_t_bytes)
@@ -262,44 +263,35 @@ def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
     i, k, a, b = np.nonzero(support)
     rows, cols = 4 * i + a, 4 * (i + k - 1) + b
     n = 4 * dx.size
-    take = np.flatnonzero(support)
-
-    def add_mass(mass):
-        blocks = stencil.copy()
-        blocks[:, 1] += mass
-        return blocks.reshape(-1)[take]
-
-    order = np.lexsort((rows, cols))
-    indptr = np.searchsorted(cols[order], np.arange(n + 1))
-    G = sigma_t.size
-    zero = np.zeros(G)
-    mass = _mass_blocks(np.stack([removal, zero], axis=-1),
-                        np.stack([sigma_t, zero], axis=-1), np.zeros((G, 2)))
-    indices, indptr = rows[order].astype(np.int32), indptr.astype(np.int32)
-    groups = [csc_matrix((add_mass(m)[order], indices, indptr),
-                         shape=(n, n)) for m in mass]
-    lus = tuple(_factor(A, f"low-order system for group {g + 1}")
-                for g, A in enumerate(groups))
-    A = block_diag(groups, format="csr")
-
     kl, ku = int((rows - cols).max()), int((cols - rows).max())
     # flat positions in ab.T, which is (n, 2 kl + ku + 1) and C-ordered,
     # so that ab itself is the Fortran-ordered array dgbsv works in
     band = cols * (2 * kl + ku + 1) + kl + ku + rows - cols
     stencil_band = np.zeros((n, 2 * kl + ku + 1))
-    stencil_band.reshape(-1)[band] = stencil.reshape(-1)[take]
+    stencil_band.reshape(-1)[band] = stencil[support]
     # the centre-block support entries: band positions and flat indices
     # in the (N, 4, 4) mass blocks
     centre = k == 1
     mass_pos = band[centre]
-    mass_take = (16 * i + 4 * a + b)[centre]
+    mass_index = (16 * i + 4 * a + b)[centre]
 
     def grey_band(mass):
         abT = stencil_band.copy()
-        abT.reshape(-1)[mass_pos] += mass.reshape(-1)[mass_take]
+        abT.reshape(-1)[mass_pos] += mass.reshape(-1)[mass_index]
         return kl, ku, abT.T
 
-    for shared in (stencil_band, mass_pos, mass_take, A.data, A.indices,
+    G = sigma_t.size
+    zero = np.zeros(G)
+    mass = _mass_blocks(np.stack([removal, zero], axis=-1),
+                        np.stack([sigma_t, zero], axis=-1), np.zeros((G, 2)))
+    # each group's band, with its block on every cell, read off the support
+    groups = [csc_matrix((grey_band(m)[2].T.reshape(-1)[band], (rows, cols)),
+                         shape=(n, n))
+              for m in np.broadcast_to(mass[:, None], (G, dx.size, 4, 4))]
+    lus = tuple(_factor(A, f"low-order system for group {g + 1}")
+                for g, A in enumerate(groups))
+    A = block_diag(groups, format="csr")
+    for shared in (stencil_band, mass_pos, mass_index, A.data, A.indices,
                    A.indptr):
         shared.setflags(write=False)
     return grey_band, A, lus
@@ -308,20 +300,20 @@ def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
 class LowOrderSystem:
     """Factorized multigroup low-order operators plus the grey solver.
 
-    The group matrices add constant removal / sigma_t mass blocks to the
-    mesh's derivative stencil; they and their LU factors are built once
-    per problem and shared by every system of that problem.  The grey
-    matrix adds the sbar_a / sbar_t / eta mass blocks of each solve's
-    coefficients to the same stencil, held in LAPACK band storage once per
-    problem; each solve adds them to a copy of that band and solves it by
-    one dgbsv call, a banded LU with partial pivoting.  The closure terms
-    of the right sides are built once per outer: the terms of the last
-    two ClosureData objects are held, by identity.  A group_pass reuses
-    the right side of an equation_residual on the same (phi_groups, zeta,
-    closures) objects, as the first AA(1) pass of a cycle asks for both.
-    Counters, per system, record executed solves for the cost accounting:
-    one parallel group pass counts as one low-order solve, as does one
-    grey solve.
+    Every matrix is the mesh's derivative stencil, held in LAPACK band
+    storage once per problem, plus cell mass blocks, added in one place
+    (_operators).  The group matrices add constant removal / sigma_t
+    blocks; they are re-indexed to CSC, and they and their LU factors are
+    built once per problem and shared by every system of that problem.
+    Each grey solve adds the sbar_a / sbar_t / eta blocks of its
+    coefficients to a copy of the band and solves it by one dgbsv call, a
+    banded LU with partial pivoting.  The closure terms of the right
+    sides are built once per outer: the terms of the last two ClosureData
+    objects are held, by identity.  A group_pass reuses the right side of
+    an equation_residual on the same (phi_groups, zeta, closures) objects,
+    as the first AA(1) pass of a cycle asks for both.  Counters, per
+    system, record executed solves for the cost accounting: one parallel
+    group pass counts as one low-order solve, as does one grey solve.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):

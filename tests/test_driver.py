@@ -281,19 +281,6 @@ def test_single_cell_problem_runs():
     assert np.allclose(vals, vals[0], rtol=1e-8)
 
 
-def test_grey_closure_mismatch_raises(monkeypatch):
-    real = driver.sum_closures
-
-    def corrupt(closures):
-        total = real(closures)
-        total.P = total.P * (1.0 + 1e-6)
-        return total
-
-    monkeypatch.setattr(driver, "sum_closures", corrupt)
-    with pytest.raises(RuntimeError, match="grey closure"):
-        run_problem(_small_two_group(), IterationConfig(method="mlsm"))
-
-
 @pytest.mark.parametrize("method", ["si", "mlsm", "mlsm-aa1"])
 def test_non_finite_residual_stops(monkeypatch, method):
     # NaN moments from the first sweep on (the multilevel methods first

@@ -3,9 +3,10 @@ import pytest
 
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh, const_field, to_nodes
-from scipy.sparse import csc_matrix
+from scipy.sparse import block_diag, csc_matrix
 from scipy.sparse.linalg import splu
 
+from slabsm import losm
 from slabsm.driver import IterationConfig, run_problem
 from slabsm.losm import (GreyCoefficients, LowOrderSystem, _closure_terms,
                          _lo_rhs, _mass_blocks, _stencil_blocks,
@@ -648,17 +649,25 @@ def test_held_right_sides_follow_the_closure_object():
         assert _same_bits(got, want)
 
 
-def _grey_matrix(mesh, coeffs):
-    """The grey matrix, sparse, on the stencil support with its explicit
-    zeros."""
-    blocks, support = _stencil_blocks(mesh.dx)
-    blocks[:, 1] += _mass_blocks(coeffs.sbar_a, coeffs.sbar_t, coeffs.eta)
+def _stencil_plus(dx, mass):
+    """The stencil plus the cell mass blocks `mass` ((N, 4, 4) or one
+    (4, 4) block for all cells), sparse CSC, on the stencil support with
+    its explicit zeros."""
+    blocks, support = _stencil_blocks(dx)
+    blocks[:, 1] += mass
     i, k, a, b = np.nonzero(support)
-    n = 4 * mesh.n_cells
+    n = 4 * dx.size
     A = csc_matrix((blocks[support], (4 * i + a, 4 * (i + k - 1) + b)),
                    shape=(n, n))
     assert A.nnz == support.sum()
     return A
+
+
+def _grey_matrix(mesh, coeffs):
+    """The grey matrix, sparse, on the stencil support with its explicit
+    zeros."""
+    return _stencil_plus(mesh.dx, _mass_blocks(coeffs.sbar_a, coeffs.sbar_t,
+                                               coeffs.eta))
 
 
 def _colamd_grey_solve(mesh, coeffs, closure):
@@ -803,6 +812,38 @@ def test_grey_band_is_the_grey_matrix(n):
         off_support = np.ones(ab.shape, dtype=bool)
         off_support[kl + ku + A.row - A.col, A.col] = False
         assert not np.signbit(ab[off_support]).any()
+
+
+@pytest.mark.parametrize("G", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_group_matrices_are_the_stencil_plus_their_mass(monkeypatch, n, G):
+    # the CSC matrices that SuperLU factors, re-indexed from the band, hold
+    # the stencil plus each group's removal / sigma_t block, signs of zeros
+    # included, and A is their block diagonal
+    rng = np.random.RandomState(10 * G + n)
+    dx = rng.uniform(0.1, 1.0, n)
+    sigma_t = rng.uniform(1.0, 2.0, G)
+    removal = sigma_t * rng.uniform(0.1, 1.0, G)
+    factored, real = [], losm._factor
+
+    def record(A, what):
+        factored.append(A)
+        return real(A, what)
+
+    monkeypatch.setattr(losm, "_factor", record)
+    _, A, lus = losm._operators.__wrapped__(
+        dx.tobytes(), sigma_t.tobytes(), removal.tobytes())
+    assert len(factored) == len(lus) == G
+    expected = [_stencil_plus(dx, _mass_blocks(np.array([r, 0.0]),
+                                               np.array([s, 0.0]),
+                                               np.zeros(2)))
+                for r, s in zip(removal, sigma_t)]
+    expected_A = block_diag(expected, format="csr")
+    for got, want in zip(factored + [A], expected + [expected_A]):
+        assert got.format == want.format
+        assert _same_bits(got.data, want.data)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)
 
 
 def test_singular_grey_system_raises():

@@ -6,10 +6,12 @@ OTHER_SRC is the src/ directory of another checkout, for instance of the
 parent commit.  Every cell of bench/workloads.py and source iteration on
 test1 run from OTHER_SRC first, then from this checkout's src/.  These
 all have 128 cells and 16 directions, so si, mlsm and mlsm-aa1 with
-k_max = s_max = 2 also run on three small problems built with
+k_max = s_max = 2 also run on four small problems built with
 slabsm.problem.make_problem: the README example config, a two-group
 one-cell problem with n_half = 1 (both edges of the mesh are vacuum
-boundaries) and a three-group problem with 7 cells and n_half = 3.
+boundaries), a three-group problem with 7 cells and n_half = 3, and a
+one-group problem with 5 cells, whose AA(1) run falls back on most of
+its passes.
 
 Without --rtol each run is compared by ==: N_t, M_lo, status, rho_num,
 rho_irregular, the residual history, lo_solve_counts, aa_fallbacks and
@@ -78,6 +80,8 @@ SMALL = {
                        sigma_s=[[0.3, 0.1, 0.0], [0.4, 0.6, 0.3],
                                 [0.1, 0.5, 1.2]],
                        Q=[1.0, 0.5, 0.2], width=5.0, n_cells=7, n_half=3),
+    "one-group": dict(G=1, sigma_t=[1.0], sigma_s=[[0.5]], Q=[1.0],
+                      width=4.0, n_cells=5, n_half=2),
 }
 
 
