@@ -1,14 +1,16 @@
 """The outer iteration shared by source iteration, MLSM and MLSM-AA(1).
 
-`run_problem` steps ell = 1..max_outer and only decides when to stop.  A
-source-iteration outer (`_si_outer`) sweeps against the lagged scattering
-source and takes the moments.  A multilevel outer sweeps against sbar_s
-times the grey flux; `_multilevel_outer` then freezes the closures of that
-psi and runs k_max cycles of [ s_max multigroup low-order passes (zeta
-refreshed each pass, AA(1)-mixed for mlsm-aa1), a grey coefficient update
-and one grey solve ].  Its sweep-free first pass, on the flat guess, runs
-once before the loop.  Convergence is measured on successive grey scalar
-fluxes, so N_t counts the outers that contain a transport sweep.
+One outer is one step, (run, state) -> (next TransportState, diagnostics),
+with the run's fixed inputs in `_Run`.  `_si_step` sweeps against the
+lagged scattering source and takes the moments.  `_multilevel_step`
+sweeps against sbar_s times the grey flux; `_low_order_levels` then
+freezes the closures of that psi and runs k_max cycles of [ s_max
+multigroup low-order passes (zeta refreshed each pass, AA(1)-mixed for
+mlsm-aa1), a grey coefficient update and one grey solve ], and runs
+sweep-free once before the loop, on the flat guess.  `run_problem` steps
+ell = 1..max_outer and only decides when to stop.  Convergence is
+measured on successive grey scalar fluxes, so N_t counts the outers that
+contain a transport sweep.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .accel import DegenerateResidualPair, aa1_alpha
-from .angular import angular_moments, build_double_gauss
+from .angular import AngularQuadrature, angular_moments, build_double_gauss
 from .fields import Mesh
 from .losm import (LowOrderSystem, avg_scattering_xs, compute_zeta, grey_xs,
                    sum_closures)
@@ -235,6 +237,76 @@ class OuterDiagnostics(NamedTuple):
     aa_alpha_peak: float
 
 
+class _Run(NamedTuple):
+    """What every step of one run reads, bound once per run; system is
+    None for source iteration."""
+
+    spec: ProblemSpec
+    cfg: IterationConfig
+    quad: AngularQuadrature
+    mesh: Mesh
+    system: LowOrderSystem | None
+
+
+def _si_step(run: _Run, state: TransportState):
+    """One source-iteration outer: sweep against the lagged scattering
+    source and take the moments.  Solves no low-order system, so its
+    diagnostics are None."""
+    spec = run.spec
+    scatter = np.einsum("gh,hnc->gnc", spec.sigma_s, state.phi)
+    scatter[:, :, 0] += spec.Q[:, None]
+    psi = sweep_batch(spec.sigma_t, run.mesh, run.quad, 0.5 * scatter)
+    phi, J, P = angular_moments(psi, run.quad)
+    new = TransportState(phi=phi, grey_phi=phi.sum(axis=0), psi=psi,
+                         phi_ho=phi, J_ho=J, P=P, J=J)
+    return new, None
+
+
+def _multilevel_step(run: _Run, state: TransportState):
+    """One multilevel outer: sweep against sbar_s times the lagged grey
+    flux, then the low-order levels on that psi."""
+    spec = run.spec
+    sbar_s = avg_scattering_xs(state.phi, spec.sigma_s)
+    psi = sweep_batch(spec.sigma_t, run.mesh, run.quad,
+                      build_ho_rhs(state.grey_phi, sbar_s, spec.Q))
+    return _low_order_levels(run, psi, state.grey_phi)
+
+
+def _low_order_levels(run: _Run, psi, grey_phi):
+    """Low-order levels on the swept psi against the lagged grey_phi;
+    None, on the first pass, takes the grey sum of psi's moments."""
+    cfg, system = run.cfg, run.system
+    moms = angular_moments(psi, run.quad)
+    closures = closure_from_sweep(psi, run.quad, moms)
+    grey_closure = sum_closures(closures)
+    # the inner multigroup iteration restarts from the fresh transport
+    # moments; the grey lag carries over
+    phi, J = moms.phi.copy(), moms.J.copy()
+    if grey_phi is None:
+        grey_phi = phi.sum(axis=0)
+    solves0 = system.n_group_passes + system.n_grey_solves
+    fallbacks, peak = 0, 0.0
+    for _k in range(cfg.k_max):
+        if cfg.method == METHOD_MLSM_AA1:
+            phi, J, cycle_fallbacks, cycle_peak = _aa1_passes(
+                system, grey_phi, phi, J, closures, cfg.s_max)
+            fallbacks += cycle_fallbacks
+            peak = max(peak, cycle_peak)
+        else:
+            for _s in range(cfg.s_max):
+                zeta = compute_zeta(grey_phi, phi)
+                phi, J = system.group_pass(phi, zeta, closures)
+        grey_coeffs = grey_xs(phi, J, run.spec)
+        grey_phi, grey_J = system.solve_grey(grey_coeffs, grey_closure)
+    state = TransportState(
+        phi=phi, grey_phi=grey_phi, psi=psi, phi_ho=moms.phi,
+        J_ho=moms.J, P=moms.P, J=J, closures=closures,
+        grey_closure=grey_closure, grey_J=grey_J,
+        grey_coeffs=grey_coeffs, zeta=compute_zeta(grey_phi, phi))
+    solves = system.n_group_passes + system.n_grey_solves - solves0
+    return state, OuterDiagnostics(solves, fallbacks, peak)
+
+
 def run_problem(spec: ProblemSpec, cfg: IterationConfig) -> RunReport:
     """Run the configured method to convergence, divergence, a non-finite
     residual or max_outer.
@@ -249,69 +321,23 @@ def run_problem(spec: ProblemSpec, cfg: IterationConfig) -> RunReport:
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     G, N = spec.G, spec.n_cells
     multilevel = cfg.method != METHOD_SI
-    system = LowOrderSystem(spec, mesh) if multilevel else None
-
-    def _si_outer(state):
-        """Sweep against the lagged scattering source; take the moments."""
-        scatter = np.einsum("gh,hnc->gnc", spec.sigma_s, state.phi)
-        scatter[:, :, 0] += spec.Q[:, None]
-        psi = sweep_batch(spec.sigma_t, mesh, quad, 0.5 * scatter)
-        phi, J, P = angular_moments(psi, quad)
-        return TransportState(phi=phi, grey_phi=phi.sum(axis=0), psi=psi,
-                              phi_ho=phi, J_ho=J, P=P, J=J)
-
-    def _multilevel_outer(psi, grey_phi):
-        """Low-order levels on the swept psi against the lagged grey_phi;
-        None, on the first pass, takes the grey sum of psi's moments."""
-        moms = angular_moments(psi, quad)
-        closures = closure_from_sweep(psi, quad, moms)
-        grey_closure = sum_closures(closures)
-        # the inner multigroup iteration restarts from the fresh transport
-        # moments; the grey lag carries over
-        phi, J = moms.phi.copy(), moms.J.copy()
-        if grey_phi is None:
-            grey_phi = phi.sum(axis=0)
-        solves0 = system.n_group_passes + system.n_grey_solves
-        fallbacks, peak = 0, 0.0
-        for _k in range(cfg.k_max):
-            if cfg.method == METHOD_MLSM_AA1:
-                phi, J, cycle_fallbacks, cycle_peak = _aa1_passes(
-                    system, grey_phi, phi, J, closures, cfg.s_max)
-                fallbacks += cycle_fallbacks
-                peak = max(peak, cycle_peak)
-            else:
-                for _s in range(cfg.s_max):
-                    zeta = compute_zeta(grey_phi, phi)
-                    phi, J = system.group_pass(phi, zeta, closures)
-            grey_coeffs = grey_xs(phi, J, spec)
-            grey_phi, grey_J = system.solve_grey(grey_coeffs, grey_closure)
-        state = TransportState(
-            phi=phi, grey_phi=grey_phi, psi=psi, phi_ho=moms.phi,
-            J_ho=moms.J, P=moms.P, J=J, closures=closures,
-            grey_closure=grey_closure, grey_J=grey_J,
-            grey_coeffs=grey_coeffs, zeta=compute_zeta(grey_phi, phi))
-        solves = system.n_group_passes + system.n_grey_solves - solves0
-        return state, OuterDiagnostics(solves, fallbacks, peak)
-
+    run = _Run(spec, cfg, quad, mesh,
+               LowOrderSystem(spec, mesh) if multilevel else None)
     diagnostics = []
     if multilevel:
+        step = _multilevel_step
         flat = np.zeros((G, quad.n_angles, N, 2))
         flat[..., 0] = 0.5
-        state, diag = _multilevel_outer(flat, None)
+        state, diag = _low_order_levels(run, flat, None)
         diagnostics.append(diag)
     else:
+        step = _si_step
         state = TransportState(np.zeros((G, N, 2)), np.zeros((N, 2)))
 
     history: list[float] = []
     for _ in range(cfg.max_outer):
-        if multilevel:
-            sbar_s = avg_scattering_xs(state.phi, spec.sigma_s)
-            psi = sweep_batch(spec.sigma_t, mesh, quad,
-                              build_ho_rhs(state.grey_phi, sbar_s, spec.Q))
-            new, diag = _multilevel_outer(psi, state.grey_phi)
-            diagnostics.append(diag)
-        else:
-            new = _si_outer(state)
+        new, diag = step(run, state)
+        diagnostics.append(diag)
         history.append(convergence_measure(new.grey_phi, state.grey_phi))
         state = new
         status = _status(history, cfg)
@@ -327,6 +353,7 @@ def run_problem(spec: ProblemSpec, cfg: IterationConfig) -> RunReport:
            else estimate_spectral_radius(history))
     if est is not None and status == STATUS_MAX_OUTER and est.rho >= 1.0:
         est = None      # stagnated, e.g. at the rounding floor: no rate
+    diagnostics = [d for d in diagnostics if d is not None]
     return RunReport(
         method=cfg.method, problem=spec.name, k_max=cfg.k_max,
         s_max=cfg.s_max, epsilon=cfg.epsilon, N_t=len(history),

@@ -11,7 +11,10 @@ slabsm.problem.make_problem: the README example config, a two-group
 one-cell problem with n_half = 1 (both edges of the mesh are vacuum
 boundaries), a three-group problem with 7 cells and n_half = 3, and a
 one-group problem with 5 cells, whose AA(1) run falls back on most of
-its passes.
+its passes.  Last, mlsm-aa1 with k_max = s_max = 1 runs on a three-group
+problem with 11 cells (c = 0.99 in every group, sigma_t over five
+decades), where it stops as diverged at N_t = 27 with |alpha0| up to
+4.06.
 
 Without --rtol each run is compared by ==: N_t, M_lo, status, rho_num,
 rho_irregular, the residual history, lo_solve_counts, aa_fallbacks and
@@ -69,6 +72,8 @@ REPORTED = ("rho_num", "aa_alpha_peak")
 NOISY = ("grey_coeffs.eta", "grey_coeffs.sbar_t")
 # dataclasses of arrays, compared field by field
 STRUCTS = ("closures", "grey_closure", "grey_coeffs")
+# the small problem that runs only mlsm-aa1(1,1), which diverges on it
+DIVERGENT = "aa1-diverges"
 # make_problem arguments of the small problems, by name
 SMALL = {
     "readme": dict(G=2, sigma_t=[1.0, 2.0], sigma_s=[[0.2, 0.1], [0.3, 0.5]],
@@ -82,17 +87,26 @@ SMALL = {
                        Q=[1.0, 0.5, 0.2], width=5.0, n_cells=7, n_half=3),
     "one-group": dict(G=1, sigma_t=[1.0], sigma_s=[[0.5]], Q=[1.0],
                       width=4.0, n_cells=5, n_half=2),
+    DIVERGENT: dict(G=3, sigma_t=[48.87, 2.322, 0.0009134],
+                    sigma_s=[[14.61, 1.185, 0.0001787],
+                             [25.3, 0.9799, 0.0003008],
+                             [8.472, 0.1337, 0.0004248]],
+                    Q=[0.672, 1.813, 1.741], width=12.5, n_cells=11,
+                    n_half=2),
 }
 
 
 def cells() -> list:
-    """Every distinct workload cell, source iteration on test1, then the
-    three methods on each small problem."""
+    """Every distinct workload cell, source iteration on test1, the three
+    methods on each small problem but DIVERGENT, then mlsm-aa1(1,1) on
+    DIVERGENT."""
     out = {cell.key: cell for wl in WORKLOADS.values() for cell in wl.cells}
     si = Cell("test1", "si")
     out[si.key] = si
-    return list(out.values()) + [Cell(name, method, 2, 2) for name in SMALL
-                                 for method in ("si", "mlsm", "mlsm-aa1")]
+    return (list(out.values())
+            + [Cell(name, method, 2, 2) for name in SMALL
+               if name != DIVERGENT for method in ("si", "mlsm", "mlsm-aa1")]
+            + [Cell(DIVERGENT, "mlsm-aa1", 1, 1)])
 
 
 def import_from(src: Path):
