@@ -16,32 +16,38 @@ direction of every group runs in one march of N steps, with the same
 results.  The mu < 0 directions are the first half (AngularQuadrature
 enforces that layout), so the mirror acts on a slice.
 
-The march steps through a frame (N, 3, L), cell axis first, on L = G*M
+The march steps through a frame (N, 4, L), cell axis first, on L = G*M
 lanes in (group, direction) order.  dx * rhs is formed on the source's own
 (G, M', N, 2) array, M' = 1 for isotropic sources, its mu < 0 half
 mirrored there; each half is then broadcast into rows 0-1 (average, slope)
-of the frame, row 2 is a copy of row 0, and psi is read back from rows 0-1
-by transposed writes that mirror again.
+of the frame, rows 2-3 are copies of rows 1 and 0, and psi is read back
+from rows 0-1 by transposed writes that mirror again.
 
 With m = |mu|, sd = st*dx and det = 6m^2 + 4m*sd + sd^2, the march solves
 each cell in packed form: q = dx*[q_avg, q_slope] + [m, -3m]*psi_in, then
 
     [a, s] = (K q) / det,    K = [[3m + sd, -m], [3m, m + sd]].
 
-K q is formed as diag(K) q + [-m, 3m] q[::-1]; only the diagonal
-[3m + sd, m + sd] varies by cell, and the off-diagonal is shared by all
-cells.  The frame's third row makes q[::-1] a plain slice: a step forms
-q3 = u3 + [m, -3m, m]*psi_in on all three rows, so q3[:2] is q and q3[1:]
-is q[::-1] (rows 0 and 2 hold the same bits).  diag(K), det (repeated over
-both rows) and the inflow weights are laid out on the lanes, so each of
-the seven ufunc calls of a step reads and writes same-shape, C-contiguous
-operands, apart from psi_in = a + s, shared by the three rows of the first
-call.  They depend on sigma_t, dx and mu only, so they are built once per
-problem and cached.  This rounds exactly as the unpacked solve
-a = ((3m + sd) qa - m qs) / det, s = (3m qa + (m + sd) qs) / det with
-qs = dx*q_slope - 3m psi_in: IEEE defines x - y*z as x + (-y)*z, signed
-zeros included, 3m*x is (3m)*x, and each two-term sum is the same single
-rounding (IEEE addition commutes).
+A step makes six ufunc calls.  On the rows [ua, us, us, ua] it forms
+q4 = u4 + [m, -3m, -3m, m]*psi_in = [qa, qs, qs, qa] (two calls), so
+one multiply by the per-cell block [3m + sd, m + sd, -m, 3m] gives
+diag(K) q in rows 0-1 and the off-diagonal products [-m qs, 3m qa] in
+rows 2-3.  One add of the two row-halves gives K q into rows 0-1 of the
+frame, one divide by det (repeated over both rows) gives [a, s] there,
+and psi_in = a + s feeds the next cell.  Every operand but the broadcast
+psi_in of the first call has its output's shape and is C-contiguous; the
+block, det and the inflow weights depend on sigma_t, dx and mu only, so
+they are built once per problem and cached.  This rounds exactly as the
+unpacked solve a = ((3m + sd) qa - m qs) / det, s = (3m qa + (m + sd) qs)
+/ det with qs = dx*q_slope - 3m psi_in: IEEE defines x - y*z as
+x + (-y)*z, signed zeros included, 3m*x is (3m)*x, and each two-term sum
+is the same single rounding (IEEE addition and multiplication commute).
+
+Each call passes its output positionally, not as out=, whose keyword
+parsing numpy pays on every call: on numpy 2.4.6 the six keywords cost
+about 5% of a test2 march step (112 lanes).  The per-cell rows the calls
+read are views that the loop's zip yields from the frame and the cached
+arrays, not views indexed out in each step (another 4%).
 
 The closures are the sweep's upwind edge moments minus the reconstruction
 `edge_weights` of its traces, the table the low-order stencil reads too.
@@ -62,13 +68,13 @@ from .fields import Mesh, nodal_product, to_nodes
 @functools.lru_cache(maxsize=8)
 def _march_coefficients(sigma_t_bytes: bytes, dx_bytes: bytes,
                         mu_bytes: bytes):
-    """(diag, det, off, m_inc) of the march frame on L = G*M lanes, from
-    the float64 bytes of sigma_t (G,), dx (N,) and mu (M,): diag(K)
-    (N, 2, L), det repeated over both rows (N, 2, L), so that the divide
-    reads an operand of the frame's shape, [-m, 3m] (2, L) and
-    [m, -3m, m] (3, L).  Cached and read-only, an entry keeps 32*G*M*N
-    bytes (0.63 MiB for test1); lru_cache keeps no exception, so the
-    overflow check runs on every call."""
+    """(coef, det, m_inc) of the march frame on L = G*M lanes, from the
+    float64 bytes of sigma_t (G,), dx (N,) and mu (M,): the per-cell
+    block [3m + sd, m + sd, -m, 3m] (N, 4, L), det repeated over both
+    rows (N, 2, L), so that the divide reads an operand of its output's
+    shape, and [m, -3m, -3m, m] (4, L).  Cached and read-only, an entry
+    keeps 48*G*M*N bytes (0.94 MiB for test1); lru_cache keeps no
+    exception, so the overflow check runs on every call."""
     sigma_t = np.frombuffer(sigma_t_bytes)
     dx = np.frombuffer(dx_bytes)
     m = np.abs(np.frombuffer(mu_bytes))
@@ -86,13 +92,14 @@ def _march_coefficients(sigma_t_bytes: bytes, dx_bytes: bytes,
     det = 6.0 * m**2 + 4.0 * m * sd_cells + sd_cells * sd_cells
     det = np.repeat(det.reshape(N, 1, G * M), 2, axis=1)
     m3 = 3.0 * m
-    diag = np.stack([m3 + sd_cells, m + sd_cells], axis=1)
-    diag = diag.reshape(N, 2, G * M)
-    off = np.tile(np.stack([-m, m3]), G)
-    m_inc = np.tile(np.stack([m, -m3, m]), G)
-    for a in (diag, det, off, m_inc):
+    coef = np.stack([m3 + sd_cells, m + sd_cells,
+                     np.broadcast_to(-m, sd_cells.shape),
+                     np.broadcast_to(m3, sd_cells.shape)], axis=1)
+    coef = coef.reshape(N, 4, G * M)
+    m_inc = np.tile(np.stack([m, -m3, -m3, m]), G)
+    for a in (coef, det, m_inc):
         a.setflags(write=False)
-    return diag, det, off, m_inc
+    return coef, det, m_inc
 
 
 def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
@@ -116,7 +123,7 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
         raise ValueError(f"rhs shape {rhs.shape} invalid")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite")
-    diag, det, off, m_inc = _march_coefficients(
+    coef, det, m_inc = _march_coefficients(
         *(np.asarray(a, dtype=float).tobytes()
           for a in (sigma_t, mesh.dx, quad.mu)))
     h = M // 2
@@ -125,24 +132,24 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
     src = rhs * mesh.dx[:, None]
     mirrored = src[:, :k, ::-1].copy()
     mirrored[..., 1] *= -1.0
-    frame = np.empty((N, 3, G, M))
+    frame = np.empty((N, 4, G, M))
     frame[:, :2, :, :h] = mirrored.transpose(2, 3, 0, 1)
     frame[:, :2, :, h:] = src[:, -k:].transpose(2, 3, 0, 1)
-    frame[:, 2] = frame[:, 0]
+    frame[:, 2] = frame[:, 1]
+    frame[:, 3] = frame[:, 0]
 
+    lanes = frame.reshape(N, 4, G * M)
     inc = np.zeros(G * M)
-    q3 = np.empty((3, G * M))
-    t = np.empty((2, G * M))
-    q, q_swapped = q3[:2], q3[1:]
-    for u3, diag_i, det_i in zip(frame.reshape(N, 3, G * M), diag, det):
-        u = u3[:2]
-        np.multiply(m_inc, inc, out=q3)
-        np.add(u3, q3, out=q3)
-        np.multiply(off, q_swapped, out=t)
-        np.multiply(diag_i, q, out=u)
-        np.add(u, t, out=u)
-        np.divide(u, det_i, out=u)
-        np.add(u3[0], u3[1], out=inc)
+    q4 = np.empty((4, G * M))
+    diag_q, off_q = q4[:2], q4[2:]
+    for u4, u, coef_i, det_i, a, s in zip(lanes, lanes[:, :2], coef, det,
+                                          lanes[:, 0], lanes[:, 1]):
+        np.multiply(m_inc, inc, q4)
+        np.add(u4, q4, q4)
+        np.multiply(coef_i, q4, q4)
+        np.add(diag_q, off_q, u)
+        np.divide(u, det_i, u)
+        np.add(a, s, inc)
     psi = np.empty((G, M, N, 2))
     psi[:, h:] = frame[:, :2, :, h:].transpose(2, 3, 0, 1)
     psi[:, :h, :, 0] = frame[::-1, 0, :, :h].transpose(1, 2, 0)

@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from slabsm import driver
 from slabsm.angular import MomentSet, build_double_gauss
@@ -512,17 +512,22 @@ def _valid_problems(draw):
 STATUSES = ("converged", "max_outer", "diverged", "non_finite")
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+# a fixed seed, not derandomize: derandomize seeds from a digest of this
+# test's source, so any edit to it would change the draws
+@seed(1)
+@settings(database=None, max_examples=60, deadline=None)
 @given(_valid_problems(), st.integers(1, 2), st.integers(1, 2))
 def test_solver_properties_on_valid_problems(spec, k, s):
     # one of the four statuses, finite fluxes when converged, exact grey
     # particle balance, per-group balance and LO = HO moments at
-    # convergence, and the SI fixed point.  Over 400 draws of this test's
-    # seed (every multilevel run converged) the worst were a grey balance
-    # of 1.2e-15, a per-group imbalance of 3.6e-10 of the largest balance
-    # term (6.6e-11 over the 60 draws run here), an LO-HO gap of 1.7e-8
-    # and an SI gap of 1.4e-7 of max|grey phi| (at most 3.9 eps / (1 -
-    # rho)), against the bounds below
+    # convergence, and the SI fixed point.  Over the 60 draws run here
+    # (every multilevel run converged) the worst were a grey balance of
+    # 7.1e-16, a per-group imbalance of 9.1e-11 of the largest balance
+    # term, an LO-HO gap of 8.8e-9 and an SI gap of 8.5e-10 of max|grey
+    # phi| (at most 1.1 eps / (1 - rho)).  Over 400 draws of the same seed
+    # (one AA(1) run of 800 multilevel runs diverged) they were 1.3e-15,
+    # 3.5e-10, 2.0e-9 and 1.2e-7 (at most 1.7 eps / (1 - rho)), against
+    # the bounds below
     eps = 1e-10
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     si = run_problem(spec, IterationConfig(method="si", epsilon=eps,

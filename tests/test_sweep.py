@@ -369,9 +369,9 @@ def test_march_coefficients_cached_per_problem():
               (np.array([0.5, 2.5]), mesh, quad),
               (sigma_t, mesh, build_double_gauss(2))]
     for other in others:
-        diag = _coefficients(*other)[0]
-        assert diag is not coeffs[0]
-        assert not np.array_equal(diag, coeffs[0])
+        coef = _coefficients(*other)[0]
+        assert coef is not coeffs[0]
+        assert not np.array_equal(coef, coeffs[0])
     # A, then enough other problems to evict A, then A again
     for n_cells in range(1, 10):
         sweep_batch(sigma_t, Mesh.uniform(4.0, n_cells), quad,
@@ -383,16 +383,15 @@ def test_march_coefficients_cached_per_problem():
 
 def test_march_coefficients_entry_size():
     # the per-entry size the _march_coefficients docstring quotes:
-    # 32*G*M*N bytes (det is repeated over both rows), under 0.64 MiB for
-    # test1
+    # 48*G*M*N bytes (the block has four rows, det is repeated over two),
+    # under 1 MiB for test1
     spec = builtin_problem("test1")
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     quad = build_double_gauss(spec.n_half)
-    diag, det, off, m_inc = _coefficients(spec.sigma_t, mesh, quad)
+    coef, det, m_inc = _coefficients(spec.sigma_t, mesh, quad)
     G, M, N = spec.G, quad.n_angles, spec.n_cells
-    assert diag.nbytes + det.nbytes == 32 * G * M * N
-    assert (diag.nbytes + det.nbytes + off.nbytes + m_inc.nbytes
-            < 0.64 * 2**20)
+    assert coef.nbytes + det.nbytes == 48 * G * M * N
+    assert coef.nbytes + det.nbytes + m_inc.nbytes < 2**20
 
 
 def _unpacked_sweep(sigma_t, mesh, quad, rhs):

@@ -1,17 +1,22 @@
 """A/B benchmark of this checkout against another one, in alternating pairs.
 
-    python3 tools/ab_bench.py OTHER_ROOT --workload W --pairs 3 --seconds 15
+    python3 tools/ab_bench.py OTHER_ROOT --workload W --pairs 10 --seconds 15
 
 OTHER_ROOT is the root of another checkout, for instance of the parent
 commit.  Each pair runs `bench/run.py --trace 0` once in each checkout,
 from that checkout's root and with its own bench/ and src/, one run after
 the other; which checkout goes first alternates from pair to pair, since
-the machine's speed drifts.  Both runs of pair i use seed SEED + i, so
-they solve the cells in the same order, and each leaves its result in its
-checkout's .bench_out/.  Every pair's end-to-end metrics are printed, then
-the median of each metric over the pairs and its relative change from
-OTHER to this checkout.  Exits 1 if any run reports a failed solve or
-fails itself, and 0 otherwise.
+the machine's speed drifts, and --pairs must be even, so that each
+checkout runs first equally often.
+Both runs of pair i use seed SEED + i, so they solve the cells in the same
+order, and each leaves its result in its checkout's .bench_out/.  Every
+pair's end-to-end metrics are printed.  Then, for each metric, the
+quartiles of each side over the pairs, the relative change of the median
+from OTHER to this checkout, the number of pairs this checkout won (by
+the metric's `better` direction in BENCHMARK.json; a tie is not a win),
+and whether the medians differ by more than OTHER's interquartile range.
+Exits 1 if any run reports a failed solve or fails itself, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("other", type=Path, help="root of the other checkout")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=3)
+    ap.add_argument("--pairs", type=int, default=10,
+                    help="number of pairs, even")
     ap.add_argument("--seconds", type=float, default=15.0)
     ap.add_argument("--seed", type=int, default=1,
                     help="seed of the first pair")
@@ -58,8 +64,8 @@ def main(argv=None) -> int:
     if not (other / "bench" / "run.py").is_file():
         print(f"no bench/run.py under {other}", file=sys.stderr)
         return 2
-    if args.pairs < 1:
-        print("--pairs must be >= 1", file=sys.stderr)
+    if args.pairs < 2 or args.pairs % 2:
+        print("--pairs must be even and >= 2", file=sys.stderr)
         return 2
     sides = {"this": ROOT, "other": other}
     runs = {"this": [], "other": []}
@@ -76,15 +82,27 @@ def main(argv=None) -> int:
                   + "  ".join(f"{k} {v['value']:.4g}"
                               for k, v in res["metrics"].items())
                   + f"  ({res['file']})", flush=True)
-    print(f"medians over {args.pairs} pairs ({args.workload}), "
+    better = {m["name"]: m["better"] for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    print(f"quartiles over {args.pairs} pairs ({args.workload}), "
           "other -> this:")
     for name, entry in runs["this"][0]["metrics"].items():
-        med = {side: statistics.median(r["metrics"][name]["value"]
-                                       for r in runs[side])
-               for side in sides}
+        vals = {side: [r["metrics"][name]["value"] for r in runs[side]]
+                for side in sides}
+        q = {side: statistics.quantiles(vals[side], n=4) for side in sides}
+        med = {side: q[side][1] for side in sides}
         change = med["this"] / med["other"] - 1.0 if med["other"] else 0.0
-        print(f"  {name:14s} {med['other']:.4g} -> {med['this']:.4g} "
-              f"{entry['unit']} ({change:+.1%})")
+        sign = 1.0 if better[name] == "lower" else -1.0
+        won = sum(sign * (t - o) < 0.0
+                  for t, o in zip(vals["this"], vals["other"]))
+        iqr = q["other"][2] - q["other"][0]
+        print(f"  {name:14s} {entry['unit']:4s} "
+              f"other {q['other'][0]:.4g} [{med['other']:.4g}] "
+              f"{q['other'][2]:.4g}  this {q['this'][0]:.4g} "
+              f"[{med['this']:.4g}] {q['this'][2]:.4g}  ({change:+.1%}), "
+              f"won {won}/{args.pairs}, |median change| "
+              f"{'>' if abs(med['this'] - med['other']) > iqr else '<='} "
+              "other's IQR")
     if failed:
         print(f"{failed} failed solves", file=sys.stderr)
         return 1

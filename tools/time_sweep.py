@@ -1,4 +1,5 @@
-"""Time one sweep and one grey solve of this checkout against another one.
+"""Time one sweep, its moments and closures, and one grey solve of this
+checkout against another one.
 
     python3 tools/time_sweep.py OTHER_SRC [--calls 600]
 
@@ -6,15 +7,17 @@ OTHER_SRC is the src/ directory of another checkout, for instance of the
 parent commit.  slabsm is imported fresh from this checkout's src/ and
 then from OTHER_SRC, and both stay loaded.  On test1 and test2 each tree gets
 the same inputs: a fixed seeded isotropic source (G, N, 2) for
-`sweep.sweep_batch`, and for `LowOrderSystem.solve_grey` the grey
-coefficients and grey closure of that source's sweep.  The two trees'
-calls alternate, which one goes first alternating from call to call, as
-the machine's speed drifts; the grey solve reuses one closure object, so
-its right-side closure terms are built once, as within one outer.  After
-a few untimed calls that fill the per-problem caches, each call is timed
-alone with perf_counter.  Prints the median time of one call per tree and
-the relative change from OTHER to this checkout.  One process and one
-BLAS thread, as in the benchmark.
+`sweep.sweep_batch`; that source's swept psi for `angular.angular_moments`
+and, with its moments, for `sweep.closure_from_sweep`, the per-outer glue
+between the sweep and the low-order levels; and for
+`LowOrderSystem.solve_grey` the grey coefficients and grey closure of that
+sweep.  The two trees' calls alternate, which one goes first alternating
+from call to call, as the machine's speed drifts; the grey solve reuses
+one closure object, so its right-side closure terms are built once, as
+within one outer.  After a few untimed calls that fill the per-problem
+caches, each call is timed alone with perf_counter.  Prints the median
+time of one call per tree and the relative change from OTHER to this
+checkout.  One process and one BLAS thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ def calls(slabsm, problem: str) -> dict:
     return {
         "sweep_batch": lambda: sweep.sweep_batch(spec.sigma_t, mesh, quad,
                                                  rhs),
+        "angular_moments": lambda: slabsm.angular.angular_moments(psi,
+                                                                  quad),
+        "closure_from_sweep": lambda: sweep.closure_from_sweep(psi, quad,
+                                                               moments),
         "solve_grey": lambda: system.solve_grey(coeffs, closure),
     }
 
@@ -97,13 +104,13 @@ def main(argv) -> int:
         trees.append({p: calls(slabsm, p) for p in PROBLEMS})
     this, other = trees
     print(f"median of {args.calls} interleaved calls, in ms")
-    print(f"{'call':12s} {'problem':8s} {'this':>8s} {'other':>8s} "
+    print(f"{'call':18s} {'problem':8s} {'this':>8s} {'other':>8s} "
           f"{'change':>8s}")
-    for name in ("sweep_batch", "solve_grey"):
+    for name in this[PROBLEMS[0]]:
         for p in PROBLEMS:
             t_this, t_other = interleaved(this[p][name], other[p][name],
                                           args.calls)
-            print(f"{name:12s} {p:8s} {1e3 * t_this:8.3f} "
+            print(f"{name:18s} {p:8s} {1e3 * t_this:8.3f} "
                   f"{1e3 * t_other:8.3f} {t_this / t_other - 1.0:+8.1%}")
     return 0
 
