@@ -277,7 +277,7 @@ def _low_order_levels(run: _Run, psi, grey_phi):
     None, on the first pass, takes the grey sum of psi's moments."""
     cfg, system = run.cfg, run.system
     moms = angular_moments(psi, run.quad)
-    closures = closure_from_sweep(psi, run.quad, moms)
+    closures = closure_from_sweep(psi, run.quad, moms, run.mesh)
     grey_closure = sum_closures(closures)
     # the inner multigroup iteration restarts from the fresh transport
     # moments; the grey lag carries over

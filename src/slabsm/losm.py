@@ -25,8 +25,8 @@ the sum of the group equations at convergence.  A cell's unknowns (phi_a,
 phi_s, J_a, J_s) couple only to its two neighbours: the operator is block
 tridiagonal with 4x4 blocks: the derivative stencil of the closures' edge
 table `sweep.edge_weights` plus cell-diagonal mass blocks.  Group data
-carry a leading group axis, so one call builds every group's right side;
-the closure terms of the right sides are built once per outer.  Every
+carry a leading group axis, so one call builds every group's right side
+from the sources and the closure's terms (ClosureData.terms).  Every
 matrix is assembled one way: the stencil in LAPACK band storage plus mass
 blocks.  Each grey solve is one band LU solve (dgbsv) of that band; the
 group bands are built once per problem and re-indexed to CSC for their
@@ -134,11 +134,12 @@ def grey_xs(phi_groups: np.ndarray, J_groups: np.ndarray,
 
 
 def sum_closures(closures: ClosureData) -> ClosureData:
-    """Group-summed closure functionals for the grey system."""
+    """Group-summed closure functionals for the grey system, with the
+    grey right-side terms built from the summed functionals."""
     return ClosureData(dJ=closures.dJ.sum(axis=0),
                        dphi=closures.dphi.sum(axis=0),
                        Phat=closures.Phat.sum(axis=0),
-                       P=closures.P.sum(axis=0))
+                       P=closures.P.sum(axis=0), dx=closures.dx)
 
 
 # ---------------------------------------------------------------------------
@@ -193,26 +194,9 @@ def _mass_blocks(removal: np.ndarray, sigma_t: np.ndarray,
     return m
 
 
-def _closure_terms(mesh: Mesh, closure: ClosureData) -> np.ndarray:
-    """Every frozen closure term of the right sides, (..., N, 4) per cell
-    row with the closure's leading axes: rows 2-3 complete, rows 0-1 the
-    terms that _lo_rhs subtracts from the sources."""
-    dx = mesh.dx
-    dJ, dphi, Phat = closure.dJ, closure.dphi, closure.Phat
-    c = np.empty(dJ.shape[:-1] + (mesh.n_cells, 4))
-    c[..., 0] = (dJ[..., 1:] - dJ[..., :-1]) / dx
-    c[..., 1] = 3.0 * (dJ[..., 1:] + dJ[..., :-1]) / dx
-    c[..., 2] = ((Phat[..., 1:] - Phat[..., :-1])
-                 - (dphi[..., 1:] - dphi[..., :-1]) / 3.0) / dx
-    c[..., 3] = (3.0 * (Phat[..., 1:] + Phat[..., :-1])
-                 - 6.0 * closure.P[..., 0]
-                 - (dphi[..., 1:] + dphi[..., :-1])) / dx
-    return c
-
-
 def _lo_rhs(S: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Right sides (..., 4N) of the sources S (..., N, 2), with S's leading
-    axes, and the closure terms (_closure_terms): S - c in rows 0-1."""
+    axes, and the closure terms c (ClosureData.terms): S - c in rows 0-1."""
     b = np.empty(S.shape[:-1] + (4,))
     b[..., 2:] = terms[..., 2:]
     np.subtract(S, terms[..., :2], out=b[..., :2])
@@ -307,17 +291,14 @@ class LowOrderSystem:
     built once per problem and shared by every system of that problem.
     Each grey solve adds the sbar_a / sbar_t / eta blocks of its
     coefficients to a copy of the band and solves it by one dgbsv call, a
-    banded LU with partial pivoting.  The closure terms of the right
-    sides are built once per outer: the terms of the last two ClosureData
-    objects are held, by identity.  A group_pass reuses the right side of
-    an equation_residual on the same (phi_groups, zeta, closures) objects,
-    as the first AA(1) pass of a cycle asks for both.  Counters, per
-    system, record executed solves for the cost accounting: one parallel
-    group pass counts as one low-order solve, as does one grey solve.
+    banded LU with partial pivoting.  Each call builds its right side
+    from the closure's terms (ClosureData.terms); the system keeps no
+    state between calls but its counters, which record executed solves
+    for the cost accounting: one parallel group pass counts as one
+    low-order solve, as does one grey solve.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):
-        self.mesh = mesh
         removal = spec.sigma_t - np.diag(spec.sigma_s)
         if np.any(removal <= 0):
             g = int(np.argmin(removal))
@@ -332,8 +313,6 @@ class LowOrderSystem:
         self._grey_band, self._A, self._lu = _operators(
             *(np.asarray(a, dtype=float).tobytes()
               for a in (mesh.dx, spec.sigma_t, removal)))
-        self._held_terms = []       # [(closure, _closure_terms)], newest first
-        self._residual_rhs = (None,) * 4    # phi_groups, zeta, closures, b
         self.n_group_passes = 0
         self.n_grey_solves = 0
 
@@ -346,24 +325,11 @@ class LowOrderSystem:
         coupling = np.einsum("gh,hnc->gnc", self.coupling, phi_groups)
         return nodal_product(coupling, zeta) + self.Q_fields
 
-    def _terms(self, closure: ClosureData) -> np.ndarray:
-        """_closure_terms of `closure`, kept for it and one other."""
-        for held, terms in self._held_terms:
-            if held is closure:
-                return terms
-        terms = _closure_terms(self.mesh, closure)
-        self._held_terms = [(closure, terms)] + self._held_terms[:1]
-        return terms
-
     def group_pass(self, phi_groups, zeta, closures):
         """One Jacobi pass of the decoupled group solvers against the
         coupling lagged at the input state (counts as one solve: the
         groups are independent and could run in parallel)."""
-        held, self._residual_rhs = self._residual_rhs, (None,) * 4
-        b = held[3]
-        if not all(x is y for x, y in zip(held, (phi_groups, zeta, closures))):
-            b = _lo_rhs(self.group_source(phi_groups, zeta),
-                        self._terms(closures))
+        b = _lo_rhs(self.group_source(phi_groups, zeta), closures.terms)
         u = np.empty_like(b)
         for g, lu in enumerate(self._lu):
             u[g] = lu.solve(b[g])
@@ -375,9 +341,7 @@ class LowOrderSystem:
         given state, the vector AA(1) mixes: flat, in (group, cell,
         coefficient, field) order with phi before J (matrix applications
         only; no solves are consumed)."""
-        b = _lo_rhs(self.group_source(phi_groups, zeta),
-                    self._terms(closures))
-        self._residual_rhs = (phi_groups, zeta, closures, b)
+        b = _lo_rhs(self.group_source(phi_groups, zeta), closures.terms)
         x = np.concatenate([phi_groups, J_groups], axis=-1).reshape(-1)
         r = b.reshape(-1) - self._A @ x
         # per cell (phi_a, phi_s, J_a, J_s) -> (phi_a, J_a, phi_s, J_s)
@@ -387,7 +351,7 @@ class LowOrderSystem:
 
     def solve_grey(self, coeffs: GreyCoefficients, closure: ClosureData):
         mass = _mass_blocks(coeffs.sbar_a, coeffs.sbar_t, coeffs.eta)
-        b = _lo_rhs(coeffs.Q, self._terms(closure))
+        b = _lo_rhs(coeffs.Q, closure.terms)
         if np.isfinite(mass).all():
             kl, ku, ab = self._grey_band(mass)
             _, _, u, info = dgbsv(kl, ku, ab, b, overwrite_ab=1,

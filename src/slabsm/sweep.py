@@ -51,13 +51,15 @@ arrays, not views indexed out in each step (another 4%).
 
 The closures are the sweep's upwind edge moments minus the reconstruction
 `edge_weights` of its traces, the table the low-order stencil reads too.
+A closure also carries the mesh widths dx and the low-order right-side
+terms of its functionals on them (ClosureData.terms), built with it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -191,23 +193,36 @@ def upwind_edge_psi(psi: np.ndarray, quad: AngularQuadrature) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClosureData:
-    """Frozen transport functionals that close the low-order systems.
+    """Frozen transport functionals that close the low-order systems, and
+    the right-side terms they give on cells of widths dx (N,).
 
-    Each field carries a leading group axis, (G, N+1) on the cell edges
-    and (G, N, 2) for P; the grey closure (sum_closures) has none.  dJ
-    holds the additive constants of the edge-current reconstruction; slots
-    0 and N hold the boundary closure constants C with J = n*(phi/2) + C.
-    dphi holds the edge-scalar-flux reconstruction constants, Phat the
-    edge closure moment sum w*(1/3 - mu^2)*psi, and P the cell LD
-    coefficients of the closure moment.
+    Each functional carries a leading group axis, (G, N+1) on the cell
+    edges and (G, N, 2) for P; the grey closure (sum_closures) has none.
+    dJ holds the additive constants of the edge-current reconstruction;
+    slots 0 and N hold the boundary closure constants C with J =
+    n*(phi/2) + C.  dphi holds the edge-scalar-flux reconstruction
+    constants, Phat the edge closure moment sum w*(1/3 - mu^2)*psi, and P
+    the cell LD coefficients of the closure moment.  terms, (..., N, 4)
+    with the functionals' leading axes, holds every closure term of the
+    low-order right sides per cell row (_closure_terms), built once, when
+    the closure is built.  Every array is made read-only, the arrays the
+    closure is given included, so a write into one raises and cannot
+    leave the terms stale.
     """
 
     dJ: np.ndarray
     dphi: np.ndarray
     Phat: np.ndarray
     P: np.ndarray
+    dx: np.ndarray
+    terms: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", _closure_terms(self))
+        for array in vars(self).values():
+            array.setflags(write=False)
 
 
 def edge_weights(N: int) -> np.ndarray:
@@ -228,13 +243,31 @@ def edge_weights(N: int) -> np.ndarray:
     return w
 
 
+def _closure_terms(closure: ClosureData) -> np.ndarray:
+    """Every closure term of the low-order right sides, (..., N, 4) per
+    cell row with the closure's leading axes: rows 2-3 complete, rows 0-1
+    the terms that the sources are reduced by."""
+    dx = closure.dx
+    dJ, dphi, Phat = closure.dJ, closure.dphi, closure.Phat
+    c = np.empty(dJ.shape[:-1] + (dx.size, 4))
+    c[..., 0] = (dJ[..., 1:] - dJ[..., :-1]) / dx
+    c[..., 1] = 3.0 * (dJ[..., 1:] + dJ[..., :-1]) / dx
+    c[..., 2] = ((Phat[..., 1:] - Phat[..., :-1])
+                 - (dphi[..., 1:] - dphi[..., :-1]) / 3.0) / dx
+    c[..., 3] = (3.0 * (Phat[..., 1:] + Phat[..., :-1])
+                 - 6.0 * closure.P[..., 0]
+                 - (dphi[..., 1:] + dphi[..., :-1])) / dx
+    return c
+
+
 def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
-                       moments: MomentSet) -> ClosureData:
-    """Edge and cell closure functionals of every group from the latest
-    sweep, psi (G, M, N, 2), and its angular moments.  dJ and dphi are the
-    exact edge moments minus their reconstructions `edge_weights` from the
-    one-sided traces, so imposing them on the low-order system reproduces
-    the transport moments identically at a consistent solution."""
+                       moments: MomentSet, mesh: Mesh) -> ClosureData:
+    """Edge and cell closure functionals of every group, and their
+    right-side terms on the mesh, from the latest sweep, psi (G, M, N, 2),
+    and its angular moments.  dJ and dphi are the exact edge moments minus
+    their reconstructions `edge_weights` from the one-sided traces, so
+    imposing them on the low-order system reproduces the transport moments
+    identically at a consistent solution."""
     N = psi.shape[-2]
     edge = angular_moments(upwind_edge_psi(psi, quad)[..., None], quad)
     # [phi, J] traces of the cells left (right node) and right (left node)
@@ -248,4 +281,4 @@ def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
              + w[..., 2] * t[..., 2] + w[..., 3] * t[..., 3])
     return ClosureData(dJ=edge.J[..., 0] - recon[..., 0],
                        dphi=edge.phi[..., 0] - recon[..., 1],
-                       Phat=edge.P[..., 0], P=moments.P.copy())
+                       Phat=edge.P[..., 0], P=moments.P.copy(), dx=mesh.dx)

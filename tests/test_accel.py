@@ -5,8 +5,7 @@ from slabsm import driver
 from slabsm.accel import DegenerateResidualPair, aa1_alpha
 from slabsm.driver import IterationConfig, run_problem
 from slabsm.fields import Mesh
-from slabsm.losm import (LowOrderSystem, _closure_terms, _lo_rhs,
-                         _split_solution)
+from slabsm.losm import LowOrderSystem, _lo_rhs, _split_solution
 from slabsm.problem import make_problem
 from slabsm.sweep import ClosureData
 
@@ -117,11 +116,12 @@ def test_equation_residual_is_the_stacked_split_residual():
                         [1.0, 0.5, 0.2], width=dx.sum(), n_cells=7, n_half=2)
     system = LowOrderSystem(spec, mesh)
     closures = ClosureData(dJ=rng.randn(3, 8), dphi=rng.randn(3, 8),
-                           Phat=rng.randn(3, 8), P=rng.randn(3, 7, 2))
+                           Phat=rng.randn(3, 8), P=rng.randn(3, 7, 2),
+                           dx=dx)
     phi, J, zeta = rng.rand(3, 7, 2), rng.randn(3, 7, 2), rng.rand(7, 2)
     r = system.equation_residual(phi, J, zeta, closures)
 
-    b = _lo_rhs(system.group_source(phi, zeta), _closure_terms(mesh, closures))
+    b = _lo_rhs(system.group_source(phi, zeta), closures.terms)
     x = np.concatenate([phi, J], axis=-1).reshape(-1)
     r_phi, r_J = _split_solution(b - (system._A @ x).reshape(b.shape))
     expected = np.stack([r_phi, r_J], -1).ravel()

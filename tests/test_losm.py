@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from scipy.sparse.linalg import splu
 
 from slabsm import losm
 from slabsm.driver import IterationConfig, run_problem
-from slabsm.losm import (GreyCoefficients, LowOrderSystem, _closure_terms,
-                         _lo_rhs, _mass_blocks, _stencil_blocks,
+from slabsm.losm import (GreyCoefficients, LowOrderSystem, _lo_rhs,
+                         _mass_blocks, _stencil_blocks,
                          avg_scattering_xs, compute_zeta, grey_xs,
                          sum_closures)
 from slabsm.problem import builtin_problem, make_problem
@@ -41,25 +43,26 @@ def group_particle_balance(spec, mesh, phi, S, closures):
     return J_right - J_left + removal, source
 
 
-def _zero_closure(n_cells, *groups):
-    """Zero closure data, with a leading group axis of length `groups`
-    when given (group systems) and none for the grey system."""
-    edges = np.zeros(groups + (n_cells + 1,))
+def _zero_closure(mesh, *groups):
+    """Zero closure data on the mesh, with a leading group axis of length
+    `groups` when given (group systems) and none for the grey system."""
+    edges = np.zeros(groups + (mesh.n_cells + 1,))
     return ClosureData(dJ=edges, dphi=edges, Phat=edges,
-                       P=np.zeros(groups + (n_cells, 2)))
+                       P=np.zeros(groups + (mesh.n_cells, 2)), dx=mesh.dx)
 
 
 def _group_closure(closures, g):
     """Closure data of groups `g`: an index drops the group axis, a slice
     keeps it."""
     return ClosureData(dJ=closures.dJ[g], dphi=closures.dphi[g],
-                       Phat=closures.Phat[g], P=closures.P[g])
+                       Phat=closures.Phat[g], P=closures.P[g],
+                       dx=closures.dx)
 
 
 def _sweep_and_close(spec, rhs, mesh, quad):
     psi = sweep_batch(spec.sigma_t, mesh, quad, rhs)
     mom = angular_moments(psi, quad)
-    return psi, mom, closure_from_sweep(psi, quad, mom)
+    return psi, mom, closure_from_sweep(psi, quad, mom, mesh)
 
 
 # -- averaged cross sections and zeta ----------------------------------------
@@ -214,7 +217,7 @@ def test_losm_solution_is_exact_balance():
                         n_half=4)
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     system = LowOrderSystem(spec, mesh)
-    clo = _zero_closure(spec.n_cells, 1)
+    clo = _zero_closure(mesh, 1)
     zeta = const_field(1.0, spec.n_cells)
     phi_lag = np.zeros((1, spec.n_cells, 2))
     phi, _ = system.group_pass(phi_lag, zeta, clo)
@@ -229,7 +232,7 @@ def test_group_losm_diffusion_limit():
                         n_half=4)
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     system = LowOrderSystem(spec, mesh)
-    clo = _zero_closure(spec.n_cells, 1)
+    clo = _zero_closure(mesh, 1)
     zeta = const_field(1.0, spec.n_cells)
     phi_lag = np.zeros((1, spec.n_cells, 2))
     phi, J = system.group_pass(phi_lag, zeta, clo)
@@ -245,7 +248,7 @@ def test_grey_losm_diffusion_limit():
     coeffs = grey_xs(np.ones((1, n, 2)) * np.array([1.0, 0.0]),
                      np.zeros((1, n, 2)), spec)
     # pure absorber: sbar_a = sigma_t = 1, Q = 1 -> interior phi = 1
-    phi, J = system.solve_grey(coeffs, _zero_closure(n))
+    phi, J = system.solve_grey(coeffs, _zero_closure(mesh))
     assert phi[100, 0] == pytest.approx(1.0, rel=1e-2)
 
 
@@ -257,7 +260,7 @@ def test_grey_zero_source_zero_solution():
     n = spec.n_cells
     phi_w = np.ones((1, n, 2)) * np.array([1.0, 0.0])
     coeffs = grey_xs(phi_w, np.zeros((1, n, 2)), spec)
-    phi, J = system.solve_grey(coeffs, _zero_closure(n))
+    phi, J = system.solve_grey(coeffs, _zero_closure(mesh))
     assert np.allclose(phi, 0.0, atol=1e-13)
     assert np.allclose(J, 0.0, atol=1e-13)
 
@@ -269,7 +272,7 @@ def test_group_zero_inputs_zero_solution():
     system = LowOrderSystem(spec, mesh)
     zeta = const_field(1.0, 8)
     phi_lag = np.zeros((2, 8, 2))
-    phi, J = system.group_pass(phi_lag, zeta, _zero_closure(8, 2))
+    phi, J = system.group_pass(phi_lag, zeta, _zero_closure(mesh, 2))
     assert np.allclose(phi, 0.0, atol=1e-14)
     assert np.allclose(J, 0.0, atol=1e-14)
 
@@ -327,11 +330,12 @@ def _cell_equations(dx, phi, J, clo, S, P, removal, sigma_t, drift):
     return resid, scale
 
 
-def _random_closure(rng, n, *groups):
+def _random_closure(rng, mesh, *groups):
+    n = mesh.n_cells
     return ClosureData(dJ=rng.randn(*groups, n + 1),
                        dphi=rng.randn(*groups, n + 1),
                        Phat=rng.randn(*groups, n + 1),
-                       P=rng.randn(*groups, n, 2))
+                       P=rng.randn(*groups, n, 2), dx=mesh.dx)
 
 
 @pytest.mark.parametrize("dx", [[0.3], [0.2, 0.45],
@@ -346,7 +350,7 @@ def test_solves_satisfy_cell_equations_nonuniform_mesh(dx):
     rng = np.random.RandomState(n)
     zero = np.zeros((n, 2))
 
-    closures = _random_closure(rng, n, spec.G)
+    closures = _random_closure(rng, mesh, spec.G)
     phi_lag = rng.rand(spec.G, n, 2)
     zeta = rng.rand(n, 2) + 0.5
     S = system.group_source(phi_lag, zeta)
@@ -359,7 +363,7 @@ def test_solves_satisfy_cell_equations_nonuniform_mesh(dx):
             const_field(spec.sigma_t[g], n), zero)
         assert np.abs(resid).max() <= 1e-12 * scale
 
-    clo = _random_closure(rng, n)
+    clo = _random_closure(rng, mesh)
     coeffs = GreyCoefficients(sbar_a=rng.rand(n, 2) * [1.0, 0.2] + [0.5, 0],
                               sbar_t=rng.rand(n, 2) * [1.0, 0.2] + [1.0, 0],
                               eta=rng.randn(n, 2) * 0.3, Q=rng.rand(n, 2))
@@ -502,7 +506,7 @@ def test_group_axis_matches_per_group_slices(G, dx, n_half):
     rhs = build_ho_rhs(grey, sbar, Q)
     psi = sweep_batch(sigma_t, mesh, quad, rhs)
     mom = angular_moments(psi, quad)
-    closures = closure_from_sweep(psi, quad, mom)
+    closures = closure_from_sweep(psi, quad, mom, mesh)
     zeta = rng.rand(n, 2) + 0.5
     system = LowOrderSystem(spec, mesh)
     phi, J = system.group_pass(mom.phi, zeta, closures)
@@ -515,8 +519,8 @@ def test_group_axis_matches_per_group_slices(G, dx, n_half):
         for batched, alone in zip(mom, angular_moments(psi[g], quad)):
             assert np.array_equal(batched[g], alone)
         alone = closure_from_sweep(psi[g], quad,
-                                   angular_moments(psi[g], quad))
-        for field in ("dJ", "dphi", "Phat", "P"):
+                                   angular_moments(psi[g], quad), mesh)
+        for field in ("dJ", "dphi", "Phat", "P", "terms"):
             assert np.array_equal(getattr(closures, field)[g],
                                   getattr(alone, field))
         spec_g = make_problem(1, sigma_t[one], sigma_s[one, one], Q[one],
@@ -548,11 +552,11 @@ def test_group_operators_factored_once_per_problem():
         assert not np.array_equal(other._A.data, a._A.data)
     # the solve counters stay per system
     phi = np.ones((2, 8, 2))
-    a.group_pass(phi, const_field(1.0, 8), _zero_closure(8, 2))
+    a.group_pass(phi, const_field(1.0, 8), _zero_closure(mesh, 2))
     assert (a.n_group_passes, b.n_group_passes) == (1, 0)
 
 
-# -- bitwise pins of the cached right sides; the banded grey solve ----------
+# -- bitwise pins of the closure terms and right sides; the grey solve ----
 
 def _one_shot_rhs(mesh, S, closure):
     """Right sides (..., 4N) of the sources S and the closure, in one
@@ -585,34 +589,66 @@ def _signed_zeros(rng, a):
 
 @pytest.mark.parametrize("groups", [(), (3,)])
 def test_rhs_from_held_closure_terms_is_the_one_shot_formula(groups):
+    # the terms a closure builds once give the one-shot right sides
     rng = np.random.RandomState(7)
     dx = np.array([0.1, 0.3, 0.05, 0.4, 0.2, 0.25, 0.4])
     mesh, n = Mesh(dx), dx.size
-    clo = _random_closure(rng, n, *groups)
-    clo = ClosureData(*(_signed_zeros(rng, f) for f in vars(clo).values()))
+    clo = _random_closure(rng, mesh, *groups)
+    clo = ClosureData(**{f: _signed_zeros(rng, getattr(clo, f))
+                         for f in ("dJ", "dphi", "Phat", "P")}, dx=dx)
     S = _signed_zeros(rng, rng.randn(*groups, n, 2))
     S[..., 0, :] = -0.0         # -0.0 - 0.0 keeps its sign
-    terms = _closure_terms(mesh, clo)
-    for _ in range(2):          # the held terms serve every later call
-        b = _lo_rhs(S, terms)
-        assert _same_bits(b, _one_shot_rhs(mesh, S, clo))
+    assert _same_bits(_lo_rhs(S, clo.terms), _one_shot_rhs(mesh, S, clo))
     # group sources against the grey closure, as broadcasting gave them
     if groups:
-        grey = _random_closure(rng, n)
-        assert _same_bits(_lo_rhs(S, _closure_terms(mesh, grey)),
+        grey = _random_closure(rng, mesh)
+        assert _same_bits(_lo_rhs(S, grey.terms),
                           _one_shot_rhs(mesh, S, grey))
 
 
+def test_grey_terms_are_the_one_shot_formula_on_the_summed_functionals():
+    # sum_closures builds the grey terms from the summed functionals, not
+    # as the sum of the group terms, which rounds otherwise
+    rng = np.random.RandomState(3)
+    dx = np.array([0.1, 0.3, 0.05, 0.4, 0.2, 0.25, 0.4])
+    mesh, n = Mesh(dx), dx.size
+    closures = _random_closure(rng, mesh, 5)
+    grey = sum_closures(closures)
+    for f in ("dJ", "dphi", "Phat", "P"):
+        assert _same_bits(getattr(grey, f), getattr(closures, f).sum(axis=0))
+    S = rng.randn(n, 2)
+    assert _same_bits(_lo_rhs(S, grey.terms), _one_shot_rhs(mesh, S, grey))
+    assert not np.array_equal(grey.terms, closures.terms.sum(axis=0))
+
+
+def test_closure_arrays_are_read_only():
+    # a write into a closure, or into an array it was given, would leave
+    # its terms stale, so it raises
+    rng = np.random.RandomState(4)
+    mesh = Mesh(np.array([0.2, 0.45, 0.3]))
+    dJ = rng.randn(2, 4)
+    closures = ClosureData(dJ=dJ, dphi=rng.randn(2, 4), Phat=rng.randn(2, 4),
+                           P=rng.randn(2, 3, 2), dx=mesh.dx)
+    for clo in (closures, sum_closures(closures)):
+        for f in ("dJ", "dphi", "Phat", "P", "dx", "terms"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(clo, f)[0] += 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clo.dJ = dJ
+    with pytest.raises(ValueError, match="read-only"):
+        dJ[0] += 1.0
+
+
 def test_held_right_sides_follow_the_closure_object():
-    # closures A and then a new ClosureData B of other values: every
-    # result on B equals that of a fresh system given B
+    # after calls on closures A, every result on closures B of other
+    # values equals that of a fresh system given B
     dx = np.array([0.2, 0.45, 0.3, 0.1])
     mesh, n = Mesh(dx), dx.size
     spec = make_problem(2, [1.0, 2.5], [[0.3, 0.2], [0.4, 1.1]], [1.0, 0.5],
                         width=dx.sum(), n_cells=n, n_half=2)
     rng = np.random.RandomState(11)
-    A, B = _random_closure(rng, n, 2), _random_closure(rng, n, 2)
-    grey_A, grey_B = _random_closure(rng, n), _random_closure(rng, n)
+    A, B = _random_closure(rng, mesh, 2), _random_closure(rng, mesh, 2)
+    grey_A, grey_B = _random_closure(rng, mesh), _random_closure(rng, mesh)
     phi, J = rng.rand(2, n, 2) + 0.5, rng.randn(2, n, 2)
     zeta = rng.rand(n, 2) + 0.5
     coeffs = GreyCoefficients(sbar_a=rng.rand(n, 2) * 0.1 + 0.5,
@@ -629,24 +665,13 @@ def test_held_right_sides_follow_the_closure_object():
     system = fresh()
     system.group_pass(phi, zeta, A)
     system.solve_grey(coeffs, grey_A)
+    system.equation_residual(phi, J, zeta, A)
     for got, want in zip(system.group_pass(phi, zeta, B), expected_pass):
         assert _same_bits(got, want)
     for got, want in zip(system.solve_grey(coeffs, grey_B), expected_grey):
         assert _same_bits(got, want)
-    # a residual's right side is not handed to a pass on other closures,
-    # nor on another flux array of the same values
-    system.equation_residual(phi, J, zeta, A)
-    for got, want in zip(system.group_pass(phi, zeta, B), expected_pass):
-        assert _same_bits(got, want)
-    system.equation_residual(phi, J, zeta, B)
-    for got, want in zip(system.group_pass(phi + 1.0, zeta, B),
-                         fresh().group_pass(phi + 1.0, zeta, B)):
-        assert _same_bits(got, want)
     assert _same_bits(system.equation_residual(phi, J, zeta, B),
                       expected_res)
-    # the residual's right side is taken over by the pass on its inputs
-    for got, want in zip(system.group_pass(phi, zeta, B), expected_pass):
-        assert _same_bits(got, want)
 
 
 def _stencil_plus(dx, mass):
@@ -738,7 +763,7 @@ def _random_grey(rng, tau):
                               sbar_t=sbar_t,
                               eta=sbar_t * rng.uniform(-0.2, 0.2, (n, 2)),
                               Q=const_field(1.0, n))
-    return mesh, coeffs, _random_closure(rng, n)
+    return mesh, coeffs, _random_closure(rng, mesh)
 
 
 def _grey_system(mesh):
@@ -866,7 +891,7 @@ def test_singular_grey_system_raises():
     coeffs.sbar_a[1] = 0.0
     with pytest.raises(RuntimeError,
                        match="singular grey low-order system"):
-        system.solve_grey(coeffs, _zero_closure(n))
+        system.solve_grey(coeffs, _zero_closure(mesh))
 
 
 def test_nan_denominators_give_nan_not_fallbacks():

@@ -273,7 +273,7 @@ def test_closures_match_explicit_reconstruction(G, dx, n_half):
     swept = sweep_batch(sigma_t, mesh, quad, rng.rand(G, dx.size, 2))
     for psi in (swept, rng.randn(*swept.shape)):
         moments = angular_moments(psi, quad)
-        closure = closure_from_sweep(psi, quad, moments)
+        closure = closure_from_sweep(psi, quad, moments, mesh)
         dJ, dphi, Phat = _explicit_closures(psi, quad, moments)
         assert np.array_equal(closure.dJ, dJ)
         assert np.array_equal(closure.dphi, dphi)

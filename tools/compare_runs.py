@@ -23,7 +23,11 @@ np.array_equal, and by np.array_equal of np.signbit, since array_equal
 takes -0.0 for +0.0: psi, phi_ho, J_ho, P, phi, J, grey_phi, grey_J and
 zeta, and every field of closures, grey_closure and grey_coeffs.  A state
 field that is None, as the multilevel fields of source iteration are, must
-be None on both sides.
+be None on both sides.  Every field the OTHER run reports must be present
+and equal in this checkout's run; a field only this checkout reports, as
+closures.dx and closures.terms are against a tree whose closures did not
+carry them, is compared only in the reruns below, and the end lists it
+by name.
 
 With --rtol R, for a change that reorders floating-point operations, N_t,
 M_lo, status, rho_irregular, lo_solve_counts and aa_fallbacks stay exact,
@@ -143,13 +147,16 @@ def run(slabsm, cell) -> dict:
 
 
 def differences(a: dict, b: dict) -> list[str]:
+    """The fields of run b that run a lacks or holds otherwise; a field
+    only a reports is not compared."""
     # numpy is imported only after main() has pinned the BLAS threads
     import numpy as np
 
     out = [name for name in SCALARS if a[name] != b[name]]
-    for name in sorted((a.keys() | b.keys()) - set(SCALARS)):
-        x, y = a.get(name), b.get(name)
-        if (x is None) != (y is None) or x is not None and not (
+    for name in sorted(b.keys() - set(SCALARS)):
+        x, y = a.get(name), b[name]
+        missing = name not in a
+        if missing or (x is None) != (y is None) or x is not None and not (
                 np.array_equal(x, y)
                 and np.array_equal(np.signbit(x), np.signbit(y))):
             out.append(name)
@@ -172,17 +179,18 @@ def _deviation(x, y, scale) -> float:
 
 
 def deviations(a: dict, b: dict) -> dict:
-    """Deviation of run a from run b: each array relative to its own max
-    |value| in b, the residual history relative to b's max |grey_phi|;
-    inf where a field is None on one side only."""
+    """Deviation of run a from run b in each field of b: each array
+    relative to its own max |value| in b, the residual history relative
+    to b's max |grey_phi|; inf where a field is None or missing on one
+    side only."""
     import numpy as np
 
     out = {"residual_history": _deviation(
         a["residual_history"], b["residual_history"],
         np.abs(b["grey_phi"]).max())}
-    for name in sorted((a.keys() | b.keys()) - set(SCALARS)):
-        x, y = a.get(name), b.get(name)
-        if x is None and y is None:
+    for name in sorted(b.keys() - set(SCALARS)):
+        x, y = a.get(name), b[name]
+        if x is None and y is None and name in a:
             continue
         out[name] = (float("inf") if x is None or y is None
                      else _deviation(x, y, np.abs(y).max()))
@@ -218,10 +226,11 @@ def main(argv) -> int:
     slabsm = import_from(other)
     reference = [run(slabsm, cell) for cell in todo]
     slabsm = import_from(SRC)
-    first, worst = [], {}
+    first, worst, only_here = [], {}, set()
     for cell, ref in zip(todo, reference):
         first.append(run(slabsm, cell))
         rec = first[-1]
+        only_here |= rec.keys() - ref.keys()
         if args.rtol is None:
             diff = differences(rec, ref)
         else:
@@ -248,6 +257,9 @@ def main(argv) -> int:
             print(f"  {name:26s} {value:.3e}"
                   + (" (not held to --rtol)" if name in NOISY else ""))
         print(f"all {len(todo)} runs within {args.rtol:g}")
+    if only_here:
+        print("fields only this checkout reports, compared in the reruns: "
+              + ", ".join(sorted(only_here)))
     for cell, rec in reversed(list(zip(todo, first))):
         diff = differences(run(slabsm, cell), rec)
         if diff:
