@@ -1,21 +1,17 @@
-"""Anderson acceleration: the closed-form AA(1) coefficients."""
+"""Anderson acceleration: the closed-form AA(1) coefficient."""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-class DegenerateResidualPair(ValueError):
-    """The two residuals coincide; the secant coefficient is undefined."""
-
-
-def aa1_alpha(r_prev: np.ndarray, r_curr: np.ndarray) -> tuple[float, float]:
-    """Coefficients minimizing ||a0*r_prev + a1*r_curr||_2 with a0 + a1 = 1:
+def aa1_alpha(r_prev: np.ndarray, r_curr: np.ndarray) -> float | None:
+    """The a0 minimizing ||a0*r_prev + (1 - a0)*r_curr||_2:
 
         a0 = sum r_curr*(r_curr - r_prev) / sum (r_prev - r_curr)^2
 
-    Raises DegenerateResidualPair on a zero denominator; callers fall back
-    to the plain fixed-point step (0, 1).
+    None for a degenerate pair, whose denominator is zero or not finite;
+    the caller then takes the plain fixed-point step, a0 = 0.
     """
     r_prev = np.asarray(r_prev, dtype=float)
     r_curr = np.asarray(r_curr, dtype=float)
@@ -24,7 +20,5 @@ def aa1_alpha(r_prev: np.ndarray, r_curr: np.ndarray) -> tuple[float, float]:
     diff = r_prev - r_curr
     den = float(diff @ diff)
     if den <= 0.0 or not np.isfinite(den):
-        raise DegenerateResidualPair("residual difference has zero norm")
-    a0 = float(r_curr @ (r_curr - r_prev)) / den
-    return a0, 1.0 - a0
-
+        return None
+    return float(r_curr @ (r_curr - r_prev)) / den

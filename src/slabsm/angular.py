@@ -14,13 +14,18 @@ class AngularQuadrature:
 
     Enforced on construction: the ordinates are strictly sorted and
     nonzero, and mu and w are mirror-symmetric, so the mu < 0 directions
-    are exactly the first half.
+    are exactly the first half.  The quadrature keeps read-only copies of
+    mu and w.
     """
 
     mu: np.ndarray
     w: np.ndarray
 
     def __post_init__(self):
+        for name in ("mu", "w"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         mu, w = self.mu, self.w
         if mu.size == 0 or w.shape != mu.shape:
             raise ValueError("mu and w must be nonempty and of one shape")
@@ -72,8 +77,6 @@ def build_double_gauss(n_half: int) -> AngularQuadrature:
     w_half = 0.5 * v
     mu = np.concatenate([-mu_pos[::-1], mu_pos])
     w = np.concatenate([w_half[::-1], w_half])
-    mu.setflags(write=False)
-    w.setflags(write=False)
     return AngularQuadrature(mu=mu, w=w)
 
 

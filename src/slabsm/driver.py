@@ -5,10 +5,12 @@ with the run's fixed inputs in `_Run`.  `_si_step` sweeps against the
 lagged scattering source and takes the moments.  `_multilevel_step`
 sweeps against sbar_s times the grey flux; `_low_order_levels` then
 freezes the closures of that psi and runs k_max cycles of [ s_max
-multigroup low-order passes (zeta refreshed each pass, AA(1)-mixed for
-mlsm-aa1), a grey coefficient update and one grey solve ], and runs
-sweep-free once before the loop, on the flat guess.  `run_problem` steps
-ell = 1..max_outer and only decides when to stop.  Convergence is
+multigroup low-order passes, a grey coefficient update and one grey
+solve ], and runs sweep-free once before the loop, on the flat guess.
+MLSM and MLSM-AA(1) share that one pass loop.  MLSM takes each pass
+output, and MLSM-AA(1) mixes the last two outputs, which is Anderson
+acceleration AA(m) with m = 1; m = 0 is MLSM's plain step.  `run_problem`
+steps ell = 1..max_outer and only decides when to stop.  Convergence is
 measured on successive grey scalar fluxes, so N_t counts the outers that
 contain a transport sweep.
 """
@@ -24,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .accel import DegenerateResidualPair, aa1_alpha
+from .accel import aa1_alpha
 from .angular import AngularQuadrature, angular_moments, build_double_gauss
 from .fields import Mesh
 from .losm import (LowOrderSystem, avg_scattering_xs, compute_zeta, grey_xs,
@@ -195,40 +197,6 @@ def _status(history, cfg) -> str | None:
     return None
 
 
-def _aa1_passes(system, grey_phi, phi, J, closures, s_max):
-    """s_max multigroup passes mixed by AA(1).
-
-    The combination mixes the two latest map values with coefficients
-    from the closed-form residual minimization; residuals are the
-    low-order equation residuals, so no solve beyond the s_max passes is
-    consumed.  The residual of the initial guess (the sweep moments in the
-    first cycle) makes acceleration active from the first pass.  Returns
-    (phi, J, fallbacks, largest |alpha0|).
-    """
-    fallbacks = 0
-    alpha_peak = 0.0
-    hat_prev = (phi, J)
-    for s in range(s_max):
-        zeta = compute_zeta(grey_phi, phi)
-        if s == 0:
-            r_prev = system.equation_residual(phi, J, zeta, closures)
-        hat_phi, hat_J = system.group_pass(phi, zeta, closures)
-        r_curr = system.equation_residual(hat_phi, hat_J, zeta, closures)
-        try:
-            a0, a1 = aa1_alpha(r_prev, r_curr)
-        except DegenerateResidualPair:
-            a0, a1 = 0.0, 1.0
-            fallbacks += 1
-            log.debug("AA(1) degenerate residual pair at pass %d; plain "
-                      "step", s + 1)
-        alpha_peak = max(alpha_peak, abs(a0))
-        phi = a0 * hat_prev[0] + a1 * hat_phi
-        J = a0 * hat_prev[1] + a1 * hat_J
-        hat_prev = (hat_phi, hat_J)
-        r_prev = r_curr
-    return phi, J, fallbacks, alpha_peak
-
-
 class OuterDiagnostics(NamedTuple):
     """Low-order solves, AA(1) fallbacks and peak |alpha0| of one outer."""
 
@@ -274,7 +242,14 @@ def _multilevel_step(run: _Run, state: TransportState):
 
 def _low_order_levels(run: _Run, psi, grey_phi):
     """Low-order levels on the swept psi against the lagged grey_phi;
-    None, on the first pass, takes the grey sum of psi's moments."""
+    None, on the first pass, takes the grey sum of psi's moments.
+
+    The one multigroup pass loop: each pass refreshes zeta and runs
+    group_pass.  mlsm takes the pass output.  mlsm-aa1 mixes it with the
+    previous output (the cycle's start on the first pass) by AA(1) on
+    their low-order equation residuals, which costs no solve beyond the
+    pass; a degenerate residual pair takes the plain step a0 = 0.
+    """
     cfg, system = run.cfg, run.system
     moms = angular_moments(psi, run.quad)
     closures = closure_from_sweep(psi, run.quad, moms, run.mesh)
@@ -285,17 +260,30 @@ def _low_order_levels(run: _Run, psi, grey_phi):
     if grey_phi is None:
         grey_phi = phi.sum(axis=0)
     solves0 = system.n_group_passes + system.n_grey_solves
+    aa1 = cfg.method == METHOD_MLSM_AA1
     fallbacks, peak = 0, 0.0
     for _k in range(cfg.k_max):
-        if cfg.method == METHOD_MLSM_AA1:
-            phi, J, cycle_fallbacks, cycle_peak = _aa1_passes(
-                system, grey_phi, phi, J, closures, cfg.s_max)
-            fallbacks += cycle_fallbacks
-            peak = max(peak, cycle_peak)
-        else:
-            for _s in range(cfg.s_max):
-                zeta = compute_zeta(grey_phi, phi)
-                phi, J = system.group_pass(phi, zeta, closures)
+        prev = (phi, J)
+        for s in range(cfg.s_max):
+            zeta = compute_zeta(grey_phi, phi)
+            if aa1 and s == 0:
+                r_prev = system.equation_residual(phi, J, zeta, closures)
+            hat = system.group_pass(phi, zeta, closures)
+            if not aa1:
+                phi, J = hat
+                continue
+            r_curr = system.equation_residual(*hat, zeta, closures)
+            a0 = aa1_alpha(r_prev, r_curr)
+            if a0 is None:
+                a0 = 0.0
+                fallbacks += 1
+                log.debug("AA(1) degenerate residual pair at pass %d; plain "
+                          "step", s + 1)
+            peak = max(peak, abs(a0))
+            a1 = 1.0 - a0
+            phi = a0 * prev[0] + a1 * hat[0]
+            J = a0 * prev[1] + a1 * hat[1]
+            prev, r_prev = hat, r_curr
         grey_coeffs = grey_xs(phi, J, run.spec)
         grey_phi, grey_J = system.solve_grey(grey_coeffs, grey_closure)
     state = TransportState(

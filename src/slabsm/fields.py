@@ -20,14 +20,16 @@ import numpy as np
 class Mesh:
     """1D slab mesh given by its cell widths dx, a 1-D, non-empty array
     of finite widths > 0.  dx may be nonuniform; the built-ins are
-    uniform."""
+    uniform.  The mesh keeps a read-only copy of dx, so the caller's
+    array is neither frozen nor able to change the widths later."""
 
     dx: np.ndarray
 
     def __post_init__(self):
         # a zero, negative or non-finite width sweeps to finite numbers
         # with no error, so it is rejected here
-        dx = np.asarray(self.dx, dtype=float)
+        dx = np.array(self.dx, dtype=float)
+        dx.setflags(write=False)
         object.__setattr__(self, "dx", dx)
         if not (dx.ndim == 1 and dx.size > 0
                 and np.all(np.isfinite(dx) & (dx > 0))):
@@ -42,9 +44,7 @@ class Mesh:
     def uniform(width: float, n_cells: int) -> "Mesh":
         if n_cells < 1:
             raise ValueError("mesh requires n_cells >= 1")
-        dx = np.full(n_cells, width / n_cells)
-        dx.setflags(write=False)
-        return Mesh(dx)
+        return Mesh(np.full(n_cells, width / n_cells))
 
 
 def to_nodes(coeffs: np.ndarray) -> np.ndarray:

@@ -43,8 +43,10 @@ class ProblemSpec:
         return self.sigma_t - self.sigma_s.sum(axis=0)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _frozen_copy(a) -> np.ndarray:
+    """A read-only C-contiguous float copy of a, so a spec neither aliases
+    nor freezes the caller's array."""
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 
@@ -98,14 +100,11 @@ def make_problem(G, sigma_t, sigma_s, Q, width, n_cells, n_half,
     G = whole_count(G, "group count")
     n_cells = whole_count(n_cells, "cell count")
     n_half = whole_count(n_half, "quad_half_order")
-    sigma_t = np.asarray(sigma_t, dtype=float)
-    sigma_s = np.asarray(sigma_s, dtype=float)
-    Q = np.asarray(Q, dtype=float)
+    sigma_t, sigma_s, Q = map(_frozen_copy, (sigma_t, sigma_s, Q))
     width = float(width)
     _check_spec(G, sigma_t, sigma_s, Q, width, n_cells, n_half)
-    return ProblemSpec(G=G, sigma_t=_freeze(sigma_t), sigma_s=_freeze(sigma_s),
-                       Q=_freeze(Q), width=width, n_cells=n_cells,
-                       n_half=n_half, name=name)
+    return ProblemSpec(G=G, sigma_t=sigma_t, sigma_s=sigma_s, Q=Q,
+                       width=width, n_cells=n_cells, n_half=n_half, name=name)
 
 
 _CONFIG_KEYS = ("groups", "sigma_t", "sigma_s", "source", "width", "cells",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slabsm import driver
-from slabsm.accel import DegenerateResidualPair, aa1_alpha
+from slabsm.accel import aa1_alpha
 from slabsm.driver import IterationConfig, run_problem
 from slabsm.fields import Mesh
 from slabsm.losm import LowOrderSystem, _lo_rhs, _split_solution
@@ -10,24 +10,30 @@ from slabsm.problem import make_problem
 from slabsm.sweep import ClosureData
 
 
+def _aa1_pair(r_prev, r_curr):
+    """(a0, a1) as the driver forms them from aa1_alpha: a1 = 1 - a0."""
+    a0 = aa1_alpha(r_prev, r_curr)
+    return a0, 1.0 - a0
+
+
 def _aa1_affine_step(a, b, x0, x1):
     """The driver's AA(1) combination on the scalar map A(x) = a x + b:
     residuals r_j = A(x_j) - x_j, mixed map values a0 A(x0) + a1 A(x1)."""
     ax0, ax1 = a * x0 + b, a * x1 + b
-    a0, a1 = aa1_alpha(np.array([ax0 - x0]), np.array([ax1 - x1]))
+    a0, a1 = _aa1_pair(np.array([ax0 - x0]), np.array([ax1 - x1]))
     return a0 * ax0 + a1 * ax1
 
 
 def test_alpha_current_already_optimal():
     r_prev = np.array([1.0, -2.0, 0.5])
-    a0, a1 = aa1_alpha(r_prev, np.zeros(3))
+    a0, a1 = _aa1_pair(r_prev, np.zeros(3))
     assert a0 == pytest.approx(0.0)
     assert a1 == pytest.approx(1.0)
 
 
 def test_alpha_antisymmetric_pair():
     r = np.array([0.3, -1.1, 2.0])
-    a0, a1 = aa1_alpha(-r, r)
+    a0, a1 = _aa1_pair(-r, r)
     assert a0 == pytest.approx(0.5)
     assert a1 == pytest.approx(0.5)
     assert np.allclose(a0 * (-r) + a1 * r, 0.0)
@@ -35,8 +41,9 @@ def test_alpha_antisymmetric_pair():
 
 def test_alpha_degenerate_pair():
     r = np.array([1.0, 2.0])
-    with pytest.raises(DegenerateResidualPair):
-        aa1_alpha(r, r.copy())
+    assert aa1_alpha(r, r.copy()) is None
+    # a non-finite denominator is degenerate too
+    assert aa1_alpha(np.array([np.inf, 0.0]), r) is None
 
 
 def test_alpha_length_mismatch():
@@ -50,7 +57,7 @@ def test_alpha_sums_to_one_and_projection_inequality():
         n = rng.randint(2, 40)
         rp = rng.randn(n)
         rc = rng.randn(n)
-        a0, a1 = aa1_alpha(rp, rc)
+        a0, a1 = _aa1_pair(rp, rc)
         assert a0 + a1 == pytest.approx(1.0, abs=1e-15)
         combo = np.linalg.norm(a0 * rp + a1 * rc)
         best_single = min(np.linalg.norm(rp), np.linalg.norm(rc))
@@ -62,7 +69,7 @@ def test_aa_step_m0_is_plain_fixed_point():
     x = np.array([1.0, 2.0])
     ax_prev = np.array([0.3, 0.7])
     ax = np.array([0.9, 1.4])
-    a0, a1 = aa1_alpha(ax_prev - x, np.zeros(2))
+    a0, a1 = _aa1_pair(ax_prev - x, np.zeros(2))
     assert (a0, a1) == (0.0, 1.0)
     assert np.array_equal(a0 * ax_prev + a1 * ax, ax)
 
@@ -70,7 +77,7 @@ def test_aa_step_m0_is_plain_fixed_point():
 def test_aa_step_worked_scalar_example():
     # A(x) = 0.5 x + 1: x0=0, A(x0)=1, r0=1; x1=1, A(x1)=1.5, r1=0.5
     # alpha0 = 0.5*(-0.5)/0.25 = -1 -> x2 = -1*1 + 2*1.5 = 2, the fixed point
-    assert aa1_alpha(np.array([1.0]), np.array([0.5])) == (-1.0, 2.0)
+    assert _aa1_pair(np.array([1.0]), np.array([0.5])) == (-1.0, 2.0)
     assert _aa1_affine_step(0.5, 1.0, 0.0, 1.0) == pytest.approx(2.0,
                                                                  abs=1e-14)
 
@@ -94,7 +101,7 @@ def test_aa_step_degenerate_falls_back(monkeypatch):
     plain = run_problem(spec, IterationConfig(method="mlsm", s_max=2))
 
     def degenerate(r_prev, r_curr):
-        raise DegenerateResidualPair("forced")
+        return None
 
     monkeypatch.setattr(driver, "aa1_alpha", degenerate)
     rep = run_problem(spec, IterationConfig(method="mlsm-aa1", s_max=2))

@@ -268,7 +268,8 @@ def test_criterion_6d_aa1_properties():
         x0 = rng.uniform(-4, 4)
         x1 = a * x0 + b
         ax0, ax1 = x1, a * x1 + b
-        a0, a1 = aa1_alpha(np.array([ax0 - x0]), np.array([ax1 - x1]))
+        a0 = aa1_alpha(np.array([ax0 - x0]), np.array([ax1 - x1]))
+        a1 = 1.0 - a0
         x2 = a0 * ax0 + a1 * ax1
         fixed = b / (1 - a)
         if abs(x2 - fixed) > 1e-8 * max(1.0, abs(fixed)):
@@ -278,7 +279,8 @@ def test_criterion_6d_aa1_properties():
     for _ in range(200):
         rp = rng.randn(rng.randint(2, 30))
         rc = rng.randn(rp.size)
-        a0, a1 = aa1_alpha(rp, rc)
+        a0 = aa1_alpha(rp, rc)
+        a1 = 1.0 - a0
         if abs(a0 + a1 - 1.0) > 1e-14:
             failures.append("alpha constraint violated")
             break

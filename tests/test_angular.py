@@ -62,6 +62,15 @@ def test_quadrature_layout_enforced(mu, w):
         AngularQuadrature(mu=np.array(mu), w=np.array(w))
 
 
+def test_quadrature_keeps_read_only_copies():
+    mu, w = np.array([-0.5, 0.5]), np.array([1.0, 1.0])
+    quad = AngularQuadrature(mu=mu, w=w)
+    mu[0], w[0] = 0.7, 3.0
+    assert quad.mu[0] == -0.5 and quad.w[0] == 1.0
+    assert mu.flags.writeable and w.flags.writeable
+    assert not (quad.mu.flags.writeable or quad.w.flags.writeable)
+
+
 def test_invalid_order_rejected():
     with pytest.raises(ValueError):
         build_double_gauss(0)

@@ -138,6 +138,10 @@ def test_sweep_table_empty_list(capsys):
     code, _, err = _run(capsys, ["sweep-table", "--problem", "test1",
                                  "--kmax", ",", "--smax", "1"])
     assert code == 1
+    # a list entry that is not an integer
+    code, _, err = _run(capsys, ["sweep-table", "--problem", "test1",
+                                 "--kmax", "1,x", "--smax", "1"])
+    assert code == 1 and "bad --kmax value" in err
 
 
 def test_strength_reproduces_table1(capsys):

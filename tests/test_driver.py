@@ -1,3 +1,4 @@
+import collections
 import copy
 
 import numpy as np
@@ -194,6 +195,41 @@ def test_lo_solve_counts_at_max_outer(method):
     rep = run_problem(_small_two_group(), cfg)
     assert rep.status == "max_outer"
     assert rep.lo_solve_counts == [rep.M_lo] * (rep.N_t + 1)
+
+
+@pytest.mark.parametrize("method", ["mlsm", "mlsm-aa1"])
+@pytest.mark.parametrize("k, s", [(1, 1), (2, 3)])
+def test_pass_loop_call_pattern(monkeypatch, method, k, s):
+    # counted through the names the driver calls, per outer and for the
+    # sweep-free first pass: each pass refreshes zeta and runs one group
+    # pass; mlsm-aa1 adds the residual of each cycle's start and of each
+    # pass output, and one AA(1) coefficient per pass
+    calls = collections.Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("group_pass", "equation_residual", "solve_grey"):
+        count(LowOrderSystem, name)
+    for name in ("compute_zeta", "aa1_alpha"):
+        count(driver, name)
+    cfg = IterationConfig(method=method, k_max=k, s_max=s, max_outer=3,
+                          epsilon=1e-14)
+    rep = run_problem(_small_two_group(), cfg)
+    assert rep.N_t == 3
+    outers = rep.N_t + 1
+    aa1 = method == "mlsm-aa1"
+    assert calls["group_pass"] == outers * k * s
+    assert calls["equation_residual"] == (outers * k * (s + 1) if aa1 else 0)
+    assert calls["aa1_alpha"] == (outers * k * s if aa1 else 0)
+    # one zeta per pass, and the final state's
+    assert calls["compute_zeta"] == outers * (k * s + 1)
+    assert calls["solve_grey"] == outers * k
 
 
 @pytest.mark.parametrize("method", ["mlsm", "mlsm-aa1"])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh, from_nodes, nodal_product, to_nodes
+from slabsm.sweep import closure_from_sweep, sweep_batch
 from test_sweep import mesh_edges
 
 
@@ -16,6 +18,8 @@ def test_mesh_invalid():
     for width in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="finite and > 0"):
             Mesh.uniform(width, 4)
+    with pytest.raises(ValueError, match="n_cells >= 1"):
+        Mesh.uniform(1.0, 0)
 
 
 @pytest.mark.parametrize("dx", [np.ones(0), np.ones((2, 1)), np.ones((1, 3)),
@@ -30,6 +34,22 @@ def test_mesh_is_its_cell_widths():
     mesh = Mesh(dx)
     assert mesh.n_cells == 3
     assert mesh.dx.dtype == float and np.array_equal(mesh.dx, dx)
+
+
+def test_mesh_keeps_a_read_only_copy_of_dx():
+    # a later write into the caller's array would give the mesh a width
+    # the constructor rejects, and the caller's array stays writable,
+    # also after a closure is built on the mesh
+    dx = np.full(4, 0.5)
+    mesh = Mesh(dx)
+    quad = build_double_gauss(1)
+    psi = sweep_batch([1.0], mesh, quad, np.ones((1, 4, 2)))
+    closure_from_sweep(psi, quad, angular_moments(psi, quad), mesh)
+    dx[0] = -1.0
+    assert mesh.dx[0] == 0.5
+    assert not mesh.dx.flags.writeable
+    with pytest.raises(ValueError):
+        mesh.dx[1] = 2.0
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])

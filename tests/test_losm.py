@@ -894,6 +894,13 @@ def test_singular_grey_system_raises():
         system.solve_grey(coeffs, _zero_closure(mesh))
 
 
+def test_singular_group_matrix_names_the_group():
+    A = csc_matrix(np.array([[1.0, 0.0], [2.0, 0.0]]))
+    with pytest.raises(RuntimeError,
+                       match="singular low-order system for group 3"):
+        losm._factor(A, "low-order system for group 3")
+
+
 def test_nan_denominators_give_nan_not_fallbacks():
     # a NaN flux sum divides through instead of taking the safeguard
     # value, so a broken state cannot iterate on finite fallbacks

@@ -102,10 +102,52 @@ def test_load_problem_missing_key(tmp_path):
         load_problem(path)
 
 
+def test_load_problem_unreadable_path(tmp_path):
+    with pytest.raises(ProblemError, match="cannot read config"):
+        load_problem(tmp_path / "no-such.json")
+    with pytest.raises(ProblemError, match="cannot read config"):
+        load_problem(tmp_path)
+
+
+def test_load_problem_not_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ProblemError, match="must be a JSON object"):
+        load_problem(path)
+
+
 def test_dimension_mismatch():
     with pytest.raises(ProblemError):
         make_problem(2, [1.0, 1.0], [[0.1]], [1.0, 1.0], width=1.0,
                      n_cells=4, n_half=2)
+
+
+def test_spec_keeps_read_only_copies():
+    sigma_t, sigma_s, Q = np.ones(2), np.full((2, 2), 0.25), np.ones(2)
+    spec = make_problem(2, sigma_t, sigma_s, Q, width=1.0, n_cells=4,
+                        n_half=2)
+    for given, kept in ((sigma_t, spec.sigma_t), (sigma_s, spec.sigma_s),
+                        (Q, spec.Q)):
+        assert given.flags.writeable and not kept.flags.writeable
+        assert kept.flags.c_contiguous
+        given[0] = -5.0
+        assert np.all(kept >= 0.25)
+
+
+@pytest.mark.parametrize("changes, match", [
+    ({"groups": 0, "sigma_t": [], "sigma_s": [], "source": []},
+     "group count must be >= 1"),
+    ({"source": [1.0, 1.0]}, "source must have 1 entries"),
+    ({"sigma_t": [0.0]}, "sigma_t entries must be positive"),
+    ({"sigma_t": [-1.0]}, "sigma_t entries must be positive"),
+    ({"width": 0.0}, "slab width must be positive"),
+    ({"width": -2.0}, "slab width must be positive"),
+    ({"cells": 0}, "cell count must be >= 1"),
+    ({"quad_half_order": 0}, "quad_half_order must be >= 1"),
+])
+def test_invalid_spec_rejected(changes, match):
+    with pytest.raises(ProblemError, match=match):
+        problem_from_dict(_one_group_doc(**changes))
 
 
 def test_negative_cross_section():

@@ -289,6 +289,19 @@ def test_sigma_t_must_be_positive():
             _sweep1(sigma_t, mesh, quad, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("rhs, match", [
+    (np.zeros((1, 3, 2)), "rhs shape"),
+    (np.zeros((1, 3, 2, 2)), "rhs shape"),
+    (np.zeros((2, 2)), "rhs shape"),
+    (np.full((1, 2, 2), np.nan), "rhs must be finite"),
+    (np.full((1, 4, 2, 2), np.inf), "rhs must be finite"),
+])
+def test_bad_rhs_rejected(rhs, match):
+    quad = build_double_gauss(2)
+    with pytest.raises(ValueError, match=match):
+        sweep_batch([1.0], Mesh.uniform(1.0, 2), quad, rhs)
+
+
 def test_sigma_t_dx_overflow_rejected():
     # sd = sigma_t * dx near 1e154 makes sd^2 overflow; the cell solve
     # would return psi = 0 instead of the true q / sigma_t

@@ -4,29 +4,29 @@ checkout against another one.
     python3 tools/time_sweep.py OTHER_SRC [--calls 600]
 
 OTHER_SRC is the src/ directory of another checkout, for instance of the
-parent commit.  slabsm is imported fresh from this checkout's src/ and
-then from OTHER_SRC, and both stay loaded.  On test1 and test2 each tree gets
-the same inputs: a fixed seeded isotropic source (G, N, 2) for
+parent commit, whose closure_from_sweep takes the mesh (every tree since
+the closure's right-side terms came to be built with the closure).
+slabsm is imported fresh from this checkout's src/ and then from
+OTHER_SRC, and both stay loaded.  On test1 and test2 each tree gets the
+same inputs: a fixed seeded isotropic source (G, N, 2) for
 `sweep.sweep_batch`; that source's swept psi for `angular.angular_moments`
-and, with its moments and the mesh where that tree's signature takes it,
-for `sweep.closure_from_sweep`, the per-outer glue between the sweep and
-the low-order levels; and for `LowOrderSystem.solve_grey` the grey
-coefficients and grey closure of that sweep.  The two trees' calls
-alternate, which one goes first alternating from call to call, as the
-machine's speed drifts.  The grey solve reuses one closure, so no timed
-call builds its right-side terms: a tree whose closure carries them
-builds them with the closure (and so within closure_from_sweep's time),
-and a tree that held them in its LowOrderSystem built them in the first,
-untimed call.  After a few untimed calls that fill the per-problem
-caches, each call is timed alone with perf_counter.  Prints the median
-time of one call per tree and the relative change from OTHER to this
-checkout.  One process and one BLAS thread, as in the benchmark.
+and, with its moments and the mesh, for `sweep.closure_from_sweep`, the
+per-outer glue between the sweep and the low-order levels; and for
+`LowOrderSystem.solve_grey` the grey coefficients and grey closure of
+that sweep.  The two trees' calls alternate, which one goes first
+alternating from call to call, as the machine's speed drifts.  The grey
+solve reuses one grey closure, whose right-side terms were built with it,
+so no timed grey solve builds them; closure_from_sweep's time includes
+building the group closure's terms.  After a few untimed calls that fill
+the per-problem caches, each call is timed alone with perf_counter.
+Prints the median time of one call per tree and the relative change from
+OTHER to this checkout.  One process and one BLAS thread, as in the
+benchmark.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import statistics
 import sys
 import time
@@ -54,10 +54,7 @@ def calls(slabsm, problem: str) -> dict:
     rhs = np.random.RandomState(SEED).rand(spec.G, spec.n_cells, 2)
     psi = sweep.sweep_batch(spec.sigma_t, mesh, quad, rhs)
     moments = slabsm.angular.angular_moments(psi, quad)
-    # the mesh argument came in with the closure's right-side terms
-    closure_args = (psi, quad, moments)
-    if "mesh" in inspect.signature(sweep.closure_from_sweep).parameters:
-        closure_args += (mesh,)
+    closure_args = (psi, quad, moments, mesh)
     closure = losm.sum_closures(sweep.closure_from_sweep(*closure_args))
     coeffs = losm.grey_xs(moments.phi, moments.J, spec)
     system = losm.LowOrderSystem(spec, mesh)
