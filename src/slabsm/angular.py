@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,9 +68,13 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x[order], w[order]
 
 
+@functools.lru_cache(maxsize=8)
 def build_double_gauss(n_half: int) -> AngularQuadrature:
     """Double Gauss-Legendre set: the n_half-point rule mapped onto each
-    half-range (0,1) and (-1,0).  2*n_half directions, sum(w) = 2."""
+    half-range (0,1) and (-1,0).  2*n_half directions, sum(w) = 2.
+
+    Cached per n_half: the quadrature is frozen and its arrays read-only,
+    so every run of a problem shares one set."""
     if n_half < 1:
         raise ValueError("n_half must be >= 1")
     x, v = _gauss_legendre(n_half)

@@ -51,19 +51,19 @@ def to_nodes(coeffs: np.ndarray) -> np.ndarray:
     """(avg, slope) -> (left value, right value), any leading shape."""
     a, s = coeffs[..., 0], coeffs[..., 1]
     out = np.empty(coeffs.shape)
-    np.subtract(a, s, out=out[..., 0])
-    np.add(a, s, out=out[..., 1])
+    np.subtract(a, s, out[..., 0])
+    np.add(a, s, out[..., 1])
     return out
 
 
 def from_nodes(nodes: np.ndarray) -> np.ndarray:
-    """(left value, right value) -> (avg, slope), any leading shape."""
+    """(left value, right value) -> (avg, slope), any leading shape: the
+    sum and difference, then one multiply by 0.5 over both halves."""
     left, right = nodes[..., 0], nodes[..., 1]
     out = np.empty(nodes.shape)
-    avg, slope = out[..., 0], out[..., 1]
-    np.multiply(0.5, np.add(left, right, out=avg), out=avg)
-    np.multiply(0.5, np.subtract(right, left, out=slope), out=slope)
-    return out
+    np.add(left, right, out[..., 0])
+    np.subtract(right, left, out[..., 1])
+    return np.multiply(out, 0.5, out)
 
 
 def nodal_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -27,10 +27,12 @@ tridiagonal with 4x4 blocks: the derivative stencil of the closures' edge
 table `sweep.edge_weights` plus cell-diagonal mass blocks.  Group data
 carry a leading group axis, so one call builds every group's right side
 from the sources and the closure's terms (ClosureData.terms).  Every
-matrix is assembled one way: the stencil in LAPACK band storage plus mass
-blocks.  Each grey solve is one band LU solve (dgbsv) of that band; the
-group bands are built once per problem and re-indexed to CSC for their
-sparse LU factors.
+matrix is assembled one way: the stencil in LAPACK band storage plus the
+cell mass entries, gathered straight from the flat coefficient stack
+[sbar_a, sbar_t, eta, 0] through an index built once per problem.  Each
+grey solve is one band LU solve (dgbsv) of that band; the group bands are
+built once per problem and read off in CSC order for their sparse LU
+factors.
 """
 
 from __future__ import annotations
@@ -55,10 +57,15 @@ DENOM_EPS = 1e-30
 # ---------------------------------------------------------------------------
 
 def _ratio(num_n: np.ndarray, den_n: np.ndarray, fallback) -> np.ndarray:
-    """num_n / den_n shaped as num_n, and `fallback` (broadcast) where
-    |den_n| < DENOM_EPS; a NaN den_n gives NaN, which stops the run."""
-    out = np.full(num_n.shape, fallback, dtype=float)
-    np.divide(num_n, den_n, out=out, where=~(np.abs(den_n) < DENOM_EPS))
+    """num_n / den_n shaped as num_n, and the value of `fallback()`
+    (broadcast) where |den_n| < DENOM_EPS; a NaN den_n gives NaN, which
+    stops the run.  The fallback is lazy: when no node needs it, this is
+    one plain divide and `fallback` is never called."""
+    small = np.abs(den_n) < DENOM_EPS
+    if not small.any():
+        return num_n / den_n
+    out = np.full(num_n.shape, fallback(), dtype=float)
+    np.divide(num_n, den_n, out=out, where=~small)
     return out
 
 
@@ -72,8 +79,8 @@ def avg_scattering_xs(phi_groups: np.ndarray, sigma_s: np.ndarray) -> np.ndarray
     """
     num_n = to_nodes(np.einsum("gh,hnc->gnc", sigma_s, phi_groups))
     den_n = to_nodes(phi_groups.sum(axis=0))
-    fallback = sigma_s.mean(axis=1)[:, None, None]
-    return from_nodes(_ratio(num_n, den_n, fallback))
+    return from_nodes(_ratio(num_n, den_n,
+                             lambda: sigma_s.mean(axis=1)[:, None, None]))
 
 
 def compute_zeta(grey_phi: np.ndarray, phi_groups: np.ndarray) -> np.ndarray:
@@ -81,7 +88,7 @@ def compute_zeta(grey_phi: np.ndarray, phi_groups: np.ndarray) -> np.ndarray:
     evaluated at the cell-edge values; safeguarded nodes fall back to 1
     (plain lagged coupling)."""
     den_n = to_nodes(phi_groups.sum(axis=0))
-    return from_nodes(_ratio(to_nodes(grey_phi), den_n, 1.0))
+    return from_nodes(_ratio(to_nodes(grey_phi), den_n, lambda: 1.0))
 
 
 @dataclass
@@ -112,20 +119,22 @@ def grey_xs(phi_groups: np.ndarray, J_groups: np.ndarray,
     closure moment comes with the grey closure (sum_closures).
     """
     n_cells = phi_groups.shape[1]
-    sigma_a = spec.sigma_a()
+    sigma_a, sigma_t = spec.sigma_a(), spec.sigma_t
     phi_n = to_nodes(phi_groups)
     J_n = to_nodes(J_groups)
     absJ_n = np.abs(J_n)
 
     den_phi = phi_n.sum(axis=0)
     sbar_a_n = _ratio(np.einsum("g,gne->ne", sigma_a, phi_n), den_phi,
-                      sigma_a.mean())
-    sbar_t_phi = _ratio(np.einsum("g,gne->ne", spec.sigma_t, phi_n), den_phi,
-                        spec.sigma_t.mean())
-    sbar_t_n = _ratio(np.einsum("g,gne->ne", spec.sigma_t, absJ_n),
-                      absJ_n.sum(axis=0), sbar_t_phi)
-    eta_num = (spec.sigma_t[:, None, None] - sbar_t_n[None]) * J_n
-    eta_n = _ratio(eta_num.sum(axis=0), den_phi, 0.0)
+                      sigma_a.mean)
+    sbar_t_n = _ratio(np.einsum("g,gne->ne", sigma_t, absJ_n),
+                      absJ_n.sum(axis=0),
+                      lambda: _ratio(np.einsum("g,gne->ne", sigma_t, phi_n),
+                                     den_phi, sigma_t.mean))
+    # (sigma_t,g - sbar_t) J_g, formed in place
+    eta_num = np.subtract(sigma_t[:, None, None], sbar_t_n)
+    eta_num *= J_n
+    eta_n = _ratio(eta_num.sum(axis=0), den_phi, lambda: 0.0)
 
     Q = const_field(spec.Q.sum(), n_cells)
     return GreyCoefficients(sbar_a=from_nodes(sbar_a_n),
@@ -183,31 +192,42 @@ def _stencil_blocks(dx: np.ndarray):
     return blocks, support
 
 
-def _mass_blocks(removal: np.ndarray, sigma_t: np.ndarray,
-                 drift: np.ndarray) -> np.ndarray:
-    """Cell-diagonal 4x4 blocks of removal*phi and sigma_t*J + drift*phi,
-    from LD coefficient pairs (..., 2)."""
-    m = np.zeros(removal.shape[:-1] + (4, 4))
-    m[..., :2, :2] = removal[..., _LD_PRODUCT]
-    m[..., 2:, 2:] = sigma_t[..., _LD_PRODUCT]
-    m[..., 2:, :2] = drift[..., _LD_PRODUCT]
-    return m
+def _mass_gather(N: int) -> np.ndarray:
+    """Index (N, 4, 4) of each cell mass block entry in the flat stack
+    [sbar_a, sbar_t, eta, 0] of three LD pairs (N, 2) and a zero: removal
+    * phi in rows 0-1, sigma_t * J + drift * phi in rows 2-3, each LD
+    product c * u as [[c_a, c_s], [c_s, c_a]], and +0.0 elsewhere."""
+    # field of each block entry, 3 for the zero, and its LD coefficient
+    field = np.array([[0, 0, 3, 3], [0, 0, 3, 3], [2, 2, 1, 1], [2, 2, 1, 1]])
+    coef = np.tile(_LD_PRODUCT, (2, 2))
+    cell = 2 * np.arange(N)[:, None, None]
+    return np.minimum(2 * N * field + cell + coef, 6 * N)
+
+
+def _pairs(a: np.ndarray) -> np.ndarray:
+    """a (..., 2k), float64 with a contiguous last axis, as complex128
+    (..., k), each LD pair one item: a copy or a subtract (two float
+    subtractions) of every other pair is then one loop, not one per cell."""
+    return a.view(np.complex128)
 
 
 def _lo_rhs(S: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Right sides (..., 4N) of the sources S (..., N, 2), with S's leading
-    axes, and the closure terms c (ClosureData.terms): S - c in rows 0-1."""
+    axes, and the closure terms c (ClosureData.terms): S - c in rows 0-1.
+    One contiguous copy of the terms, then one subtract into rows 0-1."""
     b = np.empty(S.shape[:-1] + (4,))
-    b[..., 2:] = terms[..., 2:]
-    np.subtract(S, terms[..., :2], out=b[..., :2])
+    np.copyto(b, terms)
+    rows = _pairs(b)[..., :1]
+    np.subtract(_pairs(S), rows, rows)
     return b.reshape(S.shape[:-2] + (-1,))
 
 
 def _split_solution(u: np.ndarray):
     """(phi, J) LD coefficients (..., N, 2) of cell-ordered unknowns
     (..., 4N)."""
-    x = u.reshape(u.shape[:-1] + (-1, 4))
-    return x[..., 0:2].copy(), x[..., 2:4].copy()
+    x = _pairs(u).reshape(u.shape[:-1] + (-1, 2))
+    return (x[..., :1].copy().view(np.float64),
+            x[..., 1:].copy().view(np.float64))
 
 
 def _factor(A, what: str):
@@ -223,18 +243,20 @@ def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
     """Low-order operators of one problem, from the float64 bytes of its
     cell widths, sigma_t and removal sigma_t - sigma_s,g->g.
 
-    Returns (grey_band, A, lus).  grey_band(mass) gives (kl, ku, ab): the
-    derivative stencil plus the cell mass blocks `mass` (N, 4, 4) in the
-    LAPACK band storage of dgbsv, A[r, c] = ab[kl + ku + r - c, c], with
-    lower and upper bandwidths kl and ku read from the stencil's support
-    (7 each, fewer for one cell).  It is the one place where a mass meets
-    the stencil: the stencil is gathered into that band once per problem,
-    and each call copies the band and adds the mass on the centre-block
-    support entries, one addition stencil + mass per entry.  Each group
-    matrix is that band with the group's constant removal / sigma_t block
-    on every cell, re-indexed to CSC on the support (explicit zeros kept)
-    for SuperLU.  A holds the G group matrices as one block-diagonal CSR
-    matrix and lus their COLAMD-ordered LU factors.  Cached and read-only:
+    Returns (grey_band, A, lus).  grey_band(coefs) gives (kl, ku, ab): the
+    derivative stencil plus the cell mass blocks of the coefficient stack
+    coefs (_mass_gather) in the LAPACK band storage of dgbsv, A[r, c] =
+    ab[kl + ku + r - c, c], with lower and upper bandwidths kl and ku read
+    from the stencil's support (7 each, fewer for one cell).  It is the
+    one place where a mass meets the stencil: the stencil is gathered into
+    that band once per problem, and each call copies the band and adds to
+    each centre-block support entry the stack entry its mass block holds,
+    through an index built here; one addition stencil + mass per entry.
+    Each group matrix is that band with the group's constant removal /
+    sigma_t block on every cell, read off the support (explicit zeros
+    kept) in CSC order, sorted once, for SuperLU.  A holds the G group
+    matrices as one block-diagonal CSR matrix and lus their COLAMD-ordered
+    LU factors.  Cached and read-only:
     every run builds a new LowOrderSystem of the same problem, and
     refactoring its group matrices each time cost about a sixth of the
     test1 table cells' solve time and scattered SuperLU workspaces over
@@ -246,36 +268,38 @@ def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
     stencil, support = _stencil_blocks(dx)
     i, k, a, b = np.nonzero(support)
     rows, cols = 4 * i + a, 4 * (i + k - 1) + b
-    n = 4 * dx.size
+    N, n = dx.size, 4 * dx.size
     kl, ku = int((rows - cols).max()), int((cols - rows).max())
     # flat positions in ab.T, which is (n, 2 kl + ku + 1) and C-ordered,
     # so that ab itself is the Fortran-ordered array dgbsv works in
     band = cols * (2 * kl + ku + 1) + kl + ku + rows - cols
     stencil_band = np.zeros((n, 2 * kl + ku + 1))
     stencil_band.reshape(-1)[band] = stencil[support]
-    # the centre-block support entries: band positions and flat indices
-    # in the (N, 4, 4) mass blocks
+    # the centre-block support entries: band and coefficient positions
     centre = k == 1
     mass_pos = band[centre]
-    mass_index = (16 * i + 4 * a + b)[centre]
+    coef_index = _mass_gather(N)[i[centre], a[centre], b[centre]]
 
-    def grey_band(mass):
+    def grey_band(coefs):
         abT = stencil_band.copy()
-        abT.reshape(-1)[mass_pos] += mass.reshape(-1)[mass_index]
+        abT.reshape(-1)[mass_pos] += coefs[coef_index]
         return kl, ku, abT.T
 
-    G = sigma_t.size
-    zero = np.zeros(G)
-    mass = _mass_blocks(np.stack([removal, zero], axis=-1),
-                        np.stack([sigma_t, zero], axis=-1), np.zeros((G, 2)))
-    # each group's band, with its block on every cell, read off the support
-    groups = [csc_matrix((grey_band(m)[2].T.reshape(-1)[band], (rows, cols)),
-                         shape=(n, n))
-              for m in np.broadcast_to(mass[:, None], (G, dx.size, 4, 4))]
+    # each group's band, with its block on every cell, read off the
+    # support sorted by column, then row (CSC)
+    order = np.lexsort((rows, cols))
+    indices, csc_band = rows[order], band[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    groups = []
+    for r, t in zip(removal, sigma_t):
+        coefs = np.zeros(6 * N + 1)
+        coefs[:2 * N:2], coefs[2 * N:4 * N:2] = r, t
+        data = grey_band(coefs)[2].T.reshape(-1)[csc_band]
+        groups.append(csc_matrix((data, indices, indptr), shape=(n, n)))
     lus = tuple(_factor(A, f"low-order system for group {g + 1}")
                 for g, A in enumerate(groups))
     A = block_diag(groups, format="csr")
-    for shared in (stencil_band, mass_pos, mass_index, A.data, A.indices,
+    for shared in (stencil_band, mass_pos, coef_index, A.data, A.indices,
                    A.indptr):
         shared.setflags(write=False)
     return grey_band, A, lus
@@ -289,9 +313,9 @@ class LowOrderSystem:
     (_operators).  The group matrices add constant removal / sigma_t
     blocks; they are re-indexed to CSC, and they and their LU factors are
     built once per problem and shared by every system of that problem.
-    Each grey solve adds the sbar_a / sbar_t / eta blocks of its
-    coefficients to a copy of the band and solves it by one dgbsv call, a
-    banded LU with partial pivoting.  Each call builds its right side
+    Each grey solve adds its sbar_a / sbar_t / eta coefficients, gathered
+    from their flat stack, to a copy of the band and solves it by one
+    dgbsv call, a banded LU with partial pivoting.  Each call builds its right side
     from the closure's terms (ClosureData.terms); the system keeps no
     state between calls but its counters, which record executed solves
     for the cost accounting: one parallel group pass counts as one
@@ -323,7 +347,9 @@ class LowOrderSystem:
         """S_g = zeta * sum_{g' != g} sigma_{s,g'->g} phi_g' + Q_g, with the
         zeta product collocated at the cell-edge values."""
         coupling = np.einsum("gh,hnc->gnc", self.coupling, phi_groups)
-        return nodal_product(coupling, zeta) + self.Q_fields
+        S = nodal_product(coupling, zeta)
+        S += self.Q_fields
+        return S
 
     def group_pass(self, phi_groups, zeta, closures):
         """One Jacobi pass of the decoupled group solvers against the
@@ -341,19 +367,25 @@ class LowOrderSystem:
         given state, the vector AA(1) mixes: flat, in (group, cell,
         coefficient, field) order with phi before J (matrix applications
         only; no solves are consumed)."""
-        b = _lo_rhs(self.group_source(phi_groups, zeta), closures.terms)
-        x = np.concatenate([phi_groups, J_groups], axis=-1).reshape(-1)
-        r = b.reshape(-1) - self._A @ x
-        # per cell (phi_a, phi_s, J_a, J_s) -> (phi_a, J_a, phi_s, J_s)
-        return r.reshape(phi_groups.shape + (2,)).swapaxes(-1, -2).ravel()
+        r = _lo_rhs(self.group_source(phi_groups, zeta), closures.terms)
+        x = np.concatenate((_pairs(phi_groups), _pairs(J_groups)), axis=-1)
+        r = r.reshape(-1, 4)
+        r -= (self._A @ x.view(np.float64).reshape(-1)).reshape(-1, 4)
+        # per cell (phi_a, phi_s, J_a, J_s) -> (phi_a, J_a, phi_s, J_s),
+        # a column at a time
+        out = np.empty_like(r)
+        for k, j in enumerate((0, 2, 1, 3)):
+            out[:, k] = r[:, j]
+        return out.reshape(-1)
 
     # -- grey level --------------------------------------------------------
 
     def solve_grey(self, coeffs: GreyCoefficients, closure: ClosureData):
-        mass = _mass_blocks(coeffs.sbar_a, coeffs.sbar_t, coeffs.eta)
+        coefs = np.concatenate(
+            (coeffs.sbar_a, coeffs.sbar_t, coeffs.eta, [0.0]), axis=None)
         b = _lo_rhs(coeffs.Q, closure.terms)
-        if np.isfinite(mass).all():
-            kl, ku, ab = self._grey_band(mass)
+        if np.isfinite(coefs).all():
+            kl, ku, ab = self._grey_band(coefs)
             _, _, u, info = dgbsv(kl, ku, ab, b, overwrite_ab=1,
                                   overwrite_b=1)
             if info > 0:

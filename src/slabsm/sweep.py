@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angular import AngularQuadrature, MomentSet, angular_moments
-from .fields import Mesh, nodal_product, to_nodes
+from .fields import Mesh, nodal_product
 
 
 @functools.lru_cache(maxsize=8)
@@ -225,6 +225,7 @@ class ClosureData:
             array.setflags(write=False)
 
 
+@functools.lru_cache(maxsize=8)
 def edge_weights(N: int) -> np.ndarray:
     """Edge reconstruction weights of an N-cell mesh, (N+1, 2, 4): the
     edge J^ (row 0) and phi^ (row 1) on the traces [phi, J] of the cells
@@ -234,12 +235,14 @@ def edge_weights(N: int) -> np.ndarray:
         phi^ = [phi/2 + 3J/4]_left + [phi/2 - 3J/4]_right
 
     and J^ = -/+ phi/2 of the boundary cell's trace at the vacuum edges.
+    Cached per N and read-only.
     """
     w = np.zeros((N + 1, 2, 4))
     w[1:, :, :2] = [[0.25, 0.5], [0.5, 0.75]]
     w[:-1, :, 2:] = [[-0.25, 0.5], [0.5, -0.75]]
     w[0, 0, 2:] = -0.5, 0.0
     w[N, 0, :2] = 0.5, 0.0
+    w.setflags(write=False)
     return w
 
 
@@ -250,13 +253,13 @@ def _closure_terms(closure: ClosureData) -> np.ndarray:
     dx = closure.dx
     dJ, dphi, Phat = closure.dJ, closure.dphi, closure.Phat
     c = np.empty(dJ.shape[:-1] + (dx.size, 4))
-    c[..., 0] = (dJ[..., 1:] - dJ[..., :-1]) / dx
-    c[..., 1] = 3.0 * (dJ[..., 1:] + dJ[..., :-1]) / dx
-    c[..., 2] = ((Phat[..., 1:] - Phat[..., :-1])
-                 - (dphi[..., 1:] - dphi[..., :-1]) / 3.0) / dx
-    c[..., 3] = (3.0 * (Phat[..., 1:] + Phat[..., :-1])
-                 - 6.0 * closure.P[..., 0]
-                 - (dphi[..., 1:] + dphi[..., :-1])) / dx
+    np.divide(dJ[..., 1:] - dJ[..., :-1], dx, c[..., 0])
+    np.divide(3.0 * (dJ[..., 1:] + dJ[..., :-1]), dx, c[..., 1])
+    np.divide((Phat[..., 1:] - Phat[..., :-1])
+              - (dphi[..., 1:] - dphi[..., :-1]) / 3.0, dx, c[..., 2])
+    np.divide(3.0 * (Phat[..., 1:] + Phat[..., :-1])
+              - 6.0 * closure.P[..., 0]
+              - (dphi[..., 1:] + dphi[..., :-1]), dx, c[..., 3])
     return c
 
 
@@ -270,15 +273,21 @@ def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
     identically at a consistent solution."""
     N = psi.shape[-2]
     edge = angular_moments(upwind_edge_psi(psi, quad)[..., None], quad)
-    # [phi, J] traces of the cells left (right node) and right (left node)
-    # of each edge, zero outside the slab
-    nodes = to_nodes(np.stack([moments.phi, moments.J], axis=-2))
-    t = np.zeros(nodes.shape[:-3] + (N + 1, 1, 4))
-    t[..., 1:, 0, :2] = nodes[..., 1]
-    t[..., :-1, 0, 2:] = nodes[..., 0]
-    w = edge_weights(N)
-    recon = (w[..., 0] * t[..., 0] + w[..., 1] * t[..., 1]
-             + w[..., 2] * t[..., 2] + w[..., 3] * t[..., 3])
-    return ClosureData(dJ=edge.J[..., 0] - recon[..., 0],
-                       dphi=edge.phi[..., 0] - recon[..., 1],
+    phi, J = moments.phi, moments.J
+    lead = phi.shape[:-2]
+    # trace rows t_k (4, ..., N+1): [phi, J] of the cells left (a + s) and
+    # right (a - s) of each edge, zero outside the slab
+    t = np.zeros((4,) + lead + (N + 1,))
+    np.add(phi[..., 0], phi[..., 1], t[0, ..., 1:])
+    np.add(J[..., 0], J[..., 1], t[1, ..., 1:])
+    np.subtract(phi[..., 0], phi[..., 1], t[2, ..., :-1])
+    np.subtract(J[..., 0], J[..., 1], t[3, ..., :-1])
+    # [J^, phi^] = w0 t0 + w1 t1 + w2 t2 + w3 t3, summed left to right,
+    # from one product; contiguous weights keep the k axis outermost
+    w = np.ascontiguousarray(edge_weights(N).T)
+    wt = np.multiply(w.reshape((4, 2) + (1,) * len(lead) + (N + 1,)),
+                     t[:, None])
+    recon = wt[0] + wt[1] + wt[2] + wt[3]
+    return ClosureData(dJ=edge.J[..., 0] - recon[0],
+                       dphi=edge.phi[..., 0] - recon[1],
                        Phat=edge.P[..., 0], P=moments.P.copy(), dx=mesh.dx)

@@ -1,6 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance, one printed
 pass/fail line per criterion (run with `pytest -s` to see them inline)."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -371,6 +374,39 @@ def test_criterion_6g_manufactured_order():
     if not np.all(orders >= 1.9):
         failures.append(f"observed orders {orders}")
     _verdict("6g", failures)
+
+
+# ---------------------------------------------------------------------------
+# The produced table: every benchmark cell as the benchmark pins it
+# ---------------------------------------------------------------------------
+
+def _bench_module(name):
+    """bench/<name>.py, loaded from its file under a private name."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_produced_table_matches_the_benchmark_reference():
+    # the windows above hold the published numbers; this holds the
+    # produced ones where they are: N_t, M_lo and status exact, the grey
+    # flux (and the SI residual history) to 1e-12, rho_num to the
+    # benchmark's bound, by bench/reference.py's own rule
+    reference = _bench_module("reference")
+    workloads = _bench_module("workloads")
+    pinned = reference.load_reference()["cells"]
+    cells = {c for w in workloads.WORKLOADS.values() for c in w.cells}
+    failures = []
+    for cell in sorted(cells):
+        kw = ({} if cell.max_outer == IterationConfig.max_outer
+              else {"max_outer": cell.max_outer})
+        rep = _run(cell.problem, cell.method, cell.k_max, cell.s_max, **kw)
+        failures += [f"{cell.key}: {m}"
+                     for m in reference.mismatches(pinned[cell.key], rep)]
+    assert len(cells) == 13
+    _verdict("produced table", failures)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,12 @@ def test_quadrature_keeps_read_only_copies():
     assert not (quad.mu.flags.writeable or quad.w.flags.writeable)
 
 
+def test_double_gauss_cached_per_order():
+    # frozen, with read-only arrays, so every run of an order shares it
+    assert build_double_gauss(3) is build_double_gauss(3)
+    assert build_double_gauss(3) is not build_double_gauss(4)
+
+
 def test_invalid_order_rejected():
     with pytest.raises(ValueError):
         build_double_gauss(0)

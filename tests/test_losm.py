@@ -11,9 +11,8 @@ from scipy.sparse.linalg import splu
 from slabsm import losm
 from slabsm.driver import IterationConfig, run_problem
 from slabsm.losm import (GreyCoefficients, LowOrderSystem, _lo_rhs,
-                         _mass_blocks, _stencil_blocks,
-                         avg_scattering_xs, compute_zeta, grey_xs,
-                         sum_closures)
+                         _stencil_blocks, avg_scattering_xs, compute_zeta,
+                         grey_xs, sum_closures)
 from slabsm.problem import builtin_problem, make_problem
 from slabsm.sweep import (ClosureData, build_ho_rhs, closure_from_sweep,
                           sweep_batch)
@@ -674,6 +673,25 @@ def test_held_right_sides_follow_the_closure_object():
                       expected_res)
 
 
+def _mass_blocks(removal, sigma_t, drift):
+    """Cell-diagonal 4x4 blocks of removal*phi and sigma_t*J + drift*phi,
+    from LD coefficient pairs (..., 2): the blocks that the stencil band
+    gathered before the solver took the coefficients straight from their
+    stack."""
+    ld = np.array([[0, 1], [1, 0]])
+    m = np.zeros(removal.shape[:-1] + (4, 4))
+    m[..., :2, :2] = removal[..., ld]
+    m[..., 2:, 2:] = sigma_t[..., ld]
+    m[..., 2:, :2] = drift[..., ld]
+    return m
+
+
+def coefficient_stack(coeffs):
+    """The flat stack [sbar_a, sbar_t, eta, 0] that the grey band reads."""
+    return np.concatenate([coeffs.sbar_a, coeffs.sbar_t, coeffs.eta, [0.0]],
+                          axis=None)
+
+
 def _stencil_plus(dx, mass):
     """The stencil plus the cell mass blocks `mass` ((N, 4, 4) or one
     (4, 4) block for all cells), sparse CSC, on the stencil support with
@@ -805,7 +823,7 @@ def test_grey_band_widths_follow_the_support():
     # one cell has n = 4 unknowns: its widths come from its own support
     for n, widths in [(1, (3, 1)), (2, (7, 7)), (9, (7, 7))]:
         system = _grey_system(Mesh(np.full(n, 0.5)))
-        kl, ku, ab = system._grey_band(np.zeros((n, 4, 4)))
+        kl, ku, ab = system._grey_band(np.zeros(6 * n + 1))
         assert (kl, ku) == widths
         assert ab.shape == (2 * kl + ku + 1, 4 * n)
 
@@ -822,8 +840,7 @@ def test_grey_band_is_the_grey_matrix(n):
         coeffs = GreyCoefficients(
             *(_signed_zeros(rng, rng.randn(n, 2)) for _ in range(3)),
             Q=const_field(1.0, n))
-        kl, ku, ab = system._grey_band(
-            _mass_blocks(coeffs.sbar_a, coeffs.sbar_t, coeffs.eta))
+        kl, ku, ab = system._grey_band(coefficient_stack(coeffs))
         A = _grey_matrix(mesh, coeffs).tocoo()
         # scatter the stored entries, as A.toarray() sums onto +0.0
         dense = np.zeros(A.shape)
@@ -842,7 +859,7 @@ def test_grey_band_is_the_grey_matrix(n):
 @pytest.mark.parametrize("G", [1, 3])
 @pytest.mark.parametrize("n", [1, 2, 9])
 def test_group_matrices_are_the_stencil_plus_their_mass(monkeypatch, n, G):
-    # the CSC matrices that SuperLU factors, re-indexed from the band, hold
+    # the CSC matrices that SuperLU factors, read off the band, hold
     # the stencil plus each group's removal / sigma_t block, signs of zeros
     # included, and A is their block diagonal
     rng = np.random.RandomState(10 * G + n)
@@ -869,6 +886,14 @@ def test_group_matrices_are_the_stencil_plus_their_mass(monkeypatch, n, G):
         assert _same_bits(got.data, want.data)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.indptr, want.indptr)
+    # read off one sorted support, they factor as the COO-built matrices
+    for lu, want in zip(lus, map(splu, expected)):
+        assert np.array_equal(lu.perm_r, want.perm_r)
+        assert np.array_equal(lu.perm_c, want.perm_c)
+        for got_f, want_f in ((lu.L, want.L), (lu.U, want.U)):
+            assert _same_bits(got_f.data, want_f.data)
+            assert np.array_equal(got_f.indices, want_f.indices)
+            assert np.array_equal(got_f.indptr, want_f.indptr)
 
 
 def test_singular_grey_system_raises():
@@ -879,8 +904,8 @@ def test_singular_grey_system_raises():
     system = _grey_system(mesh)
     real = system._grey_band
 
-    def zero_column(mass):
-        kl, ku, ab = real(mass)
+    def zero_column(coefs):
+        kl, ku, ab = real(coefs)
         ab[:, 5] = 0.0
         return kl, ku, ab
 

@@ -1,5 +1,5 @@
-"""Time one sweep, its moments and closures, and one grey solve of this
-checkout against another one.
+"""Time one sweep, its moments and closures, and the low-order calls of
+one outer of this checkout against another one.
 
     python3 tools/time_sweep.py OTHER_SRC [--calls 600]
 
@@ -11,13 +11,17 @@ OTHER_SRC, and both stay loaded.  On test1 and test2 each tree gets the
 same inputs: a fixed seeded isotropic source (G, N, 2) for
 `sweep.sweep_batch`; that source's swept psi for `angular.angular_moments`
 and, with its moments and the mesh, for `sweep.closure_from_sweep`, the
-per-outer glue between the sweep and the low-order levels; and for
+per-outer glue between the sweep and the low-order levels; for
+`losm.grey_xs` that sweep's group moments; for
 `LowOrderSystem.solve_grey` the grey coefficients and grey closure of
-that sweep.  The two trees' calls alternate, which one goes first
-alternating from call to call, as the machine's speed drifts.  The grey
-solve reuses one grey closure, whose right-side terms were built with it,
-so no timed grey solve builds them; closure_from_sweep's time includes
-building the group closure's terms.  After a few untimed calls that fill
+that sweep; for `losm.compute_zeta` the grey flux of that solve and the
+group moments; and for `LowOrderSystem.group_pass` and
+`LowOrderSystem.equation_residual` the group moments, that zeta and the
+group closures.  The two trees' calls alternate, which one goes first
+alternating from call to call, as the machine's speed drifts.  The
+low-order calls reuse closures whose right-side terms were built with
+them, so no timed low-order call builds them; closure_from_sweep's time
+includes building the group closure's terms.  After a few untimed calls that fill
 the per-problem caches, each call is timed alone with perf_counter.
 Prints the median time of one call per tree and the relative change from
 OTHER to this checkout.  One process and one BLAS thread, as in the
@@ -54,10 +58,14 @@ def calls(slabsm, problem: str) -> dict:
     rhs = np.random.RandomState(SEED).rand(spec.G, spec.n_cells, 2)
     psi = sweep.sweep_batch(spec.sigma_t, mesh, quad, rhs)
     moments = slabsm.angular.angular_moments(psi, quad)
+    phi, J = moments.phi, moments.J
     closure_args = (psi, quad, moments, mesh)
-    closure = losm.sum_closures(sweep.closure_from_sweep(*closure_args))
-    coeffs = losm.grey_xs(moments.phi, moments.J, spec)
+    closures = sweep.closure_from_sweep(*closure_args)
+    closure = losm.sum_closures(closures)
+    coeffs = losm.grey_xs(phi, J, spec)
     system = losm.LowOrderSystem(spec, mesh)
+    grey_phi, _ = system.solve_grey(coeffs, closure)
+    zeta = losm.compute_zeta(grey_phi, phi)
     return {
         "sweep_batch": lambda: sweep.sweep_batch(spec.sigma_t, mesh, quad,
                                                  rhs),
@@ -65,7 +73,12 @@ def calls(slabsm, problem: str) -> dict:
                                                                   quad),
         "closure_from_sweep": lambda: sweep.closure_from_sweep(
             *closure_args),
+        "grey_xs": lambda: losm.grey_xs(phi, J, spec),
         "solve_grey": lambda: system.solve_grey(coeffs, closure),
+        "compute_zeta": lambda: losm.compute_zeta(grey_phi, phi),
+        "group_pass": lambda: system.group_pass(phi, zeta, closures),
+        "equation_residual": lambda: system.equation_residual(
+            phi, J, zeta, closures),
     }
 
 
