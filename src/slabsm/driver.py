@@ -54,9 +54,11 @@ DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_WINDOW = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterationConfig:
-    """Solver selection and iteration controls.
+    """Solver selection and iteration controls, checked on construction
+    and immutable after it (vary one with `dataclasses.replace`, which
+    checks again).
 
     k_max counts grey cycles per outer iteration, s_max multigroup passes
     per cycle; source iteration ignores both.
@@ -76,7 +78,7 @@ class IterationConfig:
             count = whole_count(getattr(self, name), name, ValueError)
             if count < 1:
                 raise ValueError(f"{name} must be >= 1")
-            setattr(self, name, count)
+            object.__setattr__(self, name, count)
         # True would run as a tolerance of 1; inf would stop after one
         # outer as converged, NaN never
         eps = self.epsilon
@@ -256,7 +258,7 @@ def _low_order_levels(run: _Run, psi, grey_phi):
     grey_closure = sum_closures(closures)
     # the inner multigroup iteration restarts from the fresh transport
     # moments; the grey lag carries over
-    phi, J = moms.phi.copy(), moms.J.copy()
+    phi, J = moms.phi, moms.J
     if grey_phi is None:
         grey_phi = phi.sum(axis=0)
     solves0 = system.n_group_passes + system.n_grey_solves

@@ -23,7 +23,10 @@ class ProblemError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Fixed-source multigroup slab problem, immutable after construction."""
+    """Fixed-source multigroup slab problem, checked on construction
+    however it is made (bad input raises ProblemError) and immutable.
+    Counts become ints, width a float, and the arrays read-only float
+    copies, which neither alias nor freeze the caller's."""
 
     G: int
     sigma_t: np.ndarray        # (G,)   total cross section, > 0
@@ -34,6 +37,19 @@ class ProblemSpec:
     n_half: int
     name: str = ""
 
+    def __post_init__(self):
+        for field, what in (("G", "group count"), ("n_cells", "cell count"),
+                            ("n_half", "quad_half_order")):
+            object.__setattr__(self, field,
+                               whole_count(getattr(self, field), what))
+        for field in ("sigma_t", "sigma_s", "Q"):
+            a = np.array(getattr(self, field), dtype=float, order="C")
+            a.setflags(write=False)
+            object.__setattr__(self, field, a)
+        object.__setattr__(self, "width", float(self.width))
+        _check_spec(self.G, self.sigma_t, self.sigma_s, self.Q, self.width,
+                    self.n_cells, self.n_half)
+
     def scattering_ratio(self) -> np.ndarray:
         """c_g = (total scattering out of g) / sigma_t,g (column sums)."""
         return self.sigma_s.sum(axis=0) / self.sigma_t
@@ -41,14 +57,6 @@ class ProblemSpec:
     def sigma_a(self) -> np.ndarray:
         """Absorption sigma_a,g = sigma_t,g - sum_g'' sigma_{s, g -> g''}."""
         return self.sigma_t - self.sigma_s.sum(axis=0)
-
-
-def _frozen_copy(a) -> np.ndarray:
-    """A read-only C-contiguous float copy of a, so a spec neither aliases
-    nor freezes the caller's array."""
-    a = np.array(a, dtype=float, order="C")
-    a.setflags(write=False)
-    return a
 
 
 def whole_count(value, what: str, error=ProblemError) -> int:
@@ -95,18 +103,6 @@ def _check_spec(G, sigma_t, sigma_s, Q, width, n_cells, n_half) -> None:
             "(supercritical medium)")
 
 
-def make_problem(G, sigma_t, sigma_s, Q, width, n_cells, n_half,
-                 name="") -> ProblemSpec:
-    G = whole_count(G, "group count")
-    n_cells = whole_count(n_cells, "cell count")
-    n_half = whole_count(n_half, "quad_half_order")
-    sigma_t, sigma_s, Q = map(_frozen_copy, (sigma_t, sigma_s, Q))
-    width = float(width)
-    _check_spec(G, sigma_t, sigma_s, Q, width, n_cells, n_half)
-    return ProblemSpec(G=G, sigma_t=sigma_t, sigma_s=sigma_s, Q=Q,
-                       width=width, n_cells=n_cells, n_half=n_half, name=name)
-
-
 _CONFIG_KEYS = ("groups", "sigma_t", "sigma_s", "source", "width", "cells",
                 "quad_half_order")
 _BC_KEYS = ("bc_left", "bc_right")
@@ -138,7 +134,7 @@ def problem_from_dict(doc: dict, name: str = "") -> ProblemSpec:
     for key in ("sigma_t", "sigma_s", "source", "width"):
         _check_numbers(doc[key], key)
     try:
-        return make_problem(
+        return ProblemSpec(
             G=doc["groups"],
             sigma_t=doc["sigma_t"],
             sigma_s=doc["sigma_s"],
@@ -236,8 +232,8 @@ def _builtin(name: str) -> tuple[str, tuple]:
 
 def builtin_problem(name: str) -> ProblemSpec:
     key, (sigma_t, sigma_s, _) = _builtin(name)
-    return make_problem(len(sigma_t), sigma_t, sigma_s, [1.0] * len(sigma_t),
-                        width=32.0, n_cells=128, n_half=8, name=key)
+    return ProblemSpec(len(sigma_t), sigma_t, sigma_s, [1.0] * len(sigma_t),
+                       width=32.0, n_cells=128, n_half=8, name=key)
 
 
 def builtin_reference_c(name: str) -> np.ndarray:
@@ -280,13 +276,9 @@ def connection_strength(spec: ProblemSpec) -> np.ndarray:
     """
     if spec.G < 2:
         raise ProblemError("connection strength requires G >= 2")
-    G = spec.G
-    S = np.zeros((G, G))
-    for g in range(G):
-        row = spec.sigma_s[g].copy()
-        row[g] = 0.0
-        peak = row.max()
-        if peak > 0.0:
-            S[g] = spec.sigma_s[g] / peak
-        S[g, g] = 0.0
+    off = spec.sigma_s.copy()
+    np.fill_diagonal(off, 0.0)
+    peak = off.max(axis=1, keepdims=True)
+    S = np.divide(spec.sigma_s, peak, out=np.zeros_like(off), where=peak > 0)
+    np.fill_diagonal(S, 0.0)
     return S

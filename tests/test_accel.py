@@ -6,7 +6,7 @@ from slabsm.accel import aa1_alpha
 from slabsm.driver import IterationConfig, run_problem
 from slabsm.fields import Mesh
 from slabsm.losm import LowOrderSystem, _lo_rhs, _split_solution
-from slabsm.problem import make_problem
+from slabsm.problem import ProblemSpec
 from slabsm.sweep import ClosureData
 
 
@@ -96,8 +96,8 @@ def test_aa1_secant_exactness_random_affine():
 def test_aa_step_degenerate_falls_back(monkeypatch):
     # with every residual pair degenerate the driver takes the plain step
     # (0, 1) each pass, which reproduces unaccelerated MLSM bitwise
-    spec = make_problem(2, [1.0, 1.5], [[0.4, 0.2], [0.3, 0.9]], [1.0, 0.5],
-                        width=8.0, n_cells=16, n_half=2)
+    spec = ProblemSpec(2, [1.0, 1.5], [[0.4, 0.2], [0.3, 0.9]], [1.0, 0.5],
+                       width=8.0, n_cells=16, n_half=2)
     plain = run_problem(spec, IterationConfig(method="mlsm", s_max=2))
 
     def degenerate(r_prev, r_curr):
@@ -118,9 +118,9 @@ def test_equation_residual_is_the_stacked_split_residual():
     rng = np.random.RandomState(8)
     dx = rng.rand(7) + 0.05
     mesh = Mesh(dx)
-    spec = make_problem(3, [1.0, 1.5, 2.0],
-                        [[0.3, 0.1, 0.0], [0.4, 0.6, 0.3], [0.1, 0.5, 1.2]],
-                        [1.0, 0.5, 0.2], width=dx.sum(), n_cells=7, n_half=2)
+    spec = ProblemSpec(3, [1.0, 1.5, 2.0],
+                       [[0.3, 0.1, 0.0], [0.4, 0.6, 0.3], [0.1, 0.5, 1.2]],
+                       [1.0, 0.5, 0.2], width=dx.sum(), n_cells=7, n_half=2)
     system = LowOrderSystem(spec, mesh)
     closures = ClosureData(dJ=rng.randn(3, 8), dphi=rng.randn(3, 8),
                            Phat=rng.randn(3, 8), P=rng.randn(3, 7, 2),

@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,23 +14,23 @@ from slabsm.driver import (IterationConfig, TransportState,
                            si_infinite_medium_rho)
 from slabsm.fields import Mesh, const_field, to_nodes
 from slabsm.losm import LowOrderSystem
-from slabsm.problem import builtin_problem, make_problem
+from slabsm.problem import ProblemSpec, builtin_problem
 
 
 def _small_two_group():
-    return make_problem(2, [1.0, 1.5], [[0.4, 0.2], [0.3, 0.9]], [1.0, 0.5],
-                        width=8.0, n_cells=16, n_half=2, name="mini")
+    return ProblemSpec(2, [1.0, 1.5], [[0.4, 0.2], [0.3, 0.9]], [1.0, 0.5],
+                       width=8.0, n_cells=16, n_half=2, name="mini")
 
 
 def _aa1_divergent():
     """A valid three-group problem, c = 0.99 in every group and sigma_t
     over five decades, on which mlsm-aa1(1,1) diverges."""
-    return make_problem(3, [48.87, 2.322, 0.0009134],
-                        [[14.61, 1.185, 0.0001787],
-                         [25.3, 0.9799, 0.0003008],
-                         [8.472, 0.1337, 0.0004248]],
-                        [0.672, 1.813, 1.741], width=12.5, n_cells=11,
-                        n_half=2, name="aa1-diverges")
+    return ProblemSpec(3, [48.87, 2.322, 0.0009134],
+                       [[14.61, 1.185, 0.0001787],
+                        [25.3, 0.9799, 0.0003008],
+                        [8.472, 0.1337, 0.0004248]],
+                       [0.672, 1.813, 1.741], width=12.5, n_cells=11,
+                       n_half=2, name="aa1-diverges")
 
 
 # -- convergence measure -------------------------------------------------------
@@ -103,16 +104,16 @@ def test_rho_nonpositive_is_none():
 # -- flat-mode SI spectral radius ------------------------------------------------
 
 def test_si_rho_single_group_equals_c():
-    spec = make_problem(1, [2.0], [[1.2]], [1.0], width=1.0, n_cells=2,
-                        n_half=1)
+    spec = ProblemSpec(1, [2.0], [[1.2]], [1.0], width=1.0, n_cells=2,
+                       n_half=1)
     assert si_infinite_medium_rho(spec) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_si_rho_of_oscillating_mode(caplog):
     # eigenvalues +-sqrt(0.4) of equal modulus: a power iteration never
     # settles on this scattering matrix
-    spec = make_problem(2, [1.0, 1.0], [[0.0, 0.8], [0.5, 0.0]], [1.0, 1.0],
-                        width=1.0, n_cells=2, n_half=1)
+    spec = ProblemSpec(2, [1.0, 1.0], [[0.0, 0.8], [0.5, 0.0]], [1.0, 1.0],
+                       width=1.0, n_cells=2, n_half=1)
     with caplog.at_level("WARNING", logger="slabsm.driver"):
         rho = si_infinite_medium_rho(spec)
     assert rho == pytest.approx(np.sqrt(0.4), rel=1e-12)
@@ -135,8 +136,8 @@ def test_lo_solve_count_formula():
 # -- source iteration ------------------------------------------------------------
 
 def test_si_zero_source_converges_immediately():
-    spec = make_problem(2, [1.0, 1.0], [[0.4, 0.1], [0.2, 0.5]], [0.0, 0.0],
-                        width=8.0, n_cells=16, n_half=2)
+    spec = ProblemSpec(2, [1.0, 1.0], [[0.4, 0.1], [0.2, 0.5]], [0.0, 0.0],
+                       width=8.0, n_cells=16, n_half=2)
     cfg = IterationConfig(method="si", max_outer=10)
     rep = run_problem(spec, cfg)
     assert rep.status == "converged"
@@ -147,8 +148,8 @@ def test_si_zero_source_converges_immediately():
 def test_si_exact_convergence_quotes_no_rate():
     # below the rounding floor the grey-flux change ends on an exact 0.0,
     # which leaves no ratio to take a rate from
-    spec = make_problem(1, [1.0], [[0.5]], [1.0], width=4.0, n_cells=8,
-                        n_half=2)
+    spec = ProblemSpec(1, [1.0], [[0.5]], [1.0], width=4.0, n_cells=8,
+                       n_half=2)
     rep = run_problem(spec, IterationConfig(method="si", epsilon=1e-16))
     assert rep.status == "converged"
     assert rep.residual_history[-1] == 0.0
@@ -159,8 +160,8 @@ def test_si_exact_convergence_quotes_no_rate():
 
 def test_si_infinite_medium_rate_single_group():
     # thick slab, c = 0.5: numerical rate near the infinite-medium value
-    spec = make_problem(1, [1.0], [[0.5]], [1.0], width=50.0, n_cells=100,
-                        n_half=4)
+    spec = ProblemSpec(1, [1.0], [[0.5]], [1.0], width=50.0, n_cells=100,
+                       n_half=4)
     cfg = IterationConfig(method="si", epsilon=1e-7)
     rep = run_problem(spec, cfg)
     assert rep.status == "converged"
@@ -236,8 +237,8 @@ def test_pass_loop_call_pattern(monkeypatch, method, k, s):
 def test_stagnated_run_quotes_no_rate(method):
     # below the rounding floor the change repeats 4.4e-16 for every outer:
     # its ratio of 1 is no convergence rate
-    spec = make_problem(1, [1.0], [[0.5]], [1.0], width=4.0, n_cells=8,
-                        n_half=2)
+    spec = ProblemSpec(1, [1.0], [[0.5]], [1.0], width=4.0, n_cells=8,
+                       n_half=2)
     rep = run_problem(spec, IterationConfig(method=method, epsilon=1e-16,
                                             max_outer=200))
     assert rep.status == "max_outer"
@@ -320,9 +321,27 @@ def test_config_counts_become_ints():
     assert all(type(n) is int for n in (cfg.k_max, cfg.s_max, cfg.max_outer))
 
 
+def test_config_is_frozen_and_replace_rechecks():
+    # an assigned k_max = 0 ran into an UnboundLocalError inside the
+    # pass loop, and an assigned method = "bogus" ran plain MLSM under
+    # that name; a config is now checked whichever way it is made
+    cfg = IterationConfig(method="mlsm-aa1", k_max=2, s_max=2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.k_max = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.method = "bogus"
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        dataclasses.replace(cfg, k_max=0)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        dataclasses.replace(cfg, method="bogus")
+    varied = dataclasses.replace(cfg, s_max=3.0)
+    assert type(varied.s_max) is int and varied.s_max == 3
+    assert (cfg.method, cfg.k_max, cfg.s_max) == ("mlsm-aa1", 2, 2)
+
+
 def test_single_cell_problem_runs():
-    spec = make_problem(1, [1.0], [[0.5]], [1.0], width=1.0, n_cells=1,
-                        n_half=1)
+    spec = ProblemSpec(1, [1.0], [[0.5]], [1.0], width=1.0, n_cells=1,
+                       n_half=1)
     vals = []
     for method in ("si", "mlsm", "mlsm-aa1"):
         rep = run_problem(spec, IterationConfig(method=method,
@@ -425,8 +444,8 @@ def test_aa1_diverges_where_the_other_methods_converge(method, k, s, status,
 def test_overflowing_cell_determinant_is_an_error():
     # sigma_t * dx = 2.5e159: SI would otherwise converge at N_t = 1 on
     # phi = 0 (true phi ~ 2e-160)
-    spec = make_problem(1, [1e160], [[5e159]], [1.0], width=10.0,
-                        n_cells=4, n_half=2)
+    spec = ProblemSpec(1, [1e160], [[5e159]], [1.0], width=10.0,
+                       n_cells=4, n_half=2)
     for method in ("si", "mlsm"):
         with pytest.raises(ValueError, match="overflows"):
             run_problem(spec, IterationConfig(method=method))
@@ -541,8 +560,8 @@ def _valid_problems(draw):
     Q[draw(st.integers(0, G - 1))] += 0.5
     sigma_t = tau * N / width
     sigma_s = split / split.sum(axis=0) * (c * sigma_t)
-    return make_problem(G, sigma_t, sigma_s, Q, width=width, n_cells=N,
-                        n_half=draw(st.integers(1, 4)))
+    return ProblemSpec(G, sigma_t, sigma_s, Q, width=width, n_cells=N,
+                       n_half=draw(st.integers(1, 4)))
 
 
 STATUSES = ("converged", "max_outer", "diverged", "non_finite")

@@ -13,7 +13,7 @@ from slabsm.fields import Mesh
 from slabsm.losm import (DENOM_EPS, GreyCoefficients, LowOrderSystem,
                          _lo_rhs, _ratio, _split_solution, _stencil_blocks,
                          avg_scattering_xs, compute_zeta, grey_xs)
-from slabsm.problem import make_problem
+from slabsm.problem import ProblemSpec
 from slabsm.sweep import (ClosureData, closure_from_sweep, edge_weights,
                           sweep_batch, upwind_edge_psi)
 from test_fields import _stacked_coeffs as old_from_nodes
@@ -131,10 +131,10 @@ def old_grey_band(dx, mass):
 # -- random inputs -------------------------------------------------------------
 
 def _spec(G=3):
-    return make_problem(G, np.linspace(1.0, 2.5, G),
-                        np.full((G, G), 0.1) + np.diag(np.full(G, 0.4)),
-                        np.linspace(1.0, 0.2, G), width=DX.sum(),
-                        n_cells=DX.size, n_half=2)
+    return ProblemSpec(G, np.linspace(1.0, 2.5, G),
+                       np.full((G, G), 0.1) + np.diag(np.full(G, 0.4)),
+                       np.linspace(1.0, 0.2, G), width=DX.sum(),
+                       n_cells=DX.size, n_half=2)
 
 
 def _fluxes(rng, G=3):
@@ -329,9 +329,9 @@ def _grey_coefficients(rng, n):
 def test_coefficient_gather_is_the_mass_block_band(n):
     rng = np.random.RandomState(8 + n)
     dx = DX[:n]
-    system = LowOrderSystem(make_problem(1, [1.0], [[0.5]], [1.0],
-                                         width=dx.sum(), n_cells=n,
-                                         n_half=2), Mesh(dx))
+    system = LowOrderSystem(ProblemSpec(1, [1.0], [[0.5]], [1.0],
+                                        width=dx.sum(), n_cells=n,
+                                        n_half=2), Mesh(dx))
     for _ in range(3):
         coeffs = _grey_coefficients(rng, n)
         coeffs.eta[-1, 0] = np.nan

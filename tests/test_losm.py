@@ -13,7 +13,7 @@ from slabsm.driver import IterationConfig, run_problem
 from slabsm.losm import (GreyCoefficients, LowOrderSystem, _lo_rhs,
                          _stencil_blocks, avg_scattering_xs, compute_zeta,
                          grey_xs, sum_closures)
-from slabsm.problem import builtin_problem, make_problem
+from slabsm.problem import ProblemSpec, builtin_problem
 from slabsm.sweep import (ClosureData, build_ho_rhs, closure_from_sweep,
                           sweep_batch)
 
@@ -119,8 +119,8 @@ def test_zeta_trivials():
 # -- grey coefficients ---------------------------------------------------------
 
 def test_grey_xs_trivials():
-    spec = make_problem(2, [1.0, 1.0], [[0.3, 0.0], [0.0, 0.3]], [1.0, 0.0],
-                        width=1.0, n_cells=3, n_half=2)
+    spec = ProblemSpec(2, [1.0, 1.0], [[0.3, 0.0], [0.0, 0.3]], [1.0, 0.0],
+                       width=1.0, n_cells=3, n_half=2)
     rng = np.random.RandomState(5)
     phi = rng.rand(2, 3, 2) + 1.0
     J = rng.randn(2, 3, 2) * 0.1
@@ -133,8 +133,8 @@ def test_grey_xs_trivials():
 
 def test_grey_xs_arithmetic_example():
     # G=2, phi=(1,3), sigma_a=(0.1,0.5) -> sbar_a = (0.1+1.5)/4 = 0.4
-    spec = make_problem(2, [1.0, 1.0], [[0.9, 0.0], [0.0, 0.5]], [1.0, 1.0],
-                        width=1.0, n_cells=2, n_half=1)
+    spec = ProblemSpec(2, [1.0, 1.0], [[0.9, 0.0], [0.0, 0.5]], [1.0, 1.0],
+                       width=1.0, n_cells=2, n_half=1)
     phi = np.zeros((2, 2, 2))
     phi[0, :, 0] = 1.0
     phi[1, :, 0] = 3.0
@@ -144,8 +144,8 @@ def test_grey_xs_arithmetic_example():
 
 
 def test_grey_xs_single_group():
-    spec = make_problem(1, [2.0], [[1.0]], [1.0], width=1.0, n_cells=2,
-                        n_half=1)
+    spec = ProblemSpec(1, [2.0], [[1.0]], [1.0], width=1.0, n_cells=2,
+                       n_half=1)
     phi = np.ones((1, 2, 2)) * np.array([1.0, 0.1])
     J = np.ones((1, 2, 2)) * np.array([0.2, 0.01])
     coeffs = grey_xs(phi, J, spec)
@@ -180,8 +180,8 @@ def test_grey_xs_convex_hull_and_eta_identity():
 # -- consistency: the central contract ----------------------------------------
 
 def test_group_losm_matches_transport_moments_pure_absorber():
-    spec = make_problem(1, [1.0], [[0.0]], [1.0], width=8.0, n_cells=16,
-                        n_half=4)
+    spec = ProblemSpec(1, [1.0], [[0.0]], [1.0], width=8.0, n_cells=16,
+                       n_half=4)
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     quad = build_double_gauss(spec.n_half)
     rhs = const_field(0.5 * spec.Q[0], spec.n_cells)[None]
@@ -196,8 +196,8 @@ def test_group_losm_matches_transport_moments_pure_absorber():
 
 
 def test_grey_losm_matches_transport_moments_pure_absorber():
-    spec = make_problem(1, [1.5], [[0.0]], [2.0], width=6.0, n_cells=12,
-                        n_half=4)
+    spec = ProblemSpec(1, [1.5], [[0.0]], [2.0], width=6.0, n_cells=12,
+                       n_half=4)
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     quad = build_double_gauss(spec.n_half)
     rhs = const_field(0.5 * spec.Q[0], spec.n_cells)[None]
@@ -212,8 +212,8 @@ def test_grey_losm_matches_transport_moments_pure_absorber():
 
 def test_losm_solution_is_exact_balance():
     # particle balance of any group solve holds to solver precision
-    spec = make_problem(1, [1.0], [[0.4]], [1.0], width=10.0, n_cells=20,
-                        n_half=4)
+    spec = ProblemSpec(1, [1.0], [[0.4]], [1.0], width=10.0, n_cells=20,
+                       n_half=4)
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     system = LowOrderSystem(spec, mesh)
     clo = _zero_closure(mesh, 1)
@@ -227,8 +227,8 @@ def test_losm_solution_is_exact_balance():
 
 def test_group_losm_diffusion_limit():
     # thick slab with self-scattering: interior phi -> Q / (sigma_t - sigma_s)
-    spec = make_problem(1, [1.0], [[0.5]], [1.0], width=40.0, n_cells=200,
-                        n_half=4)
+    spec = ProblemSpec(1, [1.0], [[0.5]], [1.0], width=40.0, n_cells=200,
+                       n_half=4)
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     system = LowOrderSystem(spec, mesh)
     clo = _zero_closure(mesh, 1)
@@ -239,8 +239,8 @@ def test_group_losm_diffusion_limit():
 
 
 def test_grey_losm_diffusion_limit():
-    spec = make_problem(1, [1.0], [[0.0]], [1.0], width=40.0, n_cells=200,
-                        n_half=4)
+    spec = ProblemSpec(1, [1.0], [[0.0]], [1.0], width=40.0, n_cells=200,
+                       n_half=4)
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     system = LowOrderSystem(spec, mesh)
     n = spec.n_cells
@@ -252,8 +252,8 @@ def test_grey_losm_diffusion_limit():
 
 
 def test_grey_zero_source_zero_solution():
-    spec = make_problem(1, [1.0], [[0.0]], [0.0], width=4.0, n_cells=8,
-                        n_half=2)
+    spec = ProblemSpec(1, [1.0], [[0.0]], [0.0], width=4.0, n_cells=8,
+                       n_half=2)
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     system = LowOrderSystem(spec, mesh)
     n = spec.n_cells
@@ -265,8 +265,8 @@ def test_grey_zero_source_zero_solution():
 
 
 def test_group_zero_inputs_zero_solution():
-    spec = make_problem(2, [1.0, 1.0], [[0.2, 0.1], [0.1, 0.2]], [0.0, 0.0],
-                        width=4.0, n_cells=8, n_half=2)
+    spec = ProblemSpec(2, [1.0, 1.0], [[0.2, 0.1], [0.1, 0.2]], [0.0, 0.0],
+                       width=4.0, n_cells=8, n_half=2)
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     system = LowOrderSystem(spec, mesh)
     zeta = const_field(1.0, 8)
@@ -278,8 +278,8 @@ def test_group_zero_inputs_zero_solution():
 
 def test_removal_must_be_positive():
     with pytest.raises(ValueError, match="positive"):
-        spec = make_problem(1, [1.0], [[1.0]], [1.0], width=1.0, n_cells=2,
-                            n_half=1)
+        spec = ProblemSpec(1, [1.0], [[1.0]], [1.0], width=1.0, n_cells=2,
+                           n_half=1)
         LowOrderSystem(spec, Mesh.uniform(1.0, 2))
 
 
@@ -343,8 +343,8 @@ def test_solves_satisfy_cell_equations_nonuniform_mesh(dx):
     dx = np.array(dx)
     n = dx.size
     mesh = Mesh(dx)
-    spec = make_problem(2, [1.0, 2.5], [[0.3, 0.2], [0.4, 1.1]], [1.0, 0.5],
-                        width=dx.sum(), n_cells=n, n_half=2)
+    spec = ProblemSpec(2, [1.0, 2.5], [[0.3, 0.2], [0.4, 1.1]], [1.0, 0.5],
+                       width=dx.sum(), n_cells=n, n_half=2)
     system = LowOrderSystem(spec, mesh)
     rng = np.random.RandomState(n)
     zero = np.zeros((n, 2))
@@ -377,8 +377,8 @@ def test_solves_satisfy_cell_equations_nonuniform_mesh(dx):
 
 def _test1_inner_setup(n_cells=32):
     base = builtin_problem("test1")
-    spec = make_problem(base.G, base.sigma_t, base.sigma_s, base.Q,
-                        width=base.width, n_cells=n_cells, n_half=4)
+    spec = ProblemSpec(base.G, base.sigma_t, base.sigma_s, base.Q,
+                       width=base.width, n_cells=n_cells, n_half=4)
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     quad = build_double_gauss(spec.n_half)
     system = LowOrderSystem(spec, mesh)
@@ -498,8 +498,8 @@ def test_group_axis_matches_per_group_slices(G, dx, n_half):
     sigma_t = rng.rand(G) + 0.5
     sigma_s = np.diag(0.8 * sigma_t * rng.rand(G))
     Q = rng.rand(G)
-    spec = make_problem(G, sigma_t, sigma_s, Q, width=dx.sum(), n_cells=n,
-                        n_half=n_half)
+    spec = ProblemSpec(G, sigma_t, sigma_s, Q, width=dx.sum(), n_cells=n,
+                       n_half=n_half)
     grey = rng.rand(n, 2)
     sbar = rng.rand(G, n, 2)
     rhs = build_ho_rhs(grey, sbar, Q)
@@ -522,8 +522,8 @@ def test_group_axis_matches_per_group_slices(G, dx, n_half):
         for field in ("dJ", "dphi", "Phat", "P", "terms"):
             assert np.array_equal(getattr(closures, field)[g],
                                   getattr(alone, field))
-        spec_g = make_problem(1, sigma_t[one], sigma_s[one, one], Q[one],
-                              width=dx.sum(), n_cells=n, n_half=n_half)
+        spec_g = ProblemSpec(1, sigma_t[one], sigma_s[one, one], Q[one],
+                             width=dx.sum(), n_cells=n, n_half=n_half)
         system_g = LowOrderSystem(spec_g, mesh)
         clo_g = _group_closure(closures, one)
         phi_g, J_g = system_g.group_pass(mom.phi[one], zeta, clo_g)
@@ -537,9 +537,9 @@ def test_group_operators_factored_once_per_problem():
     mesh = Mesh.uniform(4.0, 8)
 
     def system(sigma_t=(1.0, 2.0), self_scatter=0.3, down_scatter=0.2):
-        spec = make_problem(2, sigma_t,
-                            [[self_scatter, 0.1], [down_scatter, 0.5]],
-                            [1.0, 1.0], width=4.0, n_cells=8, n_half=2)
+        spec = ProblemSpec(2, sigma_t,
+                           [[self_scatter, 0.1], [down_scatter, 0.5]],
+                           [1.0, 1.0], width=4.0, n_cells=8, n_half=2)
         return LowOrderSystem(spec, mesh)
 
     a, b = system(), system()
@@ -643,8 +643,8 @@ def test_held_right_sides_follow_the_closure_object():
     # values equals that of a fresh system given B
     dx = np.array([0.2, 0.45, 0.3, 0.1])
     mesh, n = Mesh(dx), dx.size
-    spec = make_problem(2, [1.0, 2.5], [[0.3, 0.2], [0.4, 1.1]], [1.0, 0.5],
-                        width=dx.sum(), n_cells=n, n_half=2)
+    spec = ProblemSpec(2, [1.0, 2.5], [[0.3, 0.2], [0.4, 1.1]], [1.0, 0.5],
+                       width=dx.sum(), n_cells=n, n_half=2)
     rng = np.random.RandomState(11)
     A, B = _random_closure(rng, mesh, 2), _random_closure(rng, mesh, 2)
     grey_A, grey_B = _random_closure(rng, mesh), _random_closure(rng, mesh)
@@ -747,7 +747,7 @@ def test_banded_grey_solve_matches_colamd_solve(monkeypatch, problem, k, s):
     # every grey solve of a 3-outer mlsm run; the band LU orders its
     # operations otherwise than SuperLU, so the two agree to rounding
     if problem in SMALL_PROBLEMS:
-        spec = make_problem(name=problem, **SMALL_PROBLEMS[problem])
+        spec = ProblemSpec(name=problem, **SMALL_PROBLEMS[problem])
     else:
         spec = builtin_problem(problem)
     seen = []
@@ -785,8 +785,8 @@ def _random_grey(rng, tau):
 
 
 def _grey_system(mesh):
-    spec = make_problem(1, [1.0], [[0.5]], [1.0], width=mesh.dx.sum(),
-                        n_cells=mesh.n_cells, n_half=2)
+    spec = ProblemSpec(1, [1.0], [[0.5]], [1.0], width=mesh.dx.sum(),
+                       n_cells=mesh.n_cells, n_half=2)
     return LowOrderSystem(spec, mesh)
 
 
@@ -929,8 +929,8 @@ def test_singular_group_matrix_names_the_group():
 def test_nan_denominators_give_nan_not_fallbacks():
     # a NaN flux sum divides through instead of taking the safeguard
     # value, so a broken state cannot iterate on finite fallbacks
-    spec = make_problem(2, [1.0, 2.0], [[0.3, 0.1], [0.2, 0.5]], [1.0, 0.0],
-                        width=3.0, n_cells=3, n_half=2)
+    spec = ProblemSpec(2, [1.0, 2.0], [[0.3, 0.1], [0.2, 0.5]], [1.0, 0.0],
+                       width=3.0, n_cells=3, n_half=2)
     phi = np.ones((2, 3, 2))
     phi[:, :, 1] = 0.25
     phi[0, 1, 0] = np.nan

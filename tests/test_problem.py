@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slabsm.problem import (ProblemError, builtin_problem, builtin_reference_c,
-                            connection_strength, load_problem, make_problem,
-                            problem_from_dict, validate_scattering)
+from slabsm.problem import (ProblemError, ProblemSpec, builtin_problem,
+                            builtin_reference_c, connection_strength,
+                            load_problem, problem_from_dict,
+                            validate_scattering)
 
 
 def test_builtin_test1_dimensions():
@@ -64,8 +66,8 @@ def test_single_group_document():
 
 
 def test_zero_scattering_ratio():
-    spec = make_problem(1, [2.0], [[0.0]], [1.0], width=1.0, n_cells=2,
-                        n_half=1)
+    spec = ProblemSpec(1, [2.0], [[0.0]], [1.0], width=1.0, n_cells=2,
+                       n_half=1)
     assert spec.scattering_ratio()[0] == 0.0
 
 
@@ -118,20 +120,36 @@ def test_load_problem_not_an_object(tmp_path):
 
 def test_dimension_mismatch():
     with pytest.raises(ProblemError):
-        make_problem(2, [1.0, 1.0], [[0.1]], [1.0, 1.0], width=1.0,
-                     n_cells=4, n_half=2)
+        ProblemSpec(2, [1.0, 1.0], [[0.1]], [1.0, 1.0], width=1.0,
+                    n_cells=4, n_half=2)
 
 
 def test_spec_keeps_read_only_copies():
     sigma_t, sigma_s, Q = np.ones(2), np.full((2, 2), 0.25), np.ones(2)
-    spec = make_problem(2, sigma_t, sigma_s, Q, width=1.0, n_cells=4,
-                        n_half=2)
+    spec = ProblemSpec(2, sigma_t, sigma_s, Q, width=1.0, n_cells=4,
+                       n_half=2)
     for given, kept in ((sigma_t, spec.sigma_t), (sigma_s, spec.sigma_s),
                         (Q, spec.Q)):
         assert given.flags.writeable and not kept.flags.writeable
         assert kept.flags.c_contiguous
         given[0] = -5.0
         assert np.all(kept >= 0.25)
+
+
+def test_replace_rechecks_the_spec():
+    # a spec made by dataclasses.replace was not checked: with c_1 near
+    # 2.9 source iteration reported converged and MLSM diverged
+    spec = builtin_problem("test1")
+    with pytest.raises(ProblemError, match="exceeds 1"):
+        dataclasses.replace(spec, sigma_s=3 * spec.sigma_s)
+    with pytest.raises(ProblemError, match="cell count must be a whole"):
+        dataclasses.replace(spec, n_cells=2.5)
+    varied = dataclasses.replace(spec, Q=[2] * spec.G, n_cells=64.0,
+                                 width=16)
+    assert type(varied.n_cells) is int and type(varied.width) is float
+    assert varied.Q.dtype == float and not varied.Q.flags.writeable
+    assert varied.sigma_s is not spec.sigma_s
+    assert np.array_equal(varied.sigma_s, spec.sigma_s)
 
 
 @pytest.mark.parametrize("changes, match", [
@@ -152,14 +170,14 @@ def test_invalid_spec_rejected(changes, match):
 
 def test_negative_cross_section():
     with pytest.raises(ProblemError, match="negative"):
-        make_problem(1, [1.0], [[-0.1]], [1.0], width=1.0, n_cells=4,
-                     n_half=2)
+        ProblemSpec(1, [1.0], [[-0.1]], [1.0], width=1.0, n_cells=4,
+                    n_half=2)
 
 
 def test_supercritical_rejected():
     with pytest.raises(ProblemError, match="exceeds 1"):
-        make_problem(1, [1.0], [[1.0 + 1e-6]], [1.0], width=1.0, n_cells=4,
-                     n_half=2)
+        ProblemSpec(1, [1.0], [[1.0 + 1e-6]], [1.0], width=1.0, n_cells=4,
+                    n_half=2)
 
 
 def _one_group_doc(**changes):
@@ -311,25 +329,52 @@ def test_strength_properties():
 
 def test_strength_scale_invariance():
     spec = builtin_problem("test2")
-    scaled = make_problem(spec.G, spec.sigma_t * 3.0, spec.sigma_s * 3.0,
-                          spec.Q, width=spec.width, n_cells=spec.n_cells,
-                          n_half=spec.n_half)
+    scaled = ProblemSpec(spec.G, spec.sigma_t * 3.0, spec.sigma_s * 3.0,
+                         spec.Q, width=spec.width, n_cells=spec.n_cells,
+                         n_half=spec.n_half)
     S1 = connection_strength(spec)
     S2 = connection_strength(scaled)
     assert np.allclose(S1, S2, atol=1e-14)
 
 
 def test_strength_zero_row():
-    spec = make_problem(2, [1.0, 1.0], [[0.0, 0.0], [0.4, 0.1]], [1.0, 1.0],
-                        width=1.0, n_cells=2, n_half=1)
+    spec = ProblemSpec(2, [1.0, 1.0], [[0.0, 0.0], [0.4, 0.1]], [1.0, 1.0],
+                       width=1.0, n_cells=2, n_half=1)
     S = connection_strength(spec)
     assert np.all(S[0] == 0.0)
     assert S[1, 0] == pytest.approx(1.0)
 
 
+def _strength_by_rows(spec):
+    """The row-by-row definition that connection_strength computes in one
+    masked divide."""
+    S = np.zeros((spec.G, spec.G))
+    for g in range(spec.G):
+        row = spec.sigma_s[g].copy()
+        row[g] = 0.0
+        if row.max() > 0.0:
+            S[g] = spec.sigma_s[g] / row.max()
+        S[g, g] = 0.0
+    return S
+
+
+def test_strength_is_the_row_loop_bitwise():
+    rng = np.random.RandomState(4)
+    specs = [builtin_problem("test1"), builtin_problem("test2")]
+    for G in (2, 3, 5, 8):
+        # sparse rows, some with no off-diagonal entry at all
+        sigma_s = rng.rand(G, G) * (rng.rand(G, G) < 0.4)
+        specs.append(ProblemSpec(G, sigma_s.sum(axis=0) + 0.5, sigma_s,
+                                 np.ones(G), width=1.0, n_cells=2, n_half=1))
+    for spec in specs:
+        S, ref = connection_strength(spec), _strength_by_rows(spec)
+        assert np.array_equal(S, ref)
+        assert np.array_equal(np.signbit(S), np.signbit(ref))
+
+
 def test_strength_needs_two_groups():
-    spec = make_problem(1, [1.0], [[0.5]], [1.0], width=1.0, n_cells=2,
-                        n_half=1)
+    spec = ProblemSpec(1, [1.0], [[0.5]], [1.0], width=1.0, n_cells=2,
+                       n_half=1)
     with pytest.raises(ProblemError):
         connection_strength(spec)
 

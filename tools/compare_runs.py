@@ -6,15 +6,16 @@ OTHER_SRC is the src/ directory of another checkout, for instance of the
 parent commit.  Every cell of bench/workloads.py and source iteration on
 test1 run from OTHER_SRC first, then from this checkout's src/.  These
 all have 128 cells and 16 directions, so si, mlsm and mlsm-aa1 with
-k_max = s_max = 2 also run on four small problems built with
-slabsm.problem.make_problem: the README example config, a two-group
-one-cell problem with n_half = 1 (both edges of the mesh are vacuum
-boundaries), a three-group problem with 7 cells and n_half = 3, and a
-one-group problem with 5 cells, whose AA(1) run falls back on most of
-its passes.  Last, mlsm-aa1 with k_max = s_max = 1 runs on a three-group
-problem with 11 cells (c = 0.99 in every group, sigma_t over five
-decades), where it stops as diverged at N_t = 27 with |alpha0| up to
-4.06.
+k_max = s_max = 2 also run on four small problems: the README example
+config, a two-group one-cell problem with n_half = 1 (both edges of the
+mesh are vacuum boundaries), a three-group problem with 7 cells and
+n_half = 3, and a one-group problem with 5 cells, whose AA(1) run falls
+back on most of its passes.  Each is built by slabsm.problem.ProblemSpec
+from float arrays, so that a tree whose ProblemSpec converts nothing
+gets the same inputs as one whose ProblemSpec copies them.  Last,
+mlsm-aa1 with k_max = s_max = 1 runs on a three-group problem with 11
+cells (c = 0.99 in every group, sigma_t over five decades), where it
+stops as diverged at N_t = 27 with |alpha0| up to 4.06.
 
 Without --rtol each run is compared by ==: N_t, M_lo, status, rho_num,
 rho_irregular, the residual history, lo_solve_counts, aa_fallbacks and
@@ -78,7 +79,8 @@ NOISY = ("grey_coeffs.eta", "grey_coeffs.sbar_t")
 STRUCTS = ("closures", "grey_closure", "grey_coeffs")
 # the small problem that runs only mlsm-aa1(1,1), which diverges on it
 DIVERGENT = "aa1-diverges"
-# make_problem arguments of the small problems, by name
+# ProblemSpec arguments of the small problems, by name; run() turns the
+# lists into float arrays
 SMALL = {
     "readme": dict(G=2, sigma_t=[1.0, 2.0], sigma_s=[[0.2, 0.1], [0.3, 0.5]],
                    Q=[1.0, 0.0], width=10.0, n_cells=16, n_half=4),
@@ -130,8 +132,11 @@ def import_from(src: Path):
 def run(slabsm, cell) -> dict:
     """The report's scalars and every array of its final state, by name."""
     if cell.problem in SMALL:
-        spec = slabsm.problem.make_problem(name=cell.problem,
-                                           **SMALL[cell.problem])
+        import numpy as np
+
+        spec = slabsm.problem.ProblemSpec(name=cell.problem, **{
+            key: np.array(value, dtype=float) if isinstance(value, list)
+            else value for key, value in SMALL[cell.problem].items()})
     else:
         spec = slabsm.builtin_problem(cell.problem)
     report = slabsm.run_problem(spec, cell.config(slabsm))
