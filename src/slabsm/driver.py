@@ -29,10 +29,10 @@ import numpy as np
 from .accel import aa1_alpha
 from .angular import AngularQuadrature, angular_moments, build_double_gauss
 from .fields import Mesh
-from .losm import (LowOrderSystem, avg_scattering_xs, compute_zeta, grey_xs,
-                   sum_closures)
+from .losm import (LowOrderSystem, avg_scattering_xs, closure_from_sweep,
+                   compute_zeta, grey_xs, sum_closures)
 from .problem import ProblemSpec, whole_count
-from .sweep import build_ho_rhs, closure_from_sweep, sweep_batch
+from .sweep import build_ho_rhs, sweep_batch
 
 log = logging.getLogger(__name__)
 

@@ -4,12 +4,13 @@ The low-order discretization is obtained by taking the zeroth and first
 angular moments of the discretized LD transport equations, keeping the
 scalar flux and current as LD fields (two coefficients per cell).  Edge
 closures use the decomposition int mu^2 psi = phi/3 - P with P and the
-edge reconstruction constants frozen from the latest sweep (sweep module),
-which makes the low-order solution algebraically identical to the
-transport moments at a consistent fixed point.
+edge reconstruction constants frozen from the latest sweep
+(closure_from_sweep), which makes the low-order solution algebraically
+identical to the transport moments at a consistent fixed point.
 
 Per cell i the four equations (divided through by dx) are, with hatted
-edge quantities from the frozen reconstructions,
+edge quantities from the frozen reconstructions: `edge_weights` on the
+traces of the cells beside the edge plus the constants dJ and dphi,
 
     ( J^_{i+1} - J^_i ) / dx               + (removal phi)_a = S_a
     ( 3 J^_{i+1} + 3 J^_i - 6 J_a ) / dx   + (removal phi)_s = S_s
@@ -17,37 +18,39 @@ edge quantities from the frozen reconstructions,
     ( phi^_{i+1} + phi^_i - 2 phi_a ) / dx + (sigma_t J)_s   = ( 3 P^_{i+1} + 3 P^_i - 6 P_a ) / dx
 
 where (c u)_a = c_a u_a + c_s u_s and (c u)_s = c_s u_a + c_a u_s for LD
-fields c and u.  The grey system has sbar_a for removal and sbar_t for
-sigma_t and adds the drift (eta phi)_a, (eta phi)_s to the two J rows; its
-solution-averaged coefficients and field products are collocated at the two
-cell-edge values, so the group-summed grey equations coincide exactly with
-the sum of the group equations at convergence.  A cell's unknowns (phi_a,
-phi_s, J_a, J_s) couple only to its two neighbours: the operator is block
-tridiagonal with 4x4 blocks: the derivative stencil of the closures' edge
-table `sweep.edge_weights` plus cell-diagonal mass blocks.  Group data
-carry a leading group axis, so one call builds every group's right side
-from the sources and the closure's terms (ClosureData.terms).  Every
-matrix is assembled one way: the stencil in LAPACK band storage plus the
-cell mass entries, gathered straight from the flat coefficient stack
-[sbar_a, sbar_t, eta, 0] through an index built once per problem.  Each
-grey solve is one band LU solve (dgbsv) of that band; the group bands are
-built once per problem and read off in CSC order for their sparse LU
-factors.
+fields c and u.  The closure's terms, built once with it, move to the right
+sides (ClosureData.terms, (..., N, 4) per cell row): rows 2-3 complete, and
+in rows 0-1 the dJ terms that S_a and S_s are reduced by.  The grey system
+has sbar_a for removal and sbar_t for sigma_t and adds the drift
+(eta phi)_a, (eta phi)_s to the two J rows; its solution-averaged
+coefficients and field products are collocated at the two cell-edge values,
+so the group-summed grey equations coincide exactly with the sum of the
+group equations at convergence.  A cell's unknowns (phi_a, phi_s, J_a, J_s)
+couple only to its two neighbours: the operator is block tridiagonal with
+4x4 blocks: the derivative stencil of the closures' edge table
+`edge_weights` plus cell-diagonal mass blocks.  Group data carry a leading
+group axis, so one call builds every group's right side.  Every matrix is
+assembled one way: the stencil in LAPACK band storage plus the cell mass
+entries, gathered straight from the flat coefficient stack [sbar_a, sbar_t,
+eta, 0] through an index built once per problem.  Each grey solve is one
+band LU solve (dgbsv) of that band; the group bands are built once per
+problem and read off in CSC order for their sparse LU factors.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.linalg.lapack import dgbsv
 from scipy.sparse import block_diag, csc_matrix
 from scipy.sparse.linalg import splu
 
+from .angular import AngularQuadrature, MomentSet, angular_moments
 from .fields import Mesh, const_field, from_nodes, nodal_product, to_nodes
 from .problem import ProblemSpec
-from .sweep import ClosureData, edge_weights
+from .sweep import upwind_edge_psi
 
 DENOM_EPS = 1e-30
 
@@ -142,6 +145,110 @@ def grey_xs(phi_groups: np.ndarray, J_groups: np.ndarray,
                             eta=from_nodes(eta_n), Q=Q)
 
 
+# ---------------------------------------------------------------------------
+# Closures frozen from the latest sweep
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ClosureData:
+    """Frozen transport functionals that close the low-order systems, and
+    the right-side terms they give on cells of widths dx (N,).
+
+    Each functional carries a leading group axis, (G, N+1) on the cell
+    edges and (G, N, 2) for P; the grey closure (sum_closures) has none.
+    dJ holds the additive constants of the edge-current reconstruction;
+    slots 0 and N hold the boundary closure constants C with J =
+    n*(phi/2) + C.  dphi holds the edge-scalar-flux reconstruction
+    constants, Phat the edge closure moment sum w*(1/3 - mu^2)*psi, and P
+    the cell LD coefficients of the closure moment.  terms, (..., N, 4)
+    with the functionals' leading axes, holds every closure term of the
+    low-order right sides per cell row (_closure_terms), built once, when
+    the closure is built.  Every array is made read-only, the arrays the
+    closure is given included, so a write into one raises and cannot
+    leave the terms stale.
+    """
+
+    dJ: np.ndarray
+    dphi: np.ndarray
+    Phat: np.ndarray
+    P: np.ndarray
+    dx: np.ndarray
+    terms: np.ndarray = dc_field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", _closure_terms(self))
+        for array in vars(self).values():
+            array.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=8)
+def edge_weights(N: int) -> np.ndarray:
+    """Edge reconstruction weights of an N-cell mesh, (N+1, 2, 4): the
+    edge J^ (row 0) and phi^ (row 1) on the traces [phi, J] of the cells
+    left and right of each edge, from half-range P1 partial moments,
+
+        J^   = [phi/4 + J/2]_left + [-phi/4 + J/2]_right
+        phi^ = [phi/2 + 3J/4]_left + [phi/2 - 3J/4]_right
+
+    and J^ = -/+ phi/2 of the boundary cell's trace at the vacuum edges.
+    Cached per N and read-only.
+    """
+    w = np.zeros((N + 1, 2, 4))
+    w[1:, :, :2] = [[0.25, 0.5], [0.5, 0.75]]
+    w[:-1, :, 2:] = [[-0.25, 0.5], [0.5, -0.75]]
+    w[0, 0, 2:] = -0.5, 0.0
+    w[N, 0, :2] = 0.5, 0.0
+    w.setflags(write=False)
+    return w
+
+
+def _closure_terms(closure: ClosureData) -> np.ndarray:
+    """The closure terms of the low-order right sides, (..., N, 4), one
+    column per cell row (module docstring), with the closure's leading
+    axes."""
+    dx = closure.dx
+    dJ, dphi, Phat = closure.dJ, closure.dphi, closure.Phat
+    c = np.empty(dJ.shape[:-1] + (dx.size, 4))
+    np.divide(dJ[..., 1:] - dJ[..., :-1], dx, c[..., 0])
+    np.divide(3.0 * (dJ[..., 1:] + dJ[..., :-1]), dx, c[..., 1])
+    np.divide((Phat[..., 1:] - Phat[..., :-1])
+              - (dphi[..., 1:] - dphi[..., :-1]) / 3.0, dx, c[..., 2])
+    np.divide(3.0 * (Phat[..., 1:] + Phat[..., :-1])
+              - 6.0 * closure.P[..., 0]
+              - (dphi[..., 1:] + dphi[..., :-1]), dx, c[..., 3])
+    return c
+
+
+def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
+                       moments: MomentSet, mesh: Mesh) -> ClosureData:
+    """Edge and cell closure functionals of every group, and their
+    right-side terms on the mesh, from the latest sweep, psi (G, M, N, 2),
+    and its angular moments.  dJ and dphi are the exact edge moments minus
+    their reconstructions `edge_weights` from the one-sided traces, so
+    imposing them on the low-order system reproduces the transport moments
+    identically at a consistent solution."""
+    N = psi.shape[-2]
+    edge = angular_moments(upwind_edge_psi(psi, quad)[..., None], quad)
+    phi, J = moments.phi, moments.J
+    lead = phi.shape[:-2]
+    # trace rows t_k (4, ..., N+1): [phi, J] of the cells left (a + s) and
+    # right (a - s) of each edge, zero outside the slab
+    t = np.zeros((4,) + lead + (N + 1,))
+    np.add(phi[..., 0], phi[..., 1], t[0, ..., 1:])
+    np.add(J[..., 0], J[..., 1], t[1, ..., 1:])
+    np.subtract(phi[..., 0], phi[..., 1], t[2, ..., :-1])
+    np.subtract(J[..., 0], J[..., 1], t[3, ..., :-1])
+    # [J^, phi^] = w0 t0 + w1 t1 + w2 t2 + w3 t3, summed left to right,
+    # from one product; contiguous weights keep the k axis outermost
+    w = np.ascontiguousarray(edge_weights(N).T)
+    wt = np.multiply(w.reshape((4, 2) + (1,) * len(lead) + (N + 1,)),
+                     t[:, None])
+    recon = wt[0] + wt[1] + wt[2] + wt[3]
+    return ClosureData(dJ=edge.J[..., 0] - recon[0],
+                       dphi=edge.phi[..., 0] - recon[1],
+                       Phat=edge.P[..., 0], P=moments.P.copy(), dx=mesh.dx)
+
+
 def sum_closures(closures: ClosureData) -> ClosureData:
     """Group-summed closure functionals for the grey system, with the
     grey right-side terms built from the summed functionals."""
@@ -173,7 +280,7 @@ def _stencil_blocks(dx: np.ndarray):
     of the blocks (entries with at least one term, kept where the terms
     cancel)."""
     N = dx.size
-    # sweep.edge_weights on the unknowns of the cells left [:, 0] and right
+    # edge_weights on the unknowns of the cells left [:, 0] and right
     # [:, 1] of each edge, whose traces are u_a + u_s and u_a - u_s
     table = edge_weights(N)
     ld = np.stack([table, table * [1.0, 1.0, -1.0, -1.0]], axis=-1)

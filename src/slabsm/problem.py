@@ -21,12 +21,13 @@ class ProblemError(ValueError):
     """Raised for unparsable, inconsistent, or unphysical problem input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Fixed-source multigroup slab problem, checked on construction
-    however it is made (bad input raises ProblemError) and immutable.
-    Counts become ints, width a float, and the arrays read-only float
-    copies, which neither alias nor freeze the caller's."""
+    """Fixed-source multigroup slab problem, immutable and checked on
+    construction however it is made, by the rules of a config file (bad
+    input raises ProblemError).  Counts become ints, width a float, and
+    the arrays read-only float copies, which neither alias nor freeze the
+    caller's.  Specs compare and hash by identity."""
 
     G: int
     sigma_t: np.ndarray        # (G,)   total cross section, > 0
@@ -42,13 +43,48 @@ class ProblemSpec:
                             ("n_half", "quad_half_order")):
             object.__setattr__(self, field,
                                whole_count(getattr(self, field), what))
-        for field in ("sigma_t", "sigma_s", "Q"):
-            a = np.array(getattr(self, field), dtype=float, order="C")
+        for field, what in (("sigma_t", "sigma_t"), ("sigma_s", "sigma_s"),
+                            ("Q", "source"), ("width", "slab width")):
+            value = getattr(self, field)
+            _check_numbers(value, what, nested=field != "width")
+            try:
+                a = np.array(value, dtype=float, order="C")
+            except (ValueError, OverflowError) as err:
+                raise ProblemError(f"malformed {what}: {err}") from err
+            if not np.isfinite(a).all():
+                raise ProblemError(f"{what} must be finite")
             a.setflags(write=False)
             object.__setattr__(self, field, a)
         object.__setattr__(self, "width", float(self.width))
-        _check_spec(self.G, self.sigma_t, self.sigma_s, self.Q, self.width,
-                    self.n_cells, self.n_half)
+        G, sigma_t, sigma_s, Q = self.G, self.sigma_t, self.sigma_s, self.Q
+        if G < 1:
+            raise ProblemError("group count must be >= 1")
+        if sigma_t.shape != (G,):
+            raise ProblemError(
+                f"sigma_t must have {G} entries, got {sigma_t.shape}")
+        if sigma_s.shape != (G, G):
+            raise ProblemError(
+                f"sigma_s must be {G}x{G}, got {sigma_s.shape}")
+        if Q.shape != (G,):
+            raise ProblemError(f"source must have {G} entries, got {Q.shape}")
+        if np.any(sigma_t <= 0):
+            raise ProblemError("sigma_t entries must be positive")
+        if np.any(sigma_s < 0):
+            raise ProblemError("negative scattering cross section")
+        if np.any(Q < 0):
+            raise ProblemError("negative external source")
+        if self.width <= 0:
+            raise ProblemError("slab width must be positive")
+        if self.n_cells < 1:
+            raise ProblemError("cell count must be >= 1")
+        if self.n_half < 1:
+            raise ProblemError("quad_half_order must be >= 1")
+        c = self.scattering_ratio()
+        if np.any(c > 1.0 + C_UPPER_SLACK):
+            g = int(np.argmax(c))
+            raise ProblemError(
+                f"scattering ratio c_{g + 1} = {c[g]:.8f} exceeds 1 "
+                "(supercritical medium)")
 
     def scattering_ratio(self) -> np.ndarray:
         """c_g = (total scattering out of g) / sigma_t,g (column sums)."""
@@ -69,52 +105,24 @@ def whole_count(value, what: str, error=ProblemError) -> int:
     return int(value)
 
 
-def _check_spec(G, sigma_t, sigma_s, Q, width, n_cells, n_half) -> None:
-    if G < 1:
-        raise ProblemError("group count must be >= 1")
-    if sigma_t.shape != (G,):
-        raise ProblemError(f"sigma_t must have {G} entries, got {sigma_t.shape}")
-    if sigma_s.shape != (G, G):
-        raise ProblemError(
-            f"sigma_s must be {G}x{G}, got {sigma_s.shape}")
-    if Q.shape != (G,):
-        raise ProblemError(f"source must have {G} entries, got {Q.shape}")
-    for what, value in (("sigma_t", sigma_t), ("sigma_s", sigma_s),
-                        ("source", Q), ("slab width", width)):
-        if not np.all(np.isfinite(value)):
-            raise ProblemError(f"{what} must be finite")
-    if np.any(sigma_t <= 0):
-        raise ProblemError("sigma_t entries must be positive")
-    if np.any(sigma_s < 0):
-        raise ProblemError("negative scattering cross section")
-    if np.any(Q < 0):
-        raise ProblemError("negative external source")
-    if width <= 0:
-        raise ProblemError("slab width must be positive")
-    if n_cells < 1:
-        raise ProblemError("cell count must be >= 1")
-    if n_half < 1:
-        raise ProblemError("quad_half_order must be >= 1")
-    c = sigma_s.sum(axis=0) / sigma_t
-    if np.any(c > 1.0 + C_UPPER_SLACK):
-        g = int(np.argmax(c))
-        raise ProblemError(
-            f"scattering ratio c_{g + 1} = {c[g]:.8f} exceeds 1 "
-            "(supercritical medium)")
+def _check_numbers(value, what: str, nested: bool = True) -> None:
+    """Reject all but real numbers and, if nested, lists and tuples of
+    them and integer or float arrays: numpy reads True as 1, "0.5" as 0.5."""
+    if nested and isinstance(value, (list, tuple)):
+        for item in value:
+            _check_numbers(item, what)
+        return
+    if isinstance(value, (np.ndarray, np.generic)):
+        real = (nested or value.ndim == 0) and value.dtype.kind in "iuf"
+    else:
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real:
+        raise ProblemError(f"{what} must hold JSON numbers, got {value!r}")
 
 
 _CONFIG_KEYS = ("groups", "sigma_t", "sigma_s", "source", "width", "cells",
                 "quad_half_order")
 _BC_KEYS = ("bc_left", "bc_right")
-
-
-def _check_numbers(value, key: str) -> None:
-    # numpy would read true as 1 and "0.5" as 0.5
-    if isinstance(value, list):
-        for item in value:
-            _check_numbers(item, key)
-    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ProblemError(f"{key} must hold JSON numbers, got {value!r}")
 
 
 def problem_from_dict(doc: dict, name: str = "") -> ProblemSpec:
@@ -131,23 +139,10 @@ def problem_from_dict(doc: dict, name: str = "") -> ProblemSpec:
         if bc != "vacuum":
             raise ProblemError(
                 f"unsupported {side} boundary condition {bc!r} (vacuum only)")
-    for key in ("sigma_t", "sigma_s", "source", "width"):
-        _check_numbers(doc[key], key)
-    try:
-        return ProblemSpec(
-            G=doc["groups"],
-            sigma_t=doc["sigma_t"],
-            sigma_s=doc["sigma_s"],
-            Q=doc["source"],
-            width=doc["width"],
-            n_cells=doc["cells"],
-            n_half=doc["quad_half_order"],
-            name=name,
-        )
-    except (TypeError, ValueError) as err:
-        if isinstance(err, ProblemError):
-            raise
-        raise ProblemError(f"malformed config value: {err}") from err
+    return ProblemSpec(G=doc["groups"], sigma_t=doc["sigma_t"],
+                       sigma_s=doc["sigma_s"], Q=doc["source"],
+                       width=doc["width"], n_cells=doc["cells"],
+                       n_half=doc["quad_half_order"], name=name)
 
 
 def load_problem(source: str | Path) -> ProblemSpec:

@@ -48,22 +48,16 @@ parsing numpy pays on every call: on numpy 2.4.6 the six keywords cost
 about 5% of a test2 march step (112 lanes).  The per-cell rows the calls
 read are views that the loop's zip yields from the frame and the cached
 arrays, not views indexed out in each step (another 4%).
-
-The closures are the sweep's upwind edge moments minus the reconstruction
-`edge_weights` of its traces, the table the low-order stencil reads too.
-A closure also carries the mesh widths dx and the low-order right-side
-terms of its functionals on them (ClosureData.terms), built with it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import AngularQuadrature, MomentSet, angular_moments
+from .angular import AngularQuadrature
 from .fields import Mesh, nodal_product
 
 
@@ -191,103 +185,3 @@ def upwind_edge_psi(psi: np.ndarray, quad: AngularQuadrature) -> np.ndarray:
     out[..., h:, 1:] = psi[..., h:, :, 0] + psi[..., h:, :, 1]
     out[..., :h, :N] = psi[..., :h, :, 0] - psi[..., :h, :, 1]
     return out
-
-
-@dataclass(frozen=True)
-class ClosureData:
-    """Frozen transport functionals that close the low-order systems, and
-    the right-side terms they give on cells of widths dx (N,).
-
-    Each functional carries a leading group axis, (G, N+1) on the cell
-    edges and (G, N, 2) for P; the grey closure (sum_closures) has none.
-    dJ holds the additive constants of the edge-current reconstruction;
-    slots 0 and N hold the boundary closure constants C with J =
-    n*(phi/2) + C.  dphi holds the edge-scalar-flux reconstruction
-    constants, Phat the edge closure moment sum w*(1/3 - mu^2)*psi, and P
-    the cell LD coefficients of the closure moment.  terms, (..., N, 4)
-    with the functionals' leading axes, holds every closure term of the
-    low-order right sides per cell row (_closure_terms), built once, when
-    the closure is built.  Every array is made read-only, the arrays the
-    closure is given included, so a write into one raises and cannot
-    leave the terms stale.
-    """
-
-    dJ: np.ndarray
-    dphi: np.ndarray
-    Phat: np.ndarray
-    P: np.ndarray
-    dx: np.ndarray
-    terms: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", _closure_terms(self))
-        for array in vars(self).values():
-            array.setflags(write=False)
-
-
-@functools.lru_cache(maxsize=8)
-def edge_weights(N: int) -> np.ndarray:
-    """Edge reconstruction weights of an N-cell mesh, (N+1, 2, 4): the
-    edge J^ (row 0) and phi^ (row 1) on the traces [phi, J] of the cells
-    left and right of each edge, from half-range P1 partial moments,
-
-        J^   = [phi/4 + J/2]_left + [-phi/4 + J/2]_right
-        phi^ = [phi/2 + 3J/4]_left + [phi/2 - 3J/4]_right
-
-    and J^ = -/+ phi/2 of the boundary cell's trace at the vacuum edges.
-    Cached per N and read-only.
-    """
-    w = np.zeros((N + 1, 2, 4))
-    w[1:, :, :2] = [[0.25, 0.5], [0.5, 0.75]]
-    w[:-1, :, 2:] = [[-0.25, 0.5], [0.5, -0.75]]
-    w[0, 0, 2:] = -0.5, 0.0
-    w[N, 0, :2] = 0.5, 0.0
-    w.setflags(write=False)
-    return w
-
-
-def _closure_terms(closure: ClosureData) -> np.ndarray:
-    """Every closure term of the low-order right sides, (..., N, 4) per
-    cell row with the closure's leading axes: rows 2-3 complete, rows 0-1
-    the terms that the sources are reduced by."""
-    dx = closure.dx
-    dJ, dphi, Phat = closure.dJ, closure.dphi, closure.Phat
-    c = np.empty(dJ.shape[:-1] + (dx.size, 4))
-    np.divide(dJ[..., 1:] - dJ[..., :-1], dx, c[..., 0])
-    np.divide(3.0 * (dJ[..., 1:] + dJ[..., :-1]), dx, c[..., 1])
-    np.divide((Phat[..., 1:] - Phat[..., :-1])
-              - (dphi[..., 1:] - dphi[..., :-1]) / 3.0, dx, c[..., 2])
-    np.divide(3.0 * (Phat[..., 1:] + Phat[..., :-1])
-              - 6.0 * closure.P[..., 0]
-              - (dphi[..., 1:] + dphi[..., :-1]), dx, c[..., 3])
-    return c
-
-
-def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
-                       moments: MomentSet, mesh: Mesh) -> ClosureData:
-    """Edge and cell closure functionals of every group, and their
-    right-side terms on the mesh, from the latest sweep, psi (G, M, N, 2),
-    and its angular moments.  dJ and dphi are the exact edge moments minus
-    their reconstructions `edge_weights` from the one-sided traces, so
-    imposing them on the low-order system reproduces the transport moments
-    identically at a consistent solution."""
-    N = psi.shape[-2]
-    edge = angular_moments(upwind_edge_psi(psi, quad)[..., None], quad)
-    phi, J = moments.phi, moments.J
-    lead = phi.shape[:-2]
-    # trace rows t_k (4, ..., N+1): [phi, J] of the cells left (a + s) and
-    # right (a - s) of each edge, zero outside the slab
-    t = np.zeros((4,) + lead + (N + 1,))
-    np.add(phi[..., 0], phi[..., 1], t[0, ..., 1:])
-    np.add(J[..., 0], J[..., 1], t[1, ..., 1:])
-    np.subtract(phi[..., 0], phi[..., 1], t[2, ..., :-1])
-    np.subtract(J[..., 0], J[..., 1], t[3, ..., :-1])
-    # [J^, phi^] = w0 t0 + w1 t1 + w2 t2 + w3 t3, summed left to right,
-    # from one product; contiguous weights keep the k axis outermost
-    w = np.ascontiguousarray(edge_weights(N).T)
-    wt = np.multiply(w.reshape((4, 2) + (1,) * len(lead) + (N + 1,)),
-                     t[:, None])
-    recon = wt[0] + wt[1] + wt[2] + wt[3]
-    return ClosureData(dJ=edge.J[..., 0] - recon[0],
-                       dphi=edge.phi[..., 0] - recon[1],
-                       Phat=edge.P[..., 0], P=moments.P.copy(), dx=mesh.dx)

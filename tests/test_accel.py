@@ -5,9 +5,9 @@ from slabsm import driver
 from slabsm.accel import aa1_alpha
 from slabsm.driver import IterationConfig, run_problem
 from slabsm.fields import Mesh
-from slabsm.losm import LowOrderSystem, _lo_rhs, _split_solution
+from slabsm.losm import (ClosureData, LowOrderSystem, _lo_rhs,
+                         _split_solution)
 from slabsm.problem import ProblemSpec
-from slabsm.sweep import ClosureData
 
 
 def _aa1_pair(r_prev, r_curr):

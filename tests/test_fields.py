@@ -3,7 +3,8 @@ import pytest
 
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh, from_nodes, nodal_product, to_nodes
-from slabsm.sweep import closure_from_sweep, sweep_batch
+from slabsm.losm import closure_from_sweep
+from slabsm.sweep import sweep_batch
 from test_sweep import mesh_edges
 
 

@@ -10,12 +10,13 @@ from scipy.linalg.lapack import dgbsv
 from slabsm import losm
 from slabsm.angular import MomentSet, angular_moments, build_double_gauss
 from slabsm.fields import Mesh
-from slabsm.losm import (DENOM_EPS, GreyCoefficients, LowOrderSystem,
-                         _lo_rhs, _ratio, _split_solution, _stencil_blocks,
-                         avg_scattering_xs, compute_zeta, grey_xs)
+from slabsm.losm import (DENOM_EPS, ClosureData, GreyCoefficients,
+                         LowOrderSystem, _lo_rhs, _ratio, _split_solution,
+                         _stencil_blocks, avg_scattering_xs,
+                         closure_from_sweep, compute_zeta, edge_weights,
+                         grey_xs)
 from slabsm.problem import ProblemSpec
-from slabsm.sweep import (ClosureData, closure_from_sweep, edge_weights,
-                          sweep_batch, upwind_edge_psi)
+from slabsm.sweep import sweep_batch, upwind_edge_psi
 from test_fields import _stacked_coeffs as old_from_nodes
 from test_fields import _stacked_nodes as old_to_nodes
 from test_losm import (_mass_blocks, _same_bits, _signed_zeros,

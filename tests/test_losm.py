@@ -10,12 +10,12 @@ from scipy.sparse.linalg import splu
 
 from slabsm import losm
 from slabsm.driver import IterationConfig, run_problem
-from slabsm.losm import (GreyCoefficients, LowOrderSystem, _lo_rhs,
-                         _stencil_blocks, avg_scattering_xs, compute_zeta,
-                         grey_xs, sum_closures)
+from slabsm.losm import (ClosureData, GreyCoefficients, LowOrderSystem,
+                         _lo_rhs, _stencil_blocks, avg_scattering_xs,
+                         closure_from_sweep, compute_zeta, grey_xs,
+                         sum_closures)
 from slabsm.problem import ProblemSpec, builtin_problem
-from slabsm.sweep import (ClosureData, build_ho_rhs, closure_from_sweep,
-                          sweep_batch)
+from slabsm.sweep import build_ho_rhs, sweep_batch
 
 
 def _pass_residual(system, phi, J, zeta, closures):
@@ -467,7 +467,7 @@ def _literal_stencil_blocks(dx):
                                 [0.1, 0.3, 0.05, 0.4, 0.2, 0.25, 0.4],
                                 [0.25] * 128])
 def test_stencil_reads_the_closure_edge_table(dx):
-    # the stencil derived from sweep.edge_weights equals the one built
+    # the stencil derived from losm.edge_weights equals the one built
     # from the literal weights, on the one-cell mesh (both edges are
     # boundary rows) too
     dx = np.array(dx)

@@ -229,7 +229,57 @@ def test_non_number_data_rejected(key, value):
         problem_from_dict(_one_group_doc(**{key: value}))
 
 
-_SCALARS = st.one_of(st.booleans(), st.text("1.e", max_size=3), st.none(),
+_ONE_GROUP = {"G": 1, "sigma_t": [1.0], "sigma_s": [[0.5]], "Q": [1.0],
+              "width": 4.0, "n_cells": 2, "n_half": 1}
+
+
+@pytest.mark.parametrize("changes, match", [
+    ({"sigma_t": ["1.0"], "sigma_s": [[True]], "Q": ["0.5"], "width": "4"},
+     "sigma_t must hold JSON numbers"),
+    ({"sigma_s": [[True]]}, "sigma_s must hold JSON numbers"),
+    ({"sigma_s": ((0.5, "0"),)}, "sigma_s must hold JSON numbers"),
+    ({"Q": [None]}, "source must hold JSON numbers"),
+    ({"width": "4"}, "slab width must hold JSON numbers"),
+    ({"width": True}, "slab width must hold JSON numbers"),
+    ({"width": [4.0]}, "slab width must hold JSON numbers"),
+    ({"width": np.ones(1)}, "slab width must hold JSON numbers"),
+    ({"sigma_t": np.array([True])}, "sigma_t must hold JSON numbers"),
+    ({"sigma_t": [np.True_]}, "sigma_t must hold JSON numbers"),
+    ({"Q": np.array(["0.5"])}, "source must hold JSON numbers"),
+    ({"sigma_t": np.array([1.0], dtype=object)},
+     "sigma_t must hold JSON numbers"),
+    ({"sigma_t": np.array([1.0 + 0.5j])}, "sigma_t must hold JSON numbers"),
+    ({"G": 2, "sigma_t": [1.0, [2.0]], "sigma_s": np.zeros((2, 2)),
+      "Q": [1.0, 1.0]}, "malformed sigma_t"),
+    ({"sigma_t": [10**400]}, "malformed sigma_t"),
+    ({"width": 10**400}, "malformed slab width"),
+])
+def test_spec_applies_the_config_number_rules(changes, match):
+    # built directly, a spec took true as 1 and "0.5" as 0.5, and a ragged
+    # or oversized value raised a bare ValueError or OverflowError
+    with pytest.raises(ProblemError, match=match):
+        ProblemSpec(**{**_ONE_GROUP, **changes})
+
+
+def test_spec_takes_numbers_in_lists_tuples_and_arrays():
+    spec = ProblemSpec(1, (np.float32(1.0),), [np.array([0.5])],
+                       np.array([1], dtype=np.int32), width=np.int64(4),
+                       n_cells=2, n_half=1)
+    for kept, value in ((spec.sigma_t, [1.0]), (spec.sigma_s, [[0.5]]),
+                        (spec.Q, [1.0])):
+        assert kept.dtype == np.float64 and np.array_equal(kept, value)
+    assert type(spec.width) is float and spec.width == 4.0
+
+
+def test_specs_compare_and_hash_by_identity():
+    # field-wise == compared arrays and raised, and hash() raised
+    spec, twin = builtin_problem("test1"), builtin_problem("test1")
+    assert spec == spec and spec != twin
+    assert hash(spec) == hash(spec)
+    assert spec in {spec} and twin not in {spec}
+
+
+_SCALARS =st.one_of(st.booleans(), st.text("1.e", max_size=3), st.none(),
                      st.integers(-2, 3), st.floats(-1.0, 3.0),
                      st.floats(allow_nan=True, allow_infinity=True))
 _VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3),

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh, const_field, to_nodes
 from slabsm.problem import builtin_problem
-from slabsm.sweep import (_march_coefficients, build_ho_rhs,
-                          closure_from_sweep, sweep_batch, upwind_edge_psi)
+from slabsm.losm import closure_from_sweep
+from slabsm.sweep import (_march_coefficients, build_ho_rhs, sweep_batch,
+                          upwind_edge_psi)
 
 GAUSS3_T = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 GAUSS3_V = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])

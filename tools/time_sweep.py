@@ -4,15 +4,14 @@ one outer of this checkout against another one.
     python3 tools/time_sweep.py OTHER_SRC [--calls 600]
 
 OTHER_SRC is the src/ directory of another checkout, for instance of the
-parent commit, whose closure_from_sweep takes the mesh (every tree since
-the closure's right-side terms came to be built with the closure).
-slabsm is imported fresh from this checkout's src/ and then from
-OTHER_SRC, and both stay loaded.  On test1 and test2 each tree gets the
-same inputs: a fixed seeded isotropic source (G, N, 2) for
-`sweep.sweep_batch`; that source's swept psi for `angular.angular_moments`
-and, with its moments and the mesh, for `sweep.closure_from_sweep`, the
-per-outer glue between the sweep and the low-order levels; for
-`losm.grey_xs` that sweep's group moments; for
+parent commit.  slabsm is imported fresh from this checkout's src/ and
+then from OTHER_SRC, and both stay loaded.  On test1 and test2 each tree
+gets the same inputs: a fixed seeded isotropic source (G, N, 2) for
+`sweep.sweep_batch`; that source's swept psi for
+`angular.angular_moments` and, with its moments and the mesh, for
+`closure_from_sweep`, taken from `slabsm.driver`, which binds it in
+every tree, the per-outer glue between the sweep and the low-order
+levels; for `losm.grey_xs` that sweep's group moments; for
 `LowOrderSystem.solve_grey` the grey coefficients and grey closure of
 that sweep; for `losm.compute_zeta` the grey flux of that solve and the
 group moments; and for `LowOrderSystem.group_pass` and
@@ -21,11 +20,11 @@ group closures.  The two trees' calls alternate, which one goes first
 alternating from call to call, as the machine's speed drifts.  The
 low-order calls reuse closures whose right-side terms were built with
 them, so no timed low-order call builds them; closure_from_sweep's time
-includes building the group closure's terms.  After a few untimed calls that fill
-the per-problem caches, each call is timed alone with perf_counter.
-Prints the median time of one call per tree and the relative change from
-OTHER to this checkout.  One process and one BLAS thread, as in the
-benchmark.
+includes building the group closure's terms.  After a few untimed calls
+that fill the per-problem caches, each call is timed alone with
+perf_counter.  Prints the median time of one call per tree and the
+relative change from OTHER to this checkout.  One process and one BLAS
+thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ def calls(slabsm, problem: str) -> dict:
     import numpy as np
 
     sweep, losm = slabsm.sweep, slabsm.losm
+    closure_from_sweep = slabsm.driver.closure_from_sweep
     spec = slabsm.builtin_problem(problem)
     mesh = slabsm.fields.Mesh.uniform(spec.width, spec.n_cells)
     quad = slabsm.angular.build_double_gauss(spec.n_half)
@@ -60,7 +60,7 @@ def calls(slabsm, problem: str) -> dict:
     moments = slabsm.angular.angular_moments(psi, quad)
     phi, J = moments.phi, moments.J
     closure_args = (psi, quad, moments, mesh)
-    closures = sweep.closure_from_sweep(*closure_args)
+    closures = closure_from_sweep(*closure_args)
     closure = losm.sum_closures(closures)
     coeffs = losm.grey_xs(phi, J, spec)
     system = losm.LowOrderSystem(spec, mesh)
@@ -71,8 +71,7 @@ def calls(slabsm, problem: str) -> dict:
                                                  rhs),
         "angular_moments": lambda: slabsm.angular.angular_moments(psi,
                                                                   quad),
-        "closure_from_sweep": lambda: sweep.closure_from_sweep(
-            *closure_args),
+        "closure_from_sweep": lambda: closure_from_sweep(*closure_args),
         "grey_xs": lambda: losm.grey_xs(phi, J, spec),
         "solve_grey": lambda: system.solve_grey(coeffs, closure),
         "compute_zeta": lambda: losm.compute_zeta(grey_phi, phi),
