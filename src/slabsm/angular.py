@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -16,11 +16,14 @@ class AngularQuadrature:
     Enforced on construction: the ordinates are strictly sorted and
     nonzero, and mu and w are mirror-symmetric, so the mu < 0 directions
     are exactly the first half.  The quadrature keeps read-only copies of
-    mu and w.
+    mu and w, and the moment weights [w, w mu, w (1/3 - mu^2)] (3, M)
+    that `angular_moments` reads, built once from them.
     """
 
     mu: np.ndarray
     w: np.ndarray
+    moment_weights: np.ndarray = field(init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         for name in ("mu", "w"):
@@ -34,6 +37,9 @@ class AngularQuadrature:
             raise ValueError("ordinates must be strictly sorted and nonzero")
         if not (np.array_equal(mu[::-1], -mu) and np.array_equal(w[::-1], w)):
             raise ValueError("ordinates and weights must be mirror-symmetric")
+        weights = np.stack([w, w * mu, w * (1.0 / 3.0 - mu**2)])
+        weights.setflags(write=False)
+        object.__setattr__(self, "moment_weights", weights)
 
     @property
     def n_angles(self) -> int:
@@ -104,13 +110,17 @@ def angular_moments(psi: np.ndarray, quad: AngularQuadrature) -> MomentSet:
         P   = sum_m w_m (1/3 - mu_m^2) psi_m
 
     Moments of an LD-in-space flux are again LD in space, so the reduction
-    acts independently on each coefficient.
+    acts independently on each coefficient.  One einsum over the stacked
+    weights `quad.moment_weights` forms all three; its results are views
+    of one (3, ..., n_cells, 2) array.  This is bitwise the same as three
+    single-weight einsums, signed zeros included: the weight row k only
+    adds an outer axis to the output, so each output element is still one
+    sum over m of the same products w_km * psi_m, which numpy's einsum
+    loop accumulates in the same order as in the single-weight form.
     """
     psi = np.asarray(psi, dtype=float)
     if psi.ndim < 3 or psi.shape[-3] != quad.n_angles:
         raise ValueError(
             f"psi shape {psi.shape} does not match {quad.n_angles} directions")
-    phi = np.einsum("m,...mnc->...nc", quad.w, psi)
-    J = np.einsum("m,...mnc->...nc", quad.w * quad.mu, psi)
-    P = np.einsum("m,...mnc->...nc", quad.w * (1.0 / 3.0 - quad.mu**2), psi)
+    phi, J, P = np.einsum("km,...mnc->k...nc", quad.moment_weights, psi)
     return MomentSet(phi=phi, J=J, P=P)

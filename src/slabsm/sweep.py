@@ -18,10 +18,15 @@ enforces that layout), so the mirror acts on a slice.
 
 The march steps through a frame (N, 4, L), cell axis first, on L = G*M
 lanes in (group, direction) order.  dx * rhs is formed on the source's own
-(G, M', N, 2) array, M' = 1 for isotropic sources, its mu < 0 half
-mirrored there; each half is then broadcast into rows 0-1 (average, slope)
-of the frame, rows 2-3 are copies of rows 1 and 0, and psi is read back
-from rows 0-1 by transposed writes that mirror again.
+(G, M', N, 2) array, M' = 1 for isotropic sources, in one multiply by the
+cached factors [dx, -dx] of the mu < 0 half and [dx, dx] of the mu > 0
+half: x*(-dx) is -(x*dx) bit for bit, as IEEE rounding is symmetric in
+sign, so this is the mirror's negated slope.  Each half is then broadcast
+into rows 0-1 (average, slope) of the frame, the mu < 0 half in reverse
+cell order, and rows 2-3 are copies of rows 1 and 0.  psi is read back
+from rows 0-1 one LD coefficient at a time, by transposed writes with the
+cell axis innermost (loops of N, not of 2), and the mu < 0 half is
+mirrored again, its slopes negated by a multiply by -1.
 
 With m = |mu|, sd = st*dx and det = 6m^2 + 4m*sd + sd^2, the march solves
 each cell in packed form: q = dx*[q_avg, q_slope] + [m, -3m]*psi_in, then
@@ -45,9 +50,12 @@ is the same single rounding (IEEE addition and multiplication commute).
 
 Each call passes its output positionally, not as out=, whose keyword
 parsing numpy pays on every call: on numpy 2.4.6 the six keywords cost
-about 5% of a test2 march step (112 lanes).  The per-cell rows the calls
-read are views that the loop's zip yields from the frame and the cached
-arrays, not views indexed out in each step (another 4%).
+about 5% of a test2 march step (112 lanes), and the ufuncs are called
+through local names.  The per-cell rows the calls read are not indexed
+out in each step: the cache keeps the N rows of the block and of det as
+tuples of read-only views, made once per problem, and the loop's zip
+yields them beside the four views of the frame it makes per cell (u4,
+its rows 0-1, a and s), the only views a step creates.
 """
 
 from __future__ import annotations
@@ -64,17 +72,30 @@ from .fields import Mesh, nodal_product
 @functools.lru_cache(maxsize=8)
 def _march_coefficients(sigma_t_bytes: bytes, dx_bytes: bytes,
                         mu_bytes: bytes):
-    """(coef, det, m_inc) of the march frame on L = G*M lanes, from the
-    float64 bytes of sigma_t (G,), dx (N,) and mu (M,): the per-cell
-    block [3m + sd, m + sd, -m, 3m] (N, 4, L), det repeated over both
-    rows (N, 2, L), so that the divide reads an operand of its output's
-    shape, and [m, -3m, -3m, m] (4, L).  Cached and read-only, an entry
-    keeps 48*G*M*N bytes (0.94 MiB for test1); lru_cache keeps no
-    exception, so the overflow check runs on every call."""
+    """(coef_rows, det_rows, m_inc, dx_scale) of the march frame on
+    L = G*M lanes, from the float64 bytes of sigma_t (G,), dx (N,) and
+    mu (M,).
+
+    One read-only block (N, 6, L) holds, for each cell, the per-cell
+    block [3m + sd, m + sd, -m, 3m] in rows 0-3 and det in rows 4-5,
+    repeated over both rows so that the divide reads an operand of its
+    output's shape.  coef_rows and det_rows are tuples of its N per-cell
+    (4, L) and (2, L) row views, so the march's zip reads them without
+    making a view per step.  m_inc is [m, -3m, -3m, m] (4, L), and
+    dx_scale (2, 1, N, 2) holds the factors [dx, -dx] of the mu < 0 half
+    and [dx, dx] of the mu > 0 half per cell and LD coefficient.  An
+    entry keeps 48*G*M*N bytes in the block (0.94 MiB for test1) and
+    32*(G*M + N) in m_inc and dx_scale.  lru_cache keeps no exception, so
+    the sigma_t and overflow checks run on every call that fails them."""
     sigma_t = np.frombuffer(sigma_t_bytes)
+    if not np.all(np.isfinite(sigma_t) & (sigma_t > 0)):
+        raise ValueError("sweep requires finite sigma_t > 0")
     dx = np.frombuffer(dx_bytes)
     m = np.abs(np.frombuffer(mu_bytes))
     G, M, N = sigma_t.size, m.size, dx.size
+    # [dx, -dx] for the mu < 0 half, whose slopes the mirror negates
+    signs = np.array([[1.0, -1.0], [1.0, 1.0]])
+    dx_scale = (signs[:, None, :] * dx[:, None])[:, None]
     # the mu < 0 half marches the mirrored slab, so meets dx in reverse
     dx = np.repeat(np.stack([dx[::-1], dx]), M // 2, axis=0)
     sd_cells = sigma_t[None, :, None] * dx.T[:, None, :]
@@ -85,17 +106,18 @@ def _march_coefficients(sigma_t_bytes: bytes, dx_bytes: bytes,
                          + sd_max * sd_max):
         raise ValueError(f"sigma_t * dx = {sd_max:.3e} overflows the LD "
                          "cell determinant")
-    det = 6.0 * m**2 + 4.0 * m * sd_cells + sd_cells * sd_cells
-    det = np.repeat(det.reshape(N, 1, G * M), 2, axis=1)
+    block = np.empty((N, 6, G * M))
     m3 = 3.0 * m
-    coef = np.stack([m3 + sd_cells, m + sd_cells,
-                     np.broadcast_to(-m, sd_cells.shape),
-                     np.broadcast_to(m3, sd_cells.shape)], axis=1)
-    coef = coef.reshape(N, 4, G * M)
+    block[:, :4] = np.stack([m3 + sd_cells, m + sd_cells,
+                             np.broadcast_to(-m, sd_cells.shape),
+                             np.broadcast_to(m3, sd_cells.shape)],
+                            axis=1).reshape(N, 4, G * M)
+    det = 6.0 * m**2 + 4.0 * m * sd_cells + sd_cells * sd_cells
+    block[:, 4:] = det.reshape(N, 1, G * M)
     m_inc = np.tile(np.stack([m, -m3, -m3, m]), G)
-    for a in (coef, det, m_inc):
+    for a in (block, m_inc, dx_scale):
         a.setflags(write=False)
-    return coef, det, m_inc
+    return tuple(block[:, :4]), tuple(block[:, 4:]), m_inc, dx_scale
 
 
 def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
@@ -104,11 +126,10 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
     boundaries, (G, M, N, 2).
 
     rhs is the source density per unit mu, either (G, N, 2) shared across
-    directions or (G, M, N, 2) per direction.
+    directions or (G, M, N, 2) per direction; sigma_t must be finite and
+    positive.
     """
     sigma_t = np.asarray(sigma_t, dtype=float)
-    if not np.all(np.isfinite(sigma_t) & (sigma_t > 0)):
-        raise ValueError("sweep requires finite sigma_t > 0")
     G = sigma_t.size
     M = quad.n_angles
     N = mesh.n_cells
@@ -119,18 +140,17 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
         raise ValueError(f"rhs shape {rhs.shape} invalid")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite")
-    coef, det, m_inc = _march_coefficients(
+    coef, det, m_inc, dx_scale = _march_coefficients(
         *(np.asarray(a, dtype=float).tobytes()
           for a in (sigma_t, mesh.dx, quad.mu)))
     h = M // 2
-    # src[:, :k] is the mu < 0 half, or an isotropic source's one column
+    # src[:, 0] is the mu < 0 half, src[:, 1] the mu > 0 half, each k wide
+    # (1 for an isotropic source, whose one column serves both halves)
     k = (rhs.shape[1] + 1) // 2
-    src = rhs * mesh.dx[:, None]
-    mirrored = src[:, :k, ::-1].copy()
-    mirrored[..., 1] *= -1.0
+    src = rhs.reshape(G, -1, k, N, 2) * dx_scale
     frame = np.empty((N, 4, G, M))
-    frame[:, :2, :, :h] = mirrored.transpose(2, 3, 0, 1)
-    frame[:, :2, :, h:] = src[:, -k:].transpose(2, 3, 0, 1)
+    frame[:, :2, :, :h] = src[:, 0, :, ::-1].transpose(2, 3, 0, 1)
+    frame[:, :2, :, h:] = src[:, 1].transpose(2, 3, 0, 1)
     frame[:, 2] = frame[:, 1]
     frame[:, 3] = frame[:, 0]
 
@@ -138,16 +158,18 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
     inc = np.zeros(G * M)
     q4 = np.empty((4, G * M))
     diag_q, off_q = q4[:2], q4[2:]
+    multiply, add, divide = np.multiply, np.add, np.divide
     for u4, u, coef_i, det_i, a, s in zip(lanes, lanes[:, :2], coef, det,
                                           lanes[:, 0], lanes[:, 1]):
-        np.multiply(m_inc, inc, q4)
-        np.add(u4, q4, q4)
-        np.multiply(coef_i, q4, q4)
-        np.add(diag_q, off_q, u)
-        np.divide(u, det_i, u)
-        np.add(a, s, inc)
+        multiply(m_inc, inc, q4)
+        add(u4, q4, q4)
+        multiply(coef_i, q4, q4)
+        add(diag_q, off_q, u)
+        divide(u, det_i, u)
+        add(a, s, inc)
     psi = np.empty((G, M, N, 2))
-    psi[:, h:] = frame[:, :2, :, h:].transpose(2, 3, 0, 1)
+    for c in (0, 1):
+        psi[:, h:, :, c] = frame[:, c, :, h:].transpose(1, 2, 0)
     psi[:, :h, :, 0] = frame[::-1, 0, :, :h].transpose(1, 2, 0)
     # negated by a multiply, not np.negative: on numpy 2.4.6 np.negative
     # writes wrong values into a strided out= from some reversed,

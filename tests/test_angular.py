@@ -134,3 +134,40 @@ def test_moments_direction_mismatch():
     quad = build_double_gauss(4)
     with pytest.raises(ValueError):
         angular_moments(np.zeros((5, 4, 2)), quad)
+
+
+def _three_einsum_moments(psi, quad):
+    """The moments as three single-weight einsums, one per moment."""
+    mu, w = quad.mu, quad.w
+    return [np.einsum("m,...mnc->...nc", weights, psi)
+            for weights in (w, w * mu, w * (1.0 / 3.0 - mu**2))]
+
+
+def test_one_einsum_moments_match_three_single_weight_einsums():
+    # angular_moments forms phi, J and P in one einsum over the stacked
+    # weights; every bit must be that of the three single-weight einsums,
+    # the signs of zeros included, for the shapes the solver passes:
+    # psi with no, one or two leading axes, and LD coefficients (last axis
+    # 2) or edge values (last axis 1)
+    rng = np.random.RandomState(24)
+    n_cases = 0
+    for n_half in range(1, 17):
+        quad = build_double_gauss(n_half)
+        assert not quad.moment_weights.flags.writeable
+        for lead in ((), (3,), (2, 3)):
+            for N in (1, 5, 128, 129):
+                for last in (2, 1):
+                    shape = lead + (quad.n_angles, N, last)
+                    psi = rng.randn(*shape)
+                    psi[rng.rand(*shape) < 0.3] = 0.0
+                    psi[rng.rand(*shape) < 0.1] = -0.0
+                    case = (n_half, lead, N, last)
+                    moments = angular_moments(psi, quad)
+                    for got, ref in zip(moments,
+                                        _three_einsum_moments(psi, quad)):
+                        assert got.shape == lead + (N, last), case
+                        assert np.array_equal(got, ref), case
+                        assert np.array_equal(np.signbit(got),
+                                              np.signbit(ref)), case
+                    n_cases += 1
+    assert n_cases == 16 * 3 * 4 * 2

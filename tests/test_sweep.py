@@ -364,6 +364,11 @@ def _coefficients(sigma_t, mesh, quad):
                                  for a in (sigma_t, mesh.dx, quad.mu)))
 
 
+def _block(coeffs):
+    """The one array behind an entry's per-cell rows."""
+    return coeffs[0][0].base
+
+
 def test_march_coefficients_cached_per_problem():
     quad = build_double_gauss(3)
     mesh = Mesh.uniform(4.0, 8)
@@ -375,17 +380,23 @@ def test_march_coefficients_cached_per_problem():
     sweep_batch(sigma_t, mesh, quad, rhs)
     # both sweeps read the one read-only entry
     assert _march_coefficients.cache_info().hits == hits + 2
-    assert all(a is b for a, b in zip(_coefficients(sigma_t, mesh, quad),
-                                      coeffs))
-    assert not any(a.flags.writeable for a in coeffs)
+    assert _coefficients(sigma_t, mesh, quad) is coeffs
+    coef_rows, det_rows, m_inc, dx_scale = coeffs
+    block = _block(coeffs)
+    assert not any(a.flags.writeable for a in (block, m_inc, dx_scale))
+    # one row per cell of each, every one a read-only view of the block
+    assert len(coef_rows) == len(det_rows) == mesh.n_cells
+    for row in coef_rows + det_rows:
+        assert row.base is block
+        assert not row.flags.writeable
     # dx alone (same N), sigma_t alone or n_half alone makes a new entry
     others = [(sigma_t, Mesh.uniform(5.0, 8), quad),
               (np.array([0.5, 2.5]), mesh, quad),
               (sigma_t, mesh, build_double_gauss(2))]
     for other in others:
-        coef = _coefficients(*other)[0]
-        assert coef is not coeffs[0]
-        assert not np.array_equal(coef, coeffs[0])
+        other_block = _block(_coefficients(*other))
+        assert other_block is not block
+        assert not np.array_equal(other_block, block)
     # A, then enough other problems to evict A, then A again
     for n_cells in range(1, 10):
         sweep_batch(sigma_t, Mesh.uniform(4.0, n_cells), quad,
@@ -397,15 +408,20 @@ def test_march_coefficients_cached_per_problem():
 
 def test_march_coefficients_entry_size():
     # the per-entry size the _march_coefficients docstring quotes:
-    # 48*G*M*N bytes (the block has four rows, det is repeated over two),
-    # under 1 MiB for test1
+    # 48*G*M*N bytes in the block (four rows for K and two for det per
+    # cell) and 32*(G*M + N) in m_inc and dx_scale, under 1 MiB for test1
     spec = builtin_problem("test1")
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     quad = build_double_gauss(spec.n_half)
-    coef, det, m_inc = _coefficients(spec.sigma_t, mesh, quad)
+    coeffs = _coefficients(spec.sigma_t, mesh, quad)
+    block, m_inc, dx_scale = _block(coeffs), coeffs[2], coeffs[3]
     G, M, N = spec.G, quad.n_angles, spec.n_cells
-    assert coef.nbytes + det.nbytes == 48 * G * M * N
-    assert coef.nbytes + det.nbytes + m_inc.nbytes < 2**20
+    assert block.shape == (N, 6, G * M)
+    assert block.nbytes == 48 * G * M * N
+    assert m_inc.nbytes + dx_scale.nbytes == 32 * (G * M + N)
+    assert block.nbytes + m_inc.nbytes + dx_scale.nbytes < 2**20
+    # the rows hold no array data of their own
+    assert all(row.base is block for row in coeffs[0] + coeffs[1])
 
 
 def _unpacked_sweep(sigma_t, mesh, quad, rhs):

@@ -1,5 +1,6 @@
-"""Time one sweep, its moments and closures, and the low-order calls of
-one outer of this checkout against another one.
+"""Time one sweep, its moments and closures, the low-order calls of one
+outer and one whole source-iteration outer of this checkout against
+another one.
 
     python3 tools/time_sweep.py OTHER_SRC [--calls 600]
 
@@ -16,8 +17,11 @@ levels; for `losm.grey_xs` that sweep's group moments; for
 that sweep; for `losm.compute_zeta` the grey flux of that solve and the
 group moments; and for `LowOrderSystem.group_pass` and
 `LowOrderSystem.equation_residual` the group moments, that zeta and the
-group closures.  The two trees' calls alternate, which one goes first
-alternating from call to call, as the machine's speed drifts.  The
+group closures.  `driver._si_step` runs one source-iteration outer (the
+scattering source, the sweep and the moments) from the fixed state whose
+group flux is that sweep's phi.  The two trees' calls alternate, which
+one goes first alternating from call to call, as the machine's speed
+drifts.  The
 low-order calls reuse closures whose right-side terms were built with
 them, so no timed low-order call builds them; closure_from_sweep's time
 includes building the group closure's terms.  After a few untimed calls
@@ -50,8 +54,8 @@ def calls(slabsm, problem: str) -> dict:
     # numpy is imported only after main() has pinned the BLAS threads
     import numpy as np
 
-    sweep, losm = slabsm.sweep, slabsm.losm
-    closure_from_sweep = slabsm.driver.closure_from_sweep
+    sweep, losm, driver = slabsm.sweep, slabsm.losm, slabsm.driver
+    closure_from_sweep = driver.closure_from_sweep
     spec = slabsm.builtin_problem(problem)
     mesh = slabsm.fields.Mesh.uniform(spec.width, spec.n_cells)
     quad = slabsm.angular.build_double_gauss(spec.n_half)
@@ -66,6 +70,9 @@ def calls(slabsm, problem: str) -> dict:
     system = losm.LowOrderSystem(spec, mesh)
     grey_phi, _ = system.solve_grey(coeffs, closure)
     zeta = losm.compute_zeta(grey_phi, phi)
+    si_run = driver._Run(spec, driver.IterationConfig(method="si"), quad,
+                         mesh, None)
+    si_state = driver.TransportState(phi, phi.sum(axis=0))
     return {
         "sweep_batch": lambda: sweep.sweep_batch(spec.sigma_t, mesh, quad,
                                                  rhs),
@@ -78,6 +85,7 @@ def calls(slabsm, problem: str) -> dict:
         "group_pass": lambda: system.group_pass(phi, zeta, closures),
         "equation_residual": lambda: system.equation_residual(
             phi, J, zeta, closures),
+        "si_step": lambda: driver._si_step(si_run, si_state),
     }
 
 
