@@ -76,10 +76,10 @@ def _march_coefficients(sigma_t_bytes: bytes, dx_bytes: bytes,
     L = G*M lanes, from the float64 bytes of sigma_t (G,), dx (N,) and
     mu (M,).
 
-    One read-only block (N, 6, L) holds, for each cell, the per-cell
-    block [3m + sd, m + sd, -m, 3m] in rows 0-3 and det in rows 4-5,
-    repeated over both rows so that the divide reads an operand of its
-    output's shape.  coef_rows and det_rows are tuples of its N per-cell
+    One read-only array block (N, 6, L) holds, for each cell, the
+    entries [3m + sd, m + sd, -m, 3m] of K in rows 0-3 and det in rows
+    4-5 (det twice, so that the divide reads an operand of its output's
+    shape).  coef_rows and det_rows are tuples of its N per-cell
     (4, L) and (2, L) row views, so the march's zip reads them without
     making a view per step.  m_inc is [m, -3m, -3m, m] (4, L), and
     dx_scale (2, 1, N, 2) holds the factors [dx, -dx] of the mu < 0 half
