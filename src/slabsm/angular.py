@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngularQuadrature:
     """Ordinates mu in (-1,1)\\{0} and positive weights with sum(w) = 2.
 
@@ -22,8 +22,7 @@ class AngularQuadrature:
 
     mu: np.ndarray
     w: np.ndarray
-    moment_weights: np.ndarray = field(init=False, repr=False,
-                                       compare=False)
+    moment_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("mu", "w"):

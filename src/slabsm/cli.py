@@ -58,8 +58,8 @@ def _history_csv(report: RunReport) -> str:
 
 
 def _history_human(report: RunReport) -> str:
-    lines = [f"problem={report.problem} method={report.method} "
-             f"k_max={report.k_max} s_max={report.s_max}",
+    lines = [f"problem={report.problem} method={report.config.method} "
+             f"k_max={report.config.k_max} s_max={report.config.s_max}",
              f"{'iter':>5}  {'residual':>13}  {'ratio':>13}"]
     lines += [f"{i:>5}  {r:>13}  {ratio:>13}"
               for i, r, ratio in _history_rows(report)]
@@ -155,16 +155,18 @@ def _cmd_analyze(args) -> tuple[str, int]:
 
 def _add_solver_args(p: argparse.ArgumentParser, lists: bool) -> None:
     """--method, --kmax, --smax, --epsilon and --max-outer; with lists,
-    --kmax and --smax take comma-separated lists."""
-    p.add_argument("--method", choices=METHODS, default="mlsm")
+    --kmax and --smax take comma-separated lists.  The defaults are
+    IterationConfig's."""
+    default = IterationConfig()
+    p.add_argument("--method", choices=METHODS, default=default.method)
     for flag, name in (("--kmax", "k_max"), ("--smax", "s_max")):
         if lists:
-            p.add_argument(flag, default="1",
+            p.add_argument(flag, default=str(getattr(default, name)),
                            help=f"comma-separated {name} list")
         else:
-            p.add_argument(flag, type=int, default=1)
-    p.add_argument("--epsilon", type=float, default=1e-9)
-    p.add_argument("--max-outer", type=int, default=1000)
+            p.add_argument(flag, type=int, default=getattr(default, name))
+    p.add_argument("--epsilon", type=float, default=default.epsilon)
+    p.add_argument("--max-outer", type=int, default=default.max_outer)
 
 
 # name, handler, help; validate and sweep-table print CSV only

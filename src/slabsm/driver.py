@@ -21,7 +21,7 @@ import logging
 import math
 import numbers
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -88,10 +88,11 @@ class IterationConfig:
             raise ValueError("epsilon must be finite and positive")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TransportState:
-    """Per-outer transport data plus the evolving low-order iterate (the
-    zero start of source iteration sets only phi and grey_phi)."""
+    """Per-outer transport data plus the evolving low-order iterate, frozen
+    and compared by identity (the zero start of source iteration sets only
+    phi and grey_phi; a multilevel state's P is its closures' P)."""
 
     phi: np.ndarray            # (G, N, 2) low-order iterate
     grey_phi: np.ndarray       # (N, 2)
@@ -108,9 +109,9 @@ class TransportState:
     zeta: np.ndarray = None    # of the final grey_phi and phi
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RunReport:
-    """Outcome of one solver run.
+    """Outcome of one solver run of `config`, frozen and compared by identity.
 
     N_t counts outer transport iterations; residual_history holds the
     per-iteration convergence measure (one entry per counted iteration;
@@ -122,11 +123,8 @@ class RunReport:
     executed outer pass, including the sweep-free initial one.
     """
 
-    method: str
+    config: IterationConfig
     problem: str
-    k_max: int
-    s_max: int
-    epsilon: float
     N_t: int
     rho_num: float | None
     rho_irregular: bool
@@ -134,10 +132,10 @@ class RunReport:
     residual_history: list
     status: str
     timings: dict
-    lo_solve_counts: list = dc_field(default_factory=list)
-    aa_fallbacks: int = 0
-    aa_alpha_peak: float = 0.0
-    state: TransportState | None = None
+    lo_solve_counts: list
+    aa_fallbacks: int
+    aa_alpha_peak: float
+    state: TransportState
 
 
 class SpectralEstimate(NamedTuple):
@@ -345,8 +343,7 @@ def run_problem(spec: ProblemSpec, cfg: IterationConfig) -> RunReport:
         est = None      # stagnated, e.g. at the rounding floor: no rate
     diagnostics = [d for d in diagnostics if d is not None]
     return RunReport(
-        method=cfg.method, problem=spec.name, k_max=cfg.k_max,
-        s_max=cfg.s_max, epsilon=cfg.epsilon, N_t=len(history),
+        config=cfg, problem=spec.name, N_t=len(history),
         rho_num=None if est is None or est.irregular else est.rho,
         rho_irregular=est is not None and est.irregular,
         M_lo=lo_solve_count(cfg) if multilevel else 0,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """1D slab mesh given by its cell widths dx, a 1-D, non-empty array
     of finite widths > 0.  dx may be nonuniform; the built-ins are

@@ -94,7 +94,7 @@ def compute_zeta(grey_phi: np.ndarray, phi_groups: np.ndarray) -> np.ndarray:
     return from_nodes(_ratio(to_nodes(grey_phi), den_n, lambda: 1.0))
 
 
-@dataclass
+@dataclass(eq=False)
 class GreyCoefficients:
     """Solution-averaged coefficients of the grey low-order system.
 
@@ -149,7 +149,7 @@ def grey_xs(phi_groups: np.ndarray, J_groups: np.ndarray,
 # Closures frozen from the latest sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosureData:
     """Frozen transport functionals that close the low-order systems, and
     the right-side terms they give on cells of widths dx (N,).
@@ -165,7 +165,8 @@ class ClosureData:
     low-order right sides per cell row (_closure_terms), built once, when
     the closure is built.  Every array is made read-only, the arrays the
     closure is given included, so a write into one raises and cannot
-    leave the terms stale.
+    leave the terms stale.  closure_from_sweep passes the sweep's own P,
+    uncopied, which a TransportState shares.  Closures compare by identity.
     """
 
     dJ: np.ndarray
@@ -246,7 +247,7 @@ def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
     recon = wt[0] + wt[1] + wt[2] + wt[3]
     return ClosureData(dJ=edge.J[..., 0] - recon[0],
                        dphi=edge.phi[..., 0] - recon[1],
-                       Phat=edge.P[..., 0], P=moments.P.copy(), dx=mesh.dx)
+                       Phat=edge.P[..., 0], P=moments.P, dx=mesh.dx)
 
 
 def sum_closures(closures: ClosureData) -> ClosureData:

@@ -239,7 +239,7 @@ def builtin_reference_c(name: str) -> np.ndarray:
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
     """Comparison of derived scattering ratios against a reference row."""
 

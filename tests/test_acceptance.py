@@ -17,7 +17,7 @@ from slabsm.problem import (builtin_problem, builtin_reference_c,
                             connection_strength, validate_scattering)
 from slabsm.sweep import sweep_batch
 from test_losm import group_particle_balance
-from test_sweep import cell_centers, curved_solution
+from test_sweep import curved_solution, l2_error, project_ld
 
 EPS = 1e-9
 
@@ -341,10 +341,6 @@ def test_criterion_6f_particle_balance():
     _verdict("6f", failures)
 
 
-GAUSS3_T = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
-GAUSS3_V = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
-
-
 def test_criterion_6g_manufactured_order():
     failures = []
     quad = build_double_gauss(4)
@@ -355,21 +351,10 @@ def test_criterion_6g_manufactured_order():
     for n in (16, 32, 64):
         mesh = Mesh.uniform(W, n)
         rhs = np.zeros((quad.n_angles, n, 2))
-        xc, h = cell_centers(mesh), mesh.dx / 2.0
-        for m in range(quad.n_angles):
-            mu = quad.mu[m]
-            for t, v in zip(GAUSS3_T, GAUSS3_V):
-                fx = source(xc + h * t, mu, sigma)
-                rhs[m, :, 0] += 0.5 * v * fx
-                rhs[m, :, 1] += 1.5 * v * fx * t
+        for m, mu in enumerate(quad.mu):
+            rhs[m] = project_ld(lambda x: source(x, mu, sigma), mesh)
         psi = sweep_batch(np.array([sigma]), mesh, quad, rhs[None])[0]
-        err2 = 0.0
-        for m in range(quad.n_angles):
-            for t, v in zip(GAUSS3_T, GAUSS3_V):
-                diff = psi[m, :, 0] + psi[m, :, 1] * t \
-                    - exact(xc + h * t, quad.mu[m])
-                err2 += quad.w[m] * np.sum(v * h * diff**2)
-        errors.append(np.sqrt(err2))
+        errors.append(l2_error(psi, exact, mesh, quad))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     if not np.all(orders >= 1.9):
         failures.append(f"observed orders {orders}")
@@ -417,9 +402,10 @@ def test_criterion_7_cost_accounting():
     failures = []
     checked = 0
     for key, rep in _RUN_CACHE.items():
-        if rep.method == "si":
+        cfg = rep.config
+        if cfg.method == "si":
             continue
-        expected = rep.k_max * (rep.s_max + 1)
+        expected = cfg.k_max * (cfg.s_max + 1)
         if rep.M_lo != expected:
             failures.append(f"{key} M_lo={rep.M_lo} vs {expected}")
         if any(c != expected for c in rep.lo_solve_counts):

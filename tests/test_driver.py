@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from slabsm import driver
-from slabsm.angular import MomentSet, build_double_gauss
+from slabsm.angular import AngularQuadrature, MomentSet, build_double_gauss
 from slabsm.driver import (IterationConfig, TransportState,
                            convergence_measure, estimate_spectral_radius,
                            lo_solve_count, run_problem,
                            si_infinite_medium_rho)
 from slabsm.fields import Mesh, const_field, to_nodes
 from slabsm.losm import LowOrderSystem
-from slabsm.problem import ProblemSpec, builtin_problem
+from slabsm.problem import (ProblemSpec, builtin_problem, builtin_reference_c,
+                            validate_scattering)
 
 
 def _small_two_group():
@@ -338,6 +339,33 @@ def test_config_is_frozen_and_replace_rechecks():
     assert type(varied.s_max) is int and varied.s_max == 3
     assert (cfg.method, cfg.k_max, cfg.s_max) == ("mlsm-aa1", 2, 2)
 
+
+
+def test_records_compare_by_identity_and_runs_are_frozen():
+    # == on a record that holds arrays compared the arrays and raised,
+    # and hash() raised; every record now compares and hashes by identity
+    cfg = IterationConfig(k_max=2, s_max=2)
+    report = run_problem(_small_two_group(), cfg)
+    state = report.state
+    q = build_double_gauss(2)
+    assert (q == AngularQuadrature(mu=q.mu.copy(), w=q.w.copy())) is False
+    assert Mesh.uniform(1.0, 4) != Mesh.uniform(1.0, 4)
+    test1 = builtin_problem("test1")
+    records = (Mesh.uniform(1.0, 4), q, state.closures, state.grey_coeffs,
+               state, report,
+               validate_scattering(test1, builtin_reference_c("test1")))
+    for record in records:
+        twin = copy.deepcopy(record)
+        assert record == record and not record != record
+        assert record != twin and not record == twin
+        assert hash(record) == hash(record) == object.__hash__(record)
+        assert record in {record} and twin not in {record}
+    for record, name in ((state, "phi"), (report, "N_t"), (report, "config")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)
+    # the run keeps its config, and its state one read-only P
+    assert report.config is cfg
+    assert state.closures.P is state.P and not state.P.flags.writeable
 
 def test_single_cell_problem_runs():
     spec = ProblemSpec(1, [1.0], [[0.5]], [1.0], width=1.0, n_cells=1,
