@@ -33,8 +33,11 @@ group axis, so one call builds every group's right side.  Every matrix is
 assembled one way: the stencil in LAPACK band storage plus the cell mass
 entries, gathered straight from the flat coefficient stack [sbar_a, sbar_t,
 eta, 0] through an index built once per problem.  Each grey solve is one
-band LU solve (dgbsv) of that band; the group bands are built once per
-problem and read off in CSC order for their sparse LU factors.
+band LU solve (dgbsv) of that band.  The group bands are built once per
+problem and read off in CSC order into one SuperLU factor of their block
+diagonal, ordered once: every group matrix has the stencil's sparsity, so
+one group's COLAMD column order serves all G, and each multigroup pass is
+one solve of that factor.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.linalg.lapack import dgbsv
-from scipy.sparse import block_diag, csc_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 from .angular import AngularQuadrature, MomentSet, angular_moments
@@ -63,10 +66,12 @@ def _ratio(num_n: np.ndarray, den_n: np.ndarray, fallback) -> np.ndarray:
     """num_n / den_n shaped as num_n, and the value of `fallback()`
     (broadcast) where |den_n| < DENOM_EPS; a NaN den_n gives NaN, which
     stops the run.  The fallback is lazy: when no node needs it, this is
-    one plain divide and `fallback` is never called."""
-    small = np.abs(den_n) < DENOM_EPS
-    if not small.any():
+    one plain divide and `fallback` is never called: the test for it is
+    one NaN-ignoring minimum, so a NaN beside a tiny denominator still
+    takes the fallback there."""
+    if not np.fmin.reduce(np.abs(den_n), axis=None) < DENOM_EPS:
         return num_n / den_n
+    small = np.abs(den_n) < DENOM_EPS
     out = np.full(num_n.shape, fallback(), dtype=float)
     np.divide(num_n, den_n, out=out, where=~small)
     return out
@@ -338,12 +343,58 @@ def _split_solution(u: np.ndarray):
             x[..., 1:].copy().view(np.float64))
 
 
-def _factor(A, what: str):
-    """splu factor of A; `what` names the system if A is singular."""
+def _block_diagonal(data, indices, indptr):
+    """Compressed (CSC or CSR) storage (data, indices, indptr) of the block
+    diagonal of G n x n matrices of one sparsity, each stored as a row of
+    data (G, nnz) on the shared indices and indptr."""
+    G, nnz = data.shape
+    n = indptr.size - 1
+    offsets = np.arange(G)[:, None]
+    return (data.reshape(-1), (indices + n * offsets).reshape(-1),
+            np.concatenate(([0], (indptr[1:] + nnz * offsets).reshape(-1))))
+
+
+def _factor(data, indices, indptr):
+    """One SuperLU factor of the block diagonal of the G group matrices,
+    given in CSC as data (G, nnz) on the shared indices and indptr, and
+    the position of each group unknown in its solution, (n,) for n
+    unknowns per group.
+
+    COLAMD orders by sparsity alone, so the column order perm_c of one
+    group's own factor is every group's.  Each group's columns go into the
+    block in that order, and the block is factored in its natural order:
+    SuperLU then rebuilds each group's own factor inside the block, so one
+    solve of the block is the G group solves bit for bit, and unknown k of
+    group g sits at g n + perm_c[k] of its solution.  If the block is
+    singular, the groups are factored one at a time to name the first
+    singular one."""
+    G, n = data.shape[0], indptr.size - 1
+
+    def group(g):
+        return csc_matrix((data[g], indices, indptr), shape=(n, n))
+
     try:
-        return splu(A)
-    except RuntimeError as err:
-        raise RuntimeError(f"singular {what}: {err}") from err
+        # a copy, so the order-only factor is freed before the block's
+        perm_c = splu(group(0)).perm_c.copy()
+        # column c goes to column perm_c[c]: the data positions of the
+        # columns taken in that order
+        columns = np.argsort(perm_c)
+        counts = np.diff(indptr)[columns]
+        start = np.concatenate(([0], np.cumsum(counts)))
+        take = (np.repeat(indptr[columns] - start[:-1], counts)
+                + np.arange(start[-1]))
+        block = csc_matrix(_block_diagonal(data.take(take, axis=1),
+                                           indices[take],
+                                           start), shape=(G * n, G * n))
+        return splu(block, permc_spec="NATURAL"), perm_c
+    except RuntimeError:
+        for g in range(G):
+            try:
+                splu(group(g))
+            except RuntimeError as err:
+                raise RuntimeError("singular low-order system for group "
+                                   f"{g + 1}: {err}") from err
+        raise
 
 
 @functools.lru_cache(maxsize=8)
@@ -351,22 +402,25 @@ def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
     """Low-order operators of one problem, from the float64 bytes of its
     cell widths, sigma_t and removal sigma_t - sigma_s,g->g.
 
-    Returns (grey_band, A, lus).  grey_band(coefs) gives (kl, ku, ab): the
-    derivative stencil plus the cell mass blocks of the coefficient stack
-    coefs (_mass_gather) in the LAPACK band storage of dgbsv, A[r, c] =
-    ab[kl + ku + r - c, c], with lower and upper bandwidths kl and ku read
-    from the stencil's support (7 each, fewer for one cell).  It is the
-    one place where a mass meets the stencil: the stencil is gathered into
-    that band once per problem, and each call copies the band and adds to
-    each centre-block support entry the stack entry its mass block holds,
-    through an index built here; one addition stencil + mass per entry.
-    Each group matrix is that band with the group's constant removal /
-    sigma_t block on every cell, read off the support (explicit zeros
-    kept) in CSC order, sorted once, for SuperLU.  A holds the G group
-    matrices as one block-diagonal CSR matrix and lus their COLAMD-ordered
-    LU factors.  Cached and read-only:
-    every run builds a new LowOrderSystem of the same problem, and
-    refactoring its group matrices each time cost about a sixth of the
+    Returns (grey_band, A, lu, unknowns).  grey_band(coefs) gives (kl, ku,
+    ab): the derivative stencil plus the cell mass blocks of the
+    coefficient stack coefs (_mass_gather) in the LAPACK band storage of
+    dgbsv, A[r, c] = ab[kl + ku + r - c, c], with lower and upper
+    bandwidths kl and ku read from the stencil's support (7 each, fewer
+    for one cell).  It is the one place where a mass meets the stencil:
+    the stencil is gathered into that band once per problem, and each call
+    copies the band and adds to each centre-block support entry the stack
+    entry its mass block holds, through an index built here; one addition
+    stencil + mass per entry.  Each group matrix is that band with the
+    group's constant removal / sigma_t block on every cell, read off the
+    support (explicit zeros kept, so every group has one sparsity) in CSC
+    order for SuperLU and in CSR order for A, which holds the G group
+    matrices as one block-diagonal CSR matrix.  lu is the one SuperLU
+    factor of all of them (_factor), ordered once, and unknowns (2, N, 2)
+    the position in each group's part of its solution of the LD
+    coefficients of phi (unknowns[0]) and J (unknowns[1]).  Cached and
+    read-only: every run builds a new LowOrderSystem of the same problem,
+    and refactoring its group matrices each time cost about a sixth of the
     test1 table cells' solve time and scattered SuperLU workspaces over
     the heap.
     """
@@ -376,7 +430,7 @@ def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
     stencil, support = _stencil_blocks(dx)
     i, k, a, b = np.nonzero(support)
     rows, cols = 4 * i + a, 4 * (i + k - 1) + b
-    N, n = dx.size, 4 * dx.size
+    G, N, n = removal.size, dx.size, 4 * dx.size
     kl, ku = int((rows - cols).max()), int((cols - rows).max())
     # flat positions in ab.T, which is (n, 2 kl + ku + 1) and C-ordered,
     # so that ab itself is the Fortran-ordered array dgbsv works in
@@ -393,24 +447,30 @@ def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
         abT.reshape(-1)[mass_pos] += coefs[coef_index]
         return kl, ku, abT.T
 
-    # each group's band, with its block on every cell, read off the
-    # support sorted by column, then row (CSC)
-    order = np.lexsort((rows, cols))
-    indices, csc_band = rows[order], band[order]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
-    groups = []
+    # each group's band, with its block on every cell, flat as ab.T
+    bands = []
     for r, t in zip(removal, sigma_t):
         coefs = np.zeros(6 * N + 1)
         coefs[:2 * N:2], coefs[2 * N:4 * N:2] = r, t
-        data = grey_band(coefs)[2].T.reshape(-1)[csc_band]
-        groups.append(csc_matrix((data, indices, indptr), shape=(n, n)))
-    lus = tuple(_factor(A, f"low-order system for group {g + 1}")
-                for g, A in enumerate(groups))
-    A = block_diag(groups, format="csr")
+        bands.append(grey_band(coefs)[2].T.reshape(-1))
+    bands = np.stack(bands)
+
+    def read_off(major, minor):
+        """Every group matrix read off the support sorted by major, then
+        minor index: compressed (data (G, nnz), indices, indptr)."""
+        order = np.lexsort((minor, major))
+        indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(major, minlength=n))))
+        return bands.take(band[order], axis=1), minor[order], indptr
+
+    lu, perm_c = _factor(*read_off(cols, rows))
+    unknowns = perm_c.reshape(N, 2, 2).swapaxes(0, 1).copy()
+    A = csr_matrix(_block_diagonal(*read_off(rows, cols)),
+                   shape=(G * n, G * n))
     for shared in (stencil_band, mass_pos, coef_index, A.data, A.indices,
-                   A.indptr):
+                   A.indptr, unknowns):
         shared.setflags(write=False)
-    return grey_band, A, lus
+    return grey_band, A, lu, unknowns
 
 
 class LowOrderSystem:
@@ -419,15 +479,17 @@ class LowOrderSystem:
     Every matrix is the mesh's derivative stencil, held in LAPACK band
     storage once per problem, plus cell mass blocks, added in one place
     (_operators).  The group matrices add constant removal / sigma_t
-    blocks; they are re-indexed to CSC, and they and their LU factors are
-    built once per problem and shared by every system of that problem.
-    Each grey solve adds its sbar_a / sbar_t / eta coefficients, gathered
-    from their flat stack, to a copy of the band and solves it by one
-    dgbsv call, a banded LU with partial pivoting.  Each call builds its right side
-    from the closure's terms (ClosureData.terms); the system keeps no
-    state between calls but its counters, which record executed solves
-    for the cost accounting: one parallel group pass counts as one
-    low-order solve, as does one grey solve.
+    blocks; they are re-indexed to CSC, and they, their one block-diagonal
+    SuperLU factor and its column order are built once per problem and
+    shared by every system of that problem: each group pass is one solve
+    of that factor.  Each grey solve adds its sbar_a / sbar_t / eta
+    coefficients, gathered from their flat stack, to a copy of the band
+    and solves it by one dgbsv call, a banded LU with partial pivoting.
+    Each call builds its right side from the closure's terms
+    (ClosureData.terms); the system keeps no state between calls but its
+    counters, which record executed solves for the cost accounting: one
+    parallel group pass counts as one low-order solve, as does one grey
+    solve.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):
@@ -442,7 +504,7 @@ class LowOrderSystem:
         N = mesh.n_cells
         self.Q_fields = np.zeros((spec.G, N, 2))
         self.Q_fields[:, :, 0] = spec.Q[:, None]
-        self._grey_band, self._A, self._lu = _operators(
+        self._grey_band, self._A, self._lu, self._unknowns = _operators(
             *(np.asarray(a, dtype=float).tobytes()
               for a in (mesh.dx, spec.sigma_t, removal)))
         self.n_group_passes = 0
@@ -462,13 +524,14 @@ class LowOrderSystem:
     def group_pass(self, phi_groups, zeta, closures):
         """One Jacobi pass of the decoupled group solvers against the
         coupling lagged at the input state (counts as one solve: the
-        groups are independent and could run in parallel)."""
+        groups are independent and could run in parallel).  All G group
+        systems are solved by one solve of their one factor, and phi and J
+        are read back from its column order by copies."""
         b = _lo_rhs(self.group_source(phi_groups, zeta), closures.terms)
-        u = np.empty_like(b)
-        for g, lu in enumerate(self._lu):
-            u[g] = lu.solve(b[g])
+        u = self._lu.solve(b.reshape(-1)).reshape(b.shape)
         self.n_group_passes += 1
-        return _split_solution(u)
+        phi_at, J_at = self._unknowns
+        return u.take(phi_at, axis=1), u.take(J_at, axis=1)
 
     def equation_residual(self, phi_groups, J_groups, zeta, closures):
         """Residual b - A x of the multigroup low-order equations at the

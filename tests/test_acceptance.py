@@ -16,6 +16,7 @@ from slabsm.losm import LowOrderSystem
 from slabsm.problem import (builtin_problem, builtin_reference_c,
                             connection_strength, validate_scattering)
 from slabsm.sweep import sweep_batch
+from discrete_oracle import oracle_flux
 from test_losm import group_particle_balance
 from test_sweep import curved_solution, l2_error, project_ld
 
@@ -374,24 +375,67 @@ def _bench_module(name):
     return module
 
 
+def _table_runs():
+    """(cell, report) of every benchmark cell, from the shared run cache."""
+    workloads = _bench_module("workloads")
+    cells = sorted({c for w in workloads.WORKLOADS.values() for c in w.cells})
+    assert len(cells) == 13
+    runs = []
+    for cell in cells:
+        kw = ({} if cell.max_outer == IterationConfig.max_outer
+              else {"max_outer": cell.max_outer})
+        runs.append((cell, _run(cell.problem, cell.method, cell.k_max,
+                                cell.s_max, **kw)))
+    return runs
+
+
 def test_produced_table_matches_the_benchmark_reference():
     # the windows above hold the published numbers; this holds the
     # produced ones where they are: N_t, M_lo and status exact, the grey
     # flux (and the SI residual history) to 1e-12, rho_num to the
     # benchmark's bound, by bench/reference.py's own rule
     reference = _bench_module("reference")
-    workloads = _bench_module("workloads")
     pinned = reference.load_reference()["cells"]
-    cells = {c for w in workloads.WORKLOADS.values() for c in w.cells}
     failures = []
-    for cell in sorted(cells):
-        kw = ({} if cell.max_outer == IterationConfig.max_outer
-              else {"max_outer": cell.max_outer})
-        rep = _run(cell.problem, cell.method, cell.k_max, cell.s_max, **kw)
+    for cell, rep in _table_runs():
         failures += [f"{cell.key}: {m}"
                      for m in reference.mismatches(pinned[cell.key], rep)]
-    assert len(cells) == 13
     _verdict("produced table", failures)
+
+
+# measured over the 12 multilevel cells: grey phi 2.3e-13 to 2.2e-12 of
+# the oracle's max, group phi 1.1e-12 to 5.6e-12 (LO) and 5.4e-13 to
+# 5.9e-12 (HO); the bounds are about five times the worst
+ORACLE_GREY_BOUND = 1e-11
+ORACLE_GROUP_BOUND = 3e-11
+
+
+def test_table_cells_land_on_the_exact_discrete_solution():
+    # every converged multilevel cell's answer, judged against the
+    # solution of the discrete equations rather than another run: a change
+    # that reorders the arithmetic does not move these bounds
+    failures, checked = [], 0
+    for cell, rep in _table_runs():
+        if cell.method == "si" or rep.status != "converged":
+            continue
+        phi = oracle_flux(_SPECS[cell.problem])
+        grey = phi.sum(axis=0)
+        st_ = rep.state
+        errors = {
+            "grey phi": (np.max(np.abs(st_.grey_phi - grey))
+                         / np.max(np.abs(grey)), ORACLE_GREY_BOUND),
+            "LO phi": (np.max(np.abs(st_.phi - phi)) / np.max(np.abs(phi)),
+                       ORACLE_GROUP_BOUND),
+            "HO phi": (np.max(np.abs(st_.phi_ho - phi))
+                       / np.max(np.abs(phi)), ORACLE_GROUP_BOUND),
+        }
+        failures += [f"{cell.key}: {name} {err:.2e} > {bound:.0e}"
+                     for name, (err, bound) in errors.items()
+                     if not err <= bound]
+        checked += 1
+    if checked != 12:
+        failures.append(f"{checked} converged multilevel cells, not 12")
+    _verdict("exact discrete solution", failures)
 
 
 # ---------------------------------------------------------------------------

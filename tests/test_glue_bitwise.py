@@ -20,7 +20,7 @@ from slabsm.sweep import sweep_batch, upwind_edge_psi
 from test_fields import _stacked_coeffs as old_from_nodes
 from test_fields import _stacked_nodes as old_to_nodes
 from test_losm import (_mass_blocks, _same_bits, _signed_zeros,
-                       coefficient_stack)
+                       coefficient_stack, group_reference_factors)
 
 DX = np.array([0.1, 0.3, 0.05, 0.4, 0.2, 0.25, 0.4])
 
@@ -314,7 +314,8 @@ def test_group_pass_and_residual_are_the_replaced_formulas():
                           old_equation_residual(system, phi, J, zeta,
                                                 closures))
         b = old_lo_rhs(old_group_source(system, phi, zeta), closures.terms)
-        u = np.stack([lu.solve(bg) for lu, bg in zip(system._lu, b)])
+        refs = group_reference_factors(_spec(), DX)
+        u = np.stack([lu.solve(bg) for lu, bg in zip(refs, b)])
         for got, want in zip(system.group_pass(phi, zeta, closures),
                              old_split_solution(u)):
             assert _same_bits(got, want)

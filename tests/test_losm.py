@@ -5,7 +5,8 @@ import pytest
 
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh, const_field, to_nodes
-from scipy.sparse import block_diag, csc_matrix
+from scipy.sparse import block_diag, csc_matrix, identity
+from scipy.sparse import random as sparse_random
 from scipy.sparse.linalg import splu
 
 from slabsm import losm
@@ -544,6 +545,7 @@ def test_group_operators_factored_once_per_problem():
 
     a, b = system(), system()
     assert a._lu is b._lu and a._A is b._A
+    assert a._unknowns is b._unknowns
     # the group matrices hold removal and sigma_t, not the coupling
     assert system(down_scatter=0.25)._lu is a._lu
     for other in (system(sigma_t=(1.0, 2.5)), system(self_scatter=0.4)):
@@ -856,6 +858,21 @@ def test_grey_band_is_the_grey_matrix(n):
         assert not np.signbit(ab[off_support]).any()
 
 
+def group_matrices(dx, sigma_t, removal):
+    """The group matrices, CSC on the stencil support with its explicit
+    zeros: the stencil plus each group's removal / sigma_t block."""
+    return [_stencil_plus(dx, _mass_blocks(np.array([r, 0.0]),
+                                           np.array([s, 0.0]), np.zeros(2)))
+            for r, s in zip(removal, sigma_t)]
+
+
+def group_reference_factors(spec, dx):
+    """Each group matrix's own splu factor in its default COLAMD order:
+    the reference the one block factor of all groups is held to."""
+    return [splu(A) for A in group_matrices(dx, spec.sigma_t,
+                                            _removal(spec))]
+
+
 @pytest.mark.parametrize("G", [1, 3])
 @pytest.mark.parametrize("n", [1, 2, 9])
 def test_group_matrices_are_the_stencil_plus_their_mass(monkeypatch, n, G):
@@ -868,32 +885,106 @@ def test_group_matrices_are_the_stencil_plus_their_mass(monkeypatch, n, G):
     removal = sigma_t * rng.uniform(0.1, 1.0, G)
     factored, real = [], losm._factor
 
-    def record(A, what):
-        factored.append(A)
-        return real(A, what)
+    def record(data, indices, indptr):
+        factored.extend(csc_matrix((d, indices, indptr), shape=(4 * n,) * 2)
+                        for d in data)
+        return real(data, indices, indptr)
 
     monkeypatch.setattr(losm, "_factor", record)
-    _, A, lus = losm._operators.__wrapped__(
+    _, A, lu, _ = losm._operators.__wrapped__(
         dx.tobytes(), sigma_t.tobytes(), removal.tobytes())
-    assert len(factored) == len(lus) == G
-    expected = [_stencil_plus(dx, _mass_blocks(np.array([r, 0.0]),
-                                               np.array([s, 0.0]),
-                                               np.zeros(2)))
-                for r, s in zip(removal, sigma_t)]
+    assert len(factored) == G
+    expected = group_matrices(dx, sigma_t, removal)
     expected_A = block_diag(expected, format="csr")
     for got, want in zip(factored + [A], expected + [expected_A]):
         assert got.format == want.format
         assert _same_bits(got.data, want.data)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.indptr, want.indptr)
-    # read off one sorted support, they factor as the COO-built matrices
-    for lu, want in zip(lus, map(splu, expected)):
-        assert np.array_equal(lu.perm_r, want.perm_r)
-        assert np.array_equal(lu.perm_c, want.perm_c)
-        for got_f, want_f in ((lu.L, want.L), (lu.U, want.U)):
-            assert _same_bits(got_f.data, want_f.data)
-            assert np.array_equal(got_f.indices, want_f.indices)
-            assert np.array_equal(got_f.indptr, want_f.indptr)
+    # read off one sorted support, they factor as the COO-built matrices:
+    # the one block factor holds each group's own COLAMD factor
+    wants = list(map(splu, expected))
+    assert np.array_equal(lu.perm_r, np.concatenate(
+        [want.perm_r + 4 * n * g for g, want in enumerate(wants)]))
+    for name in ("L", "U"):
+        got_f = getattr(lu, name).sorted_indices()
+        want_f = block_diag([getattr(want, name) for want in wants],
+                            format="csc").sorted_indices()
+        assert _same_bits(got_f.data, want_f.data)
+        assert np.array_equal(got_f.indices, want_f.indices)
+        assert np.array_equal(got_f.indptr, want_f.indptr)
+
+
+_BLOCK_SPECS = {
+    "test1": builtin_problem("test1"),
+    "test2": builtin_problem("test2"),
+    "one-group": ProblemSpec(1, [1.5], [[0.9]], [1.0], width=3.0,
+                             n_cells=6, n_half=2),
+    "one-cell": ProblemSpec(2, [1.0, 2.0], [[0.3, 0.1], [0.2, 0.5]],
+                            [1.0, 0.5], width=1.0, n_cells=1, n_half=2),
+    "n_half-1": ProblemSpec(3, [1.0, 1.5, 2.0],
+                            [[0.3, 0.1, 0.0], [0.4, 0.6, 0.3],
+                             [0.1, 0.5, 1.2]],
+                            [1.0, 0.5, 0.2], width=2.0, n_cells=5,
+                            n_half=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_SPECS))
+def test_one_block_solve_is_the_group_solves(name):
+    # one solve of the block factor is the G group solves of the reference
+    # bit for bit, signs of zeros included, on seeded right sides and
+    # through group_pass; all groups share one column order, in which the
+    # block is factored in its natural order
+    spec = _BLOCK_SPECS[name]
+    mesh = Mesh.uniform(spec.width, spec.n_cells)
+    system = LowOrderSystem(spec, mesh)
+    refs = group_reference_factors(spec, mesh.dx)
+    G, n = spec.G, 4 * spec.n_cells
+    perm_c = refs[0].perm_c
+    for ref in refs:
+        assert np.array_equal(ref.perm_c, perm_c)
+    assert np.array_equal(system._lu.perm_c, np.arange(G * n))
+    assert np.array_equal(system._unknowns.swapaxes(0, 1).reshape(-1),
+                          perm_c)
+    rng = np.random.RandomState(sorted(_BLOCK_SPECS).index(name))
+    for _ in range(3):
+        b = _signed_zeros(rng, rng.randn(G, n))
+        u = system._lu.solve(b.reshape(-1)).reshape(G, n)
+        for ref, u_g, b_g in zip(refs, u, b):
+            assert _same_bits(u_g[perm_c], ref.solve(b_g))
+    phi = _signed_zeros(rng, rng.rand(G, spec.n_cells, 2))
+    zeta = rng.rand(spec.n_cells, 2) + 0.5
+    edges = [rng.randn(G, spec.n_cells + 1) for _ in range(3)]
+    closures = ClosureData(*edges, P=rng.randn(G, spec.n_cells, 2),
+                           dx=mesh.dx)
+    b = _lo_rhs(system.group_source(phi, zeta), closures.terms)
+    want = losm._split_solution(
+        np.stack([ref.solve(b_g) for ref, b_g in zip(refs, b)]))
+    for got, want_f in zip(system.group_pass(phi, zeta, closures), want):
+        assert _same_bits(got, want_f)
+        assert got.flags.c_contiguous
+
+
+def test_block_factor_reads_back_a_generic_column_order():
+    # the stencil's COLAMD orders are their own inverses; on a random
+    # sparsity, whose order is not, unknown k of each group still sits at
+    # perm_c[k] of the group's part of the block solution
+    rng = np.random.RandomState(5)
+    n, G = 40, 3
+    pattern = (sparse_random(n, n, density=0.1, random_state=rng)
+               + identity(n)).tocsc()
+    data = rng.uniform(0.5, 2.0, (G, pattern.nnz))
+    lu, perm_c = losm._factor(data, pattern.indices, pattern.indptr)
+    assert not np.array_equal(perm_c[perm_c], np.arange(n))
+    assert np.array_equal(lu.perm_c, np.arange(G * n))
+    b = rng.randn(G, n)
+    u = lu.solve(b.reshape(-1)).reshape(G, n)
+    for d, u_g, b_g in zip(data, u, b):
+        ref = splu(csc_matrix((d, pattern.indices, pattern.indptr),
+                              shape=(n, n)))
+        assert np.array_equal(ref.perm_c, perm_c)
+        assert _same_bits(u_g[perm_c], ref.solve(b_g))
 
 
 def test_singular_grey_system_raises():
@@ -920,10 +1011,15 @@ def test_singular_grey_system_raises():
 
 
 def test_singular_group_matrix_names_the_group():
-    A = csc_matrix(np.array([[1.0, 0.0], [2.0, 0.0]]))
-    with pytest.raises(RuntimeError,
-                       match="singular low-order system for group 3"):
-        losm._factor(A, "low-order system for group 3")
+    # three groups of one sparsity, explicit zeros kept: group g has a
+    # zero column, whether it orders the columns (g = 1) or not
+    pattern = csc_matrix(np.ones((2, 2)))
+    for g in (1, 3):
+        data = np.tile([1.0, 2.0, 0.5, 3.0], (3, 1))
+        data[g - 1, 2:] = 0.0
+        with pytest.raises(RuntimeError,
+                           match=f"singular low-order system for group {g}"):
+            losm._factor(data, pattern.indices, pattern.indptr)
 
 
 def test_nan_denominators_give_nan_not_fallbacks():

@@ -19,7 +19,10 @@ group moments; and for `LowOrderSystem.group_pass` and
 `LowOrderSystem.equation_residual` the group moments, that zeta and the
 group closures.  `driver._si_step` runs one source-iteration outer (the
 scattering source, the sweep and the moments) from the fixed state whose
-group flux is that sweep's phi.  The two trees' calls alternate, which
+group flux is that sweep's phi.  `operators` is one uncached build of
+the problem's low-order operators, `losm._operators.__wrapped__` on the
+bytes of the cell widths, sigma_t and removal, so a change in set-up cost
+shows per call.  The two trees' calls alternate, which
 one goes first alternating from call to call, as the machine's speed
 drifts.  The
 low-order calls reuse closures whose right-side terms were built with
@@ -73,6 +76,8 @@ def calls(slabsm, problem: str) -> dict:
     si_run = driver._Run(spec, driver.IterationConfig(method="si"), quad,
                          mesh, None)
     si_state = driver.TransportState(phi, phi.sum(axis=0))
+    removal = spec.sigma_t - np.diag(spec.sigma_s)
+    operator_args = [a.tobytes() for a in (mesh.dx, spec.sigma_t, removal)]
     return {
         "sweep_batch": lambda: sweep.sweep_batch(spec.sigma_t, mesh, quad,
                                                  rhs),
@@ -86,6 +91,7 @@ def calls(slabsm, problem: str) -> dict:
         "equation_residual": lambda: system.equation_residual(
             phi, J, zeta, closures),
         "si_step": lambda: driver._si_step(si_run, si_state),
+        "operators": lambda: losm._operators.__wrapped__(*operator_args),
     }
 
 
