@@ -29,8 +29,9 @@ import numpy as np
 from .accel import aa1_alpha
 from .angular import AngularQuadrature, angular_moments, build_double_gauss
 from .fields import Mesh
-from .losm import (LowOrderSystem, avg_scattering_xs, closure_from_sweep,
-                   compute_zeta, grey_xs, sum_closures)
+from .losm import (LowOrderSystem, ProblemOperators, avg_scattering_xs,
+                   closure_from_sweep, compute_zeta, grey_xs,
+                   problem_operators, sum_closures)
 from .problem import ProblemSpec, whole_count
 from .sweep import build_ho_rhs, sweep_batch
 
@@ -206,13 +207,13 @@ class OuterDiagnostics(NamedTuple):
 
 
 class _Run(NamedTuple):
-    """What every step of one run reads, bound once per run; system is
-    None for source iteration."""
+    """What every step of one run reads, bound once per run: ops is the
+    problem's operator record, and system is None for source iteration."""
 
     spec: ProblemSpec
     cfg: IterationConfig
     quad: AngularQuadrature
-    mesh: Mesh
+    ops: ProblemOperators
     system: LowOrderSystem | None
 
 
@@ -223,7 +224,7 @@ def _si_step(run: _Run, state: TransportState):
     spec = run.spec
     scatter = np.einsum("gh,hnc->gnc", spec.sigma_s, state.phi)
     scatter[:, :, 0] += spec.Q[:, None]
-    psi = sweep_batch(spec.sigma_t, run.mesh, run.quad, 0.5 * scatter)
+    psi = sweep_batch(run.ops.march, 0.5 * scatter)
     phi, J, P = angular_moments(psi, run.quad)
     new = TransportState(phi=phi, grey_phi=phi.sum(axis=0), psi=psi,
                          phi_ho=phi, J_ho=J, P=P, J=J)
@@ -235,7 +236,7 @@ def _multilevel_step(run: _Run, state: TransportState):
     flux, then the low-order levels on that psi."""
     spec = run.spec
     sbar_s = avg_scattering_xs(state.phi, spec.sigma_s)
-    psi = sweep_batch(spec.sigma_t, run.mesh, run.quad,
+    psi = sweep_batch(run.ops.march,
                       build_ho_rhs(state.grey_phi, sbar_s, spec.Q))
     return _low_order_levels(run, psi, state.grey_phi)
 
@@ -252,7 +253,7 @@ def _low_order_levels(run: _Run, psi, grey_phi):
     """
     cfg, system = run.cfg, run.system
     moms = angular_moments(psi, run.quad)
-    closures = closure_from_sweep(psi, run.quad, moms, run.mesh)
+    closures = closure_from_sweep(psi, run.quad, moms, run.ops)
     grey_closure = sum_closures(closures)
     # the inner multigroup iteration restarts from the fresh transport
     # moments; the grey lag carries over
@@ -302,15 +303,17 @@ def run_problem(spec: ProblemSpec, cfg: IterationConfig) -> RunReport:
     Source iteration starts from a zero flux and builds no low-order
     system.  The multilevel methods start from the flat guess psi = 1/2,
     so phi_g = 1 and every averaging denominator is safely away from
-    zero, with P identically zero.
+    zero, with P identically zero.  The problem's operator record is
+    looked up once, by the low-order system if there is one.
     """
     t0 = time.perf_counter()
     quad = build_double_gauss(spec.n_half)
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     G, N = spec.G, spec.n_cells
     multilevel = cfg.method != METHOD_SI
-    run = _Run(spec, cfg, quad, mesh,
-               LowOrderSystem(spec, mesh) if multilevel else None)
+    system = LowOrderSystem(spec, mesh) if multilevel else None
+    ops = system.ops if multilevel else problem_operators(spec, mesh)
+    run = _Run(spec, cfg, quad, ops, system)
     diagnostics = []
     if multilevel:
         step = _multilevel_step

@@ -30,14 +30,11 @@ couple only to its two neighbours: the operator is block tridiagonal with
 4x4 blocks: the derivative stencil of the closures' edge table
 `edge_weights` plus cell-diagonal mass blocks.  Group data carry a leading
 group axis, so one call builds every group's right side.  Every matrix is
-assembled one way: the stencil in LAPACK band storage plus the cell mass
-entries, gathered straight from the flat coefficient stack [sbar_a, sbar_t,
-eta, 0] through an index built once per problem.  Each grey solve is one
-band LU solve (dgbsv) of that band.  The group bands are built once per
-problem and read off in CSC order into one SuperLU factor of their block
-diagonal, ordered once: every group matrix has the stencil's sparsity, so
-one group's COLAMD column order serves all G, and each multigroup pass is
-one solve of that factor.
+the stencil in LAPACK band storage plus the cell mass entries, gathered
+straight from the flat coefficient stack [sbar_a, sbar_t, eta, 0].  Each
+grey solve is one band LU solve (dgbsv); each multigroup pass is one solve
+of one SuperLU factor of all group matrices.  The problem's operator
+record (ProblemOperators) holds all that is built once per problem.
 """
 
 from __future__ import annotations
@@ -50,17 +47,16 @@ from scipy.linalg.lapack import dgbsv
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
-from .angular import AngularQuadrature, MomentSet, angular_moments
+from .angular import (AngularQuadrature, MomentSet, angular_moments,
+                      build_double_gauss)
 from .fields import Mesh, const_field, from_nodes, nodal_product, to_nodes
 from .problem import ProblemSpec
-from .sweep import upwind_edge_psi
+from .sweep import march_coefficients, upwind_edge_psi
 
 DENOM_EPS = 1e-30
 
 
-# ---------------------------------------------------------------------------
-# Averaged cross sections and correction factors
-# ---------------------------------------------------------------------------
+# -- Averaged cross sections and correction factors -------------------------
 
 def _ratio(num_n: np.ndarray, den_n: np.ndarray, fallback) -> np.ndarray:
     """num_n / den_n shaped as num_n, and the value of `fallback()`
@@ -150,9 +146,7 @@ def grey_xs(phi_groups: np.ndarray, J_groups: np.ndarray,
                             eta=from_nodes(eta_n), Q=Q)
 
 
-# ---------------------------------------------------------------------------
-# Closures frozen from the latest sweep
-# ---------------------------------------------------------------------------
+# -- Closures frozen from the latest sweep ----------------------------------
 
 @dataclass(frozen=True, eq=False)
 class ClosureData:
@@ -161,17 +155,16 @@ class ClosureData:
 
     Each functional carries a leading group axis, (G, N+1) on the cell
     edges and (G, N, 2) for P; the grey closure (sum_closures) has none.
-    dJ holds the additive constants of the edge-current reconstruction;
-    slots 0 and N hold the boundary closure constants C with J =
-    n*(phi/2) + C.  dphi holds the edge-scalar-flux reconstruction
-    constants, Phat the edge closure moment sum w*(1/3 - mu^2)*psi, and P
-    the cell LD coefficients of the closure moment.  terms, (..., N, 4)
-    with the functionals' leading axes, holds every closure term of the
-    low-order right sides per cell row (_closure_terms), built once, when
-    the closure is built.  Every array is made read-only, the arrays the
-    closure is given included, so a write into one raises and cannot
-    leave the terms stale.  closure_from_sweep passes the sweep's own P,
-    uncopied, which a TransportState shares.  Closures compare by identity.
+    dJ holds the additive constants of the edge-current reconstruction,
+    and in slots 0 and N the boundary closure constants C of J =
+    n*(phi/2) + C; dphi the edge-scalar-flux reconstruction constants,
+    Phat the edge closure moment sum w*(1/3 - mu^2)*psi, and P the cell
+    LD coefficients of the closure moment (from closure_from_sweep, the
+    sweep's own, which a TransportState shares).  terms, (..., N, 4),
+    holds every closure term of the low-order right sides per cell row
+    (_closure_terms), built with the closure.  Every array is made
+    read-only, the given ones included, so none can leave the terms
+    stale.  Closures compare by identity.
     """
 
     dJ: np.ndarray
@@ -187,7 +180,6 @@ class ClosureData:
             array.setflags(write=False)
 
 
-@functools.lru_cache(maxsize=8)
 def edge_weights(N: int) -> np.ndarray:
     """Edge reconstruction weights of an N-cell mesh, (N+1, 2, 4): the
     edge J^ (row 0) and phi^ (row 1) on the traces [phi, J] of the cells
@@ -197,7 +189,7 @@ def edge_weights(N: int) -> np.ndarray:
         phi^ = [phi/2 + 3J/4]_left + [phi/2 - 3J/4]_right
 
     and J^ = -/+ phi/2 of the boundary cell's trace at the vacuum edges.
-    Cached per N and read-only.
+    Read-only; ProblemOperators.edges holds one per problem.
     """
     w = np.zeros((N + 1, 2, 4))
     w[1:, :, :2] = [[0.25, 0.5], [0.5, 0.75]]
@@ -226,11 +218,13 @@ def _closure_terms(closure: ClosureData) -> np.ndarray:
 
 
 def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
-                       moments: MomentSet, mesh: Mesh) -> ClosureData:
+                       moments: MomentSet,
+                       ops: ProblemOperators) -> ClosureData:
     """Edge and cell closure functionals of every group, and their
-    right-side terms on the mesh, from the latest sweep, psi (G, M, N, 2),
-    and its angular moments.  dJ and dphi are the exact edge moments minus
-    their reconstructions `edge_weights` from the one-sided traces, so
+    right-side terms on the problem's cells, from the latest sweep, psi
+    (G, M, N, 2), and its angular moments.  dJ and dphi are the exact edge
+    moments minus their reconstructions by the record's edge table
+    (ProblemOperators.edges) from the one-sided traces, so
     imposing them on the low-order system reproduces the transport moments
     identically at a consistent solution."""
     N = psi.shape[-2]
@@ -246,13 +240,13 @@ def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
     np.subtract(J[..., 0], J[..., 1], t[3, ..., :-1])
     # [J^, phi^] = w0 t0 + w1 t1 + w2 t2 + w3 t3, summed left to right,
     # from one product; contiguous weights keep the k axis outermost
-    w = np.ascontiguousarray(edge_weights(N).T)
+    w = np.ascontiguousarray(ops.edges.T)
     wt = np.multiply(w.reshape((4, 2) + (1,) * len(lead) + (N + 1,)),
                      t[:, None])
     recon = wt[0] + wt[1] + wt[2] + wt[3]
     return ClosureData(dJ=edge.J[..., 0] - recon[0],
                        dphi=edge.phi[..., 0] - recon[1],
-                       Phat=edge.P[..., 0], P=moments.P, dx=mesh.dx)
+                       Phat=edge.P[..., 0], P=moments.P, dx=ops.dx)
 
 
 def sum_closures(closures: ClosureData) -> ClosureData:
@@ -264,9 +258,7 @@ def sum_closures(closures: ClosureData) -> ClosureData:
                        P=closures.P.sum(axis=0), dx=closures.dx)
 
 
-# ---------------------------------------------------------------------------
-# Block-tridiagonal system assembly
-# ---------------------------------------------------------------------------
+# -- Block-tridiagonal system assembly --------------------------------------
 
 # LD product c * u as a 2x2 block on (u_a, u_s): [[c_a, c_s], [c_s, c_a]]
 _LD_PRODUCT = np.array([[0, 1], [1, 0]])
@@ -355,19 +347,16 @@ def _block_diagonal(data, indices, indptr):
 
 
 def _factor(data, indices, indptr):
-    """One SuperLU factor of the block diagonal of the G group matrices,
-    given in CSC as data (G, nnz) on the shared indices and indptr, and
-    the position of each group unknown in its solution, (n,) for n
-    unknowns per group.
-
-    COLAMD orders by sparsity alone, so the column order perm_c of one
-    group's own factor is every group's.  Each group's columns go into the
-    block in that order, and the block is factored in its natural order:
-    SuperLU then rebuilds each group's own factor inside the block, so one
-    solve of the block is the G group solves bit for bit, and unknown k of
-    group g sits at g n + perm_c[k] of its solution.  If the block is
-    singular, the groups are factored one at a time to name the first
-    singular one."""
+    """One SuperLU factor of the block diagonal of the G group matrices, given
+    in CSC as data (G, nnz) on the shared indices and indptr, and the position
+    of each group unknown in its solution, (n,) for n unknowns per group.
+    COLAMD orders by sparsity alone, so the column order perm_c of one group's
+    own factor is every group's.  Each group's columns go into the block in
+    that order, and the block is factored in its natural order: SuperLU then
+    rebuilds each group's own factor inside the block, so one solve of the
+    block is the G group solves bit for bit, and unknown k of group g sits
+    at g n + perm_c[k] of its solution.  If the block is singular, the groups
+    are factored one at a time to name the first singular one."""
     G, n = data.shape[0], indptr.size - 1
 
     def group(g):
@@ -397,95 +386,118 @@ def _factor(data, indices, indptr):
         raise
 
 
+@dataclass(frozen=True, eq=False)
+class ProblemOperators:
+    """What every run of one problem reuses, read-only (problem_operators):
+    from the cell widths dx (N,), sigma_t (G,), removal sigma_t -
+    sigma_s,g->g (G,) and double Gauss order n_half, the sweep's march
+    coefficients (march), the closures' edge table (edges) and the
+    low-order operators (low_order), each built on first use and kept: so
+    source iteration factors nothing and a LowOrderSystem builds no march,
+    and a failed build raises again on the next use.  Compared by identity."""
+
+    sigma_t: np.ndarray
+    removal: np.ndarray
+    dx: np.ndarray
+    n_half: int
+
+    @functools.cached_property
+    def march(self):
+        return march_coefficients(self.sigma_t, self.dx,
+                                  build_double_gauss(self.n_half).mu)
+
+    @functools.cached_property
+    def edges(self) -> np.ndarray:
+        return edge_weights(self.dx.size)
+
+    @functools.cached_property
+    def low_order(self):
+        """(grey_band, A, lu, unknowns).  grey_band(coefs) gives (kl, ku,
+        ab): the stencil plus the cell mass blocks of the coefficient stack
+        coefs (_mass_gather) in the LAPACK band storage of dgbsv, A[r, c] =
+        ab[kl + ku + r - c, c], with bandwidths kl and ku read from the
+        stencil's support (7 each, fewer for one cell).  It is the one
+        place where a mass meets the stencil: a copy of the band, then one
+        addition stencil + mass per centre-block support entry.  Each group
+        matrix is that band with the group's constant removal / sigma_t
+        block on every cell, read off the support (explicit zeros kept, so
+        every group has one sparsity) in CSC order for SuperLU and in CSR
+        order for A, their block diagonal.  lu is the one SuperLU factor
+        of all of them (_factor), and unknowns (2, N, 2) the position in
+        each group's part of its solution of the LD coefficients of phi
+        (unknowns[0]) and J (unknowns[1])."""
+        stencil, support = _stencil_blocks(self.dx)
+        i, k, a, b = np.nonzero(support)
+        rows, cols = 4 * i + a, 4 * (i + k - 1) + b
+        G, N, n = self.removal.size, self.dx.size, 4 * self.dx.size
+        kl, ku = int((rows - cols).max()), int((cols - rows).max())
+        # flat positions in ab.T, which is (n, 2 kl + ku + 1) and C-ordered,
+        # so that ab itself is the Fortran-ordered array dgbsv works in
+        band = cols * (2 * kl + ku + 1) + kl + ku + rows - cols
+        stencil_band = np.zeros((n, 2 * kl + ku + 1))
+        stencil_band.reshape(-1)[band] = stencil[support]
+        # the centre-block support entries: band and coefficient positions
+        centre = k == 1
+        mass_pos = band[centre]
+        coef_index = _mass_gather(N)[i[centre], a[centre], b[centre]]
+
+        def grey_band(coefs):
+            abT = stencil_band.copy()
+            abT.reshape(-1)[mass_pos] += coefs[coef_index]
+            return kl, ku, abT.T
+
+        # each group's band, with its block on every cell, flat as ab.T
+        bands = []
+        for r, t in zip(self.removal, self.sigma_t):
+            coefs = np.zeros(6 * N + 1)
+            coefs[:2 * N:2], coefs[2 * N:4 * N:2] = r, t
+            bands.append(grey_band(coefs)[2].T.reshape(-1))
+        bands = np.stack(bands)
+
+        def read_off(major, minor):
+            """Every group matrix read off the support sorted by major, then
+            minor index: compressed (data (G, nnz), indices, indptr)."""
+            order = np.lexsort((minor, major))
+            indptr = np.concatenate(
+                ([0], np.cumsum(np.bincount(major, minlength=n))))
+            return bands.take(band[order], axis=1), minor[order], indptr
+
+        lu, perm_c = _factor(*read_off(cols, rows))
+        unknowns = perm_c.reshape(N, 2, 2).swapaxes(0, 1).copy()
+        A = csr_matrix(_block_diagonal(*read_off(rows, cols)),
+                       shape=(G * n, G * n))
+        for shared in (stencil_band, mass_pos, coef_index, A.data, A.indices,
+                       A.indptr, unknowns):
+            shared.setflags(write=False)
+        return grey_band, A, lu, unknowns
+
+
+def problem_operators(spec: ProblemSpec, mesh: Mesh) -> ProblemOperators:
+    """The operator record of spec on mesh, the same for every run of the
+    same data (_operators)."""
+    removal = spec.sigma_t - np.diag(spec.sigma_s)
+    return _operators(spec.sigma_t.tobytes(), removal.tobytes(),
+                      mesh.dx.tobytes(), spec.n_half)
+
+
 @functools.lru_cache(maxsize=8)
-def _operators(dx_bytes: bytes, sigma_t_bytes: bytes, removal_bytes: bytes):
-    """Low-order operators of one problem, from the float64 bytes of its
-    cell widths, sigma_t and removal sigma_t - sigma_s,g->g.
-
-    Returns (grey_band, A, lu, unknowns).  grey_band(coefs) gives (kl, ku,
-    ab): the derivative stencil plus the cell mass blocks of the
-    coefficient stack coefs (_mass_gather) in the LAPACK band storage of
-    dgbsv, A[r, c] = ab[kl + ku + r - c, c], with lower and upper
-    bandwidths kl and ku read from the stencil's support (7 each, fewer
-    for one cell).  It is the one place where a mass meets the stencil:
-    the stencil is gathered into that band once per problem, and each call
-    copies the band and adds to each centre-block support entry the stack
-    entry its mass block holds, through an index built here; one addition
-    stencil + mass per entry.  Each group matrix is that band with the
-    group's constant removal / sigma_t block on every cell, read off the
-    support (explicit zeros kept, so every group has one sparsity) in CSC
-    order for SuperLU and in CSR order for A, which holds the G group
-    matrices as one block-diagonal CSR matrix.  lu is the one SuperLU
-    factor of all of them (_factor), ordered once, and unknowns (2, N, 2)
-    the position in each group's part of its solution of the LD
-    coefficients of phi (unknowns[0]) and J (unknowns[1]).  Cached and
-    read-only: every run builds a new LowOrderSystem of the same problem,
-    and refactoring its group matrices each time cost about a sixth of the
-    test1 table cells' solve time and scattered SuperLU workspaces over
-    the heap.
-    """
-    dx = np.frombuffer(dx_bytes)
-    sigma_t = np.frombuffer(sigma_t_bytes)
-    removal = np.frombuffer(removal_bytes)
-    stencil, support = _stencil_blocks(dx)
-    i, k, a, b = np.nonzero(support)
-    rows, cols = 4 * i + a, 4 * (i + k - 1) + b
-    G, N, n = removal.size, dx.size, 4 * dx.size
-    kl, ku = int((rows - cols).max()), int((cols - rows).max())
-    # flat positions in ab.T, which is (n, 2 kl + ku + 1) and C-ordered,
-    # so that ab itself is the Fortran-ordered array dgbsv works in
-    band = cols * (2 * kl + ku + 1) + kl + ku + rows - cols
-    stencil_band = np.zeros((n, 2 * kl + ku + 1))
-    stencil_band.reshape(-1)[band] = stencil[support]
-    # the centre-block support entries: band and coefficient positions
-    centre = k == 1
-    mass_pos = band[centre]
-    coef_index = _mass_gather(N)[i[centre], a[centre], b[centre]]
-
-    def grey_band(coefs):
-        abT = stencil_band.copy()
-        abT.reshape(-1)[mass_pos] += coefs[coef_index]
-        return kl, ku, abT.T
-
-    # each group's band, with its block on every cell, flat as ab.T
-    bands = []
-    for r, t in zip(removal, sigma_t):
-        coefs = np.zeros(6 * N + 1)
-        coefs[:2 * N:2], coefs[2 * N:4 * N:2] = r, t
-        bands.append(grey_band(coefs)[2].T.reshape(-1))
-    bands = np.stack(bands)
-
-    def read_off(major, minor):
-        """Every group matrix read off the support sorted by major, then
-        minor index: compressed (data (G, nnz), indices, indptr)."""
-        order = np.lexsort((minor, major))
-        indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(major, minlength=n))))
-        return bands.take(band[order], axis=1), minor[order], indptr
-
-    lu, perm_c = _factor(*read_off(cols, rows))
-    unknowns = perm_c.reshape(N, 2, 2).swapaxes(0, 1).copy()
-    A = csr_matrix(_block_diagonal(*read_off(rows, cols)),
-                   shape=(G * n, G * n))
-    for shared in (stencil_band, mass_pos, coef_index, A.data, A.indices,
-                   A.indptr, unknowns):
-        shared.setflags(write=False)
-    return grey_band, A, lu, unknowns
+def _operators(sigma_t: bytes, removal: bytes, dx: bytes, n_half: int):
+    """The record of the float64 sigma_t, removal and dx of these bytes.
+    Cached: refactoring the group matrices on every run cost about a sixth
+    of the test1 table cells' solve time and scattered SuperLU workspaces
+    over the heap."""
+    return ProblemOperators(*map(np.frombuffer, (sigma_t, removal, dx)),
+                            n_half)
 
 
 class LowOrderSystem:
-    """Factorized multigroup low-order operators plus the grey solver.
-
-    Every matrix is the mesh's derivative stencil, held in LAPACK band
-    storage once per problem, plus cell mass blocks, added in one place
-    (_operators).  The group matrices add constant removal / sigma_t
-    blocks; they are re-indexed to CSC, and they, their one block-diagonal
-    SuperLU factor and its column order are built once per problem and
-    shared by every system of that problem: each group pass is one solve
-    of that factor.  Each grey solve adds its sbar_a / sbar_t / eta
-    coefficients, gathered from their flat stack, to a copy of the band
-    and solves it by one dgbsv call, a banded LU with partial pivoting.
-    Each call builds its right side from the closure's terms
+    """Factorized multigroup low-order operators plus the grey solver, of
+    the problem's operator record (ops.low_order, built with the first
+    system of the problem).  Each group pass is one solve of the group
+    matrices' one factor.  Each grey solve adds its sbar_a / sbar_t / eta
+    coefficients, gathered from their flat stack, to a copy of the
+    stencil band and solves it by one dgbsv call, a banded LU with partial
+    pivoting.  Each call builds its right side from the closure's terms
     (ClosureData.terms); the system keeps no state between calls but its
     counters, which record executed solves for the cost accounting: one
     parallel group pass counts as one low-order solve, as does one grey
@@ -493,7 +505,8 @@ class LowOrderSystem:
     """
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):
-        removal = spec.sigma_t - np.diag(spec.sigma_s)
+        self.ops = ops = problem_operators(spec, mesh)
+        removal = ops.removal
         if np.any(removal <= 0):
             g = int(np.argmin(removal))
             raise ValueError(
@@ -504,9 +517,7 @@ class LowOrderSystem:
         N = mesh.n_cells
         self.Q_fields = np.zeros((spec.G, N, 2))
         self.Q_fields[:, :, 0] = spec.Q[:, None]
-        self._grey_band, self._A, self._lu, self._unknowns = _operators(
-            *(np.asarray(a, dtype=float).tobytes()
-              for a in (mesh.dx, spec.sigma_t, removal)))
+        self._grey_band, self._A, self._lu, self._unknowns = ops.low_order
         self.n_group_passes = 0
         self.n_grey_solves = 0
 

@@ -19,14 +19,13 @@ enforces that layout), so the mirror acts on a slice.
 The march steps through a frame (N, 4, L), cell axis first, on L = G*M
 lanes in (group, direction) order.  dx * rhs is formed on the source's own
 (G, M', N, 2) array, M' = 1 for isotropic sources, in one multiply by the
-cached factors [dx, -dx] of the mu < 0 half and [dx, dx] of the mu > 0
-half: x*(-dx) is -(x*dx) bit for bit, as IEEE rounding is symmetric in
-sign, so this is the mirror's negated slope.  Each half is then broadcast
-into rows 0-1 (average, slope) of the frame, the mu < 0 half in reverse
-cell order, and rows 2-3 are copies of rows 1 and 0.  psi is read back
-from rows 0-1 one LD coefficient at a time, by transposed writes with the
-cell axis innermost (loops of N, not of 2), and the mu < 0 half is
-mirrored again, its slopes negated by a multiply by -1.
+factors [dx, -dx] of the mu < 0 half and [dx, dx] of the mu > 0 half:
+x*(-dx) is -(x*dx) bit for bit, IEEE rounding being symmetric in sign, so
+this is the mirror's negated slope.  Each half goes into rows 0-1
+(average, slope) of the frame, the mu < 0 half in reverse cell order, and
+rows 2-3 copy rows 1 and 0.  psi is read back from rows 0-1 one LD
+coefficient at a time, cell axis innermost (loops of N, not of 2), and
+the mu < 0 half is mirrored again, its slopes negated by a multiply by -1.
 
 With m = |mu|, sd = st*dx and det = 6m^2 + 4m*sd + sd^2, the march solves
 each cell in packed form: q = dx*[q_avg, q_slope] + [m, -3m]*psi_in, then
@@ -42,39 +41,36 @@ frame, one divide by det (repeated over both rows) gives [a, s] there,
 and psi_in = a + s feeds the next cell.  Every operand but the broadcast
 psi_in of the first call has its output's shape and is C-contiguous; the
 block, det and the inflow weights depend on sigma_t, dx and mu only, so
-they are built once per problem and cached.  This rounds exactly as the
-unpacked solve a = ((3m + sd) qa - m qs) / det, s = (3m qa + (m + sd) qs)
-/ det with qs = dx*q_slope - 3m psi_in: IEEE defines x - y*z as
-x + (-y)*z, signed zeros included, 3m*x is (3m)*x, and each two-term sum
-is the same single rounding (IEEE addition and multiplication commute).
+they are built once per problem (ProblemOperators.march).  This rounds
+exactly as the unpacked solve a = ((3m + sd) qa - m qs) / det,
+s = (3m qa + (m + sd) qs) / det with qs = dx*q_slope - 3m psi_in: IEEE
+defines x - y*z as x + (-y)*z, signed zeros included, 3m*x is (3m)*x, and
+each two-term sum is the same single rounding (IEEE addition and
+multiplication commute).
 
-Each call passes its output positionally, not as out=, whose keyword
-parsing numpy pays on every call: on numpy 2.4.6 the six keywords cost
-about 5% of a test2 march step (112 lanes), and the ufuncs are called
-through local names.  The per-cell rows the calls read are not indexed
-out in each step: the cache keeps the N rows of the block and of det as
-tuples of read-only views, made once per problem, and the loop's zip
-yields them beside the four views of the frame it makes per cell (u4,
+Each call passes its output positionally: out= costs keyword parsing on
+every call, about 5% of a test2 march step (112 lanes) on numpy 2.4.6,
+and the ufuncs are called through local names.  The loop's zip yields the
+per-cell rows of the block and of det, tuples of read-only views made once
+per problem, beside the four views of the frame it makes per cell (u4,
 its rows 0-1, a and s), the only views a step creates.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .angular import AngularQuadrature
-from .fields import Mesh, nodal_product
+from .fields import nodal_product
 
 
-@functools.lru_cache(maxsize=8)
-def _march_coefficients(sigma_t_bytes: bytes, dx_bytes: bytes,
-                        mu_bytes: bytes):
-    """(coef_rows, det_rows, m_inc, dx_scale) of the march frame on
-    L = G*M lanes, from the float64 bytes of sigma_t (G,), dx (N,) and
-    mu (M,).
+def march_coefficients(sigma_t, dx, mu):
+    """(shape, coef_rows, det_rows, m_inc, dx_scale) of the march frame on
+    L = G*M lanes, shape = (G, M, N), for sigma_t (G,), cells of widths dx
+    (N,) and directions mu (M,); a ValueError unless sigma_t is finite and
+    positive, or where sigma_t * dx overflows the cell determinant.
 
     One read-only array block (N, 6, L) holds, for each cell, the
     entries [3m + sd, m + sd, -m, 3m] of K in rows 0-3 and det in rows
@@ -83,15 +79,13 @@ def _march_coefficients(sigma_t_bytes: bytes, dx_bytes: bytes,
     (4, L) and (2, L) row views, so the march's zip reads them without
     making a view per step.  m_inc is [m, -3m, -3m, m] (4, L), and
     dx_scale (2, 1, N, 2) holds the factors [dx, -dx] of the mu < 0 half
-    and [dx, dx] of the mu > 0 half per cell and LD coefficient.  An
-    entry keeps 48*G*M*N bytes in the block (0.94 MiB for test1) and
-    32*(G*M + N) in m_inc and dx_scale.  lru_cache keeps no exception, so
-    the sigma_t and overflow checks run on every call that fails them."""
-    sigma_t = np.frombuffer(sigma_t_bytes)
+    and [dx, dx] of the mu > 0 half per cell and LD coefficient: 48*G*M*N
+    bytes in the block (0.94 MiB for test1), 32*(G*M + N) in the rest."""
+    sigma_t = np.asarray(sigma_t, dtype=float)
     if not np.all(np.isfinite(sigma_t) & (sigma_t > 0)):
         raise ValueError("sweep requires finite sigma_t > 0")
-    dx = np.frombuffer(dx_bytes)
-    m = np.abs(np.frombuffer(mu_bytes))
+    dx = np.asarray(dx, dtype=float)
+    m = np.abs(np.asarray(mu, dtype=float))
     G, M, N = sigma_t.size, m.size, dx.size
     # [dx, -dx] for the mu < 0 half, whose slopes the mirror negates
     signs = np.array([[1.0, -1.0], [1.0, 1.0]])
@@ -117,22 +111,17 @@ def _march_coefficients(sigma_t_bytes: bytes, dx_bytes: bytes,
     m_inc = np.tile(np.stack([m, -m3, -m3, m]), G)
     for a in (block, m_inc, dx_scale):
         a.setflags(write=False)
-    return tuple(block[:, :4]), tuple(block[:, 4:]), m_inc, dx_scale
+    return ((G, M, N), tuple(block[:, :4]), tuple(block[:, 4:]), m_inc,
+            dx_scale)
 
 
-def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
-                rhs: np.ndarray) -> np.ndarray:
-    """Sweep every group and direction in one pass between vacuum
-    boundaries, (G, M, N, 2).
-
-    rhs is the source density per unit mu, either (G, N, 2) shared across
-    directions or (G, M, N, 2) per direction; sigma_t must be finite and
-    positive.
-    """
-    sigma_t = np.asarray(sigma_t, dtype=float)
-    G = sigma_t.size
-    M = quad.n_angles
-    N = mesh.n_cells
+def sweep_batch(march, rhs: np.ndarray) -> np.ndarray:
+    """Sweep every group and direction of one problem, of march
+    coefficients `march` (march_coefficients), in one pass between vacuum
+    boundaries, (G, M, N, 2).  rhs is the source density per unit mu,
+    either (G, N, 2) shared across directions or (G, M, N, 2) per
+    direction."""
+    (G, M, N), coef, det, m_inc, dx_scale = march
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape == (G, N, 2):
         rhs = rhs[:, None]
@@ -140,9 +129,6 @@ def sweep_batch(sigma_t: np.ndarray, mesh: Mesh, quad: AngularQuadrature,
         raise ValueError(f"rhs shape {rhs.shape} invalid")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite")
-    coef, det, m_inc, dx_scale = _march_coefficients(
-        *(np.asarray(a, dtype=float).tobytes()
-          for a in (sigma_t, mesh.dx, quad.mu)))
     h = M // 2
     # src[:, 0] is the mu < 0 half, src[:, 1] the mu > 0 half, each k wide
     # (1 for an isotropic source, whose one column serves both halves)

@@ -17,6 +17,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh
+from slabsm.losm import problem_operators
 from slabsm.sweep import sweep_batch
 
 RESTART = 200
@@ -30,14 +31,15 @@ def si_outer(spec):
     """One source-iteration outer of the problem on flat group fluxes
     (G * N * 2,): outer(phi, source) = T phi, plus c when `source`."""
     quad = build_double_gauss(spec.n_half)
-    mesh = Mesh.uniform(spec.width, spec.n_cells)
+    march = problem_operators(
+        spec, Mesh.uniform(spec.width, spec.n_cells)).march
     shape = (spec.G, spec.n_cells, 2)
 
     def outer(phi, source):
         scatter = np.einsum("gh,hnc->gnc", spec.sigma_s, phi.reshape(shape))
         if source:
             scatter[:, :, 0] += spec.Q[:, None]
-        psi = sweep_batch(spec.sigma_t, mesh, quad, 0.5 * scatter)
+        psi = sweep_batch(march, 0.5 * scatter)
         return angular_moments(psi, quad).phi.reshape(-1)
 
     return outer

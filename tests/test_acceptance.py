@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slabsm import driver
 from slabsm.accel import aa1_alpha
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.driver import (IterationConfig, run_problem,
@@ -15,7 +16,7 @@ from slabsm.fields import Mesh, to_nodes
 from slabsm.losm import LowOrderSystem
 from slabsm.problem import (builtin_problem, builtin_reference_c,
                             connection_strength, validate_scattering)
-from slabsm.sweep import sweep_batch
+from slabsm.sweep import march_coefficients, sweep_batch
 from discrete_oracle import oracle_flux
 from test_losm import group_particle_balance
 from test_sweep import curved_solution, l2_error, project_ld
@@ -354,7 +355,8 @@ def test_criterion_6g_manufactured_order():
         rhs = np.zeros((quad.n_angles, n, 2))
         for m, mu in enumerate(quad.mu):
             rhs[m] = project_ld(lambda x: source(x, mu, sigma), mesh)
-        psi = sweep_batch(np.array([sigma]), mesh, quad, rhs[None])[0]
+        march = march_coefficients([sigma], mesh.dx, quad.mu)
+        psi = sweep_batch(march, rhs[None])[0]
         errors.append(l2_error(psi, exact, mesh, quad))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     if not np.all(orders >= 1.9):
@@ -373,6 +375,19 @@ def _bench_module(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_benchmark_hooks_are_bound(monkeypatch):
+    # bench/tracer.py patches these names, and bench/run.py times this
+    # set-up statement; a name that is gone reads as an absent layer
+    tracer = _bench_module("tracer")
+    for _, name in tracer.DRIVER_HOOKS:
+        assert callable(getattr(driver, name, None)), name
+    for _, attr in tracer.SYSTEM_HOOKS:
+        assert callable(vars(LowOrderSystem).get(attr)), attr
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "bench"))
+    assert _bench_module("run").measure_setup("test1") > 0.0
 
 
 def _table_runs():

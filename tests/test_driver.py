@@ -13,7 +13,7 @@ from slabsm.driver import (IterationConfig, TransportState,
                            lo_solve_count, run_problem,
                            si_infinite_medium_rho)
 from slabsm.fields import Mesh, const_field, to_nodes
-from slabsm.losm import LowOrderSystem
+from slabsm.losm import LowOrderSystem, problem_operators
 from slabsm.problem import (ProblemSpec, builtin_problem, builtin_reference_c,
                             validate_scattering)
 
@@ -488,10 +488,12 @@ def _first_pass(spec, cfg):
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     G, N = spec.G, spec.n_cells
     if cfg.method == "si":
-        run = driver._Run(spec, cfg, quad, mesh, None)
+        run = driver._Run(spec, cfg, quad, problem_operators(spec, mesh),
+                          None)
         state = TransportState(np.zeros((G, N, 2)), np.zeros((N, 2)))
         return run, driver._si_step, state
-    run = driver._Run(spec, cfg, quad, mesh, LowOrderSystem(spec, mesh))
+    system = LowOrderSystem(spec, mesh)
+    run = driver._Run(spec, cfg, quad, system.ops, system)
     flat = np.zeros((G, quad.n_angles, N, 2))
     flat[..., 0] = 0.5
     state, _ = driver._low_order_levels(run, flat, None)
@@ -517,6 +519,37 @@ def _same_bits(a, b):
             np.array_equal(x[k], y[k])
             and np.array_equal(np.signbit(x[k]), np.signbit(y[k]))))
         for k in x)
+
+
+def test_a_run_does_not_depend_on_what_ran_before():
+    # the per-problem operator record outlives a run: test2 gives the same
+    # bits after a test1 run as before it, from a new spec, and both test2
+    # runs read the one record (a closure's dx is its record's)
+    cfg = IterationConfig(method="mlsm-aa1", k_max=1, s_max=2)
+    first = run_problem(builtin_problem("test2"), cfg)
+    run_problem(builtin_problem("test1"), IterationConfig(method="mlsm"))
+    spec = builtin_problem("test2")
+    again = run_problem(spec, cfg)
+    assert _same_bits(first.state, again.state)
+    assert again.residual_history == first.residual_history
+    ops = problem_operators(spec, Mesh.uniform(spec.width, spec.n_cells))
+    assert first.state.closures.dx is ops.dx
+    assert again.state.closures.dx is ops.dx
+
+
+def test_record_parts_are_built_on_first_use():
+    # source iteration builds the march and factors nothing; a low-order
+    # system builds the low-order operators and no march
+    spec = dataclasses.replace(_small_two_group(), width=7.375)
+    ops = problem_operators(spec, Mesh.uniform(spec.width, spec.n_cells))
+    run_problem(spec, IterationConfig(method="si", max_outer=3))
+    assert "march" in vars(ops) and "low_order" not in vars(ops)
+    other = dataclasses.replace(spec, width=6.375)
+    system = LowOrderSystem(other, Mesh.uniform(other.width, other.n_cells))
+    assert "low_order" in vars(system.ops)
+    assert "march" not in vars(system.ops)
+    run_problem(spec, IterationConfig(method="mlsm", max_outer=3))
+    assert {"march", "edges", "low_order"} <= set(vars(ops))
 
 
 @pytest.mark.parametrize("method, k, s", [

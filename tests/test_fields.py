@@ -3,7 +3,7 @@ import pytest
 
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh, from_nodes, nodal_product, to_nodes
-from slabsm.losm import closure_from_sweep
+from slabsm.losm import ProblemOperators, closure_from_sweep
 from slabsm.sweep import sweep_batch
 from test_sweep import mesh_edges
 
@@ -44,8 +44,9 @@ def test_mesh_keeps_a_read_only_copy_of_dx():
     dx = np.full(4, 0.5)
     mesh = Mesh(dx)
     quad = build_double_gauss(1)
-    psi = sweep_batch([1.0], mesh, quad, np.ones((1, 4, 2)))
-    closure_from_sweep(psi, quad, angular_moments(psi, quad), mesh)
+    ops = ProblemOperators(np.ones(1), np.ones(1), mesh.dx, 1)
+    psi = sweep_batch(ops.march, np.ones((1, 4, 2)))
+    closure_from_sweep(psi, quad, angular_moments(psi, quad), ops)
     dx[0] = -1.0
     assert mesh.dx[0] == 0.5
     assert not mesh.dx.flags.writeable

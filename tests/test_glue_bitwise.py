@@ -11,10 +11,10 @@ from slabsm import losm
 from slabsm.angular import MomentSet, angular_moments, build_double_gauss
 from slabsm.fields import Mesh
 from slabsm.losm import (DENOM_EPS, ClosureData, GreyCoefficients,
-                         LowOrderSystem, _lo_rhs, _ratio, _split_solution,
-                         _stencil_blocks, avg_scattering_xs,
+                         LowOrderSystem, ProblemOperators, _lo_rhs, _ratio,
+                         _split_solution, _stencil_blocks, avg_scattering_xs,
                          closure_from_sweep, compute_zeta, edge_weights,
-                         grey_xs)
+                         grey_xs, problem_operators)
 from slabsm.problem import ProblemSpec
 from slabsm.sweep import sweep_batch, upwind_edge_psi
 from test_fields import _stacked_coeffs as old_from_nodes
@@ -242,16 +242,17 @@ def test_grey_xs_builds_the_phi_weighted_fallback_only_when_needed(
 def test_closures_are_the_replaced_formula(G):
     # the boundary edges, where one side's traces are zero, included
     rng = np.random.RandomState(4)
-    mesh = Mesh(DX)
+    sigma_t = np.linspace(1.0, 2.0, G or 1)
+    ops = ProblemOperators(sigma_t, sigma_t, DX, 2)
     quad = build_double_gauss(2)
     lead = () if G is None else (G,)
     for _ in range(3):
         rhs = rng.rand(G or 1, DX.size, 2)
-        psi = sweep_batch(np.linspace(1.0, 2.0, G or 1), mesh, quad, rhs)
+        psi = sweep_batch(ops.march, rhs)
         psi = _signed_zeros(rng, psi.reshape(lead + psi.shape[1:]))
         for moments in (angular_moments(psi, quad),
                         _random_moments(rng, lead + (DX.size, 2))):
-            clo = closure_from_sweep(psi, quad, moments, mesh)
+            clo = closure_from_sweep(psi, quad, moments, ops)
             old = old_closure_from_sweep(psi, quad, moments)
             for name, want in zip(("dJ", "dphi", "Phat", "P"), old):
                 assert _same_bits(getattr(clo, name), want), name
@@ -270,7 +271,13 @@ def test_closure_terms_are_the_replaced_formula():
 
 
 def test_edge_weights_cached_read_only():
-    assert edge_weights(5) is edge_weights(5)
+    # one read-only table per problem, held by its operator record, and
+    # the closures of every run of that problem read it
+    ops = problem_operators(_spec(3), Mesh(DX))
+    assert ops.edges is problem_operators(_spec(3), Mesh(DX.copy())).edges
+    assert np.array_equal(ops.edges, edge_weights(DX.size))
+    with pytest.raises(ValueError, match="read-only"):
+        ops.edges[0, 0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         edge_weights(5)[0, 0, 0] = 1.0
 

@@ -12,9 +12,9 @@ from scipy.sparse.linalg import splu
 from slabsm import losm
 from slabsm.driver import IterationConfig, run_problem
 from slabsm.losm import (ClosureData, GreyCoefficients, LowOrderSystem,
-                         _lo_rhs, _stencil_blocks, avg_scattering_xs,
-                         closure_from_sweep, compute_zeta, grey_xs,
-                         sum_closures)
+                         ProblemOperators, _lo_rhs, _stencil_blocks,
+                         avg_scattering_xs, closure_from_sweep, compute_zeta,
+                         grey_xs, problem_operators, sum_closures)
 from slabsm.problem import ProblemSpec, builtin_problem
 from slabsm.sweep import build_ho_rhs, sweep_batch
 
@@ -60,9 +60,10 @@ def _group_closure(closures, g):
 
 
 def _sweep_and_close(spec, rhs, mesh, quad):
-    psi = sweep_batch(spec.sigma_t, mesh, quad, rhs)
+    ops = problem_operators(spec, mesh)
+    psi = sweep_batch(ops.march, rhs)
     mom = angular_moments(psi, quad)
-    return psi, mom, closure_from_sweep(psi, quad, mom, mesh)
+    return psi, mom, closure_from_sweep(psi, quad, mom, ops)
 
 
 # -- averaged cross sections and zeta ----------------------------------------
@@ -504,11 +505,11 @@ def test_group_axis_matches_per_group_slices(G, dx, n_half):
     grey = rng.rand(n, 2)
     sbar = rng.rand(G, n, 2)
     rhs = build_ho_rhs(grey, sbar, Q)
-    psi = sweep_batch(sigma_t, mesh, quad, rhs)
-    mom = angular_moments(psi, quad)
-    closures = closure_from_sweep(psi, quad, mom, mesh)
-    zeta = rng.rand(n, 2) + 0.5
     system = LowOrderSystem(spec, mesh)
+    psi = sweep_batch(system.ops.march, rhs)
+    mom = angular_moments(psi, quad)
+    closures = closure_from_sweep(psi, quad, mom, system.ops)
+    zeta = rng.rand(n, 2) + 0.5
     phi, J = system.group_pass(mom.phi, zeta, closures)
     r = system.equation_residual(phi, J, zeta, closures).reshape(G, -1)
 
@@ -519,7 +520,7 @@ def test_group_axis_matches_per_group_slices(G, dx, n_half):
         for batched, alone in zip(mom, angular_moments(psi[g], quad)):
             assert np.array_equal(batched[g], alone)
         alone = closure_from_sweep(psi[g], quad,
-                                   angular_moments(psi[g], quad), mesh)
+                                   angular_moments(psi[g], quad), system.ops)
         for field in ("dJ", "dphi", "Phat", "P", "terms"):
             assert np.array_equal(getattr(closures, field)[g],
                                   getattr(alone, field))
@@ -544,12 +545,14 @@ def test_group_operators_factored_once_per_problem():
         return LowOrderSystem(spec, mesh)
 
     a, b = system(), system()
+    # one record, whose low-order operators are built once
+    assert a.ops is b.ops and a.ops.low_order is b.ops.low_order
     assert a._lu is b._lu and a._A is b._A
     assert a._unknowns is b._unknowns
     # the group matrices hold removal and sigma_t, not the coupling
-    assert system(down_scatter=0.25)._lu is a._lu
+    assert system(down_scatter=0.25).ops is a.ops
     for other in (system(sigma_t=(1.0, 2.5)), system(self_scatter=0.4)):
-        assert other._lu is not a._lu
+        assert other.ops is not a.ops and other._lu is not a._lu
         assert not np.array_equal(other._A.data, a._A.data)
     # the solve counters stay per system
     phi = np.ones((2, 8, 2))
@@ -891,8 +894,9 @@ def test_group_matrices_are_the_stencil_plus_their_mass(monkeypatch, n, G):
         return real(data, indices, indptr)
 
     monkeypatch.setattr(losm, "_factor", record)
-    _, A, lu, _ = losm._operators.__wrapped__(
-        dx.tobytes(), sigma_t.tobytes(), removal.tobytes())
+    # built anew, not looked up: a record made by another test could be
+    # served from the cache
+    _, A, lu, _ = ProblemOperators(sigma_t, removal, dx, 2).low_order
     assert len(factored) == G
     expected = group_matrices(dx, sigma_t, removal)
     expected_A = block_diag(expected, format="csr")

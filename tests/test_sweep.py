@@ -4,18 +4,25 @@ from hypothesis import given, settings, strategies as st
 
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh, const_field, to_nodes
-from slabsm.problem import builtin_problem
-from slabsm.losm import closure_from_sweep
-from slabsm.sweep import (_march_coefficients, build_ho_rhs, sweep_batch,
+from slabsm.problem import ProblemSpec, builtin_problem
+from slabsm.losm import (ProblemOperators, closure_from_sweep,
+                         problem_operators)
+from slabsm.sweep import (build_ho_rhs, march_coefficients, sweep_batch,
                           upwind_edge_psi)
 
 GAUSS3_T = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 GAUSS3_V = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
+def _sweep(sigma_t, mesh, quad, rhs):
+    """Sweep of sigma_t (G,) on the mesh in the directions of quad: psi
+    (G, M, n_cells, 2)."""
+    return sweep_batch(march_coefficients(sigma_t, mesh.dx, quad.mu), rhs)
+
+
 def _sweep1(sigma_t, mesh, quad, rhs):
     """Single-group sweep: psi shaped (M, n_cells, 2)."""
-    return sweep_batch(np.array([sigma_t]), mesh, quad, rhs[None])[0]
+    return _sweep(np.array([sigma_t]), mesh, quad, rhs[None])[0]
 
 
 def mesh_edges(mesh):
@@ -170,7 +177,7 @@ def test_vacuum_sweep_is_finite_and_balanced(problem):
     quad = build_double_gauss(n_half)
     rng = np.random.RandomState(seed)
     rhs = rng.rand(sigma_t.size, dx.size, 2) + [0.01, -0.5]
-    psi = sweep_batch(sigma_t, mesh, quad, rhs)
+    psi = _sweep(sigma_t, mesh, quad, rhs)
     assert np.all(np.isfinite(psi))
     for g in range(sigma_t.size):
         lhs, src = _group_balance(psi[g], quad, mesh, sigma_t[g], rhs[g])
@@ -254,10 +261,11 @@ def test_closures_match_explicit_reconstruction(G, dx, n_half):
     quad = build_double_gauss(n_half)
     rng = np.random.RandomState(7 * G + dx.size + n_half)
     sigma_t = rng.rand(G) + 0.5
-    swept = sweep_batch(sigma_t, mesh, quad, rng.rand(G, dx.size, 2))
+    swept = _sweep(sigma_t, mesh, quad, rng.rand(G, dx.size, 2))
     for psi in (swept, rng.randn(*swept.shape)):
         moments = angular_moments(psi, quad)
-        closure = closure_from_sweep(psi, quad, moments, mesh)
+        closure = closure_from_sweep(
+            psi, quad, moments, ProblemOperators(sigma_t, sigma_t, dx, n_half))
         dJ, dphi, Phat = _explicit_closures(psi, quad, moments)
         assert np.array_equal(closure.dJ, dJ)
         assert np.array_equal(closure.dphi, dphi)
@@ -283,7 +291,7 @@ def test_sigma_t_must_be_positive():
 def test_bad_rhs_rejected(rhs, match):
     quad = build_double_gauss(2)
     with pytest.raises(ValueError, match=match):
-        sweep_batch([1.0], Mesh.uniform(1.0, 2), quad, rhs)
+        _sweep([1.0], Mesh.uniform(1.0, 2), quad, rhs)
 
 
 def test_sigma_t_dx_overflow_rejected():
@@ -292,10 +300,13 @@ def test_sigma_t_dx_overflow_rejected():
     quad = build_double_gauss(2)
     mesh = Mesh.uniform(4.0, 4)
     rhs = const_field(0.5, 4)
-    # raised on every call: the coefficient cache keeps no exception
+    with pytest.raises(ValueError, match="overflows"):
+        _sweep1(1e160, mesh, quad, rhs)
+    # raised on every use of the record's march: a failed build is not kept
+    ops = ProblemOperators(np.array([1e160]), np.array([1.0]), mesh.dx, 2)
     for _ in range(2):
         with pytest.raises(ValueError, match="overflows"):
-            _sweep1(1e160, mesh, quad, rhs)
+            ops.march
     # still representable: thick cells give psi_a = q / sigma_t
     psi = _sweep1(1e150, mesh, quad, rhs)
     assert np.allclose(psi[:, 1:-1, 0], 0.5e-150, rtol=1e-12)
@@ -308,7 +319,7 @@ def test_group_axis_matches_single_group_sweeps():
     rng = np.random.RandomState(21)
     sigma_t = np.array([0.3, 1.7, 25.0])
     rhs = rng.rand(3, quad.n_angles, 12, 2)
-    psi = sweep_batch(sigma_t, mesh, quad, rhs)
+    psi = _sweep(sigma_t, mesh, quad, rhs)
     for g in range(3):
         assert np.array_equal(psi[g], _sweep1(sigma_t[g], mesh, quad, rhs[g]))
 
@@ -333,78 +344,80 @@ def test_isotropic_source_matches_broadcast_source(G, dx, n_half, thick):
     rhs = rng.randn(G, N, 2)
     rhs[rng.rand(G, N, 2) < 0.3] = 0.0
     rhs[rng.rand(G, N, 2) < 0.1] = -0.0
-    psi = sweep_batch(sigma_t, mesh, quad, rhs)
-    wide = sweep_batch(sigma_t, mesh, quad,
+    psi = _sweep(sigma_t, mesh, quad, rhs)
+    wide = _sweep(sigma_t, mesh, quad,
                        np.broadcast_to(rhs[:, None], (G, M, N, 2)))
     assert np.array_equal(psi, wide)
     assert np.array_equal(np.signbit(psi), np.signbit(wide))
 
 
-def _coefficients(sigma_t, mesh, quad):
-    """The cached march coefficients of one problem, keyed as in
-    sweep_batch."""
-    return _march_coefficients(*(np.asarray(a, dtype=float).tobytes()
-                                 for a in (sigma_t, mesh.dx, quad.mu)))
+def _spec(sigma_t=(0.5, 2.0), n_cells=8, n_half=3):
+    """A problem without scattering (problem_operators takes the cell
+    widths from the mesh it is given, not from the spec's width)."""
+    G = len(sigma_t)
+    return ProblemSpec(G, sigma_t, np.zeros((G, G)), np.ones(G), width=4.0,
+                       n_cells=n_cells, n_half=n_half)
 
 
-def _block(coeffs):
-    """The one array behind an entry's per-cell rows."""
-    return coeffs[0][0].base
+def _block(march):
+    """The one array behind the per-cell rows of march coefficients."""
+    return march[1][0].base
 
 
 def test_march_coefficients_cached_per_problem():
-    quad = build_double_gauss(3)
     mesh = Mesh.uniform(4.0, 8)
-    sigma_t = np.array([0.5, 2.0])
+    ops = problem_operators(_spec(), mesh)
     rhs = np.random.RandomState(3).randn(2, 8, 2)
-    coeffs = _coefficients(sigma_t, mesh, quad)
-    hits = _march_coefficients.cache_info().hits
-    first = sweep_batch(sigma_t, mesh, quad, rhs)
-    sweep_batch(sigma_t, mesh, quad, rhs)
-    # both sweeps read the one read-only entry
-    assert _march_coefficients.cache_info().hits == hits + 2
-    assert _coefficients(sigma_t, mesh, quad) is coeffs
-    coef_rows, det_rows, m_inc, dx_scale = coeffs
-    block = _block(coeffs)
+    first = sweep_batch(ops.march, rhs)
+    # a new spec and mesh of the same data get the one record, whose
+    # march is built once and read-only
+    same = problem_operators(_spec(), Mesh.uniform(4.0, 8))
+    assert same is ops and same.march is ops.march
+    shape, coef_rows, det_rows, m_inc, dx_scale = ops.march
+    block = _block(ops.march)
+    assert shape == (2, 6, 8)
     assert not any(a.flags.writeable for a in (block, m_inc, dx_scale))
     # one row per cell of each, every one a read-only view of the block
     assert len(coef_rows) == len(det_rows) == mesh.n_cells
     for row in coef_rows + det_rows:
         assert row.base is block
         assert not row.flags.writeable
-    # dx alone (same N), sigma_t alone or n_half alone makes a new entry
-    others = [(sigma_t, Mesh.uniform(5.0, 8), quad),
-              (np.array([0.5, 2.5]), mesh, quad),
-              (sigma_t, mesh, build_double_gauss(2))]
+    # dx alone (same N), sigma_t alone or n_half alone makes a new record
+    others = [(_spec(), Mesh.uniform(5.0, 8)),
+              (_spec(sigma_t=(0.5, 2.5)), mesh),
+              (_spec(n_half=2), mesh)]
     for other in others:
-        other_block = _block(_coefficients(*other))
+        other_block = _block(problem_operators(*other).march)
         assert other_block is not block
         assert not np.array_equal(other_block, block)
     # A, then enough other problems to evict A, then A again
     for n_cells in range(1, 10):
-        sweep_batch(sigma_t, Mesh.uniform(4.0, n_cells), quad,
-                    np.ones((2, n_cells, 2)))
-    again = sweep_batch(sigma_t, mesh, quad, rhs)
+        problem_operators(_spec(n_cells=n_cells),
+                          Mesh.uniform(4.0, n_cells)).march
+    rebuilt = problem_operators(_spec(), mesh)
+    assert rebuilt is not ops
+    again = sweep_batch(rebuilt.march, rhs)
     assert np.array_equal(again, first)
     assert np.array_equal(np.signbit(again), np.signbit(first))
 
 
 def test_march_coefficients_entry_size():
-    # the per-entry size the _march_coefficients docstring quotes:
-    # 48*G*M*N bytes in the block (four rows for K and two for det per
-    # cell) and 32*(G*M + N) in m_inc and dx_scale, under 1 MiB for test1
+    # the sizes the march_coefficients docstring quotes: 48*G*M*N bytes in
+    # the block (four rows for K and two for det per cell) and
+    # 32*(G*M + N) in m_inc and dx_scale, under 1 MiB for test1
     spec = builtin_problem("test1")
     mesh = Mesh.uniform(spec.width, spec.n_cells)
-    quad = build_double_gauss(spec.n_half)
-    coeffs = _coefficients(spec.sigma_t, mesh, quad)
-    block, m_inc, dx_scale = _block(coeffs), coeffs[2], coeffs[3]
-    G, M, N = spec.G, quad.n_angles, spec.n_cells
+    march = problem_operators(spec, mesh).march
+    shape, coef_rows, det_rows, m_inc, dx_scale = march
+    block = _block(march)
+    G, M, N = spec.G, 2 * spec.n_half, spec.n_cells
+    assert shape == (G, M, N)
     assert block.shape == (N, 6, G * M)
     assert block.nbytes == 48 * G * M * N
     assert m_inc.nbytes + dx_scale.nbytes == 32 * (G * M + N)
     assert block.nbytes + m_inc.nbytes + dx_scale.nbytes < 2**20
     # the rows hold no array data of their own
-    assert all(row.base is block for row in coeffs[0] + coeffs[1])
+    assert all(row.base is block for row in coef_rows + det_rows)
 
 
 def _unpacked_sweep(sigma_t, mesh, quad, rhs):
@@ -460,7 +473,7 @@ def test_march_matches_unpacked_cell_solve():
                         rhs[rng.rand(*shape) < 0.1] = -0.0
                         case = (G, N, n_half, tau, shape)
                         ref = _unpacked_sweep(sigma_t, mesh, quad, rhs)
-                        psi = sweep_batch(sigma_t, mesh, quad, rhs)
+                        psi = _sweep(sigma_t, mesh, quad, rhs)
                         assert np.array_equal(psi, ref), case
                         assert np.array_equal(np.signbit(psi),
                                               np.signbit(ref)), case
@@ -483,7 +496,7 @@ def test_march_matches_unpacked_cell_solve_on_random_sweeps(problem,
     rhs[rng.rand(*shape) < 0.3] = 0.0
     rhs[rng.rand(*shape) < 0.1] = -0.0
     ref = _unpacked_sweep(sigma_t, mesh, quad, rhs)
-    psi = sweep_batch(sigma_t, mesh, quad, rhs)
+    psi = _sweep(sigma_t, mesh, quad, rhs)
     assert np.array_equal(psi, ref)
     assert np.array_equal(np.signbit(psi), np.signbit(ref))
 
@@ -517,7 +530,7 @@ def test_nonuniform_mesh_matches_per_cell_reference():
     quad = build_double_gauss(3)
     sigma_t = np.array([0.6, 4.0])
     rhs = rng.randn(2, quad.n_angles, 7, 2)
-    psi = sweep_batch(sigma_t, mesh, quad, rhs)
+    psi = _sweep(sigma_t, mesh, quad, rhs)
     for g in range(2):
         ref = _reference_sweep(sigma_t[g], dx, quad, rhs[g])
         assert np.abs(psi[g] - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -44,9 +44,9 @@ below 1e-16), and sbar_t is the |J|-weighted mean of sigma_t, which at
 test1's symmetric centre weighs group currents of 1e-12 to 1e-17.
 
 Then this checkout's runs repeat in reverse order, and each must equal its
-first run exactly, in both modes: the per-problem caches (the low-order
-operators of losm._operators and the march coefficients of
-sweep._march_coefficients) must not make a run depend on what ran before
+first run exactly, in both modes: each problem's operator record
+(losm.problem_operators) outlives a run and is shared by every later run
+of the same data, and it must not make a run depend on what ran before
 it.  Exits 1 at the first difference and 0 when every run passes.  One
 process and one BLAS thread, as in the benchmark.
 """

@@ -9,7 +9,7 @@ parent commit.  slabsm is imported fresh from this checkout's src/ and
 then from OTHER_SRC, and both stay loaded.  On test1 and test2 each tree
 gets the same inputs: a fixed seeded isotropic source (G, N, 2) for
 `sweep.sweep_batch`; that source's swept psi for
-`angular.angular_moments` and, with its moments and the mesh, for
+`angular.angular_moments` and, with its moments, for
 `closure_from_sweep`, taken from `slabsm.driver`, which binds it in
 every tree, the per-outer glue between the sweep and the low-order
 levels; for `losm.grey_xs` that sweep's group moments; for
@@ -20,16 +20,25 @@ group moments; and for `LowOrderSystem.group_pass` and
 group closures.  `driver._si_step` runs one source-iteration outer (the
 scattering source, the sweep and the moments) from the fixed state whose
 group flux is that sweep's phi.  `operators` is one uncached build of
-the problem's low-order operators, `losm._operators.__wrapped__` on the
-bytes of the cell widths, sigma_t and removal, so a change in set-up cost
-shows per call.  The two trees' calls alternate, which
-one goes first alternating from call to call, as the machine's speed
-drifts.  The
-low-order calls reuse closures whose right-side terms were built with
-them, so no timed low-order call builds them; closure_from_sweep's time
-includes building the group closure's terms.  After a few untimed calls
-that fill the per-problem caches, each call is timed alone with
-perf_counter.  Prints the median time of one call per tree and the
+everything the problem's runs reuse, so a change in set-up cost shows
+per call: a new `losm.ProblemOperators` of the problem's data with its
+march coefficients, edge table and low-order operators built.
+
+Each tree is called through its own API.  A tree with
+`losm.problem_operators` sweeps with its operator record's march
+coefficients and passes the record to `closure_from_sweep` and
+`driver._Run`.  An older tree, whose per-problem data sit in caches keyed
+on array bytes, sweeps `sweep_batch(sigma_t, mesh, quad, rhs)`, passes
+the mesh instead, and builds its operators by
+`losm._operators.__wrapped__` and `sweep._march_coefficients.__wrapped__`
+on the same bytes its own calls use.
+
+The two trees' calls alternate, which one goes first alternating from
+call to call, as the machine's speed drifts.  The low-order calls reuse
+closures whose right-side terms were built with them, so no timed
+low-order call builds them; closure_from_sweep's time includes building
+the group closure's terms.  After a few untimed calls that build the
+per-problem data, each call is timed alone with perf_counter.  Prints the median time of one call per tree and the
 relative change from OTHER to this checkout.  One process and one BLAS
 thread, as in the benchmark.
 """
@@ -63,10 +72,37 @@ def calls(slabsm, problem: str) -> dict:
     mesh = slabsm.fields.Mesh.uniform(spec.width, spec.n_cells)
     quad = slabsm.angular.build_double_gauss(spec.n_half)
     rhs = np.random.RandomState(SEED).rand(spec.G, spec.n_cells, 2)
-    psi = sweep.sweep_batch(spec.sigma_t, mesh, quad, rhs)
+    if hasattr(losm, "problem_operators"):
+        # the sweep, the closures and a run read the operator record
+        ops = losm.problem_operators(spec, mesh)
+        context = ops
+
+        def sweep_batch():
+            return sweep.sweep_batch(ops.march, rhs)
+
+        def operators():
+            # in the order of a multilevel run: its LowOrderSystem first
+            fresh = losm.ProblemOperators(ops.sigma_t, ops.removal, ops.dx,
+                                          ops.n_half)
+            return fresh.low_order, fresh.march, fresh.edges
+    else:
+        # a tree from before the record: caches keyed on array bytes
+        context = mesh
+        removal = spec.sigma_t - np.diag(spec.sigma_s)
+        operator_args = [a.tobytes()
+                         for a in (mesh.dx, spec.sigma_t, removal)]
+        march_args = [a.tobytes() for a in (spec.sigma_t, mesh.dx, quad.mu)]
+
+        def sweep_batch():
+            return sweep.sweep_batch(spec.sigma_t, mesh, quad, rhs)
+
+        def operators():
+            return (losm._operators.__wrapped__(*operator_args),
+                    sweep._march_coefficients.__wrapped__(*march_args))
+    psi = sweep_batch()
     moments = slabsm.angular.angular_moments(psi, quad)
     phi, J = moments.phi, moments.J
-    closure_args = (psi, quad, moments, mesh)
+    closure_args = (psi, quad, moments, context)
     closures = closure_from_sweep(*closure_args)
     closure = losm.sum_closures(closures)
     coeffs = losm.grey_xs(phi, J, spec)
@@ -74,13 +110,10 @@ def calls(slabsm, problem: str) -> dict:
     grey_phi, _ = system.solve_grey(coeffs, closure)
     zeta = losm.compute_zeta(grey_phi, phi)
     si_run = driver._Run(spec, driver.IterationConfig(method="si"), quad,
-                         mesh, None)
+                         context, None)
     si_state = driver.TransportState(phi, phi.sum(axis=0))
-    removal = spec.sigma_t - np.diag(spec.sigma_s)
-    operator_args = [a.tobytes() for a in (mesh.dx, spec.sigma_t, removal)]
     return {
-        "sweep_batch": lambda: sweep.sweep_batch(spec.sigma_t, mesh, quad,
-                                                 rhs),
+        "sweep_batch": sweep_batch,
         "angular_moments": lambda: slabsm.angular.angular_moments(psi,
                                                                   quad),
         "closure_from_sweep": lambda: closure_from_sweep(*closure_args),
@@ -91,7 +124,7 @@ def calls(slabsm, problem: str) -> dict:
         "equation_residual": lambda: system.equation_residual(
             phi, J, zeta, closures),
         "si_step": lambda: driver._si_step(si_run, si_state),
-        "operators": lambda: losm._operators.__wrapped__(*operator_args),
+        "operators": operators,
     }
 
 
