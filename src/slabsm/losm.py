@@ -35,6 +35,11 @@ straight from the flat coefficient stack [sbar_a, sbar_t, eta, 0].  Each
 grey solve is one band LU solve (dgbsv); each multigroup pass is one solve
 of one SuperLU factor of all group matrices.  The problem's operator
 record (ProblemOperators) holds all that is built once per problem.
+Only these levels need scipy (the two solves and the sparse residual
+matrix), so it loads where the record first builds its low-order
+operators (ProblemOperators.low_order and _factor), not with this
+module: importing slabsm, the Level-1 sweep and source iteration run on
+numpy alone.
 """
 
 from __future__ import annotations
@@ -43,9 +48,6 @@ import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
-from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.linalg import splu
 
 from .angular import (AngularQuadrature, MomentSet, angular_moments,
                       build_double_gauss)
@@ -95,9 +97,10 @@ def compute_zeta(grey_phi: np.ndarray, phi_groups: np.ndarray) -> np.ndarray:
     return from_nodes(_ratio(to_nodes(grey_phi), den_n, lambda: 1.0))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GreyCoefficients:
-    """Solution-averaged coefficients of the grey low-order system.
+    """Solution-averaged coefficients of the grey low-order system,
+    frozen.
 
     All entries are LD coefficient arrays (n_cells, 2).
     """
@@ -357,6 +360,9 @@ def _factor(data, indices, indptr):
     block is the G group solves bit for bit, and unknown k of group g sits
     at g n + perm_c[k] of its solution.  If the block is singular, the groups
     are factored one at a time to name the first singular one."""
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
     G, n = data.shape[0], indptr.size - 1
 
     def group(g):
@@ -394,12 +400,21 @@ class ProblemOperators:
     coefficients (march), the closures' edge table (edges) and the
     low-order operators (low_order), each built on first use and kept: so
     source iteration factors nothing and a LowOrderSystem builds no march,
-    and a failed build raises again on the next use.  Compared by identity."""
+    and a failed build raises again on the next use.  It keeps read-only
+    float64 copies of sigma_t, removal and dx, so a later write into the
+    caller's arrays cannot change them under the parts built from them.
+    Compared by identity."""
 
     sigma_t: np.ndarray
     removal: np.ndarray
     dx: np.ndarray
     n_half: int
+
+    def __post_init__(self):
+        for name in ("sigma_t", "removal", "dx"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @functools.cached_property
     def march(self):
@@ -412,20 +427,26 @@ class ProblemOperators:
 
     @functools.cached_property
     def low_order(self):
-        """(grey_band, A, lu, unknowns).  grey_band(coefs) gives (kl, ku,
-        ab): the stencil plus the cell mass blocks of the coefficient stack
-        coefs (_mass_gather) in the LAPACK band storage of dgbsv, A[r, c] =
-        ab[kl + ku + r - c, c], with bandwidths kl and ku read from the
-        stencil's support (7 each, fewer for one cell).  It is the one
-        place where a mass meets the stencil: a copy of the band, then one
-        addition stencil + mass per centre-block support entry.  Each group
-        matrix is that band with the group's constant removal / sigma_t
-        block on every cell, read off the support (explicit zeros kept, so
-        every group has one sparsity) in CSC order for SuperLU and in CSR
-        order for A, their block diagonal.  lu is the one SuperLU factor
-        of all of them (_factor), and unknowns (2, N, 2) the position in
-        each group's part of its solution of the LD coefficients of phi
-        (unknowns[0]) and J (unknowns[1])."""
+        """(grey_band, gbsv, A, lu, unknowns).  grey_band(coefs) gives
+        (kl, ku, ab): the stencil plus the cell mass blocks of the
+        coefficient stack coefs (_mass_gather) in the LAPACK band storage
+        of dgbsv, A[r, c] = ab[kl + ku + r - c, c], with bandwidths kl and
+        ku read from the stencil's support (7 each, fewer for one cell).
+        grey_band is the one place where a mass meets the stencil: a copy
+        of the band, then one addition stencil + mass per centre-block
+        support entry.  gbsv is LAPACK's dgbsv, which the grey solve calls
+        on that band.  Each group matrix is that band with the group's
+        constant removal / sigma_t block on every cell, read off the
+        support (explicit zeros kept, so every group has one sparsity) in
+        CSC order for SuperLU and in CSR order for A, their block diagonal.
+        lu is the one SuperLU factor of all of them (_factor), and unknowns
+        (2, N, 2) the position in each group's part of its solution of the
+        LD coefficients of phi (unknowns[0]) and J (unknowns[1]).  scipy is
+        imported here and in _factor, once per problem, so no solve runs an
+        import."""
+        from scipy.linalg.lapack import dgbsv
+        from scipy.sparse import csr_matrix
+
         stencil, support = _stencil_blocks(self.dx)
         i, k, a, b = np.nonzero(support)
         rows, cols = 4 * i + a, 4 * (i + k - 1) + b
@@ -469,7 +490,7 @@ class ProblemOperators:
         for shared in (stencil_band, mass_pos, coef_index, A.data, A.indices,
                        A.indptr, unknowns):
             shared.setflags(write=False)
-        return grey_band, A, lu, unknowns
+        return grey_band, dgbsv, A, lu, unknowns
 
 
 def problem_operators(spec: ProblemSpec, mesh: Mesh) -> ProblemOperators:
@@ -517,7 +538,8 @@ class LowOrderSystem:
         N = mesh.n_cells
         self.Q_fields = np.zeros((spec.G, N, 2))
         self.Q_fields[:, :, 0] = spec.Q[:, None]
-        self._grey_band, self._A, self._lu, self._unknowns = ops.low_order
+        (self._grey_band, self._gbsv, self._A, self._lu,
+         self._unknowns) = ops.low_order
         self.n_group_passes = 0
         self.n_grey_solves = 0
 
@@ -568,8 +590,8 @@ class LowOrderSystem:
         b = _lo_rhs(coeffs.Q, closure.terms)
         if np.isfinite(coefs).all():
             kl, ku, ab = self._grey_band(coefs)
-            _, _, u, info = dgbsv(kl, ku, ab, b, overwrite_ab=1,
-                                  overwrite_b=1)
+            _, _, u, info = self._gbsv(kl, ku, ab, b, overwrite_ab=1,
+                                       overwrite_b=1)
             if info > 0:
                 raise RuntimeError("singular grey low-order system: "
                                    f"dgbsv pivot {info} is exactly zero")

@@ -1,6 +1,11 @@
 import collections
 import copy
 import dataclasses
+import dis
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -550,6 +555,47 @@ def test_record_parts_are_built_on_first_use():
     assert "march" not in vars(system.ops)
     run_problem(spec, IterationConfig(method="mlsm", max_outer=3))
     assert {"march", "edges", "low_order"} <= set(vars(ops))
+
+
+# run in a fresh interpreter: this one has loaded scipy already
+_IMPORT_BOUNDARY = """
+import sys
+from slabsm import cli
+from slabsm.driver import IterationConfig, run_problem
+from slabsm.fields import Mesh
+from slabsm.losm import LowOrderSystem
+from slabsm.problem import builtin_problem
+
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules]
+
+spec = builtin_problem("test2")
+run_problem(spec, IterationConfig(method="si", max_outer=3))
+parser = cli.build_parser()
+for command in ("validate", "analyze", "strength"):
+    args = parser.parse_args([command, "--problem", "test2"])
+    args.func(args)
+print(loaded())
+LowOrderSystem(spec, Mesh.uniform(spec.width, spec.n_cells))
+print(loaded())
+"""
+
+
+def test_only_the_low_order_levels_load_scipy():
+    # importing slabsm, source iteration and the diagnostics commands run
+    # on numpy alone; the first low-order system loads the scipy solvers
+    src = pathlib.Path(driver.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "['scipy.linalg', 'scipy.sparse']"]
+    # and no call on the per-outer path runs an import statement
+    for fn in (driver._si_step, driver._multilevel_step,
+               driver._low_order_levels, driver.sweep_batch,
+               LowOrderSystem.group_pass, LowOrderSystem.equation_residual,
+               LowOrderSystem.solve_grey):
+        assert not any(i.opname == "IMPORT_NAME"
+                       for i in dis.get_instructions(fn)), fn.__name__
 
 
 @pytest.mark.parametrize("method, k, s", [

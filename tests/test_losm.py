@@ -133,6 +133,15 @@ def test_grey_xs_trivials():
     assert np.allclose(coeffs.Q[:, 0], 1.0)
 
 
+def test_grey_coefficients_are_frozen():
+    coeffs = grey_xs(np.ones((1, 2, 2)), np.zeros((1, 2, 2)),
+                     ProblemSpec(1, [2.0], [[1.0]], [1.0], width=1.0,
+                                 n_cells=2, n_half=1))
+    for name in ("sbar_a", "sbar_t", "eta", "Q"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(coeffs, name, np.zeros((2, 2)))
+
+
 def test_grey_xs_arithmetic_example():
     # G=2, phi=(1,3), sigma_a=(0.1,0.5) -> sbar_a = (0.1+1.5)/4 = 0.4
     spec = ProblemSpec(2, [1.0, 1.0], [[0.9, 0.0], [0.0, 0.5]], [1.0, 1.0],
@@ -560,6 +569,26 @@ def test_group_operators_factored_once_per_problem():
     assert (a.n_group_passes, b.n_group_passes) == (1, 0)
 
 
+def test_record_keeps_read_only_copies_of_its_data():
+    # a write into the caller's arrays after the parts are built leaves
+    # the record, and what was built from it, as they were
+    sigma_t, removal = np.array([1.0, 2.0]), np.array([0.7, 1.5])
+    dx = np.full(4, 0.5)
+    ops = ProblemOperators(sigma_t, removal, dx, 2)
+    built = ops.march, ops.edges, ops.low_order
+    kept = [a.copy() for a in (ops.sigma_t, ops.removal, ops.dx)]
+    for a in (sigma_t, removal, dx):
+        a *= 3.0
+    for got, want in zip((ops.sigma_t, ops.removal, ops.dx), kept):
+        assert got.dtype == np.float64 and _same_bits(got, want)
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 1.0
+    assert all(a is b for a, b in zip((ops.march, ops.edges, ops.low_order),
+                                      built))
+    # integer input is stored as float64
+    assert ProblemOperators([1, 2], [1, 1], [1], 1).sigma_t.dtype == float
+
+
 # -- bitwise pins of the closure terms and right sides; the grey solve ----
 
 def _one_shot_rhs(mesh, S, closure):
@@ -896,7 +925,7 @@ def test_group_matrices_are_the_stencil_plus_their_mass(monkeypatch, n, G):
     monkeypatch.setattr(losm, "_factor", record)
     # built anew, not looked up: a record made by another test could be
     # served from the cache
-    _, A, lu, _ = ProblemOperators(sigma_t, removal, dx, 2).low_order
+    _, _, A, lu, _ = ProblemOperators(sigma_t, removal, dx, 2).low_order
     assert len(factored) == G
     expected = group_matrices(dx, sigma_t, removal)
     expected_A = block_diag(expected, format="csr")

@@ -1,8 +1,8 @@
-"""Time one sweep, its moments and closures, the low-order calls of one
-outer and one whole source-iteration outer of this checkout against
-another one.
+"""Time `import slabsm`, one sweep, its moments and closures, the
+low-order calls of one outer and one whole source-iteration outer of this
+checkout against another one.
 
-    python3 tools/time_sweep.py OTHER_SRC [--calls 600]
+    python3 tools/time_sweep.py OTHER_SRC [--calls 600] [--imports 7]
 
 OTHER_SRC is the src/ directory of another checkout, for instance of the
 parent commit.  slabsm is imported fresh from this checkout's src/ and
@@ -22,7 +22,9 @@ scattering source, the sweep and the moments) from the fixed state whose
 group flux is that sweep's phi.  `operators` is one uncached build of
 everything the problem's runs reuse, so a change in set-up cost shows
 per call: a new `losm.ProblemOperators` of the problem's data with its
-march coefficients, edge table and low-order operators built.
+march coefficients, edge table and low-order operators built.  `import`
+is the wall time of `import slabsm` in a fresh interpreter, measured
+inside it, so a change in start-up cost shows as one in a call does.
 
 Each tree is called through its own API.  A tree with
 `losm.problem_operators` sweeps with its operator record's march
@@ -38,15 +40,20 @@ call to call, as the machine's speed drifts.  The low-order calls reuse
 closures whose right-side terms were built with them, so no timed
 low-order call builds them; closure_from_sweep's time includes building
 the group closure's terms.  After a few untimed calls that build the
-per-problem data, each call is timed alone with perf_counter.  Prints the median time of one call per tree and the
-relative change from OTHER to this checkout.  One process and one BLAS
-thread, as in the benchmark.
+per-problem data, each call is timed alone with perf_counter.  The import
+row alternates the trees in the same way over --imports fresh
+interpreters per tree, after one untimed import each that writes the
+bytecode.  Prints the median time of one call per tree and the relative
+change from OTHER to this checkout.  One process (and for the import row
+one child at a time) and one BLAS thread, as in the benchmark.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -58,6 +65,29 @@ from provenance import SRC, pin_blas_threads
 PROBLEMS = ("test1", "test2")
 WARMUP = 5
 SEED = 1
+IMPORT_TIMER = ("import time; t0 = time.perf_counter(); import slabsm; "
+                "print(time.perf_counter() - t0)")
+
+
+def import_seconds(src: Path) -> float:
+    """Wall seconds of `import slabsm` from src in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return float(subprocess.run([sys.executable, "-c", IMPORT_TIMER],
+                                env=env, capture_output=True, text=True,
+                                check=True).stdout)
+
+
+def interleaved_imports(this: Path, other: Path,
+                        n_runs: int) -> tuple[float, float]:
+    """Median import_seconds of `this` and of `other`, alternating which
+    runs first."""
+    for src in (this, other):
+        import_seconds(src)     # untimed: writes the bytecode
+    times = ([], [])
+    for i in range(n_runs):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            times[side].append(import_seconds((this, other)[side]))
+    return statistics.median(times[0]), statistics.median(times[1])
 
 
 def calls(slabsm, problem: str) -> dict:
@@ -149,9 +179,11 @@ def parse_args(argv):
     ap.add_argument("other", type=Path, help="src/ of the other checkout")
     ap.add_argument("--calls", type=int, default=600,
                     help="timed calls per tree, function and problem")
+    ap.add_argument("--imports", type=int, default=7,
+                    help="fresh interpreters per tree for the import row")
     args = ap.parse_args(argv)
-    if args.calls < 1:
-        ap.error("--calls must be at least 1")
+    if args.calls < 1 or args.imports < 1:
+        ap.error("--calls and --imports must be at least 1")
     return args
 
 
@@ -166,15 +198,20 @@ def main(argv) -> int:
         slabsm = import_from(src)
         trees.append({p: calls(slabsm, p) for p in PROBLEMS})
     this, other = trees
-    print(f"median of {args.calls} interleaved calls, in ms")
+    print(f"median of {args.calls} interleaved calls (import: of "
+          f"{args.imports} fresh interpreters), in ms")
     print(f"{'call':18s} {'problem':8s} {'this':>8s} {'other':>8s} "
           f"{'change':>8s}")
+
+    def row(name, problem, t_this, t_other):
+        print(f"{name:18s} {problem:8s} {1e3 * t_this:8.3f} "
+              f"{1e3 * t_other:8.3f} {t_this / t_other - 1.0:+8.1%}")
+
+    row("import", "-", *interleaved_imports(SRC, args.other, args.imports))
     for name in this[PROBLEMS[0]]:
         for p in PROBLEMS:
-            t_this, t_other = interleaved(this[p][name], other[p][name],
-                                          args.calls)
-            print(f"{name:18s} {p:8s} {1e3 * t_this:8.3f} "
-                  f"{1e3 * t_other:8.3f} {t_this / t_other - 1.0:+8.1%}")
+            row(name, p, *interleaved(this[p][name], other[p][name],
+                                      args.calls))
     return 0
 
 
