@@ -586,9 +586,11 @@ def test_only_the_low_order_levels_load_scipy():
     # on numpy alone; the first low-order system loads the scipy solvers
     src = pathlib.Path(driver.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["[]", "['scipy.linalg', 'scipy.sparse']"]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]",
+                                        "['scipy.linalg', 'scipy.sparse']"]
     # and no call on the per-outer path runs an import statement
     for fn in (driver._si_step, driver._multilevel_step,
                driver._low_order_levels, driver.sweep_batch,

@@ -2,7 +2,7 @@
 low-order calls of one outer and one whole source-iteration outer of this
 checkout against another one.
 
-    python3 tools/time_sweep.py OTHER_SRC [--calls 600] [--imports 7]
+    python3 tools/time_sweep.py OTHER_SRC [--calls 600]
 
 OTHER_SRC is the src/ directory of another checkout, for instance of the
 parent commit.  slabsm is imported fresh from this checkout's src/ and
@@ -41,7 +41,7 @@ closures whose right-side terms were built with them, so no timed
 low-order call builds them; closure_from_sweep's time includes building
 the group closure's terms.  After a few untimed calls that build the
 per-problem data, each call is timed alone with perf_counter.  The import
-row alternates the trees in the same way over --imports fresh
+row alternates the trees in the same way over IMPORTS fresh
 interpreters per tree, after one untimed import each that writes the
 bytecode.  Prints the median time of one call per tree and the relative
 change from OTHER to this checkout.  One process (and for the import row
@@ -65,6 +65,7 @@ from provenance import SRC, pin_blas_threads
 PROBLEMS = ("test1", "test2")
 WARMUP = 5
 SEED = 1
+IMPORTS = 7
 IMPORT_TIMER = ("import time; t0 = time.perf_counter(); import slabsm; "
                 "print(time.perf_counter() - t0)")
 
@@ -77,14 +78,13 @@ def import_seconds(src: Path) -> float:
                                 check=True).stdout)
 
 
-def interleaved_imports(this: Path, other: Path,
-                        n_runs: int) -> tuple[float, float]:
+def interleaved_imports(this: Path, other: Path) -> tuple[float, float]:
     """Median import_seconds of `this` and of `other`, alternating which
     runs first."""
     for src in (this, other):
         import_seconds(src)     # untimed: writes the bytecode
     times = ([], [])
-    for i in range(n_runs):
+    for i in range(IMPORTS):
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
             times[side].append(import_seconds((this, other)[side]))
     return statistics.median(times[0]), statistics.median(times[1])
@@ -179,11 +179,9 @@ def parse_args(argv):
     ap.add_argument("other", type=Path, help="src/ of the other checkout")
     ap.add_argument("--calls", type=int, default=600,
                     help="timed calls per tree, function and problem")
-    ap.add_argument("--imports", type=int, default=7,
-                    help="fresh interpreters per tree for the import row")
     args = ap.parse_args(argv)
-    if args.calls < 1 or args.imports < 1:
-        ap.error("--calls and --imports must be at least 1")
+    if args.calls < 1:
+        ap.error("--calls must be at least 1")
     return args
 
 
@@ -199,7 +197,7 @@ def main(argv) -> int:
         trees.append({p: calls(slabsm, p) for p in PROBLEMS})
     this, other = trees
     print(f"median of {args.calls} interleaved calls (import: of "
-          f"{args.imports} fresh interpreters), in ms")
+          f"{IMPORTS} fresh interpreters), in ms")
     print(f"{'call':18s} {'problem':8s} {'this':>8s} {'other':>8s} "
           f"{'change':>8s}")
 
@@ -207,7 +205,7 @@ def main(argv) -> int:
         print(f"{name:18s} {problem:8s} {1e3 * t_this:8.3f} "
               f"{1e3 * t_other:8.3f} {t_this / t_other - 1.0:+8.1%}")
 
-    row("import", "-", *interleaved_imports(SRC, args.other, args.imports))
+    row("import", "-", *interleaved_imports(SRC, args.other))
     for name in this[PROBLEMS[0]]:
         for p in PROBLEMS:
             row(name, p, *interleaved(this[p][name], other[p][name],
