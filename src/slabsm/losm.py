@@ -394,16 +394,19 @@ def _factor(data, indices, indptr):
 
 @dataclass(frozen=True, eq=False)
 class ProblemOperators:
-    """What every run of one problem reuses, read-only (problem_operators):
-    from the cell widths dx (N,), sigma_t (G,), removal sigma_t -
-    sigma_s,g->g (G,) and double Gauss order n_half, the sweep's march
-    coefficients (march), the closures' edge table (edges) and the
-    low-order operators (low_order), each built on first use and kept: so
-    source iteration factors nothing and a LowOrderSystem builds no march,
-    and a failed build raises again on the next use.  It keeps read-only
-    float64 copies of sigma_t, removal and dx, so a later write into the
-    caller's arrays cannot change them under the parts built from them.
-    Compared by identity."""
+    """What every run of one problem reuses (problem_operators): from the
+    cell widths dx (N,), sigma_t (G,), removal sigma_t - sigma_s,g->g (G,)
+    and double Gauss order n_half, the sweep's march coefficients with its
+    scratch frame and per-cell steps (march), the closures' edge table
+    (edges) and the low-order operators (low_order), each built on first
+    use and kept: so source iteration factors nothing and a
+    LowOrderSystem builds no march, and a failed build raises again on the
+    next use.  All of it is read-only but the march's frame, which every
+    sweep fills before it reads it and no psi shares, so runs of one
+    record must not overlap (the package is single-threaded).  It keeps
+    read-only float64 copies of sigma_t, removal and dx, so a later write
+    into the caller's arrays cannot change them under the parts built
+    from them.  Compared by identity."""
 
     sigma_t: np.ndarray
     removal: np.ndarray

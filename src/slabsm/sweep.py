@@ -50,10 +50,13 @@ multiplication commute).
 
 Each call passes its output positionally: out= costs keyword parsing on
 every call, about 5% of a test2 march step (112 lanes) on numpy 2.4.6,
-and the ufuncs are called through local names.  The loop's zip yields the
-per-cell rows of the block and of det, tuples of read-only views made once
-per problem, beside the four views of the frame it makes per cell (u4,
-its rows 0-1, a and s), the only views a step creates.
+and the ufuncs are called through local names.  The frame and the views
+each step reads and writes (u4, its rows 0-1, a and s of the frame; the
+cell's rows of the block and of det) are made once per problem with the
+block (march_coefficients), so a step creates no view: the march loops
+over a tuple of per-cell steps.  The frame is the one writable part of
+the march; every sweep fills all of it before it reads it, so a sweep
+does not depend on the sweeps before it.
 """
 
 from __future__ import annotations
@@ -67,20 +70,28 @@ from .fields import nodal_product
 
 
 def march_coefficients(sigma_t, dx, mu):
-    """(shape, coef_rows, det_rows, m_inc, dx_scale) of the march frame on
-    L = G*M lanes, shape = (G, M, N), for sigma_t (G,), cells of widths dx
-    (N,) and directions mu (M,); a ValueError unless sigma_t is finite and
+    """(shape, frame, steps, m_inc, dx_scale) of the march on L = G*M
+    lanes, shape = (G, M, N), for sigma_t (G,), cells of widths dx (N,)
+    and directions mu (M,); a ValueError unless sigma_t is finite and
     positive, or where sigma_t * dx overflows the cell determinant.
 
     One read-only array block (N, 6, L) holds, for each cell, the
     entries [3m + sd, m + sd, -m, 3m] of K in rows 0-3 and det in rows
     4-5 (det twice, so that the divide reads an operand of its output's
-    shape).  coef_rows and det_rows are tuples of its N per-cell
-    (4, L) and (2, L) row views, so the march's zip reads them without
-    making a view per step.  m_inc is [m, -3m, -3m, m] (4, L), and
-    dx_scale (2, 1, N, 2) holds the factors [dx, -dx] of the mu < 0 half
-    and [dx, dx] of the mu > 0 half per cell and LD coefficient: 48*G*M*N
-    bytes in the block (0.94 MiB for test1), 32*(G*M + N) in the rest."""
+    shape).  frame (N, 4, G, M) is the march's scratch array, the only
+    writable one: every sweep writes rows 0-3 of every cell before it
+    reads them, so nothing carries over from one sweep to the next, psi
+    is read back into a new array that never shares memory with it, and
+    two sweeps of one march must not run at once (the package is
+    single-threaded).  steps is the tuple of the N per-cell steps
+    (u4, u, coef_i, det_i, a, s): the cell's frame rows 0-3 on L lanes,
+    its rows 0-1 and the row views a, s of rows 0 and 1, beside its
+    (4, L) and (2, L) rows of the block, so the march makes no view per
+    step.  m_inc is [m, -3m, -3m, m] (4, L), and dx_scale (2, 1, N, 2)
+    holds the factors [dx, -dx] of the mu < 0 half and [dx, dx] of the
+    mu > 0 half per cell and LD coefficient: 48*G*M*N bytes in the block
+    (0.94 MiB for test1), 32*G*M*N in the frame (0.625 MiB), 32*(G*M + N)
+    in the rest."""
     sigma_t = np.asarray(sigma_t, dtype=float)
     if not np.all(np.isfinite(sigma_t) & (sigma_t > 0)):
         raise ValueError("sweep requires finite sigma_t > 0")
@@ -111,8 +122,11 @@ def march_coefficients(sigma_t, dx, mu):
     m_inc = np.tile(np.stack([m, -m3, -m3, m]), G)
     for a in (block, m_inc, dx_scale):
         a.setflags(write=False)
-    return ((G, M, N), tuple(block[:, :4]), tuple(block[:, 4:]), m_inc,
-            dx_scale)
+    frame = np.empty((N, 4, G, M))
+    lanes = frame.reshape(N, 4, G * M)
+    steps = tuple(zip(lanes, lanes[:, :2], block[:, :4], block[:, 4:],
+                      lanes[:, 0], lanes[:, 1]))
+    return (G, M, N), frame, steps, m_inc, dx_scale
 
 
 def sweep_batch(march, rhs: np.ndarray) -> np.ndarray:
@@ -120,8 +134,10 @@ def sweep_batch(march, rhs: np.ndarray) -> np.ndarray:
     coefficients `march` (march_coefficients), in one pass between vacuum
     boundaries, (G, M, N, 2).  rhs is the source density per unit mu,
     either (G, N, 2) shared across directions or (G, M, N, 2) per
-    direction."""
-    (G, M, N), coef, det, m_inc, dx_scale = march
+    direction.  Fills the march's frame, which it shares with every other
+    sweep of the march, so sweeps of one march run one at a time; the
+    psi returned is a new array."""
+    (G, M, N), frame, steps, m_inc, dx_scale = march
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape == (G, N, 2):
         rhs = rhs[:, None]
@@ -134,19 +150,16 @@ def sweep_batch(march, rhs: np.ndarray) -> np.ndarray:
     # (1 for an isotropic source, whose one column serves both halves)
     k = (rhs.shape[1] + 1) // 2
     src = rhs.reshape(G, -1, k, N, 2) * dx_scale
-    frame = np.empty((N, 4, G, M))
     frame[:, :2, :, :h] = src[:, 0, :, ::-1].transpose(2, 3, 0, 1)
     frame[:, :2, :, h:] = src[:, 1].transpose(2, 3, 0, 1)
     frame[:, 2] = frame[:, 1]
     frame[:, 3] = frame[:, 0]
 
-    lanes = frame.reshape(N, 4, G * M)
     inc = np.zeros(G * M)
     q4 = np.empty((4, G * M))
     diag_q, off_q = q4[:2], q4[2:]
     multiply, add, divide = np.multiply, np.add, np.divide
-    for u4, u, coef_i, det_i, a, s in zip(lanes, lanes[:, :2], coef, det,
-                                          lanes[:, 0], lanes[:, 1]):
+    for u4, u, coef_i, det_i, a, s in steps:
         multiply(m_inc, inc, q4)
         add(u4, q4, q4)
         multiply(coef_i, q4, q4)

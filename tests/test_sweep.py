@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slabsm.angular import angular_moments, build_double_gauss
+from slabsm.driver import IterationConfig, run_problem
 from slabsm.fields import Mesh, const_field, to_nodes
 from slabsm.problem import ProblemSpec, builtin_problem
 from slabsm.losm import (ProblemOperators, closure_from_sweep,
@@ -360,8 +361,9 @@ def _spec(sigma_t=(0.5, 2.0), n_cells=8, n_half=3):
 
 
 def _block(march):
-    """The one array behind the per-cell rows of march coefficients."""
-    return march[1][0].base
+    """The one read-only array behind the coefficient rows of a march's
+    per-cell steps."""
+    return march[2][0][2].base
 
 
 def test_march_coefficients_cached_per_problem():
@@ -370,25 +372,31 @@ def test_march_coefficients_cached_per_problem():
     rhs = np.random.RandomState(3).randn(2, 8, 2)
     first = sweep_batch(ops.march, rhs)
     # a new spec and mesh of the same data get the one record, whose
-    # march is built once and read-only
+    # march is built once and read-only but for its frame
     same = problem_operators(_spec(), Mesh.uniform(4.0, 8))
     assert same is ops and same.march is ops.march
-    shape, coef_rows, det_rows, m_inc, dx_scale = ops.march
+    shape, frame, steps, m_inc, dx_scale = ops.march
     block = _block(ops.march)
     assert shape == (2, 6, 8)
     assert not any(a.flags.writeable for a in (block, m_inc, dx_scale))
-    # one row per cell of each, every one a read-only view of the block
-    assert len(coef_rows) == len(det_rows) == mesh.n_cells
-    for row in coef_rows + det_rows:
-        assert row.base is block
-        assert not row.flags.writeable
+    assert frame.flags.writeable and frame.shape == (8, 4, 2, 6)
+    # one step per cell: read-only views of the block's coefficient and
+    # det rows beside writable views of the frame
+    assert len(steps) == mesh.n_cells
+    for u4, u, coef_i, det_i, a, s in steps:
+        for row in (coef_i, det_i):
+            assert row.base is block
+            assert not row.flags.writeable
+        for view in (u4, u, a, s):
+            assert view.base is frame
     # dx alone (same N), sigma_t alone or n_half alone makes a new record
     others = [(_spec(), Mesh.uniform(5.0, 8)),
               (_spec(sigma_t=(0.5, 2.5)), mesh),
               (_spec(n_half=2), mesh)]
     for other in others:
-        other_block = _block(problem_operators(*other).march)
-        assert other_block is not block
+        other_march = problem_operators(*other).march
+        other_block = _block(other_march)
+        assert other_block is not block and other_march[1] is not frame
         assert not np.array_equal(other_block, block)
     # A, then enough other problems to evict A, then A again
     for n_cells in range(1, 10):
@@ -404,11 +412,12 @@ def test_march_coefficients_cached_per_problem():
 def test_march_coefficients_entry_size():
     # the sizes the march_coefficients docstring quotes: 48*G*M*N bytes in
     # the block (four rows for K and two for det per cell) and
-    # 32*(G*M + N) in m_inc and dx_scale, under 1 MiB for test1
+    # 32*(G*M + N) in m_inc and dx_scale, under 1 MiB for test1, and
+    # 32*G*M*N in the frame (rows 0-3 per cell), 0.625 MiB for test1
     spec = builtin_problem("test1")
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     march = problem_operators(spec, mesh).march
-    shape, coef_rows, det_rows, m_inc, dx_scale = march
+    shape, frame, steps, m_inc, dx_scale = march
     block = _block(march)
     G, M, N = spec.G, 2 * spec.n_half, spec.n_cells
     assert shape == (G, M, N)
@@ -416,8 +425,66 @@ def test_march_coefficients_entry_size():
     assert block.nbytes == 48 * G * M * N
     assert m_inc.nbytes + dx_scale.nbytes == 32 * (G * M + N)
     assert block.nbytes + m_inc.nbytes + dx_scale.nbytes < 2**20
-    # the rows hold no array data of their own
-    assert all(row.base is block for row in coef_rows + det_rows)
+    assert frame.nbytes == 32 * G * M * N == 0.625 * 2**20
+    # the steps hold no array data of their own
+    assert all(view.base is block or view.base is frame
+               for step in steps for view in step)
+
+
+def test_march_frame_carries_nothing_between_sweeps():
+    # the frame is the one writable part of a march, and every sweep of
+    # its record shares it: sweeps of two marches interleaved, with an
+    # isotropic, a per-direction and a +-0.0 source and a rejected NaN
+    # source between them, each give the bits of a sweep on a new march,
+    # and no psi changes when later sweeps of its march run
+    quad = build_double_gauss(3)
+    M = quad.n_angles
+    dx = np.array([0.3, 0.1, 0.45, 0.2, 0.25])
+    sigma_t = np.array([0.5, 2.0, 30.0])
+    G, N = sigma_t.size, dx.size
+    march = march_coefficients(sigma_t, dx, quad.mu)
+    other = march_coefficients([1.5, 0.2], np.full(7, 0.3), quad.mu)
+    block = _block(march)
+    coefficients = block.copy()
+    rng = np.random.RandomState(29)
+    zeros = np.zeros((G, N, 2))
+    zeros[rng.rand(G, N, 2) < 0.5] = -0.0
+    nan = rng.randn(G, N, 2)
+    nan[1, 2, 0] = np.nan
+    swept = []
+    for rhs in (rng.randn(G, N, 2), rng.randn(G, M, N, 2), zeros):
+        psi = sweep_batch(march, rhs)
+        ref = sweep_batch(march_coefficients(sigma_t, dx, quad.mu), rhs)
+        assert np.array_equal(psi, ref)
+        assert np.array_equal(np.signbit(psi), np.signbit(ref))
+        assert not np.shares_memory(psi, march[1])
+        swept.append((psi, psi.copy()))
+        with pytest.raises(ValueError, match="finite"):
+            sweep_batch(march, nan)
+        sweep_batch(other, rng.randn(2, 7, 2))
+    # an earlier psi is not changed by later sweeps of its march
+    for psi, kept in swept:
+        assert np.array_equal(psi, kept)
+        assert np.array_equal(np.signbit(psi), np.signbit(kept))
+    # the steps are views of the frame and of the read-only block
+    for u4, u, coef_i, det_i, a, s in march[2]:
+        assert all(view.base is march[1] for view in (u4, u, a, s))
+        assert coef_i.base is block and det_i.base is block
+    assert not block.flags.writeable
+    assert np.array_equal(block, coefficients)
+    # a run's final TransportState.psi is its own array, not the frame of
+    # the record that every later run of the problem sweeps with
+    spec = _spec()
+    ops = problem_operators(spec, Mesh.uniform(spec.width, spec.n_cells))
+    state = run_problem(spec, IterationConfig(method="si",
+                                              max_outer=3)).state
+    kept = state.psi.copy()
+    assert not np.shares_memory(state.psi, ops.march[1])
+    for _ in range(3):
+        sweep_batch(ops.march, rng.randn(spec.G, spec.n_cells, 2))
+    run_problem(spec, IterationConfig(method="si", max_outer=2))
+    assert np.array_equal(state.psi, kept)
+    assert np.array_equal(np.signbit(state.psi), np.signbit(kept))
 
 
 def _unpacked_sweep(sigma_t, mesh, quad, rhs):

@@ -19,10 +19,15 @@ group moments; and for `LowOrderSystem.group_pass` and
 `LowOrderSystem.equation_residual` the group moments, that zeta and the
 group closures.  `driver._si_step` runs one source-iteration outer (the
 scattering source, the sweep and the moments) from the fixed state whose
-group flux is that sweep's phi.  `operators` is one uncached build of
-everything the problem's runs reuse, so a change in set-up cost shows
-per call: a new `losm.ProblemOperators` of the problem's data with its
-march coefficients, edge table and low-order operators built.  `import`
+group flux is that sweep's phi, and `driver._multilevel_step` one
+`mlsm(1,1)` outer (the sweep, its moments and closures, one group pass
+and one grey solve) from the fixed state whose group flux is that
+sweep's phi and whose grey flux is that solve's, so each row shows a
+Level-1 change's share of a whole outer.  `operators` is one uncached
+build of everything the problem's runs reuse, so a change in set-up cost
+shows per call: a new `losm.ProblemOperators` of the problem's data with
+its low-order operators, march (coefficients, frame and per-cell steps)
+and edge table built.  `import`
 is the wall time of `import slabsm` in a fresh interpreter, measured
 inside it, so a change in start-up cost shows as one in a call does.
 
@@ -142,6 +147,9 @@ def calls(slabsm, problem: str) -> dict:
     si_run = driver._Run(spec, driver.IterationConfig(method="si"), quad,
                          context, None)
     si_state = driver.TransportState(phi, phi.sum(axis=0))
+    ml_run = driver._Run(spec, driver.IterationConfig(method="mlsm"), quad,
+                         context, system)
+    ml_state = driver.TransportState(phi, grey_phi)
     return {
         "sweep_batch": sweep_batch,
         "angular_moments": lambda: slabsm.angular.angular_moments(psi,
@@ -154,6 +162,8 @@ def calls(slabsm, problem: str) -> dict:
         "equation_residual": lambda: system.equation_residual(
             phi, J, zeta, closures),
         "si_step": lambda: driver._si_step(si_run, si_state),
+        "multilevel_step": lambda: driver._multilevel_step(ml_run,
+                                                           ml_state),
         "operators": operators,
     }
 
