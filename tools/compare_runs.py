@@ -48,7 +48,8 @@ first run exactly, in both modes: each problem's operator record
 (losm.problem_operators) outlives a run and is shared by every later run
 of the same data, and it must not make a run depend on what ran before
 it.  The record's one writable array, the sweep's scratch frame, which
-every sweep of the problem writes, is one more reason for the reruns.  Exits 1 at the first difference and 0 when every run passes.  One
+every sweep of the problem writes, is one more reason for the reruns.
+Exits 1 at the first difference and 0 when every run passes.  One
 process and one BLAS thread, as in the benchmark.
 """
 

@@ -1,6 +1,6 @@
 """Time `import slabsm`, one sweep, its moments and closures, the
-low-order calls of one outer and one whole source-iteration outer of this
-checkout against another one.
+low-order calls of one outer and one whole source-iteration and
+multilevel outer of this checkout against another one.
 
     python3 tools/time_sweep.py OTHER_SRC [--calls 600]
 
