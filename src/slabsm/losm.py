@@ -396,8 +396,9 @@ def _factor(data, indices, indptr):
 class ProblemOperators:
     """What every run of one problem reuses (problem_operators): from the
     cell widths dx (N,), sigma_t (G,), removal sigma_t - sigma_s,g->g (G,)
-    and double Gauss order n_half, the sweep's march coefficients with its
-    scratch frame and per-cell steps (march), the closures' edge table
+    and double Gauss order n_half, the sweep's march coefficients (one
+    row per distinct cell, so one row on a uniform mesh, whatever N) with
+    its scratch frame and per-cell steps (march), the closures' edge table
     (edges) and the low-order operators (low_order), each built on first
     use and kept: so source iteration factors nothing and a
     LowOrderSystem builds no march, and a failed build raises again on the
@@ -435,20 +436,20 @@ class ProblemOperators:
         coefficient stack coefs (_mass_gather) in the LAPACK band storage
         of dgbsv, A[r, c] = ab[kl + ku + r - c, c], with bandwidths kl and
         ku read from the stencil's support (7 each, fewer for one cell).
-        grey_band is the one place where a mass meets the stencil: a copy
-        of the band, then one addition stencil + mass per centre-block
-        support entry.  gbsv is LAPACK's dgbsv, which the grey solve calls
-        on that band.  Each group matrix is that band with the group's
-        constant removal / sigma_t block on every cell, read off the
-        support (explicit zeros kept, so every group has one sparsity) in
-        CSC order for SuperLU and in CSR order for A, their block diagonal.
-        lu is the one SuperLU factor of all of them (_factor), and unknowns
-        (2, N, 2) the position in each group's part of its solution of the
-        LD coefficients of phi (unknowns[0]) and J (unknowns[1]).  scipy is
+        grey_band copies the band, then makes one addition stencil + mass
+        per centre-block support entry.  gbsv is LAPACK's dgbsv, which the
+        grey solve calls on that band.  Each group matrix is the stencil on
+        its support (explicit zeros kept, so every group has one sparsity)
+        with the group's constant removal / sigma_t block added on every
+        cell by that same addition, read off once in CSC order for SuperLU;
+        A, their block diagonal, is that read-off in CSR.  lu is the one
+        SuperLU factor of all of them (_factor), and unknowns (2, N, 2) the
+        position in each group's part of its solution of the LD
+        coefficients of phi (unknowns[0]) and J (unknowns[1]).  scipy is
         imported here and in _factor, once per problem, so no solve runs an
         import."""
         from scipy.linalg.lapack import dgbsv
-        from scipy.sparse import csr_matrix
+        from scipy.sparse import csc_matrix
 
         stencil, support = _stencil_blocks(self.dx)
         i, k, a, b = np.nonzero(support)
@@ -458,8 +459,9 @@ class ProblemOperators:
         # flat positions in ab.T, which is (n, 2 kl + ku + 1) and C-ordered,
         # so that ab itself is the Fortran-ordered array dgbsv works in
         band = cols * (2 * kl + ku + 1) + kl + ku + rows - cols
+        entries = stencil[support]
         stencil_band = np.zeros((n, 2 * kl + ku + 1))
-        stencil_band.reshape(-1)[band] = stencil[support]
+        stencil_band.reshape(-1)[band] = entries
         # the centre-block support entries: band and coefficient positions
         centre = k == 1
         mass_pos = band[centre]
@@ -470,26 +472,21 @@ class ProblemOperators:
             abT.reshape(-1)[mass_pos] += coefs[coef_index]
             return kl, ku, abT.T
 
-        # each group's band, with its block on every cell, flat as ab.T
-        bands = []
-        for r, t in zip(self.removal, self.sigma_t):
-            coefs = np.zeros(6 * N + 1)
-            coefs[:2 * N:2], coefs[2 * N:4 * N:2] = r, t
-            bands.append(grey_band(coefs)[2].T.reshape(-1))
-        bands = np.stack(bands)
-
-        def read_off(major, minor):
-            """Every group matrix read off the support sorted by major, then
-            minor index: compressed (data (G, nnz), indices, indptr)."""
-            order = np.lexsort((minor, major))
-            indptr = np.concatenate(
-                ([0], np.cumsum(np.bincount(major, minlength=n))))
-            return bands.take(band[order], axis=1), minor[order], indptr
-
-        lu, perm_c = _factor(*read_off(cols, rows))
+        # each group matrix on the support: the stencil, and on the
+        # centre-block entries the group's removal / sigma_t block, added
+        # as grey_band adds a mass; read off in CSC order
+        coefs = np.zeros((G, 6 * N + 1))
+        coefs[:, :2 * N:2] = self.removal[:, None]
+        coefs[:, 2 * N:4 * N:2] = self.sigma_t[:, None]
+        data = np.tile(entries, (G, 1))
+        data[:, centre] += coefs[:, coef_index]
+        order = np.lexsort((rows, cols))
+        indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(cols, minlength=n))))
+        csc = data.take(order, axis=1), rows[order], indptr
+        lu, perm_c = _factor(*csc)
         unknowns = perm_c.reshape(N, 2, 2).swapaxes(0, 1).copy()
-        A = csr_matrix(_block_diagonal(*read_off(rows, cols)),
-                       shape=(G * n, G * n))
+        A = csc_matrix(_block_diagonal(*csc), shape=(G * n, G * n)).tocsr()
         for shared in (stencil_band, mass_pos, coef_index, A.data, A.indices,
                        A.indptr, unknowns):
             shared.setflags(write=False)

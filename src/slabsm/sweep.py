@@ -34,7 +34,7 @@ each cell in packed form: q = dx*[q_avg, q_slope] + [m, -3m]*psi_in, then
 
 A step makes six ufunc calls.  On the rows [ua, us, us, ua] it forms
 q4 = u4 + [m, -3m, -3m, m]*psi_in = [qa, qs, qs, qa] (two calls), so
-one multiply by the per-cell block [3m + sd, m + sd, -m, 3m] gives
+one multiply by the cell's block row [3m + sd, m + sd, -m, 3m] gives
 diag(K) q in rows 0-1 and the off-diagonal products [-m qs, 3m qa] in
 rows 2-3.  One add of the two row-halves gives K q into rows 0-1 of the
 frame, one divide by det (repeated over both rows) gives [a, s] there,
@@ -50,13 +50,15 @@ multiplication commute).
 
 Each call passes its output positionally: out= costs keyword parsing on
 every call, about 5% of a test2 march step (112 lanes) on numpy 2.4.6,
-and the ufuncs are called through local names.  The frame and the views
-each step reads and writes (u4, its rows 0-1, a and s of the frame; the
-cell's rows of the block and of det) are made once per problem with the
-block (march_coefficients), so a step creates no view: the march loops
-over a tuple of per-cell steps.  The frame is the one writable part of
-the march; every sweep fills all of it before it reads it, so a sweep
-does not depend on the sweeps before it.
+and the ufuncs are called through local names.  The block holds one row
+per distinct cell (pair of widths met by the two halves), so on a
+uniform mesh every step reads the same row, which stays in cache.  The
+frame and the views each step reads and writes (u4, its rows 0-1, a and
+s of the frame; the K and det rows of the block for the cell's widths)
+are made once per problem with the block (march_coefficients), so a step
+creates no view: the march loops over a tuple of per-cell steps.  The
+frame is the one writable part of the march; every sweep fills all of it
+before it reads it, so a sweep does not depend on the sweeps before it.
 """
 
 from __future__ import annotations
@@ -75,23 +77,27 @@ def march_coefficients(sigma_t, dx, mu):
     and directions mu (M,); a ValueError unless sigma_t is finite and
     positive, or where sigma_t * dx overflows the cell determinant.
 
-    One read-only array block (N, 6, L) holds, for each cell, the
-    entries [3m + sd, m + sd, -m, 3m] of K in rows 0-3 and det in rows
-    4-5 (det twice, so that the divide reads an operand of its output's
-    shape).  frame (N, 4, G, M) is the march's scratch array, the only
-    writable one: every sweep writes rows 0-3 of every cell before it
-    reads them, so nothing carries over from one sweep to the next, psi
-    is read back into a new array that never shares memory with it, and
-    two sweeps of one march must not run at once (the package is
-    single-threaded).  steps is the tuple of the N per-cell steps
+    One read-only array block (R, 6, L) holds, for each of the R
+    distinct cells, the entries [3m + sd, m + sd, -m, 3m] of K in rows
+    0-3 and det in rows 4-5 (det twice, so that the divide reads an
+    operand of its output's shape).  A cell of the march is its pair of
+    widths (dx[N-1-i], dx[i]), as step i meets the mirrored slab on the
+    mu < 0 half, so a uniform mesh has R = 1 and no mesh more than N;
+    each row is computed as a row per cell would be, so the march rounds
+    as it would on N rows.  frame (N, 4, G, M) is the march's scratch
+    array, the only writable one: every sweep writes rows 0-3 of every
+    cell before it reads them, so nothing carries over from one sweep to
+    the next, psi is read back into a new array that never shares memory
+    with it, and two sweeps of one march must not run at once (the
+    package is single-threaded).  steps is the tuple of the N per-cell steps
     (u4, u, coef_i, det_i, a, s): the cell's frame rows 0-3 on L lanes,
-    its rows 0-1 and the row views a, s of rows 0 and 1, beside its
-    (4, L) and (2, L) rows of the block, so the march makes no view per
-    step.  m_inc is [m, -3m, -3m, m] (4, L), and dx_scale (2, 1, N, 2)
-    holds the factors [dx, -dx] of the mu < 0 half and [dx, dx] of the
-    mu > 0 half per cell and LD coefficient: 48*G*M*N bytes in the block
-    (0.94 MiB for test1), 32*G*M*N in the frame (0.625 MiB), 32*(G*M + N)
-    in the rest."""
+    its rows 0-1 and the row views a, s of rows 0 and 1, beside the
+    (4, L) and (2, L) rows of its pair's row of the block, so the march
+    makes no view per step.  m_inc is [m, -3m, -3m, m] (4, L), and
+    dx_scale (2, 1, N, 2) holds the factors [dx, -dx] of the mu < 0 half
+    and [dx, dx] of the mu > 0 half per cell and LD coefficient:
+    48*G*M*R bytes in the block (7.5 KiB for test1, whatever its N),
+    32*G*M*N in the frame (0.625 MiB), 32*(G*M + N) in the rest."""
     sigma_t = np.asarray(sigma_t, dtype=float)
     if not np.all(np.isfinite(sigma_t) & (sigma_t > 0)):
         raise ValueError("sweep requires finite sigma_t > 0")
@@ -101,9 +107,13 @@ def march_coefficients(sigma_t, dx, mu):
     # [dx, -dx] for the mu < 0 half, whose slopes the mirror negates
     signs = np.array([[1.0, -1.0], [1.0, 1.0]])
     dx_scale = (signs[:, None, :] * dx[:, None])[:, None]
-    # the mu < 0 half marches the mirrored slab, so meets dx in reverse
-    dx = np.repeat(np.stack([dx[::-1], dx]), M // 2, axis=0)
-    sd_cells = sigma_t[None, :, None] * dx.T[:, None, :]
+    # the mu < 0 half marches the mirrored slab, so step i meets the
+    # widths (dx[N-1-i], dx[i]): one block row per distinct pair
+    pairs, row_of = np.unique(np.stack([dx[::-1], dx], axis=1), axis=0,
+                              return_inverse=True)
+    R = pairs.shape[0]
+    sd_cells = (sigma_t[None, :, None]
+                * np.repeat(pairs, M // 2, axis=1)[:, None, :])
     # the cell solve divides by det = 6 mu^2 + 4 |mu| sd + sd^2; past its
     # overflow every psi would silently come out as 0
     sd_max, mu_max = float(sd_cells.max()), float(m.max())
@@ -111,21 +121,23 @@ def march_coefficients(sigma_t, dx, mu):
                          + sd_max * sd_max):
         raise ValueError(f"sigma_t * dx = {sd_max:.3e} overflows the LD "
                          "cell determinant")
-    block = np.empty((N, 6, G * M))
+    block = np.empty((R, 6, G * M))
     m3 = 3.0 * m
     block[:, :4] = np.stack([m3 + sd_cells, m + sd_cells,
                              np.broadcast_to(-m, sd_cells.shape),
                              np.broadcast_to(m3, sd_cells.shape)],
-                            axis=1).reshape(N, 4, G * M)
+                            axis=1).reshape(R, 4, G * M)
     det = 6.0 * m**2 + 4.0 * m * sd_cells + sd_cells * sd_cells
-    block[:, 4:] = det.reshape(N, 1, G * M)
+    block[:, 4:] = det.reshape(R, 1, G * M)
     m_inc = np.tile(np.stack([m, -m3, -m3, m]), G)
     for a in (block, m_inc, dx_scale):
         a.setflags(write=False)
     frame = np.empty((N, 4, G, M))
     lanes = frame.reshape(N, 4, G * M)
-    steps = tuple(zip(lanes, lanes[:, :2], block[:, :4], block[:, 4:],
-                      lanes[:, 0], lanes[:, 1]))
+    rows = list(zip(block[:, :4], block[:, 4:]))
+    steps = tuple((u4, u, *rows[r], a, s) for u4, u, a, s, r
+                  in zip(lanes, lanes[:, :2], lanes[:, 0], lanes[:, 1],
+                         row_of.reshape(-1)))
     return (G, M, N), frame, steps, m_inc, dx_scale
 
 

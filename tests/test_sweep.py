@@ -410,10 +410,11 @@ def test_march_coefficients_cached_per_problem():
 
 
 def test_march_coefficients_entry_size():
-    # the sizes the march_coefficients docstring quotes: 48*G*M*N bytes in
-    # the block (four rows for K and two for det per cell) and
-    # 32*(G*M + N) in m_inc and dx_scale, under 1 MiB for test1, and
-    # 32*G*M*N in the frame (rows 0-3 per cell), 0.625 MiB for test1
+    # the sizes the march_coefficients docstring quotes: 48*G*M bytes per
+    # distinct cell in the block (four rows for K and two for det), one
+    # row on test1's uniform mesh, and 32*(G*M + N) in m_inc and dx_scale,
+    # under 1 MiB for test1, and 32*G*M*N in the frame (rows 0-3 per
+    # cell), 0.625 MiB for test1
     spec = builtin_problem("test1")
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     march = problem_operators(spec, mesh).march
@@ -421,14 +422,108 @@ def test_march_coefficients_entry_size():
     block = _block(march)
     G, M, N = spec.G, 2 * spec.n_half, spec.n_cells
     assert shape == (G, M, N)
-    assert block.shape == (N, 6, G * M)
-    assert block.nbytes == 48 * G * M * N
+    assert block.shape == (1, 6, G * M)
+    assert block.nbytes == 48 * G * M == 7.5 * 2**10
     assert m_inc.nbytes + dx_scale.nbytes == 32 * (G * M + N)
     assert block.nbytes + m_inc.nbytes + dx_scale.nbytes < 2**20
     assert frame.nbytes == 32 * G * M * N == 0.625 * 2**20
     # the steps hold no array data of their own
     assert all(view.base is block or view.base is frame
                for step in steps for view in step)
+    # the block does not grow with the number of uniform cells
+    fine = march_coefficients(spec.sigma_t, np.full(1024, spec.width / 1024),
+                              build_double_gauss(spec.n_half).mu)
+    assert _block(fine).nbytes == 48 * G * M
+
+
+def _same_bits(a, b):
+    """Equal values and equal sign bits (array_equal takes -0.0 for
+    +0.0)."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _per_cell_march(sigma_t, dx, mu):
+    """march_coefficients(sigma_t, dx, mu) with its steps reading a block
+    of one row per cell, built cell by cell as the module docstring
+    writes K and det: the reference the distinct-row block is held to."""
+    shape, frame, steps, m_inc, dx_scale = march_coefficients(sigma_t, dx,
+                                                              mu)
+    G, M, N = shape
+    m = np.abs(mu)
+    widths = np.where(mu < 0, dx[::-1, None], dx[:, None])
+    block = np.empty((N, 6, G, M))
+    for i in range(N):
+        sd = sigma_t[:, None] * widths[i]
+        det = 6.0 * m**2 + 4.0 * m * sd + sd * sd
+        block[i] = [3.0 * m + sd, m + sd, np.broadcast_to(-m, sd.shape),
+                    np.broadcast_to(3.0 * m, sd.shape), det, det]
+    block = block.reshape(N, 6, G * M)
+    steps = tuple((u4, u, coef_i, det_i, a, s) for (u4, u, _, _, a, s),
+                  coef_i, det_i in zip(steps, block[:, :4], block[:, 4:]))
+    return (shape, frame, steps, m_inc, dx_scale), block
+
+
+@pytest.mark.parametrize("problem", ["test1", "test2"])
+def test_builtin_march_has_one_coefficient_row(problem):
+    # every cell of the uniform mesh has the same widths, so every step
+    # reads its coefficients from the one row of the block
+    spec = builtin_problem(problem)
+    march = problem_operators(
+        spec, Mesh.uniform(spec.width, spec.n_cells)).march
+    block = _block(march)
+    assert block.shape == (1, 6, spec.G * 2 * spec.n_half)
+    for _, _, coef_i, det_i, _, _ in march[2]:
+        assert coef_i.base is block and det_i.base is block
+        assert np.shares_memory(coef_i, block[0, :4])
+        assert np.shares_memory(det_i, block[0, 4:])
+        assert coef_i.shape == block[0, :4].shape
+        assert det_i.shape == block[0, 4:].shape
+
+
+def _meshes():
+    """Cell widths: uniform, random, mirror-symmetric, repeating and a
+    single cell, with the number of distinct (dx[N-1-i], dx[i]) pairs."""
+    rng = np.random.RandomState(30)
+    yield np.full(6, 0.25), 1
+    yield rng.rand(9) + 0.05, 9
+    half = rng.rand(4) + 0.05
+    yield np.concatenate((half, [0.7], half[::-1])), 5
+    yield np.tile([0.2, 0.45], 3), 2
+    yield np.array([0.3]), 1
+
+
+@pytest.mark.parametrize("dx, rows", list(_meshes()))
+def test_march_has_one_row_per_distinct_cell(dx, rows):
+    # the block holds one row per distinct pair of widths that step i
+    # meets, (dx[N-1-i], dx[i]), and each step's rows are views of its
+    # pair's row, bit for bit the rows of a block of one row per cell;
+    # a sweep on it gives psi bit for bit, signed zeros included, as the
+    # one-row-per-cell march does, for isotropic, per-direction and
+    # +-0.0 sources
+    quad = build_double_gauss(3)
+    sigma_t = np.array([0.5, 2.0, 30.0])
+    G, M, N = sigma_t.size, quad.n_angles, dx.size
+    march = march_coefficients(sigma_t, dx, quad.mu)
+    block = _block(march)
+    reference, per_cell = _per_cell_march(sigma_t, dx, quad.mu)
+    assert block.shape == (rows, 6, G * M)
+    used = set()
+    for i, (_, _, coef_i, det_i, _, _) in enumerate(march[2]):
+        r = next(r for r in range(rows)
+                 if np.shares_memory(coef_i, block[r]))
+        used.add(r)
+        assert coef_i.base is block and det_i.base is block
+        assert np.shares_memory(det_i, block[r, 4:])
+        assert _same_bits(coef_i, per_cell[i, :4])
+        assert _same_bits(det_i, per_cell[i, 4:])
+    assert used == set(range(rows))
+    rng = np.random.RandomState(N)
+    zeros = np.zeros((G, M, N, 2))
+    zeros[rng.rand(G, M, N, 2) < 0.5] = -0.0
+    for rhs in (rng.randn(G, N, 2), rng.randn(G, M, N, 2), zeros):
+        psi = sweep_batch(march, rhs)
+        assert _same_bits(psi, sweep_batch(reference, rhs))
 
 
 def test_march_frame_carries_nothing_between_sweeps():

@@ -31,14 +31,9 @@ and edge table built.  `import`
 is the wall time of `import slabsm` in a fresh interpreter, measured
 inside it, so a change in start-up cost shows as one in a call does.
 
-Each tree is called through its own API.  A tree with
-`losm.problem_operators` sweeps with its operator record's march
-coefficients and passes the record to `closure_from_sweep` and
-`driver._Run`.  An older tree, whose per-problem data sit in caches keyed
-on array bytes, sweeps `sweep_batch(sigma_t, mesh, quad, rhs)`, passes
-the mesh instead, and builds its operators by
-`losm._operators.__wrapped__` and `sweep._march_coefficients.__wrapped__`
-on the same bytes its own calls use.
+Each tree sweeps with its operator record's march coefficients
+(`losm.problem_operators`) and passes the record to `closure_from_sweep`
+and `driver._Run`.
 
 The two trees' calls alternate, which one goes first alternating from
 call to call, as the machine's speed drifts.  The low-order calls reuse
@@ -107,37 +102,22 @@ def calls(slabsm, problem: str) -> dict:
     mesh = slabsm.fields.Mesh.uniform(spec.width, spec.n_cells)
     quad = slabsm.angular.build_double_gauss(spec.n_half)
     rhs = np.random.RandomState(SEED).rand(spec.G, spec.n_cells, 2)
-    if hasattr(losm, "problem_operators"):
-        # the sweep, the closures and a run read the operator record
-        ops = losm.problem_operators(spec, mesh)
-        context = ops
+    # the sweep, the closures and a run read the operator record
+    ops = losm.problem_operators(spec, mesh)
 
-        def sweep_batch():
-            return sweep.sweep_batch(ops.march, rhs)
+    def sweep_batch():
+        return sweep.sweep_batch(ops.march, rhs)
 
-        def operators():
-            # in the order of a multilevel run: its LowOrderSystem first
-            fresh = losm.ProblemOperators(ops.sigma_t, ops.removal, ops.dx,
-                                          ops.n_half)
-            return fresh.low_order, fresh.march, fresh.edges
-    else:
-        # a tree from before the record: caches keyed on array bytes
-        context = mesh
-        removal = spec.sigma_t - np.diag(spec.sigma_s)
-        operator_args = [a.tobytes()
-                         for a in (mesh.dx, spec.sigma_t, removal)]
-        march_args = [a.tobytes() for a in (spec.sigma_t, mesh.dx, quad.mu)]
+    def operators():
+        # in the order of a multilevel run: its LowOrderSystem first
+        fresh = losm.ProblemOperators(ops.sigma_t, ops.removal, ops.dx,
+                                      ops.n_half)
+        return fresh.low_order, fresh.march, fresh.edges
 
-        def sweep_batch():
-            return sweep.sweep_batch(spec.sigma_t, mesh, quad, rhs)
-
-        def operators():
-            return (losm._operators.__wrapped__(*operator_args),
-                    sweep._march_coefficients.__wrapped__(*march_args))
     psi = sweep_batch()
     moments = slabsm.angular.angular_moments(psi, quad)
     phi, J = moments.phi, moments.J
-    closure_args = (psi, quad, moments, context)
+    closure_args = (psi, quad, moments, ops)
     closures = closure_from_sweep(*closure_args)
     closure = losm.sum_closures(closures)
     coeffs = losm.grey_xs(phi, J, spec)
@@ -145,10 +125,10 @@ def calls(slabsm, problem: str) -> dict:
     grey_phi, _ = system.solve_grey(coeffs, closure)
     zeta = losm.compute_zeta(grey_phi, phi)
     si_run = driver._Run(spec, driver.IterationConfig(method="si"), quad,
-                         context, None)
+                         ops, None)
     si_state = driver.TransportState(phi, phi.sum(axis=0))
     ml_run = driver._Run(spec, driver.IterationConfig(method="mlsm"), quad,
-                         context, system)
+                         ops, system)
     ml_state = driver.TransportState(phi, grey_phi)
     return {
         "sweep_batch": sweep_batch,
