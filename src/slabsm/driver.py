@@ -76,10 +76,8 @@ class IterationConfig:
             raise ValueError(f"unknown method {self.method!r}; "
                              f"expected one of {METHODS}")
         for name in ("k_max", "s_max", "max_outer"):
-            count = whole_count(getattr(self, name), name, ValueError)
-            if count < 1:
-                raise ValueError(f"{name} must be >= 1")
-            object.__setattr__(self, name, count)
+            object.__setattr__(self, name, whole_count(
+                getattr(self, name), name, ValueError))
         # True would run as a tolerance of 1; inf would stop after one
         # outer as converged, NaN never
         eps = self.epsilon

@@ -402,12 +402,13 @@ class ProblemOperators:
     (edges) and the low-order operators (low_order), each built on first
     use and kept: so source iteration factors nothing and a
     LowOrderSystem builds no march, and a failed build raises again on the
-    next use.  All of it is read-only but the march's frame, which every
-    sweep fills before it reads it and no psi shares, so runs of one
-    record must not overlap (the package is single-threaded).  It keeps
-    read-only float64 copies of sigma_t, removal and dx, so a later write
-    into the caller's arrays cannot change them under the parts built
-    from them.  Compared by identity."""
+    next use.  Every run of the same data shares the record: it is
+    read-only but for the march's frame, and sweeps of one record take
+    turns on the march's lock (sweep_batch), so runs may overlap in
+    threads and give their serial answers.  It keeps read-only float64
+    copies of sigma_t, removal and dx, so a later write into the caller's
+    arrays cannot change them under the parts built from them.  Compared
+    by identity."""
 
     sigma_t: np.ndarray
     removal: np.ndarray
@@ -447,7 +448,14 @@ class ProblemOperators:
         position in each group's part of its solution of the LD
         coefficients of phi (unknowns[0]) and J (unknowns[1]).  scipy is
         imported here and in _factor, once per problem, so no solve runs an
-        import."""
+        import.  If any removal is not positive, a ValueError names the
+        group of the least one, before anything is built."""
+        removal = self.removal
+        if np.any(removal <= 0):
+            g = int(np.argmin(removal))
+            raise ValueError(
+                f"group {g + 1} has sigma_t - sigma_s,g->g = {removal[g]:.3e};"
+                " the group low-order system requires it positive")
         from scipy.linalg.lapack import dgbsv
         from scipy.sparse import csc_matrix
 
@@ -527,12 +535,6 @@ class LowOrderSystem:
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):
         self.ops = ops = problem_operators(spec, mesh)
-        removal = ops.removal
-        if np.any(removal <= 0):
-            g = int(np.argmin(removal))
-            raise ValueError(
-                f"group {g + 1} has sigma_t - sigma_s,g->g = {removal[g]:.3e};"
-                " the group low-order system requires it positive")
         self.coupling = spec.sigma_s.copy()
         np.fill_diagonal(self.coupling, 0.0)
         N = mesh.n_cells

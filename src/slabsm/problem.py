@@ -57,8 +57,6 @@ class ProblemSpec:
             object.__setattr__(self, field, a)
         object.__setattr__(self, "width", float(self.width))
         G, sigma_t, sigma_s, Q = self.G, self.sigma_t, self.sigma_s, self.Q
-        if G < 1:
-            raise ProblemError("group count must be >= 1")
         if sigma_t.shape != (G,):
             raise ProblemError(
                 f"sigma_t must have {G} entries, got {sigma_t.shape}")
@@ -75,10 +73,6 @@ class ProblemSpec:
             raise ProblemError("negative external source")
         if self.width <= 0:
             raise ProblemError("slab width must be positive")
-        if self.n_cells < 1:
-            raise ProblemError("cell count must be >= 1")
-        if self.n_half < 1:
-            raise ProblemError("quad_half_order must be >= 1")
         c = self.scattering_ratio()
         if np.any(c > 1.0 + C_UPPER_SLACK):
             g = int(np.argmax(c))
@@ -96,12 +90,14 @@ class ProblemSpec:
 
 
 def whole_count(value, what: str, error=ProblemError) -> int:
-    """A whole-number count as an int; booleans, strings and fractions
-    raise `error`, they are not truncated."""
+    """A whole-number count >= 1 as an int; a boolean, a string, a
+    fraction (not truncated) or a count below 1 raises `error`."""
     if isinstance(value, bool) or not (
             isinstance(value, numbers.Integral)
             or isinstance(value, float) and value.is_integer()):
         raise error(f"{what} must be a whole number, got {value!r}")
+    if value < 1:
+        raise error(f"{what} must be >= 1")
     return int(value)
 
 

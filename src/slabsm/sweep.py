@@ -58,12 +58,14 @@ s of the frame; the K and det rows of the block for the cell's widths)
 are made once per problem with the block (march_coefficients), so a step
 creates no view: the march loops over a tuple of per-cell steps.  The
 frame is the one writable part of the march; every sweep fills all of it
-before it reads it, so a sweep does not depend on the sweeps before it.
+before it reads it, so a sweep does not depend on the sweeps before it,
+and sweeps of one march take turns on its lock.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -72,7 +74,7 @@ from .fields import nodal_product
 
 
 def march_coefficients(sigma_t, dx, mu):
-    """(shape, frame, steps, m_inc, dx_scale) of the march on L = G*M
+    """(shape, frame, steps, m_inc, dx_scale, lock) of the march on L = G*M
     lanes, shape = (G, M, N), for sigma_t (G,), cells of widths dx (N,)
     and directions mu (M,); a ValueError unless sigma_t is finite and
     positive, or where sigma_t * dx overflows the cell determinant.
@@ -85,19 +87,17 @@ def march_coefficients(sigma_t, dx, mu):
     mu < 0 half, so a uniform mesh has R = 1 and no mesh more than N;
     each row is computed as a row per cell would be, so the march rounds
     as it would on N rows.  frame (N, 4, G, M) is the march's scratch
-    array, the only writable one: every sweep writes rows 0-3 of every
-    cell before it reads them, so nothing carries over from one sweep to
-    the next, psi is read back into a new array that never shares memory
-    with it, and two sweeps of one march must not run at once (the
-    package is single-threaded).  steps is the tuple of the N per-cell steps
-    (u4, u, coef_i, det_i, a, s): the cell's frame rows 0-3 on L lanes,
-    its rows 0-1 and the row views a, s of rows 0 and 1, beside the
-    (4, L) and (2, L) rows of its pair's row of the block, so the march
-    makes no view per step.  m_inc is [m, -3m, -3m, m] (4, L), and
-    dx_scale (2, 1, N, 2) holds the factors [dx, -dx] of the mu < 0 half
-    and [dx, dx] of the mu > 0 half per cell and LD coefficient:
-    48*G*M*R bytes in the block (7.5 KiB for test1, whatever its N),
-    32*G*M*N in the frame (0.625 MiB), 32*(G*M + N) in the rest."""
+    array, the only writable one, and lock the lock that its sweeps take
+    turns on (the sharing contract is ProblemOperators').  steps is the
+    tuple of the N per-cell steps (u4, u, coef_i, det_i, a, s): the
+    cell's frame rows 0-3 on L lanes, its rows 0-1 and the row views a, s
+    of rows 0 and 1, beside the (4, L) and (2, L) rows of its pair's row
+    of the block, so the march makes no view per step.  m_inc is
+    [m, -3m, -3m, m] (4, L), and dx_scale (2, 1, N, 2) holds the factors
+    [dx, -dx] of the mu < 0 half and [dx, dx] of the mu > 0 half per cell
+    and LD coefficient: 48*G*M*R bytes in the block (7.5 KiB for test1,
+    whatever its N), 32*G*M*N in the frame (0.625 MiB), 32*(G*M + N) in
+    the rest."""
     sigma_t = np.asarray(sigma_t, dtype=float)
     if not np.all(np.isfinite(sigma_t) & (sigma_t > 0)):
         raise ValueError("sweep requires finite sigma_t > 0")
@@ -138,7 +138,7 @@ def march_coefficients(sigma_t, dx, mu):
     steps = tuple((u4, u, *rows[r], a, s) for u4, u, a, s, r
                   in zip(lanes, lanes[:, :2], lanes[:, 0], lanes[:, 1],
                          row_of.reshape(-1)))
-    return (G, M, N), frame, steps, m_inc, dx_scale
+    return (G, M, N), frame, steps, m_inc, dx_scale, threading.Lock()
 
 
 def sweep_batch(march, rhs: np.ndarray) -> np.ndarray:
@@ -146,10 +146,9 @@ def sweep_batch(march, rhs: np.ndarray) -> np.ndarray:
     coefficients `march` (march_coefficients), in one pass between vacuum
     boundaries, (G, M, N, 2).  rhs is the source density per unit mu,
     either (G, N, 2) shared across directions or (G, M, N, 2) per
-    direction.  Fills the march's frame, which it shares with every other
-    sweep of the march, so sweeps of one march run one at a time; the
-    psi returned is a new array."""
-    (G, M, N), frame, steps, m_inc, dx_scale = march
+    direction.  Holds the march's lock while it fills and reads its frame
+    (ProblemOperators); the psi returned is a new array."""
+    (G, M, N), frame, steps, m_inc, dx_scale, lock = march
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape == (G, N, 2):
         rhs = rhs[:, None]
@@ -162,31 +161,32 @@ def sweep_batch(march, rhs: np.ndarray) -> np.ndarray:
     # (1 for an isotropic source, whose one column serves both halves)
     k = (rhs.shape[1] + 1) // 2
     src = rhs.reshape(G, -1, k, N, 2) * dx_scale
-    frame[:, :2, :, :h] = src[:, 0, :, ::-1].transpose(2, 3, 0, 1)
-    frame[:, :2, :, h:] = src[:, 1].transpose(2, 3, 0, 1)
-    frame[:, 2] = frame[:, 1]
-    frame[:, 3] = frame[:, 0]
+    with lock:
+        frame[:, :2, :, :h] = src[:, 0, :, ::-1].transpose(2, 3, 0, 1)
+        frame[:, :2, :, h:] = src[:, 1].transpose(2, 3, 0, 1)
+        frame[:, 2] = frame[:, 1]
+        frame[:, 3] = frame[:, 0]
 
-    inc = np.zeros(G * M)
-    q4 = np.empty((4, G * M))
-    diag_q, off_q = q4[:2], q4[2:]
-    multiply, add, divide = np.multiply, np.add, np.divide
-    for u4, u, coef_i, det_i, a, s in steps:
-        multiply(m_inc, inc, q4)
-        add(u4, q4, q4)
-        multiply(coef_i, q4, q4)
-        add(diag_q, off_q, u)
-        divide(u, det_i, u)
-        add(a, s, inc)
-    psi = np.empty((G, M, N, 2))
-    for c in (0, 1):
-        psi[:, h:, :, c] = frame[:, c, :, h:].transpose(1, 2, 0)
-    psi[:, :h, :, 0] = frame[::-1, 0, :, :h].transpose(1, 2, 0)
-    # negated by a multiply, not np.negative: on numpy 2.4.6 np.negative
-    # writes wrong values into a strided out= from some reversed,
-    # transposed views with a size-1 axis, the kind read here
-    np.multiply(frame[::-1, 1, :, :h].transpose(1, 2, 0), -1.0,
-                out=psi[:, :h, :, 1])
+        inc = np.zeros(G * M)
+        q4 = np.empty((4, G * M))
+        diag_q, off_q = q4[:2], q4[2:]
+        multiply, add, divide = np.multiply, np.add, np.divide
+        for u4, u, coef_i, det_i, a, s in steps:
+            multiply(m_inc, inc, q4)
+            add(u4, q4, q4)
+            multiply(coef_i, q4, q4)
+            add(diag_q, off_q, u)
+            divide(u, det_i, u)
+            add(a, s, inc)
+        psi = np.empty((G, M, N, 2))
+        for c in (0, 1):
+            psi[:, h:, :, c] = frame[:, c, :, h:].transpose(1, 2, 0)
+        psi[:, :h, :, 0] = frame[::-1, 0, :, :h].transpose(1, 2, 0)
+        # negated by a multiply, not np.negative: on numpy 2.4.6 np.negative
+        # writes wrong values into a strided out= from some reversed,
+        # transposed views with a size-1 axis, the kind read here
+        np.multiply(frame[::-1, 1, :, :h].transpose(1, 2, 0), -1.0,
+                    out=psi[:, :h, :, 1])
     return psi
 
 

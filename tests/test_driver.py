@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import copy
 import dataclasses
 import dis
@@ -6,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -309,15 +311,17 @@ def test_invalid_config_values():
     ("epsilon", float("inf")), ("epsilon", float("nan")), ("k_max", 1.5),
     ("s_max", 2.5), ("max_outer", 2.5), ("k_max", True),
     ("max_outer", True), ("s_max", "2"), ("epsilon", True),
-    ("epsilon", "1e-9"), ("epsilon", None),
+    ("epsilon", "1e-9"), ("epsilon", None), ("k_max", 0), ("k_max", -1),
+    ("s_max", 0), ("s_max", -1), ("max_outer", 0), ("max_outer", -1),
 ])
 def test_config_rejects_non_finite_epsilon_and_fractional_counts(field,
                                                                  value):
     # epsilon=inf stopped after one outer as converged and NaN ran every
     # outer; fractional counts failed later inside range(), True ran as 1
     # (as a count and as epsilon), a string or None epsilon raised
-    # TypeError
-    with pytest.raises(ValueError, match=field):
+    # TypeError; a count below 1 is named with its bound
+    match = f"{field} must be >= 1" if value in (0, -1) else field
+    with pytest.raises(ValueError, match=match):
         IterationConfig(**{field: value})
 
 
@@ -540,6 +544,36 @@ def test_a_run_does_not_depend_on_what_ran_before():
     ops = problem_operators(spec, Mesh.uniform(spec.width, spec.n_cells))
     assert first.state.closures.dx is ops.dx
     assert again.state.closures.dx is ops.dx
+
+
+def test_overlapping_runs_give_their_serial_answers():
+    # runs of one problem share its operator record and so the march's
+    # scratch frame; two threads that run test2 in pairs, switching often
+    # enough that their sweeps interleave, each get a serial run's bits
+    spec = builtin_problem("test2")
+    configs = (IterationConfig(method="si", max_outer=60),
+               IterationConfig(method="mlsm"),
+               IterationConfig(method="mlsm-aa1", k_max=1, s_max=2))
+    serial = [run_problem(spec, cfg) for cfg in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            for _ in range(3):
+                for cfg, ref in zip(configs, serial):
+                    start = threading.Barrier(2, timeout=60)
+
+                    def run(_):
+                        start.wait()
+                        return run_problem(spec, cfg)
+
+                    for report in pool.map(run, range(2)):
+                        assert report.N_t == ref.N_t
+                        assert report.status == ref.status
+                        assert report.residual_history == ref.residual_history
+                        assert _same_bits(report.state, ref.state)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_record_parts_are_built_on_first_use():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,20 @@ def test_removal_must_be_positive():
         spec = ProblemSpec(1, [1.0], [[1.0]], [1.0], width=1.0, n_cells=2,
                            n_half=1)
         LowOrderSystem(spec, Mesh.uniform(1.0, 2))
+
+
+@pytest.mark.parametrize("removal, shown", [([1.0, -0.5], "-5.000e-01"),
+                                             ([1.0, 0.0], "0.000e+00")])
+def test_record_rejects_nonpositive_removal(removal, shown):
+    # the record checks its removal before it builds any low-order
+    # operator, however it is made, and raises again on the next access
+    ops = ProblemOperators([1.0, 2.0], removal, np.full(4, 0.25), 2)
+    message = (f"group 2 has sigma_t - sigma_s,g->g = {shown}; the group "
+               "low-order system requires it positive")
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ops.low_order
+    assert "low_order" not in vars(ops)
 
 
 # -- the per-cell equations on a nonuniform mesh --------------------------------

@@ -162,6 +162,12 @@ def test_replace_rechecks_the_spec():
     ({"width": -2.0}, "slab width must be positive"),
     ({"cells": 0}, "cell count must be >= 1"),
     ({"quad_half_order": 0}, "quad_half_order must be >= 1"),
+    ({"groups": -1}, "group count must be >= 1"),
+    ({"cells": -1}, "cell count must be >= 1"),
+    ({"quad_half_order": -1}, "quad_half_order must be >= 1"),
+    # a count below 1 fails before any array or width check
+    ({"groups": 0}, "group count must be >= 1"),
+    ({"cells": 0, "width": 0.0}, "cell count must be >= 1"),
 ])
 def test_invalid_spec_rejected(changes, match):
     with pytest.raises(ProblemError, match=match):

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -372,11 +374,14 @@ def test_march_coefficients_cached_per_problem():
     rhs = np.random.RandomState(3).randn(2, 8, 2)
     first = sweep_batch(ops.march, rhs)
     # a new spec and mesh of the same data get the one record, whose
-    # march is built once and read-only but for its frame
+    # march is built once and read-only but for its frame, and whose
+    # runs share one lock
     same = problem_operators(_spec(), Mesh.uniform(4.0, 8))
     assert same is ops and same.march is ops.march
-    shape, frame, steps, m_inc, dx_scale = ops.march
+    shape, frame, steps, m_inc, dx_scale, lock = ops.march
     block = _block(ops.march)
+    assert same.march[5] is lock
+    assert type(lock) is type(threading.Lock()) and not lock.locked()
     assert shape == (2, 6, 8)
     assert not any(a.flags.writeable for a in (block, m_inc, dx_scale))
     assert frame.flags.writeable and frame.shape == (8, 4, 2, 6)
@@ -397,6 +402,7 @@ def test_march_coefficients_cached_per_problem():
         other_march = problem_operators(*other).march
         other_block = _block(other_march)
         assert other_block is not block and other_march[1] is not frame
+        assert other_march[5] is not lock
         assert not np.array_equal(other_block, block)
     # A, then enough other problems to evict A, then A again
     for n_cells in range(1, 10):
@@ -418,7 +424,7 @@ def test_march_coefficients_entry_size():
     spec = builtin_problem("test1")
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     march = problem_operators(spec, mesh).march
-    shape, frame, steps, m_inc, dx_scale = march
+    shape, frame, steps, m_inc, dx_scale, _ = march
     block = _block(march)
     G, M, N = spec.G, 2 * spec.n_half, spec.n_cells
     assert shape == (G, M, N)
@@ -447,8 +453,8 @@ def _per_cell_march(sigma_t, dx, mu):
     """march_coefficients(sigma_t, dx, mu) with its steps reading a block
     of one row per cell, built cell by cell as the module docstring
     writes K and det: the reference the distinct-row block is held to."""
-    shape, frame, steps, m_inc, dx_scale = march_coefficients(sigma_t, dx,
-                                                              mu)
+    shape, frame, steps, m_inc, dx_scale, lock = march_coefficients(
+        sigma_t, dx, mu)
     G, M, N = shape
     m = np.abs(mu)
     widths = np.where(mu < 0, dx[::-1, None], dx[:, None])
@@ -461,7 +467,7 @@ def _per_cell_march(sigma_t, dx, mu):
     block = block.reshape(N, 6, G * M)
     steps = tuple((u4, u, coef_i, det_i, a, s) for (u4, u, _, _, a, s),
                   coef_i, det_i in zip(steps, block[:, :4], block[:, 4:]))
-    return (shape, frame, steps, m_inc, dx_scale), block
+    return (shape, frame, steps, m_inc, dx_scale, lock), block
 
 
 @pytest.mark.parametrize("problem", ["test1", "test2"])
