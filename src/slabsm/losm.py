@@ -38,8 +38,8 @@ record (ProblemOperators) holds all that is built once per problem.
 Only these levels need scipy (the two solves and the sparse residual
 matrix), so it loads where the record first builds its low-order
 operators (ProblemOperators.low_order and _factor), not with this
-module: importing slabsm, the Level-1 sweep and source iteration run on
-numpy alone.
+module: importing slabsm, the Level-1 sweep (numpy and its compiled
+march) and source iteration need no scipy.
 """
 
 from __future__ import annotations
@@ -398,14 +398,14 @@ class ProblemOperators:
     cell widths dx (N,), sigma_t (G,), removal sigma_t - sigma_s,g->g (G,)
     and double Gauss order n_half, the sweep's march coefficients (one
     row per distinct cell, so one row on a uniform mesh, whatever N) with
-    its scratch frame and per-cell steps (march), the closures' edge table
+    the compiled march that reads them (march), the closures' edge table
     (edges) and the low-order operators (low_order), each built on first
     use and kept: so source iteration factors nothing and a
     LowOrderSystem builds no march, and a failed build raises again on the
-    next use.  Every run of the same data shares the record: it is
-    read-only but for the march's frame, and sweeps of one record take
-    turns on the march's lock (sweep_batch), so runs may overlap in
-    threads and give their serial answers.  It keeps read-only float64
+    next use.  Every run of the same data shares the record, and the
+    record is read-only: no sweep or solve writes into it, so it needs no
+    lock, and runs may overlap in threads and give their serial answers.
+    It keeps read-only float64
     copies of sigma_t, removal and dx, so a later write into the caller's
     arrays cannot change them under the parts built from them.  Compared
     by identity."""

@@ -16,101 +16,84 @@ direction of every group runs in one march of N steps, with the same
 results.  The mu < 0 directions are the first half (AngularQuadrature
 enforces that layout), so the mirror acts on a slice.
 
-The march steps through a frame (N, 4, L), cell axis first, on L = G*M
-lanes in (group, direction) order.  dx * rhs is formed on the source's own
-(G, M', N, 2) array, M' = 1 for isotropic sources, in one multiply by the
-factors [dx, -dx] of the mu < 0 half and [dx, dx] of the mu > 0 half:
-x*(-dx) is -(x*dx) bit for bit, IEEE rounding being symmetric in sign, so
-this is the mirror's negated slope.  Each half goes into rows 0-1
-(average, slope) of the frame, the mu < 0 half in reverse cell order, and
-rows 2-3 copy rows 1 and 0.  psi is read back from rows 0-1 one LD
-coefficient at a time, cell axis innermost (loops of N, not of 2), and
-the mu < 0 half is mirrored again, its slopes negated by a multiply by -1.
+The march is one C function, slabsm_march in _march.c, which each sweep
+calls once through ctypes.  It marches the cells in its outer loop and the
+L = G*M independent lanes, in (group, direction) order, in its inner
+loop.  It reads the source (G, M', N, 2) as given, M' = 1 for an
+isotropic source, and writes psi (G, M, N, 2) in place: the mu < 0 half
+meets cell N-1-i at step i, forms dx*q_slope there as q_slope*(-dx) and
+writes its slope as s*(-1).  x*(-dx) is -(x*dx) bit for bit, IEEE
+rounding being symmetric in sign, so these are the mirror's negated
+slopes.
 
-With m = |mu|, sd = st*dx and det = 6m^2 + 4m*sd + sd^2, the march solves
-each cell in packed form: q = dx*[q_avg, q_slope] + [m, -3m]*psi_in, then
+With m = |mu|, sd = st*dx and det = 6m^2 + 4m*sd + sd^2, a step of a lane
+of inflow trace y solves its cell in packed form,
 
-    [a, s] = (K q) / det,    K = [[3m + sd, -m], [3m, m + sd]].
+    qa = dx*q_avg + m*y,    qs = dx*q_slope + (-3m)*y,
+    a = ((3m + sd)*qa + (-m)*qs) / det,    s = ((m + sd)*qs + 3m*qa) / det,
 
-A step makes six ufunc calls.  On the rows [ua, us, us, ua] it forms
-q4 = u4 + [m, -3m, -3m, m]*psi_in = [qa, qs, qs, qa] (two calls), so
-one multiply by the cell's block row [3m + sd, m + sd, -m, 3m] gives
-diag(K) q in rows 0-1 and the off-diagonal products [-m qs, 3m qa] in
-rows 2-3.  One add of the two row-halves gives K q into rows 0-1 of the
-frame, one divide by det (repeated over both rows) gives [a, s] there,
-and psi_in = a + s feeds the next cell.  Every operand but the broadcast
-psi_in of the first call has its output's shape and is C-contiguous; the
-block, det and the inflow weights depend on sigma_t, dx and mu only, so
-they are built once per problem (ProblemOperators.march).  This rounds
-exactly as the unpacked solve a = ((3m + sd) qa - m qs) / det,
-s = (3m qa + (m + sd) qs) / det with qs = dx*q_slope - 3m psi_in: IEEE
-defines x - y*z as x + (-y)*z, signed zeros included, 3m*x is (3m)*x, and
-each two-term sum is the same single rounding (IEEE addition and
-multiplication commute).
+and y = a + s feeds the next cell.  The coefficients depend on sigma_t,
+dx and mu only, so they are built once per problem (ProblemOperators.
+march).  This rounds exactly as the unpacked solve
+a = ((3m + sd) qa - m qs) / det, s = (3m qa + (m + sd) qs) / det with
+qs = dx*q_slope - 3m psi_in: IEEE defines x - y*z as x + (-y)*z, signed
+zeros included, 3m*x is (3m)*x, and each two-term sum is the same single
+rounding (IEEE addition and multiplication commute).  That holds only if
+the compiler rounds every product and sum on its own: _march.c is built
+with -ffp-contract=off, since a fused multiply-add rounds a*b + c once,
+and without -ffast-math, which would let it reorder the sums.
 
-Each call passes its output positionally: out= costs keyword parsing on
-every call, about 5% of a test2 march step (112 lanes) on numpy 2.4.6,
-and the ufuncs are called through local names.  The block holds one row
-per distinct cell (pair of widths met by the two halves), so on a
-uniform mesh every step reads the same row, which stays in cache.  The
-frame and the views each step reads and writes (u4, its rows 0-1, a and
-s of the frame; the K and det rows of the block for the cell's widths)
-are made once per problem with the block (march_coefficients), so a step
-creates no view: the march loops over a tuple of per-cell steps.  The
-frame is the one writable part of the march; every sweep fills all of it
-before it reads it, so a sweep does not depend on the sweeps before it,
-and sweeps of one march take turns on its lock.
+The library is compiled on first use, when a record first builds its
+march (march_coefficients), with sysconfig's CC (else cc), and kept in
+the per-user cache ($XDG_CACHE_HOME or ~/.cache, under slabsm/), named by
+the SHA-256 of the C source and the compile command; importing slabsm
+builds and loads nothing.  A sweep writes nothing but its own psi and the
+kernel's inflow traces, which it allocates, so sweeps of one record may
+run at once, and ctypes releases the GIL for the call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
+from pathlib import Path
 
 import numpy as np
 
 from .angular import AngularQuadrature
 from .fields import nodal_product
 
+_SOURCE = Path(__file__).with_name("_march.c")
+_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
 
 def march_coefficients(sigma_t, dx, mu):
-    """(shape, frame, steps, m_inc, dx_scale, lock) of the march on L = G*M
-    lanes, shape = (G, M, N), for sigma_t (G,), cells of widths dx (N,)
-    and directions mu (M,); a ValueError unless sigma_t is finite and
+    """(shape, block, rows, dx, kernel) of the march on L = G*M lanes,
+    shape = (G, M, N), for sigma_t (G,), cells of widths dx (N,) and
+    directions mu (M,); a ValueError unless sigma_t is finite and
     positive, or where sigma_t * dx overflows the cell determinant.
 
-    One read-only array block (R, 6, L) holds, for each of the R
-    distinct cells, the entries [3m + sd, m + sd, -m, 3m] of K in rows
-    0-3 and det in rows 4-5 (det twice, so that the divide reads an
-    operand of its output's shape).  A cell of the march is its pair of
-    widths (dx[N-1-i], dx[i]), as step i meets the mirrored slab on the
-    mu < 0 half, so a uniform mesh has R = 1 and no mesh more than N;
-    each row is computed as a row per cell would be, so the march rounds
-    as it would on N rows.  frame (N, 4, G, M) is the march's scratch
-    array, the only writable one, and lock the lock that its sweeps take
-    turns on (the sharing contract is ProblemOperators').  steps is the
-    tuple of the N per-cell steps (u4, u, coef_i, det_i, a, s): the
-    cell's frame rows 0-3 on L lanes, its rows 0-1 and the row views a, s
-    of rows 0 and 1, beside the (4, L) and (2, L) rows of its pair's row
-    of the block, so the march makes no view per step.  m_inc is
-    [m, -3m, -3m, m] (4, L), and dx_scale (2, 1, N, 2) holds the factors
-    [dx, -dx] of the mu < 0 half and [dx, dx] of the mu > 0 half per cell
-    and LD coefficient: 48*G*M*R bytes in the block (7.5 KiB for test1,
-    whatever its N), 32*G*M*N in the frame (0.625 MiB), 32*(G*M + N) in
-    the rest."""
+    The read-only array block (R, 7, L) holds, for each of the R distinct
+    cells, what a step of each lane reads: the inflow weights m and -3m,
+    the entries 3m + sd, m + sd, -m and 3m of K and det.  A cell of the
+    march is its pair of widths (dx[N-1-i], dx[i]), as step i meets the
+    mirrored slab on the mu < 0 half, so a uniform mesh has R = 1 and no
+    mesh more than N; each row is computed as a row per cell would be, so
+    the march rounds as it would on N rows.  rows (N,) is the block row of
+    each step and dx a read-only copy of the widths: 56*G*M*R bytes in
+    the block (8.75 KiB for test1, whatever its N) and 16*N in rows and
+    dx.  kernel is the compiled march (_march_kernel), built and loaded
+    with the first march of the process."""
     sigma_t = np.asarray(sigma_t, dtype=float)
     if not np.all(np.isfinite(sigma_t) & (sigma_t > 0)):
         raise ValueError("sweep requires finite sigma_t > 0")
-    dx = np.asarray(dx, dtype=float)
+    dx = np.array(dx, dtype=float)
     m = np.abs(np.asarray(mu, dtype=float))
     G, M, N = sigma_t.size, m.size, dx.size
-    # [dx, -dx] for the mu < 0 half, whose slopes the mirror negates
-    signs = np.array([[1.0, -1.0], [1.0, 1.0]])
-    dx_scale = (signs[:, None, :] * dx[:, None])[:, None]
     # the mu < 0 half marches the mirrored slab, so step i meets the
     # widths (dx[N-1-i], dx[i]): one block row per distinct pair
-    pairs, row_of = np.unique(np.stack([dx[::-1], dx], axis=1), axis=0,
-                              return_inverse=True)
+    pairs, rows = np.unique(np.stack([dx[::-1], dx], axis=1), axis=0,
+                            return_inverse=True)
     R = pairs.shape[0]
     sd_cells = (sigma_t[None, :, None]
                 * np.repeat(pairs, M // 2, axis=1)[:, None, :])
@@ -121,24 +104,17 @@ def march_coefficients(sigma_t, dx, mu):
                          + sd_max * sd_max):
         raise ValueError(f"sigma_t * dx = {sd_max:.3e} overflows the LD "
                          "cell determinant")
-    block = np.empty((R, 6, G * M))
     m3 = 3.0 * m
-    block[:, :4] = np.stack([m3 + sd_cells, m + sd_cells,
-                             np.broadcast_to(-m, sd_cells.shape),
-                             np.broadcast_to(m3, sd_cells.shape)],
-                            axis=1).reshape(R, 4, G * M)
+    lanes = sd_cells.shape
     det = 6.0 * m**2 + 4.0 * m * sd_cells + sd_cells * sd_cells
-    block[:, 4:] = det.reshape(R, 1, G * M)
-    m_inc = np.tile(np.stack([m, -m3, -m3, m]), G)
-    for a in (block, m_inc, dx_scale):
+    block = np.stack([np.broadcast_to(m, lanes), np.broadcast_to(-m3, lanes),
+                      m3 + sd_cells, m + sd_cells,
+                      np.broadcast_to(-m, lanes), np.broadcast_to(m3, lanes),
+                      det], axis=1).reshape(R, 7, G * M)
+    rows = rows.reshape(-1).astype(np.intp)
+    for a in (block, rows, dx):
         a.setflags(write=False)
-    frame = np.empty((N, 4, G, M))
-    lanes = frame.reshape(N, 4, G * M)
-    rows = list(zip(block[:, :4], block[:, 4:]))
-    steps = tuple((u4, u, *rows[r], a, s) for u4, u, a, s, r
-                  in zip(lanes, lanes[:, :2], lanes[:, 0], lanes[:, 1],
-                         row_of.reshape(-1)))
-    return (G, M, N), frame, steps, m_inc, dx_scale, threading.Lock()
+    return (G, M, N), block, rows, dx, _march_kernel()
 
 
 def sweep_batch(march, rhs: np.ndarray) -> np.ndarray:
@@ -146,9 +122,9 @@ def sweep_batch(march, rhs: np.ndarray) -> np.ndarray:
     coefficients `march` (march_coefficients), in one pass between vacuum
     boundaries, (G, M, N, 2).  rhs is the source density per unit mu,
     either (G, N, 2) shared across directions or (G, M, N, 2) per
-    direction.  Holds the march's lock while it fills and reads its frame
-    (ProblemOperators); the psi returned is a new array."""
-    (G, M, N), frame, steps, m_inc, dx_scale, lock = march
+    direction.  One call of the compiled march, which writes only the psi
+    returned, a new array."""
+    (G, M, N), block, rows, dx, kernel = march
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape == (G, N, 2):
         rhs = rhs[:, None]
@@ -156,38 +132,75 @@ def sweep_batch(march, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"rhs shape {rhs.shape} invalid")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite")
-    h = M // 2
-    # src[:, 0] is the mu < 0 half, src[:, 1] the mu > 0 half, each k wide
-    # (1 for an isotropic source, whose one column serves both halves)
-    k = (rhs.shape[1] + 1) // 2
-    src = rhs.reshape(G, -1, k, N, 2) * dx_scale
-    with lock:
-        frame[:, :2, :, :h] = src[:, 0, :, ::-1].transpose(2, 3, 0, 1)
-        frame[:, :2, :, h:] = src[:, 1].transpose(2, 3, 0, 1)
-        frame[:, 2] = frame[:, 1]
-        frame[:, 3] = frame[:, 0]
-
-        inc = np.zeros(G * M)
-        q4 = np.empty((4, G * M))
-        diag_q, off_q = q4[:2], q4[2:]
-        multiply, add, divide = np.multiply, np.add, np.divide
-        for u4, u, coef_i, det_i, a, s in steps:
-            multiply(m_inc, inc, q4)
-            add(u4, q4, q4)
-            multiply(coef_i, q4, q4)
-            add(diag_q, off_q, u)
-            divide(u, det_i, u)
-            add(a, s, inc)
-        psi = np.empty((G, M, N, 2))
-        for c in (0, 1):
-            psi[:, h:, :, c] = frame[:, c, :, h:].transpose(1, 2, 0)
-        psi[:, :h, :, 0] = frame[::-1, 0, :, :h].transpose(1, 2, 0)
-        # negated by a multiply, not np.negative: on numpy 2.4.6 np.negative
-        # writes wrong values into a strided out= from some reversed,
-        # transposed views with a size-1 axis, the kind read here
-        np.multiply(frame[::-1, 1, :, :h].transpose(1, 2, 0), -1.0,
-                    out=psi[:, :h, :, 1])
+    rhs = np.ascontiguousarray(rhs)
+    psi = np.empty((G, M, N, 2))
+    if kernel(G, M, rhs.shape[1], N, rows.ctypes.data, dx.ctypes.data,
+              block.ctypes.data, rhs.ctypes.data, psi.ctypes.data):
+        raise MemoryError("no memory for the march's inflow traces")
     return psi
+
+
+@functools.cache
+def _march_kernel():
+    """slabsm_march of _march.c, loaded from the library _library builds;
+    ctypes releases the GIL for each call."""
+    import ctypes
+
+    kernel = ctypes.CDLL(_library()).slabsm_march
+    kernel.argtypes = [ctypes.c_ssize_t] * 4 + [ctypes.c_void_p] * 5
+    kernel.restype = ctypes.c_int
+    return kernel
+
+
+def _library() -> str:
+    """Path of _march.c compiled with sysconfig's CC (else cc) and _FLAGS
+    in the per-user cache, $XDG_CACHE_HOME or ~/.cache, under slabsm/ (a
+    directory only its owner may write), named by the SHA-256 of the
+    source and the compile command.  Compiled on a miss to a temporary
+    name and moved into place, so a library found there is whole.  A
+    RuntimeError names the command and its error output if the compiler
+    cannot be run or fails, leaving nothing in the cache."""
+    import hashlib
+    import os
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"),
+               *_FLAGS]
+    source = _SOURCE.read_bytes()
+    digest = hashlib.sha256(
+        "\0".join(command).encode() + b"\0" + source).hexdigest()
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    cache = os.path.join(root, "slabsm")
+    os.makedirs(cache, mode=0o700, exist_ok=True)
+    status = os.stat(cache)
+    if status.st_uid != os.getuid() or status.st_mode & 0o022:
+        raise RuntimeError(f"{cache} is another user's or writable by "
+                           "others; the march library is not loaded from it")
+    path = os.path.join(cache, f"_march-{digest[:32]}.so")
+    if os.path.exists(path):
+        return path
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+    os.close(fd)
+    run = [*command, "-o", tmp, str(_SOURCE)]
+    try:
+        try:
+            done = subprocess.run(run, capture_output=True, text=True)
+        except OSError as err:
+            raise RuntimeError(f"cannot run the C compiler: {shlex.join(run)}"
+                               f": {err}") from err
+        if done.returncode:
+            raise RuntimeError(f"the C compiler failed: {shlex.join(run)}\n"
+                               f"{done.stderr}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
 
 
 def build_ho_rhs(grey_phi: np.ndarray, sbar_s: np.ndarray,

@@ -614,10 +614,32 @@ LowOrderSystem(spec, Mesh.uniform(spec.width, spec.n_cells))
 print(loaded())
 """
 
+# the benchmark's set-up statement, then source iteration, in a fresh
+# interpreter with an empty library cache
+_KERNEL_BOUNDARY = """
+import os
+import slabsm
+from slabsm.fields import Mesh
+from slabsm.losm import LowOrderSystem
 
-def test_only_the_low_order_levels_load_scipy():
+def kernel():
+    with open("/proc/self/maps") as maps:
+        mapped = "/slabsm/_march-" in maps.read()
+    cache = os.path.join(os.environ["XDG_CACHE_HOME"], "slabsm")
+    return mapped, len(os.listdir(cache)) if os.path.isdir(cache) else 0
+
+print(kernel())
+spec = slabsm.builtin_problem("test2")
+LowOrderSystem(spec, Mesh.uniform(spec.width, spec.n_cells))
+print(kernel())
+slabsm.run_problem(spec, slabsm.IterationConfig(method="si", max_outer=3))
+print(kernel())
+"""
+
+
+def test_only_the_low_order_levels_load_scipy(tmp_path):
     # importing slabsm, source iteration and the diagnostics commands run
-    # on numpy alone; the first low-order system loads the scipy solvers
+    # without scipy; the first low-order system loads the scipy solvers
     src = pathlib.Path(driver.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY], env=env,
@@ -625,6 +647,15 @@ def test_only_the_low_order_levels_load_scipy():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]",
                                         "['scipy.linalg', 'scipy.sparse']"]
+    # importing slabsm and building a low-order system, the benchmark's
+    # set-up, neither build nor load the compiled march; the first sweep
+    # builds it into the cache and loads it
+    env["XDG_CACHE_HOME"] = str(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_BOUNDARY], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["(False, 0)", "(False, 0)",
+                                        "(True, 1)"]
     # and no call on the per-outer path runs an import statement
     for fn in (driver._si_step, driver._multilevel_step,
                driver._low_order_levels, driver.sweep_batch,

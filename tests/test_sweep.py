@@ -1,9 +1,13 @@
-import threading
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slabsm import sweep
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.driver import IterationConfig, run_problem
 from slabsm.fields import Mesh, const_field, to_nodes
@@ -362,10 +366,11 @@ def _spec(sigma_t=(0.5, 2.0), n_cells=8, n_half=3):
                        n_cells=n_cells, n_half=n_half)
 
 
-def _block(march):
-    """The one read-only array behind the coefficient rows of a march's
-    per-cell steps."""
-    return march[2][0][2].base
+def _same_bits(a, b):
+    """Equal values and equal sign bits (array_equal takes -0.0 for
+    +0.0)."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 def test_march_coefficients_cached_per_problem():
@@ -374,100 +379,69 @@ def test_march_coefficients_cached_per_problem():
     rhs = np.random.RandomState(3).randn(2, 8, 2)
     first = sweep_batch(ops.march, rhs)
     # a new spec and mesh of the same data get the one record, whose
-    # march is built once and read-only but for its frame, and whose
-    # runs share one lock
+    # march is built once and read-only
     same = problem_operators(_spec(), Mesh.uniform(4.0, 8))
     assert same is ops and same.march is ops.march
-    shape, frame, steps, m_inc, dx_scale, lock = ops.march
-    block = _block(ops.march)
-    assert same.march[5] is lock
-    assert type(lock) is type(threading.Lock()) and not lock.locked()
+    shape, block, rows, dx, kernel = ops.march
     assert shape == (2, 6, 8)
-    assert not any(a.flags.writeable for a in (block, m_inc, dx_scale))
-    assert frame.flags.writeable and frame.shape == (8, 4, 2, 6)
-    # one step per cell: read-only views of the block's coefficient and
-    # det rows beside writable views of the frame
-    assert len(steps) == mesh.n_cells
-    for u4, u, coef_i, det_i, a, s in steps:
-        for row in (coef_i, det_i):
-            assert row.base is block
-            assert not row.flags.writeable
-        for view in (u4, u, a, s):
-            assert view.base is frame
-    # dx alone (same N), sigma_t alone or n_half alone makes a new record
+    assert not any(a.flags.writeable for a in (block, rows, dx))
+    assert block.shape == (1, 7, 12) and np.array_equal(rows, np.zeros(8))
+    assert np.array_equal(dx, mesh.dx) and not np.shares_memory(dx, mesh.dx)
+    # dx alone (same N), sigma_t alone or n_half alone makes a new record,
+    # every one of them marching with the one compiled kernel
     others = [(_spec(), Mesh.uniform(5.0, 8)),
               (_spec(sigma_t=(0.5, 2.5)), mesh),
               (_spec(n_half=2), mesh)]
     for other in others:
         other_march = problem_operators(*other).march
-        other_block = _block(other_march)
-        assert other_block is not block and other_march[1] is not frame
-        assert other_march[5] is not lock
-        assert not np.array_equal(other_block, block)
+        assert other_march[1] is not block
+        assert not np.array_equal(other_march[1], block)
+        assert other_march[4] is kernel
     # A, then enough other problems to evict A, then A again
     for n_cells in range(1, 10):
         problem_operators(_spec(n_cells=n_cells),
                           Mesh.uniform(4.0, n_cells)).march
     rebuilt = problem_operators(_spec(), mesh)
     assert rebuilt is not ops
+    assert _same_bits(rebuilt.march[1], block)
     again = sweep_batch(rebuilt.march, rhs)
-    assert np.array_equal(again, first)
-    assert np.array_equal(np.signbit(again), np.signbit(first))
+    assert _same_bits(again, first)
 
 
 def test_march_coefficients_entry_size():
-    # the sizes the march_coefficients docstring quotes: 48*G*M bytes per
-    # distinct cell in the block (four rows for K and two for det), one
-    # row on test1's uniform mesh, and 32*(G*M + N) in m_inc and dx_scale,
-    # under 1 MiB for test1, and 32*G*M*N in the frame (rows 0-3 per
-    # cell), 0.625 MiB for test1
+    # the sizes the march_coefficients docstring quotes: 56*G*M bytes per
+    # distinct cell in the block (seven rows), one row on test1's uniform
+    # mesh, 8.75 KiB, and 16*N in the step rows and the widths
     spec = builtin_problem("test1")
     mesh = Mesh.uniform(spec.width, spec.n_cells)
-    march = problem_operators(spec, mesh).march
-    shape, frame, steps, m_inc, dx_scale, _ = march
-    block = _block(march)
+    shape, block, rows, dx, _ = problem_operators(spec, mesh).march
     G, M, N = spec.G, 2 * spec.n_half, spec.n_cells
     assert shape == (G, M, N)
-    assert block.shape == (1, 6, G * M)
-    assert block.nbytes == 48 * G * M == 7.5 * 2**10
-    assert m_inc.nbytes + dx_scale.nbytes == 32 * (G * M + N)
-    assert block.nbytes + m_inc.nbytes + dx_scale.nbytes < 2**20
-    assert frame.nbytes == 32 * G * M * N == 0.625 * 2**20
-    # the steps hold no array data of their own
-    assert all(view.base is block or view.base is frame
-               for step in steps for view in step)
+    assert block.shape == (1, 7, G * M)
+    assert block.nbytes == 56 * G * M == 8.75 * 2**10
+    assert rows.nbytes + dx.nbytes == 16 * N
     # the block does not grow with the number of uniform cells
     fine = march_coefficients(spec.sigma_t, np.full(1024, spec.width / 1024),
                               build_double_gauss(spec.n_half).mu)
-    assert _block(fine).nbytes == 48 * G * M
-
-
-def _same_bits(a, b):
-    """Equal values and equal sign bits (array_equal takes -0.0 for
-    +0.0)."""
-    return (a.shape == b.shape and np.array_equal(a, b)
-            and np.array_equal(np.signbit(a), np.signbit(b)))
+    assert fine[1].nbytes == 56 * G * M
 
 
 def _per_cell_march(sigma_t, dx, mu):
-    """march_coefficients(sigma_t, dx, mu) with its steps reading a block
-    of one row per cell, built cell by cell as the module docstring
-    writes K and det: the reference the distinct-row block is held to."""
-    shape, frame, steps, m_inc, dx_scale, lock = march_coefficients(
-        sigma_t, dx, mu)
+    """march_coefficients(sigma_t, dx, mu) with one block row per cell,
+    built cell by cell as the module docstring writes the inflow weights,
+    K and det: the reference the distinct-row block is held to."""
+    shape, _, _, dx, kernel = march_coefficients(sigma_t, dx, mu)
     G, M, N = shape
     m = np.abs(mu)
     widths = np.where(mu < 0, dx[::-1, None], dx[:, None])
-    block = np.empty((N, 6, G, M))
+    block = np.empty((N, 7, G, M))
     for i in range(N):
         sd = sigma_t[:, None] * widths[i]
         det = 6.0 * m**2 + 4.0 * m * sd + sd * sd
-        block[i] = [3.0 * m + sd, m + sd, np.broadcast_to(-m, sd.shape),
-                    np.broadcast_to(3.0 * m, sd.shape), det, det]
-    block = block.reshape(N, 6, G * M)
-    steps = tuple((u4, u, coef_i, det_i, a, s) for (u4, u, _, _, a, s),
-                  coef_i, det_i in zip(steps, block[:, :4], block[:, 4:]))
-    return (shape, frame, steps, m_inc, dx_scale, lock), block
+        block[i] = [np.broadcast_to(r, sd.shape) for r in
+                    (m, -3.0 * m, 3.0 * m + sd, m + sd, -m, 3.0 * m, det)]
+    block = block.reshape(N, 7, G * M)
+    return (shape, block, np.arange(N), dx, kernel), block
 
 
 @pytest.mark.parametrize("problem", ["test1", "test2"])
@@ -475,16 +449,10 @@ def test_builtin_march_has_one_coefficient_row(problem):
     # every cell of the uniform mesh has the same widths, so every step
     # reads its coefficients from the one row of the block
     spec = builtin_problem(problem)
-    march = problem_operators(
+    _, block, rows, _, _ = problem_operators(
         spec, Mesh.uniform(spec.width, spec.n_cells)).march
-    block = _block(march)
-    assert block.shape == (1, 6, spec.G * 2 * spec.n_half)
-    for _, _, coef_i, det_i, _, _ in march[2]:
-        assert coef_i.base is block and det_i.base is block
-        assert np.shares_memory(coef_i, block[0, :4])
-        assert np.shares_memory(det_i, block[0, 4:])
-        assert coef_i.shape == block[0, :4].shape
-        assert det_i.shape == block[0, 4:].shape
+    assert block.shape == (1, 7, spec.G * 2 * spec.n_half)
+    assert rows.shape == (spec.n_cells,) and not rows.any()
 
 
 def _meshes():
@@ -502,28 +470,23 @@ def _meshes():
 @pytest.mark.parametrize("dx, rows", list(_meshes()))
 def test_march_has_one_row_per_distinct_cell(dx, rows):
     # the block holds one row per distinct pair of widths that step i
-    # meets, (dx[N-1-i], dx[i]), and each step's rows are views of its
-    # pair's row, bit for bit the rows of a block of one row per cell;
-    # a sweep on it gives psi bit for bit, signed zeros included, as the
-    # one-row-per-cell march does, for isotropic, per-direction and
-    # +-0.0 sources
+    # meets, (dx[N-1-i], dx[i]), and step i reads its pair's row, bit for
+    # bit the row i of a block of one row per cell; a sweep on it gives
+    # psi bit for bit, signed zeros included, as the one-row-per-cell
+    # march does, for isotropic, per-direction and +-0.0 sources
     quad = build_double_gauss(3)
     sigma_t = np.array([0.5, 2.0, 30.0])
     G, M, N = sigma_t.size, quad.n_angles, dx.size
     march = march_coefficients(sigma_t, dx, quad.mu)
-    block = _block(march)
+    _, block, step_rows, _, _ = march
     reference, per_cell = _per_cell_march(sigma_t, dx, quad.mu)
-    assert block.shape == (rows, 6, G * M)
-    used = set()
-    for i, (_, _, coef_i, det_i, _, _) in enumerate(march[2]):
-        r = next(r for r in range(rows)
-                 if np.shares_memory(coef_i, block[r]))
-        used.add(r)
-        assert coef_i.base is block and det_i.base is block
-        assert np.shares_memory(det_i, block[r, 4:])
-        assert _same_bits(coef_i, per_cell[i, :4])
-        assert _same_bits(det_i, per_cell[i, 4:])
-    assert used == set(range(rows))
+    assert block.shape == (rows, 7, G * M)
+    assert set(step_rows) == set(range(rows))
+    pairs = list(zip(dx[::-1], dx))
+    for i, r in enumerate(step_rows):
+        assert _same_bits(block[r], per_cell[i])
+        assert all((step_rows[j] == r) == (pairs[j] == pairs[i])
+                   for j in range(N))
     rng = np.random.RandomState(N)
     zeros = np.zeros((G, M, N, 2))
     zeros[rng.rand(G, M, N, 2) < 0.5] = -0.0
@@ -532,12 +495,12 @@ def test_march_has_one_row_per_distinct_cell(dx, rows):
         assert _same_bits(psi, sweep_batch(reference, rhs))
 
 
-def test_march_frame_carries_nothing_between_sweeps():
-    # the frame is the one writable part of a march, and every sweep of
-    # its record shares it: sweeps of two marches interleaved, with an
-    # isotropic, a per-direction and a +-0.0 source and a rejected NaN
-    # source between them, each give the bits of a sweep on a new march,
-    # and no psi changes when later sweeps of its march run
+def test_march_carries_nothing_between_sweeps():
+    # a march is read-only and every sweep of its record shares it: sweeps
+    # of two marches interleaved, with an isotropic, a per-direction and a
+    # +-0.0 source and a rejected NaN source between them, each give the
+    # bits of a sweep on a new march, and no psi changes when later sweeps
+    # of its march run
     quad = build_double_gauss(3)
     M = quad.n_angles
     dx = np.array([0.3, 0.1, 0.45, 0.2, 0.25])
@@ -545,8 +508,7 @@ def test_march_frame_carries_nothing_between_sweeps():
     G, N = sigma_t.size, dx.size
     march = march_coefficients(sigma_t, dx, quad.mu)
     other = march_coefficients([1.5, 0.2], np.full(7, 0.3), quad.mu)
-    block = _block(march)
-    coefficients = block.copy()
+    kept_march = [a.copy() for a in march[1:4]]
     rng = np.random.RandomState(29)
     zeros = np.zeros((G, N, 2))
     zeros[rng.rand(G, N, 2) < 0.5] = -0.0
@@ -554,38 +516,35 @@ def test_march_frame_carries_nothing_between_sweeps():
     nan[1, 2, 0] = np.nan
     swept = []
     for rhs in (rng.randn(G, N, 2), rng.randn(G, M, N, 2), zeros):
+        source = rhs.copy()
         psi = sweep_batch(march, rhs)
         ref = sweep_batch(march_coefficients(sigma_t, dx, quad.mu), rhs)
-        assert np.array_equal(psi, ref)
-        assert np.array_equal(np.signbit(psi), np.signbit(ref))
-        assert not np.shares_memory(psi, march[1])
+        assert _same_bits(psi, ref)
+        assert _same_bits(rhs, source)
+        assert not any(np.shares_memory(psi, a) for a in (rhs, *march[1:4]))
         swept.append((psi, psi.copy()))
         with pytest.raises(ValueError, match="finite"):
             sweep_batch(march, nan)
         sweep_batch(other, rng.randn(2, 7, 2))
     # an earlier psi is not changed by later sweeps of its march
     for psi, kept in swept:
-        assert np.array_equal(psi, kept)
-        assert np.array_equal(np.signbit(psi), np.signbit(kept))
-    # the steps are views of the frame and of the read-only block
-    for u4, u, coef_i, det_i, a, s in march[2]:
-        assert all(view.base is march[1] for view in (u4, u, a, s))
-        assert coef_i.base is block and det_i.base is block
-    assert not block.flags.writeable
-    assert np.array_equal(block, coefficients)
-    # a run's final TransportState.psi is its own array, not the frame of
-    # the record that every later run of the problem sweeps with
+        assert _same_bits(psi, kept)
+    assert len({id(psi) for psi, _ in swept}) == len(swept)
+    # the march itself is read-only and unchanged
+    for a, kept in zip(march[1:4], kept_march):
+        assert not a.flags.writeable
+        assert _same_bits(a, kept)
+    # a run's final TransportState.psi is its own array, not changed by
+    # the sweeps of later runs of the problem
     spec = _spec()
     ops = problem_operators(spec, Mesh.uniform(spec.width, spec.n_cells))
     state = run_problem(spec, IterationConfig(method="si",
                                               max_outer=3)).state
     kept = state.psi.copy()
-    assert not np.shares_memory(state.psi, ops.march[1])
     for _ in range(3):
         sweep_batch(ops.march, rng.randn(spec.G, spec.n_cells, 2))
     run_problem(spec, IterationConfig(method="si", max_outer=2))
-    assert np.array_equal(state.psi, kept)
-    assert np.array_equal(np.signbit(state.psi), np.signbit(kept))
+    assert _same_bits(state.psi, kept)
 
 
 def _unpacked_sweep(sigma_t, mesh, quad, rhs):
@@ -702,3 +661,63 @@ def test_nonuniform_mesh_matches_per_cell_reference():
     for g in range(2):
         ref = _reference_sweep(sigma_t[g], dx, quad, rhs[g])
         assert np.abs(psi[g] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# a fresh interpreter that builds one march with sysconfig's CC set to
+# argv[1], and prints the error if the build fails
+_BUILD = """
+import sys, sysconfig
+sysconfig.get_config_vars()["CC"] = sys.argv[1]
+from slabsm.sweep import march_coefficients, sweep_batch
+try:
+    march = march_coefficients([1.0], [0.5, 0.5], [-0.5, 0.5])
+except RuntimeError as err:
+    print(err)
+else:
+    print(sweep_batch(march, [[[1.0, 0.0], [1.0, 0.0]]]).sum())
+"""
+
+
+def _build(cache, compiler):
+    """stdout of _BUILD in a fresh interpreter with the library cache in
+    the directory `cache`."""
+    src = pathlib.Path(sweep.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(cache))
+    proc = subprocess.run([sys.executable, "-c", _BUILD, compiler], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("compiler", ["missing", "failing"])
+def test_march_build_without_a_compiler_raises(tmp_path, compiler):
+    # a compiler that cannot be run, or one that fails: building a march
+    # raises, naming the command and the compiler's error output, and
+    # leaves nothing in the cache
+    cache = tmp_path / "cache"
+    (cache / "slabsm").mkdir(mode=0o700, parents=True)
+    cc = tmp_path / "cc"
+    if compiler == "failing":
+        cc.write_text('#!/bin/sh\necho "cc: no target" >&2\nexit 1\n')
+        cc.chmod(0o700)
+    out = _build(cache, str(cc))
+    verdict = {"missing": "cannot run the C compiler: ",
+               "failing": "the C compiler failed: "}[compiler]
+    assert out.startswith(verdict + str(cc) + " -O2"), out
+    assert "_march.c" in out
+    assert ("cc: no target" in out) == (compiler == "failing")
+    assert [p.name for p in cache.rglob("*")] == ["slabsm"]
+
+
+def test_march_build_reuses_the_cached_library(tmp_path):
+    # a compiler that logs each run: the first process compiles the march
+    # into the cache, a fresh one with a warm cache runs no compiler
+    log = tmp_path / "runs"
+    cc = tmp_path / "cc"
+    cc.write_text(f'#!/bin/sh\necho run >> "{log}"\nexec cc "$@"\n')
+    cc.chmod(0o700)
+    cache = tmp_path / "cache"
+    first = _build(cache, str(cc))
+    assert first == _build(cache, str(cc)) != ""
+    assert log.read_text() == "run\n"
+    assert len(list((cache / "slabsm").iterdir())) == 1

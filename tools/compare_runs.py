@@ -47,9 +47,7 @@ Then this checkout's runs repeat in reverse order, and each must equal its
 first run exactly, in both modes: each problem's operator record
 (losm.problem_operators) outlives a run and is shared by every later run
 of the same data, and it must not make a run depend on what ran before
-it.  The reruns also cover the record's one writable array, the sweep's
-scratch frame, which every sweep of the problem fills before it reads it.
-Exits 1 at the first difference and 0 when every run passes.  One
+it.  Exits 1 at the first difference and 0 when every run passes.  One
 process and one BLAS thread, as in the benchmark.
 """
 

@@ -26,8 +26,7 @@ sweep's phi and whose grey flux is that solve's, so each row shows a
 Level-1 change's share of a whole outer.  `operators` is one uncached
 build of everything the problem's runs reuse, so a change in set-up cost
 shows per call: a new `losm.ProblemOperators` of the problem's data with
-its low-order operators, march (coefficients, frame and per-cell steps)
-and edge table built.  `import`
+its low-order operators, march coefficients and edge table built.  `import`
 is the wall time of `import slabsm` in a fresh interpreter, measured
 inside it, so a change in start-up cost shows as one in a call does.
 
