@@ -405,10 +405,9 @@ class ProblemOperators:
     next use.  Every run of the same data shares the record, and the
     record is read-only: no sweep or solve writes into it, so it needs no
     lock, and runs may overlap in threads and give their serial answers.
-    It keeps read-only float64
-    copies of sigma_t, removal and dx, so a later write into the caller's
-    arrays cannot change them under the parts built from them.  Compared
-    by identity."""
+    It keeps read-only float64 copies of sigma_t, removal and dx, so a
+    later write into the caller's arrays cannot change them under the
+    parts built from them.  Compared by identity."""
 
     sigma_t: np.ndarray
     removal: np.ndarray
