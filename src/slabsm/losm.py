@@ -396,18 +396,18 @@ def _factor(data, indices, indptr):
 class ProblemOperators:
     """What every run of one problem reuses (problem_operators): from the
     cell widths dx (N,), sigma_t (G,), removal sigma_t - sigma_s,g->g (G,)
-    and double Gauss order n_half, the sweep's march coefficients (one
-    row per distinct cell, so one row on a uniform mesh, whatever N) with
-    the compiled march that reads them (march), the closures' edge table
-    (edges) and the low-order operators (low_order), each built on first
-    use and kept: so source iteration factors nothing and a
-    LowOrderSystem builds no march, and a failed build raises again on the
-    next use.  Every run of the same data shares the record, and the
-    record is read-only: no sweep or solve writes into it, so it needs no
-    lock, and runs may overlap in threads and give their serial answers.
-    It keeps read-only float64 copies of sigma_t, removal and dx, so a
-    later write into the caller's arrays cannot change them under the
-    parts built from them.  Compared by identity."""
+    and double Gauss order n_half, the sweep's march (march: sigma_t,
+    |mu| and dx, from which the compiled march forms its cell
+    coefficients), the closures' edge table (edges) and the low-order
+    operators (low_order), each built on first use and kept: so source
+    iteration factors nothing and a LowOrderSystem builds no march, and a
+    failed build raises again on the next use.  Every run of the same
+    data shares the record, and the record is read-only: no sweep or solve
+    writes into it, so it needs no lock, and runs may overlap in threads
+    and give their serial answers.  It keeps read-only float64 copies of
+    sigma_t, removal and dx, so a later write into the caller's arrays
+    cannot change them under the parts built from them.  Compared by
+    identity."""
 
     sigma_t: np.ndarray
     removal: np.ndarray

@@ -33,8 +33,9 @@ of inflow trace y solves its cell in packed form,
     a = ((3m + sd)*qa + (-m)*qs) / det,    s = ((m + sd)*qs + 3m*qa) / det,
 
 and y = a + s feeds the next cell.  The coefficients depend on sigma_t,
-dx and mu only, so they are built once per problem (ProblemOperators.
-march).  This rounds exactly as the unpacked solve
+dx and mu only, so they are formed by the kernel when the step's width
+pair (dx[i], dx[N-1-i]) changes: once a sweep on a uniform mesh.  This
+rounds exactly as the unpacked solve
 a = ((3m + sd) qa - m qs) / det, s = (3m qa + (m + sd) qs) / det with
 qs = dx*q_slope - 3m psi_in: IEEE defines x - y*z as x + (-y)*z, signed
 zeros included, 3m*x is (3m)*x, and each two-term sum is the same single
@@ -48,8 +49,9 @@ march (march_coefficients), with sysconfig's CC (else cc), and kept in
 the per-user cache ($XDG_CACHE_HOME or ~/.cache, under slabsm/), named by
 the SHA-256 of the C source and the compile command; importing slabsm
 builds and loads nothing.  A sweep writes nothing but its own psi and the
-kernel's inflow traces, which it allocates, so sweeps of one record may
-run at once, and ctypes releases the GIL for the call.
+kernel's inflow traces and coefficient rows, which it allocates, so
+sweeps of one record may run at once, and ctypes releases the GIL for the
+call.
 """
 
 from __future__ import annotations
@@ -68,63 +70,43 @@ _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 def march_coefficients(sigma_t, dx, mu):
-    """(shape, block, rows, dx, kernel) of the march on L = G*M lanes,
+    """(shape, sigma_t, m, dx, kernel) of the march on L = G*M lanes,
     shape = (G, M, N), for sigma_t (G,), cells of widths dx (N,) and
     directions mu (M,); a ValueError unless sigma_t is finite and
     positive, or where sigma_t * dx overflows the cell determinant.
 
-    The read-only array block (R, 7, L) holds, for each of the R distinct
-    cells, what a step of each lane reads: the inflow weights m and -3m,
-    the entries 3m + sd, m + sd, -m and 3m of K and det.  A cell of the
-    march is its pair of widths (dx[N-1-i], dx[i]), as step i meets the
-    mirrored slab on the mu < 0 half, so a uniform mesh has R = 1 and no
-    mesh more than N; each row is computed as a row per cell would be, so
-    the march rounds as it would on N rows.  rows (N,) is the block row of
-    each step and dx a read-only copy of the widths: 56*G*M*R bytes in
-    the block (8.75 KiB for test1, whatever its N) and 16*N in rows and
-    dx.  kernel is the compiled march (_march_kernel), built and loaded
-    with the first march of the process."""
-    sigma_t = np.asarray(sigma_t, dtype=float)
+    sigma_t, m = |mu| and dx are read-only float64 copies, so a later
+    write into the caller's arrays cannot change a sweep: 8*(G + M + N)
+    bytes, from which the kernel forms each lane's coefficients when the
+    step's width pair changes.  kernel is the compiled march
+    (_march_kernel), built and loaded with the first march of the
+    process."""
+    sigma_t = np.array(sigma_t, dtype=float)
     if not np.all(np.isfinite(sigma_t) & (sigma_t > 0)):
         raise ValueError("sweep requires finite sigma_t > 0")
     dx = np.array(dx, dtype=float)
     m = np.abs(np.asarray(mu, dtype=float))
-    G, M, N = sigma_t.size, m.size, dx.size
-    # the mu < 0 half marches the mirrored slab, so step i meets the
-    # widths (dx[N-1-i], dx[i]): one block row per distinct pair
-    pairs, rows = np.unique(np.stack([dx[::-1], dx], axis=1), axis=0,
-                            return_inverse=True)
-    R = pairs.shape[0]
-    sd_cells = (sigma_t[None, :, None]
-                * np.repeat(pairs, M // 2, axis=1)[:, None, :])
     # the cell solve divides by det = 6 mu^2 + 4 |mu| sd + sd^2; past its
-    # overflow every psi would silently come out as 0
-    sd_max, mu_max = float(sd_cells.max()), float(m.max())
+    # overflow every psi would silently come out as 0.  Rounding is
+    # monotone, so sd_max is the largest of the products sigma_t * dx.
+    sd_max, mu_max = float(sigma_t.max() * dx.max()), float(m.max())
     if not math.isfinite(6.0 * mu_max**2 + 4.0 * mu_max * sd_max
                          + sd_max * sd_max):
         raise ValueError(f"sigma_t * dx = {sd_max:.3e} overflows the LD "
                          "cell determinant")
-    m3 = 3.0 * m
-    lanes = sd_cells.shape
-    det = 6.0 * m**2 + 4.0 * m * sd_cells + sd_cells * sd_cells
-    block = np.stack([np.broadcast_to(m, lanes), np.broadcast_to(-m3, lanes),
-                      m3 + sd_cells, m + sd_cells,
-                      np.broadcast_to(-m, lanes), np.broadcast_to(m3, lanes),
-                      det], axis=1).reshape(R, 7, G * M)
-    rows = rows.reshape(-1).astype(np.intp)
-    for a in (block, rows, dx):
+    for a in (sigma_t, m, dx):
         a.setflags(write=False)
-    return (G, M, N), block, rows, dx, _march_kernel()
+    return (sigma_t.size, m.size, dx.size), sigma_t, m, dx, _march_kernel()
 
 
 def sweep_batch(march, rhs: np.ndarray) -> np.ndarray:
-    """Sweep every group and direction of one problem, of march
-    coefficients `march` (march_coefficients), in one pass between vacuum
-    boundaries, (G, M, N, 2).  rhs is the source density per unit mu,
+    """Sweep every group and direction of one problem, of march `march`
+    (march_coefficients), in one pass between vacuum boundaries,
+    (G, M, N, 2).  rhs is the source density per unit mu,
     either (G, N, 2) shared across directions or (G, M, N, 2) per
     direction.  One call of the compiled march, which writes only the psi
     returned, a new array."""
-    (G, M, N), block, rows, dx, kernel = march
+    (G, M, N), sigma_t, m, dx, kernel = march
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape == (G, N, 2):
         rhs = rhs[:, None]
@@ -134,9 +116,9 @@ def sweep_batch(march, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("rhs must be finite")
     rhs = np.ascontiguousarray(rhs)
     psi = np.empty((G, M, N, 2))
-    if kernel(G, M, rhs.shape[1], N, rows.ctypes.data, dx.ctypes.data,
-              block.ctypes.data, rhs.ctypes.data, psi.ctypes.data):
-        raise MemoryError("no memory for the march's inflow traces")
+    if kernel(G, M, rhs.shape[1], N, sigma_t.ctypes.data, m.ctypes.data,
+              dx.ctypes.data, rhs.ctypes.data, psi.ctypes.data):
+        raise MemoryError("no memory for the march's work rows")
     return psi
 
 

@@ -379,23 +379,30 @@ def test_march_coefficients_cached_per_problem():
     rhs = np.random.RandomState(3).randn(2, 8, 2)
     first = sweep_batch(ops.march, rhs)
     # a new spec and mesh of the same data get the one record, whose
-    # march is built once and read-only
+    # march is built once and holds read-only float64 copies of sigma_t,
+    # |mu| and dx
     same = problem_operators(_spec(), Mesh.uniform(4.0, 8))
     assert same is ops and same.march is ops.march
-    shape, block, rows, dx, kernel = ops.march
+    shape, sigma_t, m, dx, kernel = ops.march
     assert shape == (2, 6, 8)
-    assert not any(a.flags.writeable for a in (block, rows, dx))
-    assert block.shape == (1, 7, 12) and np.array_equal(rows, np.zeros(8))
+    data = (sigma_t, m, dx)
+    assert not any(a.flags.writeable for a in data)
+    assert all(a.dtype == np.float64 for a in data)
+    assert _same_bits(sigma_t, np.array([0.5, 2.0]))
+    assert _same_bits(m, np.abs(build_double_gauss(3).mu))
     assert np.array_equal(dx, mesh.dx) and not np.shares_memory(dx, mesh.dx)
     # dx alone (same N), sigma_t alone or n_half alone makes a new record,
-    # every one of them marching with the one compiled kernel
-    others = [(_spec(), Mesh.uniform(5.0, 8)),
-              (_spec(sigma_t=(0.5, 2.5)), mesh),
-              (_spec(n_half=2), mesh)]
-    for other in others:
+    # whose march differs in that part only, every one of them marching
+    # with the one compiled kernel
+    others = [((_spec(), Mesh.uniform(5.0, 8)), 3),
+              ((_spec(sigma_t=(0.5, 2.5)), mesh), 1),
+              ((_spec(n_half=2), mesh), 2)]
+    for other, changed in others:
         other_march = problem_operators(*other).march
-        assert other_march[1] is not block
-        assert not np.array_equal(other_march[1], block)
+        assert other_march is not ops.march
+        assert [not _same_bits(a, b) for a, b in
+                zip(other_march[1:4], data)] == [k == changed
+                                                 for k in (1, 2, 3)]
         assert other_march[4] is kernel
     # A, then enough other problems to evict A, then A again
     for n_cells in range(1, 10):
@@ -403,61 +410,37 @@ def test_march_coefficients_cached_per_problem():
                           Mesh.uniform(4.0, n_cells)).march
     rebuilt = problem_operators(_spec(), mesh)
     assert rebuilt is not ops
-    assert _same_bits(rebuilt.march[1], block)
+    assert rebuilt.march[0] == shape
+    assert all(_same_bits(a, b) for a, b in zip(rebuilt.march[1:4], data))
     again = sweep_batch(rebuilt.march, rhs)
     assert _same_bits(again, first)
 
 
-def test_march_coefficients_entry_size():
-    # the sizes the march_coefficients docstring quotes: 56*G*M bytes per
-    # distinct cell in the block (seven rows), one row on test1's uniform
-    # mesh, 8.75 KiB, and 16*N in the step rows and the widths
-    spec = builtin_problem("test1")
-    mesh = Mesh.uniform(spec.width, spec.n_cells)
-    shape, block, rows, dx, _ = problem_operators(spec, mesh).march
-    G, M, N = spec.G, 2 * spec.n_half, spec.n_cells
-    assert shape == (G, M, N)
-    assert block.shape == (1, 7, G * M)
-    assert block.nbytes == 56 * G * M == 8.75 * 2**10
-    assert rows.nbytes + dx.nbytes == 16 * N
-    # the block does not grow with the number of uniform cells
-    fine = march_coefficients(spec.sigma_t, np.full(1024, spec.width / 1024),
-                              build_double_gauss(spec.n_half).mu)
-    assert fine[1].nbytes == 56 * G * M
-
-
-def _per_cell_march(sigma_t, dx, mu):
-    """march_coefficients(sigma_t, dx, mu) with one block row per cell,
-    built cell by cell as the module docstring writes the inflow weights,
-    K and det: the reference the distinct-row block is held to."""
-    shape, _, _, dx, kernel = march_coefficients(sigma_t, dx, mu)
-    G, M, N = shape
-    m = np.abs(mu)
-    widths = np.where(mu < 0, dx[::-1, None], dx[:, None])
-    block = np.empty((N, 7, G, M))
-    for i in range(N):
-        sd = sigma_t[:, None] * widths[i]
-        det = 6.0 * m**2 + 4.0 * m * sd + sd * sd
-        block[i] = [np.broadcast_to(r, sd.shape) for r in
-                    (m, -3.0 * m, 3.0 * m + sd, m + sd, -m, 3.0 * m, det)]
-    block = block.reshape(N, 7, G * M)
-    return (shape, block, np.arange(N), dx, kernel), block
-
-
-@pytest.mark.parametrize("problem", ["test1", "test2"])
-def test_builtin_march_has_one_coefficient_row(problem):
-    # every cell of the uniform mesh has the same widths, so every step
-    # reads its coefficients from the one row of the block
-    spec = builtin_problem(problem)
-    _, block, rows, _, _ = problem_operators(
-        spec, Mesh.uniform(spec.width, spec.n_cells)).march
-    assert block.shape == (1, 7, spec.G * 2 * spec.n_half)
-    assert rows.shape == (spec.n_cells,) and not rows.any()
+def test_march_keeps_its_own_copies():
+    # the caller's sigma_t, dx and mu stay writable, and writes into them
+    # after the march is built change no later sweep: no array of the
+    # march shares their memory
+    quad = build_double_gauss(3)
+    sigma_t = np.array([0.5, 2.0, 30.0])
+    dx = np.array([0.3, 0.1, 0.45, 0.2, 0.25])
+    mu = quad.mu.copy()
+    rhs = np.random.RandomState(34).randn(sigma_t.size, dx.size, 2)
+    march = march_coefficients(sigma_t, dx, mu)
+    first = sweep_batch(march, rhs)
+    inputs = (sigma_t, dx, mu)
+    assert all(a.flags.writeable for a in inputs)
+    for a in inputs:
+        a *= 2.0
+    assert _same_bits(sweep_batch(march, rhs), first)
+    assert not any(np.shares_memory(a, b)
+                   for a in march[1:4] for b in inputs)
 
 
 def _meshes():
-    """Cell widths: uniform, random, mirror-symmetric, repeating and a
-    single cell, with the number of distinct (dx[N-1-i], dx[i]) pairs."""
+    """Cell widths: uniform, random, mirror-symmetric, repeating, a
+    single cell, and a mesh and its reverse where the widths of one half
+    change at a step and the other half's do not, with the number of
+    distinct (dx[N-1-i], dx[i]) pairs."""
     rng = np.random.RandomState(30)
     yield np.full(6, 0.25), 1
     yield rng.rand(9) + 0.05, 9
@@ -465,34 +448,30 @@ def _meshes():
     yield np.concatenate((half, [0.7], half[::-1])), 5
     yield np.tile([0.2, 0.45], 3), 2
     yield np.array([0.3]), 1
+    yield np.array([0.3, 0.3, 0.3, 0.5]), 3
+    yield np.array([0.5, 0.3, 0.3, 0.3]), 3
 
 
 @pytest.mark.parametrize("dx, rows", list(_meshes()))
 def test_march_has_one_row_per_distinct_cell(dx, rows):
-    # the block holds one row per distinct pair of widths that step i
-    # meets, (dx[N-1-i], dx[i]), and step i reads its pair's row, bit for
-    # bit the row i of a block of one row per cell; a sweep on it gives
-    # psi bit for bit, signed zeros included, as the one-row-per-cell
-    # march does, for isotropic, per-direction and +-0.0 sources
+    # the kernel forms one set of coefficient rows per run of steps with
+    # the same width pair (dx[i], dx[N-1-i]): at step 0 and wherever
+    # either width differs from the step before's.  psi is bit for bit,
+    # signed zeros included, that of the unpacked solve, which forms the
+    # coefficients at every step, for isotropic, per-direction and +-0.0
+    # sources
+    assert len(set(zip(dx[::-1], dx))) == rows
     quad = build_double_gauss(3)
     sigma_t = np.array([0.5, 2.0, 30.0])
     G, M, N = sigma_t.size, quad.n_angles, dx.size
+    mesh = Mesh(dx)
     march = march_coefficients(sigma_t, dx, quad.mu)
-    _, block, step_rows, _, _ = march
-    reference, per_cell = _per_cell_march(sigma_t, dx, quad.mu)
-    assert block.shape == (rows, 7, G * M)
-    assert set(step_rows) == set(range(rows))
-    pairs = list(zip(dx[::-1], dx))
-    for i, r in enumerate(step_rows):
-        assert _same_bits(block[r], per_cell[i])
-        assert all((step_rows[j] == r) == (pairs[j] == pairs[i])
-                   for j in range(N))
     rng = np.random.RandomState(N)
     zeros = np.zeros((G, M, N, 2))
     zeros[rng.rand(G, M, N, 2) < 0.5] = -0.0
     for rhs in (rng.randn(G, N, 2), rng.randn(G, M, N, 2), zeros):
         psi = sweep_batch(march, rhs)
-        assert _same_bits(psi, sweep_batch(reference, rhs))
+        assert _same_bits(psi, _unpacked_sweep(sigma_t, mesh, quad, rhs))
 
 
 def test_march_carries_nothing_between_sweeps():

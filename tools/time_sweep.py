@@ -8,8 +8,10 @@ OTHER_SRC is the src/ directory of another checkout, for instance of the
 parent commit.  slabsm is imported fresh from this checkout's src/ and
 then from OTHER_SRC, and both stay loaded.  On test1 and test2 each tree
 gets the same inputs: a fixed seeded isotropic source (G, N, 2) for
-`sweep.sweep_batch`; that source's swept psi for
-`angular.angular_moments` and, with its moments, for
+`sweep.sweep_batch`, which also sweeps test1's data over a seeded
+random nonuniform mesh of its N cells and width (row `test1-nu`), where
+every step of the march meets a new pair of widths; that source's swept
+psi for `angular.angular_moments` and, with its moments, for
 `closure_from_sweep`, taken from `slabsm.driver`, which binds it in
 every tree, the per-outer glue between the sweep and the low-order
 levels; for `losm.grey_xs` that sweep's group moments; for
@@ -26,11 +28,11 @@ sweep's phi and whose grey flux is that solve's, so each row shows a
 Level-1 change's share of a whole outer.  `operators` is one uncached
 build of everything the problem's runs reuse, so a change in set-up cost
 shows per call: a new `losm.ProblemOperators` of the problem's data with
-its low-order operators, march coefficients and edge table built.  `import`
+its low-order operators, march and edge table built.  `import`
 is the wall time of `import slabsm` in a fresh interpreter, measured
 inside it, so a change in start-up cost shows as one in a call does.
 
-Each tree sweeps with its operator record's march coefficients
+Each tree sweeps with its operator record's march
 (`losm.problem_operators`) and passes the record to `closure_from_sweep`
 and `driver._Run`.
 
@@ -147,6 +149,22 @@ def calls(slabsm, problem: str) -> dict:
     }
 
 
+def nonuniform_sweep(slabsm):
+    """One tree's sweep_batch, as a closure, on test1's data over a seeded
+    random mesh of test1's N cells and width, of a seeded isotropic
+    source."""
+    import numpy as np
+
+    spec = slabsm.builtin_problem("test1")
+    rng = np.random.RandomState(SEED)
+    dx = rng.rand(spec.n_cells) + 0.5
+    dx *= spec.width / dx.sum()
+    march = slabsm.sweep.march_coefficients(
+        spec.sigma_t, dx, slabsm.angular.build_double_gauss(spec.n_half).mu)
+    rhs = rng.rand(spec.G, spec.n_cells, 2)
+    return lambda: slabsm.sweep.sweep_batch(march, rhs)
+
+
 def interleaved(this, other, n_calls: int) -> tuple[float, float]:
     """Median seconds of one call of `this` and of `other`, alternating
     which runs first."""
@@ -183,8 +201,9 @@ def main(argv) -> int:
     trees = []
     for src in (SRC, args.other):
         slabsm = import_from(src)
-        trees.append({p: calls(slabsm, p) for p in PROBLEMS})
-    this, other = trees
+        trees.append(({p: calls(slabsm, p) for p in PROBLEMS},
+                      nonuniform_sweep(slabsm)))
+    (this, this_nu), (other, other_nu) = trees
     print(f"median of {args.calls} interleaved calls (import: of "
           f"{IMPORTS} fresh interpreters), in ms")
     print(f"{'call':18s} {'problem':8s} {'this':>8s} {'other':>8s} "
@@ -199,6 +218,9 @@ def main(argv) -> int:
         for p in PROBLEMS:
             row(name, p, *interleaved(this[p][name], other[p][name],
                                       args.calls))
+        if name == "sweep_batch":
+            row(name, "test1-nu", *interleaved(this_nu, other_nu,
+                                               args.calls))
     return 0
 
 
