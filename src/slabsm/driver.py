@@ -222,7 +222,7 @@ def _si_step(run: _Run, state: TransportState):
     spec = run.spec
     scatter = np.einsum("gh,hnc->gnc", spec.sigma_s, state.phi)
     scatter[:, :, 0] += spec.Q[:, None]
-    psi = sweep_batch(run.ops.march, 0.5 * scatter)
+    psi = sweep_batch(run.ops, 0.5 * scatter)
     phi, J, P = angular_moments(psi, run.quad)
     new = TransportState(phi=phi, grey_phi=phi.sum(axis=0), psi=psi,
                          phi_ho=phi, J_ho=J, P=P, J=J)
@@ -234,8 +234,7 @@ def _multilevel_step(run: _Run, state: TransportState):
     flux, then the low-order levels on that psi."""
     spec = run.spec
     sbar_s = avg_scattering_xs(state.phi, spec.sigma_s)
-    psi = sweep_batch(run.ops.march,
-                      build_ho_rhs(state.grey_phi, sbar_s, spec.Q))
+    psi = sweep_batch(run.ops, build_ho_rhs(state.grey_phi, sbar_s, spec.Q))
     return _low_order_levels(run, psi, state.grey_phi)
 
 

@@ -45,6 +45,7 @@ march) and source iteration need no scipy.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -53,7 +54,7 @@ from .angular import (AngularQuadrature, MomentSet, angular_moments,
                       build_double_gauss)
 from .fields import Mesh, const_field, from_nodes, nodal_product, to_nodes
 from .problem import ProblemSpec
-from .sweep import march_coefficients, upwind_edge_psi
+from .sweep import upwind_edge_psi
 
 DENOM_EPS = 1e-30
 
@@ -394,40 +395,58 @@ def _factor(data, indices, indptr):
 
 @dataclass(frozen=True, eq=False)
 class ProblemOperators:
-    """What every run of one problem reuses (problem_operators): from the
+    """What every run of one problem reuses (problem_operators), from the
     cell widths dx (N,), sigma_t (G,), removal sigma_t - sigma_s,g->g (G,)
-    and double Gauss order n_half, the sweep's march (march: sigma_t,
-    |mu| and dx, from which the compiled march forms its cell
-    coefficients), the closures' edge table (edges) and the low-order
-    operators (low_order), each built on first use and kept: so source
-    iteration factors nothing and a LowOrderSystem builds no march, and a
-    failed build raises again on the next use.  Every run of the same
-    data shares the record, and the record is read-only: no sweep or solve
-    writes into it, so it needs no lock, and runs may overlap in threads
-    and give their serial answers.  It keeps read-only float64 copies of
-    sigma_t, removal and dx, so a later write into the caller's arrays
-    cannot change them under the parts built from them.  Compared by
-    identity."""
+    and double Gauss order n_half.
+
+    Built on construction: read-only float64 copies of sigma_t and
+    removal, dx as Mesh(dx).dx, mabs, the read-only |mu| of
+    build_double_gauss(n_half), and the closures' edge table edges
+    (edge_weights).  The sweep (sweep_batch) reads sigma_t, mabs and dx,
+    from which the compiled march forms its cell coefficients.  Built on
+    first use and kept: the low-order operators (low_order), which import
+    scipy and factor, so source iteration pays for neither; a failed build
+    raises again on the next use.
+
+    Checked on construction, so every sweep of the record can march: the
+    rules of Mesh on dx and of build_double_gauss on n_half, sigma_t
+    finite and positive, and no overflow of the cell determinant by the
+    largest sigma_t * dx.  The removal > 0 check belongs to the low-order
+    operators alone (low_order), so source iteration runs c = 1 problems.
+
+    Every run of the same data shares the record, and the record is
+    read-only: no sweep or solve writes into it, so it needs no lock, and
+    runs may overlap in threads and give their serial answers.  Its copies
+    keep a later write into the caller's arrays from changing the parts
+    built from them.  Compared by identity."""
 
     sigma_t: np.ndarray
     removal: np.ndarray
     dx: np.ndarray
     n_half: int
+    mabs: np.ndarray = dc_field(init=False)
+    edges: np.ndarray = dc_field(init=False)
 
     def __post_init__(self):
-        for name in ("sigma_t", "removal", "dx"):
-            a = np.array(getattr(self, name), dtype=float)
+        dx = Mesh(self.dx).dx
+        mabs = np.abs(build_double_gauss(self.n_half).mu)
+        parts = {"dx": dx, "mabs": mabs, "edges": edge_weights(dx.size)}
+        for name in ("sigma_t", "removal"):
+            parts[name] = np.array(getattr(self, name), dtype=float)
+        for name, a in parts.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-    @functools.cached_property
-    def march(self):
-        return march_coefficients(self.sigma_t, self.dx,
-                                  build_double_gauss(self.n_half).mu)
-
-    @functools.cached_property
-    def edges(self) -> np.ndarray:
-        return edge_weights(self.dx.size)
+        sigma_t = self.sigma_t
+        if not np.all(np.isfinite(sigma_t) & (sigma_t > 0)):
+            raise ValueError("sweep requires finite sigma_t > 0")
+        # the cell solve divides by det = 6 mu^2 + 4 |mu| sd + sd^2; past
+        # its overflow every psi would silently come out as 0.  Rounding
+        # is monotone, so sd_max is the largest of the products sigma_t * dx.
+        sd_max, mu_max = float(sigma_t.max() * dx.max()), float(mabs.max())
+        if not math.isfinite(6.0 * mu_max**2 + 4.0 * mu_max * sd_max
+                             + sd_max * sd_max):
+            raise ValueError(f"sigma_t * dx = {sd_max:.3e} overflows the LD "
+                             "cell determinant")
 
     @functools.cached_property
     def low_order(self):

@@ -44,20 +44,19 @@ the compiler rounds every product and sum on its own: _march.c is built
 with -ffp-contract=off, since a fused multiply-add rounds a*b + c once,
 and without -ffast-math, which would let it reorder the sums.
 
-The library is compiled on first use, when a record first builds its
-march (march_coefficients), with sysconfig's CC (else cc), and kept in
-the per-user cache ($XDG_CACHE_HOME or ~/.cache, under slabsm/), named by
-the SHA-256 of the C source and the compile command; importing slabsm
-builds and loads nothing.  A sweep writes nothing but its own psi and the
-kernel's inflow traces and coefficient rows, which it allocates, so
-sweeps of one record may run at once, and ctypes releases the GIL for the
-call.
+The library is compiled on first use, by the first sweep of the process
+(sweep_batch), with sysconfig's CC (else cc), and kept in the per-user
+cache ($XDG_CACHE_HOME or ~/.cache, under slabsm/), named by the SHA-256
+of the C source and the compile command; importing slabsm or building an
+operator record builds and loads nothing.  A sweep writes nothing but its
+own psi and the kernel's inflow traces and coefficient rows, which it
+allocates, so sweeps of one record may run at once, and ctypes releases
+the GIL for the call.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from pathlib import Path
 
 import numpy as np
@@ -69,44 +68,17 @@ _SOURCE = Path(__file__).with_name("_march.c")
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
-def march_coefficients(sigma_t, dx, mu):
-    """(shape, sigma_t, m, dx, kernel) of the march on L = G*M lanes,
-    shape = (G, M, N), for sigma_t (G,), cells of widths dx (N,) and
-    directions mu (M,); a ValueError unless sigma_t is finite and
-    positive, or where sigma_t * dx overflows the cell determinant.
-
-    sigma_t, m = |mu| and dx are read-only float64 copies, so a later
-    write into the caller's arrays cannot change a sweep: 8*(G + M + N)
-    bytes, from which the kernel forms each lane's coefficients when the
-    step's width pair changes.  kernel is the compiled march
-    (_march_kernel), built and loaded with the first march of the
-    process."""
-    sigma_t = np.array(sigma_t, dtype=float)
-    if not np.all(np.isfinite(sigma_t) & (sigma_t > 0)):
-        raise ValueError("sweep requires finite sigma_t > 0")
-    dx = np.array(dx, dtype=float)
-    m = np.abs(np.asarray(mu, dtype=float))
-    # the cell solve divides by det = 6 mu^2 + 4 |mu| sd + sd^2; past its
-    # overflow every psi would silently come out as 0.  Rounding is
-    # monotone, so sd_max is the largest of the products sigma_t * dx.
-    sd_max, mu_max = float(sigma_t.max() * dx.max()), float(m.max())
-    if not math.isfinite(6.0 * mu_max**2 + 4.0 * mu_max * sd_max
-                         + sd_max * sd_max):
-        raise ValueError(f"sigma_t * dx = {sd_max:.3e} overflows the LD "
-                         "cell determinant")
-    for a in (sigma_t, m, dx):
-        a.setflags(write=False)
-    return (sigma_t.size, m.size, dx.size), sigma_t, m, dx, _march_kernel()
-
-
-def sweep_batch(march, rhs: np.ndarray) -> np.ndarray:
-    """Sweep every group and direction of one problem, of march `march`
-    (march_coefficients), in one pass between vacuum boundaries,
-    (G, M, N, 2).  rhs is the source density per unit mu,
-    either (G, N, 2) shared across directions or (G, M, N, 2) per
-    direction.  One call of the compiled march, which writes only the psi
-    returned, a new array."""
-    (G, M, N), sigma_t, m, dx, kernel = march
+def sweep_batch(ops, rhs: np.ndarray) -> np.ndarray:
+    """Sweep every group and direction of one problem, of operator record
+    `ops` (losm.ProblemOperators), in one pass between vacuum boundaries,
+    (G, M, N, 2).  The march reads the record's sigma_t (G,), mabs = |mu|
+    (M,) and dx (N,), which the record has checked.  rhs is the source
+    density per unit mu, either (G, N, 2) shared across directions or
+    (G, M, N, 2) per direction.  One call of the compiled march
+    (_march_kernel, loaded by the first sweep of the process), which
+    writes only the psi returned, a new array."""
+    sigma_t, m, dx = ops.sigma_t, ops.mabs, ops.dx
+    G, M, N = sigma_t.size, m.size, dx.size
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape == (G, N, 2):
         rhs = rhs[:, None]
@@ -116,8 +88,9 @@ def sweep_batch(march, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("rhs must be finite")
     rhs = np.ascontiguousarray(rhs)
     psi = np.empty((G, M, N, 2))
-    if kernel(G, M, rhs.shape[1], N, sigma_t.ctypes.data, m.ctypes.data,
-              dx.ctypes.data, rhs.ctypes.data, psi.ctypes.data):
+    if _march_kernel()(G, M, rhs.shape[1], N, sigma_t.ctypes.data,
+                       m.ctypes.data, dx.ctypes.data, rhs.ctypes.data,
+                       psi.ctypes.data):
         raise MemoryError("no memory for the march's work rows")
     return psi
 

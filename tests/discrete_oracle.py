@@ -31,15 +31,14 @@ def si_outer(spec):
     """One source-iteration outer of the problem on flat group fluxes
     (G * N * 2,): outer(phi, source) = T phi, plus c when `source`."""
     quad = build_double_gauss(spec.n_half)
-    march = problem_operators(
-        spec, Mesh.uniform(spec.width, spec.n_cells)).march
+    ops = problem_operators(spec, Mesh.uniform(spec.width, spec.n_cells))
     shape = (spec.G, spec.n_cells, 2)
 
     def outer(phi, source):
         scatter = np.einsum("gh,hnc->gnc", spec.sigma_s, phi.reshape(shape))
         if source:
             scatter[:, :, 0] += spec.Q[:, None]
-        psi = sweep_batch(march, 0.5 * scatter)
+        psi = sweep_batch(ops, 0.5 * scatter)
         return angular_moments(psi, quad).phi.reshape(-1)
 
     return outer

@@ -13,10 +13,10 @@ from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.driver import (IterationConfig, run_problem,
                            si_infinite_medium_rho)
 from slabsm.fields import Mesh, to_nodes
-from slabsm.losm import LowOrderSystem
+from slabsm.losm import LowOrderSystem, ProblemOperators
 from slabsm.problem import (builtin_problem, builtin_reference_c,
                             connection_strength, validate_scattering)
-from slabsm.sweep import march_coefficients, sweep_batch
+from slabsm.sweep import sweep_batch
 from discrete_oracle import oracle_flux
 from test_losm import group_particle_balance
 from test_sweep import curved_solution, l2_error, project_ld
@@ -355,8 +355,8 @@ def test_criterion_6g_manufactured_order():
         rhs = np.zeros((quad.n_angles, n, 2))
         for m, mu in enumerate(quad.mu):
             rhs[m] = project_ld(lambda x: source(x, mu, sigma), mesh)
-        march = march_coefficients([sigma], mesh.dx, quad.mu)
-        psi = sweep_batch(march, rhs[None])[0]
+        ops = ProblemOperators([sigma], [sigma], mesh.dx, 4)
+        psi = sweep_batch(ops, rhs[None])[0]
         errors.append(l2_error(psi, exact, mesh, quad))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     if not np.all(orders >= 1.9):

@@ -3,6 +3,7 @@ import concurrent.futures
 import copy
 import dataclasses
 import dis
+import functools
 import os
 import pathlib
 import subprocess
@@ -547,9 +548,9 @@ def test_a_run_does_not_depend_on_what_ran_before():
 
 
 def test_overlapping_runs_give_their_serial_answers():
-    # runs of one problem share its operator record and so the march's
-    # scratch frame; two threads that run test2 in pairs, switching often
-    # enough that their sweeps interleave, each get a serial run's bits
+    # runs of one problem share its operator record; two threads that run
+    # test2 in pairs, switching often enough that their sweeps interleave,
+    # each get a serial run's bits
     spec = builtin_problem("test2")
     configs = (IterationConfig(method="si", max_outer=60),
                IterationConfig(method="mlsm"),
@@ -577,18 +578,22 @@ def test_overlapping_runs_give_their_serial_answers():
 
 
 def test_record_parts_are_built_on_first_use():
-    # source iteration builds the march and factors nothing; a low-order
-    # system builds the low-order operators and no march
+    # only the low-order operators wait for their first use: source
+    # iteration factors nothing, and a low-order system or a multilevel
+    # run builds them
     spec = dataclasses.replace(_small_two_group(), width=7.375)
     ops = problem_operators(spec, Mesh.uniform(spec.width, spec.n_cells))
+    assert "low_order" not in vars(ops)
     run_problem(spec, IterationConfig(method="si", max_outer=3))
-    assert "march" in vars(ops) and "low_order" not in vars(ops)
+    assert "low_order" not in vars(ops)
     other = dataclasses.replace(spec, width=6.375)
     system = LowOrderSystem(other, Mesh.uniform(other.width, other.n_cells))
     assert "low_order" in vars(system.ops)
-    assert "march" not in vars(system.ops)
     run_problem(spec, IterationConfig(method="mlsm", max_outer=3))
-    assert {"march", "edges", "low_order"} <= set(vars(ops))
+    assert "low_order" in vars(ops)
+    # and it is the record's one cached part
+    assert [name for name, value in vars(type(ops)).items()
+            if isinstance(value, functools.cached_property)] == ["low_order"]
 
 
 # run in a fresh interpreter: this one has loaded scipy already

@@ -45,7 +45,7 @@ def test_mesh_keeps_a_read_only_copy_of_dx():
     mesh = Mesh(dx)
     quad = build_double_gauss(1)
     ops = ProblemOperators(np.ones(1), np.ones(1), mesh.dx, 1)
-    psi = sweep_batch(ops.march, np.ones((1, 4, 2)))
+    psi = sweep_batch(ops, np.ones((1, 4, 2)))
     closure_from_sweep(psi, quad, angular_moments(psi, quad), ops)
     dx[0] = -1.0
     assert mesh.dx[0] == 0.5

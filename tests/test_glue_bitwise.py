@@ -248,7 +248,7 @@ def test_closures_are_the_replaced_formula(G):
     lead = () if G is None else (G,)
     for _ in range(3):
         rhs = rng.rand(G or 1, DX.size, 2)
-        psi = sweep_batch(ops.march, rhs)
+        psi = sweep_batch(ops, rhs)
         psi = _signed_zeros(rng, psi.reshape(lead + psi.shape[1:]))
         for moments in (angular_moments(psi, quad),
                         _random_moments(rng, lead + (DX.size, 2))):

@@ -62,7 +62,7 @@ def _group_closure(closures, g):
 
 def _sweep_and_close(spec, rhs, mesh, quad):
     ops = problem_operators(spec, mesh)
-    psi = sweep_batch(ops.march, rhs)
+    psi = sweep_batch(ops, rhs)
     mom = angular_moments(psi, quad)
     return psi, mom, closure_from_sweep(psi, quad, mom, ops)
 
@@ -530,7 +530,7 @@ def test_group_axis_matches_per_group_slices(G, dx, n_half):
     sbar = rng.rand(G, n, 2)
     rhs = build_ho_rhs(grey, sbar, Q)
     system = LowOrderSystem(spec, mesh)
-    psi = sweep_batch(system.ops.march, rhs)
+    psi = sweep_batch(system.ops, rhs)
     mom = angular_moments(psi, quad)
     closures = closure_from_sweep(psi, quad, mom, system.ops)
     zeta = rng.rand(n, 2) + 0.5
@@ -585,23 +585,36 @@ def test_group_operators_factored_once_per_problem():
 
 
 def test_record_keeps_read_only_copies_of_its_data():
-    # a write into the caller's arrays after the parts are built leaves
-    # the record, and what was built from it, as they were
+    # a write into the caller's arrays after the record is built and
+    # swept leaves the record, what was built from it and later sweeps as
+    # they were; the caller's arrays stay writable and share no memory
+    # with the record
     sigma_t, removal = np.array([1.0, 2.0]), np.array([0.7, 1.5])
-    dx = np.full(4, 0.5)
+    dx = np.array([0.5, 0.25, 0.75, 0.5])
     ops = ProblemOperators(sigma_t, removal, dx, 2)
-    built = ops.march, ops.edges, ops.low_order
-    kept = [a.copy() for a in (ops.sigma_t, ops.removal, ops.dx)]
-    for a in (sigma_t, removal, dx):
+    rhs = np.random.RandomState(34).randn(2, dx.size, 2)
+    first = sweep_batch(ops, rhs)
+    low_order = ops.low_order
+    parts = (ops.sigma_t, ops.removal, ops.dx, ops.mabs, ops.edges)
+    kept = [a.copy() for a in parts]
+    inputs = (sigma_t, removal, dx)
+    assert all(a.flags.writeable for a in inputs)
+    for a in inputs:
         a *= 3.0
-    for got, want in zip((ops.sigma_t, ops.removal, ops.dx), kept):
+    for got, want in zip(parts, kept):
         assert got.dtype == np.float64 and _same_bits(got, want)
         with pytest.raises(ValueError, match="read-only"):
             got[0] = 1.0
-    assert all(a is b for a, b in zip((ops.march, ops.edges, ops.low_order),
-                                      built))
+    assert not any(np.shares_memory(a, b) for a in parts for b in inputs)
+    assert ops.low_order is low_order
+    assert _same_bits(sweep_batch(ops, rhs), first)
+    # |mu| of the double Gauss set of n_half, and the edge table of N cells
+    assert _same_bits(ops.mabs, np.abs(build_double_gauss(2).mu))
+    assert _same_bits(ops.edges, losm.edge_weights(dx.size))
     # integer input is stored as float64
-    assert ProblemOperators([1, 2], [1, 1], [1], 1).sigma_t.dtype == float
+    ints = ProblemOperators([1, 2], [1, 1], [1], 1)
+    assert all(a.dtype == float for a in (ints.sigma_t, ints.removal,
+                                          ints.dx))
 
 
 # -- bitwise pins of the closure terms and right sides; the grey solve ----

@@ -14,17 +14,20 @@ from slabsm.fields import Mesh, const_field, to_nodes
 from slabsm.problem import ProblemSpec, builtin_problem
 from slabsm.losm import (ProblemOperators, closure_from_sweep,
                          problem_operators)
-from slabsm.sweep import (build_ho_rhs, march_coefficients, sweep_batch,
-                          upwind_edge_psi)
+from slabsm.sweep import build_ho_rhs, sweep_batch, upwind_edge_psi
 
 GAUSS3_T = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 GAUSS3_V = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
 def _sweep(sigma_t, mesh, quad, rhs):
-    """Sweep of sigma_t (G,) on the mesh in the directions of quad: psi
-    (G, M, n_cells, 2)."""
-    return sweep_batch(march_coefficients(sigma_t, mesh.dx, quad.mu), rhs)
+    """Sweep of sigma_t (G,) on the mesh in the directions of quad, a
+    build_double_gauss set: psi (G, M, n_cells, 2).  The record's removal
+    is sigma_t; a sweep never reads it."""
+    n_half = quad.n_angles // 2
+    assert quad is build_double_gauss(n_half)
+    return sweep_batch(ProblemOperators(sigma_t, sigma_t, mesh.dx, n_half),
+                       rhs)
 
 
 def _sweep1(sigma_t, mesh, quad, rhs):
@@ -281,11 +284,27 @@ def test_closures_match_explicit_reconstruction(G, dx, n_half):
 
 
 def test_sigma_t_must_be_positive():
+    # rejected when the record is constructed, in any group
     quad = build_double_gauss(2)
     mesh = Mesh.uniform(1.0, 2)
     for sigma_t in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="finite sigma_t > 0"):
             _sweep1(sigma_t, mesh, quad, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="finite sigma_t > 0"):
+            ProblemOperators([1.0, sigma_t], [1.0, 1.0], mesh.dx, 2)
+
+
+@pytest.mark.parametrize("dx", [[1.0, 0.0], [0.5, -0.5, 0.5, 0.5],
+                                [1.0, np.nan], [np.inf, 1.0],
+                                [[0.5, 0.5], [0.5, 0.5]], []])
+def test_record_rejects_widths_the_march_cannot_take(dx):
+    # the record takes its widths through Mesh, so a zero, negative,
+    # NaN or infinite width, a 2-D dx and an empty one raise Mesh's
+    # error when it is constructed; none reaches a sweep, and a NaN width
+    # is not reported as an overflow
+    with pytest.raises(ValueError,
+                       match="mesh cell widths must be finite and > 0"):
+        ProblemOperators([1.0], [1.0], np.array(dx), 2)
 
 
 @pytest.mark.parametrize("rhs, match", [
@@ -309,11 +328,10 @@ def test_sigma_t_dx_overflow_rejected():
     rhs = const_field(0.5, 4)
     with pytest.raises(ValueError, match="overflows"):
         _sweep1(1e160, mesh, quad, rhs)
-    # raised on every use of the record's march: a failed build is not kept
-    ops = ProblemOperators(np.array([1e160]), np.array([1.0]), mesh.dx, 2)
+    # raised by each construction of the record, which keeps nothing
     for _ in range(2):
         with pytest.raises(ValueError, match="overflows"):
-            ops.march
+            ProblemOperators(np.array([1e160]), np.array([1.0]), mesh.dx, 2)
     # still representable: thick cells give psi_a = q / sigma_t
     psi = _sweep1(1e150, mesh, quad, rhs)
     assert np.allclose(psi[:, 1:-1, 0], 0.5e-150, rtol=1e-12)
@@ -373,67 +391,38 @@ def _same_bits(a, b):
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
-def test_march_coefficients_cached_per_problem():
+def test_operator_record_cached_per_problem():
     mesh = Mesh.uniform(4.0, 8)
     ops = problem_operators(_spec(), mesh)
     rhs = np.random.RandomState(3).randn(2, 8, 2)
-    first = sweep_batch(ops.march, rhs)
+    first = sweep_batch(ops, rhs)
     # a new spec and mesh of the same data get the one record, whose
-    # march is built once and holds read-only float64 copies of sigma_t,
-    # |mu| and dx
-    same = problem_operators(_spec(), Mesh.uniform(4.0, 8))
-    assert same is ops and same.march is ops.march
-    shape, sigma_t, m, dx, kernel = ops.march
-    assert shape == (2, 6, 8)
-    data = (sigma_t, m, dx)
-    assert not any(a.flags.writeable for a in data)
-    assert all(a.dtype == np.float64 for a in data)
-    assert _same_bits(sigma_t, np.array([0.5, 2.0]))
-    assert _same_bits(m, np.abs(build_double_gauss(3).mu))
-    assert np.array_equal(dx, mesh.dx) and not np.shares_memory(dx, mesh.dx)
+    # sweep reads sigma_t, |mu| of the double Gauss set and dx
+    assert problem_operators(_spec(), Mesh.uniform(4.0, 8)) is ops
+    data = (ops.sigma_t, ops.mabs, ops.dx)
+    assert _same_bits(ops.sigma_t, np.array([0.5, 2.0]))
+    assert _same_bits(ops.mabs, np.abs(build_double_gauss(3).mu))
+    assert _same_bits(ops.dx, mesh.dx)
     # dx alone (same N), sigma_t alone or n_half alone makes a new record,
-    # whose march differs in that part only, every one of them marching
-    # with the one compiled kernel
+    # which differs in that part only
     others = [((_spec(), Mesh.uniform(5.0, 8)), 3),
               ((_spec(sigma_t=(0.5, 2.5)), mesh), 1),
               ((_spec(n_half=2), mesh), 2)]
     for other, changed in others:
-        other_march = problem_operators(*other).march
-        assert other_march is not ops.march
+        record = problem_operators(*other)
+        assert record is not ops
         assert [not _same_bits(a, b) for a, b in
-                zip(other_march[1:4], data)] == [k == changed
-                                                 for k in (1, 2, 3)]
-        assert other_march[4] is kernel
-    # A, then enough other problems to evict A, then A again
+                zip((record.sigma_t, record.mabs, record.dx), data)] == [
+                    k == changed for k in (1, 2, 3)]
+    # A, then enough other problems to evict A, then A again: a new record
+    # of the same bits, which sweeps the same bits
     for n_cells in range(1, 10):
-        problem_operators(_spec(n_cells=n_cells),
-                          Mesh.uniform(4.0, n_cells)).march
+        problem_operators(_spec(n_cells=n_cells), Mesh.uniform(4.0, n_cells))
     rebuilt = problem_operators(_spec(), mesh)
     assert rebuilt is not ops
-    assert rebuilt.march[0] == shape
-    assert all(_same_bits(a, b) for a, b in zip(rebuilt.march[1:4], data))
-    again = sweep_batch(rebuilt.march, rhs)
-    assert _same_bits(again, first)
-
-
-def test_march_keeps_its_own_copies():
-    # the caller's sigma_t, dx and mu stay writable, and writes into them
-    # after the march is built change no later sweep: no array of the
-    # march shares their memory
-    quad = build_double_gauss(3)
-    sigma_t = np.array([0.5, 2.0, 30.0])
-    dx = np.array([0.3, 0.1, 0.45, 0.2, 0.25])
-    mu = quad.mu.copy()
-    rhs = np.random.RandomState(34).randn(sigma_t.size, dx.size, 2)
-    march = march_coefficients(sigma_t, dx, mu)
-    first = sweep_batch(march, rhs)
-    inputs = (sigma_t, dx, mu)
-    assert all(a.flags.writeable for a in inputs)
-    for a in inputs:
-        a *= 2.0
-    assert _same_bits(sweep_batch(march, rhs), first)
-    assert not any(np.shares_memory(a, b)
-                   for a in march[1:4] for b in inputs)
+    assert all(_same_bits(a, b) for a, b in
+               zip((rebuilt.sigma_t, rebuilt.mabs, rebuilt.dx), data))
+    assert _same_bits(sweep_batch(rebuilt, rhs), first)
 
 
 def _meshes():
@@ -465,29 +454,30 @@ def test_march_has_one_row_per_distinct_cell(dx, rows):
     sigma_t = np.array([0.5, 2.0, 30.0])
     G, M, N = sigma_t.size, quad.n_angles, dx.size
     mesh = Mesh(dx)
-    march = march_coefficients(sigma_t, dx, quad.mu)
+    ops = ProblemOperators(sigma_t, sigma_t, dx, 3)
     rng = np.random.RandomState(N)
     zeros = np.zeros((G, M, N, 2))
     zeros[rng.rand(G, M, N, 2) < 0.5] = -0.0
     for rhs in (rng.randn(G, N, 2), rng.randn(G, M, N, 2), zeros):
-        psi = sweep_batch(march, rhs)
+        psi = sweep_batch(ops, rhs)
         assert _same_bits(psi, _unpacked_sweep(sigma_t, mesh, quad, rhs))
 
 
 def test_march_carries_nothing_between_sweeps():
-    # a march is read-only and every sweep of its record shares it: sweeps
-    # of two marches interleaved, with an isotropic, a per-direction and a
-    # +-0.0 source and a rejected NaN source between them, each give the
-    # bits of a sweep on a new march, and no psi changes when later sweeps
-    # of its march run
+    # a record is read-only and every sweep of it shares it: sweeps of two
+    # records interleaved, with an isotropic, a per-direction and a +-0.0
+    # source and a rejected NaN source between them, each give the bits of
+    # a sweep on a new record, and no psi changes when later sweeps of its
+    # record run
     quad = build_double_gauss(3)
     M = quad.n_angles
     dx = np.array([0.3, 0.1, 0.45, 0.2, 0.25])
     sigma_t = np.array([0.5, 2.0, 30.0])
     G, N = sigma_t.size, dx.size
-    march = march_coefficients(sigma_t, dx, quad.mu)
-    other = march_coefficients([1.5, 0.2], np.full(7, 0.3), quad.mu)
-    kept_march = [a.copy() for a in march[1:4]]
+    ops = ProblemOperators(sigma_t, sigma_t, dx, 3)
+    other = ProblemOperators([1.5, 0.2], [1.5, 0.2], np.full(7, 0.3), 3)
+    read = (ops.sigma_t, ops.mabs, ops.dx)
+    kept_read = [a.copy() for a in read]
     rng = np.random.RandomState(29)
     zeros = np.zeros((G, N, 2))
     zeros[rng.rand(G, N, 2) < 0.5] = -0.0
@@ -496,21 +486,21 @@ def test_march_carries_nothing_between_sweeps():
     swept = []
     for rhs in (rng.randn(G, N, 2), rng.randn(G, M, N, 2), zeros):
         source = rhs.copy()
-        psi = sweep_batch(march, rhs)
-        ref = sweep_batch(march_coefficients(sigma_t, dx, quad.mu), rhs)
+        psi = sweep_batch(ops, rhs)
+        ref = sweep_batch(ProblemOperators(sigma_t, sigma_t, dx, 3), rhs)
         assert _same_bits(psi, ref)
         assert _same_bits(rhs, source)
-        assert not any(np.shares_memory(psi, a) for a in (rhs, *march[1:4]))
+        assert not any(np.shares_memory(psi, a) for a in (rhs, *read))
         swept.append((psi, psi.copy()))
         with pytest.raises(ValueError, match="finite"):
-            sweep_batch(march, nan)
+            sweep_batch(ops, nan)
         sweep_batch(other, rng.randn(2, 7, 2))
-    # an earlier psi is not changed by later sweeps of its march
+    # an earlier psi is not changed by later sweeps of its record
     for psi, kept in swept:
         assert _same_bits(psi, kept)
     assert len({id(psi) for psi, _ in swept}) == len(swept)
-    # the march itself is read-only and unchanged
-    for a, kept in zip(march[1:4], kept_march):
+    # what the march reads is read-only and unchanged
+    for a, kept in zip(read, kept_read):
         assert not a.flags.writeable
         assert _same_bits(a, kept)
     # a run's final TransportState.psi is its own array, not changed by
@@ -521,7 +511,7 @@ def test_march_carries_nothing_between_sweeps():
                                               max_outer=3)).state
     kept = state.psi.copy()
     for _ in range(3):
-        sweep_batch(ops.march, rng.randn(spec.G, spec.n_cells, 2))
+        sweep_batch(ops, rng.randn(spec.G, spec.n_cells, 2))
     run_problem(spec, IterationConfig(method="si", max_outer=2))
     assert _same_bits(state.psi, kept)
 
@@ -642,18 +632,20 @@ def test_nonuniform_mesh_matches_per_cell_reference():
         assert np.abs(psi[g] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-# a fresh interpreter that builds one march with sysconfig's CC set to
-# argv[1], and prints the error if the build fails
+# a fresh interpreter that runs one sweep with sysconfig's CC set to
+# argv[1], and prints the error if building the march fails
 _BUILD = """
 import sys, sysconfig
 sysconfig.get_config_vars()["CC"] = sys.argv[1]
-from slabsm.sweep import march_coefficients, sweep_batch
+from slabsm.losm import ProblemOperators
+from slabsm.sweep import sweep_batch
+ops = ProblemOperators([1.0], [1.0], [0.5, 0.5], 1)
 try:
-    march = march_coefficients([1.0], [0.5, 0.5], [-0.5, 0.5])
+    psi = sweep_batch(ops, [[[1.0, 0.0], [1.0, 0.0]]])
 except RuntimeError as err:
     print(err)
 else:
-    print(sweep_batch(march, [[[1.0, 0.0], [1.0, 0.0]]]).sum())
+    print(psi.sum())
 """
 
 
@@ -670,7 +662,7 @@ def _build(cache, compiler):
 
 @pytest.mark.parametrize("compiler", ["missing", "failing"])
 def test_march_build_without_a_compiler_raises(tmp_path, compiler):
-    # a compiler that cannot be run, or one that fails: building a march
+    # a compiler that cannot be run, or one that fails: the first sweep
     # raises, naming the command and the compiler's error output, and
     # leaves nothing in the cache
     cache = tmp_path / "cache"

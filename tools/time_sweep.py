@@ -28,13 +28,14 @@ sweep's phi and whose grey flux is that solve's, so each row shows a
 Level-1 change's share of a whole outer.  `operators` is one uncached
 build of everything the problem's runs reuse, so a change in set-up cost
 shows per call: a new `losm.ProblemOperators` of the problem's data with
-its low-order operators, march and edge table built.  `import`
+every part built (its low-order operators, its edge table, and its march
+in a tree whose record builds one).  `import`
 is the wall time of `import slabsm` in a fresh interpreter, measured
 inside it, so a change in start-up cost shows as one in a call does.
 
-Each tree sweeps with its operator record's march
-(`losm.problem_operators`) and passes the record to `closure_from_sweep`
-and `driver._Run`.
+Each tree sweeps with its operator record (`losm.problem_operators`),
+or with the record's `march` in a tree whose sweep takes one, and passes
+the record to `closure_from_sweep` and `driver._Run`.
 
 The two trees' calls alternate, which one goes first alternating from
 call to call, as the machine's speed drifts.  The low-order calls reuse
@@ -105,15 +106,16 @@ def calls(slabsm, problem: str) -> dict:
     rhs = np.random.RandomState(SEED).rand(spec.G, spec.n_cells, 2)
     # the sweep, the closures and a run read the operator record
     ops = losm.problem_operators(spec, mesh)
+    march = getattr(ops, "march", ops)
 
     def sweep_batch():
-        return sweep.sweep_batch(ops.march, rhs)
+        return sweep.sweep_batch(march, rhs)
 
     def operators():
         # in the order of a multilevel run: its LowOrderSystem first
         fresh = losm.ProblemOperators(ops.sigma_t, ops.removal, ops.dx,
                                       ops.n_half)
-        return fresh.low_order, fresh.march, fresh.edges
+        return fresh.low_order, getattr(fresh, "march", fresh), fresh.edges
 
     psi = sweep_batch()
     moments = slabsm.angular.angular_moments(psi, quad)
@@ -159,8 +161,9 @@ def nonuniform_sweep(slabsm):
     rng = np.random.RandomState(SEED)
     dx = rng.rand(spec.n_cells) + 0.5
     dx *= spec.width / dx.sum()
-    march = slabsm.sweep.march_coefficients(
-        spec.sigma_t, dx, slabsm.angular.build_double_gauss(spec.n_half).mu)
+    ops = slabsm.losm.ProblemOperators(
+        spec.sigma_t, spec.sigma_t - np.diag(spec.sigma_s), dx, spec.n_half)
+    march = getattr(ops, "march", ops)
     rhs = rng.rand(spec.G, spec.n_cells, 2)
     return lambda: slabsm.sweep.sweep_batch(march, rhs)
 
