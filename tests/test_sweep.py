@@ -425,6 +425,24 @@ def test_operator_record_cached_per_problem():
     assert _same_bits(sweep_batch(rebuilt, rhs), first)
 
 
+def test_march_keeps_its_own_copies():
+    # the caller's sigma_t and dx stay writable, and writes into them
+    # after the record is built change no later sweep: no array the march
+    # reads shares their memory
+    sigma_t = np.array([0.5, 2.0, 30.0])
+    dx = np.array([0.3, 0.1, 0.45, 0.2, 0.25])
+    ops = ProblemOperators(sigma_t, sigma_t.copy(), dx, 3)
+    rhs = np.random.RandomState(34).randn(sigma_t.size, dx.size, 2)
+    first = sweep_batch(ops, rhs)
+    inputs = (sigma_t, dx)
+    assert all(a.flags.writeable for a in inputs)
+    for a in inputs:
+        a *= 2.0
+    assert _same_bits(sweep_batch(ops, rhs), first)
+    assert not any(np.shares_memory(a, b)
+                   for a in (ops.sigma_t, ops.mabs, ops.dx) for b in inputs)
+
+
 def _meshes():
     """Cell widths: uniform, random, mirror-symmetric, repeating, a
     single cell, and a mesh and its reverse where the widths of one half
