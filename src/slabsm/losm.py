@@ -20,8 +20,13 @@ traces of the cells beside the edge plus the constants dJ and dphi,
 where (c u)_a = c_a u_a + c_s u_s and (c u)_s = c_s u_a + c_a u_s for LD
 fields c and u.  The closure's terms, built once with it, move to the right
 sides (ClosureData.terms, (..., N, 4) per cell row): rows 2-3 complete, and
-in rows 0-1 the dJ terms that S_a and S_s are reduced by.  The grey system
-has sbar_a for removal and sbar_t for sigma_t and adds the drift
+in rows 0-1 the dJ terms that S_a and S_s are reduced by.  The hand-off
+from Level 1 runs in the library that holds the sweep's march
+(sweep.kernel): closure_from_sweep forms every group's edge functionals
+from psi in one call of it, and each ClosureData its terms in another,
+both in numpy's operation order, so bit for bit as the numpy formulas
+they replaced.  The grey system has sbar_a for removal and sbar_t for
+sigma_t and adds the drift
 (eta phi)_a, (eta phi)_s to the two J rows; its solution-averaged
 coefficients and field products are collocated at the two cell-edge values,
 so the group-summed grey equations coincide exactly with the sum of the
@@ -50,11 +55,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .angular import (AngularQuadrature, MomentSet, angular_moments,
-                      build_double_gauss)
+from .angular import AngularQuadrature, MomentSet, build_double_gauss
 from .fields import Mesh, const_field, from_nodes, nodal_product, to_nodes
 from .problem import ProblemSpec
-from .sweep import upwind_edge_psi
+from .sweep import kernel
 
 DENOM_EPS = 1e-30
 
@@ -166,9 +170,12 @@ class ClosureData:
     LD coefficients of the closure moment (from closure_from_sweep, the
     sweep's own, which a TransportState shares).  terms, (..., N, 4),
     holds every closure term of the low-order right sides per cell row
-    (_closure_terms), built with the closure.  Every array is made
-    read-only, the given ones included, so none can leave the terms
-    stale.  Closures compare by identity.
+    (module docstring), built with the closure by one call of the compiled
+    slabsm_closure_terms, each an elementwise formula in a fixed order.
+    The arrays must fit one mesh, with one set of leading axes: dJ, dphi
+    and Phat (..., N+1), P (..., N, 2) and dx (N,); a ValueError says so
+    otherwise.  Every array is made read-only, the given ones included, so
+    none can leave the terms stale.  Closures compare by identity.
     """
 
     dJ: np.ndarray
@@ -179,7 +186,21 @@ class ClosureData:
     terms: np.ndarray = dc_field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _closure_terms(self))
+        dJ, dphi, Phat, P, dx = (np.ascontiguousarray(a, dtype=float)
+                                 for a in (self.dJ, self.dphi, self.Phat,
+                                           self.P, self.dx))
+        N, lead = dx.size, P.shape[:-2]
+        edge = lead + (N + 1,)
+        if (dx.ndim != 1 or P.shape[-2:] != (N, 2)
+                or not dJ.shape == dphi.shape == Phat.shape == edge):
+            raise ValueError("closure shapes do not fit one mesh: dJ, dphi "
+                             "and Phat (..., N+1), P (..., N, 2), dx (N,)")
+        terms = np.empty(lead + (N, 4))
+        kernel("slabsm_closure_terms")(
+            math.prod(lead), N, dJ.ctypes.data, dphi.ctypes.data,
+            Phat.ctypes.data, P.ctypes.data, dx.ctypes.data,
+            terms.ctypes.data)
+        object.__setattr__(self, "terms", terms)
         for array in vars(self).values():
             array.setflags(write=False)
 
@@ -204,53 +225,39 @@ def edge_weights(N: int) -> np.ndarray:
     return w
 
 
-def _closure_terms(closure: ClosureData) -> np.ndarray:
-    """The closure terms of the low-order right sides, (..., N, 4), one
-    column per cell row (module docstring), with the closure's leading
-    axes."""
-    dx = closure.dx
-    dJ, dphi, Phat = closure.dJ, closure.dphi, closure.Phat
-    c = np.empty(dJ.shape[:-1] + (dx.size, 4))
-    np.divide(dJ[..., 1:] - dJ[..., :-1], dx, c[..., 0])
-    np.divide(3.0 * (dJ[..., 1:] + dJ[..., :-1]), dx, c[..., 1])
-    np.divide((Phat[..., 1:] - Phat[..., :-1])
-              - (dphi[..., 1:] - dphi[..., :-1]) / 3.0, dx, c[..., 2])
-    np.divide(3.0 * (Phat[..., 1:] + Phat[..., :-1])
-              - 6.0 * closure.P[..., 0]
-              - (dphi[..., 1:] + dphi[..., :-1]), dx, c[..., 3])
-    return c
-
-
 def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
                        moments: MomentSet,
                        ops: ProblemOperators) -> ClosureData:
     """Edge and cell closure functionals of every group, and their
     right-side terms on the problem's cells, from the latest sweep, psi
-    (G, M, N, 2), and its angular moments.  dJ and dphi are the exact edge
-    moments minus their reconstructions by the record's edge table
-    (ProblemOperators.edges) from the one-sided traces, so
-    imposing them on the low-order system reproduces the transport moments
-    identically at a consistent solution."""
-    N = psi.shape[-2]
-    edge = angular_moments(upwind_edge_psi(psi, quad)[..., None], quad)
-    phi, J = moments.phi, moments.J
-    lead = phi.shape[:-2]
-    # trace rows t_k (4, ..., N+1): [phi, J] of the cells left (a + s) and
-    # right (a - s) of each edge, zero outside the slab
-    t = np.zeros((4,) + lead + (N + 1,))
-    np.add(phi[..., 0], phi[..., 1], t[0, ..., 1:])
-    np.add(J[..., 0], J[..., 1], t[1, ..., 1:])
-    np.subtract(phi[..., 0], phi[..., 1], t[2, ..., :-1])
-    np.subtract(J[..., 0], J[..., 1], t[3, ..., :-1])
-    # [J^, phi^] = w0 t0 + w1 t1 + w2 t2 + w3 t3, summed left to right,
-    # from one product; contiguous weights keep the k axis outermost
-    w = np.ascontiguousarray(ops.edges.T)
-    wt = np.multiply(w.reshape((4, 2) + (1,) * len(lead) + (N + 1,)),
-                     t[:, None])
-    recon = wt[0] + wt[1] + wt[2] + wt[3]
-    return ClosureData(dJ=edge.J[..., 0] - recon[0],
-                       dphi=edge.phi[..., 0] - recon[1],
-                       Phat=edge.P[..., 0], P=moments.P, dx=ops.dx)
+    (G, M, N, 2) or one group's (M, N, 2), and its angular moments, of the
+    same leading axes.  dJ and dphi are the exact edge moments minus their
+    reconstructions by the record's edge table (ProblemOperators.edges)
+    from the one-sided traces, so imposing them on the low-order system
+    reproduces the transport moments identically at a consistent
+    solution; Phat is the edge moment of P, and P the given one.
+
+    One call of the compiled slabsm_closure forms dJ, dphi and Phat of
+    every group: the upwind edge traces (a + s of the cell left of the
+    edge for mu > 0, a - s of the cell right of it for mu < 0, 0.0 at
+    the vacuum edge), their moments summed over the directions in order
+    from 0.0 as angular_moments sums psi, and the reconstruction
+    ((w0 t0 + w1 t1) + w2 t2) + w3 t3 from the traces t of the moments;
+    ClosureData then builds the terms."""
+    psi = np.ascontiguousarray(psi, dtype=float)
+    phi, J = (np.ascontiguousarray(a, dtype=float) for a in moments[:2])
+    lead, N = psi.shape[:-3], ops.dx.size
+    if (psi.shape[-3:] != (quad.n_angles, N, 2)
+            or not phi.shape == J.shape == lead + (N, 2)):
+        raise ValueError(f"psi {psi.shape} and moments {phi.shape} do not "
+                         f"fit {quad.n_angles} directions on {N} cells")
+    out = np.empty((3,) + lead + (N + 1,))
+    kernel("slabsm_closure")(
+        math.prod(lead), quad.n_angles, N, psi.ctypes.data, phi.ctypes.data,
+        J.ctypes.data, quad.moment_weights.ctypes.data, ops.edges.ctypes.data,
+        out.ctypes.data)
+    dJ, dphi, Phat = out
+    return ClosureData(dJ=dJ, dphi=dphi, Phat=Phat, P=moments.P, dx=ops.dx)
 
 
 def sum_closures(closures: ClosureData) -> ClosureData:
@@ -409,8 +416,9 @@ class ProblemOperators:
     raises again on the next use.
 
     Checked on construction, so every sweep of the record can march: the
-    rules of Mesh on dx and of build_double_gauss on n_half, sigma_t
-    finite and positive, and no overflow of the cell determinant by the
+    rules of Mesh on dx and of build_double_gauss on n_half, sigma_t and
+    removal 1-D, nonempty and of one length, sigma_t finite and positive,
+    and no overflow of the cell determinant by the
     largest sigma_t * dx.  The removal > 0 check belongs to the low-order
     operators alone (low_order), so source iteration runs c = 1 problems.
 
@@ -437,6 +445,10 @@ class ProblemOperators:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         sigma_t = self.sigma_t
+        if sigma_t.ndim != 1 or sigma_t.size == 0 or (
+                self.removal.shape != sigma_t.shape):
+            raise ValueError("sigma_t and removal must be 1-D, nonempty and "
+                             "of one length, one entry per group")
         if not np.all(np.isfinite(sigma_t) & (sigma_t > 0)):
             raise ValueError("sweep requires finite sigma_t > 0")
         # the cell solve divides by det = 6 mu^2 + 4 |mu| sd + sd^2; past

@@ -17,14 +17,16 @@ results.  The mu < 0 directions are the first half (AngularQuadrature
 enforces that layout), so the mirror acts on a slice.
 
 The march is one C function, slabsm_march in _march.c, which each sweep
-calls once through ctypes.  It marches the cells in its outer loop and the
-L = G*M independent lanes, in (group, direction) order, in its inner
-loop.  It reads the source (G, M', N, 2) as given, M' = 1 for an
-isotropic source, and writes psi (G, M, N, 2) in place: the mu < 0 half
-meets cell N-1-i at step i, forms dx*q_slope there as q_slope*(-dx) and
-writes its slope as s*(-1).  x*(-dx) is -(x*dx) bit for bit, IEEE
-rounding being symmetric in sign, so these are the mirror's negated
-slopes.
+calls once through ctypes; kernel loads it.  The same library holds the
+hand-off of psi to the low-order levels, slabsm_closure and
+slabsm_closure_terms, which losm calls (closure_from_sweep, ClosureData).
+The march runs the cells in its outer loop and the L = G*M independent
+lanes, in (group, direction) order, in its inner loop.  It reads the
+source (G, M', N, 2) as given, M' = 1 for an isotropic source, and writes
+psi (G, M, N, 2) in place: the mu < 0 half meets cell N-1-i at step i,
+forms dx*q_slope there as q_slope*(-dx) and writes its slope as s*(-1).
+x*(-dx) is -(x*dx) bit for bit, IEEE rounding being symmetric in sign,
+so these are the mirror's negated slopes.
 
 With m = |mu|, sd = st*dx and det = 6m^2 + 4m*sd + sd^2, a step of a lane
 of inflow trace y solves its cell in packed form,
@@ -44,11 +46,12 @@ the compiler rounds every product and sum on its own: _march.c is built
 with -ffp-contract=off, since a fused multiply-add rounds a*b + c once,
 and without -ffast-math, which would let it reorder the sums.
 
-The library is compiled on first use, by the first sweep of the process
-(sweep_batch), with sysconfig's CC (else cc), and kept in the per-user
-cache ($XDG_CACHE_HOME or ~/.cache, under slabsm/), named by the SHA-256
-of the C source and the compile command; importing slabsm or building an
-operator record builds and loads nothing.  A sweep writes nothing but its
+The library is compiled on first use, by the first call of the process
+into it (a sweep, or a closure built without one), with sysconfig's CC
+(else cc), and kept in the per-user cache ($XDG_CACHE_HOME or ~/.cache,
+under slabsm/), named by the SHA-256 of the C source and the compile
+command; importing slabsm or building an operator record or a
+LowOrderSystem builds and loads nothing.  A sweep writes nothing but its
 own psi and the kernel's inflow traces and coefficient rows, which it
 allocates, so sweeps of one record may run at once, and ctypes releases
 the GIL for the call.
@@ -61,7 +64,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .angular import AngularQuadrature
 from .fields import nodal_product
 
 _SOURCE = Path(__file__).with_name("_march.c")
@@ -75,8 +77,8 @@ def sweep_batch(ops, rhs: np.ndarray) -> np.ndarray:
     (M,) and dx (N,), which the record has checked.  rhs is the source
     density per unit mu, either (G, N, 2) shared across directions or
     (G, M, N, 2) per direction.  One call of the compiled march
-    (_march_kernel, loaded by the first sweep of the process), which
-    writes only the psi returned, a new array."""
+    (kernel, loaded by the first sweep of the process), which writes only
+    the psi returned, a new array."""
     sigma_t, m, dx = ops.sigma_t, ops.mabs, ops.dx
     G, M, N = sigma_t.size, m.size, dx.size
     rhs = np.asarray(rhs, dtype=float)
@@ -88,23 +90,32 @@ def sweep_batch(ops, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("rhs must be finite")
     rhs = np.ascontiguousarray(rhs)
     psi = np.empty((G, M, N, 2))
-    if _march_kernel()(G, M, rhs.shape[1], N, sigma_t.ctypes.data,
-                       m.ctypes.data, dx.ctypes.data, rhs.ctypes.data,
-                       psi.ctypes.data):
+    if kernel("slabsm_march")(G, M, rhs.shape[1], N, sigma_t.ctypes.data,
+                              m.ctypes.data, dx.ctypes.data,
+                              rhs.ctypes.data, psi.ctypes.data):
         raise MemoryError("no memory for the march's work rows")
     return psi
 
 
+# the functions of _march.c: their numbers of size arguments and then of
+# pointer arguments, and whether they return an int status (else void)
+_SIGNATURES = {"slabsm_march": (4, 5, True), "slabsm_closure": (3, 6, False),
+               "slabsm_closure_terms": (2, 6, False)}
+
+
 @functools.cache
-def _march_kernel():
-    """slabsm_march of _march.c, loaded from the library _library builds;
-    ctypes releases the GIL for each call."""
+def kernel(name: str):
+    """Function `name` of _march.c (_SIGNATURES), loaded on its first call
+    in the process from the library _library builds; ctypes releases the
+    GIL for each call."""
     import ctypes
 
-    kernel = ctypes.CDLL(_library()).slabsm_march
-    kernel.argtypes = [ctypes.c_ssize_t] * 4 + [ctypes.c_void_p] * 5
-    kernel.restype = ctypes.c_int
-    return kernel
+    sizes, pointers, status = _SIGNATURES[name]
+    function = getattr(ctypes.CDLL(_library()), name)
+    function.argtypes = ([ctypes.c_ssize_t] * sizes
+                         + [ctypes.c_void_p] * pointers)
+    function.restype = ctypes.c_int if status else None
+    return function
 
 
 def _library() -> str:
@@ -172,17 +183,3 @@ def build_ho_rhs(grey_phi: np.ndarray, sbar_s: np.ndarray,
     rhs[:, :, 0] += 0.5 * Q[:, None]
     return rhs
 
-
-def upwind_edge_psi(psi: np.ndarray, quad: AngularQuadrature) -> np.ndarray:
-    """Upwind angular flux on the N+1 cell edges, (..., M, N+1), of a
-    vacuum-bounded sweep output (..., M, N, 2).
-
-    Edge values for mu > 0, the second half of the directions, come from
-    the left cell's right trace (zero at edge 0); mirrored for mu < 0.
-    """
-    N = psi.shape[-2]
-    h = quad.n_angles // 2
-    out = np.zeros(psi.shape[:-2] + (N + 1,))
-    out[..., h:, 1:] = psi[..., h:, :, 0] + psi[..., h:, :, 1]
-    out[..., :h, :N] = psi[..., :h, :, 0] - psi[..., :h, :, 1]
-    return out

@@ -5,7 +5,11 @@ from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh, from_nodes, nodal_product, to_nodes
 from slabsm.losm import ProblemOperators, closure_from_sweep
 from slabsm.sweep import sweep_batch
-from test_sweep import mesh_edges
+
+
+def mesh_edges(mesh):
+    """Positions of the N+1 cell edges."""
+    return np.concatenate(([0.0], np.cumsum(mesh.dx)))
 
 
 def test_mesh_uniform():

@@ -5,6 +5,7 @@ denominators below DENOM_EPS."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dgbsv
 
 from slabsm import losm
@@ -14,9 +15,9 @@ from slabsm.losm import (DENOM_EPS, ClosureData, GreyCoefficients,
                          LowOrderSystem, ProblemOperators, _lo_rhs, _ratio,
                          _split_solution, _stencil_blocks, avg_scattering_xs,
                          closure_from_sweep, compute_zeta, edge_weights,
-                         grey_xs, problem_operators)
+                         grey_xs, problem_operators, sum_closures)
 from slabsm.problem import ProblemSpec
-from slabsm.sweep import sweep_batch, upwind_edge_psi
+from slabsm.sweep import sweep_batch
 from test_fields import _stacked_coeffs as old_from_nodes
 from test_fields import _stacked_nodes as old_to_nodes
 from test_losm import (_mass_blocks, _same_bits, _signed_zeros,
@@ -59,6 +60,19 @@ def old_grey_xs(phi, J, spec):
     eta_num = (spec.sigma_t[:, None, None] - sbar_t_n[None]) * J_n
     eta_n = old_ratio(eta_num.sum(axis=0), den_phi, 0.0)
     return [old_from_nodes(a) for a in (sbar_a_n, sbar_t_n, eta_n)]
+
+
+def upwind_edge_psi(psi, quad):
+    """Upwind angular flux on the N+1 cell edges, (..., M, N+1), of a
+    vacuum-bounded sweep output (..., M, N, 2): for mu > 0, the second
+    half of the directions, the left cell's right trace (zero at edge 0),
+    and mirrored for mu < 0."""
+    N = psi.shape[-2]
+    h = quad.n_angles // 2
+    out = np.zeros(psi.shape[:-2] + (N + 1,))
+    out[..., h:, 1:] = psi[..., h:, :, 0] + psi[..., h:, :, 1]
+    out[..., :h, :N] = psi[..., :h, :, 0] - psi[..., :h, :, 1]
+    return out
 
 
 def old_closure_terms(dJ, dphi, Phat, P, dx):
@@ -268,6 +282,38 @@ def test_closure_terms_are_the_replaced_formula():
         P = _signed_zeros(rng, rng.randn(*lead, DX.size, 2))
         clo = ClosureData(*edges, P=P, dx=DX)
         assert _same_bits(clo.terms, old_closure_terms(*edges, P, DX))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(G=st.integers(1, 4), N=st.integers(1, 16), n_half=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), batched=st.booleans())
+def test_compiled_closures_are_the_reference_formulas(G, N, n_half, seed,
+                                                      batched):
+    # the compiled closure functionals and terms, of a batch of groups or
+    # of one group's psi alone, and the grey terms of their sums: every
+    # bit, sign bits and NaN positions included, on seeded nonuniform
+    # meshes, swept psi with signed zeros and moments with a NaN
+    rng = np.random.RandomState(seed)
+    dx = rng.rand(N) + 0.05
+    sigma_t = rng.rand(G) + 0.5
+    ops = ProblemOperators(sigma_t, sigma_t, dx, n_half)
+    quad = build_double_gauss(n_half)
+    psi = _signed_zeros(rng, sweep_batch(ops, rng.rand(G, N, 2)))
+    if not batched:
+        psi = psi[rng.randint(G)]
+    moments = MomentSet(*(_signed_zeros(rng, m)
+                          for m in angular_moments(psi, quad)))
+    for m in moments:
+        m.reshape(-1)[rng.randint(m.size)] = np.nan
+    clo = closure_from_sweep(psi, quad, moments, ops)
+    old = old_closure_from_sweep(psi, quad, moments)
+    for name, want in zip(("dJ", "dphi", "Phat", "P"), old):
+        assert _same_bits(getattr(clo, name), want), name
+    assert _same_bits(clo.terms, old_closure_terms(*old, dx))
+    if batched:
+        grey = [a.sum(axis=0) for a in old]
+        assert _same_bits(sum_closures(clo).terms,
+                          old_closure_terms(*grey, dx))
 
 
 def test_edge_weights_cached_read_only():

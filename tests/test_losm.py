@@ -617,6 +617,21 @@ def test_record_keeps_read_only_copies_of_its_data():
                                           ints.dx))
 
 
+
+@pytest.mark.parametrize("sigma_t, removal", [
+    ([1.0], [0.5, 0.7]),                # would broadcast to two groups
+    ([1.0, 2.0], [0.5]),
+    ([[1.0, 2.0]], [[0.5, 0.7]]),       # one group axis too many
+    (1.0, 0.5),
+    ([], []),
+])
+def test_record_rejects_group_data_of_other_shapes(sigma_t, removal):
+    # one entry per group, in both arrays: a broadcast would build group
+    # matrices for groups the sweep does not march
+    with pytest.raises(ValueError, match="1-D, nonempty and of one length"):
+        ProblemOperators(sigma_t, removal, [0.5] * 4, 2)
+
+
 # -- bitwise pins of the closure terms and right sides; the grey solve ----
 
 def _one_shot_rhs(mesh, S, closure):

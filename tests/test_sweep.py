@@ -14,7 +14,9 @@ from slabsm.fields import Mesh, const_field, to_nodes
 from slabsm.problem import ProblemSpec, builtin_problem
 from slabsm.losm import (ProblemOperators, closure_from_sweep,
                          problem_operators)
-from slabsm.sweep import build_ho_rhs, sweep_batch, upwind_edge_psi
+from slabsm.sweep import build_ho_rhs, sweep_batch
+from test_fields import mesh_edges
+from test_glue_bitwise import upwind_edge_psi
 
 GAUSS3_T = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 GAUSS3_V = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
@@ -33,11 +35,6 @@ def _sweep(sigma_t, mesh, quad, rhs):
 def _sweep1(sigma_t, mesh, quad, rhs):
     """Single-group sweep: psi shaped (M, n_cells, 2)."""
     return _sweep(np.array([sigma_t]), mesh, quad, rhs[None])[0]
-
-
-def mesh_edges(mesh):
-    """Positions of the N+1 cell edges."""
-    return np.concatenate(([0.0], np.cumsum(mesh.dx)))
 
 
 def cell_centers(mesh):

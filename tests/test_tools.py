@@ -5,9 +5,10 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-CALLS = ("sweep_batch", "angular_moments", "closure_from_sweep", "grey_xs",
-         "solve_grey", "compute_zeta", "group_pass", "equation_residual",
-         "si_step", "multilevel_step", "operators")
+CALLS = ("sweep_batch", "angular_moments", "closure_from_sweep",
+         "sum_closures", "grey_xs", "solve_grey", "compute_zeta",
+         "group_pass", "equation_residual", "si_step", "multilevel_step",
+         "operators")
 
 
 def test_time_sweep_prints_every_row():

@@ -14,12 +14,13 @@ every step of the march meets a new pair of widths; that source's swept
 psi for `angular.angular_moments` and, with its moments, for
 `closure_from_sweep`, taken from `slabsm.driver`, which binds it in
 every tree, the per-outer glue between the sweep and the low-order
-levels; for `losm.grey_xs` that sweep's group moments; for
-`LowOrderSystem.solve_grey` the grey coefficients and grey closure of
-that sweep; for `losm.compute_zeta` the grey flux of that solve and the
-group moments; and for `LowOrderSystem.group_pass` and
-`LowOrderSystem.equation_residual` the group moments, that zeta and the
-group closures.  `driver._si_step` runs one source-iteration outer (the
+levels; for `losm.sum_closures` that sweep's group closures, whose grey
+closure it sums, terms included; for `losm.grey_xs` that sweep's group
+moments; for `LowOrderSystem.solve_grey` the grey coefficients and
+grey closure of that sweep; for `losm.compute_zeta` the grey flux of
+that solve and the group moments; and for `LowOrderSystem.group_pass`
+and `LowOrderSystem.equation_residual` the group moments, that zeta and
+the group closures.  `driver._si_step` runs one source-iteration outer (the
 scattering source, the sweep and the moments) from the fixed state whose
 group flux is that sweep's phi, and `driver._multilevel_step` one
 `mlsm(1,1)` outer (the sweep, its moments and closures, one group pass
@@ -28,26 +29,25 @@ sweep's phi and whose grey flux is that solve's, so each row shows a
 Level-1 change's share of a whole outer.  `operators` is one uncached
 build of everything the problem's runs reuse, so a change in set-up cost
 shows per call: a new `losm.ProblemOperators` of the problem's data with
-every part built (its low-order operators, its edge table, and its march
-in a tree whose record builds one).  `import`
+every part built (its low-order operators and its edge table).  `import`
 is the wall time of `import slabsm` in a fresh interpreter, measured
 inside it, so a change in start-up cost shows as one in a call does.
 
-Each tree sweeps with its operator record (`losm.problem_operators`),
-or with the record's `march` in a tree whose sweep takes one, and passes
-the record to `closure_from_sweep` and `driver._Run`.
+Each tree sweeps with its operator record (`losm.problem_operators`)
+and passes the record to `closure_from_sweep` and `driver._Run`.
 
 The two trees' calls alternate, which one goes first alternating from
 call to call, as the machine's speed drifts.  The low-order calls reuse
 closures whose right-side terms were built with them, so no timed
-low-order call builds them; closure_from_sweep's time includes building
-the group closure's terms.  After a few untimed calls that build the
-per-problem data, each call is timed alone with perf_counter.  The import
-row alternates the trees in the same way over IMPORTS fresh
-interpreters per tree, after one untimed import each that writes the
-bytecode.  Prints the median time of one call per tree and the relative
-change from OTHER to this checkout.  One process (and for the import row
-one child at a time) and one BLAS thread, as in the benchmark.
+low-order call builds them; the times of closure_from_sweep and
+sum_closures include building the group and the grey closure's terms.
+After a few untimed calls that build the per-problem data, each call is
+timed alone with perf_counter.  The import row alternates the trees in
+the same way over IMPORTS fresh interpreters per tree, after one untimed
+import each that writes the bytecode.  Prints the median time of one
+call per tree and the relative change from OTHER to this checkout.  One
+process (and for the import row one child at a time) and one BLAS
+thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -106,16 +106,15 @@ def calls(slabsm, problem: str) -> dict:
     rhs = np.random.RandomState(SEED).rand(spec.G, spec.n_cells, 2)
     # the sweep, the closures and a run read the operator record
     ops = losm.problem_operators(spec, mesh)
-    march = getattr(ops, "march", ops)
 
     def sweep_batch():
-        return sweep.sweep_batch(march, rhs)
+        return sweep.sweep_batch(ops, rhs)
 
     def operators():
         # in the order of a multilevel run: its LowOrderSystem first
         fresh = losm.ProblemOperators(ops.sigma_t, ops.removal, ops.dx,
                                       ops.n_half)
-        return fresh.low_order, getattr(fresh, "march", fresh), fresh.edges
+        return fresh.low_order, fresh.edges
 
     psi = sweep_batch()
     moments = slabsm.angular.angular_moments(psi, quad)
@@ -138,6 +137,7 @@ def calls(slabsm, problem: str) -> dict:
         "angular_moments": lambda: slabsm.angular.angular_moments(psi,
                                                                   quad),
         "closure_from_sweep": lambda: closure_from_sweep(*closure_args),
+        "sum_closures": lambda: losm.sum_closures(closures),
         "grey_xs": lambda: losm.grey_xs(phi, J, spec),
         "solve_grey": lambda: system.solve_grey(coeffs, closure),
         "compute_zeta": lambda: losm.compute_zeta(grey_phi, phi),
@@ -163,9 +163,8 @@ def nonuniform_sweep(slabsm):
     dx *= spec.width / dx.sum()
     ops = slabsm.losm.ProblemOperators(
         spec.sigma_t, spec.sigma_t - np.diag(spec.sigma_s), dx, spec.n_half)
-    march = getattr(ops, "march", ops)
     rhs = rng.rand(spec.G, spec.n_cells, 2)
-    return lambda: slabsm.sweep.sweep_batch(march, rhs)
+    return lambda: slabsm.sweep.sweep_batch(ops, rhs)
 
 
 def interleaved(this, other, n_calls: int) -> tuple[float, float]:
