@@ -66,12 +66,6 @@ def from_nodes(nodes: np.ndarray) -> np.ndarray:
     return np.multiply(out, 0.5, out)
 
 
-def nodal_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Per-cell product of two LD coefficient arrays, collocated at the
-    two cell-edge values."""
-    return from_nodes(to_nodes(f) * to_nodes(g))
-
-
 def const_field(value, n_cells: int) -> np.ndarray:
     out = np.zeros((n_cells, 2))
     out[:, 0] = value

@@ -20,13 +20,11 @@ traces of the cells beside the edge plus the constants dJ and dphi,
 where (c u)_a = c_a u_a + c_s u_s and (c u)_s = c_s u_a + c_a u_s for LD
 fields c and u.  The closure's terms, built once with it, move to the right
 sides (ClosureData.terms, (..., N, 4) per cell row): rows 2-3 complete, and
-in rows 0-1 the dJ terms that S_a and S_s are reduced by.  The hand-off
-from Level 1 runs in the library that holds the sweep's march
-(sweep.kernel): closure_from_sweep forms every group's edge functionals
-from psi in one call of it, and each ClosureData its terms in another,
-both in numpy's operation order, so bit for bit as the numpy formulas
-they replaced.  The grey system has sbar_a for removal and sbar_t for
-sigma_t and adds the drift
+in rows 0-1 the dJ terms that S_a and S_s are reduced by.  All but the
+two solves runs in the library of the sweep's march (sweep.kernel), one
+call per use, in numpy's operation order, so bit for bit as the numpy
+formulas it replaced.  The grey system has sbar_a for removal and sbar_t
+for sigma_t and adds the drift
 (eta phi)_a, (eta phi)_s to the two J rows; its solution-averaged
 coefficients and field products are collocated at the two cell-edge values,
 so the group-summed grey equations coincide exactly with the sum of the
@@ -38,13 +36,13 @@ group axis, so one call builds every group's right side.  Every matrix is
 the stencil in LAPACK band storage plus the cell mass entries, gathered
 straight from the flat coefficient stack [sbar_a, sbar_t, eta, 0].  Each
 grey solve is one band LU solve (dgbsv); each multigroup pass is one solve
-of one SuperLU factor of all group matrices.  The problem's operator
-record (ProblemOperators) holds all that is built once per problem.
-Only these levels need scipy (the two solves and the sparse residual
-matrix), so it loads where the record first builds its low-order
-operators (ProblemOperators.low_order and _factor), not with this
-module: importing slabsm, the Level-1 sweep (numpy and its compiled
-march) and source iteration need no scipy.
+of one SuperLU factor of all group matrices, which the residual reads in
+CSR.  The problem's operator record (ProblemOperators) holds all that is
+built once per problem.  Only these levels need scipy (the two solves),
+so it loads where the record first builds its low-order operators
+(ProblemOperators.low_order and _factor), not with this module:
+importing slabsm, the Level-1 sweep (numpy and its compiled march) and
+source iteration need no scipy.
 """
 
 from __future__ import annotations
@@ -56,29 +54,14 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .angular import AngularQuadrature, MomentSet, build_double_gauss
-from .fields import Mesh, const_field, from_nodes, nodal_product, to_nodes
+from .fields import Mesh
 from .problem import ProblemSpec
-from .sweep import kernel
+from .sweep import address, checked, kernel
 
 DENOM_EPS = 1e-30
 
 
 # -- Averaged cross sections and correction factors -------------------------
-
-def _ratio(num_n: np.ndarray, den_n: np.ndarray, fallback) -> np.ndarray:
-    """num_n / den_n shaped as num_n, and the value of `fallback()`
-    (broadcast) where |den_n| < DENOM_EPS; a NaN den_n gives NaN, which
-    stops the run.  The fallback is lazy: when no node needs it, this is
-    one plain divide and `fallback` is never called: the test for it is
-    one NaN-ignoring minimum, so a NaN beside a tiny denominator still
-    takes the fallback there."""
-    if not np.fmin.reduce(np.abs(den_n), axis=None) < DENOM_EPS:
-        return num_n / den_n
-    small = np.abs(den_n) < DENOM_EPS
-    out = np.full(num_n.shape, fallback(), dtype=float)
-    np.divide(num_n, den_n, out=out, where=~small)
-    return out
-
 
 def avg_scattering_xs(phi_groups: np.ndarray, sigma_s: np.ndarray) -> np.ndarray:
     """Flux-weighted scattering cross sections, one LD field per group:
@@ -86,20 +69,27 @@ def avg_scattering_xs(phi_groups: np.ndarray, sigma_s: np.ndarray) -> np.ndarray
         sbar_s,g = sum_g' sigma_{s,g'->g} phi_g' / sum_g' phi_g'
 
     evaluated at the cell-edge values.  Nodes whose flux sum falls below
-    the safeguard threshold get the unweighted row mean instead.
+    the safeguard threshold get the unweighted row mean instead.  One call
+    of the compiled slabsm_scattering_xs.
     """
-    num_n = to_nodes(np.einsum("gh,hnc->gnc", sigma_s, phi_groups))
-    den_n = to_nodes(phi_groups.sum(axis=0))
-    return from_nodes(_ratio(num_n, den_n,
-                             lambda: sigma_s.mean(axis=1)[:, None, None]))
+    phi = checked(phi_groups, (-1, -1, 2))
+    G, N = phi.shape[:2]
+    sigma_s = checked(sigma_s, (G, G))
+    sbar_s = np.empty((G, N, 2))
+    kernel("slabsm_scattering_xs")(G, N, *map(address, (
+        sigma_s, sigma_s.mean(axis=1), phi, sbar_s)))
+    return sbar_s
 
 
 def compute_zeta(grey_phi: np.ndarray, phi_groups: np.ndarray) -> np.ndarray:
     """Multiplicative coupling correction zeta = grey phi / sum_g phi_g,
     evaluated at the cell-edge values; safeguarded nodes fall back to 1
-    (plain lagged coupling)."""
-    den_n = to_nodes(phi_groups.sum(axis=0))
-    return from_nodes(_ratio(to_nodes(grey_phi), den_n, lambda: 1.0))
+    (plain lagged coupling).  One call of the compiled slabsm_zeta."""
+    phi = checked(phi_groups, (-1, -1, 2))
+    G, N = phi.shape[:2]
+    grey, zeta = checked(grey_phi, (N, 2)), np.empty((N, 2))
+    kernel("slabsm_zeta")(G, N, *map(address, (grey, phi, zeta)))
+    return zeta
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,30 +118,29 @@ def grey_xs(phi_groups: np.ndarray, J_groups: np.ndarray,
     makes sbar_t the phi-weighted (then unweighted) mean of sigma_t, and a
     vanishing phi sum makes sbar_a the unweighted mean of sigma_a and eta
     zero.  Q is the group-summed external source; the group-summed
-    closure moment comes with the grey closure (sum_closures).
+    closure moment comes with the grey closure (sum_closures).  One call
+    of the compiled slabsm_grey_xs, which writes all four into one block.
     """
-    n_cells = phi_groups.shape[1]
-    sigma_a, sigma_t = spec.sigma_a(), spec.sigma_t
-    phi_n = to_nodes(phi_groups)
-    J_n = to_nodes(J_groups)
-    absJ_n = np.abs(J_n)
+    G = spec.G
+    phi = checked(phi_groups, (G, -1, 2))
+    J = checked(J_groups, phi.shape)
+    # held here, so that the constants outlive the call
+    consts, at = _grey_constants(spec)
+    out = np.empty((4,) + phi.shape[1:])
+    kernel("slabsm_grey_xs")(G, phi.shape[1], at,
+                             *map(address, (phi, J, out)))
+    return GreyCoefficients(*out)
 
-    den_phi = phi_n.sum(axis=0)
-    sbar_a_n = _ratio(np.einsum("g,gne->ne", sigma_a, phi_n), den_phi,
-                      sigma_a.mean)
-    sbar_t_n = _ratio(np.einsum("g,gne->ne", sigma_t, absJ_n),
-                      absJ_n.sum(axis=0),
-                      lambda: _ratio(np.einsum("g,gne->ne", sigma_t, phi_n),
-                                     den_phi, sigma_t.mean))
-    # (sigma_t,g - sbar_t) J_g, formed in place
-    eta_num = np.subtract(sigma_t[:, None, None], sbar_t_n)
-    eta_num *= J_n
-    eta_n = _ratio(eta_num.sum(axis=0), den_phi, lambda: 0.0)
 
-    Q = const_field(spec.Q.sum(), n_cells)
-    return GreyCoefficients(sbar_a=from_nodes(sbar_a_n),
-                            sbar_t=from_nodes(sbar_t_n),
-                            eta=from_nodes(eta_n), Q=Q)
+@functools.lru_cache(maxsize=8)
+def _grey_constants(spec: ProblemSpec) -> tuple:
+    """[sigma_a, sigma_t, mean of sigma_a, mean of sigma_t, sum of Q] of
+    spec, read-only, and its address (specs are immutable)."""
+    sigma_a = spec.sigma_a()
+    consts = np.concatenate((sigma_a, spec.sigma_t, [
+        sigma_a.mean(), spec.sigma_t.mean(), spec.Q.sum()]))
+    consts.setflags(write=False)
+    return consts, address(consts)
 
 
 # -- Closures frozen from the latest sweep ----------------------------------
@@ -196,10 +185,8 @@ class ClosureData:
             raise ValueError("closure shapes do not fit one mesh: dJ, dphi "
                              "and Phat (..., N+1), P (..., N, 2), dx (N,)")
         terms = np.empty(lead + (N, 4))
-        kernel("slabsm_closure_terms")(
-            math.prod(lead), N, dJ.ctypes.data, dphi.ctypes.data,
-            Phat.ctypes.data, P.ctypes.data, dx.ctypes.data,
-            terms.ctypes.data)
+        kernel("slabsm_closure_terms")(math.prod(lead), N, *map(address, (
+            dJ, dphi, Phat, P, dx, terms)))
         object.__setattr__(self, "terms", terms)
         for array in vars(self).values():
             array.setflags(write=False)
@@ -252,10 +239,8 @@ def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
         raise ValueError(f"psi {psi.shape} and moments {phi.shape} do not "
                          f"fit {quad.n_angles} directions on {N} cells")
     out = np.empty((3,) + lead + (N + 1,))
-    kernel("slabsm_closure")(
-        math.prod(lead), quad.n_angles, N, psi.ctypes.data, phi.ctypes.data,
-        J.ctypes.data, quad.moment_weights.ctypes.data, ops.edges.ctypes.data,
-        out.ctypes.data)
+    kernel("slabsm_closure")(math.prod(lead), quad.n_angles, N, *map(
+        address, (psi, phi, J, quad.moment_weights, ops.edges, out)))
     dJ, dphi, Phat = out
     return ClosureData(dJ=dJ, dphi=dphi, Phat=Phat, P=moments.P, dx=ops.dx)
 
@@ -320,28 +305,11 @@ def _mass_gather(N: int) -> np.ndarray:
     return np.minimum(2 * N * field + cell + coef, 6 * N)
 
 
-def _pairs(a: np.ndarray) -> np.ndarray:
-    """a (..., 2k), float64 with a contiguous last axis, as complex128
-    (..., k), each LD pair one item: a copy or a subtract (two float
-    subtractions) of every other pair is then one loop, not one per cell."""
-    return a.view(np.complex128)
-
-
-def _lo_rhs(S: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Right sides (..., 4N) of the sources S (..., N, 2), with S's leading
-    axes, and the closure terms c (ClosureData.terms): S - c in rows 0-1.
-    One contiguous copy of the terms, then one subtract into rows 0-1."""
-    b = np.empty(S.shape[:-1] + (4,))
-    np.copyto(b, terms)
-    rows = _pairs(b)[..., :1]
-    np.subtract(_pairs(S), rows, rows)
-    return b.reshape(S.shape[:-2] + (-1,))
-
-
 def _split_solution(u: np.ndarray):
     """(phi, J) LD coefficients (..., N, 2) of cell-ordered unknowns
-    (..., 4N)."""
-    x = _pairs(u).reshape(u.shape[:-1] + (-1, 2))
+    (..., 4N), float64 with a contiguous last axis.  Viewed as complex128,
+    each LD pair is one item, so each copy is one loop, not one per cell."""
+    x = u.view(np.complex128).reshape(u.shape[:-1] + (-1, 2))
     return (x[..., :1].copy().view(np.float64),
             x[..., 1:].copy().view(np.float64))
 
@@ -462,24 +430,25 @@ class ProblemOperators:
 
     @functools.cached_property
     def low_order(self):
-        """(grey_band, gbsv, A, lu, unknowns).  grey_band(coefs) gives
-        (kl, ku, ab): the stencil plus the cell mass blocks of the
-        coefficient stack coefs (_mass_gather) in the LAPACK band storage
-        of dgbsv, A[r, c] = ab[kl + ku + r - c, c], with bandwidths kl and
-        ku read from the stencil's support (7 each, fewer for one cell).
-        grey_band copies the band, then makes one addition stencil + mass
-        per centre-block support entry.  gbsv is LAPACK's dgbsv, which the
-        grey solve calls on that band.  Each group matrix is the stencil on
-        its support (explicit zeros kept, so every group has one sparsity)
-        with the group's constant removal / sigma_t block added on every
-        cell by that same addition, read off once in CSC order for SuperLU;
-        A, their block diagonal, is that read-off in CSR.  lu is the one
-        SuperLU factor of all of them (_factor), and unknowns (2, N, 2) the
-        position in each group's part of its solution of the LD
-        coefficients of phi (unknowns[0]) and J (unknowns[1]).  scipy is
-        imported here and in _factor, once per problem, so no solve runs an
-        import.  If any removal is not positive, a ValueError names the
-        group of the least one, before anything is built."""
+        """(grey_system, gbsv, csr, lu, unknowns).  grey_system(coeffs,
+        terms) gives (kl, ku, ab, b, finite) by one compiled call: the
+        stencil plus the mass blocks of the GreyCoefficients coeffs (from
+        their stack [sbar_a, sbar_t, eta, 0], _mass_gather), one addition
+        per centre-block support entry, in the band storage of LAPACK's
+        dgbsv (gbsv), A[r, c] = ab[kl + ku + r - c, c], with bandwidths kl
+        and ku read from the stencil's support (7 each, fewer for one cell);
+        the right side of coeffs.Q and the closure terms; and whether every
+        coefficient is finite.  Each group matrix is the stencil on its
+        support (explicit zeros kept, so every group has one sparsity) with
+        the group's constant removal / sigma_t block added on every cell by
+        that same addition, read off in CSC order for SuperLU and in CSR
+        order, csr = (data (G, nnz), int32 indices, indptr), for the
+        residual.  lu is the one SuperLU factor of all of them (_factor),
+        and unknowns (2, N, 2) the position in each group's part of its
+        solution of the LD coefficients of phi (unknowns[0]) and J
+        (unknowns[1]).  Every array is read-only.  scipy is imported here
+        and in _factor.  If any removal is not positive, a ValueError names
+        the group of the least one, before anything is built."""
         removal = self.removal
         if np.any(removal <= 0):
             g = int(np.argmin(removal))
@@ -487,28 +456,38 @@ class ProblemOperators:
                 f"group {g + 1} has sigma_t - sigma_s,g->g = {removal[g]:.3e};"
                 " the group low-order system requires it positive")
         from scipy.linalg.lapack import dgbsv
-        from scipy.sparse import csc_matrix
 
         stencil, support = _stencil_blocks(self.dx)
         i, k, a, b = np.nonzero(support)
         rows, cols = 4 * i + a, 4 * (i + k - 1) + b
         G, N, n = self.removal.size, self.dx.size, 4 * self.dx.size
         kl, ku = int((rows - cols).max()), int((cols - rows).max())
-        # flat positions in ab.T, which is (n, 2 kl + ku + 1) and C-ordered,
-        # so that ab itself is the Fortran-ordered array dgbsv works in
-        band = cols * (2 * kl + ku + 1) + kl + ku + rows - cols
+        # flat positions in ab.T, which is (n, width) and C-ordered, so that
+        # ab itself is the Fortran-ordered array dgbsv works in
+        width = 2 * kl + ku + 1
+        band = cols * width + kl + ku + rows - cols
         entries = stencil[support]
-        stencil_band = np.zeros((n, 2 * kl + ku + 1))
+        stencil_band = np.zeros((n, width))
         stencil_band.reshape(-1)[band] = entries
         # the centre-block support entries: band and coefficient positions
         centre = k == 1
-        mass_pos = band[centre]
-        coef_index = _mass_gather(N)[i[centre], a[centre], b[centre]]
+        mass_pos = band[centre].astype(np.int64)
+        coef_index = _mass_gather(N)[i[centre], a[centre],
+                                     b[centre]].astype(np.int64)
+        # held by the closure, so that their addresses, fetched once, stay
+        # valid
+        held = stencil_band, mass_pos, coef_index
+        addresses = tuple(map(address, held))
 
-        def grey_band(coefs):
-            abT = stencil_band.copy()
-            abT.reshape(-1)[mass_pos] += coefs[coef_index]
-            return kl, ku, abT.T
+        def grey_system(coeffs, terms):
+            arrays = [checked(c, (N, 2)) for c in (
+                coeffs.sbar_a, coeffs.sbar_t, coeffs.eta, coeffs.Q)]
+            abT, rhs = np.empty((n, width)), np.empty(n)
+            arrays += [checked(terms, (N, 4)), abT, rhs]
+            bad = kernel("slabsm_grey_system")(N, width, held[1].size,
+                                               *addresses,
+                                               *map(address, arrays))
+            return kl, ku, abT.T, rhs, not bad
 
         # each group matrix on the support: the stencil, and on the
         # centre-block entries the group's removal / sigma_t block, added
@@ -518,17 +497,20 @@ class ProblemOperators:
         coefs[:, 2 * N:4 * N:2] = self.sigma_t[:, None]
         data = np.tile(entries, (G, 1))
         data[:, centre] += coefs[:, coef_index]
-        order = np.lexsort((rows, cols))
-        indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(cols, minlength=n))))
-        csc = data.take(order, axis=1), rows[order], indptr
-        lu, perm_c = _factor(*csc)
+
+        def read_off(major, minor):
+            order = np.lexsort((minor, major))
+            indptr = np.concatenate(
+                ([0], np.cumsum(np.bincount(major, minlength=n))))
+            return data.take(order, axis=1), minor[order], indptr
+
+        lu, perm_c = _factor(*read_off(cols, rows))
         unknowns = perm_c.reshape(N, 2, 2).swapaxes(0, 1).copy()
-        A = csc_matrix(_block_diagonal(*csc), shape=(G * n, G * n)).tocsr()
-        for shared in (stencil_band, mass_pos, coef_index, A.data, A.indices,
-                       A.indptr, unknowns):
+        csr_data, indices, indptr = read_off(rows, cols)
+        csr = csr_data, indices.astype(np.int32), indptr.astype(np.int32)
+        for shared in (stencil_band, mass_pos, coef_index, *csr, unknowns):
             shared.setflags(write=False)
-        return grey_band, dgbsv, A, lu, unknowns
+        return grey_system, dgbsv, csr, lu, unknowns
 
 
 def problem_operators(spec: ProblemSpec, mesh: Mesh) -> ProblemOperators:
@@ -552,39 +534,44 @@ def _operators(sigma_t: bytes, removal: bytes, dx: bytes, n_half: int):
 class LowOrderSystem:
     """Factorized multigroup low-order operators plus the grey solver, of
     the problem's operator record (ops.low_order, built with the first
-    system of the problem).  Each group pass is one solve of the group
-    matrices' one factor.  Each grey solve adds its sbar_a / sbar_t / eta
-    coefficients, gathered from their flat stack, to a copy of the
-    stencil band and solves it by one dgbsv call, a banded LU with partial
-    pivoting.  Each call builds its right side from the closure's terms
-    (ClosureData.terms); the system keeps no state between calls but its
+    system of the problem).  Each group pass is one compiled call that
+    builds the right sides and one solve of the group matrices' one
+    factor; each grey solve one compiled call that builds the band and the
+    right side (ops.low_order) and one dgbsv call, a banded LU with
+    partial pivoting.  The system keeps no state between calls but its
     counters, which record executed solves for the cost accounting: one
     parallel group pass counts as one low-order solve, as does one grey
-    solve.
+    solve.  It fetches the addresses of the per-problem arrays that the
+    library reads once, and loads no library.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):
         self.ops = ops = problem_operators(spec, mesh)
-        self.coupling = spec.sigma_s.copy()
-        np.fill_diagonal(self.coupling, 0.0)
-        N = mesh.n_cells
-        self.Q_fields = np.zeros((spec.G, N, 2))
-        self.Q_fields[:, :, 0] = spec.Q[:, None]
-        (self._grey_band, self._gbsv, self._A, self._lu,
+        coupling = spec.sigma_s.copy()
+        np.fill_diagonal(coupling, 0.0)
+        coupling.setflags(write=False)
+        self.coupling, self.Q = coupling, spec.Q
+        (self._grey_system, self._gbsv, self._csr, self._lu,
          self._unknowns) = ops.low_order
+        self._addresses = tuple(map(address,
+                                    (coupling, self.Q, *self._csr)))
         self.n_group_passes = 0
         self.n_grey_solves = 0
 
     # -- multigroup level -------------------------------------------------
 
-    def group_source(self, phi_groups: np.ndarray,
-                     zeta: np.ndarray) -> np.ndarray:
-        """S_g = zeta * sum_{g' != g} sigma_{s,g'->g} phi_g' + Q_g, with the
-        zeta product collocated at the cell-edge values."""
-        coupling = np.einsum("gh,hnc->gnc", self.coupling, phi_groups)
-        S = nodal_product(coupling, zeta)
-        S += self.Q_fields
-        return S
+    def _right_sides(self, phi_groups, zeta, terms) -> np.ndarray:
+        """Right sides (G, N, 4) of the group equations, one column per
+        cell row: S - terms in rows 0-1 and the closure terms in rows 2-3,
+        with the sources S_g = zeta * sum_{g' != g} sigma_{s,g'->g} phi_g'
+        + Q_g, the zeta product at the cell-edge values.  One call of the
+        compiled slabsm_group_rhs."""
+        G, N = self.Q.size, self.ops.dx.size
+        arrays = [checked(phi_groups, (G, N, 2)), checked(zeta, (N, 2)),
+                  checked(terms, (G, N, 4)), np.empty((G, N, 4))]
+        kernel("slabsm_group_rhs")(G, N, *self._addresses[:2],
+                                   *map(address, arrays))
+        return arrays[-1]
 
     def group_pass(self, phi_groups, zeta, closures):
         """One Jacobi pass of the decoupled group solvers against the
@@ -592,8 +579,8 @@ class LowOrderSystem:
         groups are independent and could run in parallel).  All G group
         systems are solved by one solve of their one factor, and phi and J
         are read back from its column order by copies."""
-        b = _lo_rhs(self.group_source(phi_groups, zeta), closures.terms)
-        u = self._lu.solve(b.reshape(-1)).reshape(b.shape)
+        b = self._right_sides(phi_groups, zeta, closures.terms)
+        u = self._lu.solve(b.reshape(-1)).reshape(b.shape[0], -1)
         self.n_group_passes += 1
         phi_at, J_at = self._unknowns
         return u.take(phi_at, axis=1), u.take(J_at, axis=1)
@@ -602,26 +589,22 @@ class LowOrderSystem:
         """Residual b - A x of the multigroup low-order equations at the
         given state, the vector AA(1) mixes: flat, in (group, cell,
         coefficient, field) order with phi before J (matrix applications
-        only; no solves are consumed)."""
-        r = _lo_rhs(self.group_source(phi_groups, zeta), closures.terms)
-        x = np.concatenate((_pairs(phi_groups), _pairs(J_groups)), axis=-1)
-        r = r.reshape(-1, 4)
-        r -= (self._A @ x.view(np.float64).reshape(-1)).reshape(-1, 4)
-        # per cell (phi_a, phi_s, J_a, J_s) -> (phi_a, J_a, phi_s, J_s),
-        # a column at a time
-        out = np.empty_like(r)
-        for k, j in enumerate((0, 2, 1, 3)):
-            out[:, k] = r[:, j]
-        return out.reshape(-1)
+        only; no solves are consumed).  One call of the compiled
+        slabsm_group_residual, on the record's CSR group matrices."""
+        G, N = self.Q.size, self.ops.dx.size
+        arrays = [checked(phi_groups, (G, N, 2)),
+                  checked(J_groups, (G, N, 2)), checked(zeta, (N, 2)),
+                  checked(closures.terms, (G, N, 4)), np.empty(4 * G * N)]
+        if kernel("slabsm_group_residual")(G, N, *self._addresses,
+                                           *map(address, arrays)):
+            raise MemoryError("no memory for the residual's work row")
+        return arrays[-1]
 
     # -- grey level --------------------------------------------------------
 
     def solve_grey(self, coeffs: GreyCoefficients, closure: ClosureData):
-        coefs = np.concatenate(
-            (coeffs.sbar_a, coeffs.sbar_t, coeffs.eta, [0.0]), axis=None)
-        b = _lo_rhs(coeffs.Q, closure.terms)
-        if np.isfinite(coefs).all():
-            kl, ku, ab = self._grey_band(coefs)
+        kl, ku, ab, b, finite = self._grey_system(coeffs, closure.terms)
+        if finite:
             _, _, u, info = self._gbsv(kl, ku, ab, b, overwrite_ab=1,
                                        overwrite_b=1)
             if info > 0:

@@ -19,7 +19,9 @@ enforces that layout), so the mirror acts on a slice.
 The march is one C function, slabsm_march in _march.c, which each sweep
 calls once through ctypes; kernel loads it.  The same library holds the
 hand-off of psi to the low-order levels, slabsm_closure and
-slabsm_closure_terms, which losm calls (closure_from_sweep, ClosureData).
+slabsm_closure_terms, which losm calls (closure_from_sweep, ClosureData),
+and the rest of the Levels 2-3 arithmetic (build_ho_rhs and losm), which
+the header of _march.c lists.
 The march runs the cells in its outer loop and the L = G*M independent
 lanes, in (group, direction) order, in its inner loop.  It reads the
 source (G, M', N, 2) as given, M' = 1 for an isotropic source, and writes
@@ -60,11 +62,10 @@ the GIL for the call.
 from __future__ import annotations
 
 import functools
+import operator
 from pathlib import Path
 
 import numpy as np
-
-from .fields import nodal_product
 
 _SOURCE = Path(__file__).with_name("_march.c")
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -90,17 +91,34 @@ def sweep_batch(ops, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("rhs must be finite")
     rhs = np.ascontiguousarray(rhs)
     psi = np.empty((G, M, N, 2))
-    if kernel("slabsm_march")(G, M, rhs.shape[1], N, sigma_t.ctypes.data,
-                              m.ctypes.data, dx.ctypes.data,
-                              rhs.ctypes.data, psi.ctypes.data):
+    if kernel("slabsm_march")(G, M, rhs.shape[1], N, *map(address, (
+            sigma_t, m, dx, rhs, psi))):
         raise MemoryError("no memory for the march's work rows")
     return psi
 
 
 # the functions of _march.c: their numbers of size arguments and then of
 # pointer arguments, and whether they return an int status (else void)
-_SIGNATURES = {"slabsm_march": (4, 5, True), "slabsm_closure": (3, 6, False),
-               "slabsm_closure_terms": (2, 6, False)}
+_SIGNATURES = {
+    "slabsm_march": (4, 5, True), "slabsm_closure": (3, 6, False),
+    "slabsm_closure_terms": (2, 6, False), "slabsm_zeta": (2, 3, False),
+    "slabsm_scattering_xs": (2, 4, False), "slabsm_ho_rhs": (2, 4, False),
+    "slabsm_grey_xs": (2, 4, False), "slabsm_group_rhs": (2, 6, False),
+    "slabsm_group_residual": (2, 10, True),
+    "slabsm_grey_system": (3, 10, True)}
+
+# the address of an array that the caller keeps alive for the library
+address = operator.attrgetter("ctypes.data")
+
+
+def checked(array, shape: tuple) -> np.ndarray:
+    """array as a C-contiguous float64 array of `shape`, -1 for any length,
+    or a ValueError: the check before its address reaches the library."""
+    a = np.ascontiguousarray(array, dtype=float)
+    if a.ndim != len(shape) or any(m != n != -1
+                                   for m, n in zip(a.shape, shape)):
+        raise ValueError(f"array of shape {a.shape}, expected {shape}")
+    return a
 
 
 @functools.cache
@@ -176,10 +194,11 @@ def build_ho_rhs(grey_phi: np.ndarray, sbar_s: np.ndarray,
 
     The product of the two LD fields is collocated at the cell-edge values,
     which keeps the averaged-cross-section identity exact at convergence.
+    One call of the compiled slabsm_ho_rhs.
     """
-    if grey_phi.shape != sbar_s.shape[1:]:
-        raise ValueError("grey flux and averaged cross section meshes differ")
-    rhs = 0.5 * nodal_product(sbar_s, grey_phi)
-    rhs[:, :, 0] += 0.5 * Q[:, None]
-    return rhs
-
+    sbar_s = checked(sbar_s, (-1, -1, 2))
+    G, N = sbar_s.shape[:2]
+    arrays = [sbar_s, checked(grey_phi, (N, 2)), checked(Q, (G,)),
+              np.empty((G, N, 2))]
+    kernel("slabsm_ho_rhs")(G, N, *map(address, arrays))
+    return arrays[-1]

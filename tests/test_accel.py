@@ -5,9 +5,9 @@ from slabsm import driver
 from slabsm.accel import aa1_alpha
 from slabsm.driver import IterationConfig, run_problem
 from slabsm.fields import Mesh
-from slabsm.losm import (ClosureData, LowOrderSystem, _lo_rhs,
-                         _split_solution)
+from slabsm.losm import ClosureData, LowOrderSystem, _split_solution
 from slabsm.problem import ProblemSpec
+from test_losm import group_source, lo_rhs, residual_matrix
 
 
 def _aa1_pair(r_prev, r_curr):
@@ -128,9 +128,10 @@ def test_equation_residual_is_the_stacked_split_residual():
     phi, J, zeta = rng.rand(3, 7, 2), rng.randn(3, 7, 2), rng.rand(7, 2)
     r = system.equation_residual(phi, J, zeta, closures)
 
-    b = _lo_rhs(system.group_source(phi, zeta), closures.terms)
+    b = lo_rhs(group_source(system, phi, zeta), closures.terms)
     x = np.concatenate([phi, J], axis=-1).reshape(-1)
-    r_phi, r_J = _split_solution(b - (system._A @ x).reshape(b.shape))
+    r_phi, r_J = _split_solution(b - (residual_matrix(system) @ x
+                                      ).reshape(b.shape))
     expected = np.stack([r_phi, r_J], -1).ravel()
     assert np.array_equal(r, expected)
     assert np.array_equal(np.signbit(r), np.signbit(expected))

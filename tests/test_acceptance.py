@@ -18,7 +18,7 @@ from slabsm.problem import (builtin_problem, builtin_reference_c,
                             connection_strength, validate_scattering)
 from slabsm.sweep import sweep_batch
 from discrete_oracle import oracle_flux
-from test_losm import group_particle_balance
+from test_losm import group_particle_balance, group_source
 from test_sweep import curved_solution, l2_error, project_ld
 
 EPS = 1e-9
@@ -335,7 +335,7 @@ def test_criterion_6f_particle_balance():
         failures.append(f"grey balance dev {dev:.2e}")
     # per-group balance of a fresh converged-state solve
     system = LowOrderSystem(spec, mesh)
-    S = system.group_source(st.phi, st.zeta)
+    S = group_source(system, st.phi, st.zeta)
     phi_new, _ = system.group_pass(st.phi, st.zeta, st.closures)
     lhs, src = group_particle_balance(spec, mesh, phi_new, S, st.closures)
     for g in np.flatnonzero(np.abs(lhs - src) / np.abs(src) > 1e-10):

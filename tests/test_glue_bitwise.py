@@ -1,27 +1,30 @@
-"""Bit-for-bit pins of the per-pass low-order glue against the formulas it
-replaced, which are kept here as the reference: the same values, sign bits
-and NaN positions, on random inputs that hold +0.0, -0.0, NaN and
-denominators below DENOM_EPS."""
+"""Bit-for-bit pins of the per-pass low-order glue, which runs in the
+compiled library, against the numpy formulas it replaced, which are kept
+here as the reference: the same values, sign bits and NaN positions, on
+random inputs that hold +0.0, -0.0, NaN and denominators below and at
+DENOM_EPS.  No table cell reaches the safeguard fallbacks, so only these
+pins cover them."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg.lapack import dgbsv
 
 from slabsm import losm
 from slabsm.angular import MomentSet, angular_moments, build_double_gauss
 from slabsm.fields import Mesh
 from slabsm.losm import (DENOM_EPS, ClosureData, GreyCoefficients,
-                         LowOrderSystem, ProblemOperators, _lo_rhs, _ratio,
-                         _split_solution, _stencil_blocks, avg_scattering_xs,
+                         LowOrderSystem, ProblemOperators, _split_solution,
+                         _stencil_blocks, avg_scattering_xs,
                          closure_from_sweep, compute_zeta, edge_weights,
                          grey_xs, problem_operators, sum_closures)
 from slabsm.problem import ProblemSpec
-from slabsm.sweep import sweep_batch
+from slabsm.sweep import build_ho_rhs, sweep_batch
 from test_fields import _stacked_coeffs as old_from_nodes
 from test_fields import _stacked_nodes as old_to_nodes
 from test_losm import (_mass_blocks, _same_bits, _signed_zeros,
-                       coefficient_stack, group_reference_factors)
+                       group_reference_factors, residual_matrix)
+from test_losm import lo_rhs as old_lo_rhs
 
 DX = np.array([0.1, 0.3, 0.05, 0.4, 0.2, 0.25, 0.4])
 
@@ -39,6 +42,12 @@ def old_avg_scattering_xs(phi, sigma_s):
     den_n = old_to_nodes(phi.sum(axis=0))
     return old_from_nodes(old_ratio(num_n, den_n,
                                     sigma_s.mean(axis=1)[:, None, None]))
+
+
+def old_build_ho_rhs(grey_phi, sbar_s, Q):
+    rhs = 0.5 * old_from_nodes(old_to_nodes(sbar_s) * old_to_nodes(grey_phi))
+    rhs[:, :, 0] += 0.5 * Q[:, None]
+    return rhs
 
 
 def old_compute_zeta(grey_phi, phi):
@@ -102,13 +111,6 @@ def old_closure_from_sweep(psi, quad, moments):
             edge.P[..., 0], moments.P)
 
 
-def old_lo_rhs(S, terms):
-    b = np.empty(S.shape[:-1] + (4,))
-    b[..., 2:] = terms[..., 2:]
-    np.subtract(S, terms[..., :2], out=b[..., :2])
-    return b.reshape(S.shape[:-2] + (-1,))
-
-
 def old_split_solution(u):
     x = u.reshape(u.shape[:-1] + (-1, 4))
     return x[..., 0:2].copy(), x[..., 2:4].copy()
@@ -117,13 +119,15 @@ def old_split_solution(u):
 def old_group_source(system, phi, zeta):
     coupling = np.einsum("gh,hnc->gnc", system.coupling, phi)
     product = old_from_nodes(old_to_nodes(coupling) * old_to_nodes(zeta))
-    return product + system.Q_fields
+    Q_fields = np.zeros(phi.shape)
+    Q_fields[:, :, 0] = system.Q[:, None]
+    return product + Q_fields
 
 
 def old_equation_residual(system, phi, J, zeta, closures):
     b = old_lo_rhs(old_group_source(system, phi, zeta), closures.terms)
     x = np.concatenate([phi, J], axis=-1).reshape(-1)
-    r = b.reshape(-1) - system._A @ x
+    r = b.reshape(-1) - residual_matrix(system) @ x
     return r.reshape(phi.shape + (2,)).swapaxes(-1, -2).ravel()
 
 
@@ -175,38 +179,6 @@ def _random_moments(rng, shape):
 
 # -- the pins ------------------------------------------------------------------
 
-def test_ratio_plain_divide_when_no_node_needs_its_fallback():
-    rng = np.random.RandomState(1)
-    num = _signed_zeros(rng, rng.randn(4, 7, 2))
-    den = rng.uniform(0.5, 2.0, (7, 2)) * rng.choice([-1.0, 1.0], (7, 2))
-    den[2, 1] = np.nan                  # divides through, fallback or not
-    den[4, 0] = DENOM_EPS               # not below the threshold
-
-    def fallback():
-        raise AssertionError("fallback built though no node needs it")
-
-    assert _same_bits(_ratio(num, den, fallback), old_ratio(num, den, 7.5))
-
-
-@pytest.mark.parametrize("value", [7.5, np.arange(14.0).reshape(7, 2)])
-def test_ratio_fallback_where_a_node_needs_it(value):
-    rng = np.random.RandomState(2)
-    num = _signed_zeros(rng, rng.randn(7, 2))
-    den = rng.uniform(0.5, 2.0, (7, 2))
-    den[1] = 0.0, -0.0
-    den[3, 1] = 0.5 * DENOM_EPS
-    den[5, 0] = np.nan
-    calls = []
-
-    def fallback():
-        calls.append(1)
-        return value
-
-    assert _same_bits(_ratio(num, den, fallback),
-                      old_ratio(num, den, value))
-    assert calls == [1]
-
-
 @pytest.mark.parametrize("G", [1, 3])
 def test_node_averages_are_the_replaced_formulas(G):
     # with one group, cell 6 (no current, unit flux) gets sbar_t = sigma_t
@@ -228,28 +200,26 @@ def test_node_averages_are_the_replaced_formulas(G):
             assert _same_bits(got, want)
 
 
-def test_grey_xs_builds_the_phi_weighted_fallback_only_when_needed(
-        monkeypatch):
-    # three ratios, and a fourth (the phi-weighted sigma_t mean) only for
-    # a node whose |J| sum vanishes
+def test_grey_xs_builds_the_phi_weighted_fallback_only_when_needed():
+    # sbar_t is the |J|-weighted mean of sigma_t at every node but those
+    # whose |J| sum vanishes, which alone take the phi-weighted mean
     spec = _spec()
-    calls = []
-    real = losm._ratio
-
-    def counted(num_n, den_n, fallback):
-        calls.append(1)
-        return real(num_n, den_n, fallback)
-
-    monkeypatch.setattr(losm, "_ratio", counted)
     phi = np.ones((3, DX.size, 2))
+    phi[:, :, 1] = 0.25
     J = np.zeros((3, DX.size, 2))
-    J[..., 0] = 0.2
-    grey_xs(phi, J, spec)
-    assert len(calls) == 3
+    J[..., 0] = np.array([0.2, -0.1, 0.4])[:, None]
     J[:, 4] = 0.0
-    calls.clear()
-    grey_xs(phi, J, spec)
-    assert len(calls) == 4
+    J[:, 5, 1] = J[:, 5, 0]             # left node 0, right 2 J_a
+    sbar_t = grey_xs(phi, J, spec).sbar_t
+    phi_n, absJ_n = old_to_nodes(phi), np.abs(old_to_nodes(J))
+    with np.errstate(invalid="ignore"):
+        by_J = (np.einsum("g,gne->ne", spec.sigma_t, absJ_n)
+                / absJ_n.sum(axis=0))
+    by_phi = np.einsum("g,gne->ne", spec.sigma_t, phi_n) / phi_n.sum(axis=0)
+    needed = np.zeros(by_J.shape, dtype=bool)
+    needed[4], needed[5, 0] = True, True
+    assert _same_bits(sbar_t, old_from_nodes(np.where(needed, by_phi, by_J)))
+    assert not np.isclose(by_phi[~needed], by_J[~needed]).any()
 
 
 @pytest.mark.parametrize("G", [None, 1, 4])
@@ -332,13 +302,30 @@ def test_edge_weights_cached_read_only():
                                               ((3,), ())])
 def test_right_sides_and_solution_split_are_the_replaced_formulas(
         lead, terms_lead):
+    # the compiled right sides of the grey system (no lead axis) and of the
+    # group systems, on their own terms or on the grey closure's terms
+    # given to every group
     rng = np.random.RandomState(6)
-    S = _signed_zeros(rng, rng.randn(*lead, DX.size, 2))
-    S[..., 0, :] = -0.0
-    S[..., 3, 1] = np.nan
-    terms = _signed_zeros(rng, rng.randn(*terms_lead, DX.size, 4))
-    assert _same_bits(_lo_rhs(S, terms), old_lo_rhs(S, terms))
-    u = _signed_zeros(rng, rng.randn(*lead, 4 * DX.size))
+    N = DX.size
+    system = LowOrderSystem(_spec(), Mesh(DX))
+    terms = _signed_zeros(rng, rng.randn(*terms_lead, N, 4))
+    terms[..., 2, 0] = np.nan
+    if lead:
+        phi = _signed_zeros(rng, rng.randn(*lead, N, 2))
+        phi[:, 3, 1] = np.nan
+        zeta = _signed_zeros(rng, rng.randn(N, 2))
+        S = old_group_source(system, phi, zeta)
+        got = system._right_sides(phi, zeta, np.broadcast_to(
+            terms, lead + (N, 4)))
+        assert got.shape == lead + (N, 4)
+    else:
+        S = _signed_zeros(rng, rng.randn(N, 2))
+        S[0] = -0.0
+        S[3, 1] = np.nan
+        coeffs = GreyCoefficients(*(rng.randn(N, 2) for _ in range(3)), Q=S)
+        got = system._grey_system(coeffs, terms)[3]
+    assert _same_bits(got.reshape(-1), old_lo_rhs(S, terms).reshape(-1))
+    u = _signed_zeros(rng, rng.randn(*lead, 4 * N))
     u[..., 5] = np.nan
     for got, want in zip(_split_solution(u), old_split_solution(u)):
         assert _same_bits(got, want)
@@ -361,8 +348,6 @@ def test_group_pass_and_residual_are_the_replaced_formulas():
     rng = np.random.RandomState(7)
     for _ in range(3):
         system, phi, J, zeta, closures = _system_and_state(rng)
-        assert _same_bits(system.group_source(phi, zeta),
-                          old_group_source(system, phi, zeta))
         assert _same_bits(system.equation_residual(phi, J, zeta, closures),
                           old_equation_residual(system, phi, J, zeta,
                                                 closures))
@@ -390,11 +375,14 @@ def test_coefficient_gather_is_the_mass_block_band(n):
     for _ in range(3):
         coeffs = _grey_coefficients(rng, n)
         coeffs.eta[-1, 0] = np.nan
+        terms = _signed_zeros(rng, rng.randn(n, 4))
         mass = _mass_blocks(coeffs.sbar_a, coeffs.sbar_t, coeffs.eta)
-        got = system._grey_band(coefficient_stack(coeffs))
+        got = system._grey_system(coeffs, terms)
         want = old_grey_band(dx, mass)
         assert got[:2] == want[:2]
         assert _same_bits(got[2], want[2])
+        assert _same_bits(got[3], old_lo_rhs(coeffs.Q, terms))
+        assert got[4] is False
 
 
 def test_grey_solve_is_the_replaced_formula():
@@ -414,3 +402,117 @@ def test_grey_solve_is_the_replaced_formula():
         for got, want in zip(system.solve_grey(coeffs, closure),
                              old_split_solution(u)):
             assert _same_bits(got, want)
+
+
+# -- Hypothesis pins of every compiled Level-2/3 path ------------------------
+
+def _random_spec(rng, G, N):
+    """A seeded G-group spec of N cells: scattering columns below sigma_t."""
+    sigma_t = rng.rand(G) + 0.5
+    sigma_s = rng.rand(G, G) * sigma_t * (0.9 / G)
+    return ProblemSpec(G, sigma_t, sigma_s, rng.rand(G), width=1.0,
+                       n_cells=N, n_half=1)
+
+
+def _special_fluxes(rng, G, N):
+    """(phi, J) (G, N, 2) with signed zeros and, on seeded cells, every
+    safeguard case: flux sums of signed zeros at both nodes, exactly
+    DENOM_EPS at both, 0.0 at one and DENOM_EPS at the other, half of
+    DENOM_EPS at both, a vanishing
+    |J| sum under a regular flux sum (the phi-weighted sbar_t) and under a
+    vanishing one (the mean of sigma_t), and a NaN in phi or in J."""
+    phi = _signed_zeros(rng, rng.rand(G, N, 2) + 0.1)
+    J = _signed_zeros(rng, rng.randn(G, N, 2))
+    zeros = lambda: rng.choice([0.0, -0.0], (G, 2))  # noqa: E731
+    for i, case in enumerate(rng.randint(0, 9, N)):
+        if case == 1:
+            phi[:, i] = zeros()
+        elif case in (2, 3, 8):
+            phi[:, i] = 0.0
+            phi[0, i] = {2: [DENOM_EPS, 0.0], 8: [0.5 * DENOM_EPS, 0.0],
+                         3: [0.5 * DENOM_EPS, 0.5 * DENOM_EPS]}[case]
+        elif case == 4:
+            J[:, i] = zeros()
+        elif case == 5:
+            phi[:, i], J[:, i] = zeros(), zeros()
+        elif case == 6:
+            phi[rng.randint(G), i, rng.randint(2)] = np.nan
+        elif case == 7:
+            J[rng.randint(G), i, rng.randint(2)] = np.nan
+    return phi, J
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(G=st.integers(1, 11), N=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+@example(G=1, N=1, seed=0)
+def test_compiled_node_averages_are_the_reference_formulas(G, N, seed):
+    # avg_scattering_xs, compute_zeta, grey_xs and build_ho_rhs: every
+    # bit, sign bits and NaN positions included, through every fallback
+    rng = np.random.RandomState(seed)
+    spec = _random_spec(rng, G, N)
+    phi, J = _special_fluxes(rng, G, N)
+    grey_phi = _signed_zeros(rng, rng.randn(N, 2))
+    with np.errstate(all="ignore"):
+        sbar_s = avg_scattering_xs(phi, spec.sigma_s)
+        assert _same_bits(sbar_s, old_avg_scattering_xs(phi, spec.sigma_s))
+        assert _same_bits(compute_zeta(grey_phi, phi),
+                          old_compute_zeta(grey_phi, phi))
+        assert _same_bits(build_ho_rhs(grey_phi, sbar_s, spec.Q),
+                          old_build_ho_rhs(grey_phi, sbar_s, spec.Q))
+        coeffs = grey_xs(phi, J, spec)
+        expected = old_grey_xs(phi, J, spec)
+    for got, want in zip((coeffs.sbar_a, coeffs.sbar_t, coeffs.eta),
+                         expected):
+        assert _same_bits(got, want)
+    Q = np.zeros((N, 2))
+    Q[:, 0] = spec.Q.sum()
+    assert _same_bits(coeffs.Q, Q)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(G=st.integers(1, 5), N=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+@example(G=1, N=1, seed=0)
+def test_compiled_group_right_sides_and_residual(G, N, seed):
+    # the group right sides and the AA(1) residual on the record's CSR
+    # matrices, against numpy and scipy's CSR product
+    rng = np.random.RandomState(seed)
+    system = LowOrderSystem(_random_spec(rng, G, N), Mesh(rng.rand(N) + 0.05))
+    phi, J = _special_fluxes(rng, G, N)
+    zeta = _signed_zeros(rng, rng.randn(N, 2))
+    edges = [_signed_zeros(rng, rng.randn(G, N + 1)) for _ in range(3)]
+    closures = ClosureData(*edges, P=_signed_zeros(rng, rng.randn(G, N, 2)),
+                           dx=system.ops.dx)
+    with np.errstate(all="ignore"):
+        S = old_group_source(system, phi, zeta)
+        assert _same_bits(
+            system._right_sides(phi, zeta, closures.terms).reshape(G, -1),
+            old_lo_rhs(S, closures.terms))
+        assert _same_bits(
+            system.equation_residual(phi, J, zeta, closures),
+            old_equation_residual(system, phi, J, zeta, closures))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(N=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       special=st.sampled_from([None, np.nan, np.inf, -np.inf]))
+@example(N=1, seed=0, special=None)
+def test_compiled_grey_system_is_the_band_and_right_side(N, seed, special):
+    # the band (kl = 3, ku = 1 for one cell), the right side and the
+    # finiteness flag of the grey system, a non-finite coefficient included
+    rng = np.random.RandomState(seed)
+    dx = rng.rand(N) + 0.05
+    system = LowOrderSystem(_random_spec(rng, 1, N), Mesh(dx))
+    coeffs = _grey_coefficients(rng, N)
+    if special is not None:
+        field = (coeffs.sbar_a, coeffs.sbar_t, coeffs.eta)[rng.randint(3)]
+        field[rng.randint(N), rng.randint(2)] = special
+    terms = _signed_zeros(rng, rng.randn(N, 4))
+    kl, ku, ab, b, finite = system._grey_system(coeffs, terms)
+    want = old_grey_band(dx, _mass_blocks(coeffs.sbar_a, coeffs.sbar_t,
+                                          coeffs.eta))
+    assert (kl, ku) == want[:2] and (N > 1 or (kl, ku) == (3, 1))
+    assert _same_bits(ab, want[2])
+    assert _same_bits(b, old_lo_rhs(coeffs.Q, terms))
+    assert finite is (special is None)

@@ -5,19 +5,49 @@ import numpy as np
 import pytest
 
 from slabsm.angular import angular_moments, build_double_gauss
-from slabsm.fields import Mesh, const_field, to_nodes
-from scipy.sparse import block_diag, csc_matrix, identity
+from slabsm.fields import Mesh, const_field, from_nodes, to_nodes
+from scipy.sparse import block_diag, csc_matrix, csr_matrix, identity
 from scipy.sparse import random as sparse_random
 from scipy.sparse.linalg import splu
 
-from slabsm import losm
+from slabsm import losm, sweep
 from slabsm.driver import IterationConfig, run_problem
 from slabsm.losm import (ClosureData, GreyCoefficients, LowOrderSystem,
-                         ProblemOperators, _lo_rhs, _stencil_blocks,
+                         ProblemOperators, _stencil_blocks,
                          avg_scattering_xs, closure_from_sweep, compute_zeta,
                          grey_xs, problem_operators, sum_closures)
 from slabsm.problem import ProblemSpec, builtin_problem
 from slabsm.sweep import build_ho_rhs, sweep_batch
+
+
+def lo_rhs(S, terms):
+    """Right sides (..., 4N) of the low-order equations: the sources S
+    (..., N, 2) minus the closure terms (ClosureData.terms) in rows 0-1 and
+    the terms in rows 2-3, the formula the compiled right sides follow."""
+    b = np.empty(S.shape[:-1] + (4,))
+    b[..., 2:] = terms[..., 2:]
+    np.subtract(S, terms[..., :2], out=b[..., :2])
+    return b.reshape(S.shape[:-2] + (-1,))
+
+
+def group_source(system, phi, zeta):
+    """The group sources S_g = zeta * sum_{g' != g} sigma_{s,g'->g} phi_g'
+    + Q_g, the zeta product at the cell-edge values, that the compiled
+    right sides of the system's group passes hold."""
+    coupling = np.einsum("gh,hnc->gnc", system.coupling, phi)
+    S = from_nodes(to_nodes(coupling) * to_nodes(zeta))
+    Q = np.zeros(S.shape)
+    Q[:, :, 0] = system.Q[:, None]
+    return S + Q
+
+
+def residual_matrix(system):
+    """The block diagonal of the system's CSR group matrices as a scipy
+    CSR matrix, whose product the compiled residual reproduces."""
+    data, indices, indptr = system._csr
+    n = indptr.size - 1
+    return csr_matrix(losm._block_diagonal(data, indices, indptr),
+                      shape=(data.shape[0] * n,) * 2)
 
 
 def _pass_residual(system, phi, J, zeta, closures):
@@ -232,7 +262,7 @@ def test_losm_solution_is_exact_balance():
     zeta = const_field(1.0, spec.n_cells)
     phi_lag = np.zeros((1, spec.n_cells, 2))
     phi, _ = system.group_pass(phi_lag, zeta, clo)
-    S = system.group_source(phi_lag, zeta)
+    S = group_source(system, phi_lag, zeta)
     lhs, src = group_particle_balance(spec, mesh, phi, S, clo)
     assert np.all(np.abs(lhs - src) / np.abs(src) < 1e-10)
 
@@ -378,7 +408,7 @@ def test_solves_satisfy_cell_equations_nonuniform_mesh(dx):
     closures = _random_closure(rng, mesh, spec.G)
     phi_lag = rng.rand(spec.G, n, 2)
     zeta = rng.rand(n, 2) + 0.5
-    S = system.group_source(phi_lag, zeta)
+    S = group_source(system, phi_lag, zeta)
     phi, J = system.group_pass(phi_lag, zeta, closures)
     for g in range(spec.G):
         clo = _group_closure(closures, g)
@@ -571,13 +601,13 @@ def test_group_operators_factored_once_per_problem():
     a, b = system(), system()
     # one record, whose low-order operators are built once
     assert a.ops is b.ops and a.ops.low_order is b.ops.low_order
-    assert a._lu is b._lu and a._A is b._A
+    assert a._lu is b._lu and a._csr is b._csr
     assert a._unknowns is b._unknowns
     # the group matrices hold removal and sigma_t, not the coupling
     assert system(down_scatter=0.25).ops is a.ops
     for other in (system(sigma_t=(1.0, 2.5)), system(self_scatter=0.4)):
         assert other.ops is not a.ops and other._lu is not a._lu
-        assert not np.array_equal(other._A.data, a._A.data)
+        assert not np.array_equal(other._csr[0], a._csr[0])
     # the solve counters stay per system
     phi = np.ones((2, 8, 2))
     a.group_pass(phi, const_field(1.0, 8), _zero_closure(mesh, 2))
@@ -674,11 +704,11 @@ def test_rhs_from_held_closure_terms_is_the_one_shot_formula(groups):
                          for f in ("dJ", "dphi", "Phat", "P")}, dx=dx)
     S = _signed_zeros(rng, rng.randn(*groups, n, 2))
     S[..., 0, :] = -0.0         # -0.0 - 0.0 keeps its sign
-    assert _same_bits(_lo_rhs(S, clo.terms), _one_shot_rhs(mesh, S, clo))
+    assert _same_bits(lo_rhs(S, clo.terms), _one_shot_rhs(mesh, S, clo))
     # group sources against the grey closure, as broadcasting gave them
     if groups:
         grey = _random_closure(rng, mesh)
-        assert _same_bits(_lo_rhs(S, grey.terms),
+        assert _same_bits(lo_rhs(S, grey.terms),
                           _one_shot_rhs(mesh, S, grey))
 
 
@@ -693,7 +723,7 @@ def test_grey_terms_are_the_one_shot_formula_on_the_summed_functionals():
     for f in ("dJ", "dphi", "Phat", "P"):
         assert _same_bits(getattr(grey, f), getattr(closures, f).sum(axis=0))
     S = rng.randn(n, 2)
-    assert _same_bits(_lo_rhs(S, grey.terms), _one_shot_rhs(mesh, S, grey))
+    assert _same_bits(lo_rhs(S, grey.terms), _one_shot_rhs(mesh, S, grey))
     assert not np.array_equal(grey.terms, closures.terms.sum(axis=0))
 
 
@@ -761,12 +791,6 @@ def _mass_blocks(removal, sigma_t, drift):
     m[..., 2:, 2:] = sigma_t[..., ld]
     m[..., 2:, :2] = drift[..., ld]
     return m
-
-
-def coefficient_stack(coeffs):
-    """The flat stack [sbar_a, sbar_t, eta, 0] that the grey band reads."""
-    return np.concatenate([coeffs.sbar_a, coeffs.sbar_t, coeffs.eta, [0.0]],
-                          axis=None)
 
 
 def _stencil_plus(dx, mass):
@@ -900,7 +924,9 @@ def test_grey_band_widths_follow_the_support():
     # one cell has n = 4 unknowns: its widths come from its own support
     for n, widths in [(1, (3, 1)), (2, (7, 7)), (9, (7, 7))]:
         system = _grey_system(Mesh(np.full(n, 0.5)))
-        kl, ku, ab = system._grey_band(np.zeros(6 * n + 1))
+        zero = np.zeros((n, 2))
+        kl, ku, ab, _, _ = system._grey_system(
+            GreyCoefficients(zero, zero, zero, zero), np.zeros((n, 4)))
         assert (kl, ku) == widths
         assert ab.shape == (2 * kl + ku + 1, 4 * n)
 
@@ -917,7 +943,7 @@ def test_grey_band_is_the_grey_matrix(n):
         coeffs = GreyCoefficients(
             *(_signed_zeros(rng, rng.randn(n, 2)) for _ in range(3)),
             Q=const_field(1.0, n))
-        kl, ku, ab = system._grey_band(coefficient_stack(coeffs))
+        kl, ku, ab, _, _ = system._grey_system(coeffs, np.zeros((n, 4)))
         A = _grey_matrix(mesh, coeffs).tocoo()
         # scatter the stored entries, as A.toarray() sums onto +0.0
         dense = np.zeros(A.shape)
@@ -953,7 +979,7 @@ def group_reference_factors(spec, dx):
 def test_group_matrices_are_the_stencil_plus_their_mass(monkeypatch, n, G):
     # the CSC matrices that SuperLU factors, read off the band, hold
     # the stencil plus each group's removal / sigma_t block, signs of zeros
-    # included, and A is their block diagonal
+    # included, and the residual's CSR arrays are the same matrices
     rng = np.random.RandomState(10 * G + n)
     dx = rng.uniform(0.1, 1.0, n)
     sigma_t = rng.uniform(1.0, 2.0, G)
@@ -968,11 +994,15 @@ def test_group_matrices_are_the_stencil_plus_their_mass(monkeypatch, n, G):
     monkeypatch.setattr(losm, "_factor", record)
     # built anew, not looked up: a record made by another test could be
     # served from the cache
-    _, _, A, lu, _ = ProblemOperators(sigma_t, removal, dx, 2).low_order
+    _, _, csr, lu, _ = ProblemOperators(sigma_t, removal, dx, 2).low_order
     assert len(factored) == G
     expected = group_matrices(dx, sigma_t, removal)
-    expected_A = block_diag(expected, format="csr")
-    for got, want in zip(factored + [A], expected + [expected_A]):
+    data, indices, indptr = csr
+    assert data.shape[0] == G and indices.dtype == indptr.dtype == np.int32
+    rows = [csr_matrix((d, indices, indptr), shape=(4 * n,) * 2)
+            for d in data]
+    for got, want in zip(factored + rows,
+                         expected + [A.tocsr() for A in expected]):
         assert got.format == want.format
         assert _same_bits(got.data, want.data)
         assert np.array_equal(got.indices, want.indices)
@@ -1034,7 +1064,7 @@ def test_one_block_solve_is_the_group_solves(name):
     edges = [rng.randn(G, spec.n_cells + 1) for _ in range(3)]
     closures = ClosureData(*edges, P=rng.randn(G, spec.n_cells, 2),
                            dx=mesh.dx)
-    b = _lo_rhs(system.group_source(phi, zeta), closures.terms)
+    b = lo_rhs(group_source(system, phi, zeta), closures.terms)
     want = losm._split_solution(
         np.stack([ref.solve(b_g) for ref, b_g in zip(refs, b)]))
     for got, want_f in zip(system.group_pass(phi, zeta, closures), want):
@@ -1069,14 +1099,13 @@ def test_singular_grey_system_raises():
     n = 3
     mesh = Mesh(np.full(n, 0.5))
     system = _grey_system(mesh)
-    real = system._grey_band
+    real = system._gbsv
 
-    def zero_column(coefs):
-        kl, ku, ab = real(coefs)
+    def zero_column(kl, ku, ab, b, **kwargs):
         ab[:, 5] = 0.0
-        return kl, ku, ab
+        return real(kl, ku, ab, b, **kwargs)
 
-    system._grey_band = zero_column
+    system._gbsv = zero_column
     coeffs = GreyCoefficients(sbar_a=const_field(0.5, n),
                               sbar_t=const_field(1.0, n),
                               eta=np.zeros((n, 2)), Q=const_field(1.0, n))
@@ -1120,3 +1149,80 @@ def test_nan_denominators_give_nan_not_fallbacks():
     tiny = np.full((2, 3, 2), 1e-40)
     tiny[..., 1] = 0.0
     assert np.array_equal(compute_zeta(grey_phi, tiny), const_field(1.0, 3))
+
+
+def _wrapper_calls(monkeypatch):
+    """Each wrapper of a compiled Level-2/3 function, by name, on the
+    arrays it is given, with the library replaced by one that fails the
+    test if it is called: so a ValueError is raised before any C call."""
+    spec = ProblemSpec(2, [1.0, 2.0], [[0.3, 0.1], [0.2, 0.5]], [1.0, 0.5],
+                       width=2.0, n_cells=4, n_half=2)
+    mesh = Mesh.uniform(2.0, 4)
+    system = LowOrderSystem(spec, mesh)
+    closures, grey = _zero_closure(mesh, 2), _zero_closure(mesh)
+    field = np.ones((4, 2))
+
+    def no_library(name):
+        raise AssertionError(f"{name} called on a wrong shape")
+
+    monkeypatch.setattr(losm, "kernel", no_library)
+    monkeypatch.setattr(sweep, "kernel", no_library)
+
+    def grey_coeffs(bad):
+        return GreyCoefficients(field, field, bad, field)
+
+    return {
+        "compute_zeta": lambda f, g: compute_zeta(g, f),
+        "avg_scattering_xs": lambda f, g: avg_scattering_xs(f, spec.sigma_s),
+        "grey_xs": lambda f, g: grey_xs(f, f, spec),
+        "build_ho_rhs": lambda f, g: build_ho_rhs(g, f, spec.Q),
+        "group_pass": lambda f, g: system.group_pass(f, g, closures),
+        "equation_residual": lambda f, g: system.equation_residual(
+            f, f, g, closures),
+        "solve_grey": lambda f, g: system.solve_grey(grey_coeffs(g), grey),
+    }
+
+
+@pytest.mark.parametrize("name", ["compute_zeta", "avg_scattering_xs",
+                                  "grey_xs", "build_ho_rhs",
+                                  "group_pass", "equation_residual",
+                                  "solve_grey"])
+def test_wrong_shapes_raise_before_the_library_is_called(monkeypatch, name):
+    # group fields f (G, N, 2) and cell fields g (N, 2) of a 2-group,
+    # 4-cell problem: a wrong G, N, coefficient axis or rank each raises
+    call = _wrapper_calls(monkeypatch)[name]
+    f, g = np.ones((2, 4, 2)), np.ones((4, 2))
+    cells = name not in ("avg_scattering_xs", "grey_xs")
+    bad = []
+    if name != "solve_grey":
+        bad += [(np.ones(shape), g) for shape in ((2, 4, 3), (4, 2))]
+        if cells:
+            bad.append((np.ones((2, 5, 2)), g))
+        if name != "compute_zeta":
+            bad.append((np.ones((3, 4, 2)), g))
+    if cells:
+        bad += [(f, np.ones(shape)) for shape in ((5, 2), (4, 3), (2, 4, 2))]
+    for phi, cell in bad:
+        with pytest.raises(ValueError):
+            call(phi, cell)
+
+
+def test_low_order_record_is_read_only_with_no_residual_matrix():
+    # the record's CSR group matrices are read-only and no scipy matrix is
+    # kept for the residual; each system fetches the addresses of what the
+    # library reads once, into a tuple
+    from scipy.sparse import issparse
+
+    spec = ProblemSpec(2, [1.0, 2.0], [[0.3, 0.1], [0.2, 0.5]], [1.0, 0.5],
+                       width=2.0, n_cells=4, n_half=2)
+    system = LowOrderSystem(spec, Mesh.uniform(2.0, 4))
+    grey_system, gbsv, csr, lu, unknowns = system.ops.low_order
+    assert not any(issparse(part) for part in (grey_system, gbsv, lu, *csr))
+    data, indices, indptr = csr
+    for array in (*csr, unknowns, system.coupling, system.Q):
+        with pytest.raises(ValueError, match="read-only"):
+            array.reshape(-1)[0] = 1.0
+    assert data.shape == (2, indices.size) and indptr[-1] == indices.size
+    assert isinstance(system._addresses, tuple)
+    assert system._addresses == tuple(
+        a.ctypes.data for a in (system.coupling, system.Q, *csr))

@@ -6,9 +6,9 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 CALLS = ("sweep_batch", "angular_moments", "closure_from_sweep",
-         "sum_closures", "grey_xs", "solve_grey", "compute_zeta",
-         "group_pass", "equation_residual", "si_step", "multilevel_step",
-         "operators")
+         "sum_closures", "grey_xs", "avg_scattering_xs", "solve_grey",
+         "build_ho_rhs", "compute_zeta", "group_pass", "equation_residual",
+         "si_step", "multilevel_step", "operators")
 
 
 def test_time_sweep_prints_every_row():

@@ -16,11 +16,14 @@ psi for `angular.angular_moments` and, with its moments, for
 every tree, the per-outer glue between the sweep and the low-order
 levels; for `losm.sum_closures` that sweep's group closures, whose grey
 closure it sums, terms included; for `losm.grey_xs` that sweep's group
-moments; for `LowOrderSystem.solve_grey` the grey coefficients and
-grey closure of that sweep; for `losm.compute_zeta` the grey flux of
-that solve and the group moments; and for `LowOrderSystem.group_pass`
-and `LowOrderSystem.equation_residual` the group moments, that zeta and
-the group closures.  `driver._si_step` runs one source-iteration outer (the
+moments; for `losm.avg_scattering_xs` that sweep's scalar flux and the
+problem's scattering matrix; for `LowOrderSystem.solve_grey` the grey
+coefficients and grey closure of that sweep; for `sweep.build_ho_rhs`
+the grey flux of that solve, those averaged cross sections and the
+problem's sources; for `losm.compute_zeta` the grey flux of that solve
+and the group moments; and for `LowOrderSystem.group_pass` and
+`LowOrderSystem.equation_residual` the group moments, that zeta and the
+group closures.  `driver._si_step` runs one source-iteration outer (the
 scattering source, the sweep and the moments) from the fixed state whose
 group flux is that sweep's phi, and `driver._multilevel_step` one
 `mlsm(1,1)` outer (the sweep, its moments and closures, one group pass
@@ -126,6 +129,7 @@ def calls(slabsm, problem: str) -> dict:
     system = losm.LowOrderSystem(spec, mesh)
     grey_phi, _ = system.solve_grey(coeffs, closure)
     zeta = losm.compute_zeta(grey_phi, phi)
+    sbar_s = losm.avg_scattering_xs(phi, spec.sigma_s)
     si_run = driver._Run(spec, driver.IterationConfig(method="si"), quad,
                          ops, None)
     si_state = driver.TransportState(phi, phi.sum(axis=0))
@@ -139,7 +143,10 @@ def calls(slabsm, problem: str) -> dict:
         "closure_from_sweep": lambda: closure_from_sweep(*closure_args),
         "sum_closures": lambda: losm.sum_closures(closures),
         "grey_xs": lambda: losm.grey_xs(phi, J, spec),
+        "avg_scattering_xs": lambda: losm.avg_scattering_xs(phi,
+                                                            spec.sigma_s),
         "solve_grey": lambda: system.solve_grey(coeffs, closure),
+        "build_ho_rhs": lambda: sweep.build_ho_rhs(grey_phi, sbar_s, spec.Q),
         "compute_zeta": lambda: losm.compute_zeta(grey_phi, phi),
         "group_pass": lambda: system.group_pass(phi, zeta, closures),
         "equation_residual": lambda: system.equation_residual(
