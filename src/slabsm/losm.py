@@ -491,7 +491,7 @@ class ProblemOperators:
 
         # each group matrix on the support: the stencil, and on the
         # centre-block entries the group's removal / sigma_t block, added
-        # as grey_band adds a mass; read off in CSC order
+        # as grey_system adds a mass; read off in CSC and in CSR order
         coefs = np.zeros((G, 6 * N + 1))
         coefs[:, :2 * N:2] = self.removal[:, None]
         coefs[:, 2 * N:4 * N:2] = self.sigma_t[:, None]
