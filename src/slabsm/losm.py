@@ -185,8 +185,10 @@ class ClosureData:
             raise ValueError("closure shapes do not fit one mesh: dJ, dphi "
                              "and Phat (..., N+1), P (..., N, 2), dx (N,)")
         terms = np.empty(lead + (N, 4))
-        kernel("slabsm_closure_terms")(math.prod(lead), N, *map(address, (
-            dJ, dphi, Phat, P, dx, terms)))
+        kernel("slabsm_closure_terms")(
+            math.prod(lead), N, dJ.ctypes.data, dphi.ctypes.data,
+            Phat.ctypes.data, P.ctypes.data, dx.ctypes.data,
+            terms.ctypes.data)
         object.__setattr__(self, "terms", terms)
         for array in vars(self).values():
             array.setflags(write=False)
@@ -239,8 +241,10 @@ def closure_from_sweep(psi: np.ndarray, quad: AngularQuadrature,
         raise ValueError(f"psi {psi.shape} and moments {phi.shape} do not "
                          f"fit {quad.n_angles} directions on {N} cells")
     out = np.empty((3,) + lead + (N + 1,))
-    kernel("slabsm_closure")(math.prod(lead), quad.n_angles, N, *map(
-        address, (psi, phi, J, quad.moment_weights, ops.edges, out)))
+    kernel("slabsm_closure")(
+        math.prod(lead), quad.n_angles, N, psi.ctypes.data, phi.ctypes.data,
+        J.ctypes.data, quad.moment_weights.ctypes.data, ops.edges.ctypes.data,
+        out.ctypes.data)
     dJ, dphi, Phat = out
     return ClosureData(dJ=dJ, dphi=dphi, Phat=Phat, P=moments.P, dx=ops.dx)
 

@@ -91,8 +91,9 @@ def sweep_batch(ops, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("rhs must be finite")
     rhs = np.ascontiguousarray(rhs)
     psi = np.empty((G, M, N, 2))
-    if kernel("slabsm_march")(G, M, rhs.shape[1], N, *map(address, (
-            sigma_t, m, dx, rhs, psi))):
+    if kernel("slabsm_march")(G, M, rhs.shape[1], N, sigma_t.ctypes.data,
+                              m.ctypes.data, dx.ctypes.data,
+                              rhs.ctypes.data, psi.ctypes.data):
         raise MemoryError("no memory for the march's work rows")
     return psi
 
