@@ -478,8 +478,7 @@ class ProblemOperators:
         mass_pos = band[centre].astype(np.int64)
         coef_index = _mass_gather(N)[i[centre], a[centre],
                                      b[centre]].astype(np.int64)
-        # held by the closure, so that their addresses, fetched once, stay
-        # valid
+        # the closure holds them, so the addresses fetched once stay valid
         held = stencil_band, mass_pos, coef_index
         addresses = tuple(map(address, held))
 
@@ -557,8 +556,7 @@ class LowOrderSystem:
         self.coupling, self.Q = coupling, spec.Q
         (self._grey_system, self._gbsv, self._csr, self._lu,
          self._unknowns) = ops.low_order
-        self._addresses = tuple(map(address,
-                                    (coupling, self.Q, *self._csr)))
+        self._addresses = tuple(map(address, (coupling, self.Q, *self._csr)))
         self.n_group_passes = 0
         self.n_grey_solves = 0
 

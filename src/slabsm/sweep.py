@@ -20,10 +20,9 @@ The march is one C function, slabsm_march in _march.c, which each sweep
 calls once through ctypes; kernel loads it.  The same library holds the
 hand-off of psi to the low-order levels, slabsm_closure and
 slabsm_closure_terms, which losm calls (closure_from_sweep, ClosureData),
-and the rest of the Levels 2-3 arithmetic: slabsm_ho_rhs (build_ho_rhs),
-and slabsm_zeta, slabsm_scattering_xs, slabsm_grey_xs, slabsm_group_rhs,
-slabsm_group_residual and slabsm_grey_system, which losm calls
-(compute_zeta, avg_scattering_xs, grey_xs and LowOrderSystem).
+and the Levels 2-3 arithmetic of build_ho_rhs and losm: slabsm_ho_rhs,
+slabsm_zeta, slabsm_scattering_xs, slabsm_grey_xs, slabsm_group_rhs,
+slabsm_group_residual and slabsm_grey_system.
 The march runs the cells in its outer loop and the L = G*M independent
 lanes, in (group, direction) order, in its inner loop.  It reads the
 source (G, M', N, 2) as given, M' = 1 for an isotropic source, and writes
