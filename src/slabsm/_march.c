@@ -351,20 +351,11 @@ void slabsm_grey_xs(ptrdiff_t G, ptrdiff_t N, const double *restrict consts,
     }
 }
 
-/* S of group g on one cell from its coupling sums c (the pair
- * sum_h coupling[g][h] phi_h): zeta z times c at the edge values, plus
- * Q[g] on the average and 0.0 on the slope */
-static void group_source(const double *c, const double *z, double Q,
-                         double *S)
-{
-    from_edges(edge(c, 0) * edge(z, 0), edge(c, 1) * edge(z, 1), S);
-    S[0] = S[0] + Q;
-    S[1] = S[1] + 0.0;
-}
-
 /* The right sides b (G, N, 4) of the group passes, one column per cell
  * row: S - terms in rows 0-1 and the closure terms (G, N, 4) in rows
- * 2-3.  The coupling sums are formed in b. */
+ * 2-3.  The coupling sums c of group g (the pairs sum_h coupling[g][h]
+ * phi_h) are formed in b; S is zeta times c at the edge values, plus
+ * Q[g] on the average and 0.0 on the slope. */
 void slabsm_group_rhs(ptrdiff_t G, ptrdiff_t N,
                       const double *restrict coupling,
                       const double *restrict Q, const double *restrict phi,
@@ -375,26 +366,27 @@ void slabsm_group_rhs(ptrdiff_t G, ptrdiff_t N,
         group_sums(G, N, coupling + g * G, phi, 4, b + g * N * 4);
         for (ptrdiff_t i = 0; i < N; i++) {
             double *out = b + (g * N + i) * 4;
+            const double *z = zeta + 2 * i, *t = terms + (g * N + i) * 4;
             double S[2];
-            group_source(out, zeta + 2 * i, Q[g], S);
-            const double *t = terms + (g * N + i) * 4;
-            out[0] = S[0] - t[0];
-            out[1] = S[1] - t[1];
+            from_edges(edge(out, 0) * edge(z, 0), edge(out, 1) * edge(z, 1),
+                       S);
+            out[0] = (S[0] + Q[g]) - t[0];
+            out[1] = (S[1] + 0.0) - t[1];
             out[2] = t[2];
             out[3] = t[3];
         }
     }
 }
 
-/* The residual r = b - A x of the group equations (G, N, 4), b as in
- * slabsm_group_rhs and x the unknowns (phi_a, phi_s, J_a, J_s) of each
- * cell from phi and J (G, N, 2), gathered per group into a work row with
- * the coupling sums.  Group g's matrix is in CSR: data[g] (nnz =
- * indptr[4N] entries) on the shared int32 indices and indptr,
- * column-sorted; each row's product sums its stored entries, explicit
- * zeros included, in that order from 0.0 (scipy's CSR product).  Each
- * cell's rows 0-3 are written in the order 0, 2, 1, 3: (phi_a, J_a,
- * phi_s, J_s).  Returns 0, or -1 if the work row cannot be allocated. */
+/* The residual r = b - A x of the group equations (G, N, 4): b is built
+ * in r by slabsm_group_rhs, and x, the unknowns (phi_a, phi_s, J_a, J_s)
+ * of each cell from phi and J (G, N, 2), is gathered per group into a
+ * work row.  Group g's matrix is in CSR: data[g] (nnz = indptr[4N]
+ * entries) on the shared int32 indices and indptr, column-sorted; each
+ * row's product sums its stored entries, explicit zeros included, in that
+ * order from 0.0 (scipy's CSR product).  Each cell's rows 0-3 are
+ * rewritten in the order 0, 2, 1, 3: (phi_a, J_a, phi_s, J_s).  Returns
+ * 0, or -1 if the work row cannot be allocated. */
 int slabsm_group_residual(ptrdiff_t G, ptrdiff_t N,
                           const double *restrict coupling,
                           const double *restrict Q,
@@ -408,10 +400,10 @@ int slabsm_group_residual(ptrdiff_t G, ptrdiff_t N,
 {
     static const int place[4] = {0, 2, 1, 3};
     ptrdiff_t nnz = indptr[4 * N];
-    double *x = malloc((size_t)(6 * N) * sizeof *x);
+    double *x = malloc((size_t)(4 * N) * sizeof *x);
     if (x == NULL)
         return -1;
-    double *c = x + 4 * N;
+    slabsm_group_rhs(G, N, coupling, Q, phi, zeta, terms, r);
     for (ptrdiff_t g = 0; g < G; g++) {
         const double *d = data + g * nnz;
         const double *f = phi + g * N * 2, *j = J + g * N * 2;
@@ -421,13 +413,9 @@ int slabsm_group_residual(ptrdiff_t G, ptrdiff_t N,
             x[4 * i + 2] = j[2 * i];
             x[4 * i + 3] = j[2 * i + 1];
         }
-        group_sums(G, N, coupling + g * G, phi, 2, c);
         for (ptrdiff_t i = 0; i < N; i++) {
-            double S[2];
-            group_source(c + 2 * i, zeta + 2 * i, Q[g], S);
-            const double *t = terms + (g * N + i) * 4;
-            double b[4] = {S[0] - t[0], S[1] - t[1], t[2], t[3]};
             double *out = r + (g * N + i) * 4;
+            double b[4] = {out[0], out[1], out[2], out[3]};
             for (int k = 0; k < 4; k++) {
                 const int32_t *row = indptr + 4 * i + k;
                 double s = 0.0;

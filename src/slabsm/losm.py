@@ -75,10 +75,10 @@ def avg_scattering_xs(phi_groups: np.ndarray, sigma_s: np.ndarray) -> np.ndarray
     phi = checked(phi_groups, (-1, -1, 2))
     G, N = phi.shape[:2]
     sigma_s = checked(sigma_s, (G, G))
-    sbar_s = np.empty((G, N, 2))
-    kernel("slabsm_scattering_xs")(G, N, *map(address, (
-        sigma_s, sigma_s.mean(axis=1), phi, sbar_s)))
-    return sbar_s
+    # held here, so that the row means outlive the call
+    arrays = [sigma_s, sigma_s.mean(axis=1), phi, np.empty((G, N, 2))]
+    kernel("slabsm_scattering_xs")(G, N, *map(address, arrays))
+    return arrays[-1]
 
 
 def compute_zeta(grey_phi: np.ndarray, phi_groups: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ random inputs that hold +0.0, -0.0, NaN and denominators below and at
 DENOM_EPS.  No table cell reaches the safeguard fallbacks, so only these
 pins cover them."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -492,6 +494,29 @@ def test_compiled_group_right_sides_and_residual(G, N, seed):
         assert _same_bits(
             system.equation_residual(phi, J, zeta, closures),
             old_equation_residual(system, phi, J, zeta, closures))
+
+
+@pytest.mark.parametrize("N", [1, 3])
+def test_residual_rows_sum_their_products_from_positive_zero(N):
+    # zero unknowns signed against every entry of one row make each of
+    # its products -0.0: summed from +0.0 they give +0.0, so the -0.0
+    # right side of rows 2-3 stays -0.0 in b - A x, as in scipy's product
+    rng = np.random.RandomState(N)
+    system = LowOrderSystem(_random_spec(rng, 2, N), Mesh(rng.rand(N) + 0.05))
+    data, indices, indptr = system._csr
+    closures = SimpleNamespace(terms=np.full((2, N, 4), -0.0))
+    for row in range(4 * N):
+        x = np.zeros((2, 4 * N))
+        entries = slice(indptr[row], indptr[row + 1])
+        x[0, indices[entries]] = np.copysign(0.0, -data[0, entries])
+        x = x.reshape(2, N, 4)
+        phi, J = x[..., :2].copy(), x[..., 2:].copy()
+        args = phi, J, np.ones((N, 2)), closures
+        got = system.equation_residual(*args)
+        assert _same_bits(got, old_equation_residual(system, *args))
+        if row % 4 >= 2:
+            assert np.signbit(got.reshape(2, N, 2, 2)[0, row // 4, row % 2,
+                                                     1])
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

@@ -131,6 +131,30 @@ def test_avg_scattering_safeguard():
     assert np.allclose(sbar[1, :, 0], 0.2)
 
 
+@pytest.mark.parametrize("G", [3, 200])
+def test_scattering_fallback_outlives_the_call(monkeypatch, G):
+    # the row means that the zero-flux nodes fall back to must stay alive
+    # through the C call: here the library is entered only after arrays
+    # of their size are filled with garbage, which would take a freed
+    # buffer of theirs (numpy's cache below 1 KiB, malloc above)
+    sigma_s = np.random.RandomState(G).rand(G, G)
+    phi = np.ones((G, 3, 2))
+    phi[:, 1] = 0.0
+    library = losm.kernel
+
+    def kernel(name):
+        def call(*args):
+            garbage = [np.full(G, 1e300) for _ in range(16)]
+            library(name)(*args)
+            return garbage
+        return call
+
+    monkeypatch.setattr(losm, "kernel", kernel)
+    sbar = avg_scattering_xs(phi, sigma_s)
+    assert np.array_equal(sbar[:, 1, 0], sigma_s.mean(axis=1))
+    assert np.array_equal(sbar[:, 1, 1], np.zeros(G))
+
+
 def test_zeta_trivials():
     n = 5
     grey = const_field(2.0, n)
