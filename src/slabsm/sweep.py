@@ -109,10 +109,8 @@ _SIGNATURES = {
     "slabsm_group_residual": (2, 10, True),
     "slabsm_grey_system": (3, 10, True)}
 
-# the address of an array that the caller keeps alive for the library, by
-# a name or a list it holds through the call: an array made in the call's
-# own arguments, as in *map(address, (a, a.mean())), is freed before the
-# library runs
+# the address of an array that the caller holds, by a name or a list, through
+# the call: an array made in the call's own arguments is freed before it runs
 address = operator.attrgetter("ctypes.data")
 
 
