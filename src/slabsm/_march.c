@@ -12,10 +12,10 @@
  * meets cell N-1-i.  The rows 3m + sd, m + sd and
  * det = 6m^2 + 4m*sd + sd^2, sd = sigma_t*dx, are formed at step 0 and
  * again at each step whose pair of widths (dx[i], dx[N-1-i]) differs
- * from the step before's: once a sweep on a uniform mesh.  rhs is
- * (G, Ms, N, 2), Ms = 1 for a source shared by every direction and M
- * otherwise; psi is (G, M, N, 2), every entry written.  Returns 0, or -1
- * if the work rows cannot be allocated.
+ * from the step before's: once a sweep on a uniform mesh.  rhs is the
+ * isotropic source (G, N, 2), read by every direction of its group; psi
+ * is (G, M, N, 2), every entry written.  Returns 0, or -1 if the work
+ * rows cannot be allocated.
  *
  * slabsm_closure and slabsm_closure_terms build the closures
  * (losm.ClosureData) of K sweeps, the leading axes of psi flattened.
@@ -33,7 +33,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-int slabsm_march(ptrdiff_t G, ptrdiff_t M, ptrdiff_t Ms, ptrdiff_t N,
+int slabsm_march(ptrdiff_t G, ptrdiff_t M, ptrdiff_t N,
                  const double *sigma_t, const double *mabs, const double *dx,
                  const double *rhs, double *psi)
 {
@@ -62,8 +62,7 @@ int slabsm_march(ptrdiff_t G, ptrdiff_t M, ptrdiff_t Ms, ptrdiff_t N,
                 int mirror = d < h;
                 ptrdiff_t cell = mirror ? N - 1 - i : i;
                 ptrdiff_t l = g * M + d;
-                const double *u = rhs + ((g * Ms + (Ms == 1 ? 0 : d)) * N
-                                         + cell) * 2;
+                const double *u = rhs + (g * N + cell) * 2;
                 double w = dx[cell], m = mabs[d], m3 = 3.0 * m;
                 double ua = u[0] * w, us = u[1] * (mirror ? -w : w);
                 double qa = ua + m * y[l];

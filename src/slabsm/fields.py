@@ -1,4 +1,4 @@
-"""Spatial mesh and linear-discontinuous (LD) coefficient helpers.
+"""Spatial mesh of the slab, and the linear-discontinuous (LD) layout.
 
 Every spatial unknown in this package lives in the LD space: two
 coefficients per cell, (average, slope), representing
@@ -45,29 +45,4 @@ class Mesh:
         if n_cells < 1:
             raise ValueError("mesh requires n_cells >= 1")
         return Mesh(np.full(n_cells, width / n_cells))
-
-
-def to_nodes(coeffs: np.ndarray) -> np.ndarray:
-    """(avg, slope) -> (left value, right value), any leading shape."""
-    a, s = coeffs[..., 0], coeffs[..., 1]
-    out = np.empty(coeffs.shape)
-    np.subtract(a, s, out[..., 0])
-    np.add(a, s, out[..., 1])
-    return out
-
-
-def from_nodes(nodes: np.ndarray) -> np.ndarray:
-    """(left value, right value) -> (avg, slope), any leading shape: the
-    sum and difference, then one multiply by 0.5 over both halves."""
-    left, right = nodes[..., 0], nodes[..., 1]
-    out = np.empty(nodes.shape)
-    np.add(left, right, out[..., 0])
-    np.subtract(right, left, out[..., 1])
-    return np.multiply(out, 0.5, out)
-
-
-def const_field(value, n_cells: int) -> np.ndarray:
-    out = np.zeros((n_cells, 2))
-    out[:, 0] = value
-    return out
 

@@ -163,8 +163,12 @@ class ClosureData:
     slabsm_closure_terms, each an elementwise formula in a fixed order.
     The arrays must fit one mesh, with one set of leading axes: dJ, dphi
     and Phat (..., N+1), P (..., N, 2) and dx (N,); a ValueError says so
-    otherwise.  Every array is made read-only, the given ones included, so
-    none can leave the terms stale.  Closures compare by identity.
+    otherwise.  The closure keeps each as a C-contiguous float64 array,
+    the given one if it is one already, else a copy, and makes every array
+    read-only, so no write through them can leave the terms stale.  A
+    given array kept as such may be a view: a write into its writable
+    base still reaches the closure, leaving the terms stale.  Closures
+    compare by identity.
     """
 
     dJ: np.ndarray
@@ -175,9 +179,10 @@ class ClosureData:
     terms: np.ndarray = dc_field(init=False)
 
     def __post_init__(self):
-        dJ, dphi, Phat, P, dx = (np.ascontiguousarray(a, dtype=float)
-                                 for a in (self.dJ, self.dphi, self.Phat,
-                                           self.P, self.dx))
+        for name in ("dJ", "dphi", "Phat", "P", "dx"):
+            object.__setattr__(self, name, np.ascontiguousarray(
+                getattr(self, name), dtype=float))
+        dJ, dphi, Phat, P, dx = self.dJ, self.dphi, self.Phat, self.P, self.dx
         N, lead = dx.size, P.shape[:-2]
         edge = lead + (N + 1,)
         if (dx.ndim != 1 or P.shape[-2:] != (N, 2)

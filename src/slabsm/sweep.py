@@ -25,11 +25,11 @@ slabsm_zeta, slabsm_scattering_xs, slabsm_grey_xs, slabsm_group_rhs,
 slabsm_group_residual and slabsm_grey_system.
 The march runs the cells in its outer loop and the L = G*M independent
 lanes, in (group, direction) order, in its inner loop.  It reads the
-source (G, M', N, 2) as given, M' = 1 for an isotropic source, and writes
-psi (G, M, N, 2) in place: the mu < 0 half meets cell N-1-i at step i,
-forms dx*q_slope there as q_slope*(-dx) and writes its slope as s*(-1).
-x*(-dx) is -(x*dx) bit for bit, IEEE rounding being symmetric in sign,
-so these are the mirror's negated slopes.
+isotropic source (G, N, 2), the same for every direction of its group,
+and writes psi (G, M, N, 2) in place: the mu < 0 half meets cell N-1-i
+at step i, forms dx*q_slope there as q_slope*(-dx) and writes its slope
+as s*(-1).  x*(-dx) is -(x*dx) bit for bit, IEEE rounding being
+symmetric in sign, so these are the mirror's negated slopes.
 
 With m = |mu|, sd = st*dx and det = 6m^2 + 4m*sd + sd^2, a step of a lane
 of inflow trace y solves its cell in packed form,
@@ -76,25 +76,20 @@ def sweep_batch(ops, rhs: np.ndarray) -> np.ndarray:
     """Sweep every group and direction of one problem, of operator record
     `ops` (losm.ProblemOperators), in one pass between vacuum boundaries,
     (G, M, N, 2).  The march reads the record's sigma_t (G,), mabs = |mu|
-    (M,) and dx (N,), which the record has checked.  rhs is the source
-    density per unit mu, either (G, N, 2) shared across directions or
-    (G, M, N, 2) per direction.  One call of the compiled march
-    (kernel, loaded by the first sweep of the process), which writes only
-    the psi returned, a new array."""
+    (M,) and dx (N,), which the record has checked.  rhs is the isotropic
+    source density per unit mu, (G, N, 2), which every direction of its
+    group reads; any other shape is a ValueError.  One call of the
+    compiled march (kernel, loaded by the first sweep of the process),
+    which writes only the psi returned, a new array."""
     sigma_t, m, dx = ops.sigma_t, ops.mabs, ops.dx
     G, M, N = sigma_t.size, m.size, dx.size
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape == (G, N, 2):
-        rhs = rhs[:, None]
-    elif rhs.shape != (G, M, N, 2):
-        raise ValueError(f"rhs shape {rhs.shape} invalid")
+    rhs = checked(rhs, (G, N, 2))
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite")
-    rhs = np.ascontiguousarray(rhs)
     psi = np.empty((G, M, N, 2))
-    if kernel("slabsm_march")(G, M, rhs.shape[1], N, sigma_t.ctypes.data,
-                              m.ctypes.data, dx.ctypes.data,
-                              rhs.ctypes.data, psi.ctypes.data):
+    if kernel("slabsm_march")(G, M, N, sigma_t.ctypes.data, m.ctypes.data,
+                              dx.ctypes.data, rhs.ctypes.data,
+                              psi.ctypes.data):
         raise MemoryError("no memory for the march's work rows")
     return psi
 
@@ -102,7 +97,7 @@ def sweep_batch(ops, rhs: np.ndarray) -> np.ndarray:
 # the functions of _march.c: their numbers of size arguments and then of
 # pointer arguments, and whether they return an int status (else void)
 _SIGNATURES = {
-    "slabsm_march": (4, 5, True), "slabsm_closure": (3, 6, False),
+    "slabsm_march": (3, 5, True), "slabsm_closure": (3, 6, False),
     "slabsm_closure_terms": (2, 6, False), "slabsm_zeta": (2, 3, False),
     "slabsm_scattering_xs": (2, 4, False), "slabsm_ho_rhs": (2, 4, False),
     "slabsm_grey_xs": (2, 4, False), "slabsm_group_rhs": (2, 6, False),

@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion at its stated tolerance, one printed
 pass/fail line per criterion (run with `pytest -s` to see them inline)."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -12,14 +13,15 @@ from slabsm.accel import aa1_alpha
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.driver import (IterationConfig, run_problem,
                            si_infinite_medium_rho)
-from slabsm.fields import Mesh, to_nodes
+from slabsm.fields import Mesh
 from slabsm.losm import LowOrderSystem, ProblemOperators
 from slabsm.problem import (builtin_problem, builtin_reference_c,
                             connection_strength, validate_scattering)
-from slabsm.sweep import sweep_batch
 from discrete_oracle import oracle_flux
+from ld_fields import to_nodes
 from test_losm import group_particle_balance, group_source
-from test_sweep import curved_solution, l2_error, project_ld
+from test_sweep import (curved_solution, l2_error, project_ld,
+                        sweep_per_direction)
 
 EPS = 1e-9
 
@@ -356,7 +358,7 @@ def test_criterion_6g_manufactured_order():
         for m, mu in enumerate(quad.mu):
             rhs[m] = project_ld(lambda x: source(x, mu, sigma), mesh)
         ops = ProblemOperators([sigma], [sigma], mesh.dx, 4)
-        psi = sweep_batch(ops, rhs[None])[0]
+        psi = sweep_per_direction(ops, rhs[None])[0]
         errors.append(l2_error(psi, exact, mesh, quad))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     if not np.all(orders >= 1.9):
@@ -388,6 +390,41 @@ def test_benchmark_hooks_are_bound(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
                                     / "bench"))
     assert _bench_module("run").measure_setup("test1") > 0.0
+
+
+def _names_read(path):
+    """Every name the code of the file reads, imports or takes as an
+    attribute, except inside a def or class of that same name."""
+    names, stack = set(), [(ast.parse(path.read_text()), frozenset())]
+    while stack:
+        node, owners = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            owners |= {node.name}
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name.rpartition(".")[2]
+                if isinstance(node, ast.alias) else None)
+        if name is not None and name not in owners:
+            names.add(name)
+        stack += [(child, owners) for child in ast.iter_child_nodes(node)]
+    return names
+
+
+def test_no_public_name_serves_only_the_tests():
+    # every module-level public function and class of the package is
+    # named by the package, the benchmark or the tools outside its own
+    # def or class: nothing is exported only so a test can call it
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "slabsm").glob("*.py"))
+    read = set().union(*(_names_read(path) for path in (
+        *package, *(root / "bench").glob("*.py"),
+        *(root / "tools").glob("*.py")) if not path.name.startswith("test_")))
+    unread = [f"{path.stem}.{node.name}" for path in package
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in read]
+    assert unread == []
 
 
 def _table_runs():

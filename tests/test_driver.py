@@ -20,10 +20,11 @@ from slabsm.driver import (IterationConfig, TransportState,
                            convergence_measure, estimate_spectral_radius,
                            lo_solve_count, run_problem,
                            si_infinite_medium_rho)
-from slabsm.fields import Mesh, const_field, to_nodes
+from slabsm.fields import Mesh
 from slabsm.losm import LowOrderSystem, problem_operators
 from slabsm.problem import (ProblemSpec, builtin_problem, builtin_reference_c,
                             validate_scattering)
+from ld_fields import const_field, to_nodes
 
 
 def _small_two_group():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from slabsm.angular import angular_moments, build_double_gauss
-from slabsm.fields import Mesh, from_nodes, to_nodes
+from slabsm.fields import Mesh
 from slabsm.losm import ProblemOperators, closure_from_sweep
 from slabsm.sweep import sweep_batch
+from ld_fields import from_nodes, to_nodes
 
 
 def mesh_edges(mesh):

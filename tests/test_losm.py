@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from slabsm.angular import angular_moments, build_double_gauss
-from slabsm.fields import Mesh, const_field, from_nodes, to_nodes
+from slabsm.fields import Mesh
 from scipy.sparse import block_diag, csc_matrix, csr_matrix, identity
 from scipy.sparse import random as sparse_random
 from scipy.sparse.linalg import splu
@@ -18,6 +18,7 @@ from slabsm.losm import (ClosureData, GreyCoefficients, LowOrderSystem,
                          grey_xs, problem_operators, sum_closures)
 from slabsm.problem import ProblemSpec, builtin_problem
 from slabsm.sweep import build_ho_rhs, sweep_batch
+from ld_fields import const_field, from_nodes, to_nodes
 
 
 def lo_rhs(S, terms):
@@ -767,6 +768,29 @@ def test_closure_arrays_are_read_only():
             clo.dJ = dJ
     with pytest.raises(ValueError, match="read-only"):
         dJ[0] += 1.0
+
+
+@pytest.mark.parametrize("given", ["list", "float32", "strided"])
+def test_closure_keeps_the_arrays_its_terms_are_built_from(given):
+    # a list, a float32 array or a strided view is kept as the float64
+    # copy the terms were built from, so a later write into the caller's
+    # array changes neither the closure nor its terms
+    rng = np.random.RandomState(5)
+    dx = np.array([0.2, 0.45, 0.3])
+    base = rng.randn(8)
+    dJ = {"list": base[:4].tolist(), "float32": base[:4].astype(np.float32),
+          "strided": base[::2]}[given]
+    parts = dict(dphi=rng.randn(4), Phat=rng.randn(4), P=rng.randn(3, 2),
+                 dx=dx)
+    closure = ClosureData(dJ=dJ, **parts)
+    kept = np.array(dJ, dtype=float)
+    assert closure.dJ.dtype == np.float64 and closure.dJ.flags.c_contiguous
+    assert _same_bits(closure.dJ, kept)
+    assert _same_bits(closure.terms, ClosureData(dJ=kept, **parts).terms)
+    if given != "list":
+        dJ[0] = 5.0
+    assert _same_bits(closure.dJ, kept)
+    assert not closure.dJ.flags.writeable
 
 
 def test_held_right_sides_follow_the_closure_object():

@@ -6,9 +6,9 @@ an out-of-bounds write could corrupt numpy's heap without changing a
 result.  So _march.c is built here with the sanitizers, and with every
 warning an error, into the test's temporary directory (never the library
 cache), and a fresh interpreter that preloads the sanitizer runtimes
-makes each call of `results` with it: the march, with a shared and a
-per-direction source, both closure functions, batched, on one group's
-psi alone and on the grey sums, and the Level-2/3 arithmetic: the
+makes each call of `results` with it: the march, both closure
+functions, batched, on one group's psi alone and on the grey sums, and
+the Level-2/3 arithmetic: the
 averaged cross sections, zeta, the sweep source, the grey coefficients,
 the grey band and right side, the group right sides and the AA(1)
 residual, on each problem's sweep and on zero fluxes, where every
@@ -77,31 +77,30 @@ def results():
         ops = problem_operators(spec, mesh)
         system = LowOrderSystem(spec, mesh)
         quad = build_double_gauss(ops.n_half)
-        G, M, N = ops.sigma_t.size, ops.mabs.size, ops.dx.size
-        for shape in ((G, N, 2), (G, M, N, 2)):
-            psi = sweep.sweep_batch(ops, rng.rand(*shape))
-            moments = angular_moments(psi, quad)
-            closures = closure_from_sweep(psi, quad, moments, ops)
-            alone = closure_from_sweep(psi[-1], quad,
-                                       angular_moments(psi[-1], quad), ops)
-            grey = sum_closures(closures)
-            out.append(psi)
-            for clo in (closures, alone, grey):
-                out += [clo.dJ, clo.dphi, clo.Phat, clo.terms]
-            for phi, J in ((moments.phi, moments.J),
-                           (np.zeros((G, N, 2)), np.zeros((G, N, 2)))):
-                sbar_s = avg_scattering_xs(phi, spec.sigma_s)
-                coeffs = grey_xs(phi, J, spec)
-                grey_phi, grey_J = system.solve_grey(coeffs, grey)
-                zeta = compute_zeta(grey_phi, phi)
-                out += [sbar_s, coeffs.sbar_a, coeffs.sbar_t, coeffs.eta,
-                        coeffs.Q, grey_phi, grey_J, zeta,
-                        sweep.build_ho_rhs(grey_phi, sbar_s, spec.Q),
-                        *system.group_pass(phi, zeta, closures),
-                        system.equation_residual(phi, J, zeta, closures)]
-            nan = np.full((N, 2), np.nan)
-            out += system.solve_grey(GreyCoefficients(
-                nan, coeffs.sbar_t, coeffs.eta, coeffs.Q), grey)
+        G, N = ops.sigma_t.size, ops.dx.size
+        psi = sweep.sweep_batch(ops, rng.rand(G, N, 2))
+        moments = angular_moments(psi, quad)
+        closures = closure_from_sweep(psi, quad, moments, ops)
+        alone = closure_from_sweep(psi[-1], quad,
+                                   angular_moments(psi[-1], quad), ops)
+        grey = sum_closures(closures)
+        out.append(psi)
+        for clo in (closures, alone, grey):
+            out += [clo.dJ, clo.dphi, clo.Phat, clo.terms]
+        for phi, J in ((moments.phi, moments.J),
+                       (np.zeros((G, N, 2)), np.zeros((G, N, 2)))):
+            sbar_s = avg_scattering_xs(phi, spec.sigma_s)
+            coeffs = grey_xs(phi, J, spec)
+            grey_phi, grey_J = system.solve_grey(coeffs, grey)
+            zeta = compute_zeta(grey_phi, phi)
+            out += [sbar_s, coeffs.sbar_a, coeffs.sbar_t, coeffs.eta,
+                    coeffs.Q, grey_phi, grey_J, zeta,
+                    sweep.build_ho_rhs(grey_phi, sbar_s, spec.Q),
+                    *system.group_pass(phi, zeta, closures),
+                    system.equation_residual(phi, J, zeta, closures)]
+        nan = np.full((N, 2), np.nan)
+        out += system.solve_grey(GreyCoefficients(
+            nan, coeffs.sbar_t, coeffs.eta, coeffs.Q), grey)
     return out
 
 

@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 from slabsm import sweep
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.driver import IterationConfig, run_problem
-from slabsm.fields import Mesh, const_field, to_nodes
+from slabsm.fields import Mesh
 from slabsm.problem import ProblemSpec, builtin_problem
 from slabsm.losm import (ProblemOperators, closure_from_sweep,
                          problem_operators)
 from slabsm.sweep import build_ho_rhs, sweep_batch
+from ld_fields import const_field, to_nodes
 from test_fields import mesh_edges
 from test_glue_bitwise import upwind_edge_psi
 
@@ -35,6 +36,15 @@ def _sweep(sigma_t, mesh, quad, rhs):
 def _sweep1(sigma_t, mesh, quad, rhs):
     """Single-group sweep: psi shaped (M, n_cells, 2)."""
     return _sweep(np.array([sigma_t]), mesh, quad, rhs[None])[0]
+
+
+def sweep_per_direction(ops, rhs):
+    """psi (G, M, N, 2) of the source rhs (G, M, N, 2), one per direction:
+    a sweep of each direction d's source as the isotropic one, of which
+    direction d is kept.  Each lane of the march reads only its group's
+    source, so direction d of that sweep is the sweep of its own source."""
+    return np.stack([sweep_batch(ops, rhs[:, d])[:, d]
+                     for d in range(rhs.shape[1])], axis=1)
 
 
 def cell_centers(mesh):
@@ -140,7 +150,8 @@ def test_manufactured_linear_solution_exact():
         rhs[m] = project_ld(
             lambda x: abs(mu) * (1 + mu)
             + sigma * _inflow_distance(x, mu, W) * (1 + mu), mesh)
-    psi = _sweep1(sigma, mesh, quad, rhs)
+    ops = ProblemOperators([sigma], [sigma], mesh.dx, 4)
+    psi = sweep_per_direction(ops, rhs[None])[0]
     for m, mu in enumerate(quad.mu):
         exact_avg = _inflow_distance(cell_centers(mesh), mu, W) * (1 + mu)
         exact_slope = np.sign(mu) * (mesh.dx / 2.0) * (1 + mu)
@@ -305,16 +316,29 @@ def test_record_rejects_widths_the_march_cannot_take(dx):
 
 
 @pytest.mark.parametrize("rhs, match", [
-    (np.zeros((1, 3, 2)), "rhs shape"),
-    (np.zeros((1, 3, 2, 2)), "rhs shape"),
-    (np.zeros((2, 2)), "rhs shape"),
+    (np.zeros((1, 3, 2)), "shape"),
+    (np.zeros((1, 4, 2, 2)), "shape"),
+    (np.zeros((2, 2)), "shape"),
     (np.full((1, 2, 2), np.nan), "rhs must be finite"),
-    (np.full((1, 4, 2, 2), np.inf), "rhs must be finite"),
+    (np.full((1, 2, 2), np.inf), "rhs must be finite"),
+    (np.zeros((2, 2, 2)), "shape"),
 ])
-def test_bad_rhs_rejected(rhs, match):
+def test_bad_rhs_rejected(monkeypatch, rhs, match):
+    # the source of a sweep is isotropic, (G, N, 2): a wrong N or G, a
+    # source per direction (G, M, N, 2) and a NaN or inf raise before the
+    # library is called
+    def no_call(name):
+        raise AssertionError(f"{name} called")
+    monkeypatch.setattr(sweep, "kernel", no_call)
     quad = build_double_gauss(2)
     with pytest.raises(ValueError, match=match):
         _sweep([1.0], Mesh.uniform(1.0, 2), quad, rhs)
+
+
+def test_nested_list_source_sweeps():
+    ops = ProblemOperators([1.0, 2.0], [1.0, 2.0], [0.5, 0.25], 2)
+    rhs = [[[1.0, 0.5], [0.0, -0.25]], [[2.0, 0.0], [1.5, 0.5]]]
+    assert _same_bits(sweep_batch(ops, rhs), sweep_batch(ops, np.array(rhs)))
 
 
 def test_sigma_t_dx_overflow_rejected():
@@ -335,12 +359,12 @@ def test_sigma_t_dx_overflow_rejected():
 
 
 def test_group_axis_matches_single_group_sweeps():
-    # per-direction rhs: one G=3 sweep equals three G=1 sweeps bitwise
+    # one G=3 sweep equals three G=1 sweeps bitwise
     quad = build_double_gauss(4)
     mesh = Mesh.uniform(6.0, 12)
     rng = np.random.RandomState(21)
     sigma_t = np.array([0.3, 1.7, 25.0])
-    rhs = rng.rand(3, quad.n_angles, 12, 2)
+    rhs = rng.rand(3, 12, 2)
     psi = _sweep(sigma_t, mesh, quad, rhs)
     for g in range(3):
         assert np.array_equal(psi[g], _sweep1(sigma_t[g], mesh, quad, rhs[g]))
@@ -352,25 +376,23 @@ def test_group_axis_matches_single_group_sweeps():
                                 [0.1, 0.3, 0.05, 0.4, 0.2, 0.25, 0.4]])
 @pytest.mark.parametrize("G", [1, 3, 10])
 def test_isotropic_source_matches_broadcast_source(G, dx, n_half, thick):
-    # a (G, N, 2) source and the same source broadcast to every direction
-    # give the same bits, signs of zeros included, in cells of optical
-    # thickness about 1 and 1e100; n_half = 1 with G > 1 and N > 1 is the
-    # layout where numpy 2.4.6's np.negative misbehaves
+    # one march of a (G, N, 2) source is, in every group and direction,
+    # the cell-by-cell solve of the same source given to each direction,
+    # in cells of optical thickness about 1 and 1e100, with exact zeros
+    # of both signs in the source
     dx = np.array(dx)
     N = dx.size
     mesh = Mesh(dx)
     quad = build_double_gauss(n_half)
-    M = quad.n_angles
     rng = np.random.RandomState(G + 10 * N + 100 * n_half)
     sigma_t = (rng.rand(G) + 0.5) * (1e100 if thick else 1.0)
     rhs = rng.randn(G, N, 2)
     rhs[rng.rand(G, N, 2) < 0.3] = 0.0
     rhs[rng.rand(G, N, 2) < 0.1] = -0.0
     psi = _sweep(sigma_t, mesh, quad, rhs)
-    wide = _sweep(sigma_t, mesh, quad,
-                       np.broadcast_to(rhs[:, None], (G, M, N, 2)))
-    assert np.array_equal(psi, wide)
-    assert np.array_equal(np.signbit(psi), np.signbit(wide))
+    for g in range(G):
+        ref = _reference_sweep(sigma_t[g], dx, quad, rhs[g])
+        assert np.abs(psi[g] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _spec(sigma_t=(0.5, 2.0), n_cells=8, n_half=3):
@@ -462,30 +484,26 @@ def test_march_has_one_row_per_distinct_cell(dx, rows):
     # the same width pair (dx[i], dx[N-1-i]): at step 0 and wherever
     # either width differs from the step before's.  psi is bit for bit,
     # signed zeros included, that of the unpacked solve, which forms the
-    # coefficients at every step, for isotropic, per-direction and +-0.0
-    # sources
+    # coefficients at every step, for random and +-0.0 sources
     assert len(set(zip(dx[::-1], dx))) == rows
     quad = build_double_gauss(3)
     sigma_t = np.array([0.5, 2.0, 30.0])
-    G, M, N = sigma_t.size, quad.n_angles, dx.size
+    G, N = sigma_t.size, dx.size
     mesh = Mesh(dx)
     ops = ProblemOperators(sigma_t, sigma_t, dx, 3)
     rng = np.random.RandomState(N)
-    zeros = np.zeros((G, M, N, 2))
-    zeros[rng.rand(G, M, N, 2) < 0.5] = -0.0
-    for rhs in (rng.randn(G, N, 2), rng.randn(G, M, N, 2), zeros):
+    zeros = np.zeros((G, N, 2))
+    zeros[rng.rand(G, N, 2) < 0.5] = -0.0
+    for rhs in (rng.randn(G, N, 2), zeros):
         psi = sweep_batch(ops, rhs)
         assert _same_bits(psi, _unpacked_sweep(sigma_t, mesh, quad, rhs))
 
 
 def test_march_carries_nothing_between_sweeps():
     # a record is read-only and every sweep of it shares it: sweeps of two
-    # records interleaved, with an isotropic, a per-direction and a +-0.0
-    # source and a rejected NaN source between them, each give the bits of
-    # a sweep on a new record, and no psi changes when later sweeps of its
-    # record run
-    quad = build_double_gauss(3)
-    M = quad.n_angles
+    # records interleaved, with a random and a +-0.0 source and a rejected
+    # NaN source between them, each give the bits of a sweep on a new
+    # record, and no psi changes when later sweeps of its record run
     dx = np.array([0.3, 0.1, 0.45, 0.2, 0.25])
     sigma_t = np.array([0.5, 2.0, 30.0])
     G, N = sigma_t.size, dx.size
@@ -499,7 +517,7 @@ def test_march_carries_nothing_between_sweeps():
     nan = rng.randn(G, N, 2)
     nan[1, 2, 0] = np.nan
     swept = []
-    for rhs in (rng.randn(G, N, 2), rng.randn(G, M, N, 2), zeros):
+    for rhs in (rng.randn(G, N, 2), zeros):
         source = rhs.copy()
         psi = sweep_batch(ops, rhs)
         ref = sweep_batch(ProblemOperators(sigma_t, sigma_t, dx, 3), rhs)
@@ -533,14 +551,13 @@ def test_march_carries_nothing_between_sweeps():
 
 def _unpacked_sweep(sigma_t, mesh, quad, rhs):
     """The one march with the LD cell solve written out term by term in
-    every step, with nothing hoisted but dx * source and sigma_t * dx.
-    psi (G, M, N, 2)."""
+    every step, with nothing hoisted but dx * source and sigma_t * dx, of
+    the source rhs (G, N, 2) in every direction.  psi (G, M, N, 2)."""
     G, M, N = sigma_t.size, quad.n_angles, mesh.n_cells
     neg = quad.mu < 0
     m = np.abs(quad.mu)
     src = np.empty((G, M, N, 2))
-    np.multiply(rhs if rhs.ndim == 4 else rhs[:, None], mesh.dx[:, None],
-                out=src)
+    np.multiply(rhs[:, None], mesh.dx[:, None], out=src)
     src[:, neg] = src[:, neg, ::-1]
     src[:, neg, :, 1] *= -1.0
     dx = np.where(neg[:, None], mesh.dx[::-1], mesh.dx)
@@ -573,36 +590,33 @@ def test_march_matches_unpacked_cell_solve():
             mesh = Mesh(dx)
             for n_half in (1, 8):
                 quad = build_double_gauss(n_half)
-                M = quad.n_angles
                 # sigma_t * dx about 1e-10 (thin), 1 and 1e100 (thick)
                 for tau in (1e-10, 1.0, 1e100):
                     sigma_t = tau / dx.mean() * (rng.rand(G) + 0.5)
-                    for shape in ((G, N, 2), (G, M, N, 2)):
-                        rhs = rng.randn(*shape)
-                        # exact zeros of both signs
-                        rhs[rng.rand(*shape) < 0.3] = 0.0
-                        rhs[rng.rand(*shape) < 0.1] = -0.0
-                        case = (G, N, n_half, tau, shape)
-                        ref = _unpacked_sweep(sigma_t, mesh, quad, rhs)
-                        psi = _sweep(sigma_t, mesh, quad, rhs)
-                        assert np.array_equal(psi, ref), case
-                        assert np.array_equal(np.signbit(psi),
-                                              np.signbit(ref)), case
-                        n_cases += 1
-    assert n_cases == 3 * 4 * 2 * 3 * 2
+                    rhs = rng.randn(G, N, 2)
+                    # exact zeros of both signs
+                    rhs[rng.rand(G, N, 2) < 0.3] = 0.0
+                    rhs[rng.rand(G, N, 2) < 0.1] = -0.0
+                    case = (G, N, n_half, tau)
+                    ref = _unpacked_sweep(sigma_t, mesh, quad, rhs)
+                    psi = _sweep(sigma_t, mesh, quad, rhs)
+                    assert np.array_equal(psi, ref), case
+                    assert np.array_equal(np.signbit(psi),
+                                          np.signbit(ref)), case
+                    n_cases += 1
+    assert n_cases == 3 * 4 * 2 * 3
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(_vacuum_sweeps(), st.booleans())
-def test_march_matches_unpacked_cell_solve_on_random_sweeps(problem,
-                                                            per_direction):
+@given(_vacuum_sweeps())
+def test_march_matches_unpacked_cell_solve_on_random_sweeps(problem):
     # the bitwise pin above, over the property test's space of sweeps:
-    # isotropic or per-direction sources with exact zeros of both signs
+    # sources with exact zeros of both signs
     sigma_t, dx, n_half, seed = problem
     mesh = Mesh(dx)
     quad = build_double_gauss(n_half)
     rng = np.random.RandomState(seed)
-    shape = (sigma_t.size,) + (quad.n_angles,) * per_direction + (dx.size, 2)
+    shape = (sigma_t.size, dx.size, 2)
     rhs = rng.randn(*shape)
     rhs[rng.rand(*shape) < 0.3] = 0.0
     rhs[rng.rand(*shape) < 0.1] = -0.0
@@ -615,8 +629,8 @@ def test_march_matches_unpacked_cell_solve_on_random_sweeps(problem,
 def _reference_sweep(sigma_t, dx, quad, rhs):
     """One group, one direction and one cell at a time: np.linalg.solve
     on the module docstring's 2x2 cell system, with the upwind edge on the
-    inflow side (left for mu > 0, right for mu < 0) and vacuum inflow.
-    psi (M, N, 2)."""
+    inflow side (left for mu > 0, right for mu < 0), vacuum inflow and the
+    source rhs (N, 2) in every direction.  psi (M, N, 2)."""
     N = dx.size
     psi = np.zeros((quad.n_angles, N, 2))
     for m, mu in enumerate(quad.mu):
@@ -625,8 +639,8 @@ def _reference_sweep(sigma_t, dx, quad, rhs):
         for i in cells:
             sd = sigma_t * dx[i]
             A = [[abs(mu) + sd, mu], [-3.0 * mu, 3.0 * abs(mu) + sd]]
-            b = [dx[i] * rhs[m, i, 0] + abs(mu) * psi_in,
-                 dx[i] * rhs[m, i, 1] - 3.0 * mu * psi_in]
+            b = [dx[i] * rhs[i, 0] + abs(mu) * psi_in,
+                 dx[i] * rhs[i, 1] - 3.0 * mu * psi_in]
             psi[m, i] = np.linalg.solve(A, b)
             psi_in = psi[m, i, 0] + np.sign(mu) * psi[m, i, 1]
     return psi
@@ -640,7 +654,7 @@ def test_nonuniform_mesh_matches_per_cell_reference():
     mesh = Mesh(dx)
     quad = build_double_gauss(3)
     sigma_t = np.array([0.6, 4.0])
-    rhs = rng.randn(2, quad.n_angles, 7, 2)
+    rhs = rng.randn(2, 7, 2)
     psi = _sweep(sigma_t, mesh, quad, rhs)
     for g in range(2):
         ref = _reference_sweep(sigma_t[g], dx, quad, rhs[g])
