@@ -189,9 +189,8 @@ void slabsm_closure_terms(ptrdiff_t K, ptrdiff_t N,
  * numpy's einsum sums products and its sum(axis=0) the values themselves
  * (so -0.0 values sum to +0.0); the loops over the groups are outside
  * the loops over the cells, which then run over contiguous rows and
- * reorder no sum.  A ratio whose denominator has |d| < DENOM_EPS,
- * losm's threshold, takes its fallback; a NaN denominator divides,
- * giving NaN. */
+ * reorder no sum.  A ratio whose denominator has |d| < DENOM_EPS takes
+ * its fallback; a NaN denominator divides, giving NaN. */
 
 #define DENOM_EPS 1e-30
 
@@ -430,38 +429,34 @@ int slabsm_group_residual(ptrdiff_t G, ptrdiff_t N,
 
 /* The grey system in band storage: ab (4N, width), C-ordered, is the
  * stencil band plus, at the n_mass positions mass_pos, the coefficient
- * coef_index of the stack [sbar_a, sbar_t, eta, 0.0] (each (N, 2)), one
- * addition each; b (4N) is Q - terms in rows 0-1 and the closure terms
- * (N, 4) in rows 2-3 (LowOrderSystem.solve_grey).  Returns 1 if a
- * coefficient is not finite, else 0. */
+ * coef_index of the block coeffs (4, N, 2) = [sbar_a, sbar_t, eta, Q],
+ * index 6N standing for 0.0, one addition each; b (4N) is Q - terms in
+ * rows 0-1 and the closure terms (N, 4) in rows 2-3
+ * (LowOrderSystem.solve_grey).  Returns 1 if one of the first 6N
+ * coefficients is not finite, else 0. */
 int slabsm_grey_system(ptrdiff_t N, ptrdiff_t width, ptrdiff_t n_mass,
                        const double *restrict stencil,
                        const int64_t *restrict mass_pos,
                        const int64_t *restrict coef_index,
-                       const double *restrict sbar_a,
-                       const double *restrict sbar_t,
-                       const double *restrict eta, const double *restrict Q,
+                       const double *restrict coeffs,
                        const double *restrict terms, double *restrict ab,
                        double *restrict b)
 {
+    const double *Q = coeffs + 6 * N;
     memcpy(ab, stencil, (size_t)(4 * N * width) * sizeof *ab);
     for (ptrdiff_t k = 0; k < n_mass; k++) {
         int64_t c = coef_index[k];
-        double v = c < 2 * N ? sbar_a[c]
-                 : c < 4 * N ? sbar_t[c - 2 * N]
-                 : c < 6 * N ? eta[c - 4 * N] : 0.0;
-        ab[mass_pos[k]] += v;
+        ab[mass_pos[k]] += c < 6 * N ? coeffs[c] : 0.0;
     }
     int bad = 0;
+    for (ptrdiff_t c = 0; c < 6 * N; c++)
+        bad |= !isfinite(coeffs[c]);
     for (ptrdiff_t i = 0; i < N; i++) {
         const double *t = terms + 4 * i;
         b[4 * i] = Q[2 * i] - t[0];
         b[4 * i + 1] = Q[2 * i + 1] - t[1];
         b[4 * i + 2] = t[2];
         b[4 * i + 3] = t[3];
-        for (int c = 0; c < 2; c++)
-            bad |= !isfinite(sbar_a[2 * i + c]) | !isfinite(sbar_t[2 * i + c])
-                   | !isfinite(eta[2 * i + c]);
     }
     return bad;
 }

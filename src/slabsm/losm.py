@@ -33,14 +33,15 @@ couple only to its two neighbours: the operator is block tridiagonal with
 4x4 blocks: the derivative stencil of the closures' edge table
 `edge_weights` plus cell-diagonal mass blocks.  Group data carry a leading
 group axis, so one call builds every group's right side.  Every matrix is
-the stencil in LAPACK band storage plus the cell mass entries, gathered
-straight from the flat coefficient stack [sbar_a, sbar_t, eta, 0].  Each
-grey solve is one band LU solve (dgbsv); each multigroup pass is one solve
-of one SuperLU factor of all group matrices, which the residual reads in
-CSR.  The problem's operator record (ProblemOperators) holds all that is
-built once per problem.  Only these levels need scipy (the two solves),
-so it loads where the record first builds its low-order operators
-(ProblemOperators.low_order and _factor), not with this module:
+the stencil plus the cell mass entries.  The grey matrix is in LAPACK
+band storage, its mass gathered from one coefficient block [sbar_a,
+sbar_t, eta, Q]; each grey solve is one band LU solve (dgbsv).  The group
+matrices are read off once, in CSR, which the residual and one SuperLU
+factor of them all read; each multigroup pass is one solve of that
+factor.  The problem's operator record (ProblemOperators) holds all that
+is built once per problem.  Only these levels need scipy (the two
+solves), so it loads where the record first builds its low-order
+operators (ProblemOperators.low_order and _factor), not with this module:
 importing slabsm, the Level-1 sweep (numpy and its compiled march) and
 source iteration need no scipy.
 """
@@ -57,8 +58,6 @@ from .angular import AngularQuadrature, MomentSet, build_double_gauss
 from .fields import Mesh
 from .problem import ProblemSpec
 from .sweep import address, checked, kernel
-
-DENOM_EPS = 1e-30
 
 
 # -- Averaged cross sections and correction factors -------------------------
@@ -303,10 +302,11 @@ def _stencil_blocks(dx: np.ndarray):
 
 
 def _mass_gather(N: int) -> np.ndarray:
-    """Index (N, 4, 4) of each cell mass block entry in the flat stack
-    [sbar_a, sbar_t, eta, 0] of three LD pairs (N, 2) and a zero: removal
-    * phi in rows 0-1, sigma_t * J + drift * phi in rows 2-3, each LD
-    product c * u as [[c_a, c_s], [c_s, c_a]], and +0.0 elsewhere."""
+    """Index (N, 4, 4) of each cell mass block entry in the flat block
+    [sbar_a, sbar_t, eta, Q] of four LD pairs (N, 2), index 6N standing
+    for a zero: removal * phi in rows 0-1, sigma_t * J + drift * phi in
+    rows 2-3, each LD product c * u as [[c_a, c_s], [c_s, c_a]], and +0.0
+    elsewhere."""
     # field of each block entry, 3 for the zero, and its LD coefficient
     field = np.array([[0, 0, 3, 3], [0, 0, 3, 3], [2, 2, 1, 1], [2, 2, 1, 1]])
     coef = np.tile(_LD_PRODUCT, (2, 2))
@@ -323,54 +323,38 @@ def _split_solution(u: np.ndarray):
             x[..., 1:].copy().view(np.float64))
 
 
-def _block_diagonal(data, indices, indptr):
-    """Compressed (CSC or CSR) storage (data, indices, indptr) of the block
-    diagonal of G n x n matrices of one sparsity, each stored as a row of
-    data (G, nnz) on the shared indices and indptr."""
-    G, nnz = data.shape
-    n = indptr.size - 1
-    offsets = np.arange(G)[:, None]
-    return (data.reshape(-1), (indices + n * offsets).reshape(-1),
-            np.concatenate(([0], (indptr[1:] + nnz * offsets).reshape(-1))))
-
-
 def _factor(data, indices, indptr):
     """One SuperLU factor of the block diagonal of the G group matrices, given
-    in CSC as data (G, nnz) on the shared indices and indptr, and the position
+    in CSR as data (G, nnz) on the shared indices and indptr, and the position
     of each group unknown in its solution, (n,) for n unknowns per group.
     COLAMD orders by sparsity alone, so the column order perm_c of one group's
-    own factor is every group's.  Each group's columns go into the block in
-    that order, and the block is factored in its natural order: SuperLU then
-    rebuilds each group's own factor inside the block, so one solve of the
-    block is the G group solves bit for bit, and unknown k of group g sits
-    at g n + perm_c[k] of its solution.  If the block is singular, the groups
-    are factored one at a time to name the first singular one."""
-    from scipy.sparse import csc_matrix
+    own factor is every group's.  scipy's block_diag stacks each group's
+    columns, taken in that order, into the block, which is factored in its
+    natural order: SuperLU then rebuilds each group's own factor inside the
+    block, so one solve of the block is the G group solves bit for bit, and
+    unknown k of group g sits at g n + perm_c[k] of its solution.  If the
+    block is singular, the groups are factored one at a time to name the
+    first singular one."""
+    from scipy.sparse import block_diag, csr_matrix
     from scipy.sparse.linalg import splu
 
     G, n = data.shape[0], indptr.size - 1
 
     def group(g):
-        return csc_matrix((data[g], indices, indptr), shape=(n, n))
+        return csr_matrix((data[g], indices, indptr), shape=(n, n))
 
     try:
         # a copy, so the order-only factor is freed before the block's
-        perm_c = splu(group(0)).perm_c.copy()
-        # column c goes to column perm_c[c]: the data positions of the
-        # columns taken in that order
+        perm_c = splu(group(0).tocsc()).perm_c.copy()
+        # column c goes to column perm_c[c]
         columns = np.argsort(perm_c)
-        counts = np.diff(indptr)[columns]
-        start = np.concatenate(([0], np.cumsum(counts)))
-        take = (np.repeat(indptr[columns] - start[:-1], counts)
-                + np.arange(start[-1]))
-        block = csc_matrix(_block_diagonal(data.take(take, axis=1),
-                                           indices[take],
-                                           start), shape=(G * n, G * n))
+        block = block_diag([group(g)[:, columns] for g in range(G)],
+                           format="csc")
         return splu(block, permc_spec="NATURAL"), perm_c
     except RuntimeError:
         for g in range(G):
             try:
-                splu(group(g))
+                splu(group(g).tocsc())
             except RuntimeError as err:
                 raise RuntimeError("singular low-order system for group "
                                    f"{g + 1}: {err}") from err
@@ -442,22 +426,23 @@ class ProblemOperators:
         """(grey_system, gbsv, csr, lu, unknowns).  grey_system(coeffs,
         terms) gives (kl, ku, ab, b, finite) by one compiled call: the
         stencil plus the mass blocks of the GreyCoefficients coeffs (from
-        their stack [sbar_a, sbar_t, eta, 0], _mass_gather), one addition
-        per centre-block support entry, in the band storage of LAPACK's
-        dgbsv (gbsv), A[r, c] = ab[kl + ku + r - c, c], with bandwidths kl
-        and ku read from the stencil's support (7 each, fewer for one cell);
-        the right side of coeffs.Q and the closure terms; and whether every
-        coefficient is finite.  Each group matrix is the stencil on its
-        support (explicit zeros kept, so every group has one sparsity) with
-        the group's constant removal / sigma_t block added on every cell by
-        that same addition, read off in CSC order for SuperLU and in CSR
-        order, csr = (data (G, nnz), int32 indices, indptr), for the
-        residual.  lu is the one SuperLU factor of all of them (_factor),
-        and unknowns (2, N, 2) the position in each group's part of its
-        solution of the LD coefficients of phi (unknowns[0]) and J
-        (unknowns[1]).  Every array is read-only.  scipy is imported here
-        and in _factor.  If any removal is not positive, a ValueError names
-        the group of the least one, before anything is built."""
+        their one block [sbar_a, sbar_t, eta, Q], _mass_gather), one
+        addition per centre-block support entry, in the band storage of
+        LAPACK's dgbsv (gbsv), A[r, c] = ab[kl + ku + r - c, c], with
+        bandwidths kl and ku read from the stencil's support (7 each, fewer
+        for one cell); the right side of coeffs.Q and the closure terms; and
+        whether every sbar_a, sbar_t and eta is finite.  Each group matrix
+        is the stencil on its support (explicit zeros kept, so every group
+        has one sparsity) with the group's constant removal / sigma_t block
+        added on every cell by that same addition, read off once in CSR
+        order, csr = (data (G, nnz), int32 indices, int32 indptr), which
+        the residual and SuperLU's factor read.  lu is the one SuperLU
+        factor of all of them (_factor), and unknowns (2, N, 2) the
+        position in each group's part of its solution of the LD
+        coefficients of phi (unknowns[0]) and J (unknowns[1]).  Every
+        array is read-only.  scipy is imported here and in _factor.  If any
+        removal is not positive, a ValueError names the group of the least
+        one, before anything is built."""
         removal = self.removal
         if np.any(removal <= 0):
             g = int(np.argmin(removal))
@@ -488,10 +473,10 @@ class ProblemOperators:
         addresses = tuple(map(address, held))
 
         def grey_system(coeffs, terms):
-            arrays = [checked(c, (N, 2)) for c in (
-                coeffs.sbar_a, coeffs.sbar_t, coeffs.eta, coeffs.Q)]
             abT, rhs = np.empty((n, width)), np.empty(n)
-            arrays += [checked(terms, (N, 4)), abT, rhs]
+            arrays = [checked(np.stack([coeffs.sbar_a, coeffs.sbar_t,
+                                        coeffs.eta, coeffs.Q]), (4, N, 2)),
+                      checked(terms, (N, 4)), abT, rhs]
             bad = kernel("slabsm_grey_system")(N, width, held[1].size,
                                                *addresses,
                                                *map(address, arrays))
@@ -499,23 +484,19 @@ class ProblemOperators:
 
         # each group matrix on the support: the stencil, and on the
         # centre-block entries the group's removal / sigma_t block, added
-        # as grey_system adds a mass; read off in CSC and in CSR order
+        # as grey_system adds a mass; read off in CSR order
         coefs = np.zeros((G, 6 * N + 1))
         coefs[:, :2 * N:2] = self.removal[:, None]
         coefs[:, 2 * N:4 * N:2] = self.sigma_t[:, None]
         data = np.tile(entries, (G, 1))
         data[:, centre] += coefs[:, coef_index]
-
-        def read_off(major, minor):
-            order = np.lexsort((minor, major))
-            indptr = np.concatenate(
-                ([0], np.cumsum(np.bincount(major, minlength=n))))
-            return data.take(order, axis=1), minor[order], indptr
-
-        lu, perm_c = _factor(*read_off(cols, rows))
+        order = np.lexsort((cols, rows))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows,
+                                                            minlength=n))))
+        csr = (data.take(order, axis=1), cols[order].astype(np.int32),
+               indptr.astype(np.int32))
+        lu, perm_c = _factor(*csr)
         unknowns = perm_c.reshape(N, 2, 2).swapaxes(0, 1).copy()
-        csr_data, indices, indptr = read_off(rows, cols)
-        csr = csr_data, indices.astype(np.int32), indptr.astype(np.int32)
         for shared in (stencil_band, mass_pos, coef_index, *csr, unknowns):
             shared.setflags(write=False)
         return grey_system, dgbsv, csr, lu, unknowns

@@ -102,7 +102,7 @@ _SIGNATURES = {
     "slabsm_scattering_xs": (2, 4, False), "slabsm_ho_rhs": (2, 4, False),
     "slabsm_grey_xs": (2, 4, False), "slabsm_group_rhs": (2, 6, False),
     "slabsm_group_residual": (2, 10, True),
-    "slabsm_grey_system": (3, 10, True)}
+    "slabsm_grey_system": (3, 7, True)}
 
 # the address of an array that the caller holds, by a name or a list, through
 # the call: an array made in the call's own arguments is freed before it runs

@@ -393,16 +393,18 @@ def test_benchmark_hooks_are_bound(monkeypatch):
 
 
 def _names_read(path):
-    """Every name the code of the file reads, imports or takes as an
-    attribute, except inside a def or class of that same name."""
+    """Every name the code of the file loads, imports or loads as an
+    attribute, except inside a def or class of that same name: an
+    assignment's own target is not a read."""
     names, stack = set(), [(ast.parse(path.read_text()), frozenset())]
     while stack:
         node, owners = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             owners |= {node.name}
-        name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute)
+        load = isinstance(getattr(node, "ctx", None), ast.Load)
+        name = (node.id if isinstance(node, ast.Name) and load
+                else node.attr if isinstance(node, ast.Attribute) and load
                 else node.name.rpartition(".")[2]
                 if isinstance(node, ast.alias) else None)
         if name is not None and name not in owners:
@@ -411,19 +413,31 @@ def _names_read(path):
     return names
 
 
+def _module_names(path):
+    """The names that the module-level defs, classes and assignments of
+    the file bind."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            yield from (n.id for target in targets
+                        for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
 def test_no_public_name_serves_only_the_tests():
-    # every module-level public function and class of the package is
-    # named by the package, the benchmark or the tools outside its own
-    # def or class: nothing is exported only so a test can call it
+    # every module-level public function, class and assigned name of the
+    # package is read by the package, the benchmark or the tools outside
+    # its own def or class: nothing is exported only so a test can use it
     root = Path(__file__).resolve().parents[1]
     package = sorted((root / "src" / "slabsm").glob("*.py"))
     read = set().union(*(_names_read(path) for path in (
         *package, *(root / "bench").glob("*.py"),
         *(root / "tools").glob("*.py")) if not path.name.startswith("test_")))
-    unread = [f"{path.stem}.{node.name}" for path in package
-              for node in ast.parse(path.read_text()).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in read]
+    unread = [f"{path.stem}.{name}" for path in package
+              for name in _module_names(path)
+              if not name.startswith("_") and name not in read]
     assert unread == []
 
 

@@ -5,6 +5,7 @@ random inputs that hold +0.0, -0.0, NaN and denominators below and at
 DENOM_EPS.  No table cell reaches the safeguard fallbacks, so only these
 pins cover them."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,13 +16,13 @@ from scipy.linalg.lapack import dgbsv
 from slabsm import losm
 from slabsm.angular import MomentSet, angular_moments, build_double_gauss
 from slabsm.fields import Mesh
-from slabsm.losm import (DENOM_EPS, ClosureData, GreyCoefficients,
-                         LowOrderSystem, ProblemOperators, _split_solution,
-                         _stencil_blocks, avg_scattering_xs,
-                         closure_from_sweep, compute_zeta, edge_weights,
-                         grey_xs, problem_operators, sum_closures)
+from slabsm.losm import (ClosureData, GreyCoefficients, LowOrderSystem,
+                         ProblemOperators, _split_solution, _stencil_blocks,
+                         avg_scattering_xs, closure_from_sweep, compute_zeta,
+                         edge_weights, grey_xs, problem_operators,
+                         sum_closures)
 from slabsm.problem import ProblemSpec
-from slabsm.sweep import build_ho_rhs, sweep_batch
+from slabsm.sweep import _SOURCE, build_ho_rhs, sweep_batch
 from test_fields import _stacked_coeffs as old_from_nodes
 from test_fields import _stacked_nodes as old_to_nodes
 from test_losm import (_mass_blocks, _same_bits, _signed_zeros,
@@ -29,6 +30,16 @@ from test_losm import (_mass_blocks, _same_bits, _signed_zeros,
 from test_losm import lo_rhs as old_lo_rhs
 
 DX = np.array([0.1, 0.3, 0.05, 0.4, 0.2, 0.25, 0.4])
+
+
+def c_define(name):
+    """The value of `#define name` in the compiled library's source."""
+    return float(re.search(rf"^#define {name} (\S+)$", _SOURCE.read_text(),
+                           re.M).group(1))
+
+
+# the safeguard threshold of every ratio of the compiled library
+DENOM_EPS = c_define("DENOM_EPS")
 
 
 # -- the replaced formulas ---------------------------------------------------

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh
@@ -47,8 +48,8 @@ def residual_matrix(system):
     CSR matrix, whose product the compiled residual reproduces."""
     data, indices, indptr = system._csr
     n = indptr.size - 1
-    return csr_matrix(losm._block_diagonal(data, indices, indptr),
-                      shape=(data.shape[0] * n,) * 2)
+    return block_diag([csr_matrix((d, indices, indptr), shape=(n, n))
+                       for d in data], format="csr")
 
 
 def _pass_residual(system, phi, J, zeta, closures):
@@ -1025,36 +1026,55 @@ def group_reference_factors(spec, dx):
 @pytest.mark.parametrize("G", [1, 3])
 @pytest.mark.parametrize("n", [1, 2, 9])
 def test_group_matrices_are_the_stencil_plus_their_mass(monkeypatch, n, G):
-    # the CSC matrices that SuperLU factors, read off the band, hold
-    # the stencil plus each group's removal / sigma_t block, signs of zeros
-    # included, and the residual's CSR arrays are the same matrices
+    # the residual's CSR arrays, read off the band and handed to the block
+    # factor, hold the stencil plus each group's removal / sigma_t block,
+    # signs of zeros included; the block that SuperLU factors in its
+    # natural order holds every stored entry of every group, explicit zeros
+    # included, each group's columns in the order of its own COLAMD factor
     rng = np.random.RandomState(10 * G + n)
     dx = rng.uniform(0.1, 1.0, n)
     sigma_t = rng.uniform(1.0, 2.0, G)
     removal = sigma_t * rng.uniform(0.1, 1.0, G)
-    factored, real = [], losm._factor
+    factored, blocks = [], []
+    real, real_splu = losm._factor, scipy.sparse.linalg.splu
 
-    def record(data, indices, indptr):
-        factored.extend(csc_matrix((d, indices, indptr), shape=(4 * n,) * 2)
-                        for d in data)
-        return real(data, indices, indptr)
+    def record(*args):
+        factored.append((args, real(*args)))
+        return factored[-1][1]
+
+    def record_block(A, **kwargs):
+        if kwargs.get("permc_spec") == "NATURAL":
+            # copied before splu, which may sort or sum them in place
+            blocks.append((A.data.copy(), A.indices.copy(), A.indptr.copy()))
+        return real_splu(A, **kwargs)
 
     monkeypatch.setattr(losm, "_factor", record)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", record_block)
     # built anew, not looked up: a record made by another test could be
     # served from the cache
     _, _, csr, lu, _ = ProblemOperators(sigma_t, removal, dx, 2).low_order
-    assert len(factored) == G
+    [(args, (_, perm_c))] = factored
+    assert all(a is b for a, b in zip(args, csr)) and len(args) == 3
     expected = group_matrices(dx, sigma_t, removal)
     data, indices, indptr = csr
     assert data.shape[0] == G and indices.dtype == indptr.dtype == np.int32
     rows = [csr_matrix((d, indices, indptr), shape=(4 * n,) * 2)
             for d in data]
-    for got, want in zip(factored + rows,
-                         expected + [A.tocsr() for A in expected]):
-        assert got.format == want.format
+    for got, want in zip(rows, [A.tocsr() for A in expected]):
         assert _same_bits(got.data, want.data)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.indptr, want.indptr)
+    [(block_data, block_indices, block_indptr)] = blocks
+    assert block_data.size == G * data.shape[1]
+    assert csc_matrix((block_data, block_indices, block_indptr),
+                      shape=(4 * n * G,) * 2).has_sorted_indices
+    for g, want in enumerate(expected):
+        for j, c in enumerate(np.argsort(perm_c), start=4 * n * g):
+            got = slice(block_indptr[j], block_indptr[j + 1])
+            col = slice(want.indptr[c], want.indptr[c + 1])
+            assert np.array_equal(block_indices[got],
+                                  4 * n * g + want.indices[col])
+            assert _same_bits(block_data[got], want.data[col])
     # read off one sorted support, they factor as the COO-built matrices:
     # the one block factor holds each group's own COLAMD factor
     wants = list(map(splu, expected))
@@ -1127,7 +1147,7 @@ def test_block_factor_reads_back_a_generic_column_order():
     rng = np.random.RandomState(5)
     n, G = 40, 3
     pattern = (sparse_random(n, n, density=0.1, random_state=rng)
-               + identity(n)).tocsc()
+               + identity(n)).tocsr()
     data = rng.uniform(0.5, 2.0, (G, pattern.nnz))
     lu, perm_c = losm._factor(data, pattern.indices, pattern.indptr)
     assert not np.array_equal(perm_c[perm_c], np.arange(n))
@@ -1135,8 +1155,8 @@ def test_block_factor_reads_back_a_generic_column_order():
     b = rng.randn(G, n)
     u = lu.solve(b.reshape(-1)).reshape(G, n)
     for d, u_g, b_g in zip(data, u, b):
-        ref = splu(csc_matrix((d, pattern.indices, pattern.indptr),
-                              shape=(n, n)))
+        ref = splu(csr_matrix((d, pattern.indices, pattern.indptr),
+                              shape=(n, n)).tocsc())
         assert np.array_equal(ref.perm_c, perm_c)
         assert _same_bits(u_g[perm_c], ref.solve(b_g))
 
@@ -1165,8 +1185,8 @@ def test_singular_grey_system_raises():
 
 def test_singular_group_matrix_names_the_group():
     # three groups of one sparsity, explicit zeros kept: group g has a
-    # zero column, whether it orders the columns (g = 1) or not
-    pattern = csc_matrix(np.ones((2, 2)))
+    # zero row, whether it orders the columns (g = 1) or not
+    pattern = csr_matrix(np.ones((2, 2)))
     for g in (1, 3):
         data = np.tile([1.0, 2.0, 0.5, 3.0], (3, 1))
         data[g - 1, 2:] = 0.0

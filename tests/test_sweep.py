@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -721,3 +722,20 @@ def test_march_build_reuses_the_cached_library(tmp_path):
     assert first == _build(cache, str(cc)) != ""
     assert log.read_text() == "run\n"
     assert len(list((cache / "slabsm").iterdir())) == 1
+
+
+def test_signature_table_is_the_library_source():
+    # the ctypes table repeats each exported prototype of _march.c by hand:
+    # (size arguments, pointer arguments, int return); a drift would pass
+    # the wrong arguments through ctypes
+    table = {}
+    for returns, name, params in re.findall(
+            r"^(\w+) (slabsm_\w+)\(([^)]*)\)", sweep._SOURCE.read_text(),
+            re.M):
+        params = [" ".join(p.split()) for p in params.split(",")]
+        sizes = [p for p in params if re.fullmatch(r"ptrdiff_t \w+", p)]
+        pointers = [p for p in params if "*" in p]
+        assert len(sizes) + len(pointers) == len(params), name
+        assert returns in ("int", "void"), name
+        table[name] = (len(sizes), len(pointers), returns == "int")
+    assert table == sweep._SIGNATURES
