@@ -371,7 +371,9 @@ class ProblemOperators:
     removal, dx as Mesh(dx).dx, mabs, the read-only |mu| of
     build_double_gauss(n_half), and the closures' edge table edges
     (edge_weights).  The sweep (sweep_batch) reads sigma_t, mabs and dx,
-    from which the compiled march forms its cell coefficients.  Built on
+    from which the compiled march forms its cell coefficients, through
+    march: the sizes G, M and N and the addresses of those three arrays,
+    fetched once here, as slabsm_march takes them.  Built on
     first use and kept: the low-order operators (low_order), which import
     scipy and factor, so source iteration pays for neither; a failed build
     raises again on the next use.
@@ -395,6 +397,7 @@ class ProblemOperators:
     n_half: int
     mabs: np.ndarray = dc_field(init=False)
     edges: np.ndarray = dc_field(init=False)
+    march: tuple = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         dx = Mesh(self.dx).dx
@@ -420,6 +423,9 @@ class ProblemOperators:
                              + sd_max * sd_max):
             raise ValueError(f"sigma_t * dx = {sd_max:.3e} overflows the LD "
                              "cell determinant")
+        object.__setattr__(self, "march", (
+            sigma_t.size, mabs.size, dx.size,
+            *(a.ctypes.data for a in (sigma_t, mabs, dx))))
 
     @functools.cached_property
     def low_order(self):

@@ -23,13 +23,16 @@ slabsm_closure_terms, which losm calls (closure_from_sweep, ClosureData),
 and the Levels 2-3 arithmetic of build_ho_rhs and losm: slabsm_ho_rhs,
 slabsm_zeta, slabsm_scattering_xs, slabsm_grey_xs, slabsm_group_rhs,
 slabsm_group_residual and slabsm_grey_system.
-The march runs the cells in its outer loop and the L = G*M independent
-lanes, in (group, direction) order, in its inner loop.  It reads the
-isotropic source (G, N, 2), the same for every direction of its group,
-and writes psi (G, M, N, 2) in place: the mu < 0 half meets cell N-1-i
-at step i, forms dx*q_slope there as q_slope*(-dx) and writes its slope
-as s*(-1).  x*(-dx) is -(x*dx) bit for bit, IEEE rounding being
-symmetric in sign, so these are the mirror's negated slopes.
+The march runs the L = G*M independent lanes, in (group, direction)
+order, in blocks of up to eight directions of one group and one half,
+and each block over all N cells, so each lane writes its own psi row in
+cell order and the block's lanes, which meet the same cell at each step,
+run as one vectorised loop.  It reads the isotropic source (G, N, 2),
+the same for every direction of its group, and writes psi (G, M, N, 2) in
+place: a block of the mu < 0 half meets cell N-1-i at step i, forms
+dx*q_slope there as q_slope*(-dx) and writes its slope as s*(-1).
+x*(-dx) is -(x*dx) bit for bit, IEEE rounding being symmetric in sign, so
+these are the mirror's negated slopes.
 
 With m = |mu|, sd = st*dx and det = 6m^2 + 4m*sd + sd^2, a step of a lane
 of inflow trace y solves its cell in packed form,
@@ -38,8 +41,9 @@ of inflow trace y solves its cell in packed form,
     a = ((3m + sd)*qa + (-m)*qs) / det,    s = ((m + sd)*qs + 3m*qa) / det,
 
 and y = a + s feeds the next cell.  The coefficients depend on sigma_t,
-dx and mu only, so they are formed by the kernel when the step's width
-pair (dx[i], dx[N-1-i]) changes: once a sweep on a uniform mesh.  This
+dx and mu only, so a block forms them at its first cell and again
+wherever the width differs from the cell before's in its half's cell
+order: once a block on a uniform mesh.  This
 rounds exactly as the unpacked solve
 a = ((3m + sd) qa - m qs) / det, s = (3m qa + (m + sd) qs) / det with
 qs = dx*q_slope - 3m psi_in: IEEE defines x - y*z as x + (-y)*z, signed
@@ -55,9 +59,9 @@ into it (a sweep, or a closure built without one), with sysconfig's CC
 under slabsm/), named by the SHA-256 of the C source and the compile
 command; importing slabsm or building an operator record or a
 LowOrderSystem builds and loads nothing.  A sweep writes nothing but its
-own psi and the kernel's inflow traces and coefficient rows, which it
-allocates, so sweeps of one record may run at once, and ctypes releases
-the GIL for the call.
+own psi and the kernel's inflow traces and coefficient rows, which live
+on its stack, so sweeps of one record may run at once, and ctypes
+releases the GIL for the call.
 """
 
 from __future__ import annotations
@@ -69,7 +73,13 @@ from pathlib import Path
 import numpy as np
 
 _SOURCE = Path(__file__).with_name("_march.c")
-_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# -ftree-vectorize runs the march's lanes and the closures' and residual's
+# loops over the cells as SIMD loops.  That is bitwise: each lane's
+# arithmetic is the same IEEE operations, and without -ffast-math no sum
+# is reassociated.  tests/test_sanitizers.py holds it so, comparing an
+# -O1 scalar build of the library bit for bit with this one.
+_FLAGS = ("-O2", "-ftree-vectorize", "-fvect-cost-model=dynamic", "-fPIC",
+          "-shared", "-ffp-contract=off")
 
 
 def sweep_batch(ops, rhs: np.ndarray) -> np.ndarray:
@@ -79,25 +89,22 @@ def sweep_batch(ops, rhs: np.ndarray) -> np.ndarray:
     (M,) and dx (N,), which the record has checked.  rhs is the isotropic
     source density per unit mu, (G, N, 2), which every direction of its
     group reads; any other shape is a ValueError.  One call of the
-    compiled march (kernel, loaded by the first sweep of the process),
-    which writes only the psi returned, a new array."""
-    sigma_t, m, dx = ops.sigma_t, ops.mabs, ops.dx
-    G, M, N = sigma_t.size, m.size, dx.size
+    compiled march (kernel, loaded by the first sweep of the process) on
+    the record's sizes and addresses (ProblemOperators.march), which
+    writes only the psi returned, a new array."""
+    G, M, N = ops.march[:3]
     rhs = checked(rhs, (G, N, 2))
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite")
     psi = np.empty((G, M, N, 2))
-    if kernel("slabsm_march")(G, M, N, sigma_t.ctypes.data, m.ctypes.data,
-                              dx.ctypes.data, rhs.ctypes.data,
-                              psi.ctypes.data):
-        raise MemoryError("no memory for the march's work rows")
+    kernel("slabsm_march")(*ops.march, rhs.ctypes.data, psi.ctypes.data)
     return psi
 
 
 # the functions of _march.c: their numbers of size arguments and then of
 # pointer arguments, and whether they return an int status (else void)
 _SIGNATURES = {
-    "slabsm_march": (3, 5, True), "slabsm_closure": (3, 6, False),
+    "slabsm_march": (3, 5, False), "slabsm_closure": (3, 6, False),
     "slabsm_closure_terms": (2, 6, False), "slabsm_zeta": (2, 3, False),
     "slabsm_scattering_xs": (2, 4, False), "slabsm_ho_rhs": (2, 4, False),
     "slabsm_grey_xs": (2, 4, False), "slabsm_group_rhs": (2, 6, False),

@@ -14,7 +14,9 @@ the grey band and right side, the group right sides and the AA(1)
 residual, on each problem's sweep and on zero fluxes, where every
 safeguard fallback is taken, and a grey system with a NaN coefficient.
 Any report or warning on its error output fails the test, and its
-results must be the bits of the cached library's.
+results must be the bits of the cached library's.  The sanitized build is
+-O1, which vectorises no loop, so this also holds the cached library,
+whose loops sweep._FLAGS vectorises, to the scalar arithmetic.
 """
 
 import os
@@ -54,10 +56,11 @@ np.savez(sys.argv[2], *results())
 
 def _problems():
     """(spec, mesh) on the shape edges: one group, one cell, one direction
-    per half, seeded nonuniform meshes, and test1 and test2."""
+    per half, nine directions per half (a full block of the march's lanes
+    and a tail), seeded nonuniform meshes, and test1 and test2."""
     rng = np.random.RandomState(17)
     for G, N, n_half in ((1, 1, 1), (1, 6, 1), (3, 1, 2), (2, 9, 3),
-                         (4, 16, 4)):
+                         (4, 16, 4), (2, 7, 9)):
         sigma_t = rng.rand(G) + 0.5
         sigma_s = rng.rand(G, G) * sigma_t * (0.9 / G)
         mesh = Mesh(rng.rand(N) + 0.05)

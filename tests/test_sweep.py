@@ -465,9 +465,10 @@ def test_march_keeps_its_own_copies():
 
 def _meshes():
     """Cell widths: uniform, random, mirror-symmetric, repeating, a
-    single cell, and a mesh and its reverse where the widths of one half
-    change at a step and the other half's do not, with the number of
-    distinct (dx[N-1-i], dx[i]) pairs."""
+    single cell, and meshes whose runs of equal widths start at other
+    steps in the mirrored half's cell order than in the forward half's,
+    with the number of distinct pairs (dx[N-1-i], dx[i]) of the widths
+    that the two halves meet at one step."""
     rng = np.random.RandomState(30)
     yield np.full(6, 0.25), 1
     yield rng.rand(9) + 0.05, 9
@@ -477,27 +478,38 @@ def _meshes():
     yield np.array([0.3]), 1
     yield np.array([0.3, 0.3, 0.3, 0.5]), 3
     yield np.array([0.5, 0.3, 0.3, 0.3]), 3
+    yield np.array([0.2, 0.2, 0.5, 0.5, 0.5, 0.1]), 5
+
+
+# directions per half below, at, above and off a multiple of the march's
+# block of eight lanes
+N_HALF = (1, 3, 5, 8, 9, 12)
 
 
 @pytest.mark.parametrize("dx, rows", list(_meshes()))
 def test_march_has_one_row_per_distinct_cell(dx, rows):
-    # the kernel forms one set of coefficient rows per run of steps with
-    # the same width pair (dx[i], dx[N-1-i]): at step 0 and wherever
-    # either width differs from the step before's.  psi is bit for bit,
-    # signed zeros included, that of the unpacked solve, which forms the
-    # coefficients at every step, for random and +-0.0 sources
+    # each block of the march, one group's lanes of one half, forms its
+    # coefficient rows at its first cell and again wherever the width
+    # differs from the cell before's in its half's cell order (from cell
+    # N-1 down in the mirrored half): once per run of equal widths, the
+    # two halves' runs starting at different steps where the mesh is not
+    # mirror-symmetric.  psi is bit for bit, signed zeros included, that
+    # of the unpacked solve, which forms the coefficients at every step,
+    # for random and +-0.0 sources, with full blocks and with tails
     assert len(set(zip(dx[::-1], dx))) == rows
-    quad = build_double_gauss(3)
     sigma_t = np.array([0.5, 2.0, 30.0])
     G, N = sigma_t.size, dx.size
     mesh = Mesh(dx)
-    ops = ProblemOperators(sigma_t, sigma_t, dx, 3)
-    rng = np.random.RandomState(N)
-    zeros = np.zeros((G, N, 2))
-    zeros[rng.rand(G, N, 2) < 0.5] = -0.0
-    for rhs in (rng.randn(G, N, 2), zeros):
-        psi = sweep_batch(ops, rhs)
-        assert _same_bits(psi, _unpacked_sweep(sigma_t, mesh, quad, rhs))
+    for n_half in N_HALF:
+        quad = build_double_gauss(n_half)
+        ops = ProblemOperators(sigma_t, sigma_t, dx, n_half)
+        rng = np.random.RandomState(N + 100 * n_half)
+        zeros = np.zeros((G, N, 2))
+        zeros[rng.rand(G, N, 2) < 0.5] = -0.0
+        for rhs in (rng.randn(G, N, 2), zeros):
+            psi = sweep_batch(ops, rhs)
+            assert _same_bits(psi, _unpacked_sweep(sigma_t, mesh, quad,
+                                                   rhs)), n_half
 
 
 def test_march_carries_nothing_between_sweeps():
@@ -582,14 +594,16 @@ def _unpacked_sweep(sigma_t, mesh, quad, rhs):
 
 def test_march_matches_unpacked_cell_solve():
     # the packed solve (K q) / det of the module docstring rounds exactly
-    # as the unpacked one: every bit, the sign of every zero included
+    # as the unpacked one: every bit, the sign of every zero included, in
+    # one group and in many, on one cell and on many, and with a half of
+    # directions that fills the march's blocks of lanes or leaves a tail
     rng = np.random.RandomState(17)
     n_cases = 0
     for G in (1, 3, 10):
         for N in (1, 2, 7, 128):
             dx = rng.rand(N) + 0.05 if N == 7 else np.full(N, 2.0 / N)
             mesh = Mesh(dx)
-            for n_half in (1, 8):
+            for n_half in N_HALF:
                 quad = build_double_gauss(n_half)
                 # sigma_t * dx about 1e-10 (thin), 1 and 1e100 (thick)
                 for tau in (1e-10, 1.0, 1e100):
@@ -605,7 +619,7 @@ def test_march_matches_unpacked_cell_solve():
                     assert np.array_equal(np.signbit(psi),
                                           np.signbit(ref)), case
                     n_cases += 1
-    assert n_cases == 3 * 4 * 2 * 3
+    assert n_cases == 3 * 4 * len(N_HALF) * 3
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

@@ -5,7 +5,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-CALLS = ("sweep_batch", "angular_moments", "closure_from_sweep",
+CALLS = ("sweep_batch", "march", "angular_moments", "closure_from_sweep",
          "sum_closures", "grey_xs", "avg_scattering_xs", "solve_grey",
          "build_ho_rhs", "compute_zeta", "group_pass", "equation_residual",
          "si_step", "multilevel_step", "operators")

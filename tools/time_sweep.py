@@ -10,8 +10,12 @@ then from OTHER_SRC, and both stay loaded.  On test1 and test2 each tree
 gets the same inputs: a fixed seeded isotropic source (G, N, 2) for
 `sweep.sweep_batch`, which also sweeps test1's data over a seeded
 random nonuniform mesh of its N cells and width (row `test1-nu`), where
-every step of the march meets a new pair of widths; that source's swept
-psi for `angular.angular_moments` and, with its moments, for
+every cell's width differs from its neighbours', so the march forms its
+coefficients at every step; the same source for `march`, the bare
+compiled `slabsm_march` call of that sweep on addresses fetched
+beforehand into one psi array, which shows the kernel's time apart from
+its wrapper's; that source's swept psi for
+`angular.angular_moments` and, with its moments, for
 `closure_from_sweep`, taken from `slabsm.driver`, which binds it in
 every tree, the per-outer glue between the sweep and the low-order
 levels; for `losm.sum_closures` that sweep's group closures, whose grey
@@ -113,6 +117,19 @@ def calls(slabsm, problem: str) -> dict:
     def sweep_batch():
         return sweep.sweep_batch(ops, rhs)
 
+    # the bare march into one psi, on the addresses of `arrays`, which
+    # march holds, fetched here: (G, M, N), the record's sigma_t, mabs and
+    # dx, rhs and psi
+    arrays = (ops.sigma_t, ops.mabs, ops.dx, rhs,
+              np.empty((spec.G, ops.mabs.size, spec.n_cells, 2)))
+    march_args = (spec.G, ops.mabs.size, spec.n_cells,
+                  *(a.ctypes.data for a in arrays))
+    slabsm_march = sweep.kernel("slabsm_march")
+
+    def march():
+        slabsm_march(*march_args)
+        return arrays[-1]
+
     def operators():
         # in the order of a multilevel run: its LowOrderSystem first
         fresh = losm.ProblemOperators(ops.sigma_t, ops.removal, ops.dx,
@@ -138,6 +155,7 @@ def calls(slabsm, problem: str) -> dict:
     ml_state = driver.TransportState(phi, grey_phi)
     return {
         "sweep_batch": sweep_batch,
+        "march": march,
         "angular_moments": lambda: slabsm.angular.angular_moments(psi,
                                                                   quad),
         "closure_from_sweep": lambda: closure_from_sweep(*closure_args),
