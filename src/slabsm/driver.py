@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .accel import aa1_alpha
 from .angular import AngularQuadrature, angular_moments, build_double_gauss
 from .fields import Mesh
 from .losm import (LowOrderSystem, ProblemOperators, avg_scattering_xs,
@@ -236,6 +235,25 @@ def _multilevel_step(run: _Run, state: TransportState):
     sbar_s = avg_scattering_xs(state.phi, spec.sigma_s)
     psi = sweep_batch(run.ops, build_ho_rhs(state.grey_phi, sbar_s, spec.Q))
     return _low_order_levels(run, psi, state.grey_phi)
+
+
+def aa1_alpha(r_prev: np.ndarray, r_curr: np.ndarray) -> float | None:
+    """The a0 minimizing ||a0*r_prev + (1 - a0)*r_curr||_2:
+
+        a0 = sum r_curr*(r_curr - r_prev) / sum (r_prev - r_curr)^2
+
+    None for a degenerate pair, whose denominator is zero or not finite;
+    the caller then takes the plain fixed-point step, a0 = 0.
+    """
+    r_prev = np.asarray(r_prev, dtype=float)
+    r_curr = np.asarray(r_curr, dtype=float)
+    if r_prev.shape != r_curr.shape:
+        raise ValueError("residual vectors must have equal length")
+    diff = r_prev - r_curr
+    den = float(diff @ diff)
+    if den <= 0.0 or not np.isfinite(den):
+        return None
+    return float(r_curr @ (r_curr - r_prev)) / den
 
 
 def _low_order_levels(run: _Run, psi, grey_phi):

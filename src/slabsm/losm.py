@@ -314,15 +314,6 @@ def _mass_gather(N: int) -> np.ndarray:
     return np.minimum(2 * N * field + cell + coef, 6 * N)
 
 
-def _split_solution(u: np.ndarray):
-    """(phi, J) LD coefficients (..., N, 2) of cell-ordered unknowns
-    (..., 4N), float64 with a contiguous last axis.  Viewed as complex128,
-    each LD pair is one item, so each copy is one loop, not one per cell."""
-    x = u.view(np.complex128).reshape(u.shape[:-1] + (-1, 2))
-    return (x[..., :1].copy().view(np.float64),
-            x[..., 1:].copy().view(np.float64))
-
-
 def _factor(data, indices, indptr):
     """One SuperLU factor of the block diagonal of the G group matrices, given
     in CSR as data (G, nnz) on the shared indices and indptr, and the position
@@ -533,11 +524,11 @@ class LowOrderSystem:
     builds the right sides and one solve of the group matrices' one
     factor; each grey solve one compiled call that builds the band and the
     right side (ops.low_order) and one dgbsv call, a banded LU with
-    partial pivoting.  The system keeps no state between calls but its
-    counters, which record executed solves for the cost accounting: one
-    parallel group pass counts as one low-order solve, as does one grey
-    solve.  It fetches the addresses of the per-problem arrays that the
-    library reads once, and loads no library.
+    partial pivoting; both read (phi, J) back by take.  The system keeps
+    no state between calls but its counters, which record executed solves
+    for the cost accounting: one parallel group pass counts as one
+    low-order solve, as does one grey solve.  It fetches once the addresses
+    of the per-problem arrays the library reads, and loads no library.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: Mesh):
@@ -549,6 +540,10 @@ class LowOrderSystem:
         (self._grey_system, self._gbsv, self._csr, self._lu,
          self._unknowns) = ops.low_order
         self._addresses = tuple(map(address, (coupling, self.Q, *self._csr)))
+        # as unknowns: where phi and J sit in the grey solution, cell i at 4i
+        self._grey_at = (4 * np.arange(ops.dx.size)[:, None]
+                         + [[[0, 1]], [[2, 3]]])
+        self._grey_at.setflags(write=False)
         self.n_group_passes = 0
         self.n_grey_solves = 0
 
@@ -611,4 +606,4 @@ class LowOrderSystem:
             # makes of NaN coefficients
             u = np.full_like(b, np.nan)
         self.n_grey_solves = self.n_grey_solves + 1
-        return _split_solution(u)
+        return tuple(u.take(self._grey_at))

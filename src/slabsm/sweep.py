@@ -17,7 +17,8 @@ results.  The mu < 0 directions are the first half (AngularQuadrature
 enforces that layout), so the mirror acts on a slice.
 
 The march is one C function, slabsm_march in _march.c, which each sweep
-calls once through ctypes; kernel loads it.  The same library holds the
+calls once through ctypes; kernel loads it and types it from its C
+prototype, as every function of the library.  The same library holds the
 hand-off of psi to the low-order levels, slabsm_closure and
 slabsm_closure_terms, which losm calls (closure_from_sweep, ClosureData),
 and the Levels 2-3 arithmetic of build_ho_rhs and losm: slabsm_ho_rhs,
@@ -68,6 +69,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import re
 from pathlib import Path
 
 import numpy as np
@@ -101,15 +103,9 @@ def sweep_batch(ops, rhs: np.ndarray) -> np.ndarray:
     return psi
 
 
-# the functions of _march.c: their numbers of size arguments and then of
-# pointer arguments, and whether they return an int status (else void)
-_SIGNATURES = {
-    "slabsm_march": (3, 5, False), "slabsm_closure": (3, 6, False),
-    "slabsm_closure_terms": (2, 6, False), "slabsm_zeta": (2, 3, False),
-    "slabsm_scattering_xs": (2, 4, False), "slabsm_ho_rhs": (2, 4, False),
-    "slabsm_grey_xs": (2, 4, False), "slabsm_group_rhs": (2, 6, False),
-    "slabsm_group_residual": (2, 10, True),
-    "slabsm_grey_system": (3, 7, True)}
+# a function that _march.c exports: `type slabsm_name(parameters)` at the
+# start of a line, which kernel types it by
+_PROTOTYPE = re.compile(r"^(\w+) (slabsm_\w+)\(([^)]*)\)", re.M)
 
 # the address of an array that the caller holds, by a name or a list, through
 # the call: an array made in the call's own arguments is freed before it runs
@@ -128,16 +124,28 @@ def checked(array, shape: tuple) -> np.ndarray:
 
 @functools.cache
 def kernel(name: str):
-    """Function `name` of _march.c (_SIGNATURES), loaded on its first call
-    in the process from the library _library builds; ctypes releases the
-    GIL for each call."""
+    """Function `name` of _march.c, typed from its prototype (_PROTOTYPE):
+    ptrdiff_t as c_ssize_t, any pointer as c_void_p, an int return as c_int
+    and void as None; any other type is a RuntimeError naming the function
+    and the parameter, raised before the library is built or loaded.
+    Loaded on its first call in the process from the library _library
+    builds; ctypes releases the GIL for each call."""
     import ctypes
 
-    sizes, pointers, status = _SIGNATURES[name]
+    returns, params = {found: (r, p) for r, found, p in _PROTOTYPE.findall(
+        _SOURCE.read_text())}[name]
+    if returns not in ("int", "void"):
+        raise RuntimeError(f"{name} returns {returns}: not int or void")
+    argtypes = []
+    for param in params.split(","):
+        param = " ".join(param.split())
+        if "*" not in param and param.rsplit(" ", 1)[0] != "ptrdiff_t":
+            raise RuntimeError(f"{name} takes {param}: not a ptrdiff_t or "
+                               "a pointer")
+        argtypes.append(ctypes.c_void_p if "*" in param else ctypes.c_ssize_t)
     function = getattr(ctypes.CDLL(_library()), name)
-    function.argtypes = ([ctypes.c_ssize_t] * sizes
-                         + [ctypes.c_void_p] * pointers)
-    function.restype = ctypes.c_int if status else None
+    function.argtypes = argtypes
+    function.restype = ctypes.c_int if returns == "int" else None
     return function
 
 

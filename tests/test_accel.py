@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from slabsm import driver
-from slabsm.accel import aa1_alpha
-from slabsm.driver import IterationConfig, run_problem
+from slabsm.driver import IterationConfig, aa1_alpha, run_problem
 from slabsm.fields import Mesh
-from slabsm.losm import ClosureData, LowOrderSystem, _split_solution
+from slabsm.losm import ClosureData, LowOrderSystem
 from slabsm.problem import ProblemSpec
+from test_glue_bitwise import old_split_solution
 from test_losm import group_source, lo_rhs, residual_matrix
 
 
@@ -130,8 +130,8 @@ def test_equation_residual_is_the_stacked_split_residual():
 
     b = lo_rhs(group_source(system, phi, zeta), closures.terms)
     x = np.concatenate([phi, J], axis=-1).reshape(-1)
-    r_phi, r_J = _split_solution(b - (residual_matrix(system) @ x
-                                      ).reshape(b.shape))
+    r_phi, r_J = old_split_solution(b - (residual_matrix(system) @ x
+                                         ).reshape(b.shape))
     expected = np.stack([r_phi, r_J], -1).ravel()
     assert np.array_equal(r, expected)
     assert np.array_equal(np.signbit(r), np.signbit(expected))

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from slabsm import driver
-from slabsm.accel import aa1_alpha
 from slabsm.angular import angular_moments, build_double_gauss
-from slabsm.driver import (IterationConfig, run_problem,
+from slabsm.driver import (IterationConfig, aa1_alpha, run_problem,
                            si_infinite_medium_rho)
 from slabsm.fields import Mesh
 from slabsm.losm import LowOrderSystem, ProblemOperators

@@ -17,7 +17,7 @@ from slabsm import losm
 from slabsm.angular import MomentSet, angular_moments, build_double_gauss
 from slabsm.fields import Mesh
 from slabsm.losm import (ClosureData, GreyCoefficients, LowOrderSystem,
-                         ProblemOperators, _split_solution, _stencil_blocks,
+                         ProblemOperators, _stencil_blocks,
                          avg_scattering_xs, closure_from_sweep, compute_zeta,
                          edge_weights, grey_xs, problem_operators,
                          sum_closures)
@@ -317,7 +317,9 @@ def test_right_sides_and_solution_split_are_the_replaced_formulas(
         lead, terms_lead):
     # the compiled right sides of the grey system (no lead axis) and of the
     # group systems, on their own terms or on the grey closure's terms
-    # given to every group
+    # given to every group; then the read-back of (phi, J) from a solution
+    # of each: solve_grey's, in cell order, and group_pass's, in its
+    # column order (unknowns), are the replaced split of the cell order
     rng = np.random.RandomState(6)
     N = DX.size
     system = LowOrderSystem(_spec(), Mesh(DX))
@@ -340,9 +342,19 @@ def test_right_sides_and_solution_split_are_the_replaced_formulas(
     assert _same_bits(got.reshape(-1), old_lo_rhs(S, terms).reshape(-1))
     u = _signed_zeros(rng, rng.randn(*lead, 4 * N))
     u[..., 5] = np.nan
-    for got, want in zip(_split_solution(u), old_split_solution(u)):
-        assert _same_bits(got, want)
-        assert got.flags.c_contiguous and not np.shares_memory(got, u)
+    if lead:
+        system._lu = SimpleNamespace(solve=lambda b: u.reshape(-1))
+        got = system.group_pass(phi, zeta, SimpleNamespace(
+            terms=np.broadcast_to(terms, lead + (N, 4))))
+        want = old_split_solution(
+            u[:, system._unknowns.swapaxes(0, 1).reshape(-1)])
+    else:
+        system._gbsv = lambda *args, **kwargs: (None, None, u, 0)
+        got = system.solve_grey(coeffs, SimpleNamespace(terms=terms))
+        want = old_split_solution(u)
+    for got_f, want_f in zip(got, want, strict=True):
+        assert _same_bits(got_f, want_f)
+        assert got_f.flags.c_contiguous and not np.shares_memory(got_f, u)
 
 
 def _system_and_state(rng, G=3):

@@ -1110,6 +1110,8 @@ def test_one_block_solve_is_the_group_solves(name):
     # bit for bit, signs of zeros included, on seeded right sides and
     # through group_pass; all groups share one column order, in which the
     # block is factored in its natural order
+    from test_glue_bitwise import old_split_solution
+
     spec = _BLOCK_SPECS[name]
     mesh = Mesh.uniform(spec.width, spec.n_cells)
     system = LowOrderSystem(spec, mesh)
@@ -1133,7 +1135,7 @@ def test_one_block_solve_is_the_group_solves(name):
     closures = ClosureData(*edges, P=rng.randn(G, spec.n_cells, 2),
                            dx=mesh.dx)
     b = lo_rhs(group_source(system, phi, zeta), closures.terms)
-    want = losm._split_solution(
+    want = old_split_solution(
         np.stack([ref.solve(b_g) for ref, b_g in zip(refs, b)]))
     for got, want_f in zip(system.group_pass(phi, zeta, closures), want):
         assert _same_bits(got, want_f)

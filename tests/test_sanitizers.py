@@ -13,10 +13,11 @@ averaged cross sections, zeta, the sweep source, the grey coefficients,
 the grey band and right side, the group right sides and the AA(1)
 residual, on each problem's sweep and on zero fluxes, where every
 safeguard fallback is taken, and a grey system with a NaN coefficient.
-Any report or warning on its error output fails the test, and its
-results must be the bits of the cached library's.  The sanitized build is
--O1, which vectorises no loop, so this also holds the cached library,
-whose loops sweep._FLAGS vectorises, to the scalar arithmetic.
+A function the source exports that `results` never reaches fails the
+test, as does any report or warning on the child's error output, and
+its results must be the bits of the cached library's.  The sanitized
+build is -O1, which vectorises no loop, so this also holds the cached
+library, whose loops sweep._FLAGS vectorises, to the scalar arithmetic.
 """
 
 import os
@@ -29,7 +30,7 @@ import sysconfig
 import numpy as np
 import pytest
 
-from slabsm import sweep
+from slabsm import losm, sweep
 from slabsm.angular import angular_moments, build_double_gauss
 from slabsm.fields import Mesh
 from slabsm.losm import (GreyCoefficients, LowOrderSystem,
@@ -107,14 +108,22 @@ def results():
     return out
 
 
-def test_library_is_clean_under_the_sanitizers(tmp_path):
-    # results() calls these; a function added to the library must be
-    # added there too
-    assert set(sweep._SIGNATURES) == {
-        "slabsm_march", "slabsm_closure", "slabsm_closure_terms",
-        "slabsm_zeta", "slabsm_scattering_xs", "slabsm_ho_rhs",
-        "slabsm_grey_xs", "slabsm_grey_system", "slabsm_group_rhs",
-        "slabsm_group_residual"}
+def test_library_is_clean_under_the_sanitizers(tmp_path, monkeypatch):
+    # results() reaches every function the library exports, read off the
+    # source as kernel reads them: a spy on kernel, which losm and sweep
+    # both bind, records the names it is asked for
+    exported = {name for _, name, _ in
+                sweep._PROTOTYPE.findall(sweep._SOURCE.read_text())}
+    reached, library = set(), sweep.kernel
+
+    def spy(name):
+        reached.add(name)
+        return library(name)
+
+    for module in (sweep, losm):
+        monkeypatch.setattr(module, "kernel", spy)
+    want = results()
+    assert reached == exported
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     preload = []
     for runtime in RUNTIMES:
@@ -143,7 +152,6 @@ def test_library_is_clean_under_the_sanitizers(tmp_path):
                           text=True, timeout=600)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     with np.load(saved) as got:
-        want = results()
         assert len(got.files) == len(want)
         for i, array in enumerate(want):
             assert _same_bits(got[f"arr_{i}"], array), i

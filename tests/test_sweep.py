@@ -1,6 +1,6 @@
+import ctypes
 import os
 import pathlib
-import re
 import subprocess
 import sys
 
@@ -738,18 +738,34 @@ def test_march_build_reuses_the_cached_library(tmp_path):
     assert len(list((cache / "slabsm").iterdir())) == 1
 
 
-def test_signature_table_is_the_library_source():
-    # the ctypes table repeats each exported prototype of _march.c by hand:
-    # (size arguments, pointer arguments, int return); a drift would pass
-    # the wrong arguments through ctypes
-    table = {}
-    for returns, name, params in re.findall(
-            r"^(\w+) (slabsm_\w+)\(([^)]*)\)", sweep._SOURCE.read_text(),
-            re.M):
-        params = [" ".join(p.split()) for p in params.split(",")]
-        sizes = [p for p in params if re.fullmatch(r"ptrdiff_t \w+", p)]
-        pointers = [p for p in params if "*" in p]
-        assert len(sizes) + len(pointers) == len(params), name
-        assert returns in ("int", "void"), name
-        table[name] = (len(sizes), len(pointers), returns == "int")
-    assert table == sweep._SIGNATURES
+@pytest.mark.parametrize("prototype, named", [
+    ("void slabsm_odd(ptrdiff_t N, int flag,\n  double *restrict x)",
+     "slabsm_odd takes int flag"),
+    ("double slabsm_odd(ptrdiff_t N, const double *restrict x)",
+     "slabsm_odd returns double")], ids=["int-parameter", "double-return"])
+def test_kernel_types_the_library_from_its_prototypes(tmp_path, monkeypatch,
+                                                      prototype, named):
+    # ctypes reads each function's types off its C prototype: ptrdiff_t
+    # and pointers in, int or void out; any other type is refused by name
+    # before a compiler runs or a library loads
+    for name, sizes, pointers, restype in (
+            ("slabsm_group_residual", 2, 10, ctypes.c_int),
+            ("slabsm_march", 3, 5, None)):
+        function = sweep.kernel(name)
+        assert list(function.argtypes) == ([ctypes.c_ssize_t] * sizes
+                                           + [ctypes.c_void_p] * pointers)
+        assert function.restype is restype
+    source = tmp_path / "_march.c"
+    source.write_text(f"{prototype}\n{{\n}}\n")
+    monkeypatch.setattr(sweep, "_SOURCE", source)
+
+    def no_library():
+        raise AssertionError("the library was built or loaded")
+
+    monkeypatch.setattr(sweep, "_library", no_library)
+    sweep.kernel.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=named):
+            sweep.kernel("slabsm_odd")
+    finally:
+        sweep.kernel.cache_clear()
